@@ -20,7 +20,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
 #include "harness/profiling.hh"
 #include "services/microbench.hh"
@@ -68,8 +67,12 @@ runWith(const core::TwigConfig &cfg, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const std::size_t steps = args.full ? 10000 : 1500;
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
+    const std::size_t steps = full ? 10000 : 1500;
 
     bench::banner("Ablations: reward theta, monitor eta, prioritised "
                   "replay (Masstree @ 50%)");
@@ -79,7 +82,7 @@ main(int argc, char **argv)
     for (double theta : {0.0, 0.25, 0.5, 1.0, 2.0}) {
         auto cfg = core::TwigConfig::fast(steps);
         cfg.reward.theta = theta;
-        const auto r = runWith(cfg, args.seed, steps);
+        const auto r = runWith(cfg, seed, steps);
         std::printf("%-8.2f %11.1f%% %10.1f W\n", theta, r.qosPct,
                     r.powerW);
     }
@@ -93,7 +96,7 @@ main(int argc, char **argv)
     for (std::size_t eta : {1, 3, 5, 9}) {
         auto cfg = core::TwigConfig::fast(steps);
         cfg.eta = eta;
-        const auto r = runWith(cfg, args.seed + 10, steps);
+        const auto r = runWith(cfg, seed + 10, steps);
         std::printf("%-8zu %11.1f%% %10.1f W\n", eta, r.qosPct,
                     r.powerW);
     }
@@ -104,7 +107,7 @@ main(int argc, char **argv)
     for (double alpha : {0.0, 0.6}) {
         auto cfg = core::TwigConfig::fast(steps);
         cfg.learner.replay.alpha = alpha;
-        const auto r = runWith(cfg, args.seed + 20, steps);
+        const auto r = runWith(cfg, seed + 20, steps);
         std::printf("%-10.1f %11.1f%% %10.1f W\n", alpha, r.qosPct,
                     r.powerW);
     }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches: argument
- * parsing (--full for paper-length schedules, --seed), table printing.
+ * Shared helpers for the figure/table reproduction benches: the flags
+ * most of them read (each bench registers only the ones its code
+ * uses) and table printing.
  */
 
 #ifndef TWIG_BENCH_BENCH_UTIL_HH
@@ -9,306 +10,35 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "autoscale/node_class.hh"
+#include "common/flags.hh"
 
 namespace twig::bench {
 
-/** Common bench options. */
-struct BenchArgs
+/** --full (paper-length schedules) and --seed (base seed, default 42
+ * in every bench). */
+inline void
+addRunFlags(common::FlagParser &flags, bool *full, std::uint64_t *seed)
 {
-    /** Run the paper-length schedules instead of the compressed ones. */
-    bool full = false;
-    std::uint64_t seed = 42;
-    /** Worker threads for independent runs (harness/sweep.hh);
-     * 1 executes the sweep serially on the calling thread. The result
-     * is bit-identical either way: per-run seeds depend only on
-     * (seed, config index), never on thread scheduling. */
-    std::size_t jobs = 1;
-    /** Bind address for benches that stand up a live server
-     * (bench/fig_serve). */
-    std::string listen = "127.0.0.1";
-    /** TCP port for the same; 0 binds an ephemeral one. */
-    std::uint16_t port = 0;
-    /** Served-phase wall-clock length, seconds. */
-    double durationS = 2.0;
-    /** Load-generator connections. */
-    std::size_t connections = 8;
-    /** Routing domains for fleet benches; 0 = bench default (each
-     * bench picks per scale). Explicit values must be >= 1. */
-    std::size_t domains = 0;
-    /** Elastic-fleet bounds from --autoscale MIN:MAX; 0:0 = bench
-     * default. MIN must be >= 1 and <= MAX. */
-    std::size_t autoscaleMin = 0;
-    std::size_t autoscaleMax = 0;
-    /** Override hourly rate for every slot, $; 0 = per-class defaults. */
-    double costPerNodeHour = 0.0;
-    /** Built-in node-class ids for heterogeneous fleet benches, in the
-     * order given (no duplicates; each must name a catalogue class). */
-    std::vector<std::string> nodeClasses;
-    /** Values of bench-specific value flags passed via the @p extra
-     * allowlist of parse/tryParse, keyed by flag (e.g. "--out"). */
-    std::map<std::string, std::string> extra;
-
-    /** Outcome of tryParse: either args, or an error, or --help. */
-    struct ParseResult;
-
-    /**
-     * Strict parse. Rejects (with a message, not a guess): unknown
-     * flags, flags missing their value, non-numeric / negative /
-     * overflowed numbers, and --jobs 0. @p extra_value_flags lists
-     * bench-specific flags that take one value (e.g. {"--out"});
-     * their values land in BenchArgs::extra.
-     */
-    static ParseResult
-    tryParse(int argc, char **argv,
-             const std::vector<std::string> &extra_value_flags = {});
-
-    /** tryParse, exiting on bad input (status 2) or --help (0). */
-    static BenchArgs
-    parse(int argc, char **argv,
-          const std::vector<std::string> &extra_value_flags = {});
-
-    static void
-    printUsage(const char *prog,
-               const std::vector<std::string> &extra_value_flags = {})
-    {
-        std::string extras;
-        for (const auto &flag : extra_value_flags)
-            extras += " [" + flag + " VALUE]";
-        std::printf(
-            "usage: %s [--full] [--seed N] [--jobs N]%s\n"
-            "  --full    paper-length schedules (hours) instead "
-            "of compressed ones\n"
-            "  --seed N  base seed; per-run seeds are derived "
-            "from (seed, config index)\n"
-            "  --jobs N  run independent experiment configs on N "
-            "threads (default 1;\n"
-            "            results are identical for any N)\n"
-            "  --listen ADDR / --port N / --duration-s S / "
-            "--connections N\n"
-            "            live-serving knobs (benches that stand up a "
-            "server only)\n"
-            "  --domains N\n"
-            "            routing domains for fleet benches (>= 1; "
-            "default: per-scale)\n"
-            "  --autoscale MIN:MAX\n"
-            "            elastic-fleet bounds for autoscale benches "
-            "(MIN >= 1, MIN <= MAX)\n"
-            "  --cost-per-node-hour X\n"
-            "            override every slot's hourly rate, $ "
-            "(default: per-class)\n"
-            "  --node-class ID\n"
-            "            add a built-in node class to the fleet mix "
-            "(repeatable, no\n"
-            "            duplicates: std18 | little6 | gen1 | gen2)\n",
-            prog, extras.c_str());
-    }
-};
-
-struct BenchArgs::ParseResult
-{
-    BenchArgs args;
-    /** Empty on success; otherwise what is wrong with the line. */
-    std::string error;
-    bool helpRequested = false;
-
-    bool ok() const { return error.empty() && !helpRequested; }
-};
-
-inline BenchArgs::ParseResult
-BenchArgs::tryParse(int argc, char **argv,
-                    const std::vector<std::string> &extra_value_flags)
-{
-    ParseResult res;
-    auto fail = [&res](std::string msg) {
-        res.error = std::move(msg);
-        return res;
-    };
-    auto parseCount = [](const char *flag, const char *text,
-                         std::uint64_t &out, std::string &err) {
-        if (text[0] == '\0' || text[0] == '-' || text[0] == '+') {
-            err = std::string(flag) + " wants a non-negative integer, " +
-                "got '" + text + "'";
-            return false;
-        }
-        errno = 0;
-        char *end = nullptr;
-        out = std::strtoull(text, &end, 10);
-        if (errno != 0 || end == text || *end != '\0') {
-            err = std::string(flag) + " wants a non-negative integer, " +
-                "got '" + text + "'";
-            return false;
-        }
-        return true;
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--full") == 0) {
-            res.args.full = true;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            res.helpRequested = true;
-            return res;
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            if (i + 1 >= argc)
-                return fail("--seed is missing its value");
-            std::string err;
-            if (!parseCount("--seed", argv[++i], res.args.seed, err))
-                return fail(err);
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc)
-                return fail("--jobs is missing its value");
-            std::uint64_t jobs = 0;
-            std::string err;
-            if (!parseCount("--jobs", argv[++i], jobs, err))
-                return fail(err);
-            if (jobs == 0)
-                return fail("--jobs must be at least 1");
-            res.args.jobs = static_cast<std::size_t>(jobs);
-        } else if (std::strcmp(arg, "--domains") == 0) {
-            if (i + 1 >= argc)
-                return fail("--domains is missing its value");
-            std::uint64_t domains = 0;
-            std::string err;
-            if (!parseCount("--domains", argv[++i], domains, err))
-                return fail(err);
-            if (domains == 0)
-                return fail("--domains must be at least 1");
-            res.args.domains = static_cast<std::size_t>(domains);
-        } else if (std::strcmp(arg, "--autoscale") == 0) {
-            if (i + 1 >= argc)
-                return fail("--autoscale is missing its value");
-            const std::string text = argv[++i];
-            const std::size_t colon = text.find(':');
-            if (colon == std::string::npos ||
-                text.find(':', colon + 1) != std::string::npos)
-                return fail("--autoscale wants MIN:MAX, got '" + text +
-                            "'");
-            std::uint64_t lo = 0, hi = 0;
-            std::string err;
-            if (!parseCount("--autoscale",
-                            text.substr(0, colon).c_str(), lo, err) ||
-                !parseCount("--autoscale",
-                            text.substr(colon + 1).c_str(), hi, err))
-                return fail(err);
-            if (lo == 0)
-                return fail("--autoscale MIN must be at least 1");
-            if (lo > hi)
-                return fail("--autoscale wants MIN <= MAX, got '" +
-                            text + "'");
-            res.args.autoscaleMin = static_cast<std::size_t>(lo);
-            res.args.autoscaleMax = static_cast<std::size_t>(hi);
-        } else if (std::strcmp(arg, "--cost-per-node-hour") == 0) {
-            if (i + 1 >= argc)
-                return fail("--cost-per-node-hour is missing its value");
-            const char *text = argv[++i];
-            errno = 0;
-            char *end = nullptr;
-            const double v = std::strtod(text, &end);
-            if (errno != 0 || end == text || *end != '\0')
-                return fail(std::string("--cost-per-node-hour wants a "
-                                        "number, got '") +
-                            text + "'");
-            if (v < 0.0)
-                return fail("--cost-per-node-hour must be "
-                            "non-negative");
-            res.args.costPerNodeHour = v;
-        } else if (std::strcmp(arg, "--node-class") == 0) {
-            if (i + 1 >= argc)
-                return fail("--node-class is missing its value");
-            const std::string id = argv[++i];
-            if (!autoscale::isBuiltinNodeClass(id))
-                return fail("--node-class names the unknown class '" +
-                            id +
-                            "' (want std18 | little6 | gen1 | gen2)");
-            for (const auto &seen : res.args.nodeClasses) {
-                if (seen == id)
-                    return fail("--node-class repeats class '" + id +
-                                "'");
-            }
-            res.args.nodeClasses.push_back(id);
-        } else if (std::strcmp(arg, "--listen") == 0) {
-            if (i + 1 >= argc)
-                return fail("--listen is missing its value");
-            res.args.listen = argv[++i];
-            if (res.args.listen.empty())
-                return fail("--listen wants a non-empty address");
-        } else if (std::strcmp(arg, "--port") == 0) {
-            if (i + 1 >= argc)
-                return fail("--port is missing its value");
-            std::uint64_t port = 0;
-            std::string err;
-            if (!parseCount("--port", argv[++i], port, err))
-                return fail(err);
-            if (port > 65535)
-                return fail("--port must be in 0..65535 (0 binds an "
-                            "ephemeral port)");
-            res.args.port = static_cast<std::uint16_t>(port);
-        } else if (std::strcmp(arg, "--duration-s") == 0) {
-            if (i + 1 >= argc)
-                return fail("--duration-s is missing its value");
-            const char *text = argv[++i];
-            errno = 0;
-            char *end = nullptr;
-            const double v = std::strtod(text, &end);
-            if (errno != 0 || end == text || *end != '\0')
-                return fail(std::string("--duration-s wants a number, "
-                                        "got '") +
-                            text + "'");
-            if (!(v > 0.0))
-                return fail("--duration-s must be positive");
-            res.args.durationS = v;
-        } else if (std::strcmp(arg, "--connections") == 0) {
-            if (i + 1 >= argc)
-                return fail("--connections is missing its value");
-            std::uint64_t conns = 0;
-            std::string err;
-            if (!parseCount("--connections", argv[++i], conns, err))
-                return fail(err);
-            if (conns == 0)
-                return fail("--connections must be at least 1");
-            res.args.connections = static_cast<std::size_t>(conns);
-        } else {
-            bool matched = false;
-            for (const auto &flag : extra_value_flags) {
-                if (flag != arg)
-                    continue;
-                if (i + 1 >= argc)
-                    return fail(flag + " is missing its value");
-                res.args.extra[flag] = argv[++i];
-                matched = true;
-                break;
-            }
-            if (!matched)
-                return fail(std::string("unknown flag '") + arg +
-                            "' (see --help)");
-        }
-    }
-    return res;
+    flags.addBool("--full", full,
+                  "paper-length schedules (hours) instead of the "
+                  "compressed ones");
+    flags.addCount("--seed", seed,
+                   "base seed; per-run seeds derive from (seed, config "
+                   "index) (default 42)");
 }
 
-inline BenchArgs
-BenchArgs::parse(int argc, char **argv,
-                 const std::vector<std::string> &extra_value_flags)
+/** --jobs: threads for the bench's independent runs. Output is
+ * bit-identical at any value: per-run seeds depend only on (seed,
+ * config index), never on thread scheduling. */
+inline void
+addJobsFlag(common::FlagParser &flags, std::size_t *jobs)
 {
-    auto res = tryParse(argc, argv, extra_value_flags);
-    if (res.helpRequested) {
-        printUsage(argv[0], extra_value_flags);
-        std::exit(0);
-    }
-    if (!res.error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], res.error.c_str());
-        printUsage(argv[0], extra_value_flags);
-        std::exit(2);
-    }
-    return std::move(res.args);
+    flags.addCount("--jobs", jobs,
+                   "threads for independent runs; output is identical "
+                   "at any N (default 1)",
+                   1);
 }
 
 /** Print a banner naming the experiment. */

@@ -261,14 +261,18 @@ runService(const std::string &name, std::size_t samples,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const std::size_t samples = args.full ? 30000 : 4000;
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
+    const std::size_t samples = full ? 30000 : 4000;
 
     bench::banner("Fig. 1: tail-latency prediction from PMCs vs IPC "
                   "(Memcached, Web-Search)");
-    runService("memcached", samples, args.seed, -0.286, 0.63, 0.45,
+    runService("memcached", samples, seed, -0.286, 0.63, 0.45,
                2.13);
-    runService("web-search", samples, args.seed + 100, -0.132, 0.37,
+    runService("web-search", samples, seed + 100, -0.132, 0.37,
                0.24, 0.72);
     std::printf("\n(CSV PDFs written to fig01_<service>_pdf.csv; paper "
                 "errors are in their ms scale,\nours in the "

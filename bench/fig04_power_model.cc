@@ -97,10 +97,14 @@ runService(const std::string &name, std::uint64_t seed, bool full)
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
     bench::banner("Fig. 4: per-service power-model (Eq. 2) estimation "
                   "error (PAAE)");
-    runService("xapian", args.seed, args.full);
-    runService("masstree", args.seed + 10, args.full);
+    runService("xapian", seed, full);
+    runService("masstree", seed + 10, full);
     return 0;
 }

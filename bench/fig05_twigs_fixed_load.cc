@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "harness/sweep.hh"
 #include "services/tailbench.hh"
 
@@ -41,8 +41,14 @@ struct Cell
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const auto schedule = bench::Schedule::pick(args.full, 2000, 300);
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.parseOrExit(argc, argv);
+    const auto schedule = harness::Schedule::pick(full, 2000, 300);
 
     bench::banner("Fig. 5: Twig-S vs Hipster/Heracles/static, fixed "
                   "loads (QoS %, energy normalised to static)");
@@ -57,8 +63,8 @@ main(int argc, char **argv)
                                                "hipster", "twig"};
 
     harness::SweepOptions sweep_opts;
-    sweep_opts.jobs = args.jobs;
-    sweep_opts.baseSeed = args.seed;
+    sweep_opts.jobs = jobs;
+    sweep_opts.baseSeed = seed;
     const harness::ParallelSweep sweep(sweep_opts);
 
     const std::size_t count =
@@ -75,7 +81,7 @@ main(int argc, char **argv)
             svc.fraction = loads[pair % loads.size()];
             spec.services.push_back(svc);
             spec.manager = managers[mgr_kind];
-            spec.paper = args.full;
+            spec.paper = full;
             spec.managerSeed = run_seed;
             spec.steps = schedule.steps;
             spec.window = schedule.summaryWindow;
@@ -83,7 +89,7 @@ main(int argc, char **argv)
             // All managers of one (service, load) pair face the same
             // workload: the server seed depends on the pair alone;
             // the manager is seeded from the per-run seed.
-            spec.seed = harness::sweepSeed(args.seed, pair);
+            spec.seed = harness::sweepSeed(seed, pair);
 
             const auto result = harness::Engine().run(spec);
             return Cell{

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "services/tailbench.hh"
 #include "stats/histogram.hh"
 
@@ -76,8 +76,12 @@ report(const char *name, const harness::RunResult &result,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const auto schedule = bench::Schedule::pick(args.full, 2000, 300);
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
+    const auto schedule = harness::Schedule::pick(full, 2000, 300);
     const auto profile = services::masstree();
 
     bench::banner("Fig. 6: core mapping + tardiness histogram, "
@@ -92,23 +96,23 @@ main(int argc, char **argv)
         svc.fraction = 0.5;
         spec.services.push_back(svc);
         spec.manager = manager;
-        spec.paper = args.full;
+        spec.paper = full;
         spec.managerSeed = manager_seed;
         spec.steps = schedule.steps;
         spec.window = schedule.summaryWindow;
         spec.horizon = schedule.horizon;
-        spec.seed = args.seed; // every manager watches the same workload
+        spec.seed = seed; // every manager watches the same workload
 
         harness::EngineOptions opts;
         opts.recordTrace = true;
         return harness::Engine(opts).run(spec).single;
     };
 
-    report("Heracles", run("heracles", args.seed), profile,
+    report("Heracles", run("heracles", seed), profile,
            schedule.summaryWindow);
-    report("Hipster", run("hipster", args.seed + 1), profile,
+    report("Hipster", run("hipster", seed + 1), profile,
            schedule.summaryWindow);
-    report("Twig-S", run("twig", args.seed + 2), profile,
+    report("Twig-S", run("twig", seed + 2), profile,
            schedule.summaryWindow);
     return 0;
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
 #include "harness/sweep.hh"
 #include "services/tailbench.hh"
@@ -62,11 +61,17 @@ class CurveSink : public harness::RecordSink
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.parseOrExit(argc, argv);
     // Paper: anneal to 0.1 in 5000 s, 500 s buckets. Compressed: the
     // same fractions of a 1500-step run.
-    const std::size_t steps = args.full ? 10000 : 1500;
-    const std::size_t bucket = args.full ? 500 : 75;
+    const std::size_t steps = full ? 10000 : 1500;
+    const std::size_t bucket = full ? 500 : 75;
     const auto profile = services::masstree();
 
     bench::banner("Fig. 7: QoS guarantee over time while learning "
@@ -74,10 +79,10 @@ main(int argc, char **argv)
 
     // The two curves are independent experiments; fan them across
     // --jobs threads. Both managers watch the same workload (server
-    // seeded by args.seed), as in the paper's figure.
+    // seeded by --seed), as in the paper's figure.
     harness::SweepOptions sweep_opts;
-    sweep_opts.jobs = args.jobs;
-    sweep_opts.baseSeed = args.seed;
+    sweep_opts.jobs = jobs;
+    sweep_opts.baseSeed = seed;
     const harness::ParallelSweep sweep(sweep_opts);
     const auto curves = sweep.map<std::vector<double>>(
         2, [&](std::size_t idx, std::uint64_t run_seed) {
@@ -88,12 +93,12 @@ main(int argc, char **argv)
             svc.fraction = 0.5;
             spec.services.push_back(svc);
             spec.manager = idx == 0 ? "twig" : "hipster";
-            spec.paper = args.full;
+            spec.paper = full;
             spec.managerSeed = run_seed;
             spec.steps = steps;
             spec.window = steps;
             spec.horizon = steps / 2; // epsilon ~0.1 by mid-run
-            spec.seed = args.seed;
+            spec.seed = seed;
 
             CurveSink sink(profile.qosTargetMs, bucket);
             harness::EngineOptions opts;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
 #include "services/tailbench.hh"
 
@@ -99,10 +98,14 @@ halfLoad(const std::string &service)
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const std::size_t learn_steps = args.full ? 10000 : 1500;
-    const std::size_t adapt_steps = args.full ? 3000 : 600;
-    const std::size_t bucket = args.full ? 300 : 60;
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
+    const std::size_t learn_steps = full ? 10000 : 1500;
+    const std::size_t adapt_steps = full ? 3000 : 600;
+    const std::size_t bucket = full ? 300 : 60;
 
     bench::banner("Fig. 8: Twig-S transfer learning "
                   "(Masstree -> Moses/Img-dnn/Xapian @ 50%)");
@@ -116,23 +119,23 @@ main(int argc, char **argv)
         spec.name = "fig08";
         spec.services.push_back(halfLoad("masstree"));
         spec.manager = "twig";
-        spec.paper = args.full;
-        spec.managerSeed = args.seed;
+        spec.paper = full;
+        spec.managerSeed = seed;
         spec.steps = adapt_steps;
         spec.window = adapt_steps;
         spec.horizon = learn_steps;
-        spec.seed = args.seed + 1; // learning-phase server
+        spec.seed = seed + 1; // learning-phase server
 
         harness::ScenarioEvent swap;
         swap.afterSteps = learn_steps;
         harness::TransferSpec transfer;
         transfer.serviceIndex = 0;
         transfer.service = target;
-        transfer.specSeed = args.seed ^ 5;
+        transfer.specSeed = seed ^ 5;
         transfer.reexploreSteps = adapt_steps / 6;
         swap.transfers.push_back(transfer);
         swap.services.push_back(halfLoad(target));
-        swap.serverSeed = args.seed + 2; // watched-phase server
+        swap.serverSeed = seed + 2; // watched-phase server
         spec.events.push_back(swap);
 
         const auto transfer_curve =
@@ -143,12 +146,12 @@ main(int argc, char **argv)
         scratch_spec.name = "fig08-scratch";
         scratch_spec.services.push_back(halfLoad(target));
         scratch_spec.manager = "twig";
-        scratch_spec.paper = args.full;
-        scratch_spec.managerSeed = args.seed + 3;
+        scratch_spec.paper = full;
+        scratch_spec.managerSeed = seed + 3;
         scratch_spec.steps = adapt_steps;
         scratch_spec.window = adapt_steps;
         scratch_spec.horizon = adapt_steps;
-        scratch_spec.seed = args.seed + 2; // same watched workload
+        scratch_spec.seed = seed + 2; // same watched workload
 
         const auto scratch =
             runSpec(scratch_spec, target_profile.qosTargetMs, bucket);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
 #include "services/tailbench.hh"
 
@@ -92,10 +91,14 @@ runSpec(const harness::ScenarioSpec &spec, std::size_t bucket)
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const std::size_t learn_steps = args.full ? 10000 : 1500;
-    const std::size_t adapt_steps = args.full ? 3000 : 600;
-    const std::size_t bucket = args.full ? 300 : 60;
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
+    const std::size_t learn_steps = full ? 10000 : 1500;
+    const std::size_t adapt_steps = full ? 3000 : 600;
+    const std::size_t bucket = full ? 300 : 60;
 
     bench::banner("Fig. 9: Twig-C transfer learning "
                   "((moses,masstree) -> (xapian,masstree))");
@@ -107,24 +110,24 @@ main(int argc, char **argv)
     spec.services.push_back(fixedLoad("moses", 0.5));
     spec.services.push_back(fixedLoad("masstree", 0.2));
     spec.manager = "twig";
-    spec.paper = args.full;
-    spec.managerSeed = args.seed;
+    spec.paper = full;
+    spec.managerSeed = seed;
     spec.steps = adapt_steps;
     spec.window = adapt_steps;
     spec.horizon = learn_steps;
-    spec.seed = args.seed + 1; // learning-phase server
+    spec.seed = seed + 1; // learning-phase server
 
     harness::ScenarioEvent swap;
     swap.afterSteps = learn_steps;
     harness::TransferSpec transfer;
     transfer.serviceIndex = 0;
     transfer.service = "xapian";
-    transfer.specSeed = args.seed ^ 9;
+    transfer.specSeed = seed ^ 9;
     transfer.reexploreSteps = adapt_steps / 6;
     swap.transfers.push_back(transfer);
     swap.services.push_back(fixedLoad("xapian", 0.5));
     swap.services.push_back(fixedLoad("masstree", 0.2));
-    swap.serverSeed = args.seed + 2; // adaptation-phase server
+    swap.serverSeed = seed + 2; // adaptation-phase server
     spec.events.push_back(swap);
 
     const auto with_tl = runSpec(spec, bucket);
@@ -136,12 +139,12 @@ main(int argc, char **argv)
     scratch.services.push_back(fixedLoad("xapian", 0.5));
     scratch.services.push_back(fixedLoad("masstree", 0.2));
     scratch.manager = "twig";
-    scratch.paper = args.full;
-    scratch.managerSeed = args.seed + 3;
+    scratch.paper = full;
+    scratch.managerSeed = seed + 3;
     scratch.steps = adapt_steps;
     scratch.window = adapt_steps;
     scratch.horizon = adapt_steps;
-    scratch.seed = args.seed + 2; // same adaptation workload
+    scratch.seed = seed + 2; // same adaptation workload
 
     const auto without = runSpec(scratch, bucket);
 

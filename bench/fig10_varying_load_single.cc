@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
 #include "harness/sweep.hh"
 #include "services/tailbench.hh"
@@ -83,11 +82,17 @@ report(const char *name, const Outcome &o, double base_energy)
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.parseOrExit(argc, argv);
     // Paper: 200 s load periods, results after the first 10 000 s.
-    const std::size_t period = args.full ? 200 : 40;
-    const std::size_t steps = args.full ? 12000 : 2600;
-    const std::size_t window = args.full ? 2000 : 640; // full up/down
+    const std::size_t period = full ? 200 : 40;
+    const std::size_t steps = full ? 12000 : 2600;
+    const std::size_t window = full ? 2000 : 640; // full up/down
     const auto profile = services::imgdnn();
 
     bench::banner("Fig. 10: varying load (img-dnn), Twig-S vs Hipster "
@@ -95,12 +100,12 @@ main(int argc, char **argv)
 
     // Three independent (manager, same-workload) runs; fan across
     // --jobs threads. Every manager sees the identical load trace
-    // (server seeded by args.seed + 1, as before).
+    // (server seeded by --seed + 1, as before).
     const std::vector<std::string> managers = {"twig", "hipster",
                                                "heracles"};
     harness::SweepOptions sweep_opts;
-    sweep_opts.jobs = args.jobs;
-    sweep_opts.baseSeed = args.seed;
+    sweep_opts.jobs = jobs;
+    sweep_opts.baseSeed = seed;
     const harness::ParallelSweep sweep(sweep_opts);
     const auto outcomes = sweep.map<Outcome>(
         managers.size(), [&](std::size_t idx, std::uint64_t run_seed) {
@@ -114,12 +119,12 @@ main(int argc, char **argv)
             svc.periodSteps = period;
             spec.services.push_back(svc);
             spec.manager = managers[idx];
-            spec.paper = args.full;
+            spec.paper = full;
             spec.managerSeed = run_seed;
             spec.steps = steps;
             spec.window = window;
             spec.horizon = steps - window;
-            spec.seed = args.seed + 1;
+            spec.seed = seed + 1;
 
             harness::EngineOptions opts;
             opts.recordTrace = true;

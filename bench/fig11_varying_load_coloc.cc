@@ -14,8 +14,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "services/tailbench.hh"
 
 using namespace twig;
@@ -23,14 +23,20 @@ using namespace twig;
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const std::size_t learn_steps = args.full ? 10000 : 2200;
-    const std::size_t ramp_steps = args.full ? 2000 : 400;
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.parseOrExit(argc, argv);
+    const std::size_t learn_steps = full ? 10000 : 2200;
+    const std::size_t ramp_steps = full ? 2000 : 400;
     const auto mo = services::moses();
     const auto mt = services::masstree();
     // The ramp tops out at the pair's colocated max (paper §V-B2).
     const double coloc =
-        bench::colocatedMaxFraction(mo, mt, args.seed ^ 3, args.jobs);
+        harness::colocatedMaxFraction(mo, mt, seed ^ 3, jobs);
 
     bench::banner("Fig. 11: Twig-C with Moses ramping 20->100% while "
                   "Masstree holds 20%");
@@ -56,12 +62,12 @@ main(int argc, char **argv)
         spec.services.push_back(masstree);
     }
     spec.manager = "twig";
-    spec.paper = args.full;
-    spec.managerSeed = args.seed;
+    spec.paper = full;
+    spec.managerSeed = seed;
     spec.steps = ramp_steps;
     spec.window = ramp_steps;
     spec.horizon = learn_steps;
-    spec.seed = args.seed + 1; // learning-phase server
+    spec.seed = seed + 1; // learning-phase server
 
     harness::ScenarioEvent ramp;
     ramp.afterSteps = learn_steps;
@@ -81,7 +87,7 @@ main(int argc, char **argv)
         masstree.maxScale = coloc;
         ramp.services.push_back(masstree);
     }
-    ramp.serverSeed = args.seed + 2; // evaluation server
+    ramp.serverSeed = seed + 2; // evaluation server
     spec.events.push_back(ramp);
 
     harness::EngineOptions opts;

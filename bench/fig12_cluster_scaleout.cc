@@ -36,9 +36,9 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "cluster/cluster_manager.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "harness/registry.hh"
 #include "services/tailbench.hh"
 
@@ -342,27 +342,38 @@ perStep(std::uint64_t cycles, std::uint64_t steps)
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv, {"--out"});
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
+    std::size_t domains = 0; ///< 0 = per-scale default
     std::string out_path = "BENCH_cluster.json";
-    if (auto it = args.extra.find("--out"); it != args.extra.end())
-        out_path = it->second;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.addString("--out", &out_path,
+                    "JSON report path (default BENCH_cluster.json)");
+    flags.addCount("--domains", &domains,
+                   "routing domains of every scale-out row (default: "
+                   "2/4/8 by scale)",
+                   1);
+    flags.parseOrExit(argc, argv);
 
     bench::banner("Cluster scale-out: fleet p99 + power vs replicas, "
                   "per routing policy (heterogeneous fleet)");
 
-    const auto donor_schedule = bench::Schedule::pick(args.full, 700, 140);
-    const auto fleet_schedule = bench::Schedule::pick(args.full, 240, 120);
+    const auto donor_schedule = harness::Schedule::pick(full, 700, 140);
+    const auto fleet_schedule = harness::Schedule::pick(full, 240, 120);
 
     FleetSetup setup;
     setup.services = {services::byName("masstree"),
                       services::byName("img-dnn")};
-    setup.colocFraction = bench::colocatedMaxFraction(
-        setup.services[0], setup.services[1], args.seed ^ 0xc01, args.jobs);
+    setup.colocFraction = harness::colocatedMaxFraction(
+        setup.services[0], setup.services[1], seed ^ 0xc01, jobs);
     setup.steps = fleet_schedule.steps;
     setup.window = fleet_schedule.summaryWindow;
     setup.horizon = fleet_schedule.horizon;
-    setup.jobs = args.jobs;
-    setup.seed = args.seed;
+    setup.jobs = jobs;
+    setup.seed = seed;
 
     std::vector<double> qos_targets;
     for (const auto &svc : setup.services)
@@ -459,10 +470,10 @@ main(int argc, char **argv)
         std::size_t domains;
         std::size_t steps;
     };
-    const std::vector<ScalePoint> scale_points = args.full
+    const std::vector<ScalePoint> scale_points = full
         ? std::vector<ScalePoint>{{8, 2, 96}, {64, 4, 48}, {512, 8, 24}}
         : std::vector<ScalePoint>{{8, 2, 48}, {64, 4, 24}, {512, 8, 12}};
-    const std::size_t scale_jobs = args.jobs > 1 ? args.jobs : 8;
+    const std::size_t scale_jobs = jobs > 1 ? jobs : 8;
     const auto &registry = harness::ManagerRegistry::builtin();
 
     std::printf("\n%5s %7s %5s | %9s %9s %9s %9s %9s %9s | %9s %7s | "
@@ -472,12 +483,12 @@ main(int argc, char **argv)
                 "jobs=", "d1=fl");
     std::vector<ScaleRow> scale_rows;
     for (const auto &point : scale_points) {
-        const std::size_t domains = args.domains != 0
-            ? std::min(args.domains, point.nodes)
+        const std::size_t row_domains = domains != 0
+            ? std::min(domains, point.nodes)
             : point.domains;
         auto spec = fleetScenario(setup, point.nodes, "p2c-latency",
                                   /*twig=*/true, /*warm=*/true);
-        spec.domains = domains;
+        spec.domains = row_domains;
         spec.steps = point.steps;
         spec.window = std::max<std::size_t>(point.steps / 4, 1);
         spec.horizon = point.steps;
@@ -494,7 +505,7 @@ main(int argc, char **argv)
 
         ScaleRow row;
         row.nodes = point.nodes;
-        row.domains = domains;
+        row.domains = row_domains;
         row.steps = point.steps;
         row.jobs = scale_jobs;
         row.batchedNodes = batched.batchedNodes;

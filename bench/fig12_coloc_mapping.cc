@@ -16,8 +16,8 @@
 #include <string>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "services/tailbench.hh"
 
 using namespace twig;
@@ -65,16 +65,20 @@ report(const char *name, const harness::RunResult &result,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
     // Paper summarises this comparison over 600 s (PARTIES samples
     // every 2 s).
-    const std::size_t window = args.full ? 600 : 300;
-    const std::size_t steps = args.full ? 10600 : 2300;
+    const std::size_t window = full ? 600 : 300;
+    const std::size_t steps = full ? 10600 : 2300;
     const auto mt = services::masstree();
     const auto mo = services::moses();
     // 20% / 80% apply to the pair's colocated max load (paper §V-B2).
     const double coloc =
-        bench::colocatedMaxFraction(mt, mo, args.seed ^ 3);
+        harness::colocatedMaxFraction(mt, mo, seed ^ 3);
 
     bench::banner("Fig. 12: mapping distribution, PARTIES vs Twig-C "
                   "(masstree 20% + moses 80%)");
@@ -94,20 +98,20 @@ main(int argc, char **argv)
         moses.maxScale = coloc;
         spec.services.push_back(moses);
         spec.manager = manager;
-        spec.paper = args.full;
+        spec.paper = full;
         spec.managerSeed = manager_seed;
         spec.steps = steps;
         spec.window = window;
         spec.horizon = steps - window;
-        spec.seed = args.seed; // both managers watch the same workload
+        spec.seed = seed; // both managers watch the same workload
 
         harness::EngineOptions opts;
         opts.recordTrace = true;
         return harness::Engine(opts).run(spec).single;
     };
 
-    report("PARTIES", run("parties", args.seed + 1), window);
-    report("Twig-C", run("twig", args.seed + 2), window);
+    report("PARTIES", run("parties", seed + 1), window);
+    report("Twig-C", run("twig", seed + 2), window);
 
     std::printf("\npaper shape: PARTIES makes continuous minor mapping "
                 "changes; Twig-C is stable and\nuses fewer resources "

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "services/tailbench.hh"
 
 using namespace twig;
@@ -35,7 +35,7 @@ struct Cell
 Cell
 runPair(const std::string &manager, const sim::ServiceProfile &a,
         const sim::ServiceProfile &b, double load,
-        double coloc_fraction, const bench::Schedule &schedule,
+        double coloc_fraction, const harness::Schedule &schedule,
         bool full, std::uint64_t server_seed, std::uint64_t manager_seed)
 {
     harness::ScenarioSpec spec;
@@ -65,8 +65,12 @@ runPair(const std::string &manager, const sim::ServiceProfile &a,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const auto schedule = bench::Schedule::pick(args.full, 2000, 300);
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
+    const auto schedule = harness::Schedule::pick(full, 2000, 300);
     const auto catalogue = services::tailbenchCatalogue();
 
     bench::banner("Fig. 13: Twig-C vs PARTIES vs static, colocated "
@@ -88,21 +92,21 @@ main(int argc, char **argv)
             // Per-pair colocated max load (paper: offline sweep in
             // load increments); low/mid/high apply on top of it.
             const double coloc =
-                bench::colocatedMaxFraction(a, b, args.seed ^ (i * 7 + j));
+                harness::colocatedMaxFraction(a, b, seed ^ (i * 7 + j));
             const std::vector<double> loads = {0.2, 0.5, 0.8};
             for (double load : loads) {
-                const std::uint64_t seed = args.seed ^
+                const std::uint64_t pair_seed = seed ^
                     (i * 131 + j * 17 +
                      static_cast<std::uint64_t>(load * 100));
 
                 const Cell s = runPair("static", a, b, load, coloc,
-                                       schedule, args.full, seed, seed);
+                                       schedule, full, pair_seed, pair_seed);
                 const Cell p = runPair("parties", a, b, load, coloc,
-                                       schedule, args.full, seed,
-                                       seed + 1);
+                                       schedule, full, pair_seed,
+                                       pair_seed + 1);
                 const Cell t = runPair("twig", a, b, load, coloc,
-                                       schedule, args.full, seed,
-                                       seed + 2);
+                                       schedule, full, pair_seed,
+                                       pair_seed + 2);
 
                 std::printf("%-10s+%-11s %4.0f%% |", a.name.c_str(),
                             b.name.c_str(), 100 * load * coloc);

@@ -45,9 +45,9 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "services/tailbench.hh"
 
 using namespace twig;
@@ -115,7 +115,7 @@ struct FleetKind
 };
 
 harness::ScenarioSpec
-fleetScenario(const FleetKind &kind, const bench::Schedule &schedule,
+fleetScenario(const FleetKind &kind, const harness::Schedule &schedule,
               std::uint64_t seed)
 {
     harness::ScenarioSpec spec;
@@ -292,16 +292,20 @@ summarize(const FleetKind &kind, const cluster::FleetRunResult &result)
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv, {"--out"});
+    bool full = false;
+    std::uint64_t seed = 42;
     std::string out_path = "BENCH_autoscale.json";
-    if (auto it = args.extra.find("--out"); it != args.extra.end())
-        out_path = it->second;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.addString("--out", &out_path,
+                    "JSON report path (default BENCH_autoscale.json)");
+    flags.parseOrExit(argc, argv);
 
     bench::banner("Autoscaling: elastic fleet sizing vs static "
                   "provisioning (cost-normalized)");
 
-    const auto donor_schedule = bench::Schedule::pick(args.full, 600, 120);
-    const auto fleet_schedule = bench::Schedule::pick(args.full, 360, 120);
+    const auto donor_schedule = harness::Schedule::pick(full, 600, 120);
+    const auto fleet_schedule = harness::Schedule::pick(full, 360, 120);
     const auto profile = services::byName("masstree");
     std::printf("masstree diurnal %.2f..%.2f of the %zu-slot fleet "
                 "(QoS %.2f ms); elastic bounds %zu..%zu, initial %zu\n",
@@ -309,7 +313,7 @@ main(int argc, char **argv)
                 profile.qosTargetMs, kMinNodes, kMaxNodes,
                 kInitialNodes);
 
-    trainDonor(donor_schedule.steps, args.seed);
+    trainDonor(donor_schedule.steps, seed);
 
     // Homogeneous comparison rows all face the same absolute load:
     // maxScale undoes the capacity scaling of their provisioned slot
@@ -336,7 +340,7 @@ main(int argc, char **argv)
         serial_opts.jobs = 1;
         harness::EngineOptions parallel_opts;
         parallel_opts.jobs = 8;
-        const auto spec = fleetScenario(kind, fleet_schedule, args.seed);
+        const auto spec = fleetScenario(kind, fleet_schedule, seed);
         const auto serial = harness::Engine(serial_opts).run(spec);
         const auto parallel = harness::Engine(parallel_opts).run(spec);
         FleetRow row = summarize(kind, serial.fleet);

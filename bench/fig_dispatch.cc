@@ -148,15 +148,19 @@ runPath(bool reference, std::size_t cores, const Pattern &pattern,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv, {"--out"});
+    bool full = false;
+    std::uint64_t seed = 42;
     std::string out_path = "BENCH_sim.json";
-    if (auto it = args.extra.find("--out"); it != args.extra.end())
-        out_path = it->second;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.addString("--out", &out_path,
+                    "JSON report path (default BENCH_sim.json)");
+    flags.parseOrExit(argc, argv);
 
     bench::banner("Dispatch microbenchmark: cycles/request across "
                   "backlog depth, core count, burstiness");
 
-    const std::size_t intervals = args.full ? 1000 : 150;
+    const std::size_t intervals = full ? 1000 : 150;
     const std::size_t warmup = 20;
 
     const Pattern patterns[] = {{"steady70", steady70},
@@ -178,7 +182,7 @@ main(int argc, char **argv)
             harness::SimProfile::enable();
             const auto before = harness::SimProfile::snapshot();
             cell.opt = runPath(false, cores, pattern, warmup,
-                               intervals, args.seed);
+                               intervals, seed);
             const auto prof =
                 harness::SimProfile::snapshot().since(before);
             harness::SimProfile::disable();
@@ -189,7 +193,7 @@ main(int argc, char **argv)
                 cell.opt.requests;
 
             cell.ref = runPath(true, cores, pattern, warmup,
-                               intervals, args.seed);
+                               intervals, seed);
             cell.match = cell.opt.checksum == cell.ref.checksum;
             cells.push_back(cell);
         }

@@ -40,10 +40,10 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "bench/managers.hh"
 #include "faults/fault_injector.hh"
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
+#include "harness/managers.hh"
 #include "services/tailbench.hh"
 
 using namespace twig;
@@ -76,7 +76,7 @@ struct Timeline
     std::size_t checkpointEvery = 0;
 
     static Timeline
-    from(const bench::Schedule &schedule)
+    from(const harness::Schedule &schedule)
     {
         Timeline t;
         t.steps = schedule.steps;
@@ -299,16 +299,22 @@ struct FleetRow
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv, {"--out"});
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
     std::string out_path = "BENCH_faults.json";
-    if (auto it = args.extra.find("--out"); it != args.extra.end())
-        out_path = it->second;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.addString("--out", &out_path,
+                    "JSON report path (default BENCH_faults.json)");
+    flags.parseOrExit(argc, argv);
 
     bench::banner("Fault resilience: QoS recovery + power overhead "
                   "after a replica crash");
 
-    const auto donor_schedule = bench::Schedule::pick(args.full, 700, 140);
-    const auto fleet_schedule = bench::Schedule::pick(args.full, 420, 120);
+    const auto donor_schedule = harness::Schedule::pick(full, 700, 140);
+    const auto fleet_schedule = harness::Schedule::pick(full, 420, 120);
     const Timeline tl = Timeline::from(fleet_schedule);
     const std::size_t stable = 10;
     const std::size_t power_win = std::min<std::size_t>(
@@ -321,10 +327,10 @@ main(int argc, char **argv)
                 kLoadFraction, qos_ms, tl.crashStep, tl.restartStep,
                 tl.checkpointEvery);
 
-    trainDonor(tl, donor_schedule.steps, args.seed);
+    trainDonor(tl, donor_schedule.steps, seed);
 
     harness::EngineOptions engine_opts;
-    engine_opts.jobs = args.jobs;
+    engine_opts.jobs = jobs;
     const harness::Engine engine(engine_opts);
 
     // --- Crash + recovery across the four fleet designs --------------
@@ -341,7 +347,7 @@ main(int argc, char **argv)
     std::vector<FleetRow> rows;
     for (const auto &kind : kinds) {
         const auto result =
-            engine.run(fleetScenario(tl, kind, args.seed));
+            engine.run(fleetScenario(tl, kind, seed));
         FleetRow row;
         row.fleet = kind.label;
         row.manager = kind.manager;
@@ -368,7 +374,7 @@ main(int argc, char **argv)
     }
 
     // --- Corrupted checkpoint frame: detect + cold fallback ----------
-    auto corrupt_spec = fleetScenario(tl, kinds[0], args.seed);
+    auto corrupt_spec = fleetScenario(tl, kinds[0], seed);
     faults::FaultAction corrupt;
     corrupt.kind = faults::FaultKind::CheckpointCorrupt;
     corrupt.atStep = tl.crashStep - 10;
@@ -390,9 +396,9 @@ main(int argc, char **argv)
     harness::EngineOptions parallel_opts;
     parallel_opts.jobs = 4;
     const auto replay_a = harness::Engine(serial_opts)
-                              .run(fleetScenario(tl, kinds[0], args.seed));
+                              .run(fleetScenario(tl, kinds[0], seed));
     const auto replay_b = harness::Engine(parallel_opts)
-                              .run(fleetScenario(tl, kinds[0], args.seed));
+                              .run(fleetScenario(tl, kinds[0], seed));
     const bool replay_identical =
         tracesIdentical(replay_a.fleet, replay_b.fleet);
     std::printf("replay: jobs=1 vs jobs=4 traces %s\n",

@@ -69,21 +69,40 @@ runSimulated(const harness::ScenarioSpec &spec, std::size_t jobs)
 int
 main(int argc, char **argv)
 {
-    const auto args =
-        bench::BenchArgs::parse(argc, argv, {"--out", "--scenario"});
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
     std::string out_path = "BENCH_serve.json";
-    if (auto it = args.extra.find("--out"); it != args.extra.end())
-        out_path = it->second;
     std::string scenario_path =
         std::string(TWIG_SOURCE_DIR) + "/scenarios/serve.json";
-    if (auto it = args.extra.find("--scenario"); it != args.extra.end())
-        scenario_path = it->second;
+    std::string listen = "127.0.0.1";
+    std::uint16_t port = 0;
+    double served_s = 2.0;
+    std::size_t connections = 8;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.addString("--out", &out_path,
+                    "JSON report path (default BENCH_serve.json)");
+    flags.addString("--scenario", &scenario_path,
+                    "cluster scenario to serve (default "
+                    "scenarios/serve.json)");
+    flags.addString("--listen", &listen,
+                    "bind address (default 127.0.0.1)");
+    flags.addCount("--port", &port,
+                   "TCP port; 0 binds an ephemeral one (default 0)");
+    flags.addPositive("--duration-s", &served_s,
+                      "served-arm wall time, doubled by --full "
+                      "(default 2)");
+    flags.addCount("--connections", &connections,
+                   "load-generator connections (default 8)", 1);
+    flags.parseOrExit(argc, argv);
 
     auto spec = harness::ScenarioSpec::fromFile(scenario_path);
-    spec.seed = args.seed;
+    spec.seed = seed;
 
     bench::banner("serve: simulated arm (" + spec.name + ")");
-    const auto simulated = runSimulated(spec, args.jobs);
+    const auto simulated = runSimulated(spec, jobs);
     for (const auto &row : simulated.services)
         std::printf("  %-11s p99 %7.2f ms  QoS %5.1f%%\n",
                     row.name.c_str(), row.p99Ms, row.qosPct);
@@ -92,13 +111,12 @@ main(int argc, char **argv)
     // --- served arm --------------------------------------------------
     bench::banner("serve: served arm (live loopback)");
     const double interval_ms = 10.0;
-    const double duration_s = args.full ? 2.0 * args.durationS
-                                        : args.durationS;
+    const double duration_s = full ? 2.0 * served_s : served_s;
     serve::DaemonOptions dopt;
-    dopt.listen = args.listen;
-    dopt.port = args.port;
+    dopt.listen = listen;
+    dopt.port = port;
     dopt.intervalMs = interval_ms;
-    dopt.jobs = args.jobs;
+    dopt.jobs = jobs;
     // Summarise over the loaded span only (skip the ramp tail after
     // the client stops).
     dopt.windowIntervals = static_cast<std::size_t>(
@@ -116,9 +134,9 @@ main(int argc, char **argv)
             capacity += rps;
 
         serve::LoadClientOptions copt;
-        copt.host = args.listen;
+        copt.host = listen;
         copt.port = daemon.port();
-        copt.connections = args.connections;
+        copt.connections = connections;
         copt.rps = 0.5 * capacity; // the sim arm's mean fraction
         copt.durationS = duration_s;
         const auto report = serve::runLoadClient(copt);
@@ -139,7 +157,7 @@ main(int argc, char **argv)
         served.meanPowerW = summary.metrics.meanPowerW;
         std::printf("  client offered %.0f req/s over %zu connections "
                     "(ack rtt p99 %.0f us)\n",
-                    report.offeredRps, args.connections,
+                    report.offeredRps, connections,
                     report.rttP99Us);
         for (const auto &row : served.services)
             std::printf("  %-11s p99 %7.2f ms  QoS %5.1f%%\n",
@@ -155,18 +173,18 @@ main(int argc, char **argv)
     double wire_rtt_p99_us = 0.0;
     {
         serve::DaemonOptions wopt;
-        wopt.listen = args.listen;
-        wopt.port = args.port;
+        wopt.listen = listen;
+        wopt.port = port;
         wopt.intervalMs = 50.0;
         serve::Daemon daemon(spec, wopt);
         daemon.start();
 
         serve::LoadClientOptions copt;
-        copt.host = args.listen;
+        copt.host = listen;
         copt.port = daemon.port();
-        copt.connections = args.connections;
+        copt.connections = connections;
         copt.rps = 2000000.0;
-        copt.durationS = args.full ? 3.0 : 1.5;
+        copt.durationS = full ? 3.0 : 1.5;
         const auto report = serve::runLoadClient(copt);
         daemon.requestShutdown();
         daemon.join();
@@ -181,7 +199,7 @@ main(int argc, char **argv)
         wire_rtt_p99_us = report.rttP99Us;
         std::printf("  offered %.0f req/s, acked %.0f req/s "
                     "(%zu connections, ack rtt p99 %.0f us)\n",
-                    wire_offered_rps, wire_acked_rps, args.connections,
+                    wire_offered_rps, wire_acked_rps, connections,
                     wire_rtt_p99_us);
     }
 
@@ -219,7 +237,7 @@ main(int argc, char **argv)
                  "  \"wire\": {\"offered_rps\": %.0f, "
                  "\"acked_rps\": %.0f, \"connections\": %zu, "
                  "\"rtt_p99_us\": %.0f}\n}\n",
-                 wire_offered_rps, wire_acked_rps, args.connections,
+                 wire_offered_rps, wire_acked_rps, connections,
                  wire_rtt_p99_us);
     std::fclose(f);
     std::printf("\nwrote %s\n", out_path.c_str());

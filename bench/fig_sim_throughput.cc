@@ -273,17 +273,20 @@ benchConfig(const std::string &name, std::size_t steps,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv, {"--out"});
+    bool full = false;
+    std::uint64_t seed = 42;
     std::string out_path = "BENCH_sim.json";
-    if (auto it = args.extra.find("--out"); it != args.extra.end())
-        out_path = it->second;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.addString("--out", &out_path,
+                    "JSON report path (default BENCH_sim.json)");
+    flags.parseOrExit(argc, argv);
 
     bench::banner("Simulation hot-path throughput: optimized vs "
                   "reference per-interval loop");
 
-    const std::size_t steps = args.full ? 2000 : 300;
+    const std::size_t steps = full ? 2000 : 300;
     const std::size_t warmup = 50;
-    const std::uint64_t seed = args.seed;
 
     std::vector<ConfigResult> results;
 

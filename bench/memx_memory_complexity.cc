@@ -67,7 +67,7 @@ human(double bytes)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs::parse(argc, argv);
+    common::FlagParser().parseOrExit(argc, argv);
     bench::banner("Memory complexity: Hipster Q-table vs Twig "
                   "function approximator");
 

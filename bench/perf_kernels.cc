@@ -167,14 +167,17 @@ benchTrainStep(std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv, {"--out"});
+    std::uint64_t seed = 42;
     std::string out_path = "BENCH_kernels.json";
-    if (auto it = args.extra.find("--out"); it != args.extra.end())
-        out_path = it->second;
+    common::FlagParser flags;
+    flags.addCount("--seed", &seed, "RNG seed (default 42)");
+    flags.addString("--out", &out_path,
+                    "JSON report path (default BENCH_kernels.json)");
+    flags.parseOrExit(argc, argv);
 
     bench::banner("Kernel microbenchmark: tiled GEMM vs seed naive "
                   "loops (BDQ shapes, batch 64)");
-    common::Rng rng(args.seed);
+    common::Rng rng(seed);
 
     std::vector<Row> rows;
     std::printf("%-8s %-11s %18s %13s %13s %9s\n", "shape", "op",
@@ -190,7 +193,7 @@ main(int argc, char **argv)
         }
     }
 
-    const double train_us = benchTrainStep(args.seed);
+    const double train_us = benchTrainStep(seed);
     std::printf("\nBdqLearner::trainStep (paper net, batch 64): "
                 "%.1f us\n",
                 train_us);

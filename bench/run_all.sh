@@ -3,11 +3,16 @@
 # Fails on the first nonzero exit. Used by the `bench_smoke` CMake
 # target and usable standalone:
 #
-#   BENCH_DIR=build/bench bench/run_all.sh [--jobs N]
+#   BENCH_DIR=build/bench bench/run_all.sh
 #
-# Extra arguments are forwarded to every bench (e.g. --jobs, --seed).
+# Every bench runs with its defaults: each takes only the flags its own
+# code reads (see its --help), so there is no flag they all accept.
 set -eu
 
+if [ $# -ne 0 ]; then
+    echo "run_all: takes no arguments (set BENCH_DIR to pick the build)" >&2
+    exit 2
+fi
 BENCH_DIR="${BENCH_DIR:-build/bench}"
 if [ ! -d "$BENCH_DIR" ]; then
     echo "run_all: bench dir '$BENCH_DIR' not found" \
@@ -48,7 +53,7 @@ for b in $BENCHES; do
         exit 1
     fi
     echo "== $b =="
-    if ! "$exe" "$@"; then
+    if ! "$exe"; then
         echo "run_all: $b FAILED" >&2
         failures=$((failures + 1))
         exit 1

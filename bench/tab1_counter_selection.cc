@@ -28,9 +28,13 @@ using namespace twig;
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
     const sim::MachineConfig machine;
-    const std::size_t intervals_per_cfg = args.full ? 40 : 6;
+    const std::size_t intervals_per_cfg = full ? 40 : 6;
 
     bench::banner("Table I: PMC selection (correlation + PCA "
                   "importance)");
@@ -47,7 +51,7 @@ main(int argc, char **argv)
             for (std::size_t dvfs = 0; dvfs < machine.dvfs.numStates();
                  dvfs += 2) {
                 sim::Server server(machine,
-                                   args.seed ^ (cores * 37 + dvfs));
+                                   seed ^ (cores * 37 + dvfs));
                 server.addService(
                     profile, std::make_unique<sim::FixedLoad>(
                                  profile.maxLoadRps, 0.5));

@@ -72,8 +72,14 @@ measureP99(const sim::ServiceProfile &profile, double rps,
 int
 main(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
-    const std::size_t intervals = args.full ? 40 : 12;
+    bool full = false;
+    std::uint64_t seed = 42;
+    std::size_t jobs = 1;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    bench::addJobsFlag(flags, &jobs);
+    flags.parseOrExit(argc, argv);
+    const std::size_t intervals = full ? 40 : 12;
 
     bench::banner("Table II: services from TailBench "
                   "(max load & QoS target, regenerated)");
@@ -101,18 +107,17 @@ main(int argc, char **argv)
         fractions.push_back(pct / 100.0);
 
     harness::SweepOptions sweep_opts;
-    sweep_opts.jobs = args.jobs;
-    sweep_opts.baseSeed = args.seed;
+    sweep_opts.jobs = jobs;
+    sweep_opts.baseSeed = seed;
     const harness::ParallelSweep sweep(sweep_opts);
     const auto p99s = sweep.map<double>(
         catalogue.size() * fractions.size(),
         [&](std::size_t idx, std::uint64_t) {
             const auto &profile = catalogue[idx / fractions.size()];
             const double frac = fractions[idx % fractions.size()];
-            const std::uint64_t seed =
-                frac == 0.50 ? args.seed : args.seed + 1;
-            return measureP99(profile, profile.maxLoadRps * frac, seed,
-                              intervals);
+            const std::uint64_t run_seed = frac == 0.50 ? seed : seed + 1;
+            return measureP99(profile, profile.maxLoadRps * frac,
+                              run_seed, intervals);
         });
 
     for (std::size_t s = 0; s < catalogue.size(); ++s) {

@@ -9,7 +9,10 @@
 # seconds. A run fails the smoke if it exits non-zero or if its output
 # carries no metrics (no QoS line). Fault scenarios (faults_*.json)
 # additionally must report a fault-event summary, proving the schedule
-# actually fired within the reduced step budget.
+# actually fired within the reduced step budget. Finally, invalid input
+# (unknown service, missing file, non-finite load, a fleet flag on a
+# single-node run, an unreadable checkpoint) must exit 2 with a
+# message: never a crash, never a silently ignored flag.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -59,8 +62,28 @@ for scenario in scenarios/*.json; do
     esac
 done
 
+expect_usage_error() {
+    local out status
+    out=$("$sim" "$@" 2>&1)
+    status=$?
+    if [[ $status -ne 2 || -z "$out" ]]; then
+        printf '%s\n' "$out"
+        echo "scenario_smoke: FAIL twig_sim $* (exit $status, want 2" \
+            "with a message)" >&2
+        failures=$((failures + 1))
+        return
+    fi
+    printf '== twig_sim %s -> exit 2: %s\n' "$*" "$out"
+}
+expect_usage_error --service nosuch --steps 3
+expect_usage_error --scenario scenarios/does_not_exist.json
+expect_usage_error --service masstree --load nan --steps 3
+expect_usage_error --service masstree --policy wrr --steps 3
+expect_usage_error --scenario scenarios/fig12_cluster.json --steps 3 \
+    --checkpoint does_not_exist.ckpt
+
 if [[ $failures -gt 0 ]]; then
-    echo "scenario_smoke: $failures scenario(s) failed" >&2
+    echo "scenario_smoke: $failures check(s) failed" >&2
     exit 1
 fi
-echo "scenario_smoke: all scenarios OK"
+echo "scenario_smoke: all scenarios and usage errors OK"

@@ -169,38 +169,6 @@ FaultCsvSink::fault(const faults::FaultEvent &ev)
     ++events_;
 }
 
-// --- MetricsSink -----------------------------------------------------
-
-void
-MetricsSink::begin(const ScenarioSpec &spec,
-                   const std::vector<sim::ServiceProfile> &profiles)
-{
-    std::vector<std::string> names;
-    std::vector<double> targets;
-    for (const auto &p : profiles) {
-        names.push_back(p.name);
-        targets.push_back(p.qosTargetMs);
-    }
-    acc_ = std::make_unique<MetricsAccumulator>(std::move(names),
-                                                std::move(targets));
-    const std::size_t window = spec.resolvedWindow();
-    windowStart_ = spec.steps > window ? spec.steps - window : 0;
-    intervalSeconds_ = sim::MachineConfig{}.intervalSeconds;
-}
-
-void
-MetricsSink::record(const StepRecord &rec)
-{
-    if (rec.step >= windowStart_)
-        acc_->add(rec.p99Ms, rec.powerW, intervalSeconds_);
-}
-
-void
-MetricsSink::end()
-{
-    metrics_ = acc_->finish();
-}
-
 // --- SimProfileSink --------------------------------------------------
 
 void

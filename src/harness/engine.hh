@@ -66,9 +66,8 @@ class RecordSink
     virtual void end() {}
 };
 
-/** CSV trace writer: the twig_sim per-step layout on the single
- * topology (cores/DVFS/p99/RPS per service), the twig_cluster fleet
- * layout (RPS/p99 per service) on the cluster. */
+/** CSV trace writer: cores/DVFS/p99/RPS per service on the single
+ * topology, fleet RPS/p99 per service on the cluster. */
 class CsvTraceSink : public RecordSink
 {
   public:
@@ -113,27 +112,6 @@ class FaultCsvSink : public RecordSink
     std::string path_;
     std::unique_ptr<common::CsvWriter> csv_;
     std::size_t events_ = 0;
-};
-
-/** Recomputes RunMetrics from the record stream over the trailing
- * window — a cross-check of the runner's internal accumulator and the
- * metrics surface for fleet runs. */
-class MetricsSink : public RecordSink
-{
-  public:
-    void begin(const ScenarioSpec &spec,
-               const std::vector<sim::ServiceProfile> &profiles) override;
-    void record(const StepRecord &rec) override;
-    void end() override;
-
-    /** Valid after end(). */
-    const RunMetrics &metrics() const { return metrics_; }
-
-  private:
-    std::unique_ptr<MetricsAccumulator> acc_;
-    std::size_t windowStart_ = 0;
-    double intervalSeconds_ = 1.0;
-    RunMetrics metrics_;
 };
 
 /** Wraps the run in the per-phase simulator cycle counters and prints

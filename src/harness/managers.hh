@@ -2,10 +2,9 @@
  * @file
  * Shared manager construction for every experiment entry point: builds
  * Twig and the baselines with schedules compressed to the experiment
- * horizon (full mode restores the paper's time constants). Formerly
- * bench/managers.hh; now part of the harness so the tools, the
- * scenario engine and the tests share one construction path (the
- * bench header forwards here).
+ * horizon (full mode restores the paper's time constants). The tools,
+ * the benches, the scenario engine and the tests share this one
+ * construction path.
  */
 
 #ifndef TWIG_HARNESS_MANAGERS_HH

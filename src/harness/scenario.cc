@@ -1,6 +1,7 @@
 #include "harness/scenario.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hh"
 
@@ -170,6 +171,19 @@ ScenarioSpec::validate(const ManagerRegistry &registry) const
             if (s.pattern == "trace" &&
                 (s.tracePath.empty() || s.traceColumn.empty()))
                 return "trace pattern needs trace_path and trace_column";
+            if (!std::isfinite(s.fraction) || !std::isfinite(s.maxScale) ||
+                !std::isfinite(s.maxRps) ||
+                !std::isfinite(s.lowFraction) ||
+                !std::isfinite(s.changeFactor))
+                return "service '" + s.service +
+                    "' has a non-finite load value";
+            if (!(s.fraction > 0.0))
+                return "service '" + s.service +
+                    "' needs a load fraction > 0";
+            if (!(s.maxScale > 0.0))
+                return "service '" + s.service + "' needs max_scale > 0";
+            if (s.maxRps < 0.0)
+                return "service '" + s.service + "' needs max_rps >= 0";
         }
         return {};
     };

@@ -182,9 +182,10 @@ struct ScenarioSpec
 
     /**
      * Structural validation against @p registry: topology, manager
-     * name + single-service rule, patterns, events. Returns an error
-     * message or the empty string. Service names are checked by the
-     * engine (services::byName) to keep this layer catalogue-free.
+     * name + single-service rule, patterns and load values (finite;
+     * fraction and max_scale > 0, max_rps >= 0), events. Returns an
+     * error message or the empty string. Service names are checked by
+     * the engine (services::byName) to keep this layer catalogue-free.
      */
     std::string validate(const ManagerRegistry &registry) const;
 

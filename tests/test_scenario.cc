@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "baselines/static_manager.hh"
 #include "cluster/cluster_manager.hh"
 #include "common/error.hh"
+#include "common/json.hh"
 #include "harness/engine.hh"
 #include "harness/managers.hh"
 #include "harness/runner.hh"
@@ -378,6 +380,62 @@ TEST(ScenarioSpec, ValidateCatchesStructuralErrors)
     broken.domains = 8;
     EXPECT_EQ(broken.validate(registry),
               "more routing domains than nodes");
+}
+
+TEST(ScenarioSpec, ValidateRejectsNonFiniteAndNonPositiveLoads)
+{
+    const ManagerRegistry &registry = ManagerRegistry::builtin();
+    ScenarioSpec spec;
+    spec.services.push_back([] {
+        ServiceLoadSpec s;
+        s.service = "masstree";
+        return s;
+    }());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::string non_finite =
+        "service 'masstree' has a non-finite load value";
+
+    for (double ServiceLoadSpec::*field :
+         {&ServiceLoadSpec::fraction, &ServiceLoadSpec::maxScale,
+          &ServiceLoadSpec::maxRps, &ServiceLoadSpec::lowFraction,
+          &ServiceLoadSpec::changeFactor}) {
+        for (double bad : {nan, inf, -inf}) {
+            auto broken = spec;
+            broken.services[0].*field = bad;
+            EXPECT_EQ(broken.validate(registry), non_finite);
+        }
+    }
+
+    for (double bad : {0.0, -3.0}) {
+        auto broken = spec;
+        broken.services[0].fraction = bad;
+        EXPECT_EQ(broken.validate(registry),
+                  "service 'masstree' needs a load fraction > 0");
+        broken = spec;
+        broken.services[0].maxScale = bad;
+        EXPECT_EQ(broken.validate(registry),
+                  "service 'masstree' needs max_scale > 0");
+    }
+    auto broken = spec;
+    broken.services[0].maxRps = -1.0;
+    EXPECT_EQ(broken.validate(registry),
+              "service 'masstree' needs max_rps >= 0");
+
+    // Event segments and scenario files get the same check.
+    broken = spec;
+    ScenarioEvent event;
+    event.afterSteps = 10;
+    event.services.push_back(spec.services[0]);
+    event.services[0].fraction = nan;
+    broken.events.push_back(event);
+    EXPECT_EQ(broken.validate(registry), non_finite);
+
+    const auto from_file = ScenarioSpec::fromJson(common::Json::parse(
+        R"({"services": [{"service": "masstree", "fraction": -3}]})"));
+    EXPECT_EQ(from_file.validate(registry),
+              "service 'masstree' needs a load fraction > 0");
+    EXPECT_THROW(Engine().run(from_file), common::FatalError);
 }
 
 // --- golden runs: the engine reproduces hand-built harness runs ------

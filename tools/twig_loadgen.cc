@@ -27,66 +27,32 @@ using namespace twig;
 int
 main(int argc, char **argv)
 {
-    std::string host = "127.0.0.1";
-    std::size_t port = 0;
-    std::size_t connections = 8;
-    double rps = 100000.0;
-    double duration_s = 1.0;
-    double batch_ms = 1.0;
-
-    common::FlagParser parser;
-    parser.addString("--host", &host,
-                     "daemon address (default 127.0.0.1)");
-    parser.addCount("--port", &port, "daemon TCP port (required)");
-    parser.addCount("--connections", &connections,
-                    "concurrent connections (default 8)");
-    parser.addDouble("--rps", &rps,
-                     "total offered request rate (default 100000)");
-    parser.addDouble("--duration-s", &duration_s,
-                     "run length (default 1)");
-    parser.addDouble("--batch-ms", &batch_ms,
-                     "open-loop batch tick (default 1)");
-
-    const auto parsed = parser.parse(argc, argv);
-    if (parsed.helpRequested) {
-        std::printf("usage: %s --port PORT [options]\n%s", argv[0],
-                    parser.usageLines().c_str());
-        return 0;
-    }
-    if (!parsed.error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", argv[0],
-                     parsed.error.c_str());
-        return 2;
-    }
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr,
-                     "%s: need --port in 1..65535 (see --help)\n",
-                     argv[0]);
-        return 2;
-    }
-    if (connections == 0 || duration_s <= 0.0 || batch_ms <= 0.0 ||
-        rps <= 0.0) {
-        std::fprintf(stderr,
-                     "%s: --connections, --rps, --duration-s and "
-                     "--batch-ms must be positive\n",
-                     argv[0]);
-        return 2;
-    }
-
     serve::LoadClientOptions opt;
-    opt.host = host;
-    opt.port = static_cast<std::uint16_t>(port);
-    opt.connections = connections;
-    opt.rps = rps;
-    opt.durationS = duration_s;
-    opt.batchMs = batch_ms;
+    common::FlagParser parser;
+    parser.addString("--host", &opt.host,
+                     "daemon address (default 127.0.0.1)");
+    parser.addCount("--port", &opt.port, "daemon TCP port (required)", 1);
+    parser.addCount("--connections", &opt.connections,
+                    "concurrent connections (default 8)", 1);
+    parser.addPositive("--rps", &opt.rps,
+                       "total offered request rate (default 100000)");
+    parser.addPositive("--duration-s", &opt.durationS,
+                       "run length (default 1)");
+    parser.addPositive("--batch-ms", &opt.batchMs,
+                       "open-loop batch tick (default 1)");
+    parser.parseOrExit(argc, argv, "--port PORT [options]");
+    if (opt.port == 0) {
+        std::fprintf(stderr, "%s: need --port (see --help)\n", argv[0]);
+        return 2;
+    }
 
     const auto report = serve::runLoadClient(opt);
     for (const auto &err : report.errors)
         std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
 
-    std::printf("twig_loadgen: %zu connections to %s:%zu for %.2f s\n",
-                connections, host.c_str(), port, report.wallSeconds);
+    std::printf("twig_loadgen: %zu connections to %s:%u for %.2f s\n",
+                opt.connections, opt.host.c_str(), unsigned{opt.port},
+                report.wallSeconds);
     std::printf("  offered %llu requests (%.0f req/s) in %llu batch "
                 "frames\n",
                 static_cast<unsigned long long>(report.sent),

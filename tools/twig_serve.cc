@@ -25,6 +25,7 @@
 #include <ctime>
 #include <string>
 
+#include "common/error.hh"
 #include "common/flags.hh"
 #include "harness/scenario.hh"
 #include "serve/daemon.hh"
@@ -33,86 +34,34 @@ using namespace twig;
 
 namespace {
 
-struct Options
+int
+run(int argc, char **argv)
 {
     std::string scenario;
-    std::string listen = "127.0.0.1";
-    std::size_t port = 0;
-    double intervalMs = 50.0;
-    double durationS = 0.0;
-    std::size_t jobs = 1;
-    std::size_t window = 0;
-    std::string finalCheckpoint;
-};
-
-common::FlagParser
-makeParser(Options &opt)
-{
+    serve::DaemonOptions dopt;
     common::FlagParser parser;
-    parser.addString("--scenario", &opt.scenario,
+    parser.addString("--scenario", &scenario,
                      "cluster scenario file (required)");
-    parser.addString("--listen", &opt.listen,
+    parser.addString("--listen", &dopt.listen,
                      "bind address (default 127.0.0.1)");
-    parser.addCount("--port", &opt.port,
+    parser.addCount("--port", &dopt.port,
                     "TCP port; 0 binds an ephemeral one (default 0)");
-    parser.addDouble("--interval-ms", &opt.intervalMs,
-                     "wall-clock control interval (default 50)");
-    parser.addDouble("--duration-s", &opt.durationS,
-                     "stop after this much wall time (default: run "
-                     "until SIGINT/SIGTERM)");
-    parser.addCount("--jobs", &opt.jobs,
-                    "node-stepping threads (default 1)");
-    parser.addCount("--window", &opt.window,
+    parser.addPositive("--interval-ms", &dopt.intervalMs,
+                       "wall-clock control interval (default 50)");
+    parser.addDouble("--duration-s", &dopt.durationS,
+                     "stop after this much wall time; 0 runs until "
+                     "SIGINT/SIGTERM (default 0)",
+                     0.0);
+    parser.addCount("--jobs", &dopt.jobs,
+                    "node-stepping threads (default 1)", 1);
+    parser.addCount("--window", &dopt.windowIntervals,
                     "summary window in intervals (default: the "
                     "scenario's)");
-    parser.addString("--final-checkpoint", &opt.finalCheckpoint,
+    parser.addString("--final-checkpoint", &dopt.finalCheckpoint,
                      "write node 0's BDQ as a checksummed Checkpoint "
                      "frame at shutdown");
-    return parser;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    Options opt;
-    const auto parser = makeParser(opt);
-    const auto parsed = parser.parse(argc, argv);
-    if (parsed.helpRequested) {
-        std::printf("usage: %s --scenario FILE [options]\n%s", argv[0],
-                    parser.usageLines().c_str());
-        return 0;
-    }
-    if (!parsed.error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", argv[0],
-                     parsed.error.c_str());
-        return 2;
-    }
-    if (opt.scenario.empty()) {
-        std::fprintf(stderr, "%s: need --scenario FILE (see --help)\n",
-                     argv[0]);
-        return 2;
-    }
-    if (opt.port > 65535) {
-        std::fprintf(stderr, "%s: --port %zu is out of range\n",
-                     argv[0], opt.port);
-        return 2;
-    }
-    if (opt.durationS < 0.0) {
-        std::fprintf(stderr, "%s: --duration-s must be >= 0\n",
-                     argv[0]);
-        return 2;
-    }
-
-    serve::DaemonOptions dopt;
-    dopt.listen = opt.listen;
-    dopt.port = static_cast<std::uint16_t>(opt.port);
-    dopt.intervalMs = opt.intervalMs;
-    dopt.durationS = opt.durationS;
-    dopt.jobs = opt.jobs;
-    dopt.windowIntervals = opt.window;
-    dopt.finalCheckpoint = opt.finalCheckpoint;
+    parser.parseOrExit(argc, argv, "--scenario FILE [options]");
+    common::fatalIf(scenario.empty(), "need --scenario FILE (see --help)");
 
     // Block the shutdown signals before the daemon spawns threads so
     // every thread inherits the mask and delivery is ours to poll.
@@ -123,12 +72,12 @@ main(int argc, char **argv)
     pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
     serve::Daemon daemon(
-        harness::ScenarioSpec::fromFile(opt.scenario), dopt);
+        harness::ScenarioSpec::fromFile(scenario), dopt);
     daemon.start();
     std::printf("twig_serve: listening on %s:%u (%zu services, "
                 "interval %.1f ms)\n",
-                opt.listen.c_str(), daemon.port(),
-                daemon.numServices(), opt.intervalMs);
+                dopt.listen.c_str(), daemon.port(),
+                daemon.numServices(), dopt.intervalMs);
     std::fflush(stdout);
 
     // Wait for a signal or a duration-triggered internal shutdown.
@@ -172,9 +121,24 @@ main(int argc, char **argv)
                 m.meanPowerW, m.windowSteps);
     if (summary.checkpointBytes != 0) {
         std::printf("  final checkpoint frame: %s (%zu bytes)\n",
-                    opt.finalCheckpoint.c_str(),
+                    dopt.finalCheckpoint.c_str(),
                     summary.checkpointBytes);
     }
     std::printf("twig_serve: clean shutdown\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Invalid input (a bad scenario or option value) is a usage error;
+    // a PanicError is a library bug and stays fatal.
+    try {
+        return run(argc, argv);
+    } catch (const common::FatalError &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 2;
+    }
 }
