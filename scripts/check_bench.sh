@@ -32,9 +32,11 @@
 set -u
 
 cd "$(dirname "$0")/.."
-bench_json=${1:-build/bench/BENCH_sim.json}
-cluster_json=${2:-build/bench/BENCH_cluster.json}
-autoscale_json=${3:-build/bench/BENCH_autoscale.json}
+# Defaults are where the bench_smoke target writes (it runs in the
+# build root).
+bench_json=${1:-build/BENCH_sim.json}
+cluster_json=${2:-build/BENCH_cluster.json}
+autoscale_json=${3:-build/BENCH_autoscale.json}
 
 if [[ ! -f "$bench_json" ]]; then
     echo "check_bench: $bench_json not found -- run bench_smoke first" >&2

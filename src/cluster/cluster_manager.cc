@@ -16,6 +16,24 @@ namespace twig::cluster {
 using common::fnv1a;
 using common::simprof::now;
 
+namespace {
+
+/** Latency-histogram bins per service. */
+constexpr std::size_t kLatencyBins = 1024;
+/** Histogram upper edge as a multiple of each service's QoS target
+ * (latencies beyond clamp into the last bin). */
+constexpr double kLatencySpanQosMultiple = 32.0;
+/** The per-step fleet p99 is measured over the completions of the last
+ * this-many intervals (mirrors MachineConfig's qosWindowIntervals: a
+ * single interval's p99 is a noisy order statistic). */
+constexpr std::size_t kQosWindowIntervals = 3;
+
+static_assert(kLatencyBins > 0);
+static_assert(kLatencySpanQosMultiple > 0.0);
+static_assert(kQosWindowIntervals > 0);
+
+} // namespace
+
 const char *
 scaleEventKindName(ScaleEvent::Kind kind)
 {
@@ -63,11 +81,6 @@ ClusterManager::ClusterManager(
                     services_.size(), " services)");
     for (const auto &load : fleetLoads_)
         common::fatalIf(!load, "ClusterManager: null load generator");
-    common::fatalIf(cfg_.latencyBins == 0,
-                    "ClusterManager: latencyBins must be positive");
-    common::fatalIf(cfg_.latencySpanQosMultiple <= 0.0,
-                    "ClusterManager: latencySpanQosMultiple must be "
-                    "positive");
 }
 
 void
@@ -122,7 +135,7 @@ ClusterManager::rebuildCohorts()
     std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
     std::vector<Cohort> groups;
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        if (!isNodeUp(n))
+        if (!slots_[n].powered())
             continue;
         auto *twig =
             dynamic_cast<core::TwigManager *>(&nodes_[n]->manager());
@@ -162,8 +175,8 @@ ClusterManager::binnings() const
     std::vector<LatencyBinning> out;
     out.reserve(services_.size());
     for (const auto &svc : services_)
-        out.push_back({0.0, svc.qosTargetMs * cfg_.latencySpanQosMultiple,
-                       cfg_.latencyBins});
+        out.push_back(
+            {0.0, svc.qosTargetMs * kLatencySpanQosMultiple, kLatencyBins});
     return out;
 }
 
@@ -193,8 +206,11 @@ ClusterManager::addNode(const sim::MachineConfig &machine,
         std::make_unique<Node>(node_cfg, std::move(manager), node_seed));
     // Remember the rebuild recipe: a crashed replica is reborn from
     // the same machine and factory (not from the donor checkpoint —
-    // recovery semantics come from the periodic frames).
-    slots_.push_back(NodeSlot{machine, factory});
+    // recovery semantics come from the periodic frames). The slot
+    // starts Active and up.
+    NodeSlot &slot = slots_.emplace_back();
+    slot.machine = machine;
+    slot.factory = factory;
     cohortsDirty_ = true;
     return index;
 }
@@ -211,14 +227,8 @@ ClusterManager::setFaults(const faults::FaultSpec &spec)
     // The injector's derived seed stream is independent of both the
     // router's and the nodes', so arming an empty schedule perturbs
     // nothing.
-    common::fatalIf(autoscaler_ != nullptr,
-                    "ClusterManager::setFaults: arm the fault schedule "
-                    "before attaching the autoscaler (it would reset "
-                    "the standby slots)");
     injector_ = std::make_unique<faults::FaultInjector>(
         spec, harness::sweepSeed(seed_, 0xfa017));
-    nodeUp_.assign(nodes_.size(), 1);
-    frames_.assign(nodes_.size(), std::string());
     surgeMult_.assign(services_.size(), 1.0);
     faultLog_.clear();
 }
@@ -263,26 +273,12 @@ ClusterManager::setAutoscaler(const autoscale::AutoscaleConfig &cfg,
     costModel_ = std::make_unique<autoscale::CostModel>(
         std::move(dollars_per_node_hour));
     ratedFleetRps_ = std::move(rated_fleet_rps);
-    // The fault-era health/frame state doubles as the elastic state;
-    // size it when no schedule armed it already.
-    if (nodeUp_.empty())
-        nodeUp_.assign(nodes_.size(), 1);
-    if (frames_.empty())
-        frames_.assign(nodes_.size(), std::string());
-    if (surgeMult_.empty())
-        surgeMult_.assign(services_.size(), 1.0);
-    slotState_.assign(nodes_.size(), SlotState::Active);
-    drainDeadline_.assign(nodes_.size(), 0);
-    everServed_.assign(nodes_.size(), 0);
     qosTargets_.clear();
     for (const auto &svc : services_)
         qosTargets_.push_back(svc.qosTargetMs);
-    for (std::size_t n = initial_active; n < nodes_.size(); ++n) {
-        slotState_[n] = SlotState::Standby;
-        nodeUp_[n] = 0;
-        router_.evict(n);
-        flatRouter_.evict(n);
-    }
+    for (std::size_t n = 0; n < slots_.size(); ++n)
+        slots_[n].state =
+            n < initial_active ? SlotState::Active : SlotState::Standby;
     scaleLog_.clear();
     cohortsDirty_ = true;
 }
@@ -309,7 +305,7 @@ void
 ClusterManager::saveCheckpointFrames()
 {
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        if (isNodeUp(n))
+        if (slots_[n].powered())
             saveFrame(n);
     }
 }
@@ -325,7 +321,7 @@ ClusterManager::saveFrame(std::size_t n)
         os, "node " + std::to_string(n) + " checkpoint frame");
     const std::string payload = std::move(os).str();
     const std::uint64_t sum = fnv1a(payload.data(), payload.size());
-    std::string &frame = frames_[n];
+    std::string &frame = slots_[n].frame;
     frame.resize(sizeof(sum) + payload.size());
     std::memcpy(frame.data(), &sum, sizeof(sum));
     std::memcpy(frame.data() + sizeof(sum), payload.data(),
@@ -357,7 +353,7 @@ ClusterManager::rebuildNode(std::size_t n, const std::string &recovery)
     std::string cold_reason = "scheduled cold recovery";
     if (recovery == "warm") {
         auto *twig = dynamic_cast<core::TwigManager *>(manager.get());
-        const std::string &frame = frames_[n];
+        const std::string &frame = slot.frame;
         if (!twig) {
             cold_reason = "manager holds no restorable policy";
         } else if (frame.size() <= sizeof(std::uint64_t)) {
@@ -404,7 +400,7 @@ ClusterManager::rebuildNode(std::size_t n, const std::string &recovery)
     if (warm) {
         outcome.kind = faults::FaultEventKind::WarmRestore;
         outcome.value =
-            static_cast<double>(frames_[n].size() - sizeof(std::uint64_t));
+            static_cast<double>(slot.frame.size() - sizeof(std::uint64_t));
     } else {
         outcome.kind = faults::FaultEventKind::ColdRestart;
         outcome.note = cold_reason;
@@ -437,40 +433,37 @@ ClusterManager::applyFaultEvents()
         const auto n = static_cast<std::size_t>(ev.node);
         switch (ev.kind) {
         case faults::FaultEventKind::NodeCrash:
-            router_.evict(n);
-            flatRouter_.evict(n);
-            nodeUp_[n] = 0;
+            slots_[n].crashed = true;
             cohortsDirty_ = true;
             break;
         case faults::FaultEventKind::NodeRestart:
+            // The process comes back; the slot's elastic state (a
+            // standby slot stays parked) is the autoscaler's to change.
             rebuildNode(n, ev.note);
-            router_.readmit(n);
-            flatRouter_.readmit(n);
-            nodeUp_[n] = 1;
+            slots_[n].crashed = false;
             break;
+        // Environmental faults go to the slot's current node whatever
+        // its lifecycle, so a parked node carries them into service
+        // (rebuildNode re-applies them to a reborn one).
         case faults::FaultEventKind::ThrottleStart:
             slots_[n].throttled = true;
             slots_[n].dvfsCap = static_cast<std::size_t>(ev.value);
-            if (isNodeUp(n))
-                nodes_[n]->setDvfsCap(slots_[n].dvfsCap);
+            nodes_[n]->setDvfsCap(slots_[n].dvfsCap);
             break;
         case faults::FaultEventKind::ThrottleEnd:
             slots_[n].throttled = false;
-            if (isNodeUp(n))
-                nodes_[n]->clearDvfsCap();
+            nodes_[n]->clearDvfsCap();
             break;
         case faults::FaultEventKind::PmcNoiseStart:
             slots_[n].telemetryFault = true;
             slots_[n].faultSigma = ev.value;
             slots_[n].faultStaleProb = ev.aux;
             slots_[n].faultSeed = ev.seed;
-            if (isNodeUp(n))
-                nodes_[n]->setTelemetryFault(ev.value, ev.aux, ev.seed);
+            nodes_[n]->setTelemetryFault(ev.value, ev.aux, ev.seed);
             break;
         case faults::FaultEventKind::PmcNoiseEnd:
             slots_[n].telemetryFault = false;
-            if (isNodeUp(n))
-                nodes_[n]->clearTelemetryFault();
+            nodes_[n]->clearTelemetryFault();
             break;
         case faults::FaultEventKind::SurgeStart:
             surgeMult_[static_cast<std::size_t>(ev.service)] = ev.value;
@@ -478,15 +471,16 @@ ClusterManager::applyFaultEvents()
         case faults::FaultEventKind::SurgeEnd:
             surgeMult_[static_cast<std::size_t>(ev.service)] = 1.0;
             break;
-        case faults::FaultEventKind::CheckpointCorrupt:
+        case faults::FaultEventKind::CheckpointCorrupt: {
             // Flip one bit in the stored payload (checksum untouched),
             // so the next warm restore must notice.
-            if (frames_[n].size() > sizeof(std::uint64_t)) {
-                const std::size_t at = frames_[n].size() / 2;
-                frames_[n][at] =
-                    static_cast<char>(frames_[n][at] ^ 0x40);
+            std::string &frame = slots_[n].frame;
+            if (frame.size() > sizeof(std::uint64_t)) {
+                const std::size_t at = frame.size() / 2;
+                frame[at] = static_cast<char>(frame[at] ^ 0x40);
             }
             break;
+        }
         default:
             common::panic("ClusterManager::applyFaultEvents: ",
                           faults::faultEventKindName(ev.kind),
@@ -503,14 +497,14 @@ ClusterManager::servingCapacityFraction(std::size_t excluding_victims) const
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
         const double w = nodes_[n]->capacityWeight();
         total += w;
-        if (slotState_[n] == SlotState::Active && isNodeUp(n))
+        if (slots_[n].serving())
             serving += w;
     }
     // The hypothetical scale-in removes the same slots drainNode would
     // pick: the highest-indexed serving ones.
     std::size_t left = excluding_victims;
     for (std::size_t n = nodes_.size(); n-- > 0 && left > 0;) {
-        if (slotState_[n] != SlotState::Active || !isNodeUp(n))
+        if (!slots_[n].serving())
             continue;
         serving -= nodes_[n]->capacityWeight();
         --left;
@@ -526,8 +520,8 @@ ClusterManager::applyAutoscale()
     // 1. Retirements first: a due drain completes regardless of the
     //    cooldown — it is the tail of an already-taken decision.
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        if (slotState_[n] == SlotState::Draining &&
-            step_ >= drainDeadline_[n])
+        if (slots_[n].state == SlotState::Draining &&
+            step_ >= slots_[n].drainDeadline)
             retireNode(n);
     }
 
@@ -536,12 +530,12 @@ ClusterManager::applyAutoscale()
     //    fleet p99.
     autoscale::FleetSignal sig;
     sig.step = step_;
-    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        if (slotState_[n] == SlotState::Standby)
+    for (const NodeSlot &slot : slots_) {
+        if (slot.crashed)
+            continue; // neither serving nor activatable
+        if (slot.state == SlotState::Standby)
             ++sig.standby;
-        else if (!isNodeUp(n))
-            continue; // crashed: neither serving nor activatable
-        else if (slotState_[n] == SlotState::Active)
+        else if (slot.state == SlotState::Active)
             ++sig.serving;
         else
             ++sig.draining;
@@ -563,7 +557,7 @@ ClusterManager::applyAutoscale()
     if (d.kind == autoscale::ScaleDecision::Kind::Out) {
         std::size_t left = d.count;
         for (std::size_t n = 0; n < nodes_.size() && left > 0; ++n) {
-            if (slotState_[n] != SlotState::Standby)
+            if (slots_[n].state != SlotState::Standby || slots_[n].crashed)
                 continue;
             activateNode(n, d);
             --left;
@@ -571,7 +565,7 @@ ClusterManager::applyAutoscale()
     } else if (d.kind == autoscale::ScaleDecision::Kind::In) {
         std::size_t left = d.count;
         for (std::size_t n = nodes_.size(); n-- > 0 && left > 0;) {
-            if (slotState_[n] != SlotState::Active || !isNodeUp(n))
+            if (!slots_[n].serving())
                 continue;
             drainNode(n, d);
             --left;
@@ -584,17 +578,12 @@ ClusterManager::activateNode(std::size_t n,
                              const autoscale::ScaleDecision &d)
 {
     // Warm spawn: a slot that has served before restores the frame
-    // saved when its drain began (the same PR 5 restore path crashes
-    // use — checksum verified, cold on damage); a virgin slot keeps
-    // the donor policy addNode loaded into it.
-    if (everServed_[n])
+    // saved when its drain began (the same restore path crashes use —
+    // checksum verified, cold on damage); a virgin slot keeps the
+    // donor policy addNode loaded into it.
+    if (slots_[n].everServed)
         rebuildNode(n, "warm");
-    router_.readmit(n);
-    router_.undrain(n);
-    flatRouter_.readmit(n);
-    flatRouter_.undrain(n);
-    nodeUp_[n] = 1;
-    slotState_[n] = SlotState::Active;
+    slots_[n].state = SlotState::Active;
     cohortsDirty_ = true;
     ScaleEvent ev;
     ev.step = step_;
@@ -611,10 +600,8 @@ ClusterManager::drainNode(std::size_t n, const autoscale::ScaleDecision &d)
     // Snapshot the policy now, so a later reactivation resumes exactly
     // the state the slot retired with.
     saveFrame(n);
-    slotState_[n] = SlotState::Draining;
-    drainDeadline_[n] = step_ + autoscaler_->config().drainIntervals;
-    router_.drain(n);
-    flatRouter_.drain(n);
+    slots_[n].state = SlotState::Draining;
+    slots_[n].drainDeadline = step_ + autoscaler_->config().drainIntervals;
     ScaleEvent ev;
     ev.step = step_;
     ev.kind = ScaleEvent::Kind::DrainStart;
@@ -627,13 +614,8 @@ ClusterManager::drainNode(std::size_t n, const autoscale::ScaleDecision &d)
 void
 ClusterManager::retireNode(std::size_t n)
 {
-    slotState_[n] = SlotState::Standby;
-    drainDeadline_[n] = 0;
-    nodeUp_[n] = 0;
-    router_.evict(n);
-    router_.undrain(n);
-    flatRouter_.evict(n);
-    flatRouter_.undrain(n);
+    slots_[n].state = SlotState::Standby;
+    slots_[n].drainDeadline = 0;
     cohortsDirty_ = true;
     ScaleEvent ev;
     ev.step = step_;
@@ -647,6 +629,14 @@ ClusterManager::node(std::size_t i)
 {
     common::fatalIf(i >= nodes_.size(), "ClusterManager::node: bad index");
     return *nodes_[i];
+}
+
+bool
+ClusterManager::isNodeUp(std::size_t n) const
+{
+    common::fatalIf(n >= slots_.size(),
+                    "ClusterManager::isNodeUp: bad index");
+    return slots_[n].powered();
 }
 
 const sim::ServiceProfile &
@@ -700,9 +690,15 @@ ClusterManager::step()
     if (autoscaler_)
         applyAutoscale();
 
+    // Only serving slots (Active, not crashed) take new load; every
+    // other slot routes at weight 0.
     weights_.resize(num_nodes);
-    for (std::size_t n = 0; n < num_nodes; ++n)
-        weights_[n] = nodes_[n]->capacityWeight();
+    bool any_powered = false;
+    for (std::size_t n = 0; n < num_nodes; ++n) {
+        weights_[n] =
+            slots_[n].serving() ? nodes_[n]->capacityWeight() : 0.0;
+        any_powered = any_powered || slots_[n].powered();
+    }
 
     feedback_.qosTargetsMs.clear();
     if (step_ > 0) {
@@ -717,13 +713,16 @@ ClusterManager::step()
     } else {
         feedback_.p99MsByNode.clear();
     }
-    const bool routed = flatReference_
-        ? flatRouter_.routeInto(fleetRps_, weights_, feedback_, shares_)
-        : router_.routeInto(fleetRps_, weights_, feedback_, shares_);
+    if (flatReference_)
+        flatRouter_.routeInto(fleetRps_, weights_, feedback_, shares_);
+    else
+        router_.routeInto(fleetRps_, weights_, feedback_, shares_);
     double shed_rps = 0.0;
-    if (!routed) {
-        // Every replica is down: the interval's whole offered load is
-        // shed (a well-defined record, not NaN shares).
+    if (!any_powered) {
+        // No slot is powered: the interval's whole offered load is
+        // shed (a well-defined record, not NaN shares). A powered fleet
+        // that is entirely draining refuses new load on purpose, which
+        // is not a shed.
         for (double rps : fleetRps_)
             shed_rps += rps;
         faults::FaultEvent ev;
@@ -745,19 +744,19 @@ ClusterManager::step()
     for (std::size_t n = 0; n < num_nodes; ++n) {
         nodes_[n]->setDeferDecision(batching && nodeBatched_.size() > n &&
                                     nodeBatched_[n] != 0);
-        if (isNodeUp(n))
+        if (slots_[n].powered())
             nodes_[n]->setOfferedLoad(shares_[n]);
     }
     if (cfg_.jobs > 1 && num_nodes > 1) {
         if (!pool_)
             pool_ = std::make_unique<common::ThreadPool>(cfg_.jobs);
         pool_->parallelFor(0, num_nodes, [this](std::size_t n) {
-            if (isNodeUp(n))
+            if (slots_[n].powered())
                 nodes_[n]->stepInterval();
         });
     } else {
         for (std::size_t n = 0; n < num_nodes; ++n) {
-            if (isNodeUp(n))
+            if (slots_[n].powered())
                 nodes_[n]->stepInterval();
         }
     }
@@ -829,10 +828,12 @@ ClusterManager::step()
     out.servingNodes = 0;
     out.drainingNodes = 0;
     for (std::size_t n = 0; n < num_nodes; ++n) {
-        out.nodeUp[n] = isNodeUp(n) ? 1 : 0;
-        if (!isNodeUp(n))
+        NodeSlot &slot = slots_[n];
+        out.nodeUp[n] = slot.powered() ? 1 : 0;
+        if (!slot.powered())
             continue; // crashed/standby: no samples, no power
-        if (!slotState_.empty() && slotState_[n] == SlotState::Draining)
+        slot.everServed = true;
+        if (slot.state == SlotState::Draining)
             ++out.drainingNodes;
         else
             ++out.servingNodes;
@@ -841,7 +842,7 @@ ClusterManager::step()
     }
     if (flatReference_) {
         for (std::size_t n = 0; n < num_nodes; ++n) {
-            if (!isNodeUp(n))
+            if (!slots_[n].powered())
                 continue;
             for (std::size_t s = 0; s < num_services; ++s)
                 mergedScratch_[s].merge(nodes_[n]->intervalHistogram(s));
@@ -863,7 +864,7 @@ ClusterManager::step()
                 h.clear();
             for (std::size_t i = 0; i < dom.count; ++i) {
                 const std::size_t n = dom.first + i;
-                if (!isNodeUp(n))
+                if (!slots_[n].powered())
                     continue; // crashed: partial domain merge
                 for (std::size_t s = 0; s < num_services; ++s)
                     per_service[s].merge(nodes_[n]->intervalHistogram(s));
@@ -885,33 +886,22 @@ ClusterManager::step()
         faultLog_.insert(faultLog_.end(), stepEvents_.begin(),
                          stepEvents_.end());
     out.scaleEvents = scaleStepEvents_;
-    if (autoscaler_) {
+    if (autoscaler_)
         scaleLog_.insert(scaleLog_.end(), scaleStepEvents_.begin(),
                          scaleStepEvents_.end());
-        for (std::size_t n = 0; n < num_nodes; ++n) {
-            if (isNodeUp(n))
-                everServed_[n] = 1;
-        }
-    }
     // Billing: every powered slot (serving or draining) pays its
     // hourly rate for the interval; standby and crashed slots do not.
-    if (costModel_) {
-        billable_.resize(num_nodes);
-        for (std::size_t n = 0; n < num_nodes; ++n)
-            billable_[n] = isNodeUp(n) ? 1 : 0;
-        costModel_->chargeInterval(billable_,
+    if (costModel_)
+        costModel_->chargeInterval(out.nodeUp,
                                    nodes_[0]->machine().intervalSeconds);
-    }
     out.costDollars = costModel_ ? costModel_->totalDollars() : 0.0;
     // Fleet p99 over a short trailing window of intervals (one
     // interval's p99 is a noisy order statistic at realistic rates).
     if (recent_.empty())
         recent_.resize(num_services);
-    const std::size_t window_len =
-        std::max<std::size_t>(cfg_.qosWindowIntervals, 1);
     for (std::size_t s = 0; s < num_services; ++s) {
         auto &window = recent_[s];
-        if (window.size() < window_len) {
+        if (window.size() < kQosWindowIntervals) {
             window.push_back(mergedScratch_[s]);
         } else {
             // Evict the oldest interval without churning allocations:
@@ -964,11 +954,9 @@ ClusterManager::run(
         const FleetIntervalStats &fs = step();
         if (t >= window_start) {
             for (std::size_t s = 0; s < num_services; ++s) {
-                for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                    if (!isNodeUp(n))
-                        continue; // a down node's histogram is stale
-                    window_hists[s].merge(nodes_[n]->intervalHistogram(s));
-                }
+                // step() just merged the powered nodes' interval
+                // histograms into the fleet interval histogram.
+                window_hists[s].merge(mergedScratch_[s]);
                 if (fs.fleetP99Ms[s] <= services_[s].qosTargetMs)
                     ++qos_ok[s];
             }

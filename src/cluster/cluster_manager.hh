@@ -9,9 +9,10 @@
  *      let the ShardedRouter split each service's RPS — first across
  *      routing domains (deterministic, weighted by capacity x QoS
  *      headroom), then across each domain's replicas;
- *   2. step every node — in parallel on a common::ThreadPool when
- *      jobs > 1, bit-identical to serial stepping because nodes share
- *      no mutable state and all routing/merging stays on the caller;
+ *   2. step every powered node — in parallel on a common::ThreadPool
+ *      when jobs > 1, bit-identical to serial stepping because nodes
+ *      share no mutable state and all routing/merging stays on the
+ *      caller;
  *   3. batched inference: replicas running the *same frozen policy*
  *      (equal architecture + parameter fingerprints, exploit-only)
  *      form cohorts; each cohort's joint states are gathered into one
@@ -37,18 +38,35 @@
  * (rl/checkpoint.hh), so a scale-out event starts from a trained
  * policy instead of exploring from scratch.
  *
+ * Slot lifecycle has one owner: the slot table here. Each slot's
+ * record (sized by addNode) holds its elastic state — Active, Draining
+ * or Standby; Active on fleets without an autoscaler — and a crashed
+ * flag, and everything else is derived from it:
+ *
+ *   - a slot is *powered* — stepped, merged and billed — when it is
+ *     neither crashed nor standby;
+ *   - it takes new load when it is also Active: every other slot gets
+ *     routing weight 0, which the routers read as "no new load" (they
+ *     keep no health state of their own);
+ *   - a fault restart clears the crashed flag and never changes the
+ *     elastic state, and a crashed slot is neither serving nor
+ *     activatable;
+ *   - an interval with no powered slot sheds its whole offered load
+ *     (a LoadShed event and shedRps), while a fleet that is powered
+ *     but entirely draining refuses new load without a shed.
+ *
  * Elastic sizing (src/autoscale): setAutoscaler parks the slots above
- * the initial count in *standby* — router-evicted, not stepped, not
- * billed. Each interval the Autoscaler's decision rule runs serially
- * before routing; scale-out activates standby slots through the PR 5
- * warm-restore spawn path (a virgin slot keeps its donor-checkpoint
- * policy, a previously retired one restores the frame saved when its
- * drain began), scale-in drains first — weight 0 in both routers while
- * the backlog flushes and histograms keep merging exactly — then
- * retires the slot back to standby. Decisions are pure functions of
- * the step sequence, so autoscaled runs replay bit-identically at any
- * --jobs, and every powered interval is billed against the attached
- * $/node-hour CostModel.
+ * the initial count in standby. Each interval the Autoscaler's
+ * decision rule runs serially before routing; scale-out activates
+ * standby slots through the warm-restore spawn path crash recovery
+ * uses (a virgin slot keeps its donor-checkpoint policy, a previously
+ * retired one restores the frame saved when its drain began),
+ * scale-in drains first — weight 0 while the backlog flushes and
+ * histograms keep merging exactly — then retires the slot back to
+ * standby. Decisions are pure functions of the step sequence, so
+ * autoscaled runs replay bit-identically at any --jobs, and every
+ * powered interval is billed against the attached $/node-hour
+ * CostModel.
  */
 
 #ifndef TWIG_CLUSTER_CLUSTER_MANAGER_HH
@@ -87,16 +105,6 @@ struct ClusterConfig
     /** Worker threads for node stepping; <= 1 steps serially. The
      * fleet metrics are bit-identical either way. */
     std::size_t jobs = 1;
-    /** Latency-histogram bins per service. */
-    std::size_t latencyBins = 1024;
-    /** Histogram upper edge as a multiple of each service's QoS
-     * target (latencies beyond clamp into the last bin). */
-    double latencySpanQosMultiple = 32.0;
-    /** The per-step fleet p99 is measured over the completions of the
-     * last this-many intervals (mirrors MachineConfig's
-     * qosWindowIntervals: a single interval's p99 is a noisy order
-     * statistic). */
-    std::size_t qosWindowIntervals = 3;
     /** Routing domains of the two-level front-end; 1 degenerates to
      * the flat router exactly (must not exceed the node count). */
     std::size_t domains = 1;
@@ -156,17 +164,17 @@ struct FleetIntervalStats
     /** Fleet offered load per service (before routing). */
     std::vector<double> offeredRps;
     /** p99 per service over the fleet-wide completions of the last
-     * qosWindowIntervals intervals (merged per-node histograms). */
+     * three intervals (merged per-node histograms). */
     std::vector<double> fleetP99Ms;
-    /** Sum of node socket powers, W (crashed replicas contribute 0). */
+    /** Sum of node socket powers, W (unpowered slots contribute 0). */
     double totalPowerW = 0.0;
-    /** Per-node telemetry (node order is stable). A crashed node's
-     * entry is its last serving interval; check nodeUp. */
+    /** Per-node telemetry (node order is stable). An unpowered slot's
+     * entry is its last powered interval; check nodeUp. */
     std::vector<sim::ServerIntervalStats> nodes;
-    /** Health per node this interval (1 = served it). */
+    /** 1 per slot powered this interval (stepped, merged, billed). */
     std::vector<std::uint8_t> nodeUp;
-    /** Fleet RPS dropped because no replica was in rotation (0 unless
-     * every node is down — the well-defined "shed" record). */
+    /** Fleet RPS dropped because no slot was powered (0 otherwise —
+     * the well-defined "shed" record). */
     double shedRps = 0.0;
     /** Fault-subsystem events that fired this interval, in application
      * order (empty without a fault schedule). */
@@ -174,8 +182,8 @@ struct FleetIntervalStats
     /** Elastic-sizing actions this interval (empty without an
      * autoscaler). */
     std::vector<ScaleEvent> scaleEvents;
-    /** Slots serving new load this interval (== nodes up without an
-     * autoscaler). */
+    /** Powered slots taking new load this interval (== powered slots
+     * without an autoscaler). */
     std::size_t servingNodes = 0;
     /** Slots draining toward retirement this interval. */
     std::size_t drainingNodes = 0;
@@ -253,10 +261,11 @@ class ClusterManager
     /**
      * Arm a fault schedule (src/faults). Must be called after every
      * replica has been added — the spec is validated against the fleet
-     * shape (FatalError on a bad schedule). The schedule's transitions
-     * are applied serially at the top of each step(); recovery
-     * outcomes and periodic checkpoints appear on the fault-event
-     * stream (FleetIntervalStats::faultEvents and faultLog()).
+     * shape (FatalError on a bad schedule) — and may come before or
+     * after setAutoscaler. The schedule's transitions are applied
+     * serially at the top of each step(); recovery outcomes and
+     * periodic checkpoints appear on the fault-event stream
+     * (FleetIntervalStats::faultEvents and faultLog()).
      */
     void setFaults(const faults::FaultSpec &spec);
 
@@ -270,8 +279,8 @@ class ClusterManager
      * Attach elastic fleet sizing. Call after every slot has been
      * added (numNodes() must equal cfg.maxNodes — the partition is
      * fixed, slots park instead of disappearing) and before the first
-     * step. Slots [initial_active, maxNodes) start in standby:
-     * router-evicted, not stepped, not billed.
+     * step. Slots [initial_active, maxNodes) start in standby: no
+     * routing weight, not stepped, not billed.
      *
      * @param cfg                  decision rule (validated; fatal on a
      *                             malformed block)
@@ -304,13 +313,10 @@ class ClusterManager
         return costModel_ ? costModel_->totalDollars() : 0.0;
     }
 
-    /** Whether replica @p n is currently powered (always true without
-     * a fault schedule or autoscaler; false for crashed and standby
-     * slots). Draining slots are still up. */
-    bool isNodeUp(std::size_t n) const
-    {
-        return n >= nodeUp_.size() || nodeUp_[n] != 0;
-    }
+    /** Whether slot @p n is currently powered — stepped, merged and
+     * billed: false for crashed and standby slots, true for draining
+     * ones. */
+    bool isNodeUp(std::size_t n) const;
 
     /** Toggle the reference (pre-optimization) queue-simulator path on
      * every current node — bit-identical results either way; used by
@@ -339,9 +345,6 @@ class ClusterManager
      * last stepped interval (0 before the first step). */
     std::size_t batchedNodeCount() const;
 
-    const ShardedRouter &shardedRouter() const { return router_; }
-    ShardedRouter &shardedRouter() { return router_; }
-
     /** Domain @p d's merged interval histogram for service @p s from
      * the last step (hierarchical merge path only; tests). */
     const stats::Histogram &domainHistogram(std::size_t d,
@@ -365,13 +368,34 @@ class ClusterManager
             &on_step = {});
 
   private:
-    /** Everything needed to rebuild a replica after a crash. */
+    /** Elastic state of a fleet slot (see the file comment). */
+    enum class SlotState : std::uint8_t
+    {
+        Active,   ///< taking new load (unless crashed)
+        Draining, ///< weight 0, flushing backlog toward retirement
+        Standby,  ///< parked: not stepped, not billed
+    };
+
+    /** One fleet slot's lifecycle record and rebuild recipe. */
     struct NodeSlot
     {
         sim::MachineConfig machine;
         ManagerFactory factory;
         /** Rebuild count; salts the reborn node's derived seed. */
         std::size_t incarnation = 0;
+        SlotState state = SlotState::Active;
+        /** Down after a node_crash until its restart. */
+        bool crashed = false;
+        /** Step at which a draining slot retires (valid while
+         * Draining). */
+        std::size_t drainDeadline = 0;
+        /** Powered for at least one interval: reactivation restores
+         * its drain-time frame instead of keeping the virgin donor
+         * policy. */
+        bool everServed = false;
+        /** Last checkpoint frame: u64 FNV-1a checksum followed by the
+         * framed BDQ checkpoint ("" = none yet). */
+        std::string frame;
         // Environmental fault state that survives a node rebuild (a
         // restarted node is still in the hot rack / behind the same
         // flaky monitor).
@@ -381,6 +405,17 @@ class ClusterManager
         double faultSigma = 0.0;
         double faultStaleProb = 0.0;
         std::uint64_t faultSeed = 0;
+
+        /** Stepped, merged and billed. */
+        bool powered() const
+        {
+            return !crashed && state != SlotState::Standby;
+        }
+        /** Takes new load. */
+        bool serving() const
+        {
+            return !crashed && state == SlotState::Active;
+        }
     };
 
     /** A batched-inference cohort: serving replicas whose managers run
@@ -395,14 +430,6 @@ class ClusterManager
         nn::Matrix states;   ///< [members x inputDim] gathered rows
         nn::BdqOutput qScratch;
         std::vector<std::vector<nn::BranchActions>> actions;
-    };
-
-    /** Elastic lifecycle of a fleet slot (autoscaler only). */
-    enum class SlotState : std::uint8_t
-    {
-        Active,   ///< serving new load (unless crashed)
-        Draining, ///< weight 0, flushing backlog toward retirement
-        Standby,  ///< parked: evicted, not stepped, not billed
     };
 
     std::vector<LatencyBinning> binnings() const;
@@ -445,6 +472,9 @@ class ClusterManager
     Router flatRouter_;
     bool flatReference_ = false;
     std::vector<std::unique_ptr<Node>> nodes_;
+    /** Lifecycle record and rebuild recipe per node (sized by
+     * addNode; the only place slot health and elastic state live). */
+    std::vector<NodeSlot> slots_;
     /** Created on first parallel step (jobs > 1). */
     std::unique_ptr<common::ThreadPool> pool_;
     std::uint64_t seed_;
@@ -453,7 +483,7 @@ class ClusterManager
     std::vector<stats::Histogram> mergedScratch_;
     /** Hierarchical-merge scratch: per-domain per-service histograms. */
     std::vector<std::vector<stats::Histogram>> domainScratch_;
-    /** Last qosWindowIntervals interval histograms per service
+    /** Last kQosWindowIntervals interval histograms per service
      * (recent_[svc] is ordered oldest first). */
     std::vector<std::vector<stats::Histogram>> recent_;
 
@@ -480,13 +510,6 @@ class ClusterManager
     /** Armed schedule (null without faults; the no-fault step path is
      * byte-identical to the pre-fault code). */
     std::unique_ptr<faults::FaultInjector> injector_;
-    /** Rebuild recipes, one per node (recorded by addNode). */
-    std::vector<NodeSlot> slots_;
-    /** Health per node (1 = serving); sized by setFaults. */
-    std::vector<std::uint8_t> nodeUp_;
-    /** Last periodic checkpoint frame per node: u64 FNV-1a checksum
-     * followed by the framed BDQ checkpoint ("" = none yet). */
-    std::vector<std::string> frames_;
     /** Active load-surge multiplier per service (1.0 = none). */
     std::vector<double> surgeMult_;
     /** Events fired during the current step (scratch). */
@@ -502,19 +525,10 @@ class ClusterManager
     std::unique_ptr<autoscale::CostModel> costModel_;
     /** Per-service fleet RPS the full fleet is rated for. */
     std::vector<double> ratedFleetRps_;
-    /** Elastic lifecycle per slot (sized by setAutoscaler). */
-    std::vector<SlotState> slotState_;
-    /** Step at which a draining slot retires (valid while Draining). */
-    std::vector<std::size_t> drainDeadline_;
-    /** 1 once a slot has served an interval: reactivation restores its
-     * drain-time frame instead of keeping the virgin donor policy. */
-    std::vector<std::uint8_t> everServed_;
     /** Previous interval's trailing-window fleet p99 per service. */
     std::vector<double> lastTrailingP99_;
     /** Cached QoS targets (signal scratch). */
     std::vector<double> qosTargets_;
-    /** Billing mask scratch. */
-    std::vector<unsigned char> billable_;
     /** Scale events fired during the current step (scratch). */
     std::vector<ScaleEvent> scaleStepEvents_;
     /** Full scale-event stream across the run. */

@@ -48,86 +48,6 @@ Router::Router(const RouterConfig &cfg, std::uint64_t seed)
                     "Router: need at least one load quantum");
 }
 
-void
-Router::evict(std::size_t n)
-{
-    syncHealth(n + 1);
-    up_[n] = 0;
-    // A drained node's credit is stale by the time it comes back;
-    // readmitting at zero keeps the interleaving smooth.
-    if (n < wrrCredit_.size())
-        wrrCredit_[n] = 0.0;
-}
-
-void
-Router::readmit(std::size_t n)
-{
-    syncHealth(n + 1);
-    up_[n] = 1;
-}
-
-bool
-Router::isUp(std::size_t n) const
-{
-    return n >= up_.size() || up_[n] != 0;
-}
-
-void
-Router::drain(std::size_t n)
-{
-    if (draining_.size() <= n)
-        draining_.resize(n + 1, 0);
-    draining_[n] = 1;
-    // Same rationale as evict(): when the node resumes serving its
-    // pre-drain credit is stale.
-    if (n < wrrCredit_.size())
-        wrrCredit_[n] = 0.0;
-}
-
-void
-Router::undrain(std::size_t n)
-{
-    if (n < draining_.size())
-        draining_[n] = 0;
-}
-
-bool
-Router::isDraining(std::size_t n) const
-{
-    return n < draining_.size() && draining_[n] != 0;
-}
-
-bool
-Router::isServing(std::size_t n) const
-{
-    return isUp(n) && !isDraining(n);
-}
-
-void
-Router::syncHealth(std::size_t nodes)
-{
-    if (up_.size() < nodes)
-        up_.resize(nodes, 1);
-}
-
-std::size_t
-Router::upCount(std::size_t nodes) const
-{
-    std::size_t count = 0;
-    for (std::size_t n = 0; n < nodes; ++n)
-        count += isUp(n) ? 1 : 0;
-    return count;
-}
-
-std::size_t
-Router::servingCount(std::size_t nodes) const
-{
-    std::size_t count = 0;
-    for (std::size_t n = 0; n < nodes; ++n)
-        count += isServing(n) ? 1 : 0;
-    return count;
-}
-
 std::vector<std::vector<double>>
 Router::route(const std::vector<double> &fleet_rps,
               const std::vector<double> &weights,
@@ -138,17 +58,15 @@ Router::route(const std::vector<double> &fleet_rps,
     return out;
 }
 
-bool
+void
 Router::routeInto(const std::vector<double> &fleet_rps,
                   const std::vector<double> &weights,
                   const RouterFeedback &feedback,
                   std::vector<std::vector<double>> &out)
 {
     common::fatalIf(weights.empty(), "Router::route: no nodes");
-    syncHealth(weights.size());
-    for (std::size_t n = 0; n < weights.size(); ++n)
-        common::fatalIf(weights[n] <= 0.0 && isUp(n),
-                        "Router::route: non-positive weight");
+    for (double w : weights)
+        common::fatalIf(w < 0.0, "Router::route: negative weight");
     for (double rps : fleet_rps)
         common::fatalIf(rps < 0.0, "Router::route: negative fleet RPS");
 
@@ -156,43 +74,36 @@ Router::routeInto(const std::vector<double> &fleet_rps,
     for (auto &row : out)
         row.assign(fleet_rps.size(), 0.0);
 
-    // Every replica down: nothing to divide the load by. Leave the
-    // shares zeroed and report it so the caller records a shed
-    // interval instead of routing NaN RPS.
-    const std::size_t up = upCount(weights.size());
-    if (up == 0)
-        return false;
-
-    // Up but entirely draining: the fleet refuses new load on purpose
-    // while backlogs flush, so zero shares is a successful route, not
-    // a shed.
-    const std::size_t serving = servingCount(weights.size());
-    if (serving == 0)
-        return true;
-
     switch (cfg_.policy) {
     case RoutingPolicy::Static:
-        routeStaticInto(fleet_rps, weights.size(), serving, out);
-        return true;
+        routeStaticInto(fleet_rps, weights, out);
+        return;
     case RoutingPolicy::WeightedRoundRobin:
         routeWrrInto(fleet_rps, weights, out);
-        return true;
+        return;
     case RoutingPolicy::PowerOfTwoLatency:
         routeP2cInto(fleet_rps, weights, feedback, out);
-        return true;
+        return;
     }
     common::panic("Router::route: bad policy enum");
 }
 
 void
 Router::routeStaticInto(const std::vector<double> &fleet_rps,
-                        std::size_t nodes, std::size_t serving,
+                        const std::vector<double> &weights,
                         std::vector<std::vector<double>> &out)
 {
+    // Equal split among the positive-weight nodes; their capacities
+    // are ignored by design.
+    const auto live = static_cast<std::size_t>(
+        std::count_if(weights.begin(), weights.end(),
+                      [](double w) { return w > 0.0; }));
+    if (live == 0)
+        return;
     for (std::size_t s = 0; s < fleet_rps.size(); ++s) {
-        const double share = fleet_rps[s] / static_cast<double>(serving);
-        for (std::size_t n = 0; n < nodes; ++n)
-            out[n][s] = isServing(n) ? share : 0.0;
+        const double share = fleet_rps[s] / static_cast<double>(live);
+        for (std::size_t n = 0; n < weights.size(); ++n)
+            out[n][s] = weights[n] > 0.0 ? share : 0.0;
     }
 }
 
@@ -204,13 +115,18 @@ Router::routeWrrInto(const std::vector<double> &fleet_rps,
     const std::size_t nodes = weights.size();
     if (wrrCredit_.size() != nodes)
         wrrCredit_.resize(nodes, 0.0);
-    // Only serving nodes earn credit or count toward the total weight
-    // — evicting or draining a replica re-normalises the split across
-    // the remaining servers automatically (a draining node's weight
-    // is effectively 0 without any shed bookkeeping).
+    // Only positive-weight nodes earn credit or count toward the total
+    // weight, so a weight-0 node's share re-normalises onto the rest.
+    // Its credit is held at 0: when it takes load again it re-enters
+    // the interleaving without a stale credit advantage.
     double weight_sum = 0.0;
-    for (std::size_t n = 0; n < nodes; ++n)
-        weight_sum += isServing(n) ? weights[n] : 0.0;
+    for (std::size_t n = 0; n < nodes; ++n) {
+        if (weights[n] == 0.0)
+            wrrCredit_[n] = 0.0;
+        weight_sum += weights[n];
+    }
+    if (weight_sum == 0.0)
+        return;
 
     for (std::size_t s = 0; s < fleet_rps.size(); ++s) {
         const double quantum =
@@ -222,7 +138,7 @@ Router::routeWrrInto(const std::vector<double> &fleet_rps,
         for (std::size_t q = 0; q < cfg_.quantaPerService; ++q) {
             std::size_t best = nodes;
             for (std::size_t n = 0; n < nodes; ++n) {
-                if (!isServing(n))
+                if (weights[n] == 0.0)
                     continue;
                 wrrCredit_[n] += weights[n];
                 if (best == nodes || wrrCredit_[n] > wrrCredit_[best])
@@ -241,20 +157,22 @@ Router::routeP2cInto(const std::vector<double> &fleet_rps,
                      std::vector<std::vector<double>> &out)
 {
     const std::size_t nodes = weights.size();
-    upIdx_.clear();
+    liveIdx_.clear();
     for (std::size_t n = 0; n < nodes; ++n) {
-        if (isServing(n))
-            upIdx_.push_back(n);
+        if (weights[n] > 0.0)
+            liveIdx_.push_back(n);
     }
-    // A single surviving replica takes everything: two-choices needs
-    // two candidates, and uniformInt(0) below would be undefined.
-    if (upIdx_.size() == 1) {
-        out[upIdx_[0]] = fleet_rps;
+    if (liveIdx_.empty())
+        return;
+    // A single positive-weight replica takes everything: two-choices
+    // needs two candidates, and uniformInt(0) below would be undefined.
+    if (liveIdx_.size() == 1) {
+        out[liveIdx_[0]] = fleet_rps;
         return;
     }
 
     double weight_sum = 0.0;
-    for (std::size_t n : upIdx_)
+    for (std::size_t n : liveIdx_)
         weight_sum += weights[n];
 
     for (std::size_t s = 0; s < fleet_rps.size(); ++s) {
@@ -278,25 +196,25 @@ Router::routeP2cInto(const std::vector<double> &fleet_rps,
             }
         }
         // Fair share of this service's quanta per node (capacity-
-        // proportional among the survivors); the dealt/fair ratio
+        // proportional among the live nodes); the dealt/fair ratio
         // makes the load half of the cost dimensionless and
         // comparable to the QoS half.
         fair_.assign(nodes, 0.0);
-        for (std::size_t n : upIdx_)
+        for (std::size_t n : liveIdx_)
             fair_[n] = static_cast<double>(cfg_.quantaPerService) *
                 weights[n] / weight_sum;
         dealt_.assign(nodes, 0.0);
-        const std::size_t up = upIdx_.size();
+        const std::size_t live = liveIdx_.size();
         for (std::size_t q = 0; q < cfg_.quantaPerService; ++q) {
-            const std::size_t a = upIdx_[rng_.uniformInt(up)];
-            std::size_t bi = rng_.uniformInt(up - 1);
-            // Second choice distinct from the first (by up-index, so
-            // the draw sequence with every node up matches the
+            const std::size_t a = liveIdx_[rng_.uniformInt(live)];
+            std::size_t bi = rng_.uniformInt(live - 1);
+            // Second choice distinct from the first (by live index, so
+            // the draw sequence with every weight positive matches the
             // pre-health router bit for bit).
-            std::size_t b = upIdx_[bi];
+            std::size_t b = liveIdx_[bi];
             if (b >= a) {
                 ++bi;
-                b = upIdx_[bi];
+                b = liveIdx_[bi];
             }
             auto cost = [&](std::size_t n) {
                 return penalty_[n] + dealt_[n] / fair_[n];

@@ -23,19 +23,13 @@
  * thread scheduling, so cluster runs stay bit-identical at any
  * --jobs count.
  *
- * Node health: the router tracks which replicas are in rotation.
- * evict(n) removes a node (it receives no quanta and its weight drops
- * out of every normalisation, so surviving replicas absorb the load);
- * readmit(n) puts it back. When every node is down the router routes
- * nothing and reports it, so the caller can record a well-defined
- * "shed" interval instead of dividing by zero.
- *
- * Draining is the softer state scale-in uses: a draining node gets
- * weight 0 (no new quanta) but is still up — it keeps flushing its
- * backlog and its histograms keep merging. Crucially, a fleet whose
- * every node is up-but-draining routes zero load *successfully*: no
- * shed interval is recorded, because nothing was refused — there was
- * simply no load to accept while the drain completes.
+ * Routing weights carry every lifecycle decision: the router keeps no
+ * health state. A node with weight 0 gets no new load and drops out of
+ * every normalisation, so the nodes with positive weight absorb its
+ * share; all-zero weights give all-zero shares. Whether a zero means
+ * "crashed", "parked" or "draining" — and whether the interval's load
+ * was therefore shed — is decided by the caller (ClusterManager's slot
+ * table), not here.
  */
 
 #ifndef TWIG_CLUSTER_ROUTER_HH
@@ -94,46 +88,15 @@ class Router
     const RouterConfig &config() const { return cfg_; }
 
     /**
-     * Take node @p n out of rotation (crash / drain). Idempotent; its
-     * smooth-WRR credit resets so a readmitted node re-enters the
-     * interleaving without a stale credit advantage.
-     */
-    void evict(std::size_t n);
-
-    /** Put node @p n back into rotation. Idempotent. */
-    void readmit(std::size_t n);
-
-    /** Whether node @p n is in rotation (nodes the router has never
-     * seen are up). */
-    bool isUp(std::size_t n) const;
-
-    /**
-     * Stop dealing new load to node @p n without taking it out of
-     * rotation: its weight drops to 0 in every normalisation while it
-     * flushes in-flight work (scale-in drain protocol). Idempotent;
-     * resets its smooth-WRR credit like evict().
-     */
-    void drain(std::size_t n);
-
-    /** Resume dealing load to node @p n. Idempotent. */
-    void undrain(std::size_t n);
-
-    /** Whether node @p n is draining. */
-    bool isDraining(std::size_t n) const;
-
-    /** Up and not draining: eligible for new load. */
-    bool isServing(std::size_t n) const;
-
-    /**
      * Split each service's fleet RPS across @p weights.size() nodes.
      *
      * @param fleet_rps  offered fleet load per service
-     * @param weights    capacity weight per node (all > 0 for nodes
-     *                   in rotation; evicted nodes' weights ignored)
+     * @param weights    routing weight per node (>= 0; 0 = no new
+     *                   load, > 0 = capacity share)
      * @param feedback   latency feedback (PowerOfTwoLatency only)
      * @return per-node, per-service RPS ([node][service]); each
-     *         service's column sums to its fleet RPS. All-zero (with
-     *         routeInto returning false) when every node is evicted.
+     *         service's column sums to its fleet RPS, or is all zero
+     *         when every weight is 0.
      */
     std::vector<std::vector<double>>
     route(const std::vector<double> &fleet_rps,
@@ -141,24 +104,15 @@ class Router
           const RouterFeedback &feedback);
 
     /** As route(), writing into @p out ([node][service], rewritten in
-     * full; no allocation once capacities are warm). Returns false —
-     * with @p out zero-filled — when every node is out of rotation
-     * and the interval's load must be shed. A fleet that is up but
-     * entirely draining returns true with zero shares: the drain
-     * window refuses new load by design, which is not a shed. */
-    bool routeInto(const std::vector<double> &fleet_rps,
+     * full; no allocation once capacities are warm). */
+    void routeInto(const std::vector<double> &fleet_rps,
                    const std::vector<double> &weights,
                    const RouterFeedback &feedback,
                    std::vector<std::vector<double>> &out);
 
   private:
-    /** Health mask resized (new nodes up) to @p nodes. */
-    void syncHealth(std::size_t nodes);
-    std::size_t upCount(std::size_t nodes) const;
-    std::size_t servingCount(std::size_t nodes) const;
-
     void routeStaticInto(const std::vector<double> &fleet_rps,
-                         std::size_t nodes, std::size_t serving,
+                         const std::vector<double> &weights,
                          std::vector<std::vector<double>> &out);
     void routeWrrInto(const std::vector<double> &fleet_rps,
                       const std::vector<double> &weights,
@@ -170,18 +124,16 @@ class Router
 
     RouterConfig cfg_;
     common::Rng rng_;
-    /** Health per node (1 = in rotation); grown on demand. */
-    std::vector<std::uint8_t> up_;
-    /** Drain mask per node (1 = no new load); grown on demand. */
-    std::vector<std::uint8_t> draining_;
-    /** Smooth-WRR credit per node (persists across intervals). */
+    /** Smooth-WRR credit per node (persists across intervals; held at
+     * 0 while the node's weight is 0). */
     std::vector<double> wrrCredit_;
     // Per-interval scratch of the two-choices policy.
     std::vector<double> penalty_;
     std::vector<double> fair_;
     std::vector<double> dealt_;
-    /** Indices of in-rotation nodes (two-choices sampling scratch). */
-    std::vector<std::size_t> upIdx_;
+    /** Indices of positive-weight nodes (two-choices sampling
+     * scratch). */
+    std::vector<std::size_t> liveIdx_;
 };
 
 } // namespace twig::cluster

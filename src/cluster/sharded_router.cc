@@ -38,8 +38,6 @@ ShardedRouter::bind(std::size_t nodes)
     common::fatalIf(cfg_.domains > nodes, "ShardedRouter::bind: ",
                     cfg_.domains, " domains for ", nodes, " nodes");
     nodes_ = nodes;
-    if (up_.size() < nodes)
-        up_.resize(nodes, 1);
 
     domains_.resize(cfg_.domains);
     for (std::size_t d = 0; d < cfg_.domains; ++d) {
@@ -54,13 +52,6 @@ ShardedRouter::bind(std::size_t nodes)
         const std::uint64_t dseed =
             d == 0 ? seed_ : harness::sweepSeed(seed_, 0xd0a000 + d);
         dom.router = std::make_unique<Router>(cfg_.router, dseed);
-        // Apply health recorded before the partition existed.
-        for (std::size_t i = 0; i < dom.count; ++i) {
-            if (up_[dom.first + i] == 0)
-                dom.router->evict(i);
-            if (isDraining(dom.first + i))
-                dom.router->drain(i);
-        }
     }
 }
 
@@ -81,92 +72,7 @@ ShardedRouter::domain(std::size_t d) const
     return domains_[d];
 }
 
-std::size_t
-ShardedRouter::upCountInDomain(std::size_t d) const
-{
-    const Domain &dom = domain(d);
-    std::size_t up = 0;
-    for (std::size_t i = 0; i < dom.count; ++i)
-        up += isUp(dom.first + i) ? 1 : 0;
-    return up;
-}
-
-std::size_t
-ShardedRouter::servingCountInDomain(std::size_t d) const
-{
-    const Domain &dom = domain(d);
-    std::size_t serving = 0;
-    for (std::size_t i = 0; i < dom.count; ++i)
-        serving += isServing(dom.first + i) ? 1 : 0;
-    return serving;
-}
-
 void
-ShardedRouter::evict(std::size_t n)
-{
-    if (up_.size() <= n)
-        up_.resize(n + 1, 1);
-    up_[n] = 0;
-    if (bound()) {
-        const std::size_t d = domainOf(n);
-        domains_[d].router->evict(n - domains_[d].first);
-    }
-}
-
-void
-ShardedRouter::readmit(std::size_t n)
-{
-    if (up_.size() <= n)
-        up_.resize(n + 1, 1);
-    up_[n] = 1;
-    if (bound()) {
-        const std::size_t d = domainOf(n);
-        domains_[d].router->readmit(n - domains_[d].first);
-    }
-}
-
-bool
-ShardedRouter::isUp(std::size_t n) const
-{
-    return n >= up_.size() || up_[n] != 0;
-}
-
-void
-ShardedRouter::drain(std::size_t n)
-{
-    if (draining_.size() <= n)
-        draining_.resize(n + 1, 0);
-    draining_[n] = 1;
-    if (bound()) {
-        const std::size_t d = domainOf(n);
-        domains_[d].router->drain(n - domains_[d].first);
-    }
-}
-
-void
-ShardedRouter::undrain(std::size_t n)
-{
-    if (n < draining_.size())
-        draining_[n] = 0;
-    if (bound() && n < nodes_) {
-        const std::size_t d = domainOf(n);
-        domains_[d].router->undrain(n - domains_[d].first);
-    }
-}
-
-bool
-ShardedRouter::isDraining(std::size_t n) const
-{
-    return n < draining_.size() && draining_[n] != 0;
-}
-
-bool
-ShardedRouter::isServing(std::size_t n) const
-{
-    return isUp(n) && !isDraining(n);
-}
-
-bool
 ShardedRouter::routeInto(const std::vector<double> &fleet_rps,
                          const std::vector<double> &weights,
                          const RouterFeedback &feedback,
@@ -180,23 +86,18 @@ ShardedRouter::routeInto(const std::vector<double> &fleet_rps,
 
     // A single domain is the flat router: forward the fleet vectors
     // verbatim (no slicing arithmetic in the way of bit-identity).
-    if (domains_.size() == 1)
-        return domains_[0].router->routeInto(fleet_rps, weights,
-                                             feedback, out);
+    if (domains_.size() == 1) {
+        domains_[0].router->routeInto(fleet_rps, weights, feedback, out);
+        return;
+    }
 
     const std::size_t num_services = fleet_rps.size();
     out.resize(nodes_);
     for (auto &row : out)
         row.assign(num_services, 0.0);
 
-    std::size_t live_domains = 0;
-    for (std::size_t d = 0; d < domains_.size(); ++d)
-        live_domains += upCountInDomain(d) > 0 ? 1 : 0;
-    if (live_domains == 0)
-        return false; // every domain dark: shed the interval
-
     // Level 1 — the domain split, one service at a time. Weight =
-    // serving capacity x QoS headroom: a domain whose members sat
+    // live capacity x QoS headroom: a domain whose members sat
     // above target last interval takes proportionally less of this
     // one. Pure arithmetic, no draws: the split can never perturb the
     // inner routers' RNG streams.
@@ -207,15 +108,15 @@ ShardedRouter::routeInto(const std::vector<double> &fleet_rps,
         double total = 0.0;
         for (std::size_t d = 0; d < domains_.size(); ++d) {
             const Domain &dom = domains_[d];
-            double cap_serving = 0.0;
+            double capacity = 0.0;
             double excess_sum = 0.0;
-            std::size_t serving = 0;
+            std::size_t live = 0;
             for (std::size_t i = 0; i < dom.count; ++i) {
                 const std::size_t n = dom.first + i;
-                if (!isServing(n))
+                if (weights[n] == 0.0)
                     continue;
-                ++serving;
-                cap_serving += weights[n];
+                ++live;
+                capacity += weights[n];
                 if (n < feedback.p99MsByNode.size() &&
                     s < feedback.p99MsByNode[n].size() &&
                     s < feedback.qosTargetsMs.size() &&
@@ -228,33 +129,29 @@ ShardedRouter::routeInto(const std::vector<double> &fleet_rps,
             }
             // headroom in (0, 1]: 1 with every member on target (or
             // before any feedback), shrinking as the domain's mean
-            // QoS excess grows. A dark or entirely draining domain
+            // QoS excess grows. A domain whose members all weigh 0
             // weighs nothing — its share renormalises onto the
             // siblings below.
-            const double mean_excess = serving > 0
-                ? excess_sum / static_cast<double>(serving)
+            const double mean_excess = live > 0
+                ? excess_sum / static_cast<double>(live)
                 : 0.0;
             domainWeight_[d] =
-                serving > 0 ? cap_serving / (1.0 + mean_excess) : 0.0;
+                live > 0 ? capacity / (1.0 + mean_excess) : 0.0;
             total += domainWeight_[d];
         }
-        // total == 0 with live domains means every up node is
-        // draining: refuse the load without a shed (rps stays 0).
+        // Every weight 0: no domain takes load (rps stays 0).
         if (total <= 0.0)
             continue;
         for (std::size_t d = 0; d < domains_.size(); ++d)
             domains_[d].rps[s] = fleet_rps[s] * domainWeight_[d] / total;
     }
 
-    // Level 2 — each serving domain deals its slice across its members
-    // with the configured policy, from its own RNG stream. Domains
-    // that are dark or entirely draining got weight 0 above and their
-    // rows stay zero; skipping them keeps the inner fatal-on-shed
-    // contract (a draining domain refusing load is not a failure).
+    // Level 2 — each domain deals its slice across its members with
+    // the configured policy, from its own RNG stream. A domain whose
+    // members all weigh 0 got no slice above, and its inner router
+    // deals nothing (and draws nothing) for it.
     for (std::size_t d = 0; d < domains_.size(); ++d) {
         Domain &dom = domains_[d];
-        if (servingCountInDomain(d) == 0)
-            continue; // weight 0 above; nothing to deal
         dom.weights.resize(dom.count);
         for (std::size_t i = 0; i < dom.count; ++i)
             dom.weights[i] = weights[dom.first + i];
@@ -267,14 +164,11 @@ ShardedRouter::routeInto(const std::vector<double> &fleet_rps,
                 dom.feedback.p99MsByNode[i] =
                     feedback.p99MsByNode[dom.first + i];
         }
-        const bool ok = dom.router->routeInto(dom.rps, dom.weights,
-                                              dom.feedback, dom.shares);
-        common::fatalIf(!ok, "ShardedRouter::route: live domain ", d,
-                        " failed to route");
+        dom.router->routeInto(dom.rps, dom.weights, dom.feedback,
+                              dom.shares);
         for (std::size_t i = 0; i < dom.count; ++i)
             out[dom.first + i] = dom.shares[i];
     }
-    return true;
 }
 
 } // namespace twig::cluster

@@ -3,10 +3,11 @@
  * Two-level fleet routing: the node list is partitioned into
  * contiguous routing *domains*, each behind its own inner Router. Per
  * interval the front-end first splits every service's fleet RPS across
- * the domains — deterministically, weighted by each domain's serving
- * capacity times its QoS headroom (no RNG at this level) — then each
- * domain's inner Router deals its slice across its member nodes with
- * the configured policy (static / WRR / power-of-two-choices).
+ * the domains — deterministically, weighted by each domain's capacity
+ * (its members' summed weights) times its QoS headroom (no RNG at this
+ * level) — then each domain's inner Router deals its slice across its
+ * member nodes with the configured policy (static / WRR /
+ * power-of-two-choices).
  *
  * Why two levels: a single flat router is O(quanta x nodes) with one
  * shared RNG stream — fine at 8 nodes, a serial bottleneck at 512.
@@ -17,25 +18,19 @@
  *
  *  * The domain split is pure arithmetic on (capacity, previous
  *    interval p99) — no draws — so the inner routers' RNG streams
- *    never shift with domain count or health changes elsewhere.
+ *    never shift with domain count or weight changes elsewhere.
  *  * With domains == 1 the single inner Router receives the fleet
  *    vectors verbatim and is seeded with exactly the seed a flat
  *    Router would get, so a one-domain fleet is bit-identical to the
  *    pre-sharding flat path (the bench asserts this byte-for-byte).
  *
- * Health: evict/readmit forward to the owning domain's inner router,
- * which renormalises among the surviving members. A domain whose every
- * member is down gets weight 0 — its share sheds to the sibling
- * domains, not to an abort. When every domain is down routeInto
- * returns false with zeroed shares so the caller records a shed
- * interval, same contract as the flat Router.
- *
- * Draining (scale-in) follows the flat Router's soft state: drain(n)
- * zeroes a node's weight in the level-1 split and in its domain's
- * dealing while it flushes its backlog. A domain whose members are all
- * up-but-draining weighs nothing — its slice renormalises onto the
- * siblings — and an entirely draining fleet routes zero load
- * successfully rather than recording a shed.
+ * Weights: the front-end keeps no health state. routeInto takes one
+ * routing weight per node, with the flat Router's contract — 0 means
+ * "no new load", > 0 is the node's capacity share. A domain whose
+ * members all weigh 0 gets no slice: its share renormalises onto the
+ * sibling domains. All-zero weights give all-zero shares; the caller
+ * (ClusterManager, which owns each slot's lifecycle) decides whether
+ * that interval's load was shed.
  */
 
 #ifndef TWIG_CLUSTER_SHARDED_ROUTER_HH
@@ -101,34 +96,13 @@ class ShardedRouter
     std::size_t domainOf(std::size_t n) const;
     /** Domain @p d (after bind). */
     const Domain &domain(std::size_t d) const;
-    /** In-rotation members of domain @p d. */
-    std::size_t upCountInDomain(std::size_t d) const;
-    /** Members of domain @p d eligible for new load (up and not
-     * draining). */
-    std::size_t servingCountInDomain(std::size_t d) const;
-
-    /** Take node @p n out of rotation / put it back. Usable before
-     * bind (health is applied to the partition when it forms). */
-    void evict(std::size_t n);
-    void readmit(std::size_t n);
-    bool isUp(std::size_t n) const;
-
-    /** Stop/resume dealing new load to node @p n while it stays in
-     * rotation (scale-in drain). Usable before bind, like evict. */
-    void drain(std::size_t n);
-    void undrain(std::size_t n);
-    bool isDraining(std::size_t n) const;
-    /** Up and not draining. */
-    bool isServing(std::size_t n) const;
-
     /**
      * Split each service's fleet RPS across @p weights.size() nodes:
      * domain split by capacity x QoS headroom, then the inner routers.
      * Same contract as Router::routeInto — @p out is [node][service],
-     * rewritten in full; false (all shares zero) when every node in
-     * every domain is out of rotation.
+     * rewritten in full; all zero when every weight is 0.
      */
-    bool routeInto(const std::vector<double> &fleet_rps,
+    void routeInto(const std::vector<double> &fleet_rps,
                    const std::vector<double> &weights,
                    const RouterFeedback &feedback,
                    std::vector<std::vector<double>> &out);
@@ -139,11 +113,6 @@ class ShardedRouter
     /** Fleet size; 0 until bind. */
     std::size_t nodes_ = 0;
     std::vector<Domain> domains_;
-    /** Health per node (1 = in rotation). Mirrors the inner routers'
-     * masks; also buffers evictions arriving before bind. */
-    std::vector<std::uint8_t> up_;
-    /** Drain mask per node (1 = no new load); same buffering. */
-    std::vector<std::uint8_t> draining_;
     /** Per-domain split weight scratch ([domain], per service). */
     std::vector<double> domainWeight_;
 };

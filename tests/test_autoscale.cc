@@ -1,6 +1,7 @@
 /** @file Unit tests for elastic fleet sizing (src/autoscale/) and its
  * ClusterManager integration: decision rule, node classes, billing,
- * the drain protocol and the warm-spawn path. */
+ * the drain protocol, slot lifecycle under faults and the warm-spawn
+ * path. */
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "cluster/router.hh"
 #include "common/error.hh"
 #include "core/twig_manager.hh"
+#include "faults/fault_injector.hh"
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
 #include "harness/registry.hh"
@@ -405,47 +407,19 @@ TEST(CostModel, BillsPoweredSlotsByTheHour)
 
 TEST(RouterDrain, DrainingNodeGetsNoNewLoad)
 {
+    // A draining slot routes at weight 0: no new load, and the other
+    // nodes absorb its share.
     cluster::RouterConfig cfg;
     cfg.policy = cluster::RoutingPolicy::WeightedRoundRobin;
     cluster::Router router(cfg, 7);
     const std::vector<double> rps{900.0};
-    const std::vector<double> weights{1.0, 1.0, 1.0};
 
-    router.drain(1);
-    EXPECT_TRUE(router.isUp(1));
-    EXPECT_TRUE(router.isDraining(1));
-    EXPECT_FALSE(router.isServing(1));
-
-    const auto shares = router.route(rps, weights, {});
+    const auto shares = router.route(rps, {1.0, 0.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(shares[1][0], 0.0);
     EXPECT_NEAR(shares[0][0] + shares[2][0], 900.0, 1e-9);
 
-    router.undrain(1);
-    const auto after = router.route(rps, weights, {});
+    const auto after = router.route(rps, {1.0, 1.0, 1.0}, {});
     EXPECT_GT(after[1][0], 0.0);
-}
-
-TEST(RouterDrain, AllDrainingRoutesZeroWithoutShed)
-{
-    cluster::RouterConfig cfg;
-    cfg.policy = cluster::RoutingPolicy::Static;
-    cluster::Router router(cfg, 7);
-    const std::vector<double> rps{500.0};
-    const std::vector<double> weights{1.0, 1.0};
-    std::vector<std::vector<double>> out;
-
-    // Every node up but draining — the last node in the domain going
-    // weight-0 must NOT read as "all dark": nothing was refused.
-    router.drain(0);
-    router.drain(1);
-    EXPECT_TRUE(router.routeInto(rps, weights, {}, out));
-    EXPECT_DOUBLE_EQ(out[0][0], 0.0);
-    EXPECT_DOUBLE_EQ(out[1][0], 0.0);
-
-    // Actually dark (evicted) is still a shed.
-    router.evict(0);
-    router.evict(1);
-    EXPECT_FALSE(router.routeInto(rps, weights, {}, out));
 }
 
 // ---------------------------------------------------------------------
@@ -483,11 +457,12 @@ class ScriptedLoad : public sim::LoadGenerator
 };
 
 /** A 4-slot masstree fleet with an elastic 1..4 autoscaler and a
- * scripted fleet load (fractions of the full 4-node rated RPS). */
+ * scripted fleet load (fractions of the full 4-node rated RPS). A
+ * non-empty @p faults schedule is armed before the autoscaler. */
 cluster::ClusterManager
 makeElasticFleet(const std::vector<double> &fractions,
                  const AutoscaleConfig &cfg, std::size_t initial,
-                 std::vector<double> rates = {})
+                 const faults::FaultSpec &faults = {})
 {
     const auto masstree = services::masstree();
     const double rated = masstree.maxLoadRps * 4.0;
@@ -502,8 +477,31 @@ makeElasticFleet(const std::vector<double> &fractions,
                                   42);
     for (std::size_t n = 0; n < 4; ++n)
         fleet.addNode(sim::MachineConfig{}, staticNodes());
-    fleet.setAutoscaler(cfg, {rated}, std::move(rates), initial);
+    if (!faults.actions.empty())
+        fleet.setFaults(faults);
+    fleet.setAutoscaler(cfg, {rated}, {}, initial);
     return fleet;
+}
+
+faults::FaultAction
+crashAction(std::size_t at, std::size_t node, std::size_t restart_after)
+{
+    faults::FaultAction a;
+    a.kind = faults::FaultKind::NodeCrash;
+    a.atStep = at;
+    a.node = node;
+    a.restartAfterSteps = restart_after;
+    a.recovery = "cold";
+    return a;
+}
+
+std::size_t
+countFaultEvents(const std::vector<faults::FaultEvent> &events,
+                 faults::FaultEventKind kind)
+{
+    return static_cast<std::size_t>(
+        std::count_if(events.begin(), events.end(),
+                      [kind](const auto &ev) { return ev.kind == kind; }));
 }
 
 std::size_t
@@ -638,10 +636,13 @@ TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
         fleet2.setAutoscaler(validConfig(), {100.0, 50.0}, {}, 2),
         FatalError);
 
-    // Faults arm before the autoscaler, never after (setFaults would
-    // reset the standby slots' power state).
+    // Faults may arm after the autoscaler: the schedule holds no slot
+    // lifecycle, so the standby slots stay parked. (Rated for 4x the
+    // offered load, the two active slots sit inside the hysteresis
+    // band and nothing scales.)
     auto fleet3 = make_fleet(4);
-    fleet3.setAutoscaler(validConfig(), {100.0}, {}, 2);
+    fleet3.setAutoscaler(validConfig(), {4.0 * masstree.maxLoadRps}, {},
+                         2);
     faults::FaultSpec faults;
     faults::FaultAction surge;
     surge.kind = faults::FaultKind::LoadSurge;
@@ -649,12 +650,171 @@ TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
     surge.durationSteps = 1;
     surge.multiplier = 2.0;
     faults.actions.push_back(surge);
-    EXPECT_THROW(fleet3.setFaults(faults), FatalError);
+    fleet3.setFaults(faults);
+    const auto &parked = fleet3.step();
+    EXPECT_TRUE(parked.scaleEvents.empty());
+    EXPECT_EQ(parked.nodeUp, (std::vector<std::uint8_t>{1, 1, 0, 0}));
+    EXPECT_EQ(parked.servingNodes, 2u);
 
     // A static fleet can bill without an autoscaler, but not both ways.
     auto fleet4 = make_fleet(4);
     fleet4.setAutoscaler(validConfig(), {100.0}, {}, 2);
     EXPECT_THROW(fleet4.setCostModel({}), FatalError);
+}
+
+// ---------------------------------------------------------------------
+// Slot lifecycle under node faults: a crash or restart never changes a
+// slot's elastic state, and a crashed slot is neither serving nor
+// activatable.
+// ---------------------------------------------------------------------
+
+TEST(ClusterAutoscale, CrashAndRestartOfAStandbySlotKeepsItParked)
+{
+    // A 2..4 fleet holding at 2 active slots (utilisation 0.5, inside
+    // the hysteresis band); standby slot 3 crashes at step 5 and its
+    // process restarts at step 8. The slot stays parked throughout.
+    auto cfg = validConfig();
+    cfg.minNodes = 2;
+    faults::FaultSpec faults;
+    faults.actions.push_back(crashAction(5, 3, 3));
+    auto fleet = makeElasticFleet({0.25}, cfg, 2, faults);
+    const auto result = fleet.run(12, 4);
+
+    EXPECT_TRUE(fleet.scaleLog().empty());
+    EXPECT_EQ(countFaultEvents(fleet.faultLog(),
+                               faults::FaultEventKind::NodeRestart),
+              1u);
+    for (std::size_t t = 0; t < 12; ++t) {
+        const auto &fs = result.trace[t];
+        EXPECT_EQ(fs.servingNodes, 2u) << "step " << t;
+        EXPECT_EQ(fs.nodeUp[3], 0u) << "step " << t;
+    }
+    EXPECT_FALSE(fleet.isNodeUp(3));
+    // Billed as two slots for every interval.
+    const double interval_s = fleet.node(0).machine().intervalSeconds;
+    EXPECT_NEAR(fleet.costDollars(), 2.0 * 12.0 * interval_s / 3600.0,
+                1e-12);
+}
+
+TEST(ClusterAutoscale, SlotCrashedWhileDrainingStaysStandbyAfterRestart)
+{
+    // Light load drains slot 2 at step 0 (retiring at step 2); it
+    // crashes at step 1, mid-drain, and its process restarts at step
+    // 5 — after the retirement, so it comes back parked.
+    auto cfg = validConfig();
+    cfg.drainIntervals = 2;
+    faults::FaultSpec faults;
+    faults.actions.push_back(crashAction(1, 2, 4));
+    auto fleet = makeElasticFleet({0.1}, cfg, 3, faults);
+    const auto result = fleet.run(10, 2);
+
+    const auto &log = fleet.scaleLog();
+    ASSERT_FALSE(log.empty());
+    ASSERT_EQ(log[0].kind, cluster::ScaleEvent::Kind::DrainStart);
+    ASSERT_EQ(log[0].node, 2u);
+    ASSERT_EQ(log[0].step, 0u);
+    EXPECT_EQ(countFaultEvents(fleet.faultLog(),
+                               faults::FaultEventKind::NodeRestart),
+              1u);
+    for (const auto &ev : log) {
+        if (ev.node == 2) {
+            EXPECT_NE(ev.kind, cluster::ScaleEvent::Kind::ScaleOut);
+        }
+    }
+    for (std::size_t t = 1; t < 10; ++t)
+        EXPECT_EQ(result.trace[t].nodeUp[2], 0u) << "step " << t;
+    EXPECT_FALSE(fleet.isNodeUp(2));
+}
+
+TEST(ClusterAutoscale, ScaleOutSkipsACrashedStandbySlot)
+{
+    // Standby slot 2 crashes at step 0 (no restart); heavy load then
+    // scales out, and the first activation must skip it for slot 3.
+    auto cfg = validConfig();
+    faults::FaultSpec faults;
+    faults.actions.push_back(crashAction(0, 2, 0));
+    auto fleet = makeElasticFleet({0.8}, cfg, 2, faults);
+    const auto result = fleet.run(8, 2);
+
+    std::vector<std::size_t> activated;
+    for (const auto &ev : fleet.scaleLog())
+        if (ev.kind == cluster::ScaleEvent::Kind::ScaleOut)
+            activated.push_back(ev.node);
+    ASSERT_FALSE(activated.empty());
+    EXPECT_EQ(activated[0], 3u);
+    EXPECT_EQ(std::count(activated.begin(), activated.end(), 2u), 0);
+    for (std::size_t t = 0; t < 8; ++t)
+        EXPECT_EQ(result.trace[t].nodeUp[2], 0u) << "step " << t;
+}
+
+TEST(RouterDrain, AllDrainingRoutesZeroWithoutShed)
+{
+    // Slot 1 drains at step 0 and slot 0 crashes at step 1, so steps
+    // 1-2 run a fleet that is powered but entirely draining: no new
+    // load anywhere, and no shed — nothing was refused. Slot 1
+    // retires at step 3, leaving no powered slot: that interval's
+    // load is shed (the cooldown keeps the autoscaler out of it).
+    auto cfg = validConfig();
+    cfg.cooldownIntervals = 10;
+    cfg.drainIntervals = 3;
+    faults::FaultSpec faults;
+    faults.actions.push_back(crashAction(1, 0, 0));
+    auto fleet = makeElasticFleet({0.05}, cfg, 2, faults);
+    const auto result = fleet.run(5, 1);
+
+    ASSERT_EQ(fleet.scaleLog().size(), 2u);
+    ASSERT_EQ(fleet.scaleLog()[0].kind,
+              cluster::ScaleEvent::Kind::DrainStart);
+    ASSERT_EQ(fleet.scaleLog()[0].node, 1u);
+    for (std::size_t t = 1; t < 3; ++t) {
+        const auto &fs = result.trace[t];
+        EXPECT_EQ(fs.servingNodes, 0u) << "step " << t;
+        EXPECT_EQ(fs.drainingNodes, 1u) << "step " << t;
+        EXPECT_EQ(fs.nodeUp, (std::vector<std::uint8_t>{0, 1, 0, 0}))
+            << "step " << t;
+        EXPECT_DOUBLE_EQ(fs.nodes[1].services[0].offeredRps, 0.0)
+            << "step " << t;
+        EXPECT_DOUBLE_EQ(fs.shedRps, 0.0) << "step " << t;
+        EXPECT_EQ(countFaultEvents(fs.faultEvents,
+                                   faults::FaultEventKind::LoadShed),
+                  0u)
+            << "step " << t;
+    }
+    for (std::size_t t = 3; t < 5; ++t) {
+        const auto &fs = result.trace[t];
+        EXPECT_EQ(fs.nodeUp, (std::vector<std::uint8_t>{0, 0, 0, 0}))
+            << "step " << t;
+        EXPECT_GT(fs.shedRps, 0.0) << "step " << t;
+        EXPECT_DOUBLE_EQ(fs.shedRps, fs.offeredRps[0]) << "step " << t;
+        EXPECT_EQ(countFaultEvents(fs.faultEvents,
+                                   faults::FaultEventKind::LoadShed),
+                  1u)
+            << "step " << t;
+    }
+}
+
+TEST(ClusterAutoscale, ThrottleOnAParkedSlotFollowsItIntoService)
+{
+    // A thermal throttle that starts while slot 2 is parked must still
+    // cap it once a scale-out brings it into service.
+    auto cfg = validConfig();
+    faults::FaultSpec faults;
+    faults::FaultAction hot;
+    hot.kind = faults::FaultKind::ThermalThrottle;
+    hot.atStep = 0;
+    hot.node = 2;
+    hot.durationSteps = 20;
+    hot.maxDvfsIndex = 0;
+    faults.actions.push_back(hot);
+    auto fleet = makeElasticFleet({0.8}, cfg, 2, faults);
+    fleet.run(4, 1);
+
+    ASSERT_FALSE(fleet.scaleLog().empty());
+    ASSERT_EQ(fleet.scaleLog()[0].kind,
+              cluster::ScaleEvent::Kind::ScaleOut);
+    ASSERT_EQ(fleet.scaleLog()[0].node, 2u);
+    EXPECT_TRUE(fleet.isNodeUp(2));
+    EXPECT_TRUE(fleet.node(2).dvfsCapped());
 }
 
 // ---------------------------------------------------------------------

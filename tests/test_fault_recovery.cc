@@ -1,6 +1,6 @@
 /** @file Fleet failover and agent recovery under injected faults:
- * router health, crash/restart with warm and cold recovery, corrupt
- * checkpoint fallback, load shedding, and bit-exact replay. */
+ * zero-weight routing, crash/restart with warm and cold recovery,
+ * corrupt checkpoint fallback, load shedding, and bit-exact replay. */
 
 #include <gtest/gtest.h>
 
@@ -143,21 +143,21 @@ expectIdenticalTraces(const FleetRunResult &a, const FleetRunResult &b)
 
 } // namespace
 
-// --- Router health ----------------------------------------------------
+// --- Router weights ---------------------------------------------------
+// The routers keep no health state: a crashed or parked slot is a
+// weight-0 node, which gets no load while the rest renormalise.
 
 TEST(RouterHealth, EvictRenormalizesOntoSurvivors)
 {
     Router wrr({RoutingPolicy::WeightedRoundRobin, 300}, 1);
-    wrr.evict(1);
-    const auto out = wrr.route({600.0}, {2.0, 1.0, 1.0}, {});
+    const auto out = wrr.route({600.0}, {2.0, 0.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(out[1][0], 0.0);
     EXPECT_NEAR(out[0][0] + out[2][0], 600.0, 1e-9);
     // 2:1 among the survivors.
     EXPECT_NEAR(out[0][0], 400.0, 1e-9);
 
     Router stat({RoutingPolicy::Static, 64}, 1);
-    stat.evict(0);
-    const auto eq = stat.route({600.0}, {1.0, 1.0, 1.0}, {});
+    const auto eq = stat.route({600.0}, {0.0, 1.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(eq[0][0], 0.0);
     EXPECT_DOUBLE_EQ(eq[1][0], 300.0);
     EXPECT_DOUBLE_EQ(eq[2][0], 300.0);
@@ -165,12 +165,10 @@ TEST(RouterHealth, EvictRenormalizesOntoSurvivors)
 
 TEST(RouterHealth, SingleSurvivorTakesTheWholeLoad)
 {
-    // Regression: p2c with exactly one node in rotation must not draw
+    // Regression: p2c with exactly one positive weight must not draw
     // a second choice from an empty candidate set.
     Router router({RoutingPolicy::PowerOfTwoLatency, 256}, 7);
-    router.evict(0);
-    router.evict(2);
-    const auto out = router.route({900.0}, {1.0, 1.0, 1.0}, {});
+    const auto out = router.route({900.0}, {0.0, 1.0, 0.0}, {});
     EXPECT_DOUBLE_EQ(out[0][0], 0.0);
     EXPECT_DOUBLE_EQ(out[1][0], 900.0);
     EXPECT_DOUBLE_EQ(out[2][0], 0.0);
@@ -178,38 +176,25 @@ TEST(RouterHealth, SingleSurvivorTakesTheWholeLoad)
 
 TEST(RouterHealth, AllNodesDownShedsInsteadOfNaN)
 {
+    // All-zero weights give all-zero shares, never NaN. The shed
+    // record itself is the ClusterManager's (see
+    // FleetFailover.AllNodesDownBecomesAWellDefinedShedRecord).
     for (const RoutingPolicy policy :
          {RoutingPolicy::Static, RoutingPolicy::WeightedRoundRobin,
           RoutingPolicy::PowerOfTwoLatency}) {
         Router router({policy, 64}, 1);
-        router.evict(0);
-        router.evict(1);
         std::vector<std::vector<double>> out;
-        EXPECT_FALSE(router.routeInto({500.0}, {1.0, 1.0}, {}, out));
+        router.routeInto({500.0}, {0.0, 0.0}, {}, out);
+        ASSERT_EQ(out.size(), 2u);
         for (const auto &node : out)
             for (const double rps : node) {
                 EXPECT_FALSE(std::isnan(rps));
                 EXPECT_DOUBLE_EQ(rps, 0.0);
             }
 
-        router.readmit(1);
-        EXPECT_TRUE(router.routeInto({500.0}, {1.0, 1.0}, {}, out));
+        router.routeInto({500.0}, {0.0, 1.0}, {}, out);
         EXPECT_DOUBLE_EQ(out[1][0], 500.0);
     }
-}
-
-TEST(RouterHealth, EvictAndReadmitAreIdempotent)
-{
-    Router router({RoutingPolicy::Static, 64}, 1);
-    router.evict(1);
-    router.evict(1);
-    EXPECT_FALSE(router.isUp(1));
-    EXPECT_TRUE(router.isUp(0));
-    router.readmit(1);
-    router.readmit(1);
-    EXPECT_TRUE(router.isUp(1));
-    // Nodes the router has never seen are up by definition.
-    EXPECT_TRUE(router.isUp(17));
 }
 
 // --- Fleet failover ---------------------------------------------------
