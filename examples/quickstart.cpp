@@ -51,8 +51,8 @@ main(int argc, char **argv)
     const core::TwigServiceSpec spec =
         harness::makeTwigSpec(service, machine, /*seed=*/1);
     std::printf("power model: kappa=%.2f sigma=%.2f omega=%.2f\n",
-                spec.powerModel.kappa(), spec.powerModel.sigma(),
-                spec.powerModel.omega());
+                spec.powerModel->kappa(), spec.powerModel->sigma(),
+                spec.powerModel->omega());
 
     // 4. Host the service at 50 % load and let Twig-S manage it.
     sim::Server server(machine, /*seed=*/2);

@@ -9,10 +9,13 @@
 # seconds. A run fails the smoke if it exits non-zero or if its output
 # carries no metrics (no QoS line). Fault scenarios (faults_*.json)
 # additionally must report a fault-event summary, proving the schedule
-# actually fired within the reduced step budget. Finally, invalid input
-# (unknown service, missing file, non-finite load, a fleet flag on a
-# single-node run, an unreadable checkpoint) must exit 2 with a
-# message: never a crash, never a silently ignored flag.
+# actually fired within the reduced step budget. A deployed fleet is
+# smoked at scale too: a one-node donor is trained and checkpointed,
+# then 512 exploit-only replicas warm-start from it (no per-node power
+# profiling, so setup takes seconds) and must print metrics. Finally,
+# invalid input (unknown service, missing file, non-finite load, a
+# fleet flag on a single-node run, an unreadable checkpoint) must exit
+# 2 with a message: never a crash, never a silently ignored flag.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -61,6 +64,27 @@ for scenario in scenarios/*.json; do
         ;;
     esac
 done
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+fleet_services=(--service masstree --service img-dnn)
+# 10 steps: the horizon defaults to --steps, and Twig's compressed
+# preset needs a horizon of at least 10.
+printf '== warm 512-node fleet from a one-node donor\n'
+if ! out=$("$sim" "${fleet_services[@]}" --nodes 1 --steps 200 \
+    --save-checkpoint "$tmp/donor.ckpt" 2>&1) ||
+    ! out=$("$sim" "${fleet_services[@]}" --nodes 512 --domains 8 \
+        --policy p2c-latency --checkpoint "$tmp/donor.ckpt" --steps 10 2>&1); then
+    printf '%s\n' "$out"
+    echo "scenario_smoke: FAIL warm 512-node fleet (non-zero exit)" >&2
+    failures=$((failures + 1))
+else
+    printf '%s\n' "$out"
+    if ! grep -q "QoS" <<<"$out"; then
+        echo "scenario_smoke: FAIL warm 512-node fleet (no metrics in output)" >&2
+        failures=$((failures + 1))
+    fi
+fi
 
 expect_usage_error() {
     local out status

@@ -10,16 +10,18 @@ namespace twig::core {
 
 double
 ServicePowerModel::mseOn(const std::vector<PowerSample> &samples,
+                         const std::vector<std::size_t> &indices,
                          double kappa, double sigma, double omega)
 {
     double s = 0.0;
-    for (const auto &p : samples) {
+    for (std::size_t i : indices) {
+        const PowerSample &p = samples[i];
         const double pred = kappa * p.loadFraction + sigma * p.numCores +
             omega * omega * p.dvfsGhz;
         const double e = pred - p.dynamicPowerW;
         s += e * e;
     }
-    return s / static_cast<double>(samples.size());
+    return s / static_cast<double>(indices.size());
 }
 
 PowerFitReport
@@ -68,11 +70,8 @@ ServicePowerModel::fit(const std::vector<PowerSample> &samples,
             // Score on the held-out fold only; the model has no
             // training step beyond its coefficients, so CV here guards
             // against a lucky fit to a subset of the design points.
-            std::vector<PowerSample> fold;
-            fold.reserve(held_out.size());
-            for (std::size_t i : held_out)
-                fold.push_back(samples[i]);
-            total += mseOn(fold, params[0], params[1], params[2]);
+            total += mseOn(samples, held_out, params[0], params[1],
+                           params[2]);
         }
         return total / static_cast<double>(fold_idx.size());
     };

@@ -9,7 +9,10 @@
  * fits the coefficients with a random grid search under 5-fold cross
  * validation over profiling runs at three load levels across alternate
  * core counts and DVFS states; the model is used only inside the reward
- * during training, never for reporting results.
+ * during training, never for reporting results. A deployed
+ * (exploit-only) Twig computes no reward, so it is built without a
+ * model and skips the profiling campaign entirely
+ * (TwigServiceSpec::powerModel is optional).
  */
 
 #ifndef TWIG_CORE_POWER_MODEL_HH
@@ -85,7 +88,10 @@ class ServicePowerModel
     PowerFitReport fitClosedForm(const std::vector<PowerSample> &samples);
 
   private:
+    /** Mean squared error over samples[indices], summed in index
+     * order (a CV fold is scored in place, never copied). */
     static double mseOn(const std::vector<PowerSample> &samples,
+                        const std::vector<std::size_t> &indices,
                         double kappa, double sigma, double omega);
     PowerFitReport report(const std::vector<PowerSample> &samples) const;
 

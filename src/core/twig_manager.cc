@@ -69,6 +69,16 @@ TwigConfig::fast(std::size_t horizon)
 
 namespace {
 
+/** Only the training reward reads the Eq. 2 model: a learning manager
+ * must not be handed a spec without one. */
+void
+requirePowerModel(const TwigServiceSpec &spec, const char *what)
+{
+    common::fatalIf(!spec.powerModel, what, ": service '", spec.name,
+                    "' has no power model, which a learning Twig needs "
+                    "to price its reward (Eq. 2)");
+}
+
 rl::BdqLearnerConfig
 sizedLearnerConfig(rl::BdqLearnerConfig cfg,
                    const sim::MachineConfig &machine,
@@ -96,6 +106,20 @@ TwigManager::TwigManager(const TwigConfig &cfg,
       exploitOnly_(cfg.exploitOnly), lastRewards_(specs_.size(), 0.0)
 {
     common::fatalIf(specs_.empty(), "TwigManager: no services");
+    if (!exploitOnly_) {
+        for (const auto &spec : specs_)
+            requirePowerModel(spec, "TwigManager");
+    }
+}
+
+void
+TwigManager::setExploitOnly(bool on)
+{
+    if (!on) {
+        for (const auto &spec : specs_)
+            requirePowerModel(spec, "TwigManager::setExploitOnly(false)");
+    }
+    exploitOnly_ = on;
 }
 
 std::string
@@ -171,7 +195,7 @@ TwigManager::observeState(const sim::ServerIntervalStats &stats)
             const double ghz =
                 machine_.dvfs.freq(prevActions_[k][1]);
             const double est_power =
-                spec.powerModel.predict(load_fraction, cores, ghz);
+                spec.powerModel->predict(load_fraction, cores, ghz);
             // Credit assignment uses the *instantaneous* p99: the
             // trailing-window measure (used for reporting) lags the
             // allocation by a couple of intervals and would mislabel
@@ -240,6 +264,8 @@ TwigManager::transferService(std::size_t idx, const TwigServiceSpec &spec,
                              std::size_t reexplore_steps)
 {
     common::fatalIf(idx >= specs_.size(), "transferService: bad index");
+    if (!exploitOnly_)
+        requirePowerModel(spec, "TwigManager::transferService");
     specs_[idx] = spec;
     monitor_.reset(idx);
     learner_.beginTransfer(reexplore_steps);

@@ -33,8 +33,10 @@ struct TwigServiceSpec
     /** Max load of the service; only used to express offered load as a
      * fraction for the Eq. 2 power estimate. */
     double maxLoadRps = 1000.0;
-    /** The fitted first-order power model for this service. */
-    ServicePowerModel powerModel;
+    /** The fitted first-order power model for this service. Only the
+     * training reward reads it, so an exploit-only manager may go
+     * without; a learning one refuses a spec that lacks it. */
+    std::optional<ServicePowerModel> powerModel;
 };
 
 /** Full Twig configuration with paper and compressed presets. */
@@ -105,13 +107,16 @@ class TwigManager : public TaskManager
     /**
      * Transfer learning (paper §IV): swap the spec of service @p idx
      * for a new service, re-initialise the network's output layers and
-     * re-anneal epsilon over a short window.
+     * re-anneal epsilon over a short window. Fatal when the manager
+     * learns and @p spec has no power model.
      */
     void transferService(std::size_t idx, const TwigServiceSpec &spec,
                          std::size_t reexplore_steps = 50);
 
-    /** Switch to pure exploitation (drops gradient descent). */
-    void setExploitOnly(bool on) { exploitOnly_ = on; }
+    /** Switch to pure exploitation (drops gradient descent) or back to
+     * learning; switching back is fatal while a service has no power
+     * model. */
+    void setExploitOnly(bool on);
     bool exploitOnly() const { return exploitOnly_; }
 
     /** FNV-1a over the BDQ topology (agents, state width, layer sizes,

@@ -46,11 +46,14 @@ profileServicePower(const sim::ServiceProfile &profile,
                     // An undersized configuration piles up a backlog;
                     // its power says nothing about steady operation,
                     // so the campaign drops the point (the paper
-                    // profiles working configurations).
+                    // profiles working configurations) at its first
+                    // saturated interval. The server is private to
+                    // the point, so stopping early changes no sample.
                     if (svc.dropped > 0 ||
                         svc.queuedAtEnd >
                             svc.arrivals / 5 + 10) {
                         saturated = true;
+                        break;
                     }
                 }
                 if (saturated)
@@ -67,18 +70,21 @@ profileServicePower(const sim::ServiceProfile &profile,
 }
 
 core::TwigServiceSpec
+makeDeployedTwigSpec(const sim::ServiceProfile &profile)
+{
+    return {profile.name, profile.qosTargetMs, profile.maxLoadRps,
+            std::nullopt};
+}
+
+core::TwigServiceSpec
 makeTwigSpec(const sim::ServiceProfile &profile,
              const sim::MachineConfig &machine, std::uint64_t seed)
 {
-    core::TwigServiceSpec spec;
-    spec.name = profile.name;
-    spec.qosTargetMs = profile.qosTargetMs;
-    spec.maxLoadRps = profile.maxLoadRps;
-
+    core::TwigServiceSpec spec = makeDeployedTwigSpec(profile);
     const auto samples =
         profileServicePower(profile, machine, {}, seed);
     common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    spec.powerModel.fit(samples, rng);
+    spec.powerModel.emplace().fit(samples, rng);
     return spec;
 }
 

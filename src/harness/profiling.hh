@@ -6,9 +6,16 @@
  *    the service at three load levels across alternate core counts and
  *    DVFS states and record the measured dynamic power per
  *    configuration (paper §IV "Power Model/Measurements");
- *  * makeTwigSpec — package a service profile into the spec Twig needs
- *    (QoS target, max load, fitted power model);
+ *  * makeTwigSpec — package a service profile into the spec a
+ *    learning Twig needs (QoS target, max load, fitted power model);
+ *  * makeDeployedTwigSpec — the same spec without the power model: a
+ *    deployed (exploit-only) Twig computes no reward, so it skips the
+ *    campaign and the fit, which are nearly all of its setup cost;
  *  * makeBaselineSpec — the slimmer spec the baselines need.
+ *
+ * A campaign point that saturates is dropped at its first saturated
+ * interval; every point runs on its own freshly seeded server, so the
+ * samples do not depend on how long a dropped point ran.
  */
 
 #ifndef TWIG_HARNESS_PROFILING_HH
@@ -53,6 +60,12 @@ profileServicePower(const sim::ServiceProfile &profile,
 core::TwigServiceSpec makeTwigSpec(const sim::ServiceProfile &profile,
                                    const sim::MachineConfig &machine,
                                    std::uint64_t seed);
+
+/** The TwigServiceSpec for @p profile without a power model (name,
+ * QoS target, max load): enough for an exploit-only TwigManager, which
+ * refuses to learn from it. */
+core::TwigServiceSpec
+makeDeployedTwigSpec(const sim::ServiceProfile &profile);
 
 /** Spec for the baseline managers. */
 baselines::BaselineServiceSpec

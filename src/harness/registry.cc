@@ -17,9 +17,14 @@ std::unique_ptr<core::TaskManager>
 makeTwigFromContext(const ManagerContext &ctx)
 {
     const auto maxima = services::calibrateCounterMaxima(ctx.machine);
+    // Only the training reward reads the Eq. 2 power model: a deployed
+    // (exploit-only) replica skips the profiling campaign and the fit.
     std::vector<core::TwigServiceSpec> specs;
-    for (const auto &p : ctx.profiles)
-        specs.push_back(makeTwigSpec(p, ctx.machine, ctx.seed ^ 77));
+    for (const auto &p : ctx.profiles) {
+        specs.push_back(ctx.knobs.exploitOnly
+                            ? makeDeployedTwigSpec(p)
+                            : makeTwigSpec(p, ctx.machine, ctx.seed ^ 77));
+    }
     auto cfg = ctx.full ? core::TwigConfig::paper()
                         : core::TwigConfig::fast(ctx.schedule.horizon);
     if (ctx.knobs.theta)

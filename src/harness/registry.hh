@@ -30,7 +30,9 @@ struct ManagerKnobs
     std::optional<double> theta;      ///< reward balance (reward.theta)
     std::optional<std::size_t> eta;   ///< monitor smoothing window
     std::optional<double> alpha;      ///< replay priority exponent
-    bool exploitOnly = false;         ///< skip training + exploration
+    /** Skip training and exploration, and with them the Eq. 2 power
+     * profiling only the training reward needs. */
+    bool exploitOnly = false;
 
     bool
     any() const

@@ -112,6 +112,7 @@ Daemon::controlLoop()
 
     const auto started = clock::now();
     auto next = started + interval;
+    auto last_exchange = started;
     while (!stop_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_until(next);
         next += interval;
@@ -122,13 +123,21 @@ Daemon::controlLoop()
         if (stop_.load(std::memory_order_acquire))
             break;
 
+        // The window is the measured time since the last exchange, not
+        // the nominal interval: after an overrun re-anchors the pacer
+        // it spans the slow step too.
+        const auto now = clock::now();
+        const double window_s =
+            std::chrono::duration<double>(now - last_exchange).count();
+        last_exchange = now;
         IntervalRecord &rec = ring_[ringNext_];
+        rec.windowS = window_s;
         rec.observedRps.resize(numServices());
         for (std::size_t s = 0; s < numServices(); ++s) {
             const std::uint64_t count =
                 window_[s].exchange(0, std::memory_order_relaxed);
             const double observed =
-                static_cast<double>(count) / interval_s;
+                static_cast<double>(count) / window_s;
             rec.observedRps[s] = observed;
             liveLoads_[s]->set(observed);
         }
@@ -295,18 +304,22 @@ Daemon::join()
     harness::MetricsAccumulator acc(names, targets);
     const double interval_s = sim::MachineConfig{}.intervalSeconds;
     summary.observedRps.assign(numServices(), 0.0);
+    // Weighted by each interval's measured window, so a short interval
+    // counts for no more than the arrivals it saw.
+    double window_s = 0.0;
     const std::size_t fill = ringFill_;
     for (std::size_t i = 0; i < fill; ++i) {
         const std::size_t idx =
             (ringNext_ + ring_.size() - fill + i) % ring_.size();
         const IntervalRecord &rec = ring_[idx];
         acc.add(rec.p99Ms, rec.powerW, interval_s);
+        window_s += rec.windowS;
         for (std::size_t s = 0; s < numServices(); ++s)
-            summary.observedRps[s] += rec.observedRps[s];
+            summary.observedRps[s] += rec.observedRps[s] * rec.windowS;
     }
-    if (fill > 0) {
+    if (window_s > 0.0) {
         for (auto &rps : summary.observedRps)
-            rps /= static_cast<double>(fill);
+            rps /= window_s;
     }
     summary.metrics = acc.finish();
 

@@ -10,10 +10,12 @@
  *     answers handshake/stats/bye frames, and acks every batch.
  *   * the *control thread* wakes every wall-clock control interval,
  *     snapshots-and-resets the window counters, converts counts to
- *     requests-per-second, installs the rates into the fleet's
- *     serve::LiveLoad generators and steps the ClusterManager one
- *     interval — so the per-node BDQ policies observe, act and learn
- *     online against measured load instead of a scripted profile.
+ *     requests-per-second over the measured time since the previous
+ *     snapshot (longer than the interval after an overrun), installs
+ *     the rates into the fleet's serve::LiveLoad generators and steps
+ *     the ClusterManager one interval — so the per-node BDQ policies
+ *     observe, act and learn online against measured load instead of
+ *     a scripted profile.
  *
  * The fleet itself is exactly the one harness::buildFleet constructs
  * from the same ScenarioSpec the batch engine runs; only the load
@@ -89,7 +91,8 @@ struct DaemonSummary
     double wallSeconds = 0.0;
     /** Metrics over the trailing window of intervals. */
     harness::RunMetrics metrics;
-    /** Raw (pre-clamp) mean observed RPS per service over the window. */
+    /** Raw (pre-clamp) observed RPS per service over the window:
+     * arrivals over the measured wall time its intervals span. */
     std::vector<double> observedRps;
     /** Bytes of the final checkpoint frame ("" path or non-Twig
      * manager => 0). */
@@ -163,6 +166,8 @@ class Daemon : private FrameHandler
     {
         std::vector<double> p99Ms;
         std::vector<double> observedRps;
+        /** Measured wall time the arrival counts span, seconds. */
+        double windowS = 0.0;
         double powerW = 0.0;
     };
     std::vector<IntervalRecord> ring_;

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "baselines/static_manager.hh"
+#include "common/hash.hh"
 #include "harness/metrics.hh"
 #include "harness/profiling.hh"
 #include "harness/runner.hh"
@@ -248,9 +249,100 @@ TEST(Profiling, MakeTwigSpecProducesUsableModel)
     const auto spec = makeTwigSpec(services::masstree(), machine, 33);
     EXPECT_EQ(spec.name, "masstree");
     EXPECT_DOUBLE_EQ(spec.qosTargetMs, 36.0);
-    const double p = spec.powerModel.predict(0.5, 10.0, 1.8);
+    ASSERT_TRUE(spec.powerModel.has_value());
+    const double p = spec.powerModel->predict(0.5, 10.0, 1.8);
     EXPECT_GT(p, 5.0);
     EXPECT_LT(p, 120.0);
+}
+
+namespace {
+
+/** A fixed (service, machine shape, seed) campaign with its recorded
+ * outputs, all exact: makeTwigSpec's Eq. 2 coefficients as hex floats,
+ * an FNV-1a checksum over the raw profiling-sample bytes, and the
+ * cross-validation score of a fit of those samples with Rng(seed). */
+struct GoldenFit
+{
+    const char *service;
+    std::size_t cores;
+    std::uint64_t seed;
+    double kappa;
+    double sigma;
+    double omega;
+    std::size_t samples;
+    std::uint64_t sampleFnv;
+    double cvMse;
+};
+
+const GoldenFit kGoldenFits[] = {
+    {"masstree", 18, 33, 0x1.2f33c22538112p+6, 0x1.6081589694d26p-4,
+     0x1.15440133c1b56p+1, 71, 0xc2b43d843df35f4bULL,
+     0x1.067ce90bf9806p+6},
+    {"masstree", 6, 33, 0x1.a27f1c99b868cp+1, 0x1.851ccd99e6634p-4,
+     0x1.915c519d070bdp+1, 8, 0xda27979967142936ULL,
+     0x1.7494e3e67e2eap+0},
+    {"img-dnn", 6, 5, 0x1.125916d7cf2a2p+1, 0x1.db22ad43c065cp-4,
+     0x1.98cc6323bf955p+1, 8, 0x7c30dfdafed4e05eULL,
+     0x1.a7eb60a35208p+0},
+    {"xapian", 18, 7, 0x1.2fd60d5746f34p+6, 0x1.29d257aedf16p-3,
+     0x1.e992263a0b68ap+0, 71, 0x29cb9d77862c0a26ULL,
+     0x1.e7a4092d4ba42p+5},
+};
+
+sim::MachineConfig
+machineWithCores(std::size_t cores)
+{
+    sim::MachineConfig machine;
+    machine.numCores = cores;
+    return machine;
+}
+
+} // namespace
+
+TEST(Profiling, CampaignSamplesAndCvScoreMatchGoldens)
+{
+    // Saturated points are dropped at their first saturated interval;
+    // every point runs on its own server, so the samples are exactly
+    // those of a campaign that ran every interval. The CV score pins
+    // the in-place fold scoring's summation order.
+    for (const auto &g : kGoldenFits) {
+        const auto samples = profileServicePower(
+            services::byName(g.service), machineWithCores(g.cores), {},
+            g.seed);
+        EXPECT_EQ(samples.size(), g.samples) << g.service << ' ' << g.cores;
+        EXPECT_EQ(common::fnv1a(samples.data(),
+                                samples.size() * sizeof(samples[0])),
+                  g.sampleFnv)
+            << g.service << ' ' << g.cores;
+        common::Rng rng(g.seed);
+        core::ServicePowerModel model;
+        EXPECT_EQ(model.fit(samples, rng).crossValidationMse, g.cvMse)
+            << g.service << ' ' << g.cores;
+    }
+}
+
+TEST(Profiling, MakeTwigSpecCoefficientsMatchGoldenBits)
+{
+    for (const auto &g : kGoldenFits) {
+        const auto spec = makeTwigSpec(services::byName(g.service),
+                                       machineWithCores(g.cores), g.seed);
+        ASSERT_TRUE(spec.powerModel.has_value());
+        EXPECT_EQ(spec.powerModel->kappa(), g.kappa)
+            << g.service << ' ' << g.cores;
+        EXPECT_EQ(spec.powerModel->sigma(), g.sigma)
+            << g.service << ' ' << g.cores;
+        EXPECT_EQ(spec.powerModel->omega(), g.omega)
+            << g.service << ' ' << g.cores;
+    }
+}
+
+TEST(Profiling, MakeDeployedTwigSpecCarriesNoModel)
+{
+    const auto spec = makeDeployedTwigSpec(services::masstree());
+    EXPECT_EQ(spec.name, "masstree");
+    EXPECT_DOUBLE_EQ(spec.qosTargetMs, 36.0);
+    EXPECT_DOUBLE_EQ(spec.maxLoadRps, services::masstree().maxLoadRps);
+    EXPECT_FALSE(spec.powerModel.has_value());
 }
 
 TEST(Profiling, MakeBaselineSpecCopiesFields)

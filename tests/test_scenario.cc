@@ -301,6 +301,28 @@ TEST(Registry, UnknownManagerListsValidNames)
     EXPECT_EQ(registry.validate("twig", 2), "");
 }
 
+TEST(Registry, ExploitOnlyTwigIsBuiltWithoutAPowerModel)
+{
+    ManagerContext ctx;
+    ctx.profiles = {services::masstree(), services::imgdnn()};
+    ctx.seed = 5;
+    ctx.knobs.exploitOnly = true;
+    auto manager = ManagerRegistry::builtin().make("twig", ctx);
+    auto &twig = dynamic_cast<core::TwigManager &>(*manager);
+    EXPECT_TRUE(twig.exploitOnly());
+    // No Eq. 2 model was fitted, so the manager can never learn.
+    EXPECT_THROW(twig.setExploitOnly(false), common::FatalError);
+    EXPECT_TRUE(twig.exploitOnly());
+
+    ctx.knobs.exploitOnly = false;
+    auto learning = ManagerRegistry::builtin().make("twig", ctx);
+    auto &learner = dynamic_cast<core::TwigManager &>(*learning);
+    EXPECT_FALSE(learner.exploitOnly());
+    learner.setExploitOnly(true);
+    learner.setExploitOnly(false);
+    EXPECT_FALSE(learner.exploitOnly());
+}
+
 TEST(ScenarioSpec, ValidateCatchesStructuralErrors)
 {
     const ManagerRegistry &registry = ManagerRegistry::builtin();

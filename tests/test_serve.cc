@@ -155,6 +155,50 @@ TEST(Serve, DurationTriggersShutdownByItself)
     EXPECT_EQ(summary.checkpointBytes, 0u); // no path configured
 }
 
+TEST(Serve, ObservedRateCoversTheOverrunWindow)
+{
+    // 1 ms pacing: every step of the 4-node learning fleet overruns,
+    // so each counter window spans a slow step, not one nominal
+    // interval.
+    const auto spec = harness::ScenarioSpec::fromFile(
+        std::string(TWIG_SOURCE_DIR) + "/scenarios/serve.json");
+    serve::DaemonOptions dopt;
+    dopt.intervalMs = 1.0;
+    dopt.windowIntervals = 1u << 16; // the summary spans the whole run
+    serve::Daemon daemon(spec, dopt);
+    daemon.start();
+
+    serve::LoadClientOptions copt;
+    copt.port = daemon.port();
+    copt.connections = 2;
+    copt.rps = 20000.0;
+    copt.durationS = 1.5;
+    copt.statsIntervalS = 0.0;
+    const auto report = serve::runLoadClient(copt);
+    for (const auto &err : report.errors)
+        ADD_FAILURE() << err;
+    ASSERT_EQ(report.failedConnections, 0u);
+    daemon.requestShutdown();
+    const auto summary = daemon.join();
+
+    ASSERT_EQ(summary.acceptedRequests, report.sent);
+    // Overruns happened: far fewer steps than 1 ms intervals.
+    EXPECT_LT(static_cast<double>(summary.intervals),
+              0.8 * summary.wallSeconds * 1e3);
+    // The accepted rate over the time the client was sending; the
+    // daemon's own wall time also holds its last step after the client
+    // stopped, up to a whole slow step in an instrumented build.
+    const double accepted_rps =
+        static_cast<double>(summary.acceptedRequests) / report.wallSeconds;
+    ASSERT_EQ(summary.observedRps.size(), 2u);
+    const double observed =
+        summary.observedRps[0] + summary.observedRps[1];
+    EXPECT_NEAR(observed / accepted_rps, 1.0, 0.05)
+        << "window-mean observed " << observed << " req/s, accepted "
+        << accepted_rps << " req/s; " << summary.intervals
+        << " intervals in " << summary.wallSeconds << " s";
+}
+
 TEST(Serve, RejectsSingleTopologyScenarios)
 {
     auto spec = smallSpec();

@@ -171,6 +171,61 @@ TEST(TwigManager, Validation)
                  twig::common::FatalError);
 }
 
+TEST(TwigManager, LearningRequiresAPowerModel)
+{
+    Fixture f;
+    const auto deployed = harness::makeDeployedTwigSpec(services::masstree());
+    ASSERT_FALSE(deployed.powerModel.has_value());
+    EXPECT_THROW(TwigManager(TwigConfig::fast(100), f.machine, f.maxima,
+                             {specFor(services::moses()), deployed}, 12),
+                 twig::common::FatalError);
+
+    // Exploit-only needs no model, and decides without one.
+    auto cfg = TwigConfig::fast(100);
+    cfg.exploitOnly = true;
+    TwigManager twig(cfg, f.machine, f.maxima, {deployed}, 13);
+    auto reqs = twig.initialRequests(1, f.machine);
+    for (int i = 0; i < 3; ++i)
+        reqs = twig.decide(f.step(twig, reqs));
+    EXPECT_EQ(twig.learner().step(), 0u);
+}
+
+TEST(TwigManager, CannotStartLearningWithoutAPowerModel)
+{
+    Fixture f;
+    auto cfg = TwigConfig::fast(100);
+    cfg.exploitOnly = true;
+    TwigManager twig(
+        cfg, f.machine, f.maxima,
+        {harness::makeDeployedTwigSpec(services::masstree())}, 14);
+    EXPECT_THROW(twig.setExploitOnly(false), twig::common::FatalError);
+    EXPECT_TRUE(twig.exploitOnly());
+    twig.setExploitOnly(true);
+
+    // Once every service has a model again, learning may resume.
+    twig.transferService(0, specFor(services::xapian()));
+    twig.setExploitOnly(false);
+    EXPECT_FALSE(twig.exploitOnly());
+}
+
+TEST(TwigManager, LearningTransferRequiresAPowerModel)
+{
+    Fixture f;
+    const auto deployed = harness::makeDeployedTwigSpec(services::xapian());
+    TwigManager learning(TwigConfig::fast(100), f.machine, f.maxima,
+                         {specFor(services::masstree())}, 15);
+    EXPECT_THROW(learning.transferService(0, deployed),
+                 twig::common::FatalError);
+
+    auto cfg = TwigConfig::fast(100);
+    cfg.exploitOnly = true;
+    TwigManager exploiting(cfg, f.machine, f.maxima,
+                           {specFor(services::masstree())}, 16);
+    exploiting.transferService(0, deployed);
+    EXPECT_THROW(exploiting.setExploitOnly(false),
+                 twig::common::FatalError);
+}
+
 TEST(TwigManager, FastPresetScalesWithHorizon)
 {
     const auto cfg = TwigConfig::fast(1000);
