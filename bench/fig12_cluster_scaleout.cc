@@ -258,18 +258,15 @@ struct FleetRun
 };
 
 /** Build the spec's fleet and run it to completion on @p jobs threads,
- * with cohort batching and/or the pre-sharding flat reference path
- * toggled as asked. */
+ * with cohort batching on or off. */
 FleetRun
 runScaleFleet(const harness::ScenarioSpec &spec,
               const harness::ManagerRegistry &registry, std::size_t jobs,
-              bool batched, bool flat_reference)
+              bool batched)
 {
     FleetRun run;
     auto fs = harness::buildFleet(spec, registry, jobs);
     fs.fleet->setBatchedInference(batched);
-    if (flat_reference)
-        fs.fleet->setFlatReferenceControl(true);
     fs.fleet->resetPhaseProfile();
     const auto t0 = std::chrono::steady_clock::now();
     run.result = fs.fleet->run(spec.steps, spec.resolvedWindow());
@@ -318,8 +315,6 @@ struct ScaleRow
     double pernodeForwardCyc = 0.0; ///< same fleet, per-node decides
     bool bitidenticalJobs = false;
     bool batchedMatchesPernode = false;
-    /** Only checked on the smallest row (8 nodes): -1 = not checked. */
-    int domains1MatchesFlat = -1;
 
     double
     speedup() const
@@ -459,8 +454,6 @@ main(int argc, char **argv)
     // cohort inference on 8 threads (the production path, timed),
     // per-node decides (same fleet; the inference baseline) and the
     // batched path again on 1 thread (the --jobs bit-identity check).
-    // The smallest scale also A/B-checks a one-domain sharded fleet
-    // against the pre-refactor flat control path, byte for byte.
     bench::banner("Two-level scale-out: routing domains + batched "
                   "cohort inference");
 
@@ -477,10 +470,10 @@ main(int argc, char **argv)
     const auto &registry = harness::ManagerRegistry::builtin();
 
     std::printf("\n%5s %7s %5s | %9s %9s %9s %9s %9s %9s | %9s %7s | "
-                "%5s %5s\n",
+                "%5s\n",
                 "nodes", "domains", "steps", "route", "step", "gather",
                 "forward", "scatter", "merge", "fwd/node", "speedup",
-                "jobs=", "d1=fl");
+                "jobs=");
     std::vector<ScaleRow> scale_rows;
     for (const auto &point : scale_points) {
         const std::size_t row_domains = domains != 0
@@ -494,14 +487,11 @@ main(int argc, char **argv)
         spec.horizon = point.steps;
 
         const FleetRun batched =
-            runScaleFleet(spec, registry, scale_jobs,
-                          /*batched=*/true, /*flat_reference=*/false);
+            runScaleFleet(spec, registry, scale_jobs, /*batched=*/true);
         const FleetRun pernode =
-            runScaleFleet(spec, registry, scale_jobs,
-                          /*batched=*/false, /*flat_reference=*/false);
+            runScaleFleet(spec, registry, scale_jobs, /*batched=*/false);
         const FleetRun serial =
-            runScaleFleet(spec, registry, /*jobs=*/1,
-                          /*batched=*/true, /*flat_reference=*/false);
+            runScaleFleet(spec, registry, /*jobs=*/1, /*batched=*/true);
 
         ScaleRow row;
         row.nodes = point.nodes;
@@ -525,32 +515,14 @@ main(int argc, char **argv)
         row.batchedMatchesPernode =
             identicalTraces(batched.result, pernode.result);
 
-        if (point.nodes == scale_points.front().nodes) {
-            // The flat-path A/B: one-domain sharded fleet vs the
-            // pre-refactor flat router + in-node decides + flat merge.
-            auto flat_spec = spec;
-            flat_spec.domains = 1;
-            const FleetRun sharded1 =
-                runScaleFleet(flat_spec, registry, /*jobs=*/1,
-                              /*batched=*/true, /*flat_reference=*/false);
-            const FleetRun flat =
-                runScaleFleet(flat_spec, registry, /*jobs=*/1,
-                              /*batched=*/false, /*flat_reference=*/true);
-            row.domains1MatchesFlat =
-                identicalTraces(sharded1.result, flat.result) ? 1 : 0;
-        }
-
         scale_rows.push_back(row);
         std::printf("%5zu %7zu %5zu | %9.0f %9.0f %9.0f %9.0f %9.0f "
-                    "%9.0f | %9.0f %6.2fx | %5s %5s\n",
+                    "%9.0f | %9.0f %6.2fx | %5s\n",
                     row.nodes, row.domains, row.steps, row.routeCyc,
                     row.stepCyc, row.gatherCyc, row.forwardCyc,
                     row.scatterCyc, row.mergeCyc, row.pernodeForwardCyc,
                     row.speedup(),
-                    row.bitidenticalJobs ? "ok" : "FAIL",
-                    row.domains1MatchesFlat < 0
-                        ? "-"
-                        : (row.domains1MatchesFlat ? "ok" : "FAIL"));
+                    row.bitidenticalJobs ? "ok" : "FAIL");
     }
     std::printf("\ncycles are per interval (rdtsc); 'forward' is the "
                 "batched cohort GEMMs,\n'fwd/node' the same fleet "
@@ -622,9 +594,6 @@ main(int argc, char **argv)
                      r.mergeCyc, r.pernodeForwardCyc, r.speedup(),
                      r.bitidenticalJobs ? "true" : "false",
                      r.batchedMatchesPernode ? "true" : "false");
-        if (r.domains1MatchesFlat >= 0)
-            std::fprintf(f, ", \"domains1_matches_flat\": %s",
-                         r.domains1MatchesFlat ? "true" : "false");
         std::fprintf(f, "}%s\n",
                      i + 1 < scale_rows.size() ? "," : "");
     }

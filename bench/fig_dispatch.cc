@@ -7,10 +7,11 @@
  * interference, power); this bench isolates sim::RequestQueueSim so a
  * dispatch regression shows up as cycles/request on the exact code
  * path, not as noise in an end-to-end number. Each cell runs the
- * optimized and the reference path under identical seeds and arrival
- * schedules and exact-compares their telemetry, so the grid doubles
- * as a coarse differential check (tests/test_dispatch_diff.cc is the
- * fine-grained one).
+ * optimized simulator and the seed's (oracle::ReferenceQueueSim,
+ * tests/oracle/) under identical seeds and arrival schedules and
+ * exact-compares their telemetry, so the grid doubles as a coarse
+ * differential check (tests/test_dispatch_diff.cc is the fine-grained
+ * one).
  *
  * Grid: cores x arrival pattern:
  *   steady70   fixed offered load at 70% of capacity (shallow queue)
@@ -35,6 +36,7 @@
 #include "common/rng.hh"
 #include "common/sim_counters.hh"
 #include "harness/sim_profile.hh"
+#include "oracle/reference_queue_sim.hh"
 #include "services/tailbench.hh"
 #include "sim/machine.hh"
 #include "sim/queue_sim.hh"
@@ -109,13 +111,14 @@ dedicated(std::size_t n)
     return a;
 }
 
+/** Run one cell on @p Sim: sim::RequestQueueSim or the oracle. */
+template <typename Sim>
 PathStats
-runPath(bool reference, std::size_t cores, const Pattern &pattern,
-        std::size_t warmup, std::size_t intervals, std::uint64_t seed)
+runPath(std::size_t cores, const Pattern &pattern, std::size_t warmup,
+        std::size_t intervals, std::uint64_t seed)
 {
     const auto profile = services::masstree();
-    sim::RequestQueueSim sim(profile, common::Rng(seed), 2.0);
-    sim.setReferencePath(reference);
+    Sim sim(profile, common::Rng(seed), 2.0);
     const auto assignment = dedicated(cores);
     // Offered load is per-core service rate times core count: the
     // pattern's load fraction is utilisation, not a share of the
@@ -181,8 +184,8 @@ main(int argc, char **argv)
             harness::SimProfile::reset();
             harness::SimProfile::enable();
             const auto before = harness::SimProfile::snapshot();
-            cell.opt = runPath(false, cores, pattern, warmup,
-                               intervals, seed);
+            cell.opt = runPath<sim::RequestQueueSim>(
+                cores, pattern, warmup, intervals, seed);
             const auto prof =
                 harness::SimProfile::snapshot().since(before);
             harness::SimProfile::disable();
@@ -192,8 +195,8 @@ main(int argc, char **argv)
                         .cycles) /
                 cell.opt.requests;
 
-            cell.ref = runPath(true, cores, pattern, warmup,
-                               intervals, seed);
+            cell.ref = runPath<oracle::ReferenceQueueSim>(
+                cores, pattern, warmup, intervals, seed);
             cell.match = cell.opt.checksum == cell.ref.checksum;
             cells.push_back(cell);
         }

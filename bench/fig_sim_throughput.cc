@@ -1,13 +1,7 @@
 /**
  * @file
- * Simulation hot-path throughput bench: optimized vs reference
- * (pre-optimization) per-interval loop.
- *
- * Every RequestQueueSim carries the seed algorithm behind
- * setReferencePath, so the same binary measures both paths under the
- * same seeds and asserts their telemetry checksums are bit-identical
- * (ISSUE: the optimization must not change a single reported number).
- * Three configurations:
+ * Simulation hot-path throughput bench: steps/sec of the per-interval
+ * loop on three configurations:
  *
  *   single_high_rps  one masstree replica near saturation (per-request
  *                    cost dominates: arrivals + dispatch + quantiles)
@@ -16,10 +10,14 @@
  *   fleet_8node      8-node ClusterManager with static routing and
  *                    static per-node managers (histogram merge path)
  *
- * For each path it reports steps/sec, heap allocations per step
- * (global operator new/delete instrumented, as in tests/test_alloc.cc)
- * and, for the optimized path, the per-phase cycle breakdown from
- * harness::SimProfile. Emits a table plus BENCH_sim.json (--out PATH).
+ * For each it reports steps/sec, heap allocations per step (global
+ * operator new/delete instrumented, as in tests/test_alloc.cc) and the
+ * per-phase cycle breakdown from harness::SimProfile. Emits a table
+ * plus BENCH_sim.json (--out PATH).
+ *
+ * The outputs themselves are pinned elsewhere: tests/test_sim_ab.cc
+ * hashes these three runs (default seed, default schedule) against
+ * goldens recorded when they still matched the seed algorithm live.
  */
 
 #include <atomic>
@@ -115,84 +113,47 @@ nowSeconds()
         1e-9;
 }
 
-/** Measured outcome of one (config, path) run. */
-struct PathResult
-{
-    double stepsPerSec = 0.0;
-    double allocsPerStep = 0.0;
-    double wallSeconds = 0.0;
-    /** Telemetry checksum over the timed steps (exact-compare). */
-    double checksum = 0.0;
-};
-
+/** Measured outcome of one config. */
 struct ConfigResult
 {
     std::string name;
     std::size_t steps = 0;
-    PathResult optimized;
-    PathResult reference;
-    bool checksumsMatch = false;
-    /** Phase breakdown of the optimized timed region. */
+    double stepsPerSec = 0.0;
+    double allocsPerStep = 0.0;
+    /** Phase breakdown of the whole run (setup, warm-up, timed). */
     harness::SimProfile profile;
-
-    double speedup() const
-    {
-        return reference.stepsPerSec > 0.0
-            ? optimized.stepsPerSec / reference.stepsPerSec
-            : 0.0;
-    }
 };
 
-/** Fold an interval's telemetry into a checksum that any behavioural
- * divergence between the two paths must perturb. */
-double
-foldStats(const sim::ServerIntervalStats &stats)
-{
-    double sum = stats.socketPowerW + stats.energyJoules;
-    for (const auto &svc : stats.services) {
-        sum += svc.p99Ms + svc.p99InstantMs + svc.meanLatencyMs;
-        sum += static_cast<double>(svc.completed + svc.dropped +
-                                   svc.queuedAtEnd);
-        sum += svc.busyCoreSeconds + svc.attributedPowerW;
-    }
-    return sum;
-}
-
-/** Warm up, then time @p steps invocations of @p body, counting heap
- * allocations and folding telemetry via @p body's return value. */
+/** Warm up, then time res.steps invocations of @p body, counting heap
+ * allocations. */
 template <typename Body>
-PathResult
-timeSteps(std::size_t warmup, std::size_t steps, Body &&body)
+void
+timeSteps(std::size_t warmup, ConfigResult &res, Body &&body)
 {
-    PathResult res;
     for (std::size_t i = 0; i < warmup; ++i)
         body();
     g_alloc_count.store(0);
     g_counting.store(true);
     const double start = nowSeconds();
-    for (std::size_t i = 0; i < steps; ++i)
-        res.checksum += body();
-    res.wallSeconds = nowSeconds() - start;
+    for (std::size_t i = 0; i < res.steps; ++i)
+        body();
+    const double wall_seconds = nowSeconds() - start;
     g_counting.store(false);
-    res.allocsPerStep = static_cast<double>(g_alloc_count.load()) /
-        static_cast<double>(steps);
-    res.stepsPerSec =
-        static_cast<double>(steps) / std::max(res.wallSeconds, 1e-12);
-    return res;
+    const auto steps = static_cast<double>(res.steps);
+    res.allocsPerStep = static_cast<double>(g_alloc_count.load()) / steps;
+    res.stepsPerSec = steps / std::max(wall_seconds, 1e-12);
 }
 
 /** Single-server configs: services at a fixed load fraction under a
  * fixed (possibly oversubscribed) core split. */
-PathResult
+void
 runServerConfig(const std::vector<sim::ServiceProfile> &profiles,
                 double load_fraction,
                 const std::vector<core::ResourceRequest> &requests,
-                bool reference, std::size_t warmup, std::size_t steps,
-                std::uint64_t seed)
+                std::size_t warmup, std::uint64_t seed, ConfigResult &res)
 {
     sim::MachineConfig machine;
     sim::Server server(machine, seed);
-    server.setReferenceSimPath(reference);
     for (const auto &profile : profiles)
         server.addService(profile, std::make_unique<sim::FixedLoad>(
                                        profile.maxLoadRps,
@@ -201,15 +162,13 @@ runServerConfig(const std::vector<sim::ServiceProfile> &profiles,
     std::vector<sim::CoreAssignment> assignments;
     mapper.mapInto(requests, assignments);
 
-    return timeSteps(warmup, steps, [&] {
-        return foldStats(server.runInterval(assignments));
-    });
+    timeSteps(warmup, res, [&] { server.runInterval(assignments); });
 }
 
 /** 8-node fleet with static routing and static per-node managers. */
-PathResult
-runFleetConfig(bool reference, std::size_t nodes, std::size_t warmup,
-               std::size_t steps, std::uint64_t seed)
+void
+runFleetConfig(std::size_t nodes, std::size_t warmup, std::uint64_t seed,
+               ConfigResult &res)
 {
     const auto masstree = services::masstree();
     const auto xapian = services::xapian();
@@ -231,19 +190,12 @@ runFleetConfig(bool reference, std::size_t nodes, std::size_t warmup,
     };
     for (std::size_t n = 0; n < nodes; ++n)
         fleet.addNode(sim::MachineConfig{}, factory);
-    fleet.setReferenceSimPath(reference);
 
-    return timeSteps(warmup, steps, [&] {
-        const auto &fs = fleet.step();
-        double sum = fs.totalPowerW;
-        for (double p99 : fs.fleetP99Ms)
-            sum += p99;
-        for (const auto &node : fs.nodes)
-            sum += foldStats(node);
-        return sum;
-    });
+    timeSteps(warmup, res, [&] { fleet.step(); });
 }
 
+/** Run @p runner under the phase profiler (cycle counters are
+ * negligible next to an interval's work). */
 template <typename Runner>
 ConfigResult
 benchConfig(const std::string &name, std::size_t steps,
@@ -252,19 +204,12 @@ benchConfig(const std::string &name, std::size_t steps,
     ConfigResult res;
     res.name = name;
     res.steps = steps;
-
-    // Optimized pass under the phase profiler (cycle counters are
-    // negligible next to an interval's work).
     harness::SimProfile::reset();
     harness::SimProfile::enable();
     const auto before = harness::SimProfile::snapshot();
-    res.optimized = runner(false);
+    runner(res);
     res.profile = harness::SimProfile::snapshot().since(before);
     harness::SimProfile::disable();
-
-    res.reference = runner(true);
-    res.checksumsMatch =
-        res.optimized.checksum == res.reference.checksum;
     return res;
 }
 
@@ -282,8 +227,7 @@ main(int argc, char **argv)
                     "JSON report path (default BENCH_sim.json)");
     flags.parseOrExit(argc, argv);
 
-    bench::banner("Simulation hot-path throughput: optimized vs "
-                  "reference per-interval loop");
+    bench::banner("Simulation hot-path throughput: per-interval loop");
 
     const std::size_t steps = full ? 2000 : 300;
     const std::size_t warmup = 50;
@@ -291,61 +235,44 @@ main(int argc, char **argv)
     std::vector<ConfigResult> results;
 
     results.push_back(benchConfig(
-        "single_high_rps", steps, [&](bool reference) {
+        "single_high_rps", steps, [&](ConfigResult &res) {
             const sim::MachineConfig machine;
-            return runServerConfig(
-                {services::masstree()}, 0.9,
-                {{machine.numCores, machine.dvfs.maxIndex()}},
-                reference, warmup, steps, seed);
+            runServerConfig({services::masstree()}, 0.9,
+                            {{machine.numCores, machine.dvfs.maxIndex()}},
+                            warmup, seed, res);
         }));
 
     results.push_back(benchConfig(
-        "colocated_4svc", steps, [&](bool reference) {
+        "colocated_4svc", steps, [&](ConfigResult &res) {
             const sim::MachineConfig machine;
             const std::size_t top = machine.dvfs.maxIndex();
             // 4 x 8 cores on an 18-core socket: heavy shared pool.
-            return runServerConfig(
-                {services::masstree(), services::xapian(),
-                 services::moses(), services::silo()},
-                0.6, {{8, top}, {8, top}, {8, top}, {8, top}},
-                reference, warmup, steps, seed);
+            runServerConfig({services::masstree(), services::xapian(),
+                             services::moses(), services::silo()},
+                            0.6, {{8, top}, {8, top}, {8, top}, {8, top}},
+                            warmup, seed, res);
         }));
 
     results.push_back(benchConfig(
-        "fleet_8node", steps / 2, [&](bool reference) {
-            return runFleetConfig(reference, 8, warmup, steps / 2,
-                                  seed);
+        "fleet_8node", steps / 2, [&](ConfigResult &res) {
+            runFleetConfig(8, warmup, seed, res);
         }));
 
-    std::printf("%-16s %7s %14s %14s %9s %12s %12s %6s\n", "config",
-                "steps", "opt steps/s", "ref steps/s", "speedup",
-                "opt alloc/st", "ref alloc/st", "match");
+    std::printf("%-16s %7s %14s %12s\n", "config", "steps", "steps/s",
+                "alloc/step");
     for (const auto &r : results) {
-        std::printf("%-16s %7zu %14.1f %14.1f %8.2fx %12.1f %12.1f "
-                    "%6s\n",
-                    r.name.c_str(), r.steps, r.optimized.stepsPerSec,
-                    r.reference.stepsPerSec, r.speedup(),
-                    r.optimized.allocsPerStep,
-                    r.reference.allocsPerStep,
-                    r.checksumsMatch ? "yes" : "NO");
+        std::printf("%-16s %7zu %14.1f %12.1f\n", r.name.c_str(),
+                    r.steps, r.stepsPerSec, r.allocsPerStep);
     }
 
-    bool all_match = true;
     bool zero_alloc = true;
     for (const auto &r : results) {
-        all_match = all_match && r.checksumsMatch;
-        zero_alloc = zero_alloc && r.optimized.allocsPerStep == 0.0;
-        std::printf("\nphase breakdown (%s, optimized):\n",
-                    r.name.c_str());
+        zero_alloc = zero_alloc && r.allocsPerStep == 0.0;
+        std::printf("\nphase breakdown (%s):\n", r.name.c_str());
         r.profile.print(stdout);
     }
-    if (!all_match) {
-        std::fprintf(stderr, "fig_sim_throughput: optimized and "
-                             "reference checksums diverge\n");
-        return 1;
-    }
     if (!zero_alloc) {
-        std::fprintf(stderr, "fig_sim_throughput: optimized path "
+        std::fprintf(stderr, "fig_sim_throughput: the hot path "
                              "allocated in steady state\n");
         return 1;
     }
@@ -358,20 +285,13 @@ main(int argc, char **argv)
     std::fprintf(f, "{\n  \"configs\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"steps\": %zu,\n"
-            "     \"optimized_steps_per_sec\": %.1f,\n"
-            "     \"reference_steps_per_sec\": %.1f,\n"
-            "     \"speedup\": %.3f,\n"
-            "     \"optimized_allocs_per_step\": %.3f,\n"
-            "     \"reference_allocs_per_step\": %.3f,\n"
-            "     \"checksums_match\": %s,\n"
-            "     \"phases\":\n",
-            r.name.c_str(), r.steps, r.optimized.stepsPerSec,
-            r.reference.stepsPerSec, r.speedup(),
-            r.optimized.allocsPerStep, r.reference.allocsPerStep,
-            r.checksumsMatch ? "true" : "false");
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"steps\": %zu,\n"
+                     "     \"optimized_steps_per_sec\": %.1f,\n"
+                     "     \"optimized_allocs_per_step\": %.3f,\n"
+                     "     \"phases\":\n",
+                     r.name.c_str(), r.steps, r.stepsPerSec,
+                     r.allocsPerStep);
         r.profile.writeJson(f, "     ");
         std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
     }

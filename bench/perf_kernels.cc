@@ -5,7 +5,8 @@
  * Times the BDQ-shaped GEMMs (batch 64: trunk, head, branch and
  * advantage-output layers) for the tiled kernels in nn/matrix.cc
  * against the seed's naive triple loops (nn::reference::*, kept
- * verbatim in matrix_ref.cc), plus one full BdqLearner::trainStep().
+ * verbatim in tests/oracle/matrix_ref.cc), plus one full
+ * BdqLearner::trainStep().
  *
  * Emits a human-readable table and machine-readable JSON
  * (BENCH_kernels.json, or --out PATH).
@@ -22,6 +23,7 @@
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
 #include "nn/matrix.hh"
+#include "oracle/matrix_ref.hh"
 #include "rl/bdq_learner.hh"
 
 using namespace twig;

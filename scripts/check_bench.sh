@@ -5,25 +5,28 @@
 #                               [BENCH_AUTOSCALE_JSON]
 #
 # BENCH_sim.json (fig_sim_throughput, augmented by fig_dispatch): fails
-# when any config reports checksums_match: false -- the calendar-queue
-# dispatch diverged from the reference path -- or
-# optimized_allocs_per_step > 0 -- the hot loop allocated.
+# when any config reports optimized_allocs_per_step > 0 -- the hot loop
+# allocated -- when the dispatch_microbench table is missing or empty,
+# or when any of its cells reports checksums_match: false -- the
+# calendar-queue dispatch diverged from the seed algorithm
+# (oracle::ReferenceQueueSim in tests/oracle/). That whole-run outputs
+# still match the seed is pinned by golden tests (tests/test_sim_ab.cc).
 #
 # BENCH_cluster.json (fig12_cluster_scaleout): fails when any scale-out
 # row reports bitidentical_jobs: false (the fleet's metrics depended on
-# the thread count), batched_matches_pernode: false (the batched cohort
-# GEMM diverged from per-node forwards) or domains1_matches_flat: false
-# (a one-domain sharded fleet diverged from the pre-refactor flat
-# control path). The cluster artifact is skipped with a notice when
-# absent (a sim-only bench run) -- pass its path to require it.
+# the thread count) or batched_matches_pernode: false (the batched
+# cohort GEMM diverged from per-node forwards).
 #
 # BENCH_autoscale.json (fig_autoscale): fails when any acceptance check
 # in the artifact's checks{} block is false -- the elastic fleet must
 # hold QoS within 5 points of static max provisioning at a strictly
 # lower bill and lower cost-normalized power, the flash-crowd row must
 # actually scale out, the mixed-generation fleet must be billed, and
-# every row must replay bit-identically across --jobs counts. Skipped
-# with a notice when absent, like the cluster artifact.
+# every row must replay bit-identically across --jobs counts.
+#
+# A path given on the command line must exist. With no argument for
+# it, the cluster or autoscale artifact is skipped with a notice when
+# absent (a sim-only bench run); the sim artifact is always required.
 #
 # These are hard invariants, so CI runs this after bench_smoke instead
 # of trusting the benches' own exit codes alone (the artifacts are also
@@ -42,6 +45,12 @@ if [[ ! -f "$bench_json" ]]; then
     echo "check_bench: $bench_json not found -- run bench_smoke first" >&2
     exit 1
 fi
+for i in 2 3; do
+    if [[ $# -ge $i && ! -f "${!i}" ]]; then
+        echo "check_bench: ${!i} not found" >&2
+        exit 1
+    fi
+done
 
 python3 - "$bench_json" <<'EOF'
 import json
@@ -59,22 +68,20 @@ if not configs:
 failures = 0
 for cfg in configs:
     name = cfg.get("name", "?")
-    match = cfg.get("checksums_match")
     allocs = cfg.get("optimized_allocs_per_step")
-    if match is not True:
-        print(f"check_bench: FAIL {name}: checksums_match is {match!r}",
-              file=sys.stderr)
-        failures += 1
     if not isinstance(allocs, (int, float)) or allocs > 0:
         print(f"check_bench: FAIL {name}: "
               f"optimized_allocs_per_step is {allocs!r}",
               file=sys.stderr)
         failures += 1
     speed = cfg.get("optimized_steps_per_sec")
-    print(f"check_bench: {name}: checksums_match={match} "
-          f"allocs/step={allocs} steps/s={speed}")
+    print(f"check_bench: {name}: allocs/step={allocs} steps/s={speed}")
 
 cells = root.get("dispatch_microbench", [])
+if not cells:
+    print(f"check_bench: FAIL {path} has no dispatch_microbench cells "
+          f"(run fig_dispatch after fig_sim_throughput)", file=sys.stderr)
+    failures += 1
 for cell in cells:
     name = f"{cell.get('cores')}c/{cell.get('pattern')}"
     if cell.get("checksums_match") is not True:
@@ -112,7 +119,6 @@ if not rows:
     sys.exit(1)
 
 failures = 0
-flat_checked = 0
 for row in rows:
     name = f"{row.get('nodes')}n/{row.get('domains')}d"
     if row.get("bitidentical_jobs") is not True:
@@ -124,28 +130,15 @@ for row in rows:
         print(f"check_bench: FAIL scale-out {name}: batched inference "
               f"diverged from per-node forwards", file=sys.stderr)
         failures += 1
-    if "domains1_matches_flat" in row:
-        flat_checked += 1
-        if row["domains1_matches_flat"] is not True:
-            print(f"check_bench: FAIL scale-out {name}: one-domain "
-                  f"sharded fleet diverged from the flat control path",
-                  file=sys.stderr)
-            failures += 1
     print(f"check_bench: scale-out {name}: "
           f"bitidentical_jobs={row.get('bitidentical_jobs')} "
           f"batched=pernode={row.get('batched_matches_pernode')} "
           f"fwd_speedup={row.get('forward_speedup')}")
 
-if flat_checked == 0:
-    print("check_bench: FAIL no scale-out row carries the "
-          "domains1_matches_flat A/B check", file=sys.stderr)
-    failures += 1
-
 if failures:
     print(f"check_bench: {failures} invariant violation(s)", file=sys.stderr)
     sys.exit(1)
-print(f"check_bench: cluster invariants hold ({len(rows)} scale-out "
-      f"rows, {flat_checked} flat A/B)")
+print(f"check_bench: cluster invariants hold ({len(rows)} scale-out rows)")
 EOF
 cluster_status=$?
 if [[ $cluster_status -ne 0 ]]; then

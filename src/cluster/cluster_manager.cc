@@ -67,11 +67,8 @@ ClusterManager::ClusterManager(
       fleetLoads_(std::move(fleet_loads)),
       // The router draws from its own derived seed stream so adding
       // policies never perturbs the nodes' randomness (and vice versa).
-      // The flat reference router shares domain 0's exact seed: with
-      // one domain the two paths replay the same draw sequence.
       router_(ShardedRouterConfig{cfg.router, cfg.domains},
               harness::sweepSeed(seed, 0x5107e5)),
-      flatRouter_(cfg.router, harness::sweepSeed(seed, 0x5107e5)),
       seed_(seed)
 {
     common::fatalIf(services_.empty(), "ClusterManager: no services");
@@ -84,20 +81,9 @@ ClusterManager::ClusterManager(
 }
 
 void
-ClusterManager::setFlatReferenceControl(bool on)
-{
-    common::fatalIf(on && cfg_.domains != 1,
-                    "setFlatReferenceControl: the flat reference path "
-                    "is only comparable at domains == 1 (have ",
-                    cfg_.domains, ")");
-    flatReference_ = on;
-    cohortsDirty_ = true;
-}
-
-void
 ClusterManager::setBatchedInference(bool on)
 {
-    cfg_.batchedInference = on;
+    batchedInference_ = on;
     cohortsDirty_ = true;
 }
 
@@ -713,10 +699,7 @@ ClusterManager::step()
     } else {
         feedback_.p99MsByNode.clear();
     }
-    if (flatReference_)
-        flatRouter_.routeInto(fleetRps_, weights_, feedback_, shares_);
-    else
-        router_.routeInto(fleetRps_, weights_, feedback_, shares_);
+    router_.routeInto(fleetRps_, weights_, feedback_, shares_);
     double shed_rps = 0.0;
     if (!any_powered) {
         // No slot is powered: the interval's whole offered load is
@@ -737,12 +720,12 @@ ClusterManager::step()
     //    the pool schedule cannot change any node's results — only the
     //    order they finish in, which the serial merge below ignores.
     //    Cohort members defer their decisions to the batched pass.
-    const bool batching = cfg_.batchedInference && !flatReference_;
-    if (batching && cohortsDirty_)
+    if (batchedInference_ && cohortsDirty_)
         rebuildCohorts();
     const std::uint64_t t_step = now();
     for (std::size_t n = 0; n < num_nodes; ++n) {
-        nodes_[n]->setDeferDecision(batching && nodeBatched_.size() > n &&
+        nodes_[n]->setDeferDecision(batchedInference_ &&
+                                    nodeBatched_.size() > n &&
                                     nodeBatched_[n] != 0);
         if (slots_[n].powered())
             nodes_[n]->setOfferedLoad(shares_[n]);
@@ -768,7 +751,7 @@ ClusterManager::step()
     //     construction), scatter the per-row greedy actions back.
     //     Serial and in cohort/member order — bit-identical to the
     //     per-node decides it replaces, at any --jobs.
-    if (batching) {
+    if (batchedInference_) {
         for (auto &cohort : cohorts_) {
             const std::uint64_t t_gather = now();
             const std::size_t rows = cohort.members.size();
@@ -801,11 +784,9 @@ ClusterManager::step()
     for (std::size_t n = 0; n < num_nodes; ++n)
         profile_.forwardCycles += nodes_[n]->takeDecideCycles();
 
-    // 3. Merge node telemetry deterministically: hierarchically (node
-    //    -> domain -> fleet, domains in parallel on the pool) on the
-    //    sharded path, the seed's flat node loop on the reference
-    //    path. Bin counts are integers, so both orders produce the
-    //    same merged histogram exactly.
+    // 3. Merge node telemetry deterministically and hierarchically:
+    //    node -> domain -> fleet, domains in parallel on the pool. Bin
+    //    counts are integers, so this is exactly the flat node merge.
     const std::uint64_t t_merge = now();
     if (mergedScratch_.empty()) {
         const auto bins = binnings();
@@ -840,46 +821,37 @@ ClusterManager::step()
         out.totalPowerW += nodes_[n]->lastStats().socketPowerW;
         out.nodes[n] = nodes_[n]->lastStats();
     }
-    if (flatReference_) {
-        for (std::size_t n = 0; n < num_nodes; ++n) {
+    const std::size_t num_domains = router_.numDomains();
+    if (domainScratch_.empty()) {
+        domainScratch_.resize(num_domains);
+        const auto bins = binnings();
+        for (auto &per_service : domainScratch_) {
+            for (const auto &b : bins)
+                per_service.emplace_back(b.loMs, b.hiMs, b.bins);
+        }
+    }
+    auto merge_domain = [this, num_services](std::size_t d) {
+        const Domain &dom = router_.domain(d);
+        auto &per_service = domainScratch_[d];
+        for (auto &h : per_service)
+            h.clear();
+        for (std::size_t i = 0; i < dom.count; ++i) {
+            const std::size_t n = dom.first + i;
             if (!slots_[n].powered())
-                continue;
+                continue; // crashed: partial domain merge
             for (std::size_t s = 0; s < num_services; ++s)
-                mergedScratch_[s].merge(nodes_[n]->intervalHistogram(s));
+                per_service[s].merge(nodes_[n]->intervalHistogram(s));
         }
-    } else {
-        const std::size_t num_domains = router_.numDomains();
-        if (domainScratch_.empty()) {
-            domainScratch_.resize(num_domains);
-            const auto bins = binnings();
-            for (auto &per_service : domainScratch_) {
-                for (const auto &b : bins)
-                    per_service.emplace_back(b.loMs, b.hiMs, b.bins);
-            }
-        }
-        auto merge_domain = [this, num_services](std::size_t d) {
-            const Domain &dom = router_.domain(d);
-            auto &per_service = domainScratch_[d];
-            for (auto &h : per_service)
-                h.clear();
-            for (std::size_t i = 0; i < dom.count; ++i) {
-                const std::size_t n = dom.first + i;
-                if (!slots_[n].powered())
-                    continue; // crashed: partial domain merge
-                for (std::size_t s = 0; s < num_services; ++s)
-                    per_service[s].merge(nodes_[n]->intervalHistogram(s));
-            }
-        };
-        if (pool_ && cfg_.jobs > 1 && num_domains > 1)
-            pool_->parallelFor(0, num_domains, merge_domain);
-        else
-            for (std::size_t d = 0; d < num_domains; ++d)
-                merge_domain(d);
-        // Fleet level: serial, in domain order.
-        for (std::size_t d = 0; d < num_domains; ++d) {
-            for (std::size_t s = 0; s < num_services; ++s)
-                mergedScratch_[s].merge(domainScratch_[d][s]);
-        }
+    };
+    if (pool_ && cfg_.jobs > 1 && num_domains > 1)
+        pool_->parallelFor(0, num_domains, merge_domain);
+    else
+        for (std::size_t d = 0; d < num_domains; ++d)
+            merge_domain(d);
+    // Fleet level: serial, in domain order.
+    for (std::size_t d = 0; d < num_domains; ++d) {
+        for (std::size_t s = 0; s < num_services; ++s)
+            mergedScratch_[s].merge(domainScratch_[d][s]);
     }
     out.faultEvents = stepEvents_;
     if (injector_ || autoscaler_)

@@ -28,11 +28,6 @@
  *      flat merge because histogram merging is bin-wise integer
  *      addition; sum node power into fleet power.
  *
- * The pre-sharding flat control path (single flat Router, in-node
- * decisions, flat merge) is kept switchable via
- * setFlatReferenceControl; the scale-out bench A/B-checks that a
- * one-domain fleet reproduces it byte for byte.
- *
  * Replicas added with a checkpoint path are warm-started: the
  * checkpointed BDQ is restored into the new node's TwigManager
  * (rl/checkpoint.hh), so a scale-out event starts from a trained
@@ -108,10 +103,6 @@ struct ClusterConfig
     /** Routing domains of the two-level front-end; 1 degenerates to
      * the flat router exactly (must not exceed the node count). */
     std::size_t domains = 1;
-    /** Batch the BDQ forward passes of identical exploit-only replicas
-     * into one fused GEMM per cohort per interval. Bit-identical to
-     * per-node forwards either way. */
-    bool batchedInference = true;
 };
 
 /** Cycle totals of the fleet control loop's phases (rdtsc via
@@ -318,27 +309,10 @@ class ClusterManager
      * ones. */
     bool isNodeUp(std::size_t n) const;
 
-    /** Toggle the reference (pre-optimization) queue-simulator path on
-     * every current node — bit-identical results either way; used by
-     * the throughput benchmark. */
-    void
-    setReferenceSimPath(bool on)
-    {
-        for (auto &node : nodes_)
-            node->setReferenceSimPath(on);
-    }
-
-    /**
-     * Run the pre-sharding flat control path: a single flat Router
-     * (seeded identically to domain 0), in-node decisions and a flat
-     * node -> fleet merge. Requires domains == 1 — the A/B reference
-     * the scale-out bench checks the sharded one-domain path against,
-     * byte for byte.
-     */
-    void setFlatReferenceControl(bool on);
-
-    /** Toggle cohort-batched BDQ inference (bit-identical either way;
-     * the bench uses the per-node mode for the timing comparison). */
+    /** Batch the BDQ forward passes of identical exploit-only replicas
+     * into one fused GEMM per cohort per interval (on by default).
+     * Bit-identical to per-node forwards either way; the bench turns
+     * it off for the timing comparison. */
     void setBatchedInference(bool on);
 
     /** Number of replicas deciding through a batched cohort in the
@@ -346,7 +320,7 @@ class ClusterManager
     std::size_t batchedNodeCount() const;
 
     /** Domain @p d's merged interval histogram for service @p s from
-     * the last step (hierarchical merge path only; tests). */
+     * the last step (tests). */
     const stats::Histogram &domainHistogram(std::size_t d,
                                             std::size_t s) const;
 
@@ -465,12 +439,8 @@ class ClusterManager
     ClusterConfig cfg_;
     std::vector<sim::ServiceProfile> services_;
     std::vector<std::unique_ptr<sim::LoadGenerator>> fleetLoads_;
-    /** The two-level front-end (the production path). */
+    /** The two-level front-end. */
     ShardedRouter router_;
-    /** The pre-sharding flat router, seeded identically to domain 0;
-     * consulted only under setFlatReferenceControl. */
-    Router flatRouter_;
-    bool flatReference_ = false;
     std::vector<std::unique_ptr<Node>> nodes_;
     /** Lifecycle record and rebuild recipe per node (sized by
      * addNode; the only place slot health and elastic state live). */
@@ -488,6 +458,7 @@ class ClusterManager
     std::vector<std::vector<stats::Histogram>> recent_;
 
     // --- batched inference -------------------------------------------
+    bool batchedInference_ = true;
     std::vector<Cohort> cohorts_;
     /** Cohorts need regrouping (topology or policy-freeze changed). */
     bool cohortsDirty_ = true;

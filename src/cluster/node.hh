@@ -168,11 +168,6 @@ class Node
      * only* (reset at the start of every stepInterval). */
     const stats::Histogram &intervalHistogram(std::size_t svc) const;
 
-    /** Run this node's queue simulators on the original
-     * (pre-optimization) algorithm — bit-identical results; used by
-     * the throughput benchmark (see sim::Server::setReferenceSimPath). */
-    void setReferenceSimPath(bool on) { server_.setReferenceSimPath(on); }
-
     std::size_t step() const { return server_.step(); }
 
   private:

@@ -21,8 +21,8 @@
  *    never shift with domain count or weight changes elsewhere.
  *  * With domains == 1 the single inner Router receives the fleet
  *    vectors verbatim and is seeded with exactly the seed a flat
- *    Router would get, so a one-domain fleet is bit-identical to the
- *    pre-sharding flat path (the bench asserts this byte-for-byte).
+ *    Router would get, so a one-domain fleet routes bit-identically to
+ *    one flat Router (asserted by the cluster tests).
  *
  * Weights: the front-end keeps no health state. routeInto takes one
  * routing weight per node, with the flat Router's contract — 0 means

@@ -279,26 +279,4 @@ matmulBiasRelu(const Matrix &a, const Matrix &w,
                w.data(), w.cols(), out.data(), out.cols(), ep);
 }
 
-void
-matmulSparseA(const Matrix &a, const Matrix &b, Matrix &out)
-{
-    common::panicIf(a.cols() != b.rows(),
-                    "matmulSparseA: inner dims differ");
-    out.resize(a.rows(), b.cols());
-    out.zero();
-    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-    for (std::size_t i = 0; i < m; ++i) {
-        float *out_row = out.rowPtr(i);
-        const float *a_row = a.rowPtr(i);
-        for (std::size_t p = 0; p < k; ++p) {
-            const float av = a_row[p];
-            if (av == 0.0f)
-                continue;
-            const float *b_row = b.rowPtr(p);
-            for (std::size_t j = 0; j < n; ++j)
-                out_row[j] += av * b_row[j];
-        }
-    }
-}
-
 } // namespace twig::nn

@@ -148,26 +148,6 @@ void matmulBiasRelu(const Matrix &a, const Matrix &w,
                     const std::vector<float> &bias, Matrix &out,
                     std::vector<unsigned char> &mask);
 
-/**
- * out = a * b for a with many *exact* zeros (e.g. one-hot state
- * slices): skips zero entries of @p a row-wise. On dense (post-init)
- * weights the zero test costs more than it saves — use matmul() there;
- * this variant exists only for genuinely sparse inputs.
- */
-void matmulSparseA(const Matrix &a, const Matrix &b, Matrix &out);
-
-/**
- * Naive triple-loop reference kernels (the seed implementation,
- * compiled in their own translation unit at the project's default
- * optimisation level). They define the semantics the tiled kernels are
- * tested against and the baseline perf_kernels measures speedup over.
- */
-namespace reference {
-void matmul(const Matrix &a, const Matrix &b, Matrix &out);
-void matmulTransposeB(const Matrix &a, const Matrix &b, Matrix &out);
-void matmulTransposeA(const Matrix &a, const Matrix &b, Matrix &out);
-} // namespace reference
-
 } // namespace twig::nn
 
 #endif // TWIG_NN_MATRIX_HH

@@ -6,7 +6,6 @@
 
 #include "common/error.hh"
 #include "common/sim_counters.hh"
-#include "stats/summary.hh"
 
 namespace twig::sim {
 
@@ -16,7 +15,7 @@ using common::simprof::Phase;
 using common::simprof::ScopedPhaseTimer;
 
 /** Service times are pre-drawn in chunks of this many requests (see
- * runOptimized); the last chunk's unconsumed draws are rolled back. */
+ * run); the last chunk's unconsumed draws are rolled back. */
 constexpr std::size_t kDrawChunk = 64;
 
 // ThreadSanitizer instruments the ifunc resolver target_clones
@@ -84,45 +83,6 @@ min8(const double *v, double &m, std::uint32_t &arg)
     const std::uint32_t a47 = m67 < m45 ? a67 : a45;
     m = std::min(m03, m47);
     arg = m47 < m03 ? a47 : a03;
-}
-
-/** One logical server of the reference path: next-free time plus a
- * speed factor (< 1 for time-shared cores). */
-struct LogicalCore
-{
-    double freeAt;
-    double speed;
-    /** Fraction of the physical core this service occupies while the
-     * request runs (1 for dedicated, 1/shareCount for shared). */
-    double occupancy;
-};
-
-/**
- * The seed's percentileOf: copy the samples, fully std::sort them,
- * interpolate between closest ranks. The library percentileOf now
- * selects instead of sorting, so the reference path keeps a private
- * copy of the original algorithm — the benchmark baseline must be
- * what the seed actually did, not a half-optimized hybrid. Sort and
- * selection return identical values over the same multiset, so both
- * paths stay bit-identical.
- */
-double
-percentileSortRef(std::vector<double> values, double p)
-{
-    if (values.empty())
-        return 0.0;
-    if (p <= 0.0)
-        return *std::min_element(values.begin(), values.end());
-    if (p >= 100.0)
-        return *std::max_element(values.begin(), values.end());
-
-    std::sort(values.begin(), values.end());
-    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= values.size())
-        return values.back();
-    return values[lo] + frac * (values[lo + 1] - values[lo]);
 }
 
 /** Reserve with headroom: growth doubles the requested capacity so a
@@ -270,7 +230,6 @@ RequestQueueSim::RequestQueueSim(const ServiceProfile &profile,
                                  double service_rate_scale)
     : profile_(profile), rng_(rng), refFreqGhz_(ref_freq_ghz),
       rateScale_(service_rate_scale), maxPending_(max_pending),
-      qosWindow_(qos_window_intervals ? qos_window_intervals : 1),
       window_(qos_window_intervals ? qos_window_intervals : 1)
 {
     common::fatalIf(profile.baseServiceTimeMs <= 0.0,
@@ -387,12 +346,7 @@ RequestQueueSim::generateArrivals(double t0, double dt, double rps)
     newArrivals_.resize(n_new);
     for (auto &a : newArrivals_)
         a = t0 + rng_.uniform() * dt;
-    // Same ascending sequence either way; the reference path keeps the
-    // seed's comparison sort so the measured speedup stays honest.
-    if (referencePath_)
-        std::sort(newArrivals_.begin(), newArrivals_.end());
-    else
-        sortArrivals(t0, dt);
+    sortArrivals(t0, dt);
 }
 
 const QueueIntervalResult &
@@ -403,22 +357,14 @@ RequestQueueSim::run(double t0, double dt, double rps,
     common::fatalIf(inflation < 1.0, "queue sim: inflation must be >= 1");
     common::fatalIf(assignment.freqGhz <= 0.0,
                     "queue sim: frequency must be > 0");
-    return referencePath_ ? runReference(t0, dt, rps, assignment, inflation)
-                          : runOptimized(t0, dt, rps, assignment, inflation);
-}
 
-const QueueIntervalResult &
-RequestQueueSim::runOptimized(double t0, double dt, double rps,
-                              const CoreAssignment &assignment,
-                              double inflation)
-{
     QueueIntervalResult &res = result_;
     resetResult(res);
     const double t_end = t0 + dt;
 
     generateArrivals(t0, dt, rps);
-    // Backlog cap, applied up front exactly as the reference path's
-    // push loop applies it: no requests leave the queue between the
+    // Backlog cap, applied up front exactly as the seed's per-arrival
+    // push loop applied it: no requests leave the queue between the
     // pushes, so the first (maxPending - backlog) sorted arrivals are
     // accepted and the rest dropped. The accepted arrivals stay in
     // newArrivals_ — dispatch reads the backlog ring first and then
@@ -433,8 +379,8 @@ RequestQueueSim::runOptimized(double t0, double dt, double rps,
     // Group the logical server set into at most three equal-speed
     // classes. Within a class the cores are interchangeable, so FCFS
     // dispatch only ever needs each class's earliest-free core — the
-    // per-class free-time calendar replaces the reference path's
-    // linear scan.
+    // per-class free-time calendar replaces the seed's linear scan
+    // over every core.
     const double shared_freq_gain = std::pow(
         assignment.sharedFreqGhz / assignment.freqGhz,
         profile_.freqExponent);
@@ -459,7 +405,7 @@ RequestQueueSim::runOptimized(double t0, double dt, double rps,
 
     // Hot loop iterates only the classes that actually have cores
     // (commonly one), in class order so first-wins ties match the
-    // reference scan.
+    // seed's scan.
     ClassCal *active[3];
     int n_active = 0;
     for (ClassCal &c : cals_) {
@@ -503,7 +449,7 @@ RequestQueueSim::runOptimized(double t0, double dt, double rps,
     // RunningStats carries: only count and mean are reported, and the
     // recurrence is RunningStats::add's mean update verbatim, so the
     // results are bit-identical. Folding the latency mean into the
-    // dispatch loop (the reference computes it after the fact over the
+    // dispatch loop (the seed computed it after the fact over the
     // same values in the same order) keeps the quantile phase free of
     // per-sample work.
     std::size_t n_started = 0;
@@ -525,7 +471,7 @@ RequestQueueSim::runOptimized(double t0, double dt, double rps,
     // refill, and after the loop the unconsumed draws of the final
     // chunk are rolled back by restoring the snapshot and replaying
     // exactly the consumed count. Timed-out requests consume no draw
-    // (matching the reference), they just drain the chunk slower. The
+    // (as in the seed), they just drain the chunk slower. The
     // first chunk is small because saturated intervals can break out
     // after a handful of requests.
     common::Rng chunkSnapshot = rng_;
@@ -559,13 +505,13 @@ RequestQueueSim::runOptimized(double t0, double dt, double rps,
             // because it is slow, and an earliest-free rule would
             // funnel requests onto it). Strict `<` in class order
             // dedicated -> shared-full -> fractional matches the
-            // reference path's first-wins linear scan.
+            // seed's first-wins linear scan.
             ClassCal *best = nullptr;
             double best_completion = 1e300;
             double start = 0.0;
             for (int c = 0; c < n_active; ++c) {
                 ClassCal &cal = *active[c];
-                // max(arrival, earliest free) — the reference's start
+                // max(arrival, earliest free) — the seed's start
                 // rule, as a conditional move.
                 const double f =
                     cal.minFree > arrival ? cal.minFree : arrival;
@@ -682,150 +628,12 @@ RequestQueueSim::runOptimized(double t0, double dt, double rps,
     return res;
 }
 
-const QueueIntervalResult &
-RequestQueueSim::runReference(double t0, double dt, double rps,
-                              const CoreAssignment &assignment,
-                              double inflation)
-{
-    QueueIntervalResult &res = result_;
-    resetResult(res);
-    const double t_end = t0 + dt;
-
-    generateArrivals(t0, dt, rps);
-    {
-        // The seed pushed every arrival through the backlog queue.
-        ScopedPhaseTimer timer(Phase::Arrivals);
-        for (double a : newArrivals_) {
-            if (pendingCount_ >= maxPending_) {
-                ++res.dropped;
-                continue;
-            }
-            pendingPushBack(a);
-        }
-    }
-
-    // Build the logical server set for this interval.
-    std::vector<LogicalCore> cores;
-    cores.reserve(assignment.totalCoreIds());
-    for (std::size_t i = 0; i < assignment.dedicatedCores.size(); ++i)
-        cores.push_back({t0, 1.0, 1.0});
-    const double shared_freq_gain = std::pow(
-        assignment.sharedFreqGhz / assignment.freqGhz,
-        profile_.freqExponent);
-    double usable = assignment.usableSharedCores();
-    while (usable >= 1.0) {
-        cores.push_back({t0, shared_freq_gain, 1.0});
-        usable -= 1.0;
-    }
-    if (usable > 0.05)
-        cores.push_back({t0, shared_freq_gain * usable, usable});
-    if (cores.empty()) {
-        res.queuedAtEnd = pendingCount_;
-        res.p99Ms = pendingCount_ == 0
-            ? 0.0
-            : (t_end - pendingFront()) * 1000.0;
-        res.meanMs = res.p99Ms;
-        return res;
-    }
-
-    const double freq_scale = std::pow(refFreqGhz_ / assignment.freqGhz,
-                                       profile_.freqExponent);
-    const double mean_service_s =
-        profile_.baseServiceTimeMs * 1e-3 * freq_scale * inflation /
-        rateScale_;
-
-    stats::RunningStats service_times;
-    res.latenciesMs.reserve(pendingCount_);
-
-    // FCFS dispatch: linear scan over every logical core per request.
-    const double timeout_s = profile_.timeoutMs * 1e-3;
-    while (pendingCount_ > 0) {
-        const double arrival = pendingFront();
-        auto it = cores.begin();
-        double best_completion = 1e300;
-        for (auto c = cores.begin(); c != cores.end(); ++c) {
-            const double s = std::max(arrival, c->freeAt);
-            const double completion = s + mean_service_s / c->speed;
-            if (completion < best_completion) {
-                best_completion = completion;
-                it = c;
-            }
-        }
-        const double start = std::max(arrival, it->freeAt);
-        if (start >= t_end)
-            break;
-        pendingPopFront();
-
-        if (timeout_s > 0.0 && start - arrival > timeout_s) {
-            ++res.dropped;
-            res.latenciesMs.push_back(profile_.timeoutMs);
-            continue;
-        }
-
-        const double raw =
-            rng_.lognormalMean(mean_service_s, profile_.serviceTimeCv);
-        const double on_core = raw / it->speed;
-        const double completion = start + on_core;
-        it->freeAt = completion;
-
-        const double latency_ms = (completion - arrival) * 1000.0;
-        res.latenciesMs.push_back(latency_ms);
-        res.busyCoreSeconds += on_core * it->occupancy;
-        service_times.add(raw);
-    }
-
-    res.completed = service_times.count();
-    res.queuedAtEnd = pendingCount_;
-    res.meanServiceTimeMs = service_times.mean() * 1000.0;
-
-    // Measured QoS: p99 over the trailing window, concatenate-then-sort.
-    recentLatencies_.push_back(res.latenciesMs);
-    while (recentLatencies_.size() > qosWindow_)
-        recentLatencies_.pop_front();
-    std::vector<double> window;
-    for (const auto &v : recentLatencies_)
-        window.insert(window.end(), v.begin(), v.end());
-
-    if (!res.latenciesMs.empty())
-        res.p99InstantMs = percentileSortRef(res.latenciesMs, 99.0);
-
-    if (!window.empty()) {
-        res.p99Ms = percentileSortRef(std::move(window), 99.0);
-        stats::RunningStats lat;
-        for (double l : res.latenciesMs)
-            lat.add(l);
-        res.meanMs = res.latenciesMs.empty() ? res.p99Ms : lat.mean();
-    } else if (pendingCount_ > 0) {
-        res.p99Ms = (t_end - pendingFront()) * 1000.0;
-        res.meanMs = res.p99Ms;
-    }
-    if (pendingCount_ > 0) {
-        const double oldest_ms = (t_end - pendingFront()) * 1000.0;
-        res.p99Ms = std::max(res.p99Ms, oldest_ms);
-        res.p99InstantMs = std::max(res.p99InstantMs, oldest_ms);
-    }
-    if (res.latenciesMs.empty() && pendingCount_ == 0)
-        res.p99InstantMs = res.p99Ms;
-    return res;
-}
-
-void
-RequestQueueSim::setReferencePath(bool on)
-{
-    if (on == referencePath_)
-        return;
-    referencePath_ = on;
-    window_.clear();
-    recentLatencies_.clear();
-}
-
 void
 RequestQueueSim::reset()
 {
     pendingHead_ = 0;
     pendingCount_ = 0;
     window_.clear();
-    recentLatencies_.clear();
 }
 
 } // namespace twig::sim

@@ -14,26 +14,23 @@
  * Time-shared cores (resource arbitration, paper §IV) are modelled as
  * cores running at 1/shareCount speed.
  *
- * Two interchangeable hot paths produce bit-identical results:
+ * The hot path is allocation-free in steady state and dispatches from
+ * a calendar of core free-times: cores are grouped into at most three
+ * equal-speed classes, each class buckets its cores' free-times by
+ * value into fixed-width time slots (indexed lookup + intra-bucket
+ * scan, SIMD where a bucket degenerates), so the earliest-free core is
+ * always in the first occupied bucket and consuming it is O(bucket
+ * occupancy) instead of a heap sift or a linear scan over every core.
+ * Service times are drawn in speculative chunks (one batched sampling
+ * pass per ~64 requests, unconsumed draws rolled back exactly), new
+ * arrivals are dispatched straight from the sorted arrival array
+ * instead of round-tripping through the backlog ring, and the QoS
+ * window is an incrementally maintained stats::WindowedQuantile.
  *
- *  - The *optimized* path (default) is allocation-free in steady state
- *    and dispatches from a calendar of core free-times: cores are
- *    grouped into at most three equal-speed classes, each class
- *    buckets its cores' free-times by value into fixed-width time
- *    slots (indexed lookup + intra-bucket scan, SIMD where a bucket
- *    degenerates), so the earliest-free core is always in the first
- *    occupied bucket and consuming it is O(bucket occupancy) instead
- *    of a heap sift or a linear scan over every core. Service times
- *    are drawn in speculative chunks (one batched sampling pass per
- *    ~64 requests, unconsumed draws rolled back exactly), new arrivals
- *    are dispatched straight from the sorted arrival array instead of
- *    round-tripping through the backlog ring, and the QoS window is an
- *    incrementally maintained stats::WindowedQuantile.
- *
- *  - The *reference* path (setReferencePath(true)) keeps the original
- *    concatenate-then-sort window and linear-scan dispatch. It exists
- *    so tests and benchmarks can prove the equivalence and measure the
- *    speedup; both paths consume the RNG stream in the same order.
+ * Results are bit-identical to the seed's algorithm (concatenate-then-
+ * sort window, linear-scan dispatch), which the tests keep as
+ * oracle::ReferenceQueueSim (tests/oracle/): both consume the RNG
+ * stream in the same order.
  */
 
 #ifndef TWIG_SIM_QUEUE_SIM_HH
@@ -42,7 +39,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/rng.hh"
@@ -116,14 +112,6 @@ class RequestQueueSim
 
     /** Clear the backlog (used when a service is swapped out). */
     void reset();
-
-    /**
-     * Select the original (pre-optimization) algorithm. Both paths are
-     * bit-identical; switch before the first run() — switching clears
-     * the QoS window but keeps the backlog.
-     */
-    void setReferencePath(bool on);
-    bool referencePath() const { return referencePath_; }
 
     std::size_t backlog() const { return pendingCount_; }
     const ServiceProfile &profile() const { return profile_; }
@@ -218,18 +206,9 @@ class RequestQueueSim
     /** Draw a Poisson count (normal approximation above lambda = 64). */
     std::size_t poisson(double lambda);
 
-    const QueueIntervalResult &runOptimized(double t0, double dt, double rps,
-                                            const CoreAssignment &assignment,
-                                            double inflation);
-    const QueueIntervalResult &runReference(double t0, double dt, double rps,
-                                            const CoreAssignment &assignment,
-                                            double inflation);
-
     /** Generate this interval's arrivals, sorted ascending into
-     * newArrivals_ (shared by both paths; one RNG draw order). The
-     * reference path then pushes them through the backlog ring; the
-     * optimized path dispatches straight from the array and only
-     * spills the unstarted remainder. */
+     * newArrivals_. run() dispatches straight from the array and only
+     * spills the unstarted remainder into the backlog ring. */
     void generateArrivals(double t0, double dt, double rps);
 
     /** Sort newArrivals_ ascending: bucket scatter + one insertion-sort
@@ -248,15 +227,13 @@ class RequestQueueSim
     double refFreqGhz_;
     double rateScale_;
     std::size_t maxPending_;
-    std::size_t qosWindow_;
-    bool referencePath_ = false;
 
     /** Power-of-two ring buffer; head/count indexing, amortized growth. */
     std::vector<double> pendingBuf_;
     std::size_t pendingHead_ = 0;
     std::size_t pendingCount_ = 0;
 
-    // --- optimized-path scratch (warm after the first few intervals) ---
+    // --- scratch (warm after the first few intervals) ---
     QueueIntervalResult result_;
     std::vector<double> newArrivals_;
     /** Bucket-sort scratch: per-bucket offsets and scatter target. */
@@ -264,13 +241,9 @@ class RequestQueueSim
     std::vector<double> sortScratch_;
     /** Dedicated / shared-full / shared-fractional speed classes. */
     std::array<ClassCal, 3> cals_;
-    /** Speculatively pre-drawn service times (see runOptimized). */
+    /** Speculatively pre-drawn service times (see run). */
     std::vector<double> drawBuf_;
     stats::WindowedQuantile window_;
-
-    // --- reference-path window (original representation) ---
-    /** Latency samples of the most recent intervals (QoS window). */
-    std::deque<std::vector<double>> recentLatencies_;
 };
 
 } // namespace twig::sim

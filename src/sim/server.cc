@@ -26,7 +26,6 @@ Server::addService(const ServiceProfile &profile,
     h.queue = std::make_unique<RequestQueueSim>(
         profile, rng_.fork(), machine_.dvfs.maxGhz, 200000,
         machine_.qosWindowIntervals, machine_.serviceRateScale);
-    h.queue->setReferencePath(referenceSimPath_);
     services_.push_back(std::move(h));
     prevBusy_.push_back(0.0);
     return services_.size() - 1;
@@ -44,16 +43,7 @@ Server::replaceService(std::size_t idx, const ServiceProfile &profile,
     h.queue = std::make_unique<RequestQueueSim>(
         profile, rng_.fork(), machine_.dvfs.maxGhz, 200000,
         machine_.qosWindowIntervals, machine_.serviceRateScale);
-    h.queue->setReferencePath(referenceSimPath_);
     prevBusy_[idx] = 0.0;
-}
-
-void
-Server::setReferenceSimPath(bool on)
-{
-    referenceSimPath_ = on;
-    for (Hosted &svc : services_)
-        svc.queue->setReferencePath(on);
 }
 
 const ServiceProfile &

@@ -100,12 +100,6 @@ class Server
      * returns). */
     const ServerIntervalStats &lastStats() const { return stats_; }
 
-    /** Run every hosted queue simulator on its original
-     * (pre-optimization) algorithm; applies to services added later
-     * too. Bit-identical results — used by equivalence tests and the
-     * throughput benchmark. */
-    void setReferenceSimPath(bool on);
-
     std::size_t step() const { return step_; }
     const Rapl &rapl() const { return rapl_; }
     const PowerModel &powerModel() const { return rapl_.model(); }
@@ -143,7 +137,6 @@ class Server
     std::vector<double> prevBusy_;
     std::size_t step_ = 0;
     LatencySink latencySink_;
-    bool referenceSimPath_ = false;
 
     // Interval scratch, reused so steady-state intervals do not
     // allocate (see tests/test_alloc.cc).

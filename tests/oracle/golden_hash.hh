@@ -1,0 +1,103 @@
+/**
+ * @file
+ * FNV-1a fingerprints of simulator telemetry, for golden runs.
+ *
+ * A fixed-seed run on a fixed schedule folds every interval into one
+ * 64-bit hash, which a test compares against a recorded constant.
+ * hashServerStats covers every field the per-interval A/B checks
+ * compared with exact equality (socket power and energy; per service
+ * the name, offered load, both p99s, mean latency, request counts,
+ * busy core-seconds, effective cores, frequency, attributed power and
+ * every PMC), so a changed constant means some reported bit changed.
+ * Doubles are hashed by their bytes: -0.0 and 0.0 differ, NaN is
+ * stable.
+ */
+
+#ifndef TWIG_ORACLE_GOLDEN_HASH_HH
+#define TWIG_ORACLE_GOLDEN_HASH_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "cluster/cluster_manager.hh"
+#include "common/hash.hh"
+#include "sim/server.hh"
+
+namespace twig::oracle {
+
+inline std::uint64_t
+hashDouble(double v, std::uint64_t h)
+{
+    return common::fnv1a(&v, sizeof(v), h);
+}
+
+inline std::uint64_t
+hashDoubles(const std::vector<double> &v, std::uint64_t h)
+{
+    for (double x : v)
+        h = hashDouble(x, h);
+    return h;
+}
+
+/** One server interval: every field of ServerIntervalStats. */
+inline std::uint64_t
+hashServerStats(const sim::ServerIntervalStats &s,
+                std::uint64_t h = common::kFnvOffsetBasis)
+{
+    h = common::fnv1aValue(s.step, h);
+    h = hashDouble(s.socketPowerW, h);
+    h = hashDouble(s.energyJoules, h);
+    for (const auto &svc : s.services) {
+        h = common::fnv1a(svc.name.data(), svc.name.size(), h);
+        h = hashDouble(svc.offeredRps, h);
+        h = hashDouble(svc.p99Ms, h);
+        h = hashDouble(svc.p99InstantMs, h);
+        h = hashDouble(svc.meanLatencyMs, h);
+        h = common::fnv1aValue(svc.completed, h);
+        h = common::fnv1aValue(svc.arrivals, h);
+        h = common::fnv1aValue(svc.dropped, h);
+        h = common::fnv1aValue(svc.queuedAtEnd, h);
+        h = hashDouble(svc.busyCoreSeconds, h);
+        h = hashDouble(svc.effectiveCores, h);
+        h = hashDouble(svc.freqGhz, h);
+        h = hashDouble(svc.attributedPowerW, h);
+        for (double pmc : svc.pmcs)
+            h = hashDouble(pmc, h);
+    }
+    return h;
+}
+
+/** One fleet interval: the fleet-level outcome plus every node's
+ * ServerIntervalStats. */
+inline std::uint64_t
+hashFleetStats(const cluster::FleetIntervalStats &f,
+               std::uint64_t h = common::kFnvOffsetBasis)
+{
+    h = common::fnv1aValue(f.step, h);
+    h = hashDoubles(f.offeredRps, h);
+    h = hashDoubles(f.fleetP99Ms, h);
+    h = hashDouble(f.totalPowerW, h);
+    h = hashDouble(f.shedRps, h);
+    for (const auto &node : f.nodes)
+        h = hashServerStats(node, h);
+    return h;
+}
+
+/** A whole fleet run: every interval of the trace, then the summary
+ * metrics. */
+inline std::uint64_t
+hashFleetRun(const cluster::FleetRunResult &r)
+{
+    std::uint64_t h = common::kFnvOffsetBasis;
+    for (const auto &f : r.trace)
+        h = hashFleetStats(f, h);
+    h = hashDoubles(r.metrics.windowP99Ms, h);
+    h = hashDoubles(r.metrics.qosGuaranteePct, h);
+    h = hashDouble(r.metrics.meanPowerW, h);
+    h = hashDouble(r.metrics.energyJoules, h);
+    return h;
+}
+
+} // namespace twig::oracle
+
+#endif // TWIG_ORACLE_GOLDEN_HASH_HH

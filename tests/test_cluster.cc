@@ -13,6 +13,7 @@
 #include "common/error.hh"
 #include "core/twig_manager.hh"
 #include "faults/fault_spec.hh"
+#include "oracle/golden_hash.hh"
 #include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
@@ -505,23 +506,28 @@ TEST(ClusterManager, ParallelSteppingBitIdenticalWithDomainsAndBatching)
 
 TEST(ClusterManager, OneDomainShardedMatchesFlatReferenceControl)
 {
-    // The refactored control plane at domains == 1 vs the pre-sharding
-    // flat path (flat router, in-node decides, flat merge): byte for
-    // byte the same fleet history.
-    auto sharded = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 3,
-                             twigNodes(25), 25);
-    auto flat = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 3,
+    // One-domain fleets on the sharded control plane, pinned to golden
+    // hashes of their whole history (oracle/golden_hash.hh). The
+    // constants were recorded when each run was still compared live,
+    // byte for byte, against the pre-sharding flat path (one flat
+    // router, in-node decides, flat node merge) and matched it. Two
+    // inputs: a cold, learning, mixed-shape fleet, and a warm
+    // exploit-only fleet whose replicas decide through one batched
+    // cohort.
+    auto cold = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 3,
                           twigNodes(25), 25);
-    flat.setFlatReferenceControl(true);
-    expectIdenticalTraces(sharded.run(25, 8), flat.run(25, 8));
-}
+    EXPECT_EQ(oracle::hashFleetRun(cold.run(25, 8)),
+              0x3b52e352427d72f2ULL)
+        << "cold learning fleet";
 
-TEST(ClusterManager, FlatReferenceControlRequiresOneDomain)
-{
-    auto fleet = makeFleet(RoutingPolicy::Static, 1, 4, staticNodes(),
-                           10, /*domains=*/2);
-    EXPECT_THROW(fleet.setFlatReferenceControl(true), FatalError);
-    fleet.setFlatReferenceControl(false); // turning it off is fine
+    const std::string path = trainDonorCheckpoint("flat_donor.ckpt");
+    auto warm = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 4,
+                          exploitTwigNodes(100), 100, /*domains=*/1, path,
+                          /*hetero=*/false);
+    const auto warm_result = warm.run(100, 25);
+    EXPECT_EQ(warm.batchedNodeCount(), 4u);
+    EXPECT_EQ(oracle::hashFleetRun(warm_result), 0x7ce56b546ff94072ULL)
+        << "warm exploit-only fleet";
 }
 
 TEST(ClusterManager, DomainCountMustNotExceedNodes)

@@ -1,17 +1,19 @@
 /**
  * @file
  * Randomized differential test of the calendar-queue dispatch against
- * the reference path, at the RequestQueueSim level.
+ * the seed's algorithm (oracle::ReferenceQueueSim, tests/oracle/), at
+ * the RequestQueueSim level.
  *
- * tests/test_sim_ab.cc proves whole-server bit-identity on realistic
- * colocation runs; this file attacks the dispatch core directly with
- * adversarial arrival patterns — bursts into empty queues, strings of
- * empty intervals, single-core classes, zero-core intervals,
- * sustained saturation, tiny backlog caps — plus fuzzed random
- * schedules. Every interval's result is compared with exact equality
- * (operator== on doubles, no tolerance), including the per-request
- * latenciesMs vector element by element: the optimized path must
- * produce the same requests, in the same order, with the same bits.
+ * tests/test_sim_ab.cc pins whole-server runs to golden hashes; this
+ * file compares live against the oracle, attacking the dispatch core
+ * with adversarial arrival patterns — bursts into empty queues,
+ * strings of empty intervals, single-core classes, zero-core
+ * intervals, sustained saturation, tiny backlog caps, node-class rate
+ * scales — plus fuzzed random schedules. Every interval's result is
+ * compared with exact equality (operator== on doubles, no tolerance),
+ * including the per-request latenciesMs vector element by element: the
+ * optimized simulator must produce the same requests, in the same
+ * order, with the same bits.
  */
 
 #include <gtest/gtest.h>
@@ -19,13 +21,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "autoscale/node_class.hh"
 #include "common/rng.hh"
+#include "oracle/reference_queue_sim.hh"
 #include "services/tailbench.hh"
 #include "sim/machine.hh"
 #include "sim/queue_sim.hh"
 
 using namespace twig::sim;
 using twig::common::Rng;
+using twig::oracle::ReferenceQueueSim;
 
 namespace {
 
@@ -78,16 +83,18 @@ struct Interval
     double inflation = 1.0;
 };
 
-/** Step both paths through @p schedule and require exact equality of
- * every result field, latencies element-wise included. */
+/** Step the simulator and the oracle through @p schedule and require
+ * exact equality of every result field, latencies element-wise
+ * included. */
 void
 runDiff(const ServiceProfile &profile,
         const std::vector<Interval> &schedule, std::uint64_t seed,
-        std::size_t max_pending = 200000)
+        std::size_t max_pending = 200000, double rate_scale = 1.0)
 {
-    RequestQueueSim optimized(profile, Rng(seed), 2.0, max_pending);
-    RequestQueueSim reference(profile, Rng(seed), 2.0, max_pending);
-    reference.setReferencePath(true);
+    RequestQueueSim optimized(profile, Rng(seed), 2.0, max_pending, 3,
+                              rate_scale);
+    ReferenceQueueSim reference(profile, Rng(seed), 2.0, max_pending, 3,
+                                rate_scale);
 
     double t0 = 0.0;
     for (std::size_t i = 0; i < schedule.size(); ++i, t0 += 1.0) {
@@ -162,7 +169,7 @@ TEST(DispatchDiff, AllCoresBusySaturation)
 TEST(DispatchDiff, ZeroCoreIntervalsSpillEverything)
 {
     // Intervals granting no cores at all (service swapped out):
-    // arrivals must spill to the backlog untouched on both paths,
+    // arrivals must spill to the backlog untouched on both sides,
     // then get serviced when cores return.
     std::vector<Interval> schedule;
     for (int cycle = 0; cycle < 10; ++cycle) {
@@ -194,6 +201,33 @@ TEST(DispatchDiff, SharedAndFractionalClasses)
             {0.4 * 6 * 200.0, mixed(2, 6, 3, 4.0, 1.8, 1.8)});
     }
     runDiff(testProfile(6.75, 0.7), schedule, 23);
+}
+
+TEST(DispatchDiff, NodeClassRateScales)
+{
+    // The gen1 and gen2 node classes scale every core's service rate
+    // (MachineConfig::serviceRateScale), which divides each request's
+    // mean on-core time. Mixed dedicated / shared / fractional classes
+    // under interference inflation, offered load scaled with capacity
+    // so both a light and an overloaded stretch occur at each scale.
+    for (const char *id : {"gen1", "gen2"}) {
+        const double scale =
+            twig::autoscale::findNodeClass({}, id)->serviceRateScale;
+        ASSERT_NE(scale, 1.0) << id;
+        std::vector<Interval> schedule;
+        for (int i = 0; i < 20; ++i) {
+            schedule.push_back({0.8 * 6 * 200.0 * scale,
+                                mixed(3, 4, 2, 2.5, 2.0, 1.4), 1.3});
+            schedule.push_back({1.3 * 6 * 200.0 * scale,
+                                mixed(2, 6, 3, 3.5, 1.8, 1.8), 1.7});
+            schedule.push_back(
+                {0.5 * 8 * 200.0 * scale, dedicated(8, 1.6), 1.1});
+        }
+        runDiff(testProfile(6.75, 0.7), schedule, 29,
+                /*max_pending=*/200000, scale);
+        if (::testing::Test::HasFailure())
+            FAIL() << id << " (rate scale " << scale << ") diverged";
+    }
 }
 
 TEST(DispatchDiff, FuzzedSchedules)
