@@ -126,6 +126,7 @@ main(int argc, char **argv)
     double served_client_rps = 0.0;
     double served_accepted_rps = 0.0;
     std::size_t served_intervals = 0;
+    std::size_t served_overruns = 0;
     {
         serve::Daemon daemon(spec, dopt);
         daemon.start();
@@ -151,6 +152,7 @@ main(int argc, char **argv)
         served_client_rps = report.offeredRps;
         served_accepted_rps = summary.acceptedRps;
         served_intervals = summary.intervals;
+        served_overruns = summary.overruns;
         for (const auto &svc : summary.metrics.services)
             served.services.push_back(
                 {svc.name, svc.meanP99Ms, svc.qosGuaranteePct});
@@ -162,8 +164,9 @@ main(int argc, char **argv)
         for (const auto &row : served.services)
             std::printf("  %-11s p99 %7.2f ms  QoS %5.1f%%\n",
                         row.name.c_str(), row.p99Ms, row.qosPct);
-        std::printf("  mean power %.1f W over %zu live intervals\n",
-                    served.meanPowerW, served_intervals);
+        std::printf("  mean power %.1f W over %zu live intervals "
+                    "(%zu overran their pacing)\n",
+                    served.meanPowerW, served_intervals, served_overruns);
     }
 
     // --- wire throughput ---------------------------------------------
@@ -225,13 +228,14 @@ main(int argc, char **argv)
                      arm.meanPowerW, tail);
     };
     write_arm("simulated", simulated, "");
-    char served_tail[160];
+    char served_tail[192];
     std::snprintf(served_tail, sizeof(served_tail),
                   ",\n    \"client_offered_rps\": %.0f,\n"
                   "    \"accepted_rps\": %.0f,\n"
-                  "    \"intervals\": %zu",
+                  "    \"intervals\": %zu,\n"
+                  "    \"overruns\": %zu",
                   served_client_rps, served_accepted_rps,
-                  served_intervals);
+                  served_intervals, served_overruns);
     write_arm("served", served, served_tail);
     std::fprintf(f,
                  "  \"wire\": {\"offered_rps\": %.0f, "

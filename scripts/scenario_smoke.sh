@@ -12,10 +12,15 @@
 # actually fired within the reduced step budget. A deployed fleet is
 # smoked at scale too: a one-node donor is trained and checkpointed,
 # then 512 exploit-only replicas warm-start from it (no per-node power
-# profiling, so setup takes seconds) and must print metrics. Finally,
-# invalid input (unknown service, missing file, non-finite load, a
-# fleet flag on a single-node run, an unreadable checkpoint) must exit
-# 2 with a message: never a crash, never a silently ignored flag.
+# profiling, so setup takes seconds) and must print metrics. A
+# 500-step Twig-S run's --sim-profile table must carry an
+# `unattributed` row (wall time outside every simulator and agent
+# phase) below 5 %, so the profile keeps accounting for the agent's
+# own work; only a failure prints the table, whose cycle counts vary
+# from run to run. Finally, invalid input (unknown service, missing
+# file, non-finite load, a fleet flag on a single-node run, an
+# unreadable checkpoint) must exit 2 with a message: never a crash,
+# never a silently ignored flag.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -83,6 +88,29 @@ else
     if ! grep -q "QoS" <<<"$out"; then
         echo "scenario_smoke: FAIL warm 512-node fleet (no metrics in output)" >&2
         failures=$((failures + 1))
+    fi
+fi
+
+printf '== Twig-S control-interval profile (500 steps)\n'
+if ! out=$("$sim" --service masstree --manager twig --steps 500 \
+    --sim-profile 2>&1); then
+    printf '%s\n' "$out"
+    echo "scenario_smoke: FAIL Twig-S --sim-profile (non-zero exit)" >&2
+    failures=$((failures + 1))
+else
+    unattributed=$(awk '$1 == "unattributed" { sub(/%$/, "", $NF); print $NF }' \
+        <<<"$out")
+    if [[ -z "$unattributed" ]]; then
+        printf '%s\n' "$out"
+        echo "scenario_smoke: FAIL Twig-S --sim-profile (no unattributed row)" >&2
+        failures=$((failures + 1))
+    elif ! awk -v u="$unattributed" 'BEGIN { exit !(u < 5) }'; then
+        printf '%s\n' "$out"
+        echo "scenario_smoke: FAIL Twig-S --sim-profile (unattributed" \
+            "${unattributed}% of wall time, want < 5%)" >&2
+        failures=$((failures + 1))
+    else
+        echo "unattributed below 5% of wall time"
     fi
 fi
 

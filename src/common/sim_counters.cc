@@ -27,6 +27,22 @@ phaseName(Phase phase)
         return "interference";
     case Phase::Power:
         return "power";
+    case Phase::Monitor:
+        return "monitor";
+    case Phase::Decide:
+        return "decide";
+    case Phase::Replay:
+        return "replay";
+    case Phase::TrainForward:
+        return "train_forward";
+    case Phase::Backward:
+        return "backward";
+    case Phase::Adam:
+        return "adam";
+    case Phase::TargetSync:
+        return "target_sync";
+    case Phase::Map:
+        return "map";
     case Phase::NumPhases:
         break;
     }

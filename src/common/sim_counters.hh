@@ -1,16 +1,21 @@
 /**
  * @file
- * Per-phase cycle counters for the simulation hot path.
+ * Per-phase cycle counters for one control interval.
  *
  * The simulator's per-interval work splits into six phases — arrival
  * generation, FCFS dispatch, service-time sampling, windowed-quantile
- * maintenance, interference evaluation, and power accounting. Each phase brackets
- * itself with a ScopedPhaseTimer; the accumulated cycles and call
- * counts are read out and reported by harness::SimProfile
- * (src/harness/sim_profile.hh), which is the user-facing facade.
+ * maintenance, interference evaluation, and power accounting. The
+ * agent's splits into eight: PMC smoothing and state building,
+ * decision, replay, train forward, backward, Adam, target sync, and
+ * core mapping. Each phase brackets itself with a ScopedPhaseTimer;
+ * every phase is a leaf (no timed phase runs inside another), so the
+ * phases of one interval add up without double counting. The
+ * accumulated cycles and call counts are read out and reported by
+ * harness::SimProfile (src/harness/sim_profile.hh), which is the
+ * user-facing facade.
  *
- * This low-level half lives in common so src/sim can depend on it
- * without a sim -> harness dependency cycle.
+ * This low-level half lives in common so src/sim, src/nn, src/rl and
+ * src/core can depend on it without a dependency on harness.
  *
  * Counting is off by default. When disabled, a timer costs one relaxed
  * atomic load and a branch; when enabled, two timestamp reads and two
@@ -28,7 +33,8 @@
 
 namespace twig::common::simprof {
 
-/** The instrumented phases of one simulated control interval. */
+/** The instrumented phases of one control interval: the simulator's
+ * six, then the agent's. */
 enum class Phase : std::size_t
 {
     Arrivals = 0,   ///< Poisson draw + arrival times + backlog append
@@ -37,11 +43,24 @@ enum class Phase : std::size_t
     Quantile,       ///< QoS window maintenance + p99 selection
     Interference,   ///< shared-resource contention evaluation
     Power,          ///< per-core bookkeeping + attribution + RAPL
+    Monitor,        ///< PMC smoothing, joint state, reward, transition
+    Decide,         ///< BDQ action selection for the next interval
+    Replay,         ///< replay insert, minibatch sample, priorities
+    TrainForward,   ///< online + target forward, TD targets, loss grad
+    Backward,       ///< backprop through the online network
+    Adam,           ///< Adam update of every layer
+    TargetSync,     ///< target-network parameter copy
+    Map,            ///< core IDs + DVFS from the resource requests
     NumPhases
 };
 
 inline constexpr std::size_t kNumPhases =
     static_cast<std::size_t>(Phase::NumPhases);
+
+/** Phases [0, kNumSimPhases) are the simulator's; the rest the
+ * agent's. */
+inline constexpr std::size_t kNumSimPhases =
+    static_cast<std::size_t>(Phase::Monitor);
 
 /** Short lowercase name of @p phase (JSON keys, table rows). */
 const char *phaseName(Phase phase);
@@ -85,10 +104,16 @@ class ScopedPhaseTimer
     {
     }
 
-    ~ScopedPhaseTimer()
+    ~ScopedPhaseTimer() { stop(); }
+
+    /** Close the bracket before the scope ends; later calls and the
+     * destructor then record nothing. */
+    void
+    stop()
     {
         if (!active_)
             return;
+        active_ = false;
         PhaseCounter &c = counter(phase_);
         c.cycles.fetch_add(now() - start_, std::memory_order_relaxed);
         c.calls.fetch_add(1, std::memory_order_relaxed);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hh"
+#include "common/sim_counters.hh"
 
 namespace twig::core {
 
@@ -50,6 +51,7 @@ void
 Mapper::mapInto(const std::vector<ResourceRequest> &requests,
                 std::vector<sim::CoreAssignment> &out)
 {
+    common::simprof::ScopedPhaseTimer timer(common::simprof::Phase::Map);
     const std::size_t n = machine_.numCores;
     const std::size_t k = requests.size();
     common::fatalIf(k == 0, "mapper: no requests");

@@ -5,6 +5,7 @@
 
 #include "common/error.hh"
 #include "common/hash.hh"
+#include "common/sim_counters.hh"
 #include "rl/checkpoint.hh"
 #include "sim/power.hh"
 
@@ -172,15 +173,20 @@ TwigManager::observeState(const sim::ServerIntervalStats &stats)
                     "TwigManager: telemetry for ", stats.services.size(),
                     " services, managing ", specs_.size());
 
-    // 1. Observe the new state from the PMC stream.
-    for (std::size_t k = 0; k < specs_.size(); ++k)
-        monitor_.update(k, stats.services[k].pmcs);
-    stateScratch_ = monitor_.jointState();
+    rl::Transition t;
+    {
+        common::simprof::ScopedPhaseTimer timer(
+            common::simprof::Phase::Monitor);
 
-    // 2. Close the previous transition: compute each agent's reward for
-    //    the interval that just finished and learn from it.
-    if (prevState_ && !exploitOnly_) {
-        rl::Transition t;
+        // 1. Observe the new state from the PMC stream.
+        for (std::size_t k = 0; k < specs_.size(); ++k)
+            monitor_.update(k, stats.services[k].pmcs);
+        stateScratch_ = monitor_.jointState();
+
+        // 2. Close the previous transition: compute each agent's
+        //    reward for the interval that just finished.
+        if (!prevState_ || exploitOnly_)
+            return stateScratch_;
         t.state = *prevState_;
         t.actions = prevActions_;
         t.nextState = stateScratch_;
@@ -204,8 +210,9 @@ TwigManager::observeState(const sim::ServerIntervalStats &stats)
                                    est_power, maxPowerW_);
             lastRewards_[k] = t.rewards[k];
         }
-        learner_.observe(std::move(t));
     }
+    // ... and learn from it.
+    learner_.observe(std::move(t));
     return stateScratch_;
 }
 

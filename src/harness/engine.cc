@@ -178,15 +178,19 @@ SimProfileSink::begin(const ScenarioSpec &spec,
     steps_ = spec.steps;
     SimProfile::reset();
     SimProfile::enable();
+    startCycles_ = common::simprof::now();
 }
 
 void
 SimProfileSink::end()
 {
-    std::printf("simulator phase breakdown (%zu steps):\n", steps_);
-    const SimProfile prof = SimProfile::snapshot();
-    prof.print(stdout);
+    const std::uint64_t wall = common::simprof::now() - startCycles_;
     SimProfile::disable();
+    std::printf("control-interval phase breakdown (%zu steps, share of "
+                "wall time):\n",
+                steps_);
+    const SimProfile prof = SimProfile::snapshot();
+    prof.printInterval(stdout, wall);
     const auto over = prof.phasesAbove(maxSharePct_);
     exceeded_ = !over.empty();
     for (const auto p : over) {

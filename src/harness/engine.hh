@@ -114,16 +114,18 @@ class FaultCsvSink : public RecordSink
     std::size_t events_ = 0;
 };
 
-/** Wraps the run in the per-phase simulator cycle counters and prints
- * the breakdown — cycles, calls and percentage share per phase — at
- * end() (tools' --sim-profile). A share budget (--profile-max-share)
- * additionally flags every phase whose share exceeds it, so a CI run
+/** Wraps the run in the per-phase cycle counters and prints one
+ * control-interval table at end() (tools' --sim-profile): cycles,
+ * calls and share of the wall time from begin() to end() for every
+ * simulator and agent phase, then the unattributed rest. A share
+ * budget (--profile-max-share) additionally flags every simulator
+ * phase whose share of the simulator's cycles exceeds it, so a CI run
  * can assert "no phase above N%" instead of eyeballing the table. */
 class SimProfileSink : public RecordSink
 {
   public:
-    /** @param max_share_pct  flag phases above this share of total
-     *  cycles; the default never flags. */
+    /** @param max_share_pct  flag simulator phases above this share
+     *  of the simulator's cycles; the default never flags. */
     explicit SimProfileSink(double max_share_pct = 100.0)
         : maxSharePct_(max_share_pct)
     {
@@ -141,6 +143,7 @@ class SimProfileSink : public RecordSink
     double maxSharePct_;
     bool exceeded_ = false;
     std::size_t steps_ = 0;
+    std::uint64_t startCycles_ = 0;
 };
 
 /** Engine execution options (runtime concerns that are not part of

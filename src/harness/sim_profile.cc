@@ -4,6 +4,35 @@ namespace twig::harness {
 
 namespace simprof = common::simprof;
 
+namespace {
+
+void
+printHeader(std::FILE *out)
+{
+    std::fprintf(out, "  %-14s %14s %10s %7s\n", "phase", "cycles", "calls",
+                 "share");
+}
+
+double
+pctOf(double part, std::uint64_t whole)
+{
+    return whole > 0 ? 100.0 * part / static_cast<double>(whole) : 0.0;
+}
+
+/** Row of phase @p i with its share of @p whole cycles. */
+void
+printRow(std::FILE *out, std::size_t i, const SimProfile::PhaseTotals &t,
+         std::uint64_t whole)
+{
+    std::fprintf(out, "  %-14s %14llu %10llu %6.2f%%\n",
+                 simprof::phaseName(static_cast<simprof::Phase>(i)),
+                 static_cast<unsigned long long>(t.cycles),
+                 static_cast<unsigned long long>(t.calls),
+                 pctOf(static_cast<double>(t.cycles), whole));
+}
+
+} // namespace
+
 SimProfile
 SimProfile::snapshot()
 {
@@ -33,26 +62,22 @@ std::uint64_t
 SimProfile::totalCycles() const
 {
     std::uint64_t total = 0;
-    for (const PhaseTotals &t : totals_)
-        total += t.cycles;
+    for (std::size_t i = 0; i < simprof::kNumSimPhases; ++i)
+        total += totals_[i].cycles;
     return total;
 }
 
 double
 SimProfile::sharePct(common::simprof::Phase p) const
 {
-    const std::uint64_t total = totalCycles();
-    if (total == 0)
-        return 0.0;
-    return 100.0 * static_cast<double>(phase(p).cycles) /
-        static_cast<double>(total);
+    return pctOf(static_cast<double>(phase(p).cycles), totalCycles());
 }
 
 std::vector<common::simprof::Phase>
 SimProfile::phasesAbove(double share_pct) const
 {
     std::vector<simprof::Phase> out;
-    for (std::size_t i = 0; i < simprof::kNumPhases; ++i) {
+    for (std::size_t i = 0; i < simprof::kNumSimPhases; ++i) {
         const auto p = static_cast<simprof::Phase>(i);
         if (sharePct(p) > share_pct)
             out.push_back(p);
@@ -64,33 +89,41 @@ void
 SimProfile::print(std::FILE *out) const
 {
     const std::uint64_t total = totalCycles();
-    std::fprintf(out, "  %-14s %14s %10s %7s\n", "phase", "cycles", "calls",
-                 "share");
+    printHeader(out);
+    for (std::size_t i = 0; i < simprof::kNumSimPhases; ++i)
+        printRow(out, i, totals_[i], total);
+}
+
+void
+SimProfile::printInterval(std::FILE *out, std::uint64_t wall_cycles) const
+{
+    printHeader(out);
+    std::uint64_t timed = 0;
     for (std::size_t i = 0; i < simprof::kNumPhases; ++i) {
-        const PhaseTotals &t = totals_[i];
-        const double share =
-            total > 0 ? 100.0 * static_cast<double>(t.cycles) /
-                            static_cast<double>(total)
-                      : 0.0;
-        std::fprintf(out, "  %-14s %14llu %10llu %6.2f%%\n",
-                     simprof::phaseName(static_cast<simprof::Phase>(i)),
-                     static_cast<unsigned long long>(t.cycles),
-                     static_cast<unsigned long long>(t.calls), share);
+        timed += totals_[i].cycles;
+        printRow(out, i, totals_[i], wall_cycles);
     }
+    const double rest =
+        static_cast<double>(wall_cycles) - static_cast<double>(timed);
+    std::fprintf(out, "  %-14s %14.0f %10s %6.2f%%\n", "unattributed",
+                 rest, "", pctOf(rest, wall_cycles));
+    std::fprintf(out, "  %-14s %14llu %10s %6.2f%%\n", "wall",
+                 static_cast<unsigned long long>(wall_cycles), "",
+                 wall_cycles > 0 ? 100.0 : 0.0);
 }
 
 void
 SimProfile::writeJson(std::FILE *out, const std::string &indent) const
 {
     std::fprintf(out, "%s{\n", indent.c_str());
-    for (std::size_t i = 0; i < simprof::kNumPhases; ++i) {
+    for (std::size_t i = 0; i < simprof::kNumSimPhases; ++i) {
         const PhaseTotals &t = totals_[i];
         std::fprintf(out, "%s  \"%s\": {\"cycles\": %llu, \"calls\": %llu}%s\n",
                      indent.c_str(),
                      simprof::phaseName(static_cast<simprof::Phase>(i)),
                      static_cast<unsigned long long>(t.cycles),
                      static_cast<unsigned long long>(t.calls),
-                     i + 1 < simprof::kNumPhases ? "," : "");
+                     i + 1 < simprof::kNumSimPhases ? "," : "");
     }
     std::fprintf(out, "%s}", indent.c_str());
 }

@@ -1,7 +1,8 @@
 /**
  * @file
- * harness::SimProfile — the user-facing view of the simulator's
- * per-phase cycle counters (common/sim_counters.hh).
+ * harness::SimProfile — the user-facing view of the per-phase cycle
+ * counters of a control interval (common/sim_counters.hh): the
+ * simulator's six phases and the agent's.
  *
  * Usage pattern (bench/fig_sim_throughput, tools/twig_sim
  * --sim-profile):
@@ -10,8 +11,13 @@
  *   const SimProfile before = SimProfile::snapshot();
  *   ... run intervals ...
  *   const SimProfile delta = SimProfile::snapshot().since(before);
- *   delta.print(stdout);          // aligned phase table
+ *   delta.print(stdout);          // simulator phase table
+ *   delta.printInterval(stdout, wall_cycles); // + agent, unattributed
  *   delta.writeJson(f, "    ");   // {"arrivals": {...}, ...}
+ *
+ * totalCycles(), sharePct(), phasesAbove(), print() and writeJson()
+ * cover the simulator phases only, so their shares read the same
+ * whether or not an agent ran alongside.
  */
 
 #ifndef TWIG_HARNESS_SIM_PROFILE_HH
@@ -57,24 +63,34 @@ class SimProfile
         return totals_[static_cast<std::size_t>(p)];
     }
 
-    /** Sum of all phase cycles. */
+    /** Sum of the simulator phases' cycles. */
     std::uint64_t totalCycles() const;
 
-    /** Share of total cycles spent in @p p, in percent (0 when no
-     * cycles were recorded at all). */
+    /** Share of totalCycles() spent in simulator phase @p p, in
+     * percent (0 when no cycles were recorded at all). */
     double sharePct(common::simprof::Phase p) const;
 
-    /** Phases whose share of total cycles strictly exceeds
+    /** Simulator phases whose share of totalCycles() strictly exceeds
      * @p share_pct (tools' --profile-max-share budget check). */
     std::vector<common::simprof::Phase>
     phasesAbove(double share_pct) const;
 
-    /** Aligned per-phase table (cycles, calls, share of total). */
+    /** Aligned simulator-phase table (cycles, calls, share of
+     * totalCycles()). */
     void print(std::FILE *out) const;
 
     /**
-     * JSON object mapping phase name to {"cycles": N, "calls": N};
-     * every line is prefixed with @p indent.
+     * Aligned control-interval table: every phase, simulator and
+     * agent, then an `unattributed` row (@p wall_cycles minus the sum
+     * of all phases), each with its share of @p wall_cycles. Phases
+     * recorded on several threads at once can sum past the wall
+     * time; unattributed is then negative.
+     */
+    void printInterval(std::FILE *out, std::uint64_t wall_cycles) const;
+
+    /**
+     * JSON object mapping simulator phase name to {"cycles": N,
+     * "calls": N}; every line is prefixed with @p indent.
      */
     void writeJson(std::FILE *out, const std::string &indent) const;
 

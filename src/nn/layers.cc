@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 namespace twig::nn {
@@ -21,6 +22,21 @@ readFloats(std::istream &is, float *data, std::size_t n)
     is.read(reinterpret_cast<char *>(data),
             static_cast<std::streamsize>(n * sizeof(float)));
     common::fatalIf(!is, "Linear::load: truncated stream");
+}
+
+/**
+ * Adam moment below FLT_MIN -> 0. The moments of a column that stops
+ * receiving gradient (a BDQ action no minibatch took) decay into
+ * subnormals, and every later step would take the CPU's slow path on
+ * them. The update a subnormal moment makes is far below half an ulp
+ * of any weight, so the flush leaves every weight's bits unchanged,
+ * without touching the FP environment (DESIGN.md section 7, "Adam
+ * moment flush").
+ */
+float
+flushSubnormal(float x)
+{
+    return std::fabs(x) < std::numeric_limits<float>::min() ? 0.0f : x;
 }
 
 } // namespace
@@ -113,8 +129,8 @@ Linear::adamStep(const AdamConfig &cfg, std::size_t t)
         const float g = gradWeight_.raw()[i];
         float &m = mWeight_.raw()[i];
         float &v = vWeight_.raw()[i];
-        m = cfg.beta1 * m + (1.0f - cfg.beta1) * g;
-        v = cfg.beta2 * v + (1.0f - cfg.beta2) * g * g;
+        m = flushSubnormal(cfg.beta1 * m + (1.0f - cfg.beta1) * g);
+        v = flushSubnormal(cfg.beta2 * v + (1.0f - cfg.beta2) * g * g);
         const float mhat = m / b1t;
         const float vhat = v / b2t;
         weight_.raw()[i] -=
@@ -124,8 +140,8 @@ Linear::adamStep(const AdamConfig &cfg, std::size_t t)
         const float g = gradBias_[i];
         float &m = mBias_[i];
         float &v = vBias_[i];
-        m = cfg.beta1 * m + (1.0f - cfg.beta1) * g;
-        v = cfg.beta2 * v + (1.0f - cfg.beta2) * g * g;
+        m = flushSubnormal(cfg.beta1 * m + (1.0f - cfg.beta1) * g);
+        v = flushSubnormal(cfg.beta2 * v + (1.0f - cfg.beta2) * g * g);
         const float mhat = m / b1t;
         const float vhat = v / b2t;
         bias_[i] -=

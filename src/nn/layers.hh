@@ -99,6 +99,11 @@ class Linear
     /** Accumulated gradients (introspection / gradient checking). */
     const Matrix &gradWeight() const { return gradWeight_; }
     const std::vector<float> &gradBias() const { return gradBias_; }
+    /** Adam's first (m) and second (v) moments (introspection). */
+    const Matrix &adamMWeight() const { return mWeight_; }
+    const Matrix &adamVWeight() const { return vWeight_; }
+    const std::vector<float> &adamMBias() const { return mBias_; }
+    const std::vector<float> &adamVBias() const { return vBias_; }
     Matrix &mutableWeight() { return weight_; }
     std::vector<float> &mutableBias() { return bias_; }
 

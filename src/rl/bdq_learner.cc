@@ -3,8 +3,12 @@
 #include <cmath>
 
 #include "common/error.hh"
+#include "common/sim_counters.hh"
 
 namespace twig::rl {
+
+using common::simprof::Phase;
+using common::simprof::ScopedPhaseTimer;
 
 BdqLearner::BdqLearner(const BdqLearnerConfig &cfg, common::Rng &rng)
     : cfg_(cfg), rng_(rng.fork()), online_(cfg.net, rng_),
@@ -25,6 +29,7 @@ BdqLearner::BdqLearner(const BdqLearnerConfig &cfg, common::Rng &rng)
 std::vector<nn::BranchActions>
 BdqLearner::selectActions(const std::vector<float> &joint_state)
 {
+    ScopedPhaseTimer timer(Phase::Decide);
     const double eps = epsilon();
     auto actions = online_.greedyActions(joint_state);
 
@@ -70,6 +75,13 @@ BdqLearner::selectActions(const std::vector<float> &joint_state)
     return actions;
 }
 
+std::vector<nn::BranchActions>
+BdqLearner::greedyActions(const std::vector<float> &joint_state)
+{
+    ScopedPhaseTimer timer(Phase::Decide);
+    return online_.greedyActions(joint_state);
+}
+
 std::optional<TrainStats>
 BdqLearner::observe(Transition t)
 {
@@ -79,7 +91,10 @@ BdqLearner::observe(Transition t)
     common::fatalIf(t.actions.size() != cfg_.net.numAgents ||
                         t.rewards.size() != cfg_.net.numAgents,
                     "observe: agent count mismatch");
-    replay_.add(std::move(t));
+    {
+        ScopedPhaseTimer timer(Phase::Replay);
+        replay_.add(std::move(t));
+    }
     ++step_;
 
     std::optional<TrainStats> stats;
@@ -90,6 +105,7 @@ BdqLearner::observe(Transition t)
     }
 
     if (++stepsSinceTargetUpdate_ >= cfg_.targetUpdateInterval) {
+        ScopedPhaseTimer timer(Phase::TargetSync);
         target_.copyParamsFrom(online_);
         stepsSinceTargetUpdate_ = 0;
     }
@@ -100,25 +116,27 @@ TrainStats
 BdqLearner::trainStep()
 {
     const std::size_t batch = std::min(cfg_.minibatch, replay_.size());
-    const double beta = betaSchedule_.at(step_);
-    ReplaySample &sample = sampleScratch_;
-    replay_.sampleInto(batch, beta, rng_, sample);
-
     const std::size_t in = cfg_.net.inputDim();
     const std::size_t K = cfg_.net.numAgents;
     const std::size_t D = cfg_.net.numBranches();
-
+    ReplaySample &sample = sampleScratch_;
     nn::Matrix &states = statesScratch_;
     nn::Matrix &next_states = nextStatesScratch_;
-    states.resize(batch, in);
-    next_states.resize(batch, in);
-    for (std::size_t i = 0; i < batch; ++i) {
-        const Transition &t = replay_.at(sample.indices[i]);
-        std::copy(t.state.begin(), t.state.end(), states.rowPtr(i));
-        std::copy(t.nextState.begin(), t.nextState.end(),
-                  next_states.rowPtr(i));
+    {
+        ScopedPhaseTimer timer(Phase::Replay);
+        const double beta = betaSchedule_.at(step_);
+        replay_.sampleInto(batch, beta, rng_, sample);
+        states.resize(batch, in);
+        next_states.resize(batch, in);
+        for (std::size_t i = 0; i < batch; ++i) {
+            const Transition &t = replay_.at(sample.indices[i]);
+            std::copy(t.state.begin(), t.state.end(), states.rowPtr(i));
+            std::copy(t.nextState.begin(), t.nextState.end(),
+                      next_states.rowPtr(i));
+        }
     }
 
+    ScopedPhaseTimer forward_timer(Phase::TrainForward);
     // Double DQN: online net picks the next action, target net values it.
     nn::BdqOutput &next_online = nextOnlineScratch_;
     nn::BdqOutput &next_target = nextTargetScratch_;
@@ -206,11 +224,20 @@ BdqLearner::trainStep()
     }
     loss /= static_cast<double>(batch * K);
     abs_td /= static_cast<double>(batch);
+    forward_timer.stop();
 
-    online_.backward(dq);
-    online_.adamStep();
-    replay_.updatePriorities(sample.indices, td_for_priority);
-
+    {
+        ScopedPhaseTimer timer(Phase::Backward);
+        online_.backward(dq);
+    }
+    {
+        ScopedPhaseTimer timer(Phase::Adam);
+        online_.adamStep();
+    }
+    {
+        ScopedPhaseTimer timer(Phase::Replay);
+        replay_.updatePriorities(sample.indices, td_for_priority);
+    }
     return TrainStats{loss, abs_td};
 }
 

@@ -108,10 +108,7 @@ class BdqLearner
 
     /** Greedy (exploitation-only) actions; used after learning. */
     std::vector<nn::BranchActions>
-    greedyActions(const std::vector<float> &joint_state)
-    {
-        return online_.greedyActions(joint_state);
-    }
+    greedyActions(const std::vector<float> &joint_state);
 
     /** Batched greedyActions over the rows of @p x — one fused forward
      * for a whole replica cohort (cluster batched-inference path);

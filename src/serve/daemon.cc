@@ -115,13 +115,16 @@ Daemon::controlLoop()
     auto last_exchange = started;
     while (!stop_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_until(next);
-        next += interval;
-        // A slow interval (fleet step > pacing) must not spiral into
-        // a burst of zero-sleep catch-up steps: re-anchor instead.
-        if (next < clock::now())
-            next = clock::now() + interval;
         if (stop_.load(std::memory_order_acquire))
             break;
+        next += interval;
+        // A slow interval (fleet step > pacing) must not spiral into
+        // a burst of zero-sleep catch-up steps: re-anchor instead, and
+        // count the overrun.
+        if (next < clock::now()) {
+            next = clock::now() + interval;
+            ++overruns_;
+        }
 
         // The window is the measured time since the last exchange, not
         // the nominal interval: after an overrun re-anchors the pacer
@@ -286,6 +289,7 @@ Daemon::join()
 
     DaemonSummary summary;
     summary.intervals = intervals_;
+    summary.overruns = overruns_;
     summary.acceptedRequests =
         accepted_.load(std::memory_order_relaxed);
     summary.wallSeconds = wallSeconds_;

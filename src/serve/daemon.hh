@@ -84,6 +84,10 @@ struct DaemonSummary
 {
     /** Control intervals stepped. */
     std::size_t intervals = 0;
+    /** Intervals the pacer started late because the previous step (or
+     * the sleep before it) ran past their deadline; it re-anchors
+     * instead of catching up. At most `intervals`. */
+    std::size_t overruns = 0;
     /** Requests accepted off the wire over the whole run. */
     std::uint64_t acceptedRequests = 0;
     /** acceptedRequests / wall seconds. */
@@ -174,6 +178,7 @@ class Daemon : private FrameHandler
     std::size_t ringNext_ = 0;
     std::size_t ringFill_ = 0;
     std::size_t intervals_ = 0;
+    std::size_t overruns_ = 0;
     double wallSeconds_ = 0.0;
 
     std::thread controlThread_;

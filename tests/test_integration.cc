@@ -3,12 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "baselines/static_manager.hh"
+#include "common/hash.hh"
 #include "core/twig_manager.hh"
+#include "harness/engine.hh"
 #include "harness/profiling.hh"
+#include "harness/registry.hh"
 #include "harness/runner.hh"
+#include "oracle/golden_hash.hh"
 #include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
@@ -109,6 +117,69 @@ TEST(Integration, FullRunIsDeterministic)
                      b.services[0].qosGuaranteePct);
     EXPECT_DOUBLE_EQ(a.services[0].meanTardiness,
                      b.services[0].meanTardiness);
+}
+
+TEST(Integration, TwigSTrainingRunMatchesGolden)
+{
+    // twig_sim --service masstree --manager twig --steps 1000: Twig-S
+    // on the fast preset, training long enough that Adam's moments for
+    // actions the minibatches stop carrying decay past FLT_MIN. Pinned
+    // by an FNV-1a hash of every step's p99 and power plus the final
+    // checkpoint bytes, recorded before Linear::adamStep flushed
+    // subnormal moments, when this run ended with subnormal moments
+    // in its output layers (DESIGN.md section 7). BDQ rounding makes
+    // the constant hold on AVX2+FMA hosts (DESIGN.md section 8).
+    ScenarioSpec spec;
+    spec.name = "cli";
+    ServiceLoadSpec load;
+    load.service = "masstree";
+    load.pattern = "fixed";
+    load.fraction = 0.5;
+    spec.services.push_back(load);
+    spec.manager = "twig";
+    spec.steps = 1000;
+    spec.seed = 42;
+
+    // The context harness::Engine builds the manager from.
+    ManagerContext ctx;
+    ctx.machine.numCores = spec.machineCores;
+    ctx.profiles = {services::masstree()};
+    ctx.schedule = Schedule{spec.steps, spec.resolvedWindow(),
+                            spec.resolvedHorizon()};
+    ctx.seed = spec.seed + 1;
+    auto manager = ManagerRegistry::builtin().make(spec.manager, ctx);
+    auto *twig = dynamic_cast<TwigManager *>(manager.get());
+    ASSERT_NE(twig, nullptr);
+
+    EngineOptions opts;
+    opts.managerOverride = twig;
+    opts.recordTrace = true;
+    const auto result = Engine(opts).run(spec);
+    ASSERT_EQ(result.single.trace.size(), spec.steps);
+
+    std::uint64_t h = common::kFnvOffsetBasis;
+    for (const auto &rec : result.single.trace) {
+        h = oracle::hashDoubles(rec.p99Ms, h);
+        h = oracle::hashDouble(rec.socketPowerW, h);
+    }
+    std::ostringstream os(std::ios::binary);
+    twig->saveCheckpointStream(os, "golden");
+    const std::string bytes = std::move(os).str();
+    h = common::fnv1a(bytes.data(), bytes.size(), h);
+    EXPECT_EQ(h, 0x008d8e72a0eb07e5ULL);
+
+    // The run went through the flush: no output-layer moment is left
+    // subnormal.
+    auto &net = twig->learner().onlineNetwork();
+    auto expect_normal_moments = [](const nn::Linear &layer) {
+        for (const nn::Matrix *m : {&layer.adamMWeight(), &layer.adamVWeight()})
+            for (float x : m->raw())
+                EXPECT_NE(std::fpclassify(x), FP_SUBNORMAL);
+    };
+    for (std::size_t k = 0; k < net.config().numAgents; ++k)
+        expect_normal_moments(net.valueOutputLayer(k));
+    for (std::size_t d = 0; d < net.config().numBranches(); ++d)
+        expect_normal_moments(net.advantageOutputLayer(d));
 }
 
 TEST(Integration, TwigBeatsStaticOnEnergyAtLowLoad)

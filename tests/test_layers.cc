@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "nn/layers.hh"
 
@@ -202,6 +204,58 @@ TEST(Linear, AdamStepReducesQuadraticLoss)
         lin.adamStep(adam, t);
     }
     EXPECT_LT(last_loss, 0.01f * first_loss);
+}
+
+TEST(Linear, AdamFlushesSubnormalMomentsWithoutMovingWeights)
+{
+    // Input column 2 goes to zero after step 5, so row 2 of the weight
+    // gradient is exactly zero from then on and its first moment
+    // decays geometrically. Without the flush it reaches the subnormal
+    // range after ~800 steps and sticks there (0.9 * m rounds back to
+    // m for the smallest subnormals); the flush sends it to zero.
+    Rng rng(21);
+    Linear lin(3, 2, rng);
+    AdamConfig adam;
+    adam.learningRate = 0.01f;
+    Matrix x(4, 3), y, dy(4, 2), dx;
+    for (std::size_t t = 1; t <= 1500; ++t) {
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x.raw()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+        if (t > 5) {
+            for (std::size_t r = 0; r < x.rows(); ++r)
+                x(r, 2) = 0.0f;
+        }
+        lin.forward(x, y);
+        for (std::size_t i = 0; i < y.size(); ++i) {
+            const float target = static_cast<float>(rng.uniform(-1.0, 1.0));
+            dy.raw()[i] = 2.0f * (y.raw()[i] - target);
+        }
+        lin.backward(dy, dx);
+        lin.adamStep(adam, t);
+    }
+
+    auto subnormals = [](const float *v, std::size_t n) {
+        std::size_t count = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            count += std::fpclassify(v[i]) == FP_SUBNORMAL;
+        return count;
+    };
+    EXPECT_EQ(subnormals(lin.adamMWeight().data(), lin.adamMWeight().size()),
+              0u);
+    EXPECT_EQ(subnormals(lin.adamVWeight().data(), lin.adamVWeight().size()),
+              0u);
+    EXPECT_EQ(subnormals(lin.adamMBias().data(), lin.adamMBias().size()), 0u);
+    EXPECT_EQ(subnormals(lin.adamVBias().data(), lin.adamVBias().size()), 0u);
+    EXPECT_EQ(lin.adamMWeight()(2, 0), 0.0f);
+    EXPECT_EQ(lin.adamMWeight()(2, 1), 0.0f);
+
+    // Recorded before the flush existed, when row 2's first moments
+    // ended the run subnormal: the weights kept every bit.
+    std::uint64_t h = twig::common::fnv1a(
+        lin.weight().data(), lin.weight().size() * sizeof(float));
+    h = twig::common::fnv1a(lin.bias().data(),
+                            lin.bias().size() * sizeof(float), h);
+    EXPECT_EQ(h, 0x63c3867f643c1675ULL);
 }
 
 TEST(Linear, CopyParamsMakesOutputsEqual)

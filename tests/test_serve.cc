@@ -182,9 +182,12 @@ TEST(Serve, ObservedRateCoversTheOverrunWindow)
     const auto summary = daemon.join();
 
     ASSERT_EQ(summary.acceptedRequests, report.sent);
-    // Overruns happened: far fewer steps than 1 ms intervals.
+    // Overruns happened: far fewer steps than 1 ms intervals, and the
+    // pacer counted them.
     EXPECT_LT(static_cast<double>(summary.intervals),
               0.8 * summary.wallSeconds * 1e3);
+    EXPECT_GE(summary.overruns, 1u);
+    EXPECT_LE(summary.overruns, summary.intervals);
     // The accepted rate over the time the client was sending; the
     // daemon's own wall time also holds its last step after the client
     // stopped, up to a whole slow step in an instrumented build.

@@ -1,13 +1,17 @@
-/** @file Tests for harness::SimProfile share reporting, the
- * SimProfileSink share budget, and strict parsing of the profiling
- * flags (tools' --sim-profile / --profile-max-share). */
+/** @file Tests for harness::SimProfile share reporting, the agent
+ * phase counters, the SimProfileSink share budget, and strict parsing
+ * of the profiling flags (tools' --sim-profile /
+ * --profile-max-share). */
 
 #include <gtest/gtest.h>
 
 #include "common/flags.hh"
 #include "common/sim_counters.hh"
+#include "core/twig_manager.hh"
 #include "harness/engine.hh"
 #include "harness/sim_profile.hh"
+#include "services/microbench.hh"
+#include "services/tailbench.hh"
 
 using namespace twig;
 using common::simprof::Phase;
@@ -32,6 +36,42 @@ knownDistribution()
     credit(Phase::Draws, 300);
     credit(Phase::Quantile, 100);
     return harness::SimProfile::snapshot();
+}
+
+/** A fast-preset Twig-S manager with a hand-set Eq. 2 model, so the
+ * counter tests skip the profiling campaign. */
+std::unique_ptr<core::TwigManager>
+quickTwig(std::size_t steps)
+{
+    const sim::MachineConfig machine;
+    const auto profile = services::masstree();
+    core::TwigServiceSpec spec;
+    spec.name = profile.name;
+    spec.qosTargetMs = profile.qosTargetMs;
+    spec.maxLoadRps = profile.maxLoadRps;
+    spec.powerModel = core::ServicePowerModel(11.0, 0.9, 2.3);
+    return std::make_unique<core::TwigManager>(
+        core::TwigConfig::fast(steps), machine,
+        services::calibrateCounterMaxima(machine),
+        std::vector<core::TwigServiceSpec>{spec}, 7);
+}
+
+/** Run @p twig through a fixed-seed @p steps-interval engine run of
+ * Masstree at 50 % load. */
+void
+runTwigS(core::TwigManager &twig, std::size_t steps)
+{
+    harness::ScenarioSpec spec;
+    harness::ServiceLoadSpec load;
+    load.service = "masstree";
+    load.fraction = 0.5;
+    spec.services.push_back(load);
+    spec.manager = "twig";
+    spec.steps = steps;
+    spec.seed = 11;
+    harness::EngineOptions opts;
+    opts.managerOverride = &twig;
+    harness::Engine(opts).run(spec);
 }
 
 /** Run the parser over an argv-style array. */
@@ -82,6 +122,61 @@ TEST(SimProfileShares, PhasesAboveIsStrictAndOrdered)
     EXPECT_EQ(prof.phasesAbove(5.0).size(), 3u);
     EXPECT_EQ(prof.phasesAbove(100.0).size(), 0u);
     common::simprof::resetAll();
+}
+
+TEST(SimProfileCounters, NothingRecordsWhenOff)
+{
+    auto twig = quickTwig(80);
+    common::simprof::resetAll();
+    common::simprof::setEnabled(false);
+    runTwigS(*twig, 80);
+    for (std::size_t i = 0; i < common::simprof::kNumPhases; ++i) {
+        const auto &c = common::simprof::counter(static_cast<Phase>(i));
+        EXPECT_EQ(c.cycles.load(), 0u) << common::simprof::phaseName(
+            static_cast<Phase>(i));
+        EXPECT_EQ(c.calls.load(), 0u) << common::simprof::phaseName(
+            static_cast<Phase>(i));
+    }
+}
+
+TEST(SimProfileCounters, TwigSRunCountsAgentPhases)
+{
+    constexpr std::size_t kSteps = 80;
+    auto twig = quickTwig(kSteps);
+    harness::SimProfile::reset();
+    harness::SimProfile::enable();
+    runTwigS(*twig, kSteps);
+    harness::SimProfile::disable();
+    const auto prof = harness::SimProfile::snapshot();
+    common::simprof::resetAll();
+
+    // Interval s closes transition s; with the replay below capacity
+    // it then holds s transitions.
+    const rl::BdqLearnerConfig &cfg = twig->learner().config();
+    std::uint64_t gradient_steps = 0;
+    for (std::size_t s = 1; s < kSteps; ++s) {
+        if (s >= cfg.minReplayBeforeTraining && s % cfg.trainEvery == 0)
+            gradient_steps += cfg.gradientStepsPerTrain;
+    }
+    ASSERT_GT(gradient_steps, 0u);
+    EXPECT_EQ(prof.phase(Phase::Adam).calls, gradient_steps);
+    EXPECT_EQ(prof.phase(Phase::TrainForward).calls, gradient_steps);
+    EXPECT_EQ(prof.phase(Phase::Backward).calls, gradient_steps);
+    EXPECT_EQ(prof.phase(Phase::Decide).calls, kSteps);
+    EXPECT_EQ(prof.phase(Phase::Map).calls, kSteps);
+    EXPECT_EQ(prof.phase(Phase::Monitor).calls, kSteps);
+
+    // The simulator's total and shares still cover only its own six
+    // phases.
+    EXPECT_GT(prof.phase(Phase::Adam).cycles, 0u);
+    std::uint64_t sim_cycles = 0;
+    double sim_share = 0.0;
+    for (std::size_t i = 0; i < common::simprof::kNumSimPhases; ++i) {
+        sim_cycles += prof.phase(static_cast<Phase>(i)).cycles;
+        sim_share += prof.sharePct(static_cast<Phase>(i));
+    }
+    EXPECT_EQ(prof.totalCycles(), sim_cycles);
+    EXPECT_NEAR(sim_share, 100.0, 1e-9);
 }
 
 TEST(SimProfileSinkBudget, FlagsPhasesOverBudgetAtEnd)

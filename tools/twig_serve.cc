@@ -94,8 +94,9 @@ run(int argc, char **argv)
     }
 
     const auto summary = daemon.join();
-    std::printf("twig_serve: %zu intervals over %.2f s wall\n",
-                summary.intervals, summary.wallSeconds);
+    std::printf("twig_serve: %zu intervals over %.2f s wall, %zu "
+                "overran their pacing\n",
+                summary.intervals, summary.wallSeconds, summary.overruns);
     std::printf("  accepted %llu requests (%.0f req/s) over %llu "
                 "frames from %llu connections\n",
                 static_cast<unsigned long long>(
