@@ -2,11 +2,14 @@
  * @file
  * Microbenchmark for the NN kernels behind Twig's control loop.
  *
- * Times the BDQ-shaped GEMMs (batch 64: trunk, head, branch and
- * advantage-output layers) for the tiled kernels in nn/matrix.cc
+ * Times the BDQ-shaped GEMMs for the tiled kernels in nn/matrix.cc
  * against the seed's naive triple loops (nn::reference::*, kept
- * verbatim in tests/oracle/matrix_ref.cc), plus one full
- * BdqLearner::trainStep().
+ * verbatim in tests/oracle/matrix_ref.cc), in three groups: the
+ * paper-sized network's layers at minibatch 64, the layers of the fast
+ * preset Twig-S trains (core::TwigConfig::fast) at minibatch 32, and
+ * the same layers at one row (the decide forward). Each row reports
+ * the kernel's GMAC/s. Then one Adam step of each network (ns per
+ * parameter) and one full BdqLearner::trainStep() of each.
  *
  * Emits a human-readable table and machine-readable JSON
  * (BENCH_kernels.json, or --out PATH).
@@ -22,6 +25,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
+#include "core/twig_manager.hh"
 #include "nn/matrix.hh"
 #include "oracle/matrix_ref.hh"
 #include "rl/bdq_learner.hh"
@@ -34,17 +38,32 @@ namespace {
 /** One GEMM problem, in output terms: [m x k] * [k x n] -> [m x n]. */
 struct Shape
 {
+    const char *group;
     const char *name;
     std::size_t m, n, k;
 };
 
-// The layers of the paper-sized BDQ forward pass at minibatch 64.
 const Shape kShapes[] = {
-    {"trunk1", 64, 512, 11},  // state -> first trunk layer
-    {"trunk2", 64, 256, 512}, // trunk hidden
-    {"head", 64, 128, 256},   // agent embedding head
-    {"branch", 64, 128, 128}, // branch hidden (stacked embeds)
-    {"advout", 64, 18, 128},  // advantage output (18 core actions)
+    // The paper-sized BDQ's layers at minibatch 64.
+    {"paper", "trunk1", 64, 512, 11},  // state -> first trunk layer
+    {"paper", "trunk2", 64, 256, 512}, // trunk hidden
+    {"paper", "head", 64, 128, 256},   // agent embedding head
+    {"paper", "branch", 64, 128, 128}, // branch hidden (stacked embeds)
+    {"paper", "advout", 64, 18, 128},  // advantage output (18 cores)
+    // The fast preset (trunk {64}, heads 32) at minibatch 32...
+    {"fast", "trunk", 32, 64, 11},
+    {"fast", "head", 32, 32, 64},
+    {"fast", "branch", 32, 32, 32},
+    {"fast", "cores", 32, 18, 32},
+    {"fast", "dvfs", 32, 9, 32},
+    {"fast", "value", 32, 1, 32},
+    // ...and at one row, as each decision forwards it.
+    {"row", "trunk", 1, 64, 11},
+    {"row", "head", 1, 32, 64},
+    {"row", "branch", 1, 32, 32},
+    {"row", "cores", 1, 18, 32},
+    {"row", "dvfs", 1, 9, 32},
+    {"row", "value", 1, 1, 32},
 };
 
 double
@@ -89,12 +108,19 @@ timeUs(F &&f)
 
 struct Row
 {
+    std::string group;
     std::string shape;
     std::string op;
     std::size_t m, n, k;
     double tiledUs;
     double referenceUs;
     double speedup() const { return referenceUs / tiledUs; }
+    /** Multiply-adds per second of the tiled kernel, in billions. */
+    double
+    gmacPerS() const
+    {
+        return static_cast<double>(m * n * k) / (tiledUs * 1e3);
+    }
 };
 
 volatile float g_sink; // defeat dead-code elimination
@@ -103,7 +129,7 @@ Row
 benchOp(const Shape &s, const char *op, common::Rng &rng)
 {
     Matrix out;
-    Row row{s.name, op, s.m, s.n, s.k, 0.0, 0.0};
+    Row row{s.group, s.name, op, s.m, s.n, s.k, 0.0, 0.0};
     if (std::strcmp(op, "matmul") == 0) {
         Matrix a(s.m, s.k), b(s.k, s.n);
         fillRandom(a, rng);
@@ -130,9 +156,9 @@ benchOp(const Shape &s, const char *op, common::Rng &rng)
     return row;
 }
 
-/** Paper-sized learner (§IV) at minibatch 64, replay pre-filled. */
-double
-benchTrainStep(std::uint64_t seed)
+/** The paper-sized learner (§IV) at minibatch 64. */
+rl::BdqLearnerConfig
+paperLearner()
 {
     rl::BdqLearnerConfig cfg;
     cfg.net.numAgents = 2;
@@ -145,7 +171,26 @@ benchTrainStep(std::uint64_t seed)
     cfg.minibatch = 64;
     cfg.replay.capacity = 4096;
     cfg.minReplayBeforeTraining = 64;
+    return cfg;
+}
 
+/** The learner twig_sim's Twig-S trains: the fast preset on one
+ * 18-core node (11 PMCs, 18 core counts x 9 DVFS states). */
+rl::BdqLearnerConfig
+fastLearner()
+{
+    rl::BdqLearnerConfig cfg = core::TwigConfig::fast(2000).learner;
+    cfg.net.numAgents = 1;
+    cfg.net.stateDimPerAgent = 11;
+    cfg.net.branchActions = {18, 9};
+    cfg.replay.capacity = 4096;
+    return cfg;
+}
+
+/** Mean microseconds of one trainStep() with the replay pre-filled. */
+double
+benchTrainStep(const rl::BdqLearnerConfig &cfg, std::uint64_t seed)
+{
     common::Rng rng(seed);
     rl::BdqLearner learner(cfg, rng);
     common::Rng env(seed + 1);
@@ -155,13 +200,25 @@ benchTrainStep(std::uint64_t seed)
             t.state.push_back(static_cast<float>(env.uniform()));
         t.nextState = t.state;
         for (std::size_t k = 0; k < cfg.net.numAgents; ++k) {
-            t.actions.push_back(
-                {env.uniformInt(18), env.uniformInt(10)});
+            std::vector<std::size_t> actions;
+            for (std::size_t n : cfg.net.branchActions)
+                actions.push_back(env.uniformInt(n));
+            t.actions.push_back(actions);
             t.rewards.push_back(env.uniform());
         }
         learner.observe(t);
     }
     return timeUs([&] { learner.trainStep(); });
+}
+
+/** Nanoseconds per parameter of one MultiAgentBdq::adamStep(). */
+double
+benchAdamNsPerParam(const rl::BdqLearnerConfig &cfg, std::uint64_t seed)
+{
+    common::Rng rng(seed);
+    nn::MultiAgentBdq net(cfg.net, rng);
+    const double us = timeUs([&] { net.adamStep(); });
+    return us * 1e3 / static_cast<double>(net.paramCount());
 }
 
 } // namespace
@@ -178,27 +235,38 @@ main(int argc, char **argv)
     flags.parseOrExit(argc, argv);
 
     bench::banner("Kernel microbenchmark: tiled GEMM vs seed naive "
-                  "loops (BDQ shapes, batch 64)");
+                  "loops (paper BDQ at batch 64, fast preset at batch 32 "
+                  "and one row)");
     common::Rng rng(seed);
 
     std::vector<Row> rows;
-    std::printf("%-8s %-11s %18s %13s %13s %9s\n", "shape", "op",
-                "m x n x k", "tiled(us)", "naive(us)", "speedup");
+    std::printf("%-6s %-7s %-11s %17s %10s %10s %8s %7s\n", "group",
+                "shape", "op", "m x n x k", "tiled(us)", "naive(us)",
+                "speedup", "GMAC/s");
     for (const auto &s : kShapes) {
         for (const char *op : {"matmul", "transposeB", "transposeA"}) {
             rows.push_back(benchOp(s, op, rng));
             const Row &r = rows.back();
-            std::printf("%-8s %-11s %6zu x %4zu x %4zu %13.1f %13.1f "
-                        "%8.2fx\n",
-                        r.shape.c_str(), r.op.c_str(), r.m, r.n, r.k,
-                        r.tiledUs, r.referenceUs, r.speedup());
+            std::printf("%-6s %-7s %-11s %4zu x %4zu x %4zu %10.2f %10.2f "
+                        "%7.2fx %7.2f\n",
+                        r.group.c_str(), r.shape.c_str(), r.op.c_str(), r.m,
+                        r.n, r.k, r.tiledUs, r.referenceUs, r.speedup(),
+                        r.gmacPerS());
         }
     }
 
-    const double train_us = benchTrainStep(seed);
-    std::printf("\nBdqLearner::trainStep (paper net, batch 64): "
-                "%.1f us\n",
-                train_us);
+    const rl::BdqLearnerConfig paper = paperLearner();
+    const rl::BdqLearnerConfig fast = fastLearner();
+    const double adam_paper_ns = benchAdamNsPerParam(paper, seed);
+    const double adam_fast_ns = benchAdamNsPerParam(fast, seed);
+    const double train_us = benchTrainStep(paper, seed);
+    const double train_fast_us = benchTrainStep(fast, seed);
+    std::printf("\nMultiAgentBdq::adamStep: paper net %.2f ns/param, "
+                "fast preset %.2f ns/param\n",
+                adam_paper_ns, adam_fast_ns);
+    std::printf("BdqLearner::trainStep: paper net (batch 64) %.1f us, "
+                "fast preset (batch %zu) %.1f us\n",
+                train_us, fast.minibatch, train_fast_us);
 
     double log_sum = 0.0;
     double min_speedup = 1e300;
@@ -217,24 +285,28 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"unit\": \"us\",\n  \"batch\": 64,\n"
-                    "  \"kernels\": [\n");
+    std::fprintf(f, "{\n  \"unit\": \"us\",\n  \"kernels\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         std::fprintf(f,
-                     "    {\"shape\": \"%s\", \"op\": \"%s\", "
-                     "\"m\": %zu, \"n\": %zu, \"k\": %zu, "
-                     "\"tiled_us\": %.3f, \"reference_us\": %.3f, "
-                     "\"speedup\": %.3f}%s\n",
-                     r.shape.c_str(), r.op.c_str(), r.m, r.n, r.k,
-                     r.tiledUs, r.referenceUs, r.speedup(),
-                     i + 1 < rows.size() ? "," : "");
+                     "    {\"group\": \"%s\", \"shape\": \"%s\", "
+                     "\"op\": \"%s\", \"m\": %zu, \"n\": %zu, "
+                     "\"k\": %zu, \"tiled_us\": %.3f, "
+                     "\"reference_us\": %.3f, \"speedup\": %.3f, "
+                     "\"gmac_per_s\": %.3f}%s\n",
+                     r.group.c_str(), r.shape.c_str(), r.op.c_str(), r.m,
+                     r.n, r.k, r.tiledUs, r.referenceUs, r.speedup(),
+                     r.gmacPerS(), i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"train_step_us\": %.3f,\n"
+                 "  ],\n  \"adam_ns_per_param\": %.3f,\n"
+                 "  \"adam_fast_ns_per_param\": %.3f,\n"
+                 "  \"train_step_us\": %.3f,\n"
+                 "  \"train_step_fast_us\": %.3f,\n"
                  "  \"geomean_speedup\": %.3f,\n"
                  "  \"min_speedup\": %.3f\n}\n",
-                 train_us, geomean, min_speedup);
+                 adam_paper_ns, adam_fast_ns, train_us, train_fast_us,
+                 geomean, min_speedup);
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;

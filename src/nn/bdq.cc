@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "nn/kernels.hh"
+
 namespace twig::nn {
 
 MultiAgentBdq::MultiAgentBdq(const BdqConfig &cfg, common::Rng &rng)
@@ -152,10 +154,8 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
     Matrix &d_h = bwdDh_;
     d_h.resize(batch, trunk_out);
     d_h.zero();
-    Matrix &dv = bwdDv_, &gv = bwdGv_, &d_embed_act = bwdEmbedAct_,
-           &ge = bwdGe_, &gh = bwdGh_;
+    Matrix &dv = bwdDv_, &gv = bwdGv_, &ge = bwdGe_, &gh = bwdGh_;
     dv.resize(batch, 1);
-    d_embed_act.resize(batch, hw);
     for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
         auto &agent = agents_[k];
         for (std::size_t i = 0; i < batch; ++i) {
@@ -168,14 +168,11 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
             dv(i, 0) = s;
         }
         agent.valueOut.backward(dv, gv);
-        for (std::size_t i = 0; i < batch; ++i) {
-            const float *sl = d_stacked.rowPtr(k * batch + i);
-            const float *gvr = gv.rowPtr(i);
-            float *dst = d_embed_act.rowPtr(i);
-            for (std::size_t c = 0; c < hw; ++c)
-                dst[c] = gvr[c] + sl[c];
-        }
-        agent.relu.backward(d_embed_act, ge);
+        // d(embedding) = value-path gradient + this agent's rows of
+        // d_stacked, summed in place into gv ([batch x hw]).
+        kernels::addInPlace(gv.data(), d_stacked.rowPtr(k * batch),
+                            batch * hw);
+        agent.relu.backward(gv, ge);
         agent.embed.backward(ge, gh);
         d_h.addInPlace(gh);
     }
@@ -221,22 +218,14 @@ MultiAgentBdq::qValues(const std::vector<float> &joint_state)
 std::vector<BranchActions>
 MultiAgentBdq::greedyActions(const std::vector<float> &joint_state)
 {
-    const BdqOutput out = qValues(joint_state);
-
-    std::vector<BranchActions> actions(cfg_.numAgents);
-    for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
-        actions[k].resize(cfg_.numBranches());
-        for (std::size_t d = 0; d < cfg_.numBranches(); ++d) {
-            const Matrix &q = out.q[k][d];
-            std::size_t best = 0;
-            for (std::size_t a = 1; a < q.cols(); ++a) {
-                if (q(0, a) > q(0, best))
-                    best = a;
-            }
-            actions[k][d] = best;
-        }
-    }
-    return actions;
+    common::fatalIf(joint_state.size() != cfg_.inputDim(),
+                    "greedyActions: wrong joint-state size");
+    Matrix x(1, joint_state.size());
+    std::copy(joint_state.begin(), joint_state.end(), x.rowPtr(0));
+    BdqOutput q;
+    std::vector<std::vector<BranchActions>> actions;
+    greedyActionsRows(x, q, actions);
+    return actions[0];
 }
 
 void

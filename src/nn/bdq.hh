@@ -212,7 +212,7 @@ class MultiAgentBdq
     Matrix bwdAdv_;      // dueling-combine gradient per branch
     Matrix bwdG1_, bwdG2_, bwdG3_, bwdG4_;
     Matrix bwdDh_;       // d(trunk output), accumulated over agents
-    Matrix bwdDv_, bwdGv_, bwdEmbedAct_, bwdGe_, bwdGh_;
+    Matrix bwdDv_, bwdGv_, bwdGe_, bwdGh_;
     Matrix bwdTmp_;      // trunk ping-pong buffer
 };
 

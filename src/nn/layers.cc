@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
+
+#include "nn/kernels.hh"
 
 namespace twig::nn {
 
@@ -22,21 +23,6 @@ readFloats(std::istream &is, float *data, std::size_t n)
     is.read(reinterpret_cast<char *>(data),
             static_cast<std::streamsize>(n * sizeof(float)));
     common::fatalIf(!is, "Linear::load: truncated stream");
-}
-
-/**
- * Adam moment below FLT_MIN -> 0. The moments of a column that stops
- * receiving gradient (a BDQ action no minibatch took) decay into
- * subnormals, and every later step would take the CPU's slow path on
- * them. The update a subnormal moment makes is far below half an ulp
- * of any weight, so the flush leaves every weight's bits unchanged,
- * without touching the FP environment (DESIGN.md section 7, "Adam
- * moment flush").
- */
-float
-flushSubnormal(float x)
-{
-    return std::fabs(x) < std::numeric_limits<float>::min() ? 0.0f : x;
 }
 
 } // namespace
@@ -103,50 +89,33 @@ Linear::backwardNoInputGrad(const Matrix &dy)
     // gradW += x^T dy, fused into the kernel: no scratch matrix, no
     // second pass over the gradient.
     matmulTransposeAAccum(cachedInput_, dy, gradWeight_);
-    for (std::size_t r = 0; r < dy.rows(); ++r) {
-        const float *row = dy.rowPtr(r);
-        for (std::size_t c = 0; c < dy.cols(); ++c)
-            gradBias_[c] += row[c];
-    }
+    kernels::addColumnSums(dy.data(), dy.rows(), dy.cols(),
+                           gradBias_.data());
 }
 
 void
 Linear::scaleGrad(float factor)
 {
     gradWeight_.scaleInPlace(factor);
-    for (auto &g : gradBias_)
-        g *= factor;
+    kernels::scaleInPlace(gradBias_.data(), factor, gradBias_.size());
 }
 
 void
 Linear::adamStep(const AdamConfig &cfg, std::size_t t)
 {
     common::panicIf(t == 0, "adamStep: step counter must start at 1");
-    const float b1t = 1.0f - std::pow(cfg.beta1, static_cast<float>(t));
-    const float b2t = 1.0f - std::pow(cfg.beta2, static_cast<float>(t));
-
-    for (std::size_t i = 0; i < weight_.size(); ++i) {
-        const float g = gradWeight_.raw()[i];
-        float &m = mWeight_.raw()[i];
-        float &v = vWeight_.raw()[i];
-        m = flushSubnormal(cfg.beta1 * m + (1.0f - cfg.beta1) * g);
-        v = flushSubnormal(cfg.beta2 * v + (1.0f - cfg.beta2) * g * g);
-        const float mhat = m / b1t;
-        const float vhat = v / b2t;
-        weight_.raw()[i] -=
-            cfg.learningRate * mhat / (std::sqrt(vhat) + cfg.epsilon);
-    }
-    for (std::size_t i = 0; i < bias_.size(); ++i) {
-        const float g = gradBias_[i];
-        float &m = mBias_[i];
-        float &v = vBias_[i];
-        m = flushSubnormal(cfg.beta1 * m + (1.0f - cfg.beta1) * g);
-        v = flushSubnormal(cfg.beta2 * v + (1.0f - cfg.beta2) * g * g);
-        const float mhat = m / b1t;
-        const float vhat = v / b2t;
-        bias_[i] -=
-            cfg.learningRate * mhat / (std::sqrt(vhat) + cfg.epsilon);
-    }
+    const kernels::AdamStep step{
+        cfg.learningRate,
+        cfg.beta1,
+        cfg.beta2,
+        cfg.epsilon,
+        1.0f - std::pow(cfg.beta1, static_cast<float>(t)),
+        1.0f - std::pow(cfg.beta2, static_cast<float>(t)),
+    };
+    kernels::adam(weight_.data(), mWeight_.data(), vWeight_.data(),
+                  gradWeight_.data(), weight_.size(), step);
+    kernels::adam(bias_.data(), mBias_.data(), vBias_.data(),
+                  gradBias_.data(), bias_.size(), step);
     zeroGrad();
 }
 
@@ -211,8 +180,7 @@ ReLU::backward(const Matrix &dy, Matrix &dx) const
     common::panicIf(dy.rows() != rows_ || dy.cols() != cols_,
                     "ReLU::backward: shape mismatch with forward");
     dx.resize(rows_, cols_);
-    for (std::size_t i = 0; i < dy.size(); ++i)
-        dx.raw()[i] = mask_[i] ? dy.raw()[i] : 0.0f;
+    kernels::reluBackward(dy.data(), mask_.data(), dx.data(), dy.size());
 }
 
 void

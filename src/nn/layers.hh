@@ -128,6 +128,8 @@ class ReLU
 {
   public:
     void forward(const Matrix &x, Matrix &y);
+    /** dx = dy where the forward input was positive, else 0; @p dx
+     * must not be @p dy. */
     void backward(const Matrix &dy, Matrix &dx) const;
 
     /**

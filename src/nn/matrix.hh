@@ -5,9 +5,9 @@
  * all bounds-checked in debug via assertions.
  *
  * The GEMM entry points below all share one register-blocked,
- * cache-tiled inner kernel (see matrix.cc); the transpose variants
- * pack the transposed operand into a per-thread scratch buffer so the
- * same canonical kernel serves all data layouts. Fused epilogues
+ * cache-tiled micro-kernel (see matrix.cc), which reads A^T in place
+ * and packs B^T into a per-thread scratch buffer, so the same
+ * canonical kernel serves all data layouts. Fused epilogues
  * (bias add, bias+ReLU) exist so a Linear layer's forward pass is a
  * single kernel call with no intermediate matrix.
  */
@@ -88,23 +88,11 @@ class Matrix
             data_.resize(rows * cols);
     }
 
-    /** this += other (same shape). */
-    void
-    addInPlace(const Matrix &other)
-    {
-        common::panicIf(rows_ != other.rows_ || cols_ != other.cols_,
-                        "Matrix::addInPlace shape mismatch");
-        for (std::size_t i = 0; i < data_.size(); ++i)
-            data_[i] += other.data_[i];
-    }
+    /** this += other (same shape, distinct storage). */
+    void addInPlace(const Matrix &other);
 
     /** this *= scalar. */
-    void
-    scaleInPlace(float s)
-    {
-        for (auto &x : data_)
-            x *= s;
-    }
+    void scaleInPlace(float s);
 
     const std::vector<float> &raw() const { return data_; }
     std::vector<float> &raw() { return data_; }

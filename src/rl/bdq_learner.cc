@@ -1,5 +1,6 @@
 #include "rl/bdq_learner.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hh"
@@ -26,26 +27,37 @@ BdqLearner::BdqLearner(const BdqLearnerConfig &cfg, common::Rng &rng)
     target_.copyParamsFrom(online_);
 }
 
+const std::vector<nn::BranchActions> &
+BdqLearner::decideGreedy(const std::vector<float> &joint_state)
+{
+    common::fatalIf(joint_state.size() != cfg_.net.inputDim(),
+                    "BdqLearner: wrong joint-state size");
+    decideState_.resize(1, joint_state.size());
+    std::copy(joint_state.begin(), joint_state.end(),
+              decideState_.rowPtr(0));
+    online_.greedyActionsRows(decideState_, decideQ_, decideActions_);
+    return decideActions_[0];
+}
+
 std::vector<nn::BranchActions>
 BdqLearner::selectActions(const std::vector<float> &joint_state)
 {
     ScopedPhaseTimer timer(Phase::Decide);
     const double eps = epsilon();
-    auto actions = online_.greedyActions(joint_state);
+    auto actions = decideGreedy(joint_state);
 
     // Sticky argmax: a converged policy has many near-tie Q values;
     // keep the previous choice unless a strictly better one appears.
+    // The Q-values are the ones the greedy choice was taken from.
     if (cfg_.actionStickiness > 0.0 &&
         lastGreedy_.size() == actions.size()) {
-        const auto q = online_.qValues(joint_state);
         for (std::size_t k = 0; k < actions.size(); ++k) {
             for (std::size_t d = 0; d < actions[k].size(); ++d) {
+                const nn::Matrix &q = decideQ_.q[k][d];
                 const auto prev = lastGreedy_[k][d];
                 const auto best = actions[k][d];
-                if (q.q[k][d](0, prev) + cfg_.actionStickiness >=
-                    q.q[k][d](0, best)) {
+                if (q(0, prev) + cfg_.actionStickiness >= q(0, best))
                     actions[k][d] = prev;
-                }
             }
         }
     }
@@ -79,7 +91,7 @@ std::vector<nn::BranchActions>
 BdqLearner::greedyActions(const std::vector<float> &joint_state)
 {
     ScopedPhaseTimer timer(Phase::Decide);
-    return online_.greedyActions(joint_state);
+    return decideGreedy(joint_state);
 }
 
 std::optional<TrainStats>

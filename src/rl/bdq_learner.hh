@@ -174,6 +174,19 @@ class BdqLearner
     /** Previous greedy choice (sticky argmax). */
     std::vector<nn::BranchActions> lastGreedy_;
 
+    /**
+     * One eval forward of @p joint_state into the decide scratch
+     * below: returns the greedy (first-maximum) actions and leaves
+     * the Q-values they were taken from in decideQ_. An eval forward
+     * draws no randomness, so one pass serves both the argmax and the
+     * sticky comparison.
+     */
+    const std::vector<nn::BranchActions> &
+    decideGreedy(const std::vector<float> &joint_state);
+    nn::Matrix decideState_;
+    nn::BdqOutput decideQ_;
+    std::vector<std::vector<nn::BranchActions>> decideActions_;
+
     // trainStep() scratch, sized on the first gradient step and then
     // reused: the steady-state training step performs zero heap
     // allocations (verified by tests/test_alloc.cc).

@@ -4,7 +4,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/hash.hh"
 #include "common/rng.hh"
@@ -381,4 +385,213 @@ TEST(Dropout, BackwardUsesSameMask)
     drop.backward(dy, dx);
     for (std::size_t i = 0; i < 100; ++i)
         EXPECT_FLOAT_EQ(dx(0, i), y(0, i)); // same mask & scale
+}
+
+// ---------------------------------------------------------------------------
+// The elementwise kernels against scalar references. This file is built
+// for baseline x86-64, where nothing fuses, so each reference below is
+// the exact per-element arithmetic every ISA version of the kernels must
+// reproduce bit for bit. Lengths straddle the 4-, 8- and 16-float
+// vector widths so every vector body and scalar remainder runs.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+template <typename T>
+bool
+sameBits(const T *a, const T *b, std::size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+Matrix
+randomMatrix(std::size_t rows, std::size_t cols, Rng &rng)
+{
+    Matrix m(rows, cols);
+    for (std::size_t i = 0; i < m.size(); ++i)
+        m.raw()[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+    return m;
+}
+
+/** Adam's state for one parameter array, updated by today's formula. */
+struct ScalarAdam
+{
+    std::vector<float> param, m, v;
+    std::size_t flushes = 0;
+
+    explicit ScalarAdam(const float *p, std::size_t n)
+        : param(p, p + n), m(n, 0.0f), v(n, 0.0f)
+    {
+    }
+
+    float
+    flush(float x)
+    {
+        if (std::fabs(x) < std::numeric_limits<float>::min()) {
+            flushes += x != 0.0f;
+            return 0.0f;
+        }
+        return x;
+    }
+
+    void
+    step(const AdamConfig &cfg, std::size_t t, const float *grad)
+    {
+        const float b1t = 1.0f - std::pow(cfg.beta1, static_cast<float>(t));
+        const float b2t = 1.0f - std::pow(cfg.beta2, static_cast<float>(t));
+        for (std::size_t i = 0; i < param.size(); ++i) {
+            const float g = grad[i];
+            m[i] = flush(cfg.beta1 * m[i] + (1.0f - cfg.beta1) * g);
+            v[i] = flush(cfg.beta2 * v[i] + (1.0f - cfg.beta2) * g * g);
+            const float mhat = m[i] / b1t;
+            const float vhat = v[i] / b2t;
+            param[i] -=
+                cfg.learningRate * mhat / (std::sqrt(vhat) + cfg.epsilon);
+        }
+    }
+};
+
+} // namespace
+
+class AdamScalarReference
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>>
+{
+};
+
+TEST_P(AdamScalarReference, EveryStepMatchesTheScalarFormula)
+{
+    // Gradients flow everywhere for 150 steps, then input 0 and output
+    // 0 go silent: weight row 0, weight column 0 and bias 0 get zero
+    // gradient and their moments decay until the flush fires.
+    const auto [in, out] = GetParam();
+    Rng rng(in * 131 + out);
+    Linear lin(in, out, rng);
+    ScalarAdam w(lin.weight().data(), lin.weight().size());
+    ScalarAdam b(lin.bias().data(), lin.bias().size());
+    AdamConfig cfg;
+    cfg.learningRate = 0.01f;
+    Matrix y, dx;
+    for (std::size_t t = 1; t <= 1100; ++t) {
+        Matrix x = randomMatrix(3, in, rng);
+        Matrix dy = randomMatrix(3, out, rng);
+        if (t > 150) {
+            for (std::size_t r = 0; r < x.rows(); ++r) {
+                x(r, 0) = 0.0f;
+                dy(r, 0) = 0.0f;
+            }
+        }
+        lin.forward(x, y);
+        lin.backward(dy, dx);
+        w.step(cfg, t, lin.gradWeight().data());
+        b.step(cfg, t, lin.gradBias().data());
+        lin.adamStep(cfg, t);
+        ASSERT_TRUE(sameBits(lin.weight().data(), w.param.data(),
+                             w.param.size()))
+            << "weights, step " << t;
+        ASSERT_TRUE(sameBits(lin.adamMWeight().data(), w.m.data(),
+                             w.m.size()))
+            << "weight m, step " << t;
+        ASSERT_TRUE(sameBits(lin.adamVWeight().data(), w.v.data(),
+                             w.v.size()))
+            << "weight v, step " << t;
+        ASSERT_TRUE(sameBits(lin.bias().data(), b.param.data(),
+                             b.param.size()))
+            << "bias, step " << t;
+        ASSERT_TRUE(sameBits(lin.adamMBias().data(), b.m.data(),
+                             b.m.size()))
+            << "bias m, step " << t;
+        ASSERT_TRUE(sameBits(lin.adamVBias().data(), b.v.data(),
+                             b.v.size()))
+            << "bias v, step " << t;
+    }
+    EXPECT_GT(w.flushes, 0u);
+    EXPECT_GT(b.flushes, 0u);
+}
+
+// Weight arrays of 1, 15, 16, 17, 33 and 2048 entries (biases of 1,
+// 1, 16, 1, 33 and 32); the last is the fast preset's 2080-parameter
+// 64 -> 32 head layer.
+INSTANTIATE_TEST_SUITE_P(
+    Layers, AdamScalarReference,
+    ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
+                      std::pair<std::size_t, std::size_t>{15, 1},
+                      std::pair<std::size_t, std::size_t>{1, 16},
+                      std::pair<std::size_t, std::size_t>{17, 1},
+                      std::pair<std::size_t, std::size_t>{1, 33},
+                      std::pair<std::size_t, std::size_t>{64, 32}),
+    [](const auto &info) {
+        return std::to_string(info.param.first) + "x" +
+            std::to_string(info.param.second);
+    });
+
+namespace {
+
+const std::size_t kLengths[] = {1, 3, 7, 8, 9, 15, 16, 17, 31, 33};
+
+} // namespace
+
+TEST(ElementwiseScalarReference, ReluBackward)
+{
+    Rng rng(40);
+    for (std::size_t n : kLengths) {
+        const Matrix x = randomMatrix(1, n, rng);
+        const Matrix dy = randomMatrix(1, n, rng);
+        ReLU relu;
+        Matrix y, dx;
+        relu.forward(x, y);
+        relu.backward(dy, dx);
+        std::vector<float> want(n);
+        for (std::size_t i = 0; i < n; ++i)
+            want[i] = x.raw()[i] > 0.0f ? dy.raw()[i] : 0.0f;
+        EXPECT_TRUE(sameBits(dx.data(), want.data(), n)) << "n = " << n;
+    }
+}
+
+TEST(ElementwiseScalarReference, AddAndScaleInPlace)
+{
+    Rng rng(41);
+    for (std::size_t n : kLengths) {
+        Matrix a = randomMatrix(1, n, rng);
+        const Matrix b = randomMatrix(1, n, rng);
+        std::vector<float> want(a.raw());
+        for (std::size_t i = 0; i < n; ++i)
+            want[i] += b.raw()[i];
+        a.addInPlace(b);
+        EXPECT_TRUE(sameBits(a.data(), want.data(), n)) << "add, n = " << n;
+
+        const float s = static_cast<float>(rng.uniform(-3.0, 3.0));
+        for (auto &v : want)
+            v *= s;
+        a.scaleInPlace(s);
+        EXPECT_TRUE(sameBits(a.data(), want.data(), n))
+            << "scale, n = " << n;
+    }
+}
+
+TEST(ElementwiseScalarReference, BiasGradientColumnSumAndScale)
+{
+    Rng rng(42);
+    for (std::size_t cols : kLengths) {
+        Linear lin(2, cols, rng);
+        std::vector<float> want(cols, 0.0f);
+        Matrix y;
+        // Two backward passes: the sum accumulates onto the gradient.
+        for (int pass = 0; pass < 2; ++pass) {
+            const Matrix x = randomMatrix(5, 2, rng);
+            const Matrix dy = randomMatrix(5, cols, rng);
+            lin.forward(x, y);
+            lin.backwardNoInputGrad(dy);
+            for (std::size_t r = 0; r < dy.rows(); ++r)
+                for (std::size_t c = 0; c < cols; ++c)
+                    want[c] += dy(r, c);
+        }
+        EXPECT_TRUE(sameBits(lin.gradBias().data(), want.data(), cols))
+            << "sum, cols = " << cols;
+
+        lin.scaleGrad(0.37f);
+        for (auto &v : want)
+            v *= 0.37f;
+        EXPECT_TRUE(sameBits(lin.gradBias().data(), want.data(), cols))
+            << "scale, cols = " << cols;
+    }
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <tuple>
+#include <vector>
+
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "nn/matrix.hh"
@@ -320,3 +325,172 @@ TEST(FusedKernels, MatmulBiasReluClampsAndRecordsMask)
         ASSERT_EQ(mask[i], v > 0.0f ? 1 : 0);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Tile-position exactness. The goldens and batched cohort inference
+// rely on an element's bits not depending on which tile computed it:
+// a full 6-row block, an m % 6 edge block, a full 16-column tile or
+// the padded n % 16 edge. So every row of each product must be
+// bit-equal to the 1-row product of that row, and every column to the
+// product against a one-column slice of B, on every ISA version of the
+// kernel.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+Matrix
+rowOf(const Matrix &m, std::size_t r)
+{
+    Matrix out(1, m.cols());
+    std::copy_n(m.rowPtr(r), m.cols(), out.rowPtr(0));
+    return out;
+}
+
+Matrix
+colOf(const Matrix &m, std::size_t c)
+{
+    Matrix out(m.rows(), 1);
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        out(r, 0) = m(r, c);
+    return out;
+}
+
+/** Row r of @p whole must carry exactly the bits of @p single. */
+void
+expectRowBits(const Matrix &whole, std::size_t r, const Matrix &single)
+{
+    ASSERT_EQ(single.rows(), 1u);
+    ASSERT_EQ(single.cols(), whole.cols());
+    EXPECT_EQ(std::memcmp(whole.rowPtr(r), single.data(),
+                          single.size() * sizeof(float)),
+              0)
+        << "row " << r;
+}
+
+/** Column c of @p whole must carry exactly the bits of @p single. */
+void
+expectColBits(const Matrix &whole, std::size_t c, const Matrix &single)
+{
+    ASSERT_EQ(single.rows(), whole.rows());
+    ASSERT_EQ(single.cols(), 1u);
+    const Matrix col = colOf(whole, c);
+    EXPECT_EQ(std::memcmp(col.data(), single.data(),
+                          single.size() * sizeof(float)),
+              0)
+        << "column " << c;
+}
+
+template <typename T>
+std::vector<T>
+sliceOf(const std::vector<T> &v, std::size_t from, std::size_t n)
+{
+    return std::vector<T>(v.begin() + from, v.begin() + from + n);
+}
+
+} // namespace
+
+class TileExactness
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, std::size_t>>
+{
+};
+
+TEST_P(TileExactness, RowsAndColumnsMatchSlices)
+{
+    const auto [m, n, k] = GetParam();
+    twig::common::Rng rng(m * 1000003 + n * 1009 + k);
+    const Matrix a = randomMatrix(m, k, rng);
+    const Matrix b = randomMatrix(k, n, rng);
+    std::vector<float> bias(n);
+    for (auto &v : bias)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+
+    Matrix got, one;
+    std::vector<unsigned char> mask, one_mask;
+
+    // matmul
+    matmul(a, b, got);
+    for (std::size_t r = 0; r < m; ++r) {
+        matmul(rowOf(a, r), b, one);
+        expectRowBits(got, r, one);
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+        matmul(a, colOf(b, c), one);
+        expectColBits(got, c, one);
+    }
+
+    // matmulBias
+    matmulBias(a, b, bias, got);
+    for (std::size_t r = 0; r < m; ++r) {
+        matmulBias(rowOf(a, r), b, bias, one);
+        expectRowBits(got, r, one);
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+        matmulBias(a, colOf(b, c), sliceOf(bias, c, 1), one);
+        expectColBits(got, c, one);
+    }
+
+    // matmulBiasRelu: values and mask
+    matmulBiasRelu(a, b, bias, got, mask);
+    for (std::size_t r = 0; r < m; ++r) {
+        matmulBiasRelu(rowOf(a, r), b, bias, one, one_mask);
+        expectRowBits(got, r, one);
+        EXPECT_EQ(sliceOf(mask, r * n, n), one_mask) << "mask row " << r;
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+        matmulBiasRelu(a, colOf(b, c), sliceOf(bias, c, 1), one,
+                       one_mask);
+        expectColBits(got, c, one);
+        for (std::size_t r = 0; r < m; ++r)
+            EXPECT_EQ(mask[r * n + c], one_mask[r]) << "mask " << r << ","
+                                                    << c;
+    }
+
+    // matmulTransposeB: out = a * bt^T with bt [n x k]
+    Matrix bt(n, k);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < k; ++c)
+            bt(r, c) = b(c, r);
+    matmulTransposeB(a, bt, got);
+    for (std::size_t r = 0; r < m; ++r) {
+        matmulTransposeB(rowOf(a, r), bt, one);
+        expectRowBits(got, r, one);
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+        matmulTransposeB(a, rowOf(bt, c), one);
+        expectColBits(got, c, one);
+    }
+
+    // matmulTransposeAAccum: out += at^T * b with at [k x m], into a
+    // nonzero out.
+    Matrix at(k, m);
+    for (std::size_t r = 0; r < k; ++r)
+        for (std::size_t c = 0; c < m; ++c)
+            at(r, c) = a(c, r);
+    const Matrix init = randomMatrix(m, n, rng);
+    got = init;
+    matmulTransposeAAccum(at, b, got);
+    for (std::size_t r = 0; r < m; ++r) {
+        one = rowOf(init, r);
+        matmulTransposeAAccum(colOf(at, r), b, one);
+        expectRowBits(got, r, one);
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+        one = colOf(init, c);
+        matmulTransposeAAccum(at, colOf(b, c), one);
+        expectColBits(got, c, one);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TileExactness,
+    ::testing::Combine(
+        ::testing::Values<std::size_t>(1, 2, 3, 4, 5, 6, 7, 12, 13, 32, 37),
+        ::testing::Values<std::size_t>(1, 2, 9, 15, 16, 17, 18, 32, 33,
+                                       64),
+        ::testing::Values<std::size_t>(1, 11, 32, 64)),
+    [](const auto &info) {
+        return std::to_string(std::get<0>(info.param)) + "x" +
+            std::to_string(std::get<1>(info.param)) + "x" +
+            std::to_string(std::get<2>(info.param));
+    });
