@@ -89,7 +89,7 @@ main(int argc, char **argv)
             // All managers of one (service, load) pair face the same
             // workload: the server seed depends on the pair alone;
             // the manager is seeded from the per-run seed.
-            spec.seed = harness::sweepSeed(seed, pair);
+            spec.seed = common::sweepSeed(seed, pair);
 
             const auto result = harness::Engine().run(spec);
             return Cell{

@@ -2,7 +2,7 @@
 # Gate the bench artifacts on their hard invariants.
 #
 # Usage: scripts/check_bench.sh [BENCH_SIM_JSON] [BENCH_CLUSTER_JSON] \
-#                               [BENCH_AUTOSCALE_JSON]
+#                               [BENCH_AUTOSCALE_JSON] [BENCH_FAULTS_JSON]
 #
 # BENCH_sim.json (fig_sim_throughput, augmented by fig_dispatch): fails
 # when any config reports optimized_allocs_per_step > 0 -- the hot loop
@@ -24,9 +24,16 @@
 # actually scale out, the mixed-generation fleet must be billed, and
 # every row must replay bit-identically across --jobs counts.
 #
+# BENCH_faults.json (fig_fault_resilience): fails when any check in
+# the artifact's checks{} block is false -- warm recovery must return
+# to the stable p99 faster than cold, a corrupt frame must be detected
+# and fall back to a cold restart, and the fault run must replay
+# bit-identically.
+#
 # A path given on the command line must exist. With no argument for
-# it, the cluster or autoscale artifact is skipped with a notice when
-# absent (a sim-only bench run); the sim artifact is always required.
+# it, the cluster, autoscale or faults artifact is skipped with a
+# notice when absent (a sim-only bench run); the sim artifact is
+# always required.
 #
 # These are hard invariants, so CI runs this after bench_smoke instead
 # of trusting the benches' own exit codes alone (the artifacts are also
@@ -40,12 +47,13 @@ cd "$(dirname "$0")/.."
 bench_json=${1:-build/BENCH_sim.json}
 cluster_json=${2:-build/BENCH_cluster.json}
 autoscale_json=${3:-build/BENCH_autoscale.json}
+faults_json=${4:-build/BENCH_faults.json}
 
 if [[ ! -f "$bench_json" ]]; then
     echo "check_bench: $bench_json not found -- run bench_smoke first" >&2
     exit 1
 fi
-for i in 2 3; do
+for i in 2 3 4; do
     if [[ $# -ge $i && ! -f "${!i}" ]]; then
         echo "check_bench: ${!i} not found" >&2
         exit 1
@@ -195,4 +203,41 @@ if failures:
     sys.exit(1)
 print(f"check_bench: autoscale invariants hold ({len(runs)} fleet rows, "
       f"{len(required)} acceptance checks)")
+EOF
+autoscale_status=$?
+if [[ $autoscale_status -ne 0 ]]; then
+    exit "$autoscale_status"
+fi
+
+if [[ ! -f "$faults_json" ]]; then
+    echo "check_bench: $faults_json not found -- skipping fault invariants"
+    exit 0
+fi
+
+python3 - "$faults_json" <<'EOF'
+import json
+import sys
+
+path = sys.argv[1]
+with open(path) as f:
+    root = json.load(f)
+
+checks = root.get("checks", {})
+required = [
+    "warm_faster_than_cold",
+    "corrupt_detected_cold_fallback",
+    "replay_bit_identical",
+]
+failures = 0
+for key in required:
+    if checks.get(key) is not True:
+        print(f"check_bench: FAIL faults check {key} is "
+              f"{checks.get(key)!r}", file=sys.stderr)
+        failures += 1
+
+if failures:
+    print(f"check_bench: {failures} invariant violation(s)", file=sys.stderr)
+    sys.exit(1)
+print(f"check_bench: fault invariants hold ({len(required)} acceptance "
+      f"checks)")
 EOF

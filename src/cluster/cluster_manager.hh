@@ -28,40 +28,9 @@
  *      flat merge because histogram merging is bin-wise integer
  *      addition; sum node power into fleet power.
  *
- * Replicas added with a checkpoint path are warm-started: the
- * checkpointed BDQ is restored into the new node's TwigManager
- * (rl/checkpoint.hh), so a scale-out event starts from a trained
- * policy instead of exploring from scratch.
- *
- * Slot lifecycle has one owner: the slot table here. Each slot's
- * record (sized by addNode) holds its elastic state — Active, Draining
- * or Standby; Active on fleets without an autoscaler — and a crashed
- * flag, and everything else is derived from it:
- *
- *   - a slot is *powered* — stepped, merged and billed — when it is
- *     neither crashed nor standby;
- *   - it takes new load when it is also Active: every other slot gets
- *     routing weight 0, which the routers read as "no new load" (they
- *     keep no health state of their own);
- *   - a fault restart clears the crashed flag and never changes the
- *     elastic state, and a crashed slot is neither serving nor
- *     activatable;
- *   - an interval with no powered slot sheds its whole offered load
- *     (a LoadShed event and shedRps), while a fleet that is powered
- *     but entirely draining refuses new load without a shed.
- *
- * Elastic sizing (src/autoscale): setAutoscaler parks the slots above
- * the initial count in standby. Each interval the Autoscaler's
- * decision rule runs serially before routing; scale-out activates
- * standby slots through the warm-restore spawn path crash recovery
- * uses (a virgin slot keeps its donor-checkpoint policy, a previously
- * retired one restores the frame saved when its drain began),
- * scale-in drains first — weight 0 while the backlog flushes and
- * histograms keep merging exactly — then retires the slot back to
- * standby. Decisions are pure functions of the step sequence, so
- * autoscaled runs replay bit-identically at any --jobs, and every
- * powered interval is billed against the attached $/node-hour
- * CostModel.
+ * Replica lifecycle — slot records, fault recovery, checkpoint frames
+ * and elastic sizing — lives in the SlotTable (cluster/slot_table.hh),
+ * whose policies step() calls serially before routing.
  */
 
 #ifndef TWIG_CLUSTER_CLUSTER_MANAGER_HH
@@ -74,14 +43,11 @@
 #include <string>
 #include <vector>
 
-#include "autoscale/autoscaler.hh"
-#include "autoscale/cost_model.hh"
 #include "cluster/node.hh"
 #include "cluster/router.hh"
 #include "cluster/sharded_router.hh"
+#include "cluster/slot_table.hh"
 #include "common/thread_pool.hh"
-#include "faults/fault_injector.hh"
-#include "faults/fault_spec.hh"
 #include "sim/loadgen.hh"
 #include "sim/machine.hh"
 #include "sim/service_profile.hh"
@@ -121,32 +87,6 @@ struct FleetPhaseProfile
     std::uint64_t mergeCycles = 0;   ///< histogram merge + window p99
     std::uint64_t steps = 0;
 };
-
-/** One elastic-sizing action on the scale-event stream. */
-struct ScaleEvent
-{
-    enum class Kind
-    {
-        /** Standby slot activated (warm spawn). */
-        ScaleOut,
-        /** Serving slot stopped taking new load; backlog flushing. */
-        DrainStart,
-        /** Drained slot left the fleet (back to standby). */
-        Retire,
-    };
-    std::size_t step = 0;
-    Kind kind = Kind::ScaleOut;
-    std::size_t node = 0;
-    /** Worst-service utilisation at decision time. */
-    double utilization = 0.0;
-    /** Worst-service trailing tardiness at decision time. */
-    double tardiness = 0.0;
-
-    bool operator==(const ScaleEvent &) const = default;
-};
-
-/** Short name of @p kind ("scale_out" | "drain_start" | "retire"). */
-const char *scaleEventKindName(ScaleEvent::Kind kind);
 
 /** Fleet-wide telemetry for one control interval. */
 struct FleetIntervalStats
@@ -215,11 +155,7 @@ struct FleetRunResult
 class ClusterManager
 {
   public:
-    /** Builds a node's task manager from its machine and services. */
-    using ManagerFactory = std::function<std::unique_ptr<core::TaskManager>(
-        const sim::MachineConfig &machine,
-        const std::vector<sim::ServiceProfile> &services,
-        std::uint64_t seed)>;
+    using ManagerFactory = SlotTable::ManagerFactory;
 
     /**
      * @param cfg          fleet configuration
@@ -234,86 +170,26 @@ class ClusterManager
                        fleet_loads,
                    std::uint64_t seed);
 
-    /**
-     * Add a replica. @p factory builds its manager; a non-empty
-     * @p warm_start_checkpoint restores that BDQ checkpoint into the
-     * manager (which must be a TwigManager of matching architecture).
-     * Returns the node index.
-     */
+    /** Add a replica (SlotTable::add). Returns the node index. */
     std::size_t addNode(const sim::MachineConfig &machine,
                         const ManagerFactory &factory,
-                        const std::string &warm_start_checkpoint = "");
+                        const std::string &warm_start_checkpoint = "")
+    {
+        return slots_.add(machine, factory, warm_start_checkpoint);
+    }
 
-    std::size_t numNodes() const { return nodes_.size(); }
-    std::size_t numServices() const { return services_.size(); }
+    std::size_t numNodes() const { return slots_.size(); }
+    std::size_t numServices() const { return slots_.services().size(); }
     Node &node(std::size_t i);
-    const sim::ServiceProfile &service(std::size_t s) const;
 
-    /**
-     * Arm a fault schedule (src/faults). Must be called after every
-     * replica has been added — the spec is validated against the fleet
-     * shape (FatalError on a bad schedule) — and may come before or
-     * after setAutoscaler. The schedule's transitions are applied
-     * serially at the top of each step(); recovery outcomes and
-     * periodic checkpoints appear on the fault-event stream
-     * (FleetIntervalStats::faultEvents and faultLog()).
-     */
-    void setFaults(const faults::FaultSpec &spec);
-
-    /** All fault events so far, in application order. */
-    const std::vector<faults::FaultEvent> &faultLog() const
-    {
-        return faultLog_;
-    }
-
-    /**
-     * Attach elastic fleet sizing. Call after every slot has been
-     * added (numNodes() must equal cfg.maxNodes — the partition is
-     * fixed, slots park instead of disappearing) and before the first
-     * step. Slots [initial_active, maxNodes) start in standby: no
-     * routing weight, not stepped, not billed.
-     *
-     * @param cfg                  decision rule (validated; fatal on a
-     *                             malformed block)
-     * @param rated_fleet_rps      per-service fleet RPS the *full*
-     *                             (maxNodes) fleet is rated for — the
-     *                             utilisation denominator
-     * @param dollars_per_node_hour hourly rate per slot (empty =
-     *                             $1/h each)
-     * @param initial_active       slots serving at step 0 (must lie in
-     *                             [minNodes, maxNodes])
-     */
-    void setAutoscaler(const autoscale::AutoscaleConfig &cfg,
-                       std::vector<double> rated_fleet_rps,
-                       std::vector<double> dollars_per_node_hour,
-                       std::size_t initial_active);
-
-    /** Attach $/node-hour billing to a *static* fleet (the autoscaler
-     * attaches its own). Empty = $1/h per replica. Every powered
-     * replica is billed each interval; crashed ones are not. */
-    void setCostModel(std::vector<double> dollars_per_node_hour);
-
-    bool autoscaled() const { return autoscaler_ != nullptr; }
-
-    /** All elastic-sizing actions so far, in application order. */
-    const std::vector<ScaleEvent> &scaleLog() const { return scaleLog_; }
-
-    /** Cumulative fleet bill, $ (0 without a cost model). */
-    double costDollars() const
-    {
-        return costModel_ ? costModel_->totalDollars() : 0.0;
-    }
-
-    /** Whether slot @p n is currently powered — stepped, merged and
-     * billed: false for crashed and standby slots, true for draining
-     * ones. */
-    bool isNodeUp(std::size_t n) const;
+    /** Replica lifecycle: faults, elastic sizing, billing. */
+    SlotTable &slots() { return slots_; }
 
     /** Batch the BDQ forward passes of identical exploit-only replicas
      * into one fused GEMM per cohort per interval (on by default).
      * Bit-identical to per-node forwards either way; the bench turns
      * it off for the timing comparison. */
-    void setBatchedInference(bool on);
+    void setBatchedInference(bool on) { batchedInference_ = on; }
 
     /** Number of replicas deciding through a batched cohort in the
      * last stepped interval (0 before the first step). */
@@ -342,56 +218,6 @@ class ClusterManager
             &on_step = {});
 
   private:
-    /** Elastic state of a fleet slot (see the file comment). */
-    enum class SlotState : std::uint8_t
-    {
-        Active,   ///< taking new load (unless crashed)
-        Draining, ///< weight 0, flushing backlog toward retirement
-        Standby,  ///< parked: not stepped, not billed
-    };
-
-    /** One fleet slot's lifecycle record and rebuild recipe. */
-    struct NodeSlot
-    {
-        sim::MachineConfig machine;
-        ManagerFactory factory;
-        /** Rebuild count; salts the reborn node's derived seed. */
-        std::size_t incarnation = 0;
-        SlotState state = SlotState::Active;
-        /** Down after a node_crash until its restart. */
-        bool crashed = false;
-        /** Step at which a draining slot retires (valid while
-         * Draining). */
-        std::size_t drainDeadline = 0;
-        /** Powered for at least one interval: reactivation restores
-         * its drain-time frame instead of keeping the virgin donor
-         * policy. */
-        bool everServed = false;
-        /** Last checkpoint frame: u64 FNV-1a checksum followed by the
-         * framed BDQ checkpoint ("" = none yet). */
-        std::string frame;
-        // Environmental fault state that survives a node rebuild (a
-        // restarted node is still in the hot rack / behind the same
-        // flaky monitor).
-        bool throttled = false;
-        std::size_t dvfsCap = 0;
-        bool telemetryFault = false;
-        double faultSigma = 0.0;
-        double faultStaleProb = 0.0;
-        std::uint64_t faultSeed = 0;
-
-        /** Stepped, merged and billed. */
-        bool powered() const
-        {
-            return !crashed && state != SlotState::Standby;
-        }
-        /** Takes new load. */
-        bool serving() const
-        {
-            return !crashed && state == SlotState::Active;
-        }
-    };
-
     /** A batched-inference cohort: serving replicas whose managers run
      * the same frozen policy (equal architecture + parameter
      * fingerprints, exploit-only). One batched forward per interval on
@@ -406,48 +232,18 @@ class ClusterManager
         std::vector<std::vector<nn::BranchActions>> actions;
     };
 
-    std::vector<LatencyBinning> binnings() const;
-    /** Regroup serving replicas into batched-inference cohorts. */
+    /** Regroup powered replicas into batched-inference cohorts. */
     void rebuildCohorts();
-    /** Apply the schedule transitions due at the current step. */
-    void applyFaultEvents();
-    /** Periodic checksummed in-memory BDQ frames of serving replicas. */
-    void saveCheckpointFrames();
-    /** One checksummed in-memory BDQ frame of replica @p n (emits the
-     * CheckpointSaved event); no-op for managers without a policy. */
-    void saveFrame(std::size_t n);
-    /** Rebuild replica @p n after a crash; @p recovery is "warm" or
-     * "cold". Emits the recovery-outcome events. */
-    void rebuildNode(std::size_t n, const std::string &recovery);
-
-    // --- elastic sizing (src/autoscale) -------------------------------
-    /** Retire due drains, evaluate the decision rule, apply the
-     * action. Serial, before routing; uses the current interval's
-     * offered load and the previous interval's trailing p99. */
-    void applyAutoscale();
-    /** Activate standby slot @p n (warm spawn; see file comment). */
-    void activateNode(std::size_t n, const autoscale::ScaleDecision &d);
-    /** Begin draining serving slot @p n. */
-    void drainNode(std::size_t n, const autoscale::ScaleDecision &d);
-    /** Retire drained slot @p n back to standby. */
-    void retireNode(std::size_t n);
-    /** Capability-weighted share of full-fleet capacity held by the
-     * serving slots, optionally excluding the @p excluding_victims
-     * highest-indexed ones (the hypothetical scale-in). */
-    double servingCapacityFraction(std::size_t excluding_victims) const;
 
     ClusterConfig cfg_;
-    std::vector<sim::ServiceProfile> services_;
+    /** Every slot's record and node (the only place slot health and
+     * elastic state live). */
+    SlotTable slots_;
     std::vector<std::unique_ptr<sim::LoadGenerator>> fleetLoads_;
     /** The two-level front-end. */
     ShardedRouter router_;
-    std::vector<std::unique_ptr<Node>> nodes_;
-    /** Lifecycle record and rebuild recipe per node (sized by
-     * addNode; the only place slot health and elastic state live). */
-    std::vector<NodeSlot> slots_;
     /** Created on first parallel step (jobs > 1). */
     std::unique_ptr<common::ThreadPool> pool_;
-    std::uint64_t seed_;
     std::size_t step_ = 0;
     /** Scratch: merged per-service histograms for the current interval. */
     std::vector<stats::Histogram> mergedScratch_;
@@ -460,8 +256,10 @@ class ClusterManager
     // --- batched inference -------------------------------------------
     bool batchedInference_ = true;
     std::vector<Cohort> cohorts_;
-    /** Cohorts need regrouping (topology or policy-freeze changed). */
-    bool cohortsDirty_ = true;
+    /** Slot generation and batching switch the cohorts were grouped
+     * at; either changing regroups them. */
+    std::uint64_t cohortsGeneration_ = 0;
+    bool cohortsBatched_ = false;
     /** Per node: 1 when a cohort decides for it this interval. */
     std::vector<std::uint8_t> nodeBatched_;
 
@@ -476,34 +274,6 @@ class ClusterManager
     std::vector<std::vector<double>> shares_;
     /** Trailing-window merge accumulator per service. */
     std::vector<stats::Histogram> trailingScratch_;
-
-    // --- fault subsystem (src/faults) --------------------------------
-    /** Armed schedule (null without faults; the no-fault step path is
-     * byte-identical to the pre-fault code). */
-    std::unique_ptr<faults::FaultInjector> injector_;
-    /** Active load-surge multiplier per service (1.0 = none). */
-    std::vector<double> surgeMult_;
-    /** Events fired during the current step (scratch). */
-    std::vector<faults::FaultEvent> stepEvents_;
-    /** Full event stream across the run. */
-    std::vector<faults::FaultEvent> faultLog_;
-
-    // --- elastic sizing (src/autoscale) -------------------------------
-    /** Decision rule (null without setAutoscaler; the non-autoscaled
-     * step path is byte-identical to the pre-autoscale code). */
-    std::unique_ptr<autoscale::Autoscaler> autoscaler_;
-    /** $/node-hour billing (attached with the autoscaler). */
-    std::unique_ptr<autoscale::CostModel> costModel_;
-    /** Per-service fleet RPS the full fleet is rated for. */
-    std::vector<double> ratedFleetRps_;
-    /** Previous interval's trailing-window fleet p99 per service. */
-    std::vector<double> lastTrailingP99_;
-    /** Cached QoS targets (signal scratch). */
-    std::vector<double> qosTargets_;
-    /** Scale events fired during the current step (scratch). */
-    std::vector<ScaleEvent> scaleStepEvents_;
-    /** Full scale-event stream across the run. */
-    std::vector<ScaleEvent> scaleLog_;
 };
 
 } // namespace twig::cluster

@@ -9,11 +9,11 @@
 
 namespace twig::cluster {
 
-Node::Node(const NodeConfig &cfg,
-           std::unique_ptr<core::TaskManager> manager, std::uint64_t seed)
+Node::Node(const NodeConfig &cfg, std::unique_ptr<core::TaskManager> manager,
+           std::uint64_t seed, const FaultEnv &env)
     : config_(cfg), server_(cfg.machine, seed),
-      manager_(std::move(manager)), mapper_(cfg.machine),
-      dvfsCap_(cfg.machine.dvfs.maxIndex())
+      manager_(std::move(manager)), mapper_(cfg.machine), env_(env),
+      faultRng_(env.seed)
 {
     common::fatalIf(config_.services.empty(), "Node: hosts no services");
     common::fatalIf(!manager_, "Node: null task manager");
@@ -68,33 +68,11 @@ Node::setOfferedLoad(const std::vector<double> &rps)
 }
 
 void
-Node::setDvfsCap(std::size_t max_index)
+Node::setFaultEnv(const FaultEnv &env, bool reseed_noise)
 {
-    dvfsCap_ = std::min(max_index, machine().dvfs.maxIndex());
-}
-
-void
-Node::clearDvfsCap()
-{
-    dvfsCap_ = machine().dvfs.maxIndex();
-}
-
-void
-Node::setTelemetryFault(double sigma, double stale_prob,
-                        std::uint64_t seed)
-{
-    common::fatalIf(sigma < 0.0 || stale_prob < 0.0 || stale_prob > 1.0,
-                    "Node::setTelemetryFault: bad parameters");
-    telemetryFault_ = true;
-    faultSigma_ = sigma;
-    faultStaleProb_ = stale_prob;
-    faultRng_.reseed(seed);
-}
-
-void
-Node::clearTelemetryFault()
-{
-    telemetryFault_ = false;
+    env_ = env;
+    if (reseed_noise)
+        faultRng_.reseed(env.seed);
 }
 
 const sim::ServerIntervalStats &
@@ -112,23 +90,22 @@ Node::stepInterval()
     // the initial all-cores-max requests.
     if (dvfsCapped()) {
         for (auto &req : requests_)
-            req.dvfsIndex = std::min(req.dvfsIndex, dvfsCap_);
+            req.dvfsIndex = std::min(req.dvfsIndex, env_.dvfsCap);
     }
     mapper_.mapInto(requests_, assignments_);
     const sim::ServerIntervalStats &stats = server_.runInterval(assignments_);
-    if (telemetryFault_) {
+    if (env_.telemetryFault) {
         // Perturb before any decide so the fault RNG's draw sequence
         // is the same whether the decision runs in-node or deferred.
         perturbed_ = stats;
         for (std::size_t s = 0; s < perturbed_.services.size(); ++s) {
             auto &pmcs = perturbed_.services[s].pmcs;
             if (havePrevPmcs_ && s < prevPmcs_.size() &&
-                faultRng_.bernoulli(faultStaleProb_)) {
+                faultRng_.bernoulli(env_.staleProb)) {
                 pmcs = prevPmcs_[s]; // dropout: stale reading
-            } else if (faultSigma_ > 0.0) {
+            } else if (env_.sigma > 0.0) {
                 for (auto &counter : pmcs)
-                    counter *= std::exp(
-                        faultRng_.normal(0.0, faultSigma_));
+                    counter *= std::exp(faultRng_.normal(0.0, env_.sigma));
             }
         }
         managerView_ = &perturbed_;

@@ -69,6 +69,29 @@ struct NodeConfig
     std::vector<LatencyBinning> latencyBins;
 };
 
+/** A slot's environmental fault state; it outlives a node rebuild. */
+struct FaultEnv
+{
+    /** Thermal throttle: the hardware's DVFS ladder is capped at
+     * dvfsCap (clamped to the ladder). The manager keeps requesting
+     * whatever it wants; the delivered frequency silently saturates —
+     * exactly how firmware-level thermal management looks to software.
+     */
+    bool throttled = false;
+    std::size_t dvfsCap = 0;
+    /** Telemetry fault: the PMC vectors the *manager* observes carry
+     * multiplicative log-normal noise (per-counter factor
+     * exp(N(0, sigma^2))) and, with probability staleProb per service
+     * per interval, are replaced by the previous interval's readings.
+     * Ground truth (latency histograms, power, router feedback) is
+     * untouched. Draws come from a node-private RNG seeded with seed,
+     * so runs stay bit-identical at any --jobs count. */
+    bool telemetryFault = false;
+    double sigma = 0.0;
+    double staleProb = 0.0;
+    std::uint64_t seed = 0;
+};
+
 /** One fleet replica: server + manager + mapper + latency histograms. */
 class Node
 {
@@ -77,9 +100,11 @@ class Node
      * @param cfg      machine, hosted services and histogram binning
      * @param manager  the node's task manager (ownership transfers)
      * @param seed     seeds the node's private simulation randomness
+     * @param env      the slot's environmental faults (noise RNG
+     *                 seeded from it)
      */
-    Node(const NodeConfig &cfg,
-         std::unique_ptr<core::TaskManager> manager, std::uint64_t seed);
+    Node(const NodeConfig &cfg, std::unique_ptr<core::TaskManager> manager,
+         std::uint64_t seed, const FaultEnv &env = {});
 
     std::size_t numServices() const { return config_.services.size(); }
     const sim::MachineConfig &machine() const { return config_.machine; }
@@ -95,30 +120,14 @@ class Node
     /** Set next interval's offered load, one RPS per service. */
     void setOfferedLoad(const std::vector<double> &rps);
 
-    /**
-     * Thermal throttle: cap the hardware's DVFS ladder at index
-     * @p max_index (clamped to the ladder) until clearDvfsCap(). The
-     * manager keeps requesting whatever it wants; the delivered
-     * frequency silently saturates — exactly how firmware-level
-     * thermal management looks to software.
-     */
-    void setDvfsCap(std::size_t max_index);
-    void clearDvfsCap();
-    bool dvfsCapped() const { return dvfsCap_ < machine().dvfs.maxIndex(); }
-
-    /**
-     * Telemetry fault: until clearTelemetryFault(), the PMC vectors
-     * the *manager* observes carry multiplicative log-normal noise
-     * (per-counter factor exp(N(0, sigma^2))) and, with probability
-     * @p stale_prob per service per interval, are replaced by the
-     * previous interval's readings. Ground truth (latency histograms,
-     * power, router feedback) is untouched. Draws come from a node-
-     * private RNG seeded with @p seed, so runs stay bit-identical at
-     * any --jobs count.
-     */
-    void setTelemetryFault(double sigma, double stale_prob,
-                           std::uint64_t seed);
-    void clearTelemetryFault();
+    /** Apply the slot's updated fault environment (spec-validated);
+     * @p reseed_noise restarts the noise RNG from env.seed (a PMC-noise
+     * fault starting). */
+    void setFaultEnv(const FaultEnv &env, bool reseed_noise);
+    bool dvfsCapped() const
+    {
+        return env_.throttled && env_.dvfsCap < machine().dvfs.maxIndex();
+    }
 
     /**
      * Advance one control interval: map the pending resource requests,
@@ -192,11 +201,7 @@ class Node
     std::uint64_t decideCycles_ = 0;
 
     // --- fault surfaces (src/faults) ---------------------------------
-    /** Highest DVFS index the hardware delivers (default: no cap). */
-    std::size_t dvfsCap_;
-    bool telemetryFault_ = false;
-    double faultSigma_ = 0.0;
-    double faultStaleProb_ = 0.0;
+    FaultEnv env_;
     common::Rng faultRng_;
     /** Last truthful PMC vectors (stale-reading source). */
     std::vector<sim::PmcVector> prevPmcs_;

@@ -28,8 +28,8 @@
  * every normalisation, so the nodes with positive weight absorb its
  * share; all-zero weights give all-zero shares. Whether a zero means
  * "crashed", "parked" or "draining" — and whether the interval's load
- * was therefore shed — is decided by the caller (ClusterManager's slot
- * table), not here.
+ * was therefore shed — is decided by the caller (the fleet's
+ * SlotTable), not here.
  */
 
 #ifndef TWIG_CLUSTER_ROUTER_HH

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hh"
-#include "harness/sweep.hh"
+#include "common/rng.hh"
 
 namespace twig::cluster {
 
@@ -50,7 +50,7 @@ ShardedRouter::bind(std::size_t nodes)
         // fleet replays the flat Router's draw sequence bit for bit;
         // siblings get independent derived streams.
         const std::uint64_t dseed =
-            d == 0 ? seed_ : harness::sweepSeed(seed_, 0xd0a000 + d);
+            d == 0 ? seed_ : common::sweepSeed(seed_, 0xd0a000 + d);
         dom.router = std::make_unique<Router>(cfg_.router, dseed);
     }
 }

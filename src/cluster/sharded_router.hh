@@ -29,8 +29,8 @@
  * "no new load", > 0 is the node's capacity share. A domain whose
  * members all weigh 0 gets no slice: its share renormalises onto the
  * sibling domains. All-zero weights give all-zero shares; the caller
- * (ClusterManager, which owns each slot's lifecycle) decides whether
- * that interval's load was shed.
+ * (ClusterManager, whose SlotTable owns each slot's lifecycle) decides
+ * whether that interval's load was shed.
  */
 
 #ifndef TWIG_CLUSTER_SHARDED_ROUTER_HH

@@ -1,8 +1,9 @@
 /**
  * @file
- * FNV-1a 64-bit hashing, shared by the checkpoint-frame checksums
- * (cluster failover) and the manager fingerprints that group identical
- * replicas into batched-inference cohorts.
+ * FNV-1a 64-bit hashing, shared by the manager fingerprints that group
+ * identical replicas into batched-inference cohorts and by the
+ * checksummed frames (the cluster's failover frames and the daemon's
+ * shutdown checkpoint).
  */
 
 #ifndef TWIG_COMMON_HASH_HH
@@ -10,6 +11,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <string_view>
 
 namespace twig::common {
 
@@ -33,6 +38,31 @@ inline std::uint64_t
 fnv1aValue(std::uint64_t value, std::uint64_t h = kFnvOffsetBasis)
 {
     return fnv1a(&value, sizeof(value), h);
+}
+
+/** Append the checksummed frame of @p payload to @p out: its u64
+ * FNV-1a, then the payload. */
+inline void
+sealFrame(std::string &out, std::string_view payload)
+{
+    const std::uint64_t sum = fnv1a(payload.data(), payload.size());
+    out.append(reinterpret_cast<const char *>(&sum), sizeof(sum));
+    out.append(payload);
+}
+
+/** The payload of a sealFrame @p frame, or nullopt when the frame is
+ * shorter than its checksum or the checksum does not match. */
+inline std::optional<std::string_view>
+openFrame(std::string_view frame)
+{
+    std::uint64_t stored = 0;
+    if (frame.size() < sizeof(stored))
+        return std::nullopt;
+    std::memcpy(&stored, frame.data(), sizeof(stored));
+    frame.remove_prefix(sizeof(stored));
+    if (stored != fnv1a(frame.data(), frame.size()))
+        return std::nullopt;
+    return frame;
 }
 
 } // namespace twig::common

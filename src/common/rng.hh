@@ -12,6 +12,7 @@
 #define TWIG_COMMON_RNG_HH
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -25,6 +26,25 @@ splitmix64(std::uint64_t &state)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/**
+ * Deterministic derived seed: a splitmix64 mix of the base seed and an
+ * index (sweep configuration, fleet node, subsystem). Depends on
+ * nothing else — in particular not on which worker thread picks the
+ * run up, or in what order.
+ */
+inline std::uint64_t
+sweepSeed(std::uint64_t baseSeed, std::size_t index)
+{
+    // Two splitmix64 rounds over a combination of base seed and index.
+    // splitmix64 is a bijective mixer, so distinct (base, index) pairs
+    // cannot collide for a fixed base, and consecutive indices land far
+    // apart in xoshiro's seed space.
+    std::uint64_t s = baseSeed ^ (0x9e3779b97f4a7c15ULL *
+                                  (static_cast<std::uint64_t>(index) + 1));
+    splitmix64(s);
+    return splitmix64(s);
 }
 
 /**

@@ -270,10 +270,6 @@ Engine::runSingle(const ScenarioSpec &spec,
         manager = owned.get();
     }
 
-    const auto final_profiles = profilesFor(spec.finalServices());
-    for (auto *sink : options_.sinks)
-        sink->begin(spec, final_profiles);
-
     auto build_server = [&](const std::vector<ServiceLoadSpec> &loads,
                             std::uint64_t seed,
                             std::size_t segment_steps) {
@@ -316,13 +312,16 @@ Engine::runSingle(const ScenarioSpec &spec,
             event.serverSeed ? *event.serverSeed : spec.seed;
     }
 
-    // Final (measured) segment.
+    // Final (measured) segment: the only one the sinks observe.
     auto server = build_server(*current, server_seed, spec.steps);
     ExperimentRunner runner(*server, *manager);
     RunOptions run;
     run.steps = spec.steps;
     run.summaryWindow = sched.summaryWindow;
     run.recordTrace = options_.recordTrace || !options_.sinks.empty();
+    const auto final_profiles = profilesFor(spec.finalServices());
+    for (auto *sink : options_.sinks)
+        sink->begin(spec, final_profiles);
 
     EngineResult result;
     result.managerName = manager->name();
@@ -467,7 +466,7 @@ buildFleet(const ScenarioSpec &spec, const ManagerRegistry &registry,
                                               machine.numCores));
     }
     if (!spec.faults.empty())
-        setup.fleet->setFaults(spec.faults);
+        setup.fleet->slots().setFaults(spec.faults);
     // Per-slot hourly rates from the class list (empty = $1/h each).
     std::vector<double> rates;
     if (!spec.fleetClasses.empty()) {
@@ -481,10 +480,10 @@ buildFleet(const ScenarioSpec &spec, const ManagerRegistry &registry,
     if (spec.autoscale) {
         // Rated at full provisioning: the utilisation denominator is
         // the same static-max capacity the bench compares against.
-        setup.fleet->setAutoscaler(*spec.autoscale, setup.maxRps,
-                                   std::move(rates), spec.nodes);
+        setup.fleet->slots().setAutoscaler(*spec.autoscale, setup.maxRps,
+                                           std::move(rates), spec.nodes);
     } else if (!rates.empty()) {
-        setup.fleet->setCostModel(std::move(rates));
+        setup.fleet->slots().setCostModel(std::move(rates));
     }
     return setup;
 }

@@ -46,8 +46,8 @@ class RecordSink
   public:
     virtual ~RecordSink() = default;
 
-    /** Called once before the run, with the final segment's service
-     * profiles. */
+    /** Called once just before the final segment runs (after any
+     * event segments), with its service profiles. */
     virtual void
     begin(const ScenarioSpec &spec,
           const std::vector<sim::ServiceProfile> &profiles)

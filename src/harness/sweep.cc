@@ -1,22 +1,8 @@
 #include "harness/sweep.hh"
 
-#include "common/rng.hh"
 #include "common/thread_pool.hh"
 
 namespace twig::harness {
-
-std::uint64_t
-sweepSeed(std::uint64_t baseSeed, std::size_t index)
-{
-    // Two splitmix64 rounds over a combination of base seed and index.
-    // splitmix64 is a bijective mixer, so distinct (base, index) pairs
-    // cannot collide for a fixed base, and consecutive indices land far
-    // apart in xoshiro's seed space.
-    std::uint64_t s = baseSeed ^ (0x9e3779b97f4a7c15ULL *
-                                  (static_cast<std::uint64_t>(index) + 1));
-    common::splitmix64(s);
-    return common::splitmix64(s);
-}
 
 void
 ParallelSweep::forEachIndex(
@@ -39,7 +25,7 @@ ParallelSweep::run(
 {
     std::vector<RunResult> results(tasks.size());
     forEachIndex(tasks.size(), [&](std::size_t i) {
-        results[i] = tasks[i](sweepSeed(opts_.baseSeed, i));
+        results[i] = tasks[i](common::sweepSeed(opts_.baseSeed, i));
     });
     return results;
 }

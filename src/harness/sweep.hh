@@ -22,16 +22,10 @@
 #include <functional>
 #include <vector>
 
+#include "common/rng.hh"
 #include "harness/runner.hh"
 
 namespace twig::harness {
-
-/**
- * Deterministic per-run seed: a splitmix64 mix of the base seed and
- * the configuration index. Depends on nothing else — in particular not
- * on which worker thread picks the run up, or in what order.
- */
-std::uint64_t sweepSeed(std::uint64_t baseSeed, std::size_t index);
 
 /** Options for ParallelSweep. */
 struct SweepOptions
@@ -64,14 +58,15 @@ class ParallelSweep
     {
         std::vector<T> results(count);
         forEachIndex(count, [&](std::size_t i) {
-            results[i] = fn(i, sweepSeed(opts_.baseSeed, i));
+            results[i] = fn(i, common::sweepSeed(opts_.baseSeed, i));
         });
         return results;
     }
 
     /**
      * Run a heterogeneous batch: tasks[i] receives
-     * sweepSeed(baseSeed, i); results are ordered by task index.
+     * common::sweepSeed(baseSeed, i); results are ordered by task
+     * index.
      */
     std::vector<RunResult>
     run(const std::vector<std::function<RunResult(std::uint64_t)>> &tasks)

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/hash.hh"
+
 namespace twig::serve {
 
 namespace {
@@ -273,23 +275,11 @@ decodeStats(const FrameView &frame, StatsMsg &msg)
 
 // --- checkpoint frames -----------------------------------------------
 
-std::uint64_t
-fnv1a(const char *data, std::size_t n)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 void
 encodeCheckpointFrame(std::string &out, const std::string &payload)
 {
     putHeader(out, FrameType::Checkpoint, 8 + payload.size());
-    put64(out, fnv1a(payload.data(), payload.size()));
-    out.append(payload);
+    common::sealFrame(out, payload);
 }
 
 bool
@@ -336,19 +326,12 @@ readCheckpointFile(const std::string &path, std::string &payload,
         error = path + ": trailing bytes after the checkpoint frame";
         return false;
     }
-    const std::uint64_t stored =
-        [&] {
-            std::uint64_t v;
-            std::memcpy(&v, frame.body, 8);
-            return v;
-        }();
-    const char *body = frame.body + 8;
-    const std::size_t body_len = frame.size - 8;
-    if (stored != fnv1a(body, body_len)) {
+    const auto body = common::openFrame({frame.body, frame.size});
+    if (!body) {
         error = path + ": checkpoint checksum mismatch";
         return false;
     }
-    payload.assign(body, body_len);
+    payload.assign(*body);
     return true;
 }
 

@@ -182,11 +182,8 @@ bool decodeStats(const FrameView &frame, StatsMsg &msg);
 
 // --- checkpoint frames -----------------------------------------------
 
-/** FNV-1a 64-bit hash (the repo's checkpoint-frame checksum). */
-std::uint64_t fnv1a(const char *data, std::size_t n);
-
-/** Append a Checkpoint frame wrapping @p payload: body = u64
- * fnv1a(payload) + payload. */
+/** Append a Checkpoint frame wrapping @p payload: body =
+ * common::sealFrame(payload), the u64 FNV-1a then the payload. */
 void encodeCheckpointFrame(std::string &out, const std::string &payload);
 
 /**

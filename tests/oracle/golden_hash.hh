@@ -98,6 +98,41 @@ hashFleetRun(const cluster::FleetRunResult &r)
     return h;
 }
 
+/** A fleet run with faults or elastic sizing: hashFleetRun, then per
+ * interval the slot lifecycle (nodeUp, servingNodes, drainingNodes,
+ * the cumulative bill) and every fault and scale event it fired, all
+ * fields. */
+inline std::uint64_t
+hashFleetLifecycleRun(const cluster::FleetRunResult &r)
+{
+    std::uint64_t h = hashFleetRun(r);
+    for (const auto &f : r.trace) {
+        h = common::fnv1a(f.nodeUp.data(), f.nodeUp.size(), h);
+        h = common::fnv1aValue(f.servingNodes, h);
+        h = common::fnv1aValue(f.drainingNodes, h);
+        h = hashDouble(f.costDollars, h);
+        for (const auto &ev : f.faultEvents) {
+            h = common::fnv1aValue(ev.step, h);
+            h = common::fnv1aValue(static_cast<std::uint64_t>(ev.kind), h);
+            h = common::fnv1aValue(static_cast<std::uint64_t>(ev.node), h);
+            h = common::fnv1aValue(static_cast<std::uint64_t>(ev.service),
+                                   h);
+            h = hashDouble(ev.value, h);
+            h = hashDouble(ev.aux, h);
+            h = common::fnv1aValue(ev.seed, h);
+            h = common::fnv1a(ev.note.data(), ev.note.size(), h);
+        }
+        for (const auto &ev : f.scaleEvents) {
+            h = common::fnv1aValue(ev.step, h);
+            h = common::fnv1aValue(static_cast<std::uint64_t>(ev.kind), h);
+            h = common::fnv1aValue(ev.node, h);
+            h = hashDouble(ev.utilization, h);
+            h = hashDouble(ev.tardiness, h);
+        }
+    }
+    return h;
+}
+
 } // namespace twig::oracle
 
 #endif // TWIG_ORACLE_GOLDEN_HASH_HH

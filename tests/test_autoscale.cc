@@ -478,8 +478,8 @@ makeElasticFleet(const std::vector<double> &fractions,
     for (std::size_t n = 0; n < 4; ++n)
         fleet.addNode(sim::MachineConfig{}, staticNodes());
     if (!faults.actions.empty())
-        fleet.setFaults(faults);
-    fleet.setAutoscaler(cfg, {rated}, {}, initial);
+        fleet.slots().setFaults(faults);
+    fleet.slots().setAutoscaler(cfg, {rated}, {}, initial);
     return fleet;
 }
 
@@ -528,7 +528,7 @@ TEST(ClusterAutoscale, StandbySlotsStartParkedAndUnbilled)
     // Two slots at $1/h for one machine interval.
     const double interval_s =
         fleet.node(0).machine().intervalSeconds;
-    EXPECT_NEAR(fleet.costDollars(), 2.0 * interval_s / 3600.0, 1e-12);
+    EXPECT_NEAR(fleet.slots().costDollars(), 2.0 * interval_s / 3600.0, 1e-12);
 }
 
 TEST(ClusterAutoscale, ScalesOutLowestStandbyFirstUnderLoad)
@@ -536,7 +536,7 @@ TEST(ClusterAutoscale, ScalesOutLowestStandbyFirstUnderLoad)
     auto cfg = validConfig();
     auto fleet = makeElasticFleet({0.8}, cfg, 2);
     fleet.run(8, 2);
-    const auto &log = fleet.scaleLog();
+    const auto &log = fleet.slots().scaleLog();
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::ScaleOut), 2u);
     // Victim selection is positional: slot 2 activates before slot 3.
     std::vector<std::size_t> activated;
@@ -557,7 +557,7 @@ TEST(ClusterAutoscale, ScaleInDrainsThenRetiresHighestFirst)
               [&trace](std::size_t, const cluster::FleetIntervalStats &s) {
                   trace.push_back(s);
               });
-    const auto &log = fleet.scaleLog();
+    const auto &log = fleet.slots().scaleLog();
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::DrainStart), 1u);
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::Retire), 1u);
     // Highest-indexed serving slot drains first.
@@ -598,10 +598,10 @@ TEST(ClusterAutoscale, BillMatchesPoweredSlotSeconds)
             expected +=
                 static_cast<double>(powered) * interval_s / 3600.0;
         });
-    EXPECT_NEAR(fleet.costDollars(), expected, 1e-9);
-    EXPECT_DOUBLE_EQ(result.metrics.costDollars, fleet.costDollars());
+    EXPECT_NEAR(fleet.slots().costDollars(), expected, 1e-9);
+    EXPECT_DOUBLE_EQ(result.metrics.costDollars, fleet.slots().costDollars());
     // The elastic bill must undercut always-on max provisioning.
-    EXPECT_LT(fleet.costDollars(), 4.0 * 12.0 * interval_s / 3600.0);
+    EXPECT_LT(fleet.slots().costDollars(), 4.0 * 12.0 * interval_s / 3600.0);
 }
 
 TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
@@ -622,18 +622,18 @@ TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
     // maxNodes must equal the provisioned slot count.
     auto short_fleet = make_fleet(2);
     EXPECT_THROW(
-        short_fleet.setAutoscaler(validConfig(), {100.0}, {}, 1),
+        short_fleet.slots().setAutoscaler(validConfig(), {100.0}, {}, 1),
         FatalError);
 
     // initial_active outside [min, max].
     auto fleet = make_fleet(4);
-    EXPECT_THROW(fleet.setAutoscaler(validConfig(), {100.0}, {}, 5),
+    EXPECT_THROW(fleet.slots().setAutoscaler(validConfig(), {100.0}, {}, 5),
                  FatalError);
 
     // One rated entry per service.
     auto fleet2 = make_fleet(4);
     EXPECT_THROW(
-        fleet2.setAutoscaler(validConfig(), {100.0, 50.0}, {}, 2),
+        fleet2.slots().setAutoscaler(validConfig(), {100.0, 50.0}, {}, 2),
         FatalError);
 
     // Faults may arm after the autoscaler: the schedule holds no slot
@@ -641,7 +641,7 @@ TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
     // offered load, the two active slots sit inside the hysteresis
     // band and nothing scales.)
     auto fleet3 = make_fleet(4);
-    fleet3.setAutoscaler(validConfig(), {4.0 * masstree.maxLoadRps}, {},
+    fleet3.slots().setAutoscaler(validConfig(), {4.0 * masstree.maxLoadRps}, {},
                          2);
     faults::FaultSpec faults;
     faults::FaultAction surge;
@@ -650,7 +650,7 @@ TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
     surge.durationSteps = 1;
     surge.multiplier = 2.0;
     faults.actions.push_back(surge);
-    fleet3.setFaults(faults);
+    fleet3.slots().setFaults(faults);
     const auto &parked = fleet3.step();
     EXPECT_TRUE(parked.scaleEvents.empty());
     EXPECT_EQ(parked.nodeUp, (std::vector<std::uint8_t>{1, 1, 0, 0}));
@@ -658,8 +658,8 @@ TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
 
     // A static fleet can bill without an autoscaler, but not both ways.
     auto fleet4 = make_fleet(4);
-    fleet4.setAutoscaler(validConfig(), {100.0}, {}, 2);
-    EXPECT_THROW(fleet4.setCostModel({}), FatalError);
+    fleet4.slots().setAutoscaler(validConfig(), {100.0}, {}, 2);
+    EXPECT_THROW(fleet4.slots().setCostModel({}), FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -680,8 +680,8 @@ TEST(ClusterAutoscale, CrashAndRestartOfAStandbySlotKeepsItParked)
     auto fleet = makeElasticFleet({0.25}, cfg, 2, faults);
     const auto result = fleet.run(12, 4);
 
-    EXPECT_TRUE(fleet.scaleLog().empty());
-    EXPECT_EQ(countFaultEvents(fleet.faultLog(),
+    EXPECT_TRUE(fleet.slots().scaleLog().empty());
+    EXPECT_EQ(countFaultEvents(fleet.slots().faultLog(),
                                faults::FaultEventKind::NodeRestart),
               1u);
     for (std::size_t t = 0; t < 12; ++t) {
@@ -689,10 +689,10 @@ TEST(ClusterAutoscale, CrashAndRestartOfAStandbySlotKeepsItParked)
         EXPECT_EQ(fs.servingNodes, 2u) << "step " << t;
         EXPECT_EQ(fs.nodeUp[3], 0u) << "step " << t;
     }
-    EXPECT_FALSE(fleet.isNodeUp(3));
+    EXPECT_FALSE(fleet.slots().isNodeUp(3));
     // Billed as two slots for every interval.
     const double interval_s = fleet.node(0).machine().intervalSeconds;
-    EXPECT_NEAR(fleet.costDollars(), 2.0 * 12.0 * interval_s / 3600.0,
+    EXPECT_NEAR(fleet.slots().costDollars(), 2.0 * 12.0 * interval_s / 3600.0,
                 1e-12);
 }
 
@@ -708,12 +708,12 @@ TEST(ClusterAutoscale, SlotCrashedWhileDrainingStaysStandbyAfterRestart)
     auto fleet = makeElasticFleet({0.1}, cfg, 3, faults);
     const auto result = fleet.run(10, 2);
 
-    const auto &log = fleet.scaleLog();
+    const auto &log = fleet.slots().scaleLog();
     ASSERT_FALSE(log.empty());
     ASSERT_EQ(log[0].kind, cluster::ScaleEvent::Kind::DrainStart);
     ASSERT_EQ(log[0].node, 2u);
     ASSERT_EQ(log[0].step, 0u);
-    EXPECT_EQ(countFaultEvents(fleet.faultLog(),
+    EXPECT_EQ(countFaultEvents(fleet.slots().faultLog(),
                                faults::FaultEventKind::NodeRestart),
               1u);
     for (const auto &ev : log) {
@@ -723,7 +723,7 @@ TEST(ClusterAutoscale, SlotCrashedWhileDrainingStaysStandbyAfterRestart)
     }
     for (std::size_t t = 1; t < 10; ++t)
         EXPECT_EQ(result.trace[t].nodeUp[2], 0u) << "step " << t;
-    EXPECT_FALSE(fleet.isNodeUp(2));
+    EXPECT_FALSE(fleet.slots().isNodeUp(2));
 }
 
 TEST(ClusterAutoscale, ScaleOutSkipsACrashedStandbySlot)
@@ -737,7 +737,7 @@ TEST(ClusterAutoscale, ScaleOutSkipsACrashedStandbySlot)
     const auto result = fleet.run(8, 2);
 
     std::vector<std::size_t> activated;
-    for (const auto &ev : fleet.scaleLog())
+    for (const auto &ev : fleet.slots().scaleLog())
         if (ev.kind == cluster::ScaleEvent::Kind::ScaleOut)
             activated.push_back(ev.node);
     ASSERT_FALSE(activated.empty());
@@ -762,10 +762,10 @@ TEST(RouterDrain, AllDrainingRoutesZeroWithoutShed)
     auto fleet = makeElasticFleet({0.05}, cfg, 2, faults);
     const auto result = fleet.run(5, 1);
 
-    ASSERT_EQ(fleet.scaleLog().size(), 2u);
-    ASSERT_EQ(fleet.scaleLog()[0].kind,
+    ASSERT_EQ(fleet.slots().scaleLog().size(), 2u);
+    ASSERT_EQ(fleet.slots().scaleLog()[0].kind,
               cluster::ScaleEvent::Kind::DrainStart);
-    ASSERT_EQ(fleet.scaleLog()[0].node, 1u);
+    ASSERT_EQ(fleet.slots().scaleLog()[0].node, 1u);
     for (std::size_t t = 1; t < 3; ++t) {
         const auto &fs = result.trace[t];
         EXPECT_EQ(fs.servingNodes, 0u) << "step " << t;
@@ -809,11 +809,11 @@ TEST(ClusterAutoscale, ThrottleOnAParkedSlotFollowsItIntoService)
     auto fleet = makeElasticFleet({0.8}, cfg, 2, faults);
     fleet.run(4, 1);
 
-    ASSERT_FALSE(fleet.scaleLog().empty());
-    ASSERT_EQ(fleet.scaleLog()[0].kind,
+    ASSERT_FALSE(fleet.slots().scaleLog().empty());
+    ASSERT_EQ(fleet.slots().scaleLog()[0].kind,
               cluster::ScaleEvent::Kind::ScaleOut);
-    ASSERT_EQ(fleet.scaleLog()[0].node, 2u);
-    EXPECT_TRUE(fleet.isNodeUp(2));
+    ASSERT_EQ(fleet.slots().scaleLog()[0].node, 2u);
+    EXPECT_TRUE(fleet.slots().isNodeUp(2));
     EXPECT_TRUE(fleet.node(2).dvfsCapped());
 }
 
@@ -994,7 +994,7 @@ TEST(AutoscaleEngine, ReactivatedSlotRestoresItsDrainTimePolicy)
     cfg.persistIntervals = 1;
     cfg.cooldownIntervals = 1;
     cfg.drainIntervals = 1;
-    fleet.setAutoscaler(cfg, {rated}, {}, 3);
+    fleet.slots().setAutoscaler(cfg, {rated}, {}, 3);
 
     bool warm_restored_after_retire = false;
     std::size_t retired_node = 0;

@@ -443,13 +443,13 @@ TEST(ClusterManager, HierarchicalMergeSkipsCrashedNodes)
                            staticNodes(), 16, /*domains=*/3);
     faults::FaultSpec spec;
     spec.actions.push_back(crashAction(3, 2, 5, "cold"));
-    fleet.setFaults(spec);
+    fleet.slots().setFaults(spec);
     const double hi = services::masstree().qosTargetMs * 32.0;
     for (std::size_t t = 0; t < 16; ++t) {
         fleet.step();
         stats::Histogram flat(0.0, hi, 1024);
         for (std::size_t n = 0; n < 6; ++n) {
-            if (fleet.isNodeUp(n))
+            if (fleet.slots().isNodeUp(n))
                 flat.merge(fleet.node(n).intervalHistogram(0));
         }
         stats::Histogram merged(0.0, hi, 1024);
@@ -460,7 +460,7 @@ TEST(ClusterManager, HierarchicalMergeSkipsCrashedNodes)
             ASSERT_EQ(merged.binCount(b), flat.binCount(b))
                 << "step " << t << " bin " << b;
         if (t == 4)
-            EXPECT_FALSE(fleet.isNodeUp(2)); // mid-outage sanity
+            EXPECT_FALSE(fleet.slots().isNodeUp(2)); // mid-outage sanity
     }
 }
 
@@ -486,6 +486,26 @@ TEST(ClusterManager, BatchedInferenceMatchesPerNodeDecidesExactly)
     EXPECT_EQ(pernode.batchedNodeCount(), 0u);
     EXPECT_GT(batched.phaseProfile().forwardCycles, 0u);
     expectIdenticalTraces(batched_result, pernode_result);
+}
+
+TEST(ClusterManager, BatchedNodeCountFollowsTheBatchingSwitch)
+{
+    // Four warm exploit-only replicas form one cohort; switching
+    // batching off regroups them, so the next per-node interval must
+    // report no batched replica, and switching it back on regroups
+    // all four again.
+    const std::string path = trainDonorCheckpoint("switch_donor.ckpt");
+    auto fleet = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 4,
+                           exploitTwigNodes(10), 10, /*domains=*/1, path,
+                           /*hetero=*/false);
+    fleet.step();
+    EXPECT_EQ(fleet.batchedNodeCount(), 4u);
+    fleet.setBatchedInference(false);
+    fleet.step();
+    EXPECT_EQ(fleet.batchedNodeCount(), 0u);
+    fleet.setBatchedInference(true);
+    fleet.step();
+    EXPECT_EQ(fleet.batchedNodeCount(), 4u);
 }
 
 TEST(ClusterManager, ParallelSteppingBitIdenticalWithDomainsAndBatching)

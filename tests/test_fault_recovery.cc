@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/static_manager.hh"
@@ -19,6 +22,7 @@
 #include "faults/fault_injector.hh"
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
+#include "oracle/golden_hash.hh"
 #include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
@@ -205,7 +209,7 @@ TEST(FleetFailover, CrashRemovesTheNodeUntilRestart)
         makeFleet(RoutingPolicy::Static, 1, 3, staticNodes());
     faults::FaultSpec spec;
     spec.actions.push_back(crashAction(5, 1, 5, "cold"));
-    fleet.setFaults(spec);
+    fleet.slots().setFaults(spec);
     const auto result = fleet.run(15, 5);
 
     for (std::size_t t = 0; t < 15; ++t) {
@@ -221,13 +225,13 @@ TEST(FleetFailover, CrashRemovesTheNodeUntilRestart)
                 << "step " << t;
         }
     }
-    EXPECT_EQ(countEvents(fleet.faultLog(),
+    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
                           faults::FaultEventKind::NodeCrash),
               1u);
-    EXPECT_EQ(countEvents(fleet.faultLog(),
+    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
                           faults::FaultEventKind::NodeRestart),
               1u);
-    EXPECT_EQ(countEvents(fleet.faultLog(),
+    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
                           faults::FaultEventKind::ColdRestart),
               1u);
 }
@@ -239,10 +243,10 @@ TEST(FleetFailover, WarmRecoveryRestoresTheLatestFrame)
     faults::FaultSpec spec;
     spec.checkpointEverySteps = 4;
     spec.actions.push_back(crashAction(9, 1, 3, "warm"));
-    fleet.setFaults(spec);
+    fleet.slots().setFaults(spec);
     fleet.run(16, 4);
 
-    const auto &log = fleet.faultLog();
+    const auto &log = fleet.slots().faultLog();
     EXPECT_GT(countEvents(log, faults::FaultEventKind::CheckpointSaved),
               0u);
     ASSERT_EQ(countEvents(log, faults::FaultEventKind::WarmRestore), 1u);
@@ -260,10 +264,10 @@ TEST(FleetFailover, WarmWithoutAFrameFallsBackToCold)
         makeFleet(RoutingPolicy::Static, 1, 2, twigNodes(12));
     faults::FaultSpec spec; // no periodic checkpoints
     spec.actions.push_back(crashAction(3, 0, 3, "warm"));
-    fleet.setFaults(spec);
+    fleet.slots().setFaults(spec);
     fleet.run(12, 4);
 
-    const auto &log = fleet.faultLog();
+    const auto &log = fleet.slots().faultLog();
     EXPECT_EQ(countEvents(log, faults::FaultEventKind::WarmRestore), 0u);
     ASSERT_EQ(countEvents(log, faults::FaultEventKind::ColdRestart), 1u);
     const auto *cold =
@@ -285,12 +289,12 @@ TEST(FleetFailover, CorruptFrameIsDetectedAndDegradesToCold)
     corrupt.node = 1;
     spec.actions.push_back(corrupt);
     spec.actions.push_back(crashAction(11, 1, 3, "warm"));
-    fleet.setFaults(spec);
+    fleet.slots().setFaults(spec);
     // The damaged frame must be rejected, not loaded and not fatal.
     const auto result = fleet.run(16, 4);
     EXPECT_EQ(result.trace.size(), 16u);
 
-    const auto &log = fleet.faultLog();
+    const auto &log = fleet.slots().faultLog();
     EXPECT_EQ(countEvents(log, faults::FaultEventKind::WarmRestore), 0u);
     EXPECT_EQ(countEvents(log, faults::FaultEventKind::CorruptDetected),
               1u);
@@ -305,7 +309,7 @@ TEST(FleetFailover, AllNodesDownBecomesAWellDefinedShedRecord)
     faults::FaultSpec spec;
     spec.actions.push_back(crashAction(3, 0, 0, "cold"));
     spec.actions.push_back(crashAction(4, 1, 0, "cold"));
-    fleet.setFaults(spec);
+    fleet.slots().setFaults(spec);
     const auto result = fleet.run(8, 3);
 
     for (std::size_t t = 4; t < 8; ++t) {
@@ -316,7 +320,7 @@ TEST(FleetFailover, AllNodesDownBecomesAWellDefinedShedRecord)
         for (const double p99 : fs.fleetP99Ms)
             EXPECT_FALSE(std::isnan(p99)) << "step " << t;
     }
-    EXPECT_EQ(countEvents(fleet.faultLog(),
+    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
                           faults::FaultEventKind::LoadShed),
               4u);
 }
@@ -337,7 +341,7 @@ TEST(FleetFailover, ThrottleReducesPowerWhileActive)
     throttle.durationSteps = 6;
     throttle.maxDvfsIndex = 0;
     spec.actions.push_back(throttle);
-    throttled.setFaults(spec);
+    throttled.slots().setFaults(spec);
     const auto hot = throttled.run(12, 4);
 
     // Same world up to the throttle...
@@ -372,7 +376,7 @@ TEST(FleetFailover, TelemetryFaultLeavesGroundTruthExact)
     noise.sigma = 0.5;
     noise.staleProb = 0.3;
     spec.actions.push_back(noise);
-    noisy.setFaults(spec);
+    noisy.slots().setFaults(spec);
     const auto faulted = noisy.run(12, 4);
 
     for (std::size_t t = 0; t < 12; ++t) {
@@ -399,7 +403,7 @@ TEST(FleetFailover, SurgeMultipliesTheOfferedLoad)
     surge.durationSteps = 3;
     surge.multiplier = 2.0;
     spec.actions.push_back(surge);
-    surged.setFaults(spec);
+    surged.slots().setFaults(spec);
     const auto hot = surged.run(10, 4);
 
     for (std::size_t t = 0; t < 10; ++t) {
@@ -416,7 +420,7 @@ TEST(FleetFailover, SetFaultsValidatesAgainstTheFleetShape)
         makeFleet(RoutingPolicy::Static, 1, 2, staticNodes());
     faults::FaultSpec bad;
     bad.actions.push_back(crashAction(3, 5, 0, "cold")); // node 5 of 2
-    EXPECT_THROW(fleet.setFaults(bad), FatalError);
+    EXPECT_THROW(fleet.slots().setFaults(bad), FatalError);
 
     const auto masstree = services::masstree();
     std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
@@ -425,7 +429,7 @@ TEST(FleetFailover, SetFaultsValidatesAgainstTheFleetShape)
     ClusterManager empty({}, {masstree}, std::move(loads), 1);
     faults::FaultSpec ok;
     ok.checkpointEverySteps = 4;
-    EXPECT_THROW(empty.setFaults(ok), FatalError); // no nodes yet
+    EXPECT_THROW(empty.slots().setFaults(ok), FatalError); // no nodes yet
 }
 
 // --- Deterministic replay ---------------------------------------------
@@ -453,9 +457,9 @@ TEST(FaultReplay, SameSeedSameScheduleIsBitIdentical)
     auto runOnce = [&](std::size_t jobs) {
         auto fleet = makeFleet(RoutingPolicy::PowerOfTwoLatency, jobs,
                                3, twigNodes(16));
-        fleet.setFaults(spec);
+        fleet.slots().setFaults(spec);
         auto result = fleet.run(16, 5);
-        return std::make_pair(std::move(result), fleet.faultLog());
+        return std::make_pair(std::move(result), fleet.slots().faultLog());
     };
 
     const auto a = runOnce(1);
@@ -504,4 +508,229 @@ TEST(FaultReplay, EngineScenarioStreamsEventsAndReplaysAcrossJobs)
     text << in.rdbuf();
     EXPECT_NE(text.str().find("node_crash"), std::string::npos);
     EXPECT_NE(text.str().find("cold_restart"), std::string::npos);
+}
+
+// --- Lifecycle golden ---------------------------------------------------
+// Every lifecycle path at once, pinned to parent-recorded constants
+// (oracle::hashFleetLifecycleRun): an autoscaled 4-slot fleet in two
+// routing domains, slots 2-3 parked at step 0, p2c-latency routing and
+// a frame every 4 steps. The scripted load scales out twice, in twice
+// (drain, then retire) and out twice again, reactivating the retired
+// slots from their drain-time frames; the fault schedule throttles a
+// parked slot, adds PMC noise (with a throttle inside one noise window
+// and two rebuilds inside another) and a load surge, and crashes slots
+// with warm, cold and corrupt-frame recovery.
+
+namespace {
+
+/** Replays a per-step fraction of @p max_rps (last value held). */
+class ScriptedLoad : public sim::LoadGenerator
+{
+  public:
+    ScriptedLoad(double max_rps, std::vector<double> fractions)
+        : maxRps_(max_rps), fractions_(std::move(fractions))
+    {
+    }
+
+    double
+    rps(std::size_t step) const override
+    {
+        return maxRps_ *
+            fractions_[std::min(step, fractions_.size() - 1)];
+    }
+
+  private:
+    double maxRps_;
+    std::vector<double> fractions_;
+};
+
+constexpr std::size_t kLifecycleSteps = 48;
+
+faults::FaultSpec
+lifecycleFaults()
+{
+    faults::FaultSpec spec;
+    spec.checkpointEverySteps = 4;
+    faults::FaultAction hot; // slot 3 is parked until its scale-out
+    hot.kind = faults::FaultKind::ThermalThrottle;
+    hot.atStep = 0;
+    hot.node = 3;
+    hot.durationSteps = 30;
+    hot.maxDvfsIndex = 1;
+    spec.actions.push_back(hot);
+    faults::FaultAction noise;
+    noise.kind = faults::FaultKind::PmcNoise;
+    noise.atStep = 3;
+    noise.node = 0;
+    noise.durationSteps = 10;
+    noise.sigma = 1.5; // loud enough to move the frozen policy's picks
+    noise.staleProb = 0.2;
+    spec.actions.push_back(noise);
+    hot.atStep = 5; // a throttle inside node 0's noise window
+    hot.node = 0;
+    hot.durationSteps = 4;
+    spec.actions.push_back(hot);
+    noise.atStep = 24; // node 1 is rebuilt twice under this noise
+    noise.node = 1;
+    noise.durationSteps = 16;
+    spec.actions.push_back(noise);
+    spec.actions.push_back(crashAction(25, 1, 3, "warm"));
+    spec.actions.push_back(crashAction(30, 0, 2, "cold"));
+    faults::FaultAction corrupt;
+    corrupt.kind = faults::FaultKind::CheckpointCorrupt;
+    corrupt.atStep = 34;
+    corrupt.node = 1;
+    spec.actions.push_back(corrupt);
+    spec.actions.push_back(crashAction(35, 1, 2, "warm"));
+    faults::FaultAction surge;
+    surge.kind = faults::FaultKind::LoadSurge;
+    surge.atStep = 40;
+    surge.service = 0;
+    surge.durationSteps = 4;
+    surge.multiplier = 1.5;
+    spec.actions.push_back(surge);
+    return spec;
+}
+
+/** Runs the lifecycle fleet at @p jobs; returns its whole trace and
+ * the replicas deciding through a batched cohort at the end. */
+std::pair<FleetRunResult, std::size_t>
+runLifecycleFleet(const ClusterManager::ManagerFactory &factory,
+                  const std::string &warm_checkpoint, std::size_t jobs)
+{
+    const auto masstree = services::masstree();
+    const double rated = 4.0 * masstree.maxLoadRps;
+    std::vector<double> script;
+    for (std::size_t t = 0; t < kLifecycleSteps; ++t)
+        script.push_back(t < 10 ? 0.5 : t < 20 ? 0.1 : 0.5);
+    ClusterConfig cfg;
+    cfg.router.policy = RoutingPolicy::PowerOfTwoLatency;
+    cfg.jobs = jobs;
+    cfg.domains = 2;
+    std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
+    loads.push_back(
+        std::make_unique<ScriptedLoad>(rated, std::move(script)));
+    ClusterManager fleet(cfg, {masstree}, std::move(loads), 42);
+    for (std::size_t n = 0; n < 4; ++n)
+        fleet.addNode(sim::MachineConfig{}, factory, warm_checkpoint);
+    fleet.slots().setFaults(lifecycleFaults());
+    autoscale::AutoscaleConfig scale;
+    scale.minNodes = 1;
+    scale.maxNodes = 4;
+    scale.hiUtilization = 0.6;
+    scale.loUtilization = 0.4;
+    scale.outTardiness = 50.0; // utilisation alone drives the script
+    scale.persistIntervals = 1;
+    scale.cooldownIntervals = 1;
+    scale.drainIntervals = 2;
+    fleet.slots().setAutoscaler(scale, {rated}, {}, 2);
+    auto result = fleet.run(kLifecycleSteps, 8);
+    return {std::move(result), fleet.batchedNodeCount()};
+}
+
+/** Counts of every fault and scale event kind in @p r. */
+struct LifecycleCounts
+{
+    std::map<faults::FaultEventKind, std::size_t> faults;
+    std::map<ScaleEvent::Kind, std::size_t> scales;
+    /** Throttles that started on a parked (unpowered) slot. */
+    std::size_t parkedThrottles = 0;
+    /** Scale-outs whose slot warm-restored in the same interval. */
+    std::size_t warmReactivations = 0;
+};
+
+LifecycleCounts
+countLifecycle(const FleetRunResult &r)
+{
+    LifecycleCounts c;
+    for (const auto &f : r.trace) {
+        for (const auto &ev : f.faultEvents) {
+            ++c.faults[ev.kind];
+            if (ev.kind == faults::FaultEventKind::ThrottleStart &&
+                f.nodeUp[static_cast<std::size_t>(ev.node)] == 0)
+                ++c.parkedThrottles;
+        }
+        for (const auto &ev : f.scaleEvents) {
+            ++c.scales[ev.kind];
+            const bool restored = std::any_of(
+                f.faultEvents.begin(), f.faultEvents.end(),
+                [&ev](const faults::FaultEvent &fe) {
+                    return fe.kind == faults::FaultEventKind::WarmRestore &&
+                        fe.node == static_cast<std::int64_t>(ev.node);
+                });
+            if (ev.kind == ScaleEvent::Kind::ScaleOut && restored)
+                ++c.warmReactivations;
+        }
+    }
+    return c;
+}
+
+/** The lifecycle paths both goldens exercise (baselines keep no
+ * frame, so the warm paths are checked on the Twig fleet only). */
+void
+expectCommonLifecycle(const LifecycleCounts &c)
+{
+    using K = faults::FaultEventKind;
+    for (const K kind : {K::NodeCrash, K::NodeRestart, K::ColdRestart,
+                         K::ThrottleStart, K::PmcNoiseStart,
+                         K::SurgeStart, K::CheckpointCorrupt})
+        EXPECT_GT(c.faults.count(kind), 0u)
+            << faults::faultEventKindName(kind);
+    for (const auto kind : {ScaleEvent::Kind::ScaleOut,
+                            ScaleEvent::Kind::DrainStart,
+                            ScaleEvent::Kind::Retire})
+        EXPECT_GT(c.scales.count(kind), 0u) << scaleEventKindName(kind);
+    EXPECT_GT(c.parkedThrottles, 0u);
+}
+
+} // namespace
+
+TEST(LifecycleGolden, StaticManagersHoldOnAnyHost)
+{
+    for (const std::size_t jobs : {1u, 4u}) {
+        const auto [r, batched] =
+            runLifecycleFleet(staticNodes(), "", jobs);
+        expectCommonLifecycle(countLifecycle(r));
+        EXPECT_EQ(batched, 0u);
+        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0x43f9b70e92e9d428ULL)
+            << "jobs " << jobs;
+    }
+}
+
+TEST(LifecycleGolden, WarmExploitOnlyTwigDecidesThroughCohorts)
+{
+    // Holds on AVX2+FMA hosts, like the other BDQ fleet goldens.
+    const std::string donor = tmpPath("lifecycle_donor.ckpt");
+    {
+        auto donor_fleet =
+            makeFleet(RoutingPolicy::Static, 1, 1, twigNodes(20));
+        donor_fleet.run(20, 5);
+        dynamic_cast<core::TwigManager &>(donor_fleet.node(0).manager())
+            .saveCheckpoint(donor);
+    }
+    const auto inner = twigNodes(kLifecycleSteps);
+    const ClusterManager::ManagerFactory exploit =
+        [inner](const sim::MachineConfig &machine,
+                const std::vector<sim::ServiceProfile> &svcs,
+                std::uint64_t seed) {
+            auto manager = inner(machine, svcs, seed);
+            dynamic_cast<core::TwigManager &>(*manager).setExploitOnly(
+                true);
+            return manager;
+        };
+    for (const std::size_t jobs : {1u, 4u}) {
+        const auto [r, batched] = runLifecycleFleet(exploit, donor, jobs);
+        const LifecycleCounts c = countLifecycle(r);
+        expectCommonLifecycle(c);
+        using K = faults::FaultEventKind;
+        for (const K kind : {K::CheckpointSaved, K::WarmRestore,
+                             K::CorruptDetected})
+            EXPECT_GT(c.faults.count(kind), 0u)
+                << faults::faultEventKindName(kind);
+        EXPECT_GT(c.warmReactivations, 0u);
+        // The reactivated slots rejoin one cohort on the donor policy.
+        EXPECT_GE(batched, 2u);
+        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0xe5846a55ac902d62ULL)
+            << "jobs " << jobs;
+    }
 }

@@ -244,3 +244,34 @@ TEST(ProfileFlags, RejectsTrailingGarbageInNumber)
                                &sim_profile, &max_share);
     EXPECT_FALSE(res.ok());
 }
+
+TEST(SimProfileSinkScope, CountsOnlyTheMeasuredSegment)
+{
+    // --sim-profile labels its table with the final segment's steps,
+    // so a run with an event must count the same simulator work as a
+    // no-event run of that segment: not the segment before the event.
+    constexpr std::size_t kSteps = 20;
+    auto arrival_calls = [](const harness::ScenarioSpec &spec) {
+        harness::SimProfileSink sink;
+        harness::EngineOptions opts;
+        opts.sinks.push_back(&sink);
+        harness::Engine(opts).run(spec);
+        const auto prof = harness::SimProfile::snapshot();
+        common::simprof::resetAll();
+        return prof.phase(Phase::Arrivals).calls;
+    };
+    harness::ScenarioSpec plain;
+    harness::ServiceLoadSpec load;
+    load.service = "masstree";
+    load.pattern = "fixed";
+    load.fraction = 0.5;
+    plain.services.push_back(load);
+    plain.manager = "static";
+    plain.steps = kSteps;
+    harness::ScenarioSpec with_event = plain;
+    with_event.events.emplace_back().afterSteps = 15;
+
+    const auto measured = arrival_calls(plain);
+    EXPECT_GE(measured, kSteps);
+    EXPECT_EQ(arrival_calls(with_event), measured);
+}

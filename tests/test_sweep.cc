@@ -14,6 +14,7 @@
 
 using namespace twig;
 using namespace twig::harness;
+using twig::common::sweepSeed;
 
 namespace {
 
