@@ -15,9 +15,13 @@
  *              2M req/s offered) measuring what the framed protocol
  *              itself sustains on loopback, independent of the fleet
  *
- * Emits a table plus BENCH_serve.json (--out PATH) recording both
- * arms' p99/QoS/power and the wire-level throughput, so a regression
- * in either the serving edge or the control loop shows up as a diff.
+ * Both fleet arms report the same statistics, from the same
+ * harness::MetricsAccumulator over their summary windows: per service
+ * the mean of the per-interval fleet p99s and the share of intervals
+ * that met QoS, and the mean fleet power. Emits a table plus
+ * BENCH_serve.json (--out PATH) recording both arms and the wire-level
+ * throughput, so a regression in either the serving edge or the
+ * control loop shows up as a diff.
  */
 
 #include <cstdio>
@@ -26,42 +30,46 @@
 
 #include "bench/bench_util.hh"
 #include "harness/engine.hh"
+#include "harness/metrics.hh"
 #include "harness/registry.hh"
 #include "harness/scenario.hh"
 #include "serve/daemon.hh"
 #include "serve/load_client.hh"
+#include "services/tailbench.hh"
+#include "sim/machine.hh"
 
 using namespace twig;
 
 namespace {
 
-struct ServiceRow
-{
-    std::string name;
-    double p99Ms = 0.0;
-    double qosPct = 0.0;
-};
-
-struct ArmResult
-{
-    std::vector<ServiceRow> services;
-    double meanPowerW = 0.0;
-};
-
-ArmResult
+/** The simulated arm, summarised as Daemon::join summarises the
+ * served one: the last window of the fleet trace through one
+ * MetricsAccumulator. */
+harness::RunMetrics
 runSimulated(const harness::ScenarioSpec &spec, std::size_t jobs)
 {
     harness::EngineOptions opts;
     opts.jobs = jobs;
-    const harness::Engine engine(opts);
-    const auto result = engine.run(spec);
-    ArmResult arm;
-    const auto &m = result.fleet.metrics;
-    for (std::size_t s = 0; s < m.serviceNames.size(); ++s)
-        arm.services.push_back({m.serviceNames[s], m.windowP99Ms[s],
-                                m.qosGuaranteePct[s]});
-    arm.meanPowerW = m.meanPowerW;
-    return arm;
+    const auto result = harness::Engine(opts).run(spec);
+    std::vector<double> targets;
+    for (const auto &svc : spec.services)
+        targets.push_back(services::byName(svc.service).qosTargetMs);
+    harness::MetricsAccumulator acc(result.fleet.metrics.serviceNames,
+                                    targets);
+    const auto &trace = result.fleet.trace;
+    const double interval_s = sim::MachineConfig{}.intervalSeconds;
+    for (std::size_t t = trace.size() - spec.resolvedWindow();
+         t < trace.size(); ++t)
+        acc.add(trace[t].fleetP99Ms, trace[t].totalPowerW, interval_s);
+    return acc.finish();
+}
+
+void
+printArm(const harness::RunMetrics &m)
+{
+    for (const auto &svc : m.services)
+        std::printf("  %-11s mean p99 %7.2f ms  QoS %5.1f%%\n",
+                    svc.name.c_str(), svc.meanP99Ms, svc.qosGuaranteePct);
 }
 
 } // namespace
@@ -103,9 +111,7 @@ main(int argc, char **argv)
 
     bench::banner("serve: simulated arm (" + spec.name + ")");
     const auto simulated = runSimulated(spec, jobs);
-    for (const auto &row : simulated.services)
-        std::printf("  %-11s p99 %7.2f ms  QoS %5.1f%%\n",
-                    row.name.c_str(), row.p99Ms, row.qosPct);
+    printArm(simulated);
     std::printf("  mean power %.1f W\n", simulated.meanPowerW);
 
     // --- served arm --------------------------------------------------
@@ -122,7 +128,7 @@ main(int argc, char **argv)
     dopt.windowIntervals = static_cast<std::size_t>(
         0.75 * duration_s / (interval_ms * 1e-3));
 
-    ArmResult served;
+    harness::RunMetrics served;
     double served_client_rps = 0.0;
     double served_accepted_rps = 0.0;
     std::size_t served_intervals = 0;
@@ -153,17 +159,12 @@ main(int argc, char **argv)
         served_accepted_rps = summary.acceptedRps;
         served_intervals = summary.intervals;
         served_overruns = summary.overruns;
-        for (const auto &svc : summary.metrics.services)
-            served.services.push_back(
-                {svc.name, svc.meanP99Ms, svc.qosGuaranteePct});
-        served.meanPowerW = summary.metrics.meanPowerW;
+        served = summary.metrics;
         std::printf("  client offered %.0f req/s over %zu connections "
                     "(ack rtt p99 %.0f us)\n",
                     report.offeredRps, connections,
                     report.rttP99Us);
-        for (const auto &row : served.services)
-            std::printf("  %-11s p99 %7.2f ms  QoS %5.1f%%\n",
-                        row.name.c_str(), row.p99Ms, row.qosPct);
+        printArm(served);
         std::printf("  mean power %.1f W over %zu live intervals "
                     "(%zu overran their pacing)\n",
                     served.meanPowerW, served_intervals, served_overruns);
@@ -212,15 +213,16 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(f, "{\n  \"scenario\": \"%s\",\n", spec.name.c_str());
-    auto write_arm = [f](const char *key, const ArmResult &arm,
+    auto write_arm = [f](const char *key, const harness::RunMetrics &arm,
                          const char *tail) {
         std::fprintf(f, "  \"%s\": {\n    \"services\": [\n", key);
         for (std::size_t s = 0; s < arm.services.size(); ++s) {
-            const auto &row = arm.services[s];
+            const auto &svc = arm.services[s];
             std::fprintf(f,
-                         "      {\"name\": \"%s\", \"p99_ms\": %.4f, "
-                         "\"qos_pct\": %.2f}%s\n",
-                         row.name.c_str(), row.p99Ms, row.qosPct,
+                         "      {\"name\": \"%s\", \"mean_p99_ms\": "
+                         "%.4f, \"qos_pct\": %.2f}%s\n",
+                         svc.name.c_str(), svc.meanP99Ms,
+                         svc.qosGuaranteePct,
                          s + 1 < arm.services.size() ? "," : "");
         }
         std::fprintf(f,

@@ -8,17 +8,20 @@
 # Asserts, end to end: the daemon binds and prints its port; the load
 # generator connects, gets every offered request acked, and exits 0;
 # the daemon accepts the same number of requests, writes a final
-# checksummed checkpoint frame, and reports a clean shutdown after
-# SIGTERM (exit 0) — the graceful-shutdown contract under a real
-# signal, not just the in-process test.
+# checkpoint, and reports a clean shutdown after SIGTERM (exit 0) —
+# the graceful-shutdown contract under a real signal, not just the
+# in-process test. The checkpoint then warm-starts a fleet through
+# twig_sim --checkpoint (exit 0 and a QoS line), and a copy with one
+# flipped byte is refused (exit 2, naming the checksum).
 set -u
 
 cd "$(dirname "$0")/.."
 build_dir=${1:-build}
 serve="$build_dir/tools/twig_serve"
 loadgen="$build_dir/tools/twig_loadgen"
+sim="$build_dir/tools/twig_sim"
 
-for exe in "$serve" "$loadgen"; do
+for exe in "$serve" "$loadgen" "$sim"; do
     if [[ ! -x "$exe" ]]; then
         echo "serve_smoke: $exe not found -- build the project first" >&2
         exit 1
@@ -91,7 +94,33 @@ if ! grep -qE "accepted $offered requests" "$serve_log"; then
     exit 1
 fi
 if [[ ! -s "$ckpt" ]]; then
-    echo "serve_smoke: FAIL (no final checkpoint frame written)" >&2
+    echo "serve_smoke: FAIL (no final checkpoint written)" >&2
     exit 1
 fi
-echo "serve_smoke: OK (offered=$offered acked=$acked, checkpoint $(wc -c <"$ckpt") bytes)"
+
+# The shutdown checkpoint is the format twig_sim deploys.
+if ! sim_out=$("$sim" --scenario scenarios/serve.json --checkpoint "$ckpt" \
+    --steps 20 2>&1) || ! grep -q "QoS" <<<"$sim_out"; then
+    printf '%s\n' "$sim_out"
+    echo "serve_smoke: FAIL (twig_sim could not deploy the final checkpoint)" >&2
+    exit 1
+fi
+printf '%s\n' "$sim_out"
+
+# A copy with one flipped byte (inside the last parameter) is refused.
+flipped="$workdir/flipped.ckpt"
+cp "$ckpt" "$flipped"
+at=$(($(wc -c <"$flipped") - 3))
+byte=$(od -An -tu1 -j "$at" -N1 "$flipped" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" |
+    dd of="$flipped" bs=1 seek="$at" conv=notrunc status=none
+"$sim" --scenario scenarios/serve.json --checkpoint "$flipped" \
+    --steps 20 >"$workdir/flipped.log" 2>&1
+rc=$?
+if [[ $rc -ne 2 ]] || ! grep -q "checksum" "$workdir/flipped.log"; then
+    cat "$workdir/flipped.log" >&2
+    echo "serve_smoke: FAIL (a corrupt checkpoint was not refused: exit $rc)" >&2
+    exit 1
+fi
+cat "$workdir/flipped.log"
+echo "serve_smoke: OK (offered=$offered acked=$acked, checkpoint $(wc -c <"$ckpt") bytes, redeployed and corruption refused)"

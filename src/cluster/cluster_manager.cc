@@ -83,12 +83,13 @@ ClusterManager::rebuildCohorts()
     if (!batchedInference_)
         return;
 
-    // Group serving exploit-only TwigManagers by (architecture,
-    // parameters). Exploit-only is the freeze guarantee: no gradient
-    // steps, no epsilon draws, so members stay interchangeable for as
-    // long as the cohort exists. Fingerprinting serialises each
-    // network — fine here (membership changes), not per interval.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
+    // Group serving exploit-only TwigManagers by the checksum of their
+    // checkpoint, which covers the architecture and every parameter.
+    // Exploit-only is the freeze guarantee: no gradient steps, no
+    // epsilon draws, so members stay interchangeable for as long as
+    // the cohort exists. Checkpointing encodes each network — fine
+    // here (membership changes), not per interval.
+    std::vector<std::uint64_t> keys;
     std::vector<Cohort> groups;
     for (std::size_t n = 0; n < numNodes(); ++n) {
         if (!slots_.powered(n))
@@ -97,9 +98,7 @@ ClusterManager::rebuildCohorts()
             dynamic_cast<core::TwigManager *>(&slots_.node(n).manager());
         if (twig == nullptr || !twig->exploitOnly())
             continue; // learning or baseline: decides in-node
-        const std::pair<std::uint64_t, std::uint64_t> key{
-            twig->architectureFingerprint(),
-            twig->parameterFingerprint()};
+        const std::uint64_t key = twig->checkpoint().checksum();
         std::size_t g = keys.size();
         for (std::size_t i = 0; i < keys.size(); ++i) {
             if (keys[i] == key) {

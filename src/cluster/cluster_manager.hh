@@ -14,11 +14,11 @@
  *      share no mutable state and all routing/merging stays on the
  *      caller;
  *   3. batched inference: replicas running the *same frozen policy*
- *      (equal architecture + parameter fingerprints, exploit-only)
- *      form cohorts; each cohort's joint states are gathered into one
- *      [n x inputDim] matrix and pushed through a single batched BDQ
- *      forward — one fused GEMM per layer instead of n tiny ones —
- *      then the per-row argmax actions scatter back to the nodes.
+ *      (equal checkpoint checksums, exploit-only) form cohorts; each
+ *      cohort's joint states are gathered into one [n x inputDim]
+ *      matrix and pushed through a single batched BDQ forward — one
+ *      fused GEMM per layer instead of n tiny ones — then the per-row
+ *      argmax actions scatter back to the nodes.
  *      Bit-identical to per-node forwards (the GEMM accumulates each
  *      output row independently in a fixed order); nodes outside any
  *      cohort (training managers, baselines, singletons) decide
@@ -173,9 +173,9 @@ class ClusterManager
     /** Add a replica (SlotTable::add). Returns the node index. */
     std::size_t addNode(const sim::MachineConfig &machine,
                         const ManagerFactory &factory,
-                        const std::string &warm_start_checkpoint = "")
+                        const rl::Checkpoint *donor = nullptr)
     {
-        return slots_.add(machine, factory, warm_start_checkpoint);
+        return slots_.add(machine, factory, donor);
     }
 
     std::size_t numNodes() const { return slots_.size(); }
@@ -219,9 +219,9 @@ class ClusterManager
 
   private:
     /** A batched-inference cohort: serving replicas whose managers run
-     * the same frozen policy (equal architecture + parameter
-     * fingerprints, exploit-only). One batched forward per interval on
-     * the first member's network serves them all. */
+     * the same frozen policy (equal checkpoint checksums,
+     * exploit-only). One batched forward per interval on the first
+     * member's network serves them all. */
     struct Cohort
     {
         std::vector<std::size_t> members; ///< node indices, ascending

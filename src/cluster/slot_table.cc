@@ -1,12 +1,11 @@
 #include "cluster/slot_table.hh"
 
-#include <sstream>
 #include <utility>
 
 #include "common/error.hh"
-#include "common/hash.hh"
 #include "common/rng.hh"
 #include "core/twig_manager.hh"
+#include "rl/checkpoint.hh"
 
 namespace twig::cluster {
 
@@ -52,7 +51,7 @@ SlotTable::SlotTable(std::vector<sim::ServiceProfile> services,
 std::size_t
 SlotTable::add(const sim::MachineConfig &machine,
                const ManagerFactory &factory,
-               const std::string &warm_start_checkpoint)
+               const rl::Checkpoint *donor)
 {
     common::fatalIf(!factory, "SlotTable::add: null factory");
     const std::size_t index = nodes_.size();
@@ -62,12 +61,12 @@ SlotTable::add(const sim::MachineConfig &machine,
     const std::uint64_t node_seed = common::sweepSeed(seed_, index + 1);
     auto manager = factory(machine, services_, node_seed);
     common::fatalIf(!manager, "SlotTable::add: factory returned null");
-    if (!warm_start_checkpoint.empty()) {
+    if (donor != nullptr) {
         auto *twig = dynamic_cast<core::TwigManager *>(manager.get());
         common::fatalIf(!twig,
                         "SlotTable::add: warm-start checkpoint needs a "
                         "TwigManager, got ", manager->name());
-        twig->loadCheckpoint(warm_start_checkpoint);
+        twig->restore(*donor);
     }
     nodes_.push_back(std::make_unique<Node>(
         NodeConfig{machine, services_, binnings_}, std::move(manager),
@@ -117,7 +116,6 @@ SlotTable::setFaults(const faults::FaultSpec &spec)
     injector_ = std::make_unique<faults::FaultInjector>(
         spec, common::sweepSeed(seed_, 0xfa017));
     surgeMult_.assign(services_.size(), 1.0);
-    faultLog_.clear();
 }
 
 void
@@ -217,14 +215,10 @@ SlotTable::saveFrame(std::size_t n)
     auto *twig = dynamic_cast<core::TwigManager *>(&nodes_[n]->manager());
     if (!twig)
         return; // baselines are stateless; cold restart is exact
-    std::ostringstream os(std::ios::binary);
-    twig->saveCheckpointStream(
-        os, "node " + std::to_string(n) + " checkpoint frame");
-    const std::string payload = std::move(os).str();
-    slots_[n].frame.clear();
-    common::sealFrame(slots_[n].frame, payload);
+    const rl::Checkpoint ckpt = twig->checkpoint();
+    slots_[n].frame = ckpt.bytes();
     emit(K::CheckpointSaved, static_cast<std::int64_t>(n)).value =
-        static_cast<double>(payload.size());
+        static_cast<double>(ckpt.payloadSize());
 }
 
 void
@@ -251,20 +245,19 @@ SlotTable::rebuildNode(std::size_t n, const std::string &recovery)
             cold_reason = "manager holds no restorable policy";
         } else if (slot.frame.empty()) {
             cold_reason = "no checkpoint frame yet";
-        } else if (const auto payload = common::openFrame(slot.frame);
-                   !payload) {
+        } else if (const auto ckpt = rl::Checkpoint::open(slot.frame,
+                                                          context);
+                   !ckpt) {
             emit(K::CorruptDetected, node).note =
                 context + ": checksum mismatch";
             cold_reason = "corrupt checkpoint frame";
         } else {
             try {
-                std::istringstream is(std::string(*payload),
-                                      std::ios::binary);
-                twig->loadCheckpointStream(is, context);
+                twig->restore(*ckpt);
                 // Resume the deployed policy: pure exploitation, no
                 // re-exploration (paper §V overhead mode).
                 twig->setExploitOnly(true);
-                restored = payload->size();
+                restored = ckpt->payloadSize();
             } catch (const common::FatalError &err) {
                 emit(K::CorruptDetected, node).note = err.what();
                 cold_reason = "corrupt checkpoint frame";
@@ -296,11 +289,7 @@ SlotTable::closeStep(const std::vector<std::uint8_t> &node_up,
                      std::vector<ScaleEvent> &scale_events)
 {
     fault_events = stepEvents_;
-    faultLog_.insert(faultLog_.end(), stepEvents_.begin(),
-                     stepEvents_.end());
     scale_events = scaleStepEvents_;
-    scaleLog_.insert(scaleLog_.end(), scaleStepEvents_.begin(),
-                     scaleStepEvents_.end());
     // Billing: every powered slot (serving or draining) pays its
     // hourly rate for the interval; standby and crashed slots do not.
     if (!costModel_)
@@ -351,7 +340,6 @@ SlotTable::setAutoscaler(const autoscale::AutoscaleConfig &cfg,
                      n < initial_active ? SlotState::Active
                                         : SlotState::Standby,
                      slots_[n].crashed);
-    scaleLog_.clear();
 }
 
 void

@@ -5,10 +5,10 @@
  * ClusterManager::step() calls before routing — fault application and
  * elastic sizing. Routing sees it only through one weight per node.
  *
- * Replicas added with a checkpoint path are warm-started: the
- * checkpointed BDQ is restored into the new node's TwigManager
- * (rl/checkpoint.hh), so a scale-out event starts from a trained
- * policy instead of exploring from scratch.
+ * Replicas added with a donor checkpoint are warm-started: its BDQ is
+ * restored into the new node's TwigManager (rl/checkpoint.hh), so a
+ * scale-out event starts from a trained policy instead of exploring
+ * from scratch. Failover frames are the same checkpoint bytes.
  *
  * Slot lifecycle has one owner: this table. Each slot's record (sized
  * by add) holds its elastic state — Active, Draining or Standby;
@@ -62,6 +62,10 @@
 #include "sim/machine.hh"
 #include "sim/service_profile.hh"
 
+namespace twig::rl {
+class Checkpoint;
+}
+
 namespace twig::cluster {
 
 /** One elastic-sizing action on the scale-event stream. */
@@ -106,14 +110,13 @@ class SlotTable
 
     /**
      * Add a slot, Active and up. @p factory builds its manager and is
-     * kept as the slot's rebuild recipe; a non-empty
-     * @p warm_start_checkpoint restores that BDQ checkpoint into the
-     * manager (which must be a TwigManager of matching architecture).
-     * Returns the slot index.
+     * kept as the slot's rebuild recipe; a non-null @p donor is
+     * restored into the manager (which must be a TwigManager of
+     * matching architecture). Returns the slot index.
      */
     std::size_t add(const sim::MachineConfig &machine,
                     const ManagerFactory &factory,
-                    const std::string &warm_start_checkpoint = "");
+                    const rl::Checkpoint *donor = nullptr);
 
     std::size_t size() const { return nodes_.size(); }
     const std::vector<sim::ServiceProfile> &services() const
@@ -125,6 +128,8 @@ class SlotTable
     const std::vector<LatencyBinning> &binnings() const { return binnings_; }
     /** Slot @p n's current node (unchecked; rebuilt after a crash). */
     Node &node(std::size_t n) { return *nodes_[n]; }
+    /** Slot @p n's last checkpoint frame ("" = none yet; unchecked). */
+    const std::string &frame(std::size_t n) const { return slots_[n].frame; }
 
     // Unchecked per-slot lifecycle: powered = stepped, merged and
     // billed; serving = takes new load (powered and not draining).
@@ -144,15 +149,9 @@ class SlotTable
      * (FatalError on a bad schedule) — and may come before or after
      * setAutoscaler. Transitions are applied by applyFaults; recovery
      * outcomes and periodic checkpoints appear on the fault-event
-     * stream (FleetIntervalStats::faultEvents and faultLog()).
+     * stream (FleetIntervalStats::faultEvents).
      */
     void setFaults(const faults::FaultSpec &spec);
-
-    /** All fault events so far, in application order. */
-    const std::vector<faults::FaultEvent> &faultLog() const
-    {
-        return faultLog_;
-    }
 
     /**
      * Attach elastic fleet sizing. Call after every slot has been
@@ -181,9 +180,6 @@ class SlotTable
      * billed each interval; crashed ones are not. */
     void setCostModel(std::vector<double> dollars_per_node_hour);
 
-    /** All elastic-sizing actions so far, in application order. */
-    const std::vector<ScaleEvent> &scaleLog() const { return scaleLog_; }
-
     /** Cumulative fleet bill, $ (0 without a cost model). */
     double costDollars() const
     {
@@ -202,8 +198,8 @@ class SlotTable
     /** No slot is powered: @p rps of offered load was shed. */
     void shed(double rps);
     void markServed(std::size_t n) { slots_[n].everServed = true; }
-    /** Copy the interval's events out and onto the logs, bill the
-     * slots @p node_up marks powered; returns the cumulative bill. */
+    /** Copy the interval's events out, bill the slots @p node_up
+     * marks powered; returns the cumulative bill. */
     double closeStep(const std::vector<std::uint8_t> &node_up,
                      std::vector<faults::FaultEvent> &fault_events,
                      std::vector<ScaleEvent> &scale_events);
@@ -234,8 +230,8 @@ class SlotTable
          * its drain-time frame instead of keeping the virgin donor
          * policy. */
         bool everServed = false;
-        /** Last checkpoint frame, common::sealFrame of the BDQ
-         * checkpoint ("" = none yet). */
+        /** Last checkpoint frame, rl::Checkpoint bytes ("" = none
+         * yet); raw, so a checkpoint_corrupt fault can damage it. */
         std::string frame;
         FaultEnv env;
 
@@ -252,7 +248,7 @@ class SlotTable
     /** Set slot @p n's elastic state and crashed flag, bumping the
      * generation when its powered flag changes. */
     void setLifecycle(std::size_t n, SlotState state, bool crashed);
-    /** One checksummed in-memory BDQ frame of slot @p n (emits the
+    /** Checkpoint slot @p n's policy into its frame (emits the
      * CheckpointSaved event); no-op for managers without a policy. */
     void saveFrame(std::size_t n);
     /** Rebuild slot @p n's node; @p recovery is "warm" or "cold".
@@ -270,11 +266,9 @@ class SlotTable
     /** Interval in progress (set by applyFaults). */
     std::size_t step_ = 0;
     bool started_ = false;
-    /** This step's events (scratch) and the whole run's. */
+    /** This step's events (scratch). */
     std::vector<faults::FaultEvent> stepEvents_;
-    std::vector<faults::FaultEvent> faultLog_;
     std::vector<ScaleEvent> scaleStepEvents_;
-    std::vector<ScaleEvent> scaleLog_;
 
     /** Armed schedule (null without faults). */
     std::unique_ptr<faults::FaultInjector> injector_;

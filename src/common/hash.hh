@@ -1,9 +1,7 @@
 /**
  * @file
- * FNV-1a 64-bit hashing, shared by the manager fingerprints that group
- * identical replicas into batched-inference cohorts and by the
- * checksummed frames (the cluster's failover frames and the daemon's
- * shutdown checkpoint).
+ * FNV-1a 64-bit hashing and the checksummed frame built on it, which
+ * seals every policy checkpoint (rl/checkpoint.hh).
  */
 
 #ifndef TWIG_COMMON_HASH_HH

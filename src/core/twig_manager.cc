@@ -1,12 +1,9 @@
 #include "core/twig_manager.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.hh"
-#include "common/hash.hh"
 #include "common/sim_counters.hh"
-#include "rl/checkpoint.hh"
 #include "sim/power.hh"
 
 namespace twig::core {
@@ -129,30 +126,18 @@ TwigManager::name() const
     return specs_.size() == 1 ? "Twig-S" : "Twig-C";
 }
 
-void
+std::size_t
 TwigManager::saveCheckpoint(const std::string &path) const
 {
-    rl::saveCheckpoint(learner_, path);
+    const rl::Checkpoint ckpt = checkpoint();
+    ckpt.write(path);
+    return ckpt.bytes().size();
 }
 
 void
 TwigManager::loadCheckpoint(const std::string &path)
 {
-    rl::loadCheckpoint(learner_, path);
-}
-
-void
-TwigManager::saveCheckpointStream(std::ostream &os,
-                                  const std::string &context) const
-{
-    rl::saveCheckpoint(learner_, os, context);
-}
-
-void
-TwigManager::loadCheckpointStream(std::istream &is,
-                                  const std::string &context)
-{
-    rl::loadCheckpoint(learner_, is, context);
+    restore(rl::Checkpoint::read(path));
 }
 
 void
@@ -239,31 +224,6 @@ TwigManager::decideInto(const sim::ServerIntervalStats &stats,
         ? learner_.greedyActions(state)
         : learner_.selectActions(state);
     applyDecision(actions, out);
-}
-
-std::uint64_t
-TwigManager::architectureFingerprint() const
-{
-    const nn::BdqConfig &net = learner_.config().net;
-    std::uint64_t h = common::kFnvOffsetBasis;
-    h = common::fnv1aValue(net.numAgents, h);
-    h = common::fnv1aValue(net.stateDimPerAgent, h);
-    for (std::size_t w : net.trunkHidden)
-        h = common::fnv1aValue(w, h);
-    h = common::fnv1aValue(net.agentHeadHidden, h);
-    h = common::fnv1aValue(net.branchHidden, h);
-    for (std::size_t n : net.branchActions)
-        h = common::fnv1aValue(n, h);
-    return h;
-}
-
-std::uint64_t
-TwigManager::parameterFingerprint() const
-{
-    std::ostringstream os(std::ios::binary);
-    learner_.save(os);
-    const std::string bytes = std::move(os).str();
-    return common::fnv1a(bytes.data(), bytes.size());
 }
 
 void

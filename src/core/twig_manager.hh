@@ -10,7 +10,6 @@
 #define TWIG_CORE_TWIG_MANAGER_HH
 
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +20,7 @@
 #include "core/reward.hh"
 #include "core/task_manager.hh"
 #include "rl/bdq_learner.hh"
+#include "rl/checkpoint.hh"
 #include "sim/pmc.hh"
 
 namespace twig::core {
@@ -119,39 +119,23 @@ class TwigManager : public TaskManager
     void setExploitOnly(bool on);
     bool exploitOnly() const { return exploitOnly_; }
 
-    /** FNV-1a over the BDQ topology (agents, state width, layer sizes,
-     * branch action counts). Managers with equal architecture
-     * fingerprints accept the same joint-state rows. */
-    std::uint64_t architectureFingerprint() const;
+    /** The trained policy in the one checkpoint encoding
+     * (rl/checkpoint.hh). It restores into any manager with the same
+     * machine shape and service count — e.g. train, then deploy
+     * exploit-only for the <1% overhead mode of §V — and its checksum
+     * is the cluster's batched-inference cohort key. Encodes the whole
+     * network: call on topology changes, not per interval. */
+    rl::Checkpoint checkpoint() const { return rl::Checkpoint(learner_); }
 
-    /** FNV-1a over the serialised network parameters. Two exploit-only
-     * managers with equal architecture AND parameter fingerprints are
-     * interchangeable replicas: the cluster batches their forward
-     * passes through one shared network. Costs a full serialisation —
-     * call on topology changes, not per interval. */
-    std::uint64_t parameterFingerprint() const;
+    /** Install @p ckpt's policy; FatalError (naming its source) on a
+     * mismatch, which leaves this manager untouched. */
+    void restore(const rl::Checkpoint &ckpt) { ckpt.restore(learner_); }
 
-    /** Persist the trained policy (network parameters only). A model
-     * saved by one manager can be loaded by another with the same
-     * machine shape and service count — e.g. train offline, then
-     * deploy with exploitOnly for the <1% overhead mode of §V. */
-    void saveModel(std::ostream &os) const { learner_.save(os); }
-    void loadModel(std::istream &is) { learner_.load(is); }
-
-    /** Framed binary checkpoint file of the trained BDQ (validated
-     * architecture fingerprint, rl/checkpoint.hh). This is the
-     * cluster warm-start path: checkpoint one trained replica, restore
-     * into managers on newly added nodes. */
-    void saveCheckpoint(const std::string &path) const;
+    /** The same, through a file: the cluster warm-start path (train one
+     * replica, restore it into newly added nodes) and twig_serve's
+     * final checkpoint. saveCheckpoint returns the bytes written. */
+    std::size_t saveCheckpoint(const std::string &path) const;
     void loadCheckpoint(const std::string &path);
-
-    /** Framed checkpoint to/from a stream instead of a file — the
-     * cluster failover path keeps the periodic frames in memory.
-     * @p context prefixes error messages (e.g. "node 2 frame"). */
-    void saveCheckpointStream(std::ostream &os,
-                              const std::string &context) const;
-    void loadCheckpointStream(std::istream &is,
-                              const std::string &context);
 
     /** Reward value of service @p idx in the last decide() (tests). */
     double lastReward(std::size_t idx) const;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "common/error.hh"
 #include "core/twig_manager.hh"
 #include "harness/profiling.hh"
 #include "harness/sim_profile.hh"
+#include "rl/checkpoint.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
 #include "sim/server.hh"
@@ -458,12 +460,22 @@ buildFleet(const ScenarioSpec &spec, const ManagerRegistry &registry,
 
     // Provision every slot (standby included on autoscaled fleets —
     // the routing partition is fixed; slots park instead of
-    // disappearing).
+    // disappearing). A warm fleet reads and verifies each distinct
+    // donor file (one per node shape) once and restores every replica
+    // from memory.
+    std::map<std::string, rl::Checkpoint> donors;
     for (std::size_t n = 0; n < spec.totalNodes(); ++n) {
         const auto machine = nodeMachine(spec, n);
-        setup.fleet->addNode(machine, factory,
-                             expandCheckpoint(spec.checkpoint,
-                                              machine.numCores));
+        const rl::Checkpoint *donor = nullptr;
+        if (warm) {
+            const std::string path =
+                expandCheckpoint(spec.checkpoint, machine.numCores);
+            auto it = donors.find(path);
+            if (it == donors.end())
+                it = donors.emplace(path, rl::Checkpoint::read(path)).first;
+            donor = &it->second;
+        }
+        setup.fleet->addNode(machine, factory, donor);
     }
     if (!spec.faults.empty())
         setup.fleet->slots().setFaults(spec.faults);

@@ -110,18 +110,4 @@ Mlp::paramCount() const
     return n;
 }
 
-void
-Mlp::save(std::ostream &os) const
-{
-    for (const auto &l : linears_)
-        l.save(os);
-}
-
-void
-Mlp::load(std::istream &is)
-{
-    for (auto &l : linears_)
-        l.load(is);
-}
-
 } // namespace twig::nn

@@ -11,7 +11,6 @@
 #define TWIG_NN_MLP_HH
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "common/rng.hh"
@@ -52,11 +51,6 @@ class Mlp
     std::size_t paramCount() const;
 
     const MlpConfig &config() const { return cfg_; }
-
-    /** Serialise / deserialise all layer parameters (raw binary; see
-     * nn/checkpoint.hh for the framed on-disk format). */
-    void save(std::ostream &os) const;
-    void load(std::istream &is);
 
   private:
     void forwardImpl(const Matrix &x, Matrix &y, bool train);

@@ -1,55 +1,93 @@
 /**
  * @file
- * Binary checkpoint files for the BDQ learner (framed format of
- * nn/checkpoint.hh, kind = BDQ).
+ * The one encoding of a trained Twig policy, and the only code that
+ * knows it.
  *
- * A checkpoint snapshots the online network's parameters together with
- * an architecture fingerprint (agents, state width, hidden sizes,
- * action branches). Loading validates the fingerprint against the
- * destination learner and then installs the parameters into both the
- * online and target networks — exactly what the cluster warm-start
- * path needs to clone a trained replica onto a new node with the same
- * machine shape and service count.
+ * A checkpoint is common::sealFrame — a u64 FNV-1a checksum, then the
+ * payload — of this little-endian v1 stream:
+ *
+ *   "TWIGCKPT"            8-byte magic
+ *   u32 version           1
+ *   u32 kind              2 (BDQ learner)
+ *   u32 shapeLen          architecture length
+ *   u64 shape[shapeLen]   agents, state width, trunk depth and widths,
+ *                         agent-head and branch widths, branch count
+ *                         and action counts
+ *   u64 paramFloats       number of float32 parameters that follow
+ *   f32 params[...]       the online network (MultiAgentBdq::save)
+ *
+ * The same bytes are a fleet slot's failover frame
+ * (cluster/slot_table.hh), a --save-checkpoint donor file and
+ * twig_serve's --final-checkpoint file, so any of them restores
+ * wherever another does. The checksum covers the shape and every
+ * parameter, which makes it the batched-inference cohort key: two
+ * replicas share it exactly when they run the same network.
+ *
+ * A Checkpoint object always holds bytes whose checksum matched (or
+ * that it encoded itself): a file is verified once when read, and
+ * restoring it into many learners re-reads only the header.
  */
 
 #ifndef TWIG_RL_CHECKPOINT_HH
 #define TWIG_RL_CHECKPOINT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "nn/bdq.hh"
 #include "rl/bdq_learner.hh"
 
 namespace twig::rl {
 
-/** Architecture fingerprint of a BDQ network. */
-std::vector<std::uint64_t> bdqShape(const nn::BdqConfig &cfg);
+/** A trained policy in its checksummed encoding (see the file comment). */
+class Checkpoint
+{
+  public:
+    /** Encode @p learner's online network. */
+    explicit Checkpoint(const BdqLearner &learner);
 
-/** Snapshot @p learner's online-network weights to @p path. */
-void saveCheckpoint(const BdqLearner &learner, const std::string &path);
+    /** @p sealed as a checkpoint, or nullopt when it is shorter than
+     * its checksum or the checksum does not match. @p source names the
+     * bytes in restore() errors. */
+    static std::optional<Checkpoint> open(std::string sealed,
+                                          std::string source);
 
-/** As the file variant, writing the framed checkpoint to @p os —
- * the cluster failover path snapshots into in-memory frames this way.
- * @p context prefixes error messages. */
-void saveCheckpoint(const BdqLearner &learner, std::ostream &os,
-                    const std::string &context);
+    /** Read and verify the checkpoint file @p path; FatalError naming
+     * the path when it cannot be read or its checksum does not match. */
+    static Checkpoint read(const std::string &path);
 
-/**
- * Restore weights from @p path into @p learner (online and target
- * networks). The checkpoint's fingerprint must match the learner's
- * network architecture; mismatch, truncation or trailing garbage raise
- * FatalError and leave the learner untouched.
- */
-void loadCheckpoint(BdqLearner &learner, const std::string &path);
+    /** Write the checkpoint to @p path (overwrites). */
+    void write(const std::string &path) const;
 
-/** As the file variant, reading a framed checkpoint from @p is, which
- * must hold the checkpoint and nothing else (payload size is validated
- * before any parameter is installed). @p context prefixes errors. */
-void loadCheckpoint(BdqLearner &learner, std::istream &is,
-                    const std::string &context);
+    /**
+     * Install the policy into @p learner's online and target networks.
+     * The header must match the learner: a bad magic, version, kind,
+     * architecture or parameter count, a truncated payload or trailing
+     * bytes raise FatalError prefixed by the source (the file path for
+     * read()) and leave the learner untouched.
+     */
+    void restore(BdqLearner &learner) const;
+
+    /** The encoding: checksum, then payload. */
+    const std::string &bytes() const { return sealed_; }
+    /** FNV-1a of the payload (the encoding's first eight bytes). */
+    std::uint64_t checksum() const;
+    std::size_t payloadSize() const
+    {
+        return sealed_.size() - sizeof(std::uint64_t);
+    }
+
+  private:
+    Checkpoint(std::string sealed, std::string source)
+        : sealed_(std::move(sealed)), source_(std::move(source))
+    {
+    }
+
+    std::string sealed_;
+    std::string source_ = "in-memory checkpoint";
+};
 
 } // namespace twig::rl
 

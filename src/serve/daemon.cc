@@ -1,8 +1,6 @@
 #include "serve/daemon.hh"
 
 #include <chrono>
-#include <cstdio>
-#include <sstream>
 
 #include "common/error.hh"
 #include "core/twig_manager.hh"
@@ -241,8 +239,8 @@ Daemon::onFrame(Connection &conn, const FrameView &frame)
         return true;
     }
     default:
-        // Server-to-client types (and Checkpoint) are protocol errors
-        // when sent by a client.
+        // Server-to-client types are protocol errors when sent by a
+        // client.
         return false;
     }
 }
@@ -258,22 +256,7 @@ Daemon::writeFinalCheckpoint(DaemonSummary &summary)
                     "twig_serve: --final-checkpoint needs a "
                     "TwigManager on node 0 (manager is '",
                     spec_.manager, "')");
-    std::ostringstream os(std::ios::binary);
-    twig->saveCheckpointStream(os, "twig_serve final checkpoint");
-    const std::string payload = std::move(os).str();
-    std::string frame;
-    encodeCheckpointFrame(frame, payload);
-    std::FILE *f =
-        std::fopen(options_.finalCheckpoint.c_str(), "wb");
-    common::fatalIf(f == nullptr, "twig_serve: cannot write ",
-                    options_.finalCheckpoint);
-    const std::size_t written =
-        std::fwrite(frame.data(), 1, frame.size(), f);
-    const bool flushed = std::fclose(f) == 0;
-    common::fatalIf(written != frame.size() || !flushed,
-                    "twig_serve: short write to ",
-                    options_.finalCheckpoint);
-    summary.checkpointBytes = frame.size();
+    summary.checkpointBytes = twig->saveCheckpoint(options_.finalCheckpoint);
 }
 
 DaemonSummary

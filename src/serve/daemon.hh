@@ -30,8 +30,9 @@
  * current interval and stops; the event thread stops accepting,
  * drains in-flight connections — buffered frames are parsed and
  * answered, queued acks are flushed — and closes them; join() then
- * writes node 0's BDQ as a final FNV-checksummed Checkpoint frame
- * (protocol.hh) and returns the run summary. No mid-frame aborts.
+ * writes node 0's BDQ as a checkpoint file (rl/checkpoint.hh, the
+ * format twig_sim --checkpoint warm-starts a fleet from) and returns
+ * the run summary. No mid-frame aborts.
  */
 
 #ifndef TWIG_SERVE_DAEMON_HH
@@ -72,8 +73,8 @@ struct DaemonOptions
     std::size_t jobs = 1;
     /** Trailing summary window in intervals (0 = the spec's). */
     std::size_t windowIntervals = 0;
-    /** Write the final checksummed checkpoint frame here ("" = skip;
-     * needs a TwigManager on node 0). */
+    /** Write node 0's final checkpoint here ("" = skip; needs a
+     * TwigManager on node 0). */
     std::string finalCheckpoint;
     /** Connection-drain budget at shutdown. */
     int drainMs = 250;
@@ -98,8 +99,7 @@ struct DaemonSummary
     /** Raw (pre-clamp) observed RPS per service over the window:
      * arrivals over the measured wall time its intervals span. */
     std::vector<double> observedRps;
-    /** Bytes of the final checkpoint frame ("" path or non-Twig
-     * manager => 0). */
+    /** Bytes of the final checkpoint file ("" path => 0). */
     std::size_t checkpointBytes = 0;
     ListenerStats listener;
 };
@@ -133,7 +133,7 @@ class Daemon : private FrameHandler
     bool finished() const;
 
     /** Wait for shutdown (or the configured duration), write the
-     * final checkpoint frame, and summarise the run. */
+     * final checkpoint, and summarise the run. */
     DaemonSummary join();
 
   private:

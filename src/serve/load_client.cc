@@ -11,6 +11,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -234,10 +235,33 @@ runConnection(const LoadClientOptions &options, std::size_t index,
                           options.statsIntervalS))
         : clock::time_point::max();
 
+    // Wait for the next tick on the socket, so an ack is read — and its
+    // RTT taken — when it arrives rather than at the next send.
+    auto wait_for_tick = [&]() -> bool {
+        for (;;) {
+            const auto left = next_tick - clock::now();
+            if (left <= clock::duration::zero())
+                return true;
+            const auto ns =
+                std::chrono::duration_cast<std::chrono::nanoseconds>(left)
+                    .count();
+            const timespec timeout{static_cast<time_t>(ns / 1000000000),
+                                   static_cast<long>(ns % 1000000000)};
+            pollfd pfd{fd, POLLIN, 0};
+            const int rc = ::ppoll(&pfd, 1, &timeout, nullptr);
+            if (rc < 0 && errno != EINTR) {
+                out.error = std::string("poll: ") + std::strerror(errno);
+                return false;
+            }
+            if (rc > 0 && !drain(/*block=*/false, got_hello_ack, hello_ack))
+                return false;
+        }
+    };
+
     while (ok) {
-        std::this_thread::sleep_until(next_tick);
+        ok = wait_for_tick();
         const auto now = clock::now();
-        if (now >= deadline)
+        if (!ok || now >= deadline)
             break;
         next_tick += tick;
         if (next_tick < now)
@@ -268,8 +292,6 @@ runConnection(const LoadClientOptions &options, std::size_t index,
         }
         if (!wire.empty())
             ok = sendAll(fd, wire, out.error);
-        if (ok)
-            ok = drain(/*block=*/false, got_hello_ack, hello_ack);
     }
 
     if (ok) {

@@ -8,12 +8,12 @@
  * (default 1 ms) the thread converts its per-service RPS share into a
  * request count through a deterministic carry accumulator (rate *
  * tick seconds, fractional remainders carried — the long-run rate is
- * exact without a random-number stream), sends one Batch frame per
- * service with a count, and drains whatever acks have arrived without
- * blocking. Open-loop means the send schedule never waits for acks —
- * a slow server inflates measured ack RTT instead of silently
- * deflating offered load, which is the property client-side tail
- * measurement needs.
+ * exact without a random-number stream) and sends one Batch frame per
+ * service with a count; until the next tick it waits on the socket and
+ * reads each ack as it arrives. Open-loop means the send schedule
+ * never waits for acks — a slow server inflates measured ack RTT
+ * instead of silently deflating offered load, which is the property
+ * client-side tail measurement needs.
  *
  * Ack RTT is measured per Batch frame: each connection keeps a FIFO
  * of (tag, send time); BatchAck tags must come back in order (the

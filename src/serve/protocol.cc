@@ -1,9 +1,6 @@
 #include "serve/protocol.hh"
 
-#include <cstdio>
 #include <cstring>
-
-#include "common/hash.hh"
 
 namespace twig::serve {
 
@@ -78,7 +75,7 @@ bool
 frameTypeKnown(std::uint8_t value)
 {
     return value >= static_cast<std::uint8_t>(FrameType::Hello) &&
-        value <= static_cast<std::uint8_t>(FrameType::Checkpoint);
+        value <= static_cast<std::uint8_t>(FrameType::ByeAck);
 }
 
 // --- FrameParser -----------------------------------------------------
@@ -270,68 +267,6 @@ decodeStats(const FrameView &frame, StatsMsg &msg)
         msg.offeredRps[s] = getF64(frame.body + 20 + 16 * s);
         msg.p99Ms[s] = getF64(frame.body + 28 + 16 * s);
     }
-    return true;
-}
-
-// --- checkpoint frames -----------------------------------------------
-
-void
-encodeCheckpointFrame(std::string &out, const std::string &payload)
-{
-    putHeader(out, FrameType::Checkpoint, 8 + payload.size());
-    common::sealFrame(out, payload);
-}
-
-bool
-readCheckpointFile(const std::string &path, std::string &payload,
-                   std::string &error)
-{
-    payload.clear();
-    error.clear();
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        error = path + ": cannot open";
-        return false;
-    }
-    std::string raw;
-    char chunk[64 * 1024];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-        raw.append(chunk, n);
-        if (raw.size() > kHeaderBytes + kCheckpointMaxBody) {
-            std::fclose(f);
-            error = path + ": checkpoint frame exceeds the size limit";
-            return false;
-        }
-    }
-    std::fclose(f);
-
-    FrameParser parser(kCheckpointMaxBody);
-    parser.append(raw.data(), raw.size());
-    FrameView frame;
-    const auto status = parser.next(frame);
-    if (status == FrameParser::Status::Error) {
-        error = path + ": " + parser.error();
-        return false;
-    }
-    if (status == FrameParser::Status::NeedMore) {
-        error = path + ": truncated checkpoint frame";
-        return false;
-    }
-    if (frame.type != FrameType::Checkpoint || frame.size < 8) {
-        error = path + ": not a checkpoint frame";
-        return false;
-    }
-    if (parser.buffered() != 0) {
-        error = path + ": trailing bytes after the checkpoint frame";
-        return false;
-    }
-    const auto body = common::openFrame({frame.body, frame.size});
-    if (!body) {
-        error = path + ": checkpoint checksum mismatch";
-        return false;
-    }
-    payload.assign(*body);
     return true;
 }
 

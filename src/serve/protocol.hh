@@ -25,9 +25,8 @@
  * second through a few thousand frames. BatchAck echoes the client's
  * tag so the sender can measure per-batch round-trip latency.
  *
- * The same framing wraps the daemon's final on-disk checkpoint: a
- * Checkpoint frame whose body is an FNV-1a checksum followed by the
- * BDQ checkpoint payload (see encodeCheckpointFrame).
+ * Only these network frames exist: the daemon's final checkpoint is a
+ * plain rl/checkpoint.hh file, not a frame.
  */
 
 #ifndef TWIG_SERVE_PROTOCOL_HH
@@ -45,13 +44,9 @@ constexpr std::size_t kHeaderBytes = 8;
 /** Body cap for network frames (a Stats frame for hundreds of
  * services still fits comfortably). */
 constexpr std::size_t kDefaultMaxBody = 64 * 1024;
-/** Body cap for on-disk checkpoint frames (BDQ payloads are far
- * larger than any network frame). */
-constexpr std::size_t kCheckpointMaxBody = 64u * 1024 * 1024;
 
 /** Frame types. Client→server: Hello, Batch, StatsReq, Bye.
- * Server→client: HelloAck, BatchAck, Stats, ByeAck. Checkpoint only
- * ever appears in the daemon's shutdown file, never on a socket. */
+ * Server→client: HelloAck, BatchAck, Stats, ByeAck. */
 enum class FrameType : std::uint8_t {
     Hello = 1,
     HelloAck = 2,
@@ -61,7 +56,6 @@ enum class FrameType : std::uint8_t {
     Stats = 6,
     Bye = 7,
     ByeAck = 8,
-    Checkpoint = 9,
 };
 
 /** True for values the parser accepts as a frame type. */
@@ -179,22 +173,6 @@ bool decodeHelloAck(const FrameView &frame, HelloAckMsg &msg);
 bool decodeBatch(const FrameView &frame, BatchMsg &msg);
 bool decodeBatchAck(const FrameView &frame, BatchAckMsg &msg);
 bool decodeStats(const FrameView &frame, StatsMsg &msg);
-
-// --- checkpoint frames -----------------------------------------------
-
-/** Append a Checkpoint frame wrapping @p payload: body =
- * common::sealFrame(payload), the u64 FNV-1a then the payload. */
-void encodeCheckpointFrame(std::string &out, const std::string &payload);
-
-/**
- * Read and verify a Checkpoint frame file written at daemon shutdown.
- * On success fills @p payload and returns true; otherwise fills
- * @p error (missing file, malformed frame, checksum mismatch) and
- * returns false without throwing — a corrupt checkpoint must degrade,
- * not abort.
- */
-bool readCheckpointFile(const std::string &path, std::string &payload,
-                        std::string &error);
 
 } // namespace twig::serve
 

@@ -504,6 +504,26 @@ countFaultEvents(const std::vector<faults::FaultEvent> &events,
                       [kind](const auto &ev) { return ev.kind == kind; }));
 }
 
+/** Every scale event of @p result, in application order. */
+std::vector<cluster::ScaleEvent>
+scaleEventsOf(const cluster::FleetRunResult &result)
+{
+    std::vector<cluster::ScaleEvent> log;
+    for (const auto &fs : result.trace)
+        log.insert(log.end(), fs.scaleEvents.begin(), fs.scaleEvents.end());
+    return log;
+}
+
+/** Every fault event of @p result, in application order. */
+std::vector<faults::FaultEvent>
+faultEventsOf(const cluster::FleetRunResult &result)
+{
+    std::vector<faults::FaultEvent> log;
+    for (const auto &fs : result.trace)
+        log.insert(log.end(), fs.faultEvents.begin(), fs.faultEvents.end());
+    return log;
+}
+
 std::size_t
 countKind(const std::vector<cluster::ScaleEvent> &log,
           cluster::ScaleEvent::Kind kind)
@@ -535,8 +555,7 @@ TEST(ClusterAutoscale, ScalesOutLowestStandbyFirstUnderLoad)
 {
     auto cfg = validConfig();
     auto fleet = makeElasticFleet({0.8}, cfg, 2);
-    fleet.run(8, 2);
-    const auto &log = fleet.slots().scaleLog();
+    const auto log = scaleEventsOf(fleet.run(8, 2));
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::ScaleOut), 2u);
     // Victim selection is positional: slot 2 activates before slot 3.
     std::vector<std::size_t> activated;
@@ -553,11 +572,11 @@ TEST(ClusterAutoscale, ScaleInDrainsThenRetiresHighestFirst)
     cfg.drainIntervals = 2;
     auto fleet = makeElasticFleet({0.1}, cfg, 3);
     std::vector<cluster::FleetIntervalStats> trace;
-    fleet.run(10, 2,
-              [&trace](std::size_t, const cluster::FleetIntervalStats &s) {
-                  trace.push_back(s);
-              });
-    const auto &log = fleet.slots().scaleLog();
+    const auto result = fleet.run(
+        10, 2, [&trace](std::size_t, const cluster::FleetIntervalStats &s) {
+            trace.push_back(s);
+        });
+    const auto log = scaleEventsOf(result);
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::DrainStart), 1u);
     ASSERT_GE(countKind(log, cluster::ScaleEvent::Kind::Retire), 1u);
     // Highest-indexed serving slot drains first.
@@ -680,8 +699,8 @@ TEST(ClusterAutoscale, CrashAndRestartOfAStandbySlotKeepsItParked)
     auto fleet = makeElasticFleet({0.25}, cfg, 2, faults);
     const auto result = fleet.run(12, 4);
 
-    EXPECT_TRUE(fleet.slots().scaleLog().empty());
-    EXPECT_EQ(countFaultEvents(fleet.slots().faultLog(),
+    EXPECT_TRUE(scaleEventsOf(result).empty());
+    EXPECT_EQ(countFaultEvents(faultEventsOf(result),
                                faults::FaultEventKind::NodeRestart),
               1u);
     for (std::size_t t = 0; t < 12; ++t) {
@@ -708,12 +727,12 @@ TEST(ClusterAutoscale, SlotCrashedWhileDrainingStaysStandbyAfterRestart)
     auto fleet = makeElasticFleet({0.1}, cfg, 3, faults);
     const auto result = fleet.run(10, 2);
 
-    const auto &log = fleet.slots().scaleLog();
+    const auto log = scaleEventsOf(result);
     ASSERT_FALSE(log.empty());
     ASSERT_EQ(log[0].kind, cluster::ScaleEvent::Kind::DrainStart);
     ASSERT_EQ(log[0].node, 2u);
     ASSERT_EQ(log[0].step, 0u);
-    EXPECT_EQ(countFaultEvents(fleet.slots().faultLog(),
+    EXPECT_EQ(countFaultEvents(faultEventsOf(result),
                                faults::FaultEventKind::NodeRestart),
               1u);
     for (const auto &ev : log) {
@@ -737,7 +756,7 @@ TEST(ClusterAutoscale, ScaleOutSkipsACrashedStandbySlot)
     const auto result = fleet.run(8, 2);
 
     std::vector<std::size_t> activated;
-    for (const auto &ev : fleet.slots().scaleLog())
+    for (const auto &ev : scaleEventsOf(result))
         if (ev.kind == cluster::ScaleEvent::Kind::ScaleOut)
             activated.push_back(ev.node);
     ASSERT_FALSE(activated.empty());
@@ -762,10 +781,10 @@ TEST(RouterDrain, AllDrainingRoutesZeroWithoutShed)
     auto fleet = makeElasticFleet({0.05}, cfg, 2, faults);
     const auto result = fleet.run(5, 1);
 
-    ASSERT_EQ(fleet.slots().scaleLog().size(), 2u);
-    ASSERT_EQ(fleet.slots().scaleLog()[0].kind,
-              cluster::ScaleEvent::Kind::DrainStart);
-    ASSERT_EQ(fleet.slots().scaleLog()[0].node, 1u);
+    const auto log = scaleEventsOf(result);
+    ASSERT_EQ(log.size(), 2u);
+    ASSERT_EQ(log[0].kind, cluster::ScaleEvent::Kind::DrainStart);
+    ASSERT_EQ(log[0].node, 1u);
     for (std::size_t t = 1; t < 3; ++t) {
         const auto &fs = result.trace[t];
         EXPECT_EQ(fs.servingNodes, 0u) << "step " << t;
@@ -807,12 +826,11 @@ TEST(ClusterAutoscale, ThrottleOnAParkedSlotFollowsItIntoService)
     hot.maxDvfsIndex = 0;
     faults.actions.push_back(hot);
     auto fleet = makeElasticFleet({0.8}, cfg, 2, faults);
-    fleet.run(4, 1);
+    const auto log = scaleEventsOf(fleet.run(4, 1));
 
-    ASSERT_FALSE(fleet.slots().scaleLog().empty());
-    ASSERT_EQ(fleet.slots().scaleLog()[0].kind,
-              cluster::ScaleEvent::Kind::ScaleOut);
-    ASSERT_EQ(fleet.slots().scaleLog()[0].node, 2u);
+    ASSERT_FALSE(log.empty());
+    ASSERT_EQ(log[0].kind, cluster::ScaleEvent::Kind::ScaleOut);
+    ASSERT_EQ(log[0].node, 2u);
     EXPECT_TRUE(fleet.slots().isNodeUp(2));
     EXPECT_TRUE(fleet.node(2).dvfsCapped());
 }

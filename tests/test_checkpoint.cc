@@ -1,17 +1,20 @@
-/** @file Unit tests for the framed binary checkpoints (nn + rl). */
+/** @file Unit tests for the one checkpoint encoding (rl/checkpoint.hh):
+ * round trips through files and memory, and every rejection, each of
+ * which must leave the destination learner untouched. */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
-#include "nn/checkpoint.hh"
-#include "nn/mlp.hh"
 #include "rl/bdq_learner.hh"
 #include "rl/checkpoint.hh"
 
@@ -20,6 +23,11 @@ using twig::common::FatalError;
 using twig::common::Rng;
 
 namespace {
+
+/** Payload offsets of the v1 header fields (rl/checkpoint.hh). */
+constexpr std::size_t kVersionAt = 8;
+constexpr std::size_t kKindAt = 12;
+constexpr std::size_t kShapeAt = 20;
 
 std::string
 tmpPath(const std::string &name)
@@ -41,16 +49,6 @@ writeFileBytes(const std::string &path, const std::string &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
-}
-
-nn::MlpConfig
-smallMlp()
-{
-    nn::MlpConfig cfg;
-    cfg.inputDim = 4;
-    cfg.hidden = {8, 6};
-    cfg.outputDim = 2;
-    return cfg;
 }
 
 rl::BdqLearnerConfig
@@ -85,204 +83,238 @@ someTransition(double reward)
     return t;
 }
 
+/** A learner trained away from its initialisation. */
+rl::BdqLearner
+trainedLearner(std::uint64_t seed)
+{
+    Rng rng(seed);
+    rl::BdqLearner learner(smallLearner(), rng);
+    for (int i = 0; i < 30; ++i)
+        learner.observe(someTransition(0.1 * i));
+    return learner;
+}
+
+rl::BdqLearner
+freshLearner(std::uint64_t seed)
+{
+    Rng rng(seed);
+    return rl::BdqLearner(smallLearner(), rng);
+}
+
+/** The checkpoint payload (after the checksum) of @p learner. */
+std::string
+payloadOf(const rl::BdqLearner &learner)
+{
+    return rl::Checkpoint(learner).bytes().substr(sizeof(std::uint64_t));
+}
+
+/** @p payload behind a valid checksum. */
+std::string
+seal(std::string_view payload)
+{
+    std::string out;
+    common::sealFrame(out, payload);
+    return out;
+}
+
+template <typename T>
+void
+poke(std::string &payload, std::size_t at, T value)
+{
+    std::memcpy(payload.data() + at, &value, sizeof(T));
+}
+
+bool
+samePolicy(rl::BdqLearner &a, rl::BdqLearner &b)
+{
+    for (int i = 0; i < 5; ++i) {
+        const std::vector<float> state(6, 0.2f * static_cast<float>(i));
+        if (a.greedyActions(state) != b.greedyActions(state))
+            return false;
+    }
+    return true;
+}
+
+/** Write @p bytes to @p path and load it the way --checkpoint does:
+ * read and verify, then restore into @p learner. Expects a FatalError
+ * naming the path and every one of @p needles, and @p learner
+ * unchanged. */
+void
+expectRejected(const std::string &path, const std::string &bytes,
+               rl::BdqLearner &learner,
+               std::initializer_list<const char *> needles)
+{
+    writeFileBytes(path, bytes);
+    const std::string before = rl::Checkpoint(learner).bytes();
+    try {
+        rl::Checkpoint::read(path).restore(learner);
+        ADD_FAILURE() << "expected FatalError";
+    } catch (const FatalError &err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find(path), std::string::npos) << msg;
+        for (const char *needle : needles)
+            EXPECT_NE(msg.find(needle), std::string::npos)
+                << "missing '" << needle << "' in: " << msg;
+    }
+    EXPECT_EQ(rl::Checkpoint(learner).bytes(), before)
+        << "a rejected checkpoint changed the learner";
+}
+
 } // namespace
-
-TEST(MlpCheckpoint, RoundTripReproducesOutputs)
-{
-    const std::string path = tmpPath("mlp_roundtrip.ckpt");
-    Rng rng_a(1);
-    nn::Mlp a(smallMlp(), rng_a);
-    nn::saveMlpCheckpoint(a, path);
-
-    // Differently-seeded initialisation: outputs disagree until the
-    // checkpoint is restored, then match bit-for-bit.
-    Rng rng_b(2);
-    nn::Mlp b(smallMlp(), rng_b);
-    const std::vector<float> x = {0.1f, -0.4f, 0.7f, 0.2f};
-    EXPECT_NE(a.predictOne(x), b.predictOne(x));
-    nn::loadMlpCheckpoint(b, path);
-    EXPECT_EQ(a.predictOne(x), b.predictOne(x));
-}
-
-TEST(MlpCheckpoint, RejectsArchitectureMismatch)
-{
-    const std::string path = tmpPath("mlp_shape.ckpt");
-    Rng rng(1);
-    nn::Mlp a(smallMlp(), rng);
-    nn::saveMlpCheckpoint(a, path);
-
-    auto wrong = smallMlp();
-    wrong.hidden = {8, 7};
-    Rng rng_b(1);
-    nn::Mlp b(wrong, rng_b);
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-}
-
-TEST(MlpCheckpoint, RejectsTruncationAndTrailingGarbage)
-{
-    const std::string path = tmpPath("mlp_corrupt.ckpt");
-    Rng rng(1);
-    nn::Mlp a(smallMlp(), rng);
-    nn::saveMlpCheckpoint(a, path);
-    const std::string good = readFileBytes(path);
-
-    Rng rng_b(2);
-    nn::Mlp b(smallMlp(), rng_b);
-    writeFileBytes(path, good.substr(0, good.size() - 8));
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-    writeFileBytes(path, good + "junk");
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-
-    std::string bad_magic = good;
-    bad_magic[0] = 'X';
-    writeFileBytes(path, bad_magic);
-    EXPECT_THROW(nn::loadMlpCheckpoint(b, path), FatalError);
-}
-
-TEST(MlpCheckpoint, RejectsMissingFile)
-{
-    Rng rng(1);
-    nn::Mlp m(smallMlp(), rng);
-    EXPECT_THROW(nn::loadMlpCheckpoint(m, tmpPath("no_such.ckpt")),
-                 FatalError);
-}
 
 TEST(BdqCheckpoint, RoundTripReproducesPolicy)
 {
     const std::string path = tmpPath("bdq_roundtrip.ckpt");
-    Rng rng_a(3);
-    rl::BdqLearner a(smallLearner(), rng_a);
-    // Push the weights away from their initialisation so the
-    // round-trip covers a trained network, not just init state.
-    for (int i = 0; i < 30; ++i)
-        a.observe(someTransition(0.1 * i));
-    rl::saveCheckpoint(a, path);
+    auto a = trainedLearner(3);
+    rl::Checkpoint(a).write(path);
 
-    Rng rng_b(4);
-    rl::BdqLearner b(smallLearner(), rng_b);
-    rl::loadCheckpoint(b, path);
-    for (int i = 0; i < 5; ++i) {
-        const std::vector<float> state(6, 0.1f * static_cast<float>(i));
-        EXPECT_EQ(a.greedyActions(state), b.greedyActions(state));
-    }
-}
-
-TEST(BdqCheckpoint, RejectsArchitectureMismatch)
-{
-    const std::string path = tmpPath("bdq_shape.ckpt");
-    Rng rng_a(3);
-    rl::BdqLearner a(smallLearner(), rng_a);
-    rl::saveCheckpoint(a, path);
-
-    auto wrong = smallLearner();
-    wrong.net.branchActions = {4, 2};
-    Rng rng_b(3);
-    rl::BdqLearner b(wrong, rng_b);
-    EXPECT_THROW(rl::loadCheckpoint(b, path), FatalError);
-}
-
-TEST(BdqCheckpoint, RejectsWrongNetworkFamily)
-{
-    // An Mlp checkpoint must not restore into a BDQ learner even if
-    // the byte count happened to line up.
-    const std::string path = tmpPath("family.ckpt");
-    Rng rng_m(1);
-    nn::Mlp mlp(smallMlp(), rng_m);
-    nn::saveMlpCheckpoint(mlp, path);
-
-    Rng rng_l(1);
-    rl::BdqLearner learner(smallLearner(), rng_l);
-    try {
-        rl::loadCheckpoint(learner, path);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &err) {
-        const std::string msg = err.what();
-        // The wrong-kind diagnosis names what a BDQ restore expects.
-        EXPECT_NE(msg.find("expected kind 2"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find(path), std::string::npos) << msg;
-    }
-}
-
-TEST(CheckpointErrors, BadMagicReportsPathAndBytes)
-{
-    const std::string path = tmpPath("bad_magic.ckpt");
-    Rng rng(1);
-    nn::Mlp a(smallMlp(), rng);
-    nn::saveMlpCheckpoint(a, path);
-    std::string bytes = readFileBytes(path);
-    bytes[0] = 'X'; // "XWIGCKPT"
-    writeFileBytes(path, bytes);
-
-    Rng rng_b(2);
-    nn::Mlp b(smallMlp(), rng_b);
-    try {
-        nn::loadMlpCheckpoint(b, path);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &err) {
-        const std::string msg = err.what();
-        EXPECT_NE(msg.find(path), std::string::npos) << msg;
-        // Expected-vs-actual magic, with the actual bytes in hex
-        // ('X' = 0x58) and the expected name spelled out.
-        EXPECT_NE(msg.find("TWIGCKPT"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("58"), std::string::npos) << msg;
-    }
-}
-
-TEST(CheckpointErrors, TruncatedMagicIsDiagnosedAsTruncation)
-{
-    const std::string path = tmpPath("tiny.ckpt");
-    writeFileBytes(path, "TWI");
-    Rng rng(1);
-    nn::Mlp m(smallMlp(), rng);
-    try {
-        nn::loadMlpCheckpoint(m, path);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &err) {
-        const std::string msg = err.what();
-        EXPECT_NE(msg.find(path), std::string::npos) << msg;
-        EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
-    }
+    auto b = freshLearner(4);
+    EXPECT_FALSE(samePolicy(a, b));
+    rl::Checkpoint::read(path).restore(b);
+    EXPECT_TRUE(samePolicy(a, b));
+    EXPECT_EQ(rl::Checkpoint(b).bytes(), readFileBytes(path));
 }
 
 TEST(BdqCheckpoint, StreamRoundTripMatchesFileRoundTrip)
 {
-    Rng rng_a(3);
-    rl::BdqLearner a(smallLearner(), rng_a);
-    for (int i = 0; i < 30; ++i)
-        a.observe(someTransition(0.05 * i));
+    // The in-memory encoding is the file, byte for byte, and its
+    // checksum is the FNV-1a of the payload.
+    auto a = trainedLearner(3);
+    const rl::Checkpoint ckpt(a);
+    const std::string path = tmpPath("bdq_memory.ckpt");
+    ckpt.write(path);
+    EXPECT_EQ(readFileBytes(path), ckpt.bytes());
+    const std::string payload = payloadOf(a);
+    EXPECT_EQ(ckpt.payloadSize(), payload.size());
+    EXPECT_EQ(ckpt.checksum(),
+              common::fnv1a(payload.data(), payload.size()));
 
-    std::ostringstream out;
-    rl::saveCheckpoint(a, out, "stream checkpoint");
-
-    Rng rng_b(9);
-    rl::BdqLearner b(smallLearner(), rng_b);
-    std::istringstream in(out.str());
-    rl::loadCheckpoint(b, in, "stream checkpoint");
-    for (int i = 0; i < 5; ++i) {
-        const std::vector<float> state(6, 0.2f * static_cast<float>(i));
-        EXPECT_EQ(a.greedyActions(state), b.greedyActions(state));
-    }
+    const auto opened = rl::Checkpoint::open(ckpt.bytes(), "memory");
+    ASSERT_TRUE(opened.has_value());
+    auto b = freshLearner(9);
+    opened->restore(b);
+    EXPECT_TRUE(samePolicy(a, b));
 }
 
 TEST(BdqCheckpoint, StreamLoadErrorsCarryTheContext)
 {
-    Rng rng_a(3);
-    rl::BdqLearner a(smallLearner(), rng_a);
-    std::ostringstream out;
-    rl::saveCheckpoint(a, out, "ctx");
-    std::string bytes = out.str();
-    bytes.resize(bytes.size() - 12); // chop the parameter tail
+    auto a = trainedLearner(3);
+    std::string payload = payloadOf(a);
+    payload.resize(payload.size() - 12); // chop the parameter tail
+    const auto frame = rl::Checkpoint::open(seal(payload), "node-1 frame");
+    ASSERT_TRUE(frame.has_value());
 
-    Rng rng_b(3);
-    rl::BdqLearner b(smallLearner(), rng_b);
-    std::istringstream in(bytes);
+    auto b = freshLearner(3);
+    const std::string before = rl::Checkpoint(b).bytes();
     try {
-        rl::loadCheckpoint(b, in, "node-1 frame");
+        frame->restore(b);
         FAIL() << "expected FatalError";
     } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("node-1 frame"),
-                  std::string::npos)
-            << err.what();
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find("node-1 frame"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(rl::Checkpoint(b).bytes(), before);
+}
+
+TEST(BdqCheckpoint, RejectsFlippedPayloadBit)
+{
+    auto a = trainedLearner(3);
+    std::string bytes = rl::Checkpoint(a).bytes();
+    bytes[bytes.size() - 5] ^= 0x01; // one parameter bit
+    EXPECT_FALSE(rl::Checkpoint::open(bytes, "flipped").has_value());
+    EXPECT_FALSE(rl::Checkpoint::open("abc", "short").has_value());
+
+    auto b = freshLearner(4);
+    expectRejected(tmpPath("bdq_flipped.ckpt"), bytes, b, {"checksum"});
+}
+
+TEST(CheckpointErrors, BadMagicReportsPathAndBytes)
+{
+    auto a = trainedLearner(3);
+    std::string payload = payloadOf(a);
+    payload[0] = 'X'; // "XWIGCKPT", behind a valid checksum
+    auto b = freshLearner(4);
+    // Expected-vs-actual magic, with the actual bytes in hex
+    // ('X' = 0x58) and the expected name spelled out.
+    expectRejected(tmpPath("bad_magic.ckpt"), seal(payload), b,
+                   {"TWIGCKPT", "58574947"});
+}
+
+TEST(CheckpointErrors, TruncatedMagicIsDiagnosedAsTruncation)
+{
+    auto b = freshLearner(1);
+    expectRejected(tmpPath("tiny.ckpt"), seal("TWI"), b, {"truncated"});
+}
+
+TEST(BdqCheckpoint, RejectsUnsupportedVersion)
+{
+    auto a = trainedLearner(3);
+    std::string payload = payloadOf(a);
+    poke<std::uint32_t>(payload, kVersionAt, 2);
+    auto b = freshLearner(4);
+    expectRejected(tmpPath("bdq_version.ckpt"), seal(payload), b,
+                   {"unsupported checkpoint version 2"});
+}
+
+TEST(BdqCheckpoint, RejectsWrongNetworkFamily)
+{
+    // Kind 1 (a plain Mlp) must not restore into a BDQ learner even
+    // when every other header field lines up.
+    auto a = trainedLearner(3);
+    std::string payload = payloadOf(a);
+    poke<std::uint32_t>(payload, kKindAt, 1);
+    auto b = freshLearner(4);
+    expectRejected(tmpPath("family.ckpt"), seal(payload), b,
+                   {"kind 1", "expected kind 2"});
+}
+
+TEST(BdqCheckpoint, RejectsArchitectureMismatch)
+{
+    auto a = trainedLearner(3);
+    auto wrong = smallLearner();
+    wrong.net.branchActions = {4, 2};
+    Rng rng(3);
+    rl::BdqLearner b(wrong, rng);
+    expectRejected(tmpPath("bdq_shape.ckpt"), rl::Checkpoint(a).bytes(), b,
+                   {"architecture"});
+}
+
+TEST(BdqCheckpoint, RejectsParameterCountMismatch)
+{
+    auto a = trainedLearner(3);
+    std::string payload = payloadOf(a);
+    const std::size_t shape_len = 10; // smallLearner's architecture
+    const std::size_t count_at = kShapeAt + 8 * shape_len;
+    std::uint64_t count = 0;
+    std::memcpy(&count, payload.data() + count_at, sizeof(count));
+    ASSERT_EQ(count, a.onlineNetwork().paramCount());
+    poke<std::uint64_t>(payload, count_at, count + 1);
+    auto b = freshLearner(4);
+    expectRejected(tmpPath("bdq_count.ckpt"), seal(payload), b,
+                   {"parameters"});
+}
+
+TEST(BdqCheckpoint, RejectsTruncationAndTrailingBytes)
+{
+    auto a = trainedLearner(3);
+    const std::string payload = payloadOf(a);
+    auto b = freshLearner(4);
+    const std::string path = tmpPath("bdq_size.ckpt");
+    expectRejected(path, seal(payload.substr(0, payload.size() - 4)), b,
+                   {"truncated"});
+    expectRejected(path, seal(payload + "junk"), b, {"trailing"});
+}
+
+TEST(BdqCheckpoint, RejectsMissingFile)
+{
+    const std::string path = tmpPath("no_such.ckpt");
+    try {
+        rl::Checkpoint::read(path);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find("cannot open"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(path), std::string::npos) << msg;
     }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "core/twig_manager.hh"
 #include "faults/fault_spec.hh"
 #include "oracle/golden_hash.hh"
+#include "rl/checkpoint.hh"
 #include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
@@ -83,11 +85,14 @@ makeFleet(RoutingPolicy policy, std::size_t jobs, std::size_t nodes,
         masstree.maxLoadRps * static_cast<double>(nodes), 0.15, 0.4,
         steps / 2));
     ClusterManager fleet(cfg, {masstree}, std::move(loads), 42);
+    std::optional<rl::Checkpoint> donor;
+    if (!warm_checkpoint.empty())
+        donor = rl::Checkpoint::read(warm_checkpoint);
     for (std::size_t n = 0; n < nodes; ++n) {
         sim::MachineConfig machine;
         if (hetero && n % 2 == 1)
             machine.numCores = 6;
-        fleet.addNode(machine, factory, warm_checkpoint);
+        fleet.addNode(machine, factory, donor ? &*donor : nullptr);
     }
     return fleet;
 }
@@ -275,7 +280,8 @@ TEST(ClusterManager, WarmStartRestoresDonorPolicy)
     loads.push_back(
         std::make_unique<sim::FixedLoad>(masstree.maxLoadRps, 0.4));
     ClusterManager fleet(cfg, {masstree}, std::move(loads), 99);
-    fleet.addNode(sim::MachineConfig{}, twigNodes(15), path);
+    const rl::Checkpoint ckpt = rl::Checkpoint::read(path);
+    fleet.addNode(sim::MachineConfig{}, twigNodes(15), &ckpt);
 
     auto *warm = dynamic_cast<core::TwigManager *>(
         &fleet.node(0).manager());
@@ -296,9 +302,12 @@ TEST(ClusterManager, WarmStartRejectsNonTwigManagers)
     loads.push_back(
         std::make_unique<sim::FixedLoad>(masstree.maxLoadRps, 0.4));
     ClusterManager fleet(cfg, {masstree}, std::move(loads), 1);
-    EXPECT_THROW(fleet.addNode(sim::MachineConfig{}, staticNodes(),
-                               tmpPath("whatever.ckpt")),
-                 FatalError);
+    const auto twig = twigNodes(15)(sim::MachineConfig{}, {masstree}, 1);
+    const rl::Checkpoint donor =
+        dynamic_cast<const core::TwigManager &>(*twig).checkpoint();
+    EXPECT_THROW(
+        fleet.addNode(sim::MachineConfig{}, staticNodes(), &donor),
+        FatalError);
 }
 
 TEST(ShardedRouter, OneDomainMatchesFlatRouterExactly)

@@ -1,12 +1,15 @@
 /** @file Fleet failover and agent recovery under injected faults:
  * zero-weight routing, crash/restart with warm and cold recovery,
- * corrupt checkpoint fallback, load shedding, and bit-exact replay. */
+ * corrupt checkpoint fallback, load shedding, bit-exact replay, and
+ * the one checkpoint format shared by donor files and failover
+ * frames. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -22,7 +25,9 @@
 #include "faults/fault_injector.hh"
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
+#include "harness/registry.hh"
 #include "oracle/golden_hash.hh"
+#include "rl/checkpoint.hh"
 #include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
@@ -113,6 +118,16 @@ countEvents(const std::vector<faults::FaultEvent> &log,
     for (const auto &ev : log)
         n += ev.kind == kind ? 1 : 0;
     return n;
+}
+
+/** Every fault event of @p result, in application order. */
+std::vector<faults::FaultEvent>
+faultEventsOf(const FleetRunResult &result)
+{
+    std::vector<faults::FaultEvent> log;
+    for (const auto &fs : result.trace)
+        log.insert(log.end(), fs.faultEvents.begin(), fs.faultEvents.end());
+    return log;
 }
 
 const faults::FaultEvent *
@@ -225,15 +240,10 @@ TEST(FleetFailover, CrashRemovesTheNodeUntilRestart)
                 << "step " << t;
         }
     }
-    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
-                          faults::FaultEventKind::NodeCrash),
-              1u);
-    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
-                          faults::FaultEventKind::NodeRestart),
-              1u);
-    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
-                          faults::FaultEventKind::ColdRestart),
-              1u);
+    const auto log = faultEventsOf(result);
+    EXPECT_EQ(countEvents(log, faults::FaultEventKind::NodeCrash), 1u);
+    EXPECT_EQ(countEvents(log, faults::FaultEventKind::NodeRestart), 1u);
+    EXPECT_EQ(countEvents(log, faults::FaultEventKind::ColdRestart), 1u);
 }
 
 TEST(FleetFailover, WarmRecoveryRestoresTheLatestFrame)
@@ -244,9 +254,7 @@ TEST(FleetFailover, WarmRecoveryRestoresTheLatestFrame)
     spec.checkpointEverySteps = 4;
     spec.actions.push_back(crashAction(9, 1, 3, "warm"));
     fleet.slots().setFaults(spec);
-    fleet.run(16, 4);
-
-    const auto &log = fleet.slots().faultLog();
+    const auto log = faultEventsOf(fleet.run(16, 4));
     EXPECT_GT(countEvents(log, faults::FaultEventKind::CheckpointSaved),
               0u);
     ASSERT_EQ(countEvents(log, faults::FaultEventKind::WarmRestore), 1u);
@@ -265,9 +273,7 @@ TEST(FleetFailover, WarmWithoutAFrameFallsBackToCold)
     faults::FaultSpec spec; // no periodic checkpoints
     spec.actions.push_back(crashAction(3, 0, 3, "warm"));
     fleet.slots().setFaults(spec);
-    fleet.run(12, 4);
-
-    const auto &log = fleet.slots().faultLog();
+    const auto log = faultEventsOf(fleet.run(12, 4));
     EXPECT_EQ(countEvents(log, faults::FaultEventKind::WarmRestore), 0u);
     ASSERT_EQ(countEvents(log, faults::FaultEventKind::ColdRestart), 1u);
     const auto *cold =
@@ -294,7 +300,7 @@ TEST(FleetFailover, CorruptFrameIsDetectedAndDegradesToCold)
     const auto result = fleet.run(16, 4);
     EXPECT_EQ(result.trace.size(), 16u);
 
-    const auto &log = fleet.slots().faultLog();
+    const auto log = faultEventsOf(result);
     EXPECT_EQ(countEvents(log, faults::FaultEventKind::WarmRestore), 0u);
     EXPECT_EQ(countEvents(log, faults::FaultEventKind::CorruptDetected),
               1u);
@@ -320,7 +326,7 @@ TEST(FleetFailover, AllNodesDownBecomesAWellDefinedShedRecord)
         for (const double p99 : fs.fleetP99Ms)
             EXPECT_FALSE(std::isnan(p99)) << "step " << t;
     }
-    EXPECT_EQ(countEvents(fleet.slots().faultLog(),
+    EXPECT_EQ(countEvents(faultEventsOf(result),
                           faults::FaultEventKind::LoadShed),
               4u);
 }
@@ -459,7 +465,8 @@ TEST(FaultReplay, SameSeedSameScheduleIsBitIdentical)
                                3, twigNodes(16));
         fleet.slots().setFaults(spec);
         auto result = fleet.run(16, 5);
-        return std::make_pair(std::move(result), fleet.slots().faultLog());
+        auto log = faultEventsOf(result);
+        return std::make_pair(std::move(result), std::move(log));
     };
 
     const auto a = runOnce(1);
@@ -596,7 +603,7 @@ lifecycleFaults()
  * the replicas deciding through a batched cohort at the end. */
 std::pair<FleetRunResult, std::size_t>
 runLifecycleFleet(const ClusterManager::ManagerFactory &factory,
-                  const std::string &warm_checkpoint, std::size_t jobs)
+                  const rl::Checkpoint *donor, std::size_t jobs)
 {
     const auto masstree = services::masstree();
     const double rated = 4.0 * masstree.maxLoadRps;
@@ -612,7 +619,7 @@ runLifecycleFleet(const ClusterManager::ManagerFactory &factory,
         std::make_unique<ScriptedLoad>(rated, std::move(script)));
     ClusterManager fleet(cfg, {masstree}, std::move(loads), 42);
     for (std::size_t n = 0; n < 4; ++n)
-        fleet.addNode(sim::MachineConfig{}, factory, warm_checkpoint);
+        fleet.addNode(sim::MachineConfig{}, factory, donor);
     fleet.slots().setFaults(lifecycleFaults());
     autoscale::AutoscaleConfig scale;
     scale.minNodes = 1;
@@ -689,7 +696,7 @@ TEST(LifecycleGolden, StaticManagersHoldOnAnyHost)
 {
     for (const std::size_t jobs : {1u, 4u}) {
         const auto [r, batched] =
-            runLifecycleFleet(staticNodes(), "", jobs);
+            runLifecycleFleet(staticNodes(), nullptr, jobs);
         expectCommonLifecycle(countLifecycle(r));
         EXPECT_EQ(batched, 0u);
         EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0x43f9b70e92e9d428ULL)
@@ -708,6 +715,7 @@ TEST(LifecycleGolden, WarmExploitOnlyTwigDecidesThroughCohorts)
         dynamic_cast<core::TwigManager &>(donor_fleet.node(0).manager())
             .saveCheckpoint(donor);
     }
+    const rl::Checkpoint ckpt = rl::Checkpoint::read(donor);
     const auto inner = twigNodes(kLifecycleSteps);
     const ClusterManager::ManagerFactory exploit =
         [inner](const sim::MachineConfig &machine,
@@ -719,7 +727,7 @@ TEST(LifecycleGolden, WarmExploitOnlyTwigDecidesThroughCohorts)
             return manager;
         };
     for (const std::size_t jobs : {1u, 4u}) {
-        const auto [r, batched] = runLifecycleFleet(exploit, donor, jobs);
+        const auto [r, batched] = runLifecycleFleet(exploit, &ckpt, jobs);
         const LifecycleCounts c = countLifecycle(r);
         expectCommonLifecycle(c);
         using K = faults::FaultEventKind;
@@ -732,5 +740,111 @@ TEST(LifecycleGolden, WarmExploitOnlyTwigDecidesThroughCohorts)
         EXPECT_GE(batched, 2u);
         EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0xe5846a55ac902d62ULL)
             << "jobs " << jobs;
+    }
+}
+
+// --- One checkpoint format ----------------------------------------------
+// A --save-checkpoint donor file, a slot's failover frame and a file
+// written from a frame are the same bytes, and every reader verifies
+// them.
+
+namespace {
+
+/** One Twig node on the engine's --checkpoint / --save-checkpoint
+ * path (harness::buildFleet and Engine::run). */
+harness::ScenarioSpec
+formatSpec()
+{
+    harness::ScenarioSpec spec;
+    spec.name = "checkpoint-format";
+    spec.topology = "cluster";
+    harness::ServiceLoadSpec load;
+    load.service = "masstree";
+    load.pattern = "fixed";
+    load.fraction = 0.4;
+    spec.services.push_back(load);
+    spec.manager = "twig";
+    spec.steps = 20;
+    spec.window = 5;
+    spec.horizon = 20;
+    spec.nodes = 1;
+    spec.policy = "static";
+    return spec;
+}
+
+std::string
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeFileBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** A trained donor file, as twig_sim --save-checkpoint writes it. */
+std::string
+saveDonor(const std::string &name)
+{
+    const std::string path = tmpPath(name);
+    harness::EngineOptions opts;
+    opts.saveCheckpoint = path;
+    harness::Engine(opts).run(formatSpec());
+    return path;
+}
+
+} // namespace
+
+TEST(CheckpointFormat, DonorFilesAndSlotFramesAreTheSameBytes)
+{
+    const std::string donor_path = saveDonor("format_donor.ckpt");
+    const std::string donor = readFileBytes(donor_path);
+
+    // Deployed (exploit-only, so frozen) on a fleet that keeps failover
+    // frames: each replica's frame is the donor file, byte for byte.
+    auto spec = formatSpec();
+    spec.nodes = 2;
+    spec.checkpoint = donor_path;
+    spec.faults.checkpointEverySteps = 2;
+    auto warm =
+        harness::buildFleet(spec, harness::ManagerRegistry::builtin(), 1);
+    warm.fleet->run(4, 2);
+    EXPECT_EQ(warm.fleet->slots().frame(0), donor);
+    EXPECT_EQ(warm.fleet->slots().frame(1), donor);
+
+    // A frame written to disk deploys through --checkpoint.
+    const std::string frame_path = tmpPath("format_frame.ckpt");
+    writeFileBytes(frame_path, warm.fleet->slots().frame(1));
+    spec.checkpoint = frame_path;
+    auto redeployed =
+        harness::buildFleet(spec, harness::ManagerRegistry::builtin(), 1);
+    auto &node0 = dynamic_cast<core::TwigManager &>(
+        redeployed.fleet->node(0).manager());
+    EXPECT_EQ(node0.checkpoint().bytes(), donor);
+}
+
+TEST(CheckpointFormat, DonorWithAFlippedParameterByteIsNotDeployed)
+{
+    const std::string donor_path = saveDonor("format_flip_donor.ckpt");
+    std::string bytes = readFileBytes(donor_path);
+    bytes[bytes.size() - 3] ^= 0x10; // inside the last parameter
+    const std::string bad_path = tmpPath("format_flipped.ckpt");
+    writeFileBytes(bad_path, bytes);
+
+    auto spec = formatSpec();
+    spec.nodes = 2;
+    spec.checkpoint = bad_path;
+    try {
+        harness::Engine().run(spec);
+        FAIL() << "a corrupt donor was deployed";
+    } catch (const FatalError &err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find(bad_path), std::string::npos) << msg;
+        EXPECT_NE(msg.find("checksum"), std::string::npos) << msg;
     }
 }

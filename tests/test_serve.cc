@@ -1,10 +1,11 @@
 /** @file Integration tests for the live serving front-end
  * (src/serve/): an in-process daemon driven by the load client over
- * TCP loopback, graceful shutdown with a verifiable checkpoint frame,
- * and protocol-error handling at the socket edge. */
+ * TCP loopback, graceful shutdown with a restorable checkpoint, ack
+ * timing, and protocol-error handling at the socket edge. */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -14,7 +15,11 @@
 #include <unistd.h>
 
 #include "common/error.hh"
+#include "core/twig_manager.hh"
+#include "harness/engine.hh"
+#include "harness/registry.hh"
 #include "harness/scenario.hh"
+#include "rl/checkpoint.hh"
 #include "serve/daemon.hh"
 #include "serve/load_client.hh"
 #include "serve/protocol.hh"
@@ -95,15 +100,44 @@ TEST(Serve, LoopbackRoundTripAndGracefulShutdown)
     ASSERT_EQ(summary.observedRps.size(), 1u);
     EXPECT_GT(summary.observedRps[0], 0.0);
 
-    // The shutdown checkpoint is a valid checksummed frame holding a
-    // non-empty BDQ payload.
-    EXPECT_GT(summary.checkpointBytes, 0u);
-    std::string payload;
-    std::string error;
-    ASSERT_TRUE(serve::readCheckpointFile(ckpt_path, payload, error))
-        << error;
-    EXPECT_GT(payload.size(), 0u);
+    // The shutdown checkpoint is the one checkpoint format: it restores
+    // into a manager built like node 0, which then encodes the file's
+    // bytes exactly.
+    const rl::Checkpoint ckpt = rl::Checkpoint::read(ckpt_path);
+    EXPECT_EQ(summary.checkpointBytes, ckpt.bytes().size());
+    auto setup = harness::buildFleet(
+        smallSpec(), harness::ManagerRegistry::builtin(), 1);
+    auto &node0 =
+        dynamic_cast<core::TwigManager &>(setup.fleet->node(0).manager());
+    node0.loadCheckpoint(ckpt_path);
+    EXPECT_EQ(node0.checkpoint().bytes(), ckpt.bytes());
     std::remove(ckpt_path.c_str());
+}
+
+TEST(Serve, AcksAreTimedWhenTheyArriveNotAtTheNextTick)
+{
+    serve::DaemonOptions dopt;
+    dopt.intervalMs = 5.0;
+    serve::Daemon daemon(smallSpec(), dopt);
+    daemon.start();
+
+    serve::LoadClientOptions copt;
+    copt.port = daemon.port();
+    copt.connections = 2;
+    copt.rps = 20000.0;
+    copt.durationS = 0.5;
+    copt.batchMs = 20.0;
+    copt.statsIntervalS = 0.0;
+    const auto report = serve::runLoadClient(copt);
+    daemon.requestShutdown();
+    daemon.join();
+    for (const auto &err : report.errors)
+        ADD_FAILURE() << err;
+    ASSERT_EQ(report.failedConnections, 0u);
+    ASSERT_GT(report.ackFrames, 0u);
+    // A loopback round trip, not the 20 ms batch tick an ack waits for
+    // when it is only read at the next send.
+    EXPECT_LT(report.rttP50Us, 5000.0);
 }
 
 TEST(Serve, GarbageBytesDisconnectWithoutHarm)

@@ -1,11 +1,9 @@
 /** @file Unit tests for the twig_serve wire protocol
- * (src/serve/protocol.hh): framing round-trips, the strict
- * incremental parser under truncated / split / hostile input, and the
- * checksummed checkpoint frame file. */
+ * (src/serve/protocol.hh): framing round-trips and the strict
+ * incremental parser under truncated / split / hostile input. */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -207,6 +205,12 @@ TEST(ServeProtocol, RejectsUnknownTypeFlagsAndReserved)
         EXPECT_TRUE(parsed.error);
     }
     {
+        // One past ByeAck: no frame type exists beyond the eight
+        // network messages.
+        const auto parsed = parseAll(rawFrame(0, /*type=*/9));
+        EXPECT_TRUE(parsed.error);
+    }
+    {
         const auto parsed = parseAll(rawFrame(0, /*type=*/200));
         EXPECT_TRUE(parsed.error);
     }
@@ -275,52 +279,4 @@ TEST(ServeProtocol, BuffersStayBounded)
         ASSERT_LE(parser.buffered(), 2 * wire.size());
     }
     EXPECT_EQ(parser.framesParsed(), 10000u);
-}
-
-TEST(ServeProtocol, CheckpointFileRoundTripsAndDetectsCorruption)
-{
-    const std::string payload(100000, '\x5a');
-    std::string frame;
-    encodeCheckpointFrame(frame, payload);
-
-    const std::string path =
-        ::testing::TempDir() + "serve_ckpt_test.bin";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f),
-                  frame.size());
-        std::fclose(f);
-    }
-    std::string read_back;
-    std::string error;
-    ASSERT_TRUE(readCheckpointFile(path, read_back, error)) << error;
-    EXPECT_EQ(read_back, payload);
-
-    // Flip one payload byte: the FNV checksum must catch it.
-    frame[kHeaderBytes + 8 + 50] ^= 0x01;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f),
-                  frame.size());
-        std::fclose(f);
-    }
-    error.clear();
-    EXPECT_FALSE(readCheckpointFile(path, read_back, error));
-    EXPECT_NE(error.find("checksum"), std::string::npos);
-
-    // A truncated file must fail cleanly, not crash.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size() / 2, f),
-                  frame.size() / 2);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(readCheckpointFile(path, read_back, error));
-    std::remove(path.c_str());
-
-    EXPECT_FALSE(readCheckpointFile("/nonexistent/ckpt", read_back,
-                                    error));
 }

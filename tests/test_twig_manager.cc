@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "core/mapper.hh"
 #include "core/twig_manager.hh"
@@ -263,14 +262,13 @@ TEST(TwigManager, ModelSaveLoadTransfersThePolicy)
         reqs = trained.decide(stats);
     }
 
-    std::stringstream model;
-    trained.saveModel(model);
+    const rl::Checkpoint model = trained.checkpoint();
 
     auto cfg = TwigConfig::fast(300);
     cfg.exploitOnly = true;
     TwigManager deployed(cfg, f.machine, f.maxima,
                          {specFor(services::masstree())}, 32);
-    deployed.loadModel(model);
+    deployed.restore(model);
 
     // Identical greedy policies on an arbitrary state.
     std::vector<float> state(sim::kNumPmcs, 0.4f);

@@ -10,8 +10,9 @@
  * arrival window into per-service RPS and steps the fleet one control
  * interval, so the per-node BDQ policies run online against measured
  * load. SIGINT/SIGTERM (or --duration-s elapsing) shuts down
- * gracefully: in-flight connections drain, the final BDQ state is
- * written as a checksummed Checkpoint frame, and the exit code is 0.
+ * gracefully: in-flight connections drain, node 0's BDQ is written as
+ * a checkpoint file (the one rl/checkpoint.hh encoding, which
+ * twig_sim --checkpoint deploys), and the exit code is 0.
  *
  * Examples:
  *   twig_serve --scenario scenarios/serve.json
@@ -58,8 +59,8 @@ run(int argc, char **argv)
                     "summary window in intervals (default: the "
                     "scenario's)");
     parser.addString("--final-checkpoint", &dopt.finalCheckpoint,
-                     "write node 0's BDQ as a checksummed Checkpoint "
-                     "frame at shutdown");
+                     "write node 0's BDQ checkpoint at shutdown "
+                     "(twig_sim --checkpoint deploys it)");
     parser.parseOrExit(argc, argv, "--scenario FILE [options]");
     common::fatalIf(scenario.empty(), "need --scenario FILE (see --help)");
 
@@ -121,7 +122,7 @@ run(int argc, char **argv)
                 "intervals\n",
                 m.meanPowerW, m.windowSteps);
     if (summary.checkpointBytes != 0) {
-        std::printf("  final checkpoint frame: %s (%zu bytes)\n",
+        std::printf("  final checkpoint: %s (%zu bytes)\n",
                     dopt.finalCheckpoint.c_str(),
                     summary.checkpointBytes);
     }
