@@ -22,6 +22,7 @@
 #include "harness/engine.hh"
 #include "harness/managers.hh"
 #include "services/tailbench.hh"
+#include "sim/machine.hh"
 #include "stats/histogram.hh"
 
 using namespace twig;
@@ -59,7 +60,7 @@ report(const char *name, const harness::RunResult &result,
          ++i) {
         const auto &[n, cfg] = sorted[i];
         std::printf("  %2zu cores @ %.1f GHz : %4.1f%%\n", cfg.first,
-                    1.2 + 0.1 * static_cast<double>(cfg.second),
+                    sim::DvfsLadder{}.freq(cfg.second),
                     100.0 * n / static_cast<double>(window));
     }
     std::printf("migrations in window: %zu\n", migrations);

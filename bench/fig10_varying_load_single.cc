@@ -23,6 +23,7 @@
 #include "harness/engine.hh"
 #include "harness/sweep.hh"
 #include "services/tailbench.hh"
+#include "sim/machine.hh"
 
 using namespace twig;
 
@@ -53,7 +54,7 @@ analyse(const harness::RunResult &result,
             100.0 * r.offeredRps[0] / profile.maxLoadRps + 0.5);
         auto &[cores, dvfs] = out.allocByLoad[load_pct];
         cores += static_cast<double>(r.cores[0]);
-        dvfs += 1.2 + 0.1 * static_cast<double>(r.dvfs[0]);
+        dvfs += sim::DvfsLadder{}.freq(r.dvfs[0]);
         ++out.samplesByLoad[load_pct];
         if (i > start && r.cores[0] != result.trace[i - 1].cores[0])
             ++out.migrations;

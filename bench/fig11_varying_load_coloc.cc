@@ -17,6 +17,7 @@
 #include "harness/engine.hh"
 #include "harness/managers.hh"
 #include "services/tailbench.hh"
+#include "sim/machine.hh"
 
 using namespace twig;
 
@@ -95,6 +96,7 @@ main(int argc, char **argv)
     const auto result = harness::Engine(opts).run(spec).single;
 
     const std::size_t stride = ramp_steps / 16;
+    const sim::DvfsLadder ladder;
     std::printf("%-7s %10s | %-18s | %-18s | %7s\n", "step",
                 "moses load", "moses (cores@GHz)", "masstree",
                 "power");
@@ -103,8 +105,8 @@ main(int argc, char **argv)
         std::printf("%-7zu %9.0f%% | %7zu @ %.1f       | %7zu @ %.1f  "
                     "     | %6.1fW\n",
                     r.step, 100.0 * r.offeredRps[0] / (mo.maxLoadRps * coloc),
-                    r.cores[0], 1.2 + 0.1 * r.dvfs[0], r.cores[1],
-                    1.2 + 0.1 * r.dvfs[1], r.socketPowerW);
+                    r.cores[0], ladder.freq(r.dvfs[0]), r.cores[1],
+                    ladder.freq(r.dvfs[1]), r.socketPowerW);
     }
     std::printf("\nQoS guarantee over the ramp: moses %.1f%%, "
                 "masstree %.1f%%\n",

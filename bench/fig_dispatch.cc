@@ -138,8 +138,8 @@ runPath(std::size_t cores, const Pattern &pattern, std::size_t warmup,
         stats.cycles += static_cast<double>(cyc);
         stats.requests += static_cast<double>(res.completed);
         stats.backlogSum += static_cast<double>(res.queuedAtEnd);
-        stats.checksum += res.p99Ms + res.p99InstantMs + res.meanMs +
-            res.busyCoreSeconds + res.meanServiceTimeMs +
+        stats.checksum += res.p99Ms + res.p99InstantMs +
+            res.busyCoreSeconds +
             static_cast<double>(res.completed + res.arrivals +
                                 res.dropped + res.queuedAtEnd);
     }

@@ -23,6 +23,7 @@ fi
 BENCHES="
 tab1_counter_selection
 tab2_service_capacity
+tab3_overhead
 fig01_pmc_vs_ipc
 fig04_power_model
 fig05_twigs_fixed_load

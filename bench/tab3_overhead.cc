@@ -1,7 +1,8 @@
 /**
  * @file
  * Table III reproduction: the runtime overhead of Twig's components,
- * measured with google-benchmark.
+ * read from the control interval's own per-phase counters
+ * (common::simprof) while paper-preset Twig runs.
  *
  * Paper (per 1 s decision epoch, CPU path):
  *   gradient descent computation ........ 48 ms (CPU) / 25 ms (GPU)
@@ -10,138 +11,175 @@
  *   core allocation & DVFS change .......  7 ms (mostly sysfs)
  *   total (CPU) ......................... 57 ms, < 5 % of the epoch
  *
- * Here the gradient step runs the paper-sized network (512/256 trunk,
- * 128-unit heads, minibatch 64) in our from-scratch C++ NN library;
- * the mapper cost is the allocation computation (no sysfs in a
- * simulator — the paper attributes most of its 7 ms to sysfs writes).
+ * Two runs go through the scenario engine, each the run `twig_sim
+ * --service masstree [--service moses] --paper --sim-profile`
+ * performs: Twig-S on Masstree and Twig-C on Masstree + Moses, with
+ * the paper-sized network (512/256 trunk, 128-unit heads, minibatch
+ * 64). Over the measured segment the phase counters give, per
+ * interval:
+ *   - gradient step: train forward + backward + Adam + replay + target
+ *     sync, divided by the gradient steps taken (one per interval once
+ *     the replay holds a minibatch);
+ *   - PMC gather: the monitor phase (smoothing, normalisation, joint
+ *     state, reward);
+ *   - decide: BDQ action selection;
+ *   - map: core IDs and DVFS from the resource requests. A simulator
+ *     has no sysfs writes, to which the paper charges most of its 7 ms.
+ * Cycles convert to ms against steady_clock over the same segment.
  */
 
-#include <benchmark/benchmark.h>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
-#include "common/rng.hh"
-#include "core/mapper.hh"
-#include "core/monitor.hh"
-#include "rl/bdq_learner.hh"
-#include "services/microbench.hh"
-#include "sim/machine.hh"
+#include "bench/bench_util.hh"
+#include "common/sim_counters.hh"
+#include "harness/engine.hh"
+#include "harness/sim_profile.hh"
+#include "sim/pmc.hh"
 
 using namespace twig;
 
 namespace {
 
-rl::BdqLearnerConfig
-paperLearner(std::size_t agents)
-{
-    rl::BdqLearnerConfig cfg;
-    cfg.net.numAgents = agents;
-    cfg.net.stateDimPerAgent = sim::kNumPmcs;
-    cfg.net.trunkHidden = {512, 256};
-    cfg.net.agentHeadHidden = 128;
-    cfg.net.branchHidden = 128;
-    cfg.net.branchActions = {18, 9};
-    cfg.net.dropoutRate = 0.5f;
-    cfg.minibatch = 64;
-    cfg.minReplayBeforeTraining = 64;
-    return cfg;
-}
+using common::simprof::Phase;
 
-rl::Transition
-dummyTransition(std::size_t agents, common::Rng &rng)
+/** Phase-counter snapshot of the measured segment, with the
+ * cycle-to-ms rate of the same stretch of wall time. */
+class SegmentCounters : public harness::RecordSink
 {
-    rl::Transition t;
-    t.state.resize(agents * sim::kNumPmcs);
-    t.nextState.resize(agents * sim::kNumPmcs);
-    for (auto &v : t.state)
-        v = static_cast<float>(rng.uniform());
-    for (auto &v : t.nextState)
-        v = static_cast<float>(rng.uniform());
-    for (std::size_t k = 0; k < agents; ++k) {
-        t.actions.push_back({rng.uniformInt(18), rng.uniformInt(9)});
-        t.rewards.push_back(rng.uniform(-1.0, 4.0));
+  public:
+    void
+    begin(const harness::ScenarioSpec &,
+          const std::vector<sim::ServiceProfile> &) override
+    {
+        harness::SimProfile::enable();
+        before_ = harness::SimProfile::snapshot();
+        wallStart_ = std::chrono::steady_clock::now();
+        cycleStart_ = common::simprof::now();
     }
-    return t;
-}
 
-/** Row 1: one gradient-descent step on the paper-sized network. */
-void
-BM_GradientDescentStep(benchmark::State &state)
-{
-    common::Rng rng(1);
-    const auto agents = static_cast<std::size_t>(state.range(0));
-    rl::BdqLearner learner(paperLearner(agents), rng);
-    for (int i = 0; i < 256; ++i)
-        learner.replay().add(dummyTransition(agents, rng));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(learner.trainStep());
-}
-BENCHMARK(BM_GradientDescentStep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    void record(const harness::StepRecord &) override { ++intervals_; }
 
-/** Row 1b: a pure decision (forward pass) — the exploitation-only
- * cost the paper recommends after training. */
-void
-BM_GreedyDecision(benchmark::State &state)
-{
-    common::Rng rng(2);
-    rl::BdqLearner learner(paperLearner(2), rng);
-    std::vector<float> joint(2 * sim::kNumPmcs, 0.3f);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(learner.greedyActions(joint));
-}
-BENCHMARK(BM_GreedyDecision)->Unit(benchmark::kMicrosecond);
-
-/** Row 2: gather and pre-process the PMCs (synthesis + eta-smoothing
- * + normalisation for two services). */
-void
-BM_GatherPreprocessPmcs(benchmark::State &state)
-{
-    const sim::MachineConfig machine;
-    common::Rng rng(3);
-    sim::PmcModel model(machine, rng.fork());
-    const auto maxima = services::calibrateCounterMaxima(machine);
-    core::SystemMonitor monitor(2, maxima, 5);
-    const auto profile = services::cpuMaxMicrobench();
-    sim::IntervalExecution exec;
-    exec.completedRequests = 1000;
-    exec.busyCoreSeconds = 9.0;
-    exec.freqGhz = 2.0;
-    for (auto _ : state) {
-        for (std::size_t k = 0; k < 2; ++k) {
-            const auto pmcs = model.synthesize(profile, exec);
-            benchmark::DoNotOptimize(monitor.update(k, pmcs));
-        }
-        benchmark::DoNotOptimize(monitor.jointState());
+    void
+    end() override
+    {
+        const std::uint64_t cycles = common::simprof::now() - cycleStart_;
+        const std::chrono::duration<double, std::milli> wall =
+            std::chrono::steady_clock::now() - wallStart_;
+        profile_ = harness::SimProfile::snapshot().since(before_);
+        harness::SimProfile::disable();
+        msPerCycle_ = wall.count() / static_cast<double>(cycles);
     }
-}
-BENCHMARK(BM_GatherPreprocessPmcs)->Unit(benchmark::kMicrosecond);
 
-/** Row 3: core allocation & DVFS change (mapper computation; the
- * paper's 7 ms is dominated by sysfs writes a simulator lacks). */
+    std::size_t intervals() const { return intervals_; }
+
+    std::uint64_t
+    calls(Phase p) const
+    {
+        return profile_.phase(p).calls;
+    }
+
+    /** Milliseconds spent in @p phases over the segment. */
+    double
+    ms(std::initializer_list<Phase> phases) const
+    {
+        std::uint64_t cycles = 0;
+        for (const Phase p : phases)
+            cycles += profile_.phase(p).cycles;
+        return static_cast<double>(cycles) * msPerCycle_;
+    }
+
+  private:
+    harness::SimProfile before_;
+    harness::SimProfile profile_;
+    std::chrono::steady_clock::time_point wallStart_;
+    std::uint64_t cycleStart_ = 0;
+    double msPerCycle_ = 0.0;
+    std::size_t intervals_ = 0;
+};
+
 void
-BM_CoreAllocationAndDvfs(benchmark::State &state)
+printRow(const char *component, double ms, const char *paper)
 {
-    core::Mapper mapper{sim::MachineConfig{}};
-    std::vector<core::ResourceRequest> reqs = {{14, 3}, {12, 7}};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mapper.map(reqs));
+    std::printf("  %-24s %10.4f ms   %s\n", component, ms, paper);
 }
-BENCHMARK(BM_CoreAllocationAndDvfs)->Unit(benchmark::kMicrosecond);
+
+/** Run one paper-preset Twig over @p services and print its Table III
+ * rows. */
+void
+runCase(const char *label, const std::vector<std::string> &services,
+        std::size_t steps, std::uint64_t seed)
+{
+    harness::ScenarioSpec spec;
+    spec.name = "tab3";
+    for (const auto &name : services) {
+        harness::ServiceLoadSpec s;
+        s.service = name;
+        spec.services.push_back(s);
+    }
+    spec.manager = "twig";
+    spec.paper = true;
+    spec.steps = steps;
+    spec.seed = seed;
+
+    SegmentCounters counters;
+    harness::EngineOptions opts;
+    opts.sinks.push_back(&counters);
+    harness::Engine(opts).run(spec);
+
+    const double intervals = static_cast<double>(counters.intervals());
+    const std::uint64_t grad_steps = counters.calls(Phase::Adam);
+    const double grad_ms =
+        counters.ms({Phase::TrainForward, Phase::Backward, Phase::Adam,
+                     Phase::Replay, Phase::TargetSync}) /
+        static_cast<double>(grad_steps);
+    const double monitor_ms = counters.ms({Phase::Monitor}) / intervals;
+    const double decide_ms = counters.ms({Phase::Decide}) / intervals;
+    const double map_ms = counters.ms({Phase::Map}) / intervals;
+    const double total_ms = grad_ms + monitor_ms + decide_ms + map_ms;
+
+    std::string mix;
+    for (const auto &name : services)
+        mix += (mix.empty() ? "" : " + ") + name;
+    std::printf("\n%s (%s, 50%% load): %zu intervals, %llu gradient "
+                "steps\n",
+                label, mix.c_str(), counters.intervals(),
+                static_cast<unsigned long long>(grad_steps));
+    std::printf("  %-24s %13s   %s\n", "component", "measured", "paper");
+    printRow("gradient step", grad_ms, "48 ms (CPU)");
+    printRow("PMC gather (monitor)", monitor_ms, " 2 ms");
+    printRow("decide", decide_ms, "  -");
+    printRow("map (cores + DVFS)", map_ms, " 7 ms (mostly sysfs)");
+    std::printf("  %-24s %10.4f ms   57 ms (%.2f %% of the 1 s epoch; "
+                "paper < 5 %%)\n",
+                "total per epoch", total_ms, 100.0 * total_ms / 1000.0);
+}
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::printf("==== Table III: Twig overhead per 1 s decision epoch "
-                "====\n");
-    std::printf("paper: gradient step 48 ms (CPU), PMC gather 2 ms, "
-                "mapper 7 ms (sysfs), total 57 ms (<5%%)\n");
-    std::printf("PMC data size per service: %zu B/s raw counters "
-                "(paper: 352 B/s including metadata)\n\n",
+    bool full = false;
+    std::uint64_t seed = 42;
+    common::FlagParser flags;
+    bench::addRunFlags(flags, &full, &seed);
+    flags.parseOrExit(argc, argv);
+    const std::size_t steps = full ? 2000 : 200;
+
+    bench::banner("Table III: Twig overhead per 1 s decision epoch, from "
+                  "the control interval's counters");
+    std::printf("paper: gradient step 48 ms (CPU), PMC gather 2 ms, core "
+                "allocation & DVFS 7 ms (sysfs), total 57 ms (<5%%)\n");
+    std::printf("PMC payload per service: %zu B/s raw counters (paper: "
+                "352 B/s including metadata)\n",
                 sim::kNumPmcs * sizeof(double));
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+
+    runCase("Twig-S", {"masstree"}, steps, seed);
+    runCase("Twig-C", {"masstree", "moses"}, steps, seed);
     return 0;
 }

@@ -12,17 +12,6 @@ namespace twig::cluster {
 
 using common::simprof::now;
 
-namespace {
-
-/** The per-step fleet p99 is measured over the completions of the last
- * this-many intervals (mirrors MachineConfig's qosWindowIntervals: a
- * single interval's p99 is a noisy order statistic). */
-constexpr std::size_t kQosWindowIntervals = 3;
-
-static_assert(kQosWindowIntervals > 0);
-
-} // namespace
-
 double
 FleetRunMetrics::avgQosGuaranteePct() const
 {
@@ -340,7 +329,7 @@ ClusterManager::step()
         recent_.resize(num_services);
     for (std::size_t s = 0; s < num_services; ++s) {
         auto &window = recent_[s];
-        if (window.size() < kQosWindowIntervals) {
+        if (window.size() < sim::kQosWindowIntervals) {
             window.push_back(mergedScratch_[s]);
         } else {
             // Evict the oldest interval without churning allocations:

@@ -249,7 +249,7 @@ class ClusterManager
     std::vector<stats::Histogram> mergedScratch_;
     /** Hierarchical-merge scratch: per-domain per-service histograms. */
     std::vector<std::vector<stats::Histogram>> domainScratch_;
-    /** Last kQosWindowIntervals interval histograms per service
+    /** Last sim::kQosWindowIntervals interval histograms per service
      * (recent_[svc] is ordered oldest first). */
     std::vector<std::vector<stats::Histogram>> recent_;
 

@@ -44,8 +44,6 @@ routingPolicyName(RoutingPolicy policy)
 Router::Router(const RouterConfig &cfg, std::uint64_t seed)
     : cfg_(cfg), rng_(seed)
 {
-    common::fatalIf(cfg.quantaPerService == 0,
-                    "Router: need at least one load quantum");
 }
 
 std::vector<std::vector<double>>
@@ -130,12 +128,12 @@ Router::routeWrrInto(const std::vector<double> &fleet_rps,
 
     for (std::size_t s = 0; s < fleet_rps.size(); ++s) {
         const double quantum =
-            fleet_rps[s] / static_cast<double>(cfg_.quantaPerService);
+            fleet_rps[s] / static_cast<double>(kQuantaPerService);
         // Smooth weighted round-robin (nginx-style): every quantum
         // each node earns its weight in credit and the richest node
         // is charged the total weight. Credits persist across
         // intervals so the interleaving stays smooth at every scale.
-        for (std::size_t q = 0; q < cfg_.quantaPerService; ++q) {
+        for (std::size_t q = 0; q < kQuantaPerService; ++q) {
             std::size_t best = nodes;
             for (std::size_t n = 0; n < nodes; ++n) {
                 if (weights[n] == 0.0)
@@ -177,7 +175,7 @@ Router::routeP2cInto(const std::vector<double> &fleet_rps,
 
     for (std::size_t s = 0; s < fleet_rps.size(); ++s) {
         const double quantum =
-            fleet_rps[s] / static_cast<double>(cfg_.quantaPerService);
+            fleet_rps[s] / static_cast<double>(kQuantaPerService);
         // QoS-excess part of the cost: how far above its target a
         // node's previous-interval p99 sat, in units of the target
         // (0 for meeting nodes and before any feedback exists),
@@ -201,11 +199,11 @@ Router::routeP2cInto(const std::vector<double> &fleet_rps,
         // comparable to the QoS half.
         fair_.assign(nodes, 0.0);
         for (std::size_t n : liveIdx_)
-            fair_[n] = static_cast<double>(cfg_.quantaPerService) *
+            fair_[n] = static_cast<double>(kQuantaPerService) *
                 weights[n] / weight_sum;
         dealt_.assign(nodes, 0.0);
         const std::size_t live = liveIdx_.size();
-        for (std::size_t q = 0; q < cfg_.quantaPerService; ++q) {
+        for (std::size_t q = 0; q < kQuantaPerService; ++q) {
             const std::size_t a = liveIdx_[rng_.uniformInt(live)];
             std::size_t bi = rng_.uniformInt(live - 1);
             // Second choice distinct from the first (by live index, so

@@ -58,15 +58,16 @@ RoutingPolicy routingPolicyByName(const std::string &name);
 /** Short name of @p policy (inverse of routingPolicyByName). */
 const char *routingPolicyName(RoutingPolicy policy);
 
+/** Discrete load quanta dealt per service per interval by the
+ * quantum-based policies; more quanta = finer split (one quantum of
+ * per-node noise is 100/quanta percent of the service's load, so this
+ * stays large relative to a routing domain's node count). */
+inline constexpr std::size_t kQuantaPerService = 256;
+
 /** Router configuration. */
 struct RouterConfig
 {
     RoutingPolicy policy = RoutingPolicy::Static;
-    /** Discrete load quanta dealt per service per interval by the
-     * quantum-based policies; more quanta = finer split (one quantum
-     * of per-node noise is 100/quanta percent of the service's load,
-     * so keep this large relative to the node count). */
-    std::size_t quantaPerService = 256;
 };
 
 /** Per-interval feedback the router sees from the fleet. */

@@ -139,8 +139,7 @@ CsvTraceSink::record(const StepRecord &rec)
     for (std::size_t i = 0; i < numServices_; ++i) {
         if (singleTopology_) {
             row_.push_back(static_cast<double>(rec.cores[i]));
-            row_.push_back(1.2 +
-                           0.1 * static_cast<double>(rec.dvfs[i]));
+            row_.push_back(sim::DvfsLadder{}.freq(rec.dvfs[i]));
             row_.push_back(rec.p99Ms[i]);
             row_.push_back(rec.offeredRps[i]);
         } else {
@@ -201,36 +200,6 @@ SimProfileSink::end()
                     common::simprof::phaseName(p), prof.sharePct(p),
                     maxSharePct_);
     }
-}
-
-// --- EngineResult ----------------------------------------------------
-
-double
-EngineResult::meanPowerW() const
-{
-    return cluster ? fleet.metrics.meanPowerW : single.metrics.meanPowerW;
-}
-
-double
-EngineResult::energyJoules() const
-{
-    return cluster ? fleet.metrics.energyJoules
-                   : single.metrics.energyJoules;
-}
-
-std::size_t
-EngineResult::windowSteps() const
-{
-    return cluster ? fleet.metrics.windowSteps
-                   : single.metrics.windowSteps;
-}
-
-double
-EngineResult::avgQosGuaranteePct() const
-{
-    if (!cluster)
-        return single.metrics.avgQosGuaranteePct();
-    return fleet.metrics.avgQosGuaranteePct();
 }
 
 // --- Engine ----------------------------------------------------------

@@ -212,12 +212,6 @@ struct EngineResult
     RunResult single;
     /** Cluster topology: fleet metrics + always-on fleet trace. */
     cluster::FleetRunResult fleet;
-
-    /** Topology-independent view of the headline numbers. */
-    double meanPowerW() const;
-    double energyJoules() const;
-    std::size_t windowSteps() const;
-    double avgQosGuaranteePct() const;
 };
 
 /** Executes ScenarioSpecs. */

@@ -1,61 +1,11 @@
 #include "harness/managers.hh"
 
 #include "core/mapper.hh"
-#include "harness/profiling.hh"
 #include "harness/sweep.hh"
-#include "services/microbench.hh"
 #include "sim/loadgen.hh"
 #include "sim/server.hh"
 
 namespace twig::harness {
-
-std::unique_ptr<core::TwigManager>
-makeTwig(const sim::MachineConfig &machine,
-         const std::vector<sim::ServiceProfile> &profiles,
-         const Schedule &schedule, bool full, std::uint64_t seed)
-{
-    const auto maxima = services::calibrateCounterMaxima(machine);
-    std::vector<core::TwigServiceSpec> specs;
-    for (const auto &p : profiles)
-        specs.push_back(makeTwigSpec(p, machine, seed ^ 77));
-    const auto cfg = full ? core::TwigConfig::paper()
-                          : core::TwigConfig::fast(schedule.horizon);
-    return std::make_unique<core::TwigManager>(cfg, machine, maxima,
-                                               std::move(specs), seed);
-}
-
-std::unique_ptr<baselines::Hipster>
-makeHipster(const sim::MachineConfig &machine,
-            const sim::ServiceProfile &profile, const Schedule &schedule,
-            bool full, std::uint64_t seed)
-{
-    baselines::HipsterConfig cfg;
-    cfg.learningPhaseSteps = full ? 7500 : schedule.horizon / 2;
-    return std::make_unique<baselines::Hipster>(
-        cfg, machine, makeBaselineSpec(profile), seed);
-}
-
-std::unique_ptr<baselines::Heracles>
-makeHeracles(const sim::MachineConfig &machine,
-             const sim::ServiceProfile &profile, bool full)
-{
-    baselines::HeraclesConfig cfg;
-    cfg.lockoutSteps = full ? 300 : 60;
-    return std::make_unique<baselines::Heracles>(
-        cfg, machine, makeBaselineSpec(profile));
-}
-
-std::unique_ptr<baselines::Parties>
-makeParties(const sim::MachineConfig &machine,
-            const std::vector<sim::ServiceProfile> &profiles,
-            std::uint64_t seed)
-{
-    std::vector<baselines::BaselineServiceSpec> specs;
-    for (const auto &p : profiles)
-        specs.push_back(makeBaselineSpec(p));
-    return std::make_unique<baselines::Parties>(
-        baselines::PartiesConfig{}, machine, std::move(specs), seed);
-}
 
 bool
 colocationProbePasses(const sim::ServiceProfile &a,

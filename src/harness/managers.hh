@@ -1,24 +1,18 @@
 /**
  * @file
- * Shared manager construction for every experiment entry point: builds
- * Twig and the baselines with schedules compressed to the experiment
- * horizon (full mode restores the paper's time constants). The tools,
- * the benches, the scenario engine and the tests share this one
- * construction path.
+ * Experiment schedules (compressed to the experiment horizon; full
+ * mode restores the paper's time constants) and the offline colocation
+ * sweep, shared by the tools, the benches, the scenario engine and the
+ * tests. Managers themselves are built by the ManagerRegistry
+ * (harness/registry.hh).
  */
 
 #ifndef TWIG_HARNESS_MANAGERS_HH
 #define TWIG_HARNESS_MANAGERS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "baselines/heracles.hh"
-#include "baselines/hipster.hh"
-#include "baselines/parties.hh"
-#include "core/twig_manager.hh"
-#include "sim/machine.hh"
 #include "sim/service_profile.hh"
 
 namespace twig::harness {
@@ -43,29 +37,6 @@ struct Schedule
         return {fast_steps, fast_window, fast_steps};
     }
 };
-
-/** Twig manager with per-service Eq. 2 models fit by profiling. */
-std::unique_ptr<core::TwigManager>
-makeTwig(const sim::MachineConfig &machine,
-         const std::vector<sim::ServiceProfile> &profiles,
-         const Schedule &schedule, bool full, std::uint64_t seed);
-
-/** Hipster with its learning phase compressed to the horizon. */
-std::unique_ptr<baselines::Hipster>
-makeHipster(const sim::MachineConfig &machine,
-            const sim::ServiceProfile &profile, const Schedule &schedule,
-            bool full, std::uint64_t seed);
-
-/** Heracles (paper-configured thresholds; lockout compressed). */
-std::unique_ptr<baselines::Heracles>
-makeHeracles(const sim::MachineConfig &machine,
-             const sim::ServiceProfile &profile, bool full);
-
-/** PARTIES (paper-configured). */
-std::unique_ptr<baselines::Parties>
-makeParties(const sim::MachineConfig &machine,
-            const std::vector<sim::ServiceProfile> &profiles,
-            std::uint64_t seed);
 
 /**
  * One probe of the offline colocation sweep: does load fraction @p f

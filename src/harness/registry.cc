@@ -60,17 +60,30 @@ ManagerRegistry::builtin()
         });
         r.add("hipster", true, [](const ManagerContext &ctx) {
             rejectKnobs(ctx, "hipster");
-            return makeHipster(ctx.machine, ctx.profiles.at(0),
-                               ctx.schedule, ctx.full, ctx.seed);
+            // Learning phase compressed to the horizon.
+            baselines::HipsterConfig cfg;
+            cfg.learningPhaseSteps =
+                ctx.full ? 7500 : ctx.schedule.horizon / 2;
+            return std::make_unique<baselines::Hipster>(
+                cfg, ctx.machine, makeBaselineSpec(ctx.profiles.at(0)),
+                ctx.seed);
         });
         r.add("heracles", true, [](const ManagerContext &ctx) {
             rejectKnobs(ctx, "heracles");
-            return makeHeracles(ctx.machine, ctx.profiles.at(0),
-                                ctx.full);
+            // Paper-configured thresholds; lockout compressed.
+            baselines::HeraclesConfig cfg;
+            cfg.lockoutSteps = ctx.full ? 300 : 60;
+            return std::make_unique<baselines::Heracles>(
+                cfg, ctx.machine, makeBaselineSpec(ctx.profiles.at(0)));
         });
         r.add("parties", false, [](const ManagerContext &ctx) {
             rejectKnobs(ctx, "parties");
-            return makeParties(ctx.machine, ctx.profiles, ctx.seed);
+            std::vector<baselines::BaselineServiceSpec> specs;
+            for (const auto &p : ctx.profiles)
+                specs.push_back(makeBaselineSpec(p));
+            return std::make_unique<baselines::Parties>(
+                baselines::PartiesConfig{}, ctx.machine, std::move(specs),
+                ctx.seed);
         });
         return r;
     }();

@@ -178,9 +178,8 @@ BdqLearner::trainStep()
                 }
                 bootstrap /= static_cast<double>(D);
             }
-            const double r = std::clamp(
-                cfg_.rewardScale * t.rewards[k], cfg_.rewardClipMin,
-                cfg_.rewardClipMax);
+            const double r = std::max(cfg_.rewardScale * t.rewards[k],
+                                      cfg_.rewardClipMin);
             targets[k][i] = r + cfg_.discount * bootstrap;
         }
     }

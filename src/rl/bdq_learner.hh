@@ -58,11 +58,11 @@ struct BdqLearnerConfig
      * hundreds of units take ~10^5 updates to represent). Scaling is
      * monotone, so the learned policy ordering is unchanged. */
     double rewardScale = 1.0;
-    /** Clamp range for the scaled reward (DQN-style reward clipping).
+    /** Floor for the scaled reward (DQN-style reward clipping; the
+     * positive side needs no clip, rewards are bounded above).
      * Ranking *among deep violations* is lost beyond the clip, which
      * is irrelevant to the policy — any violation must be escaped. */
     double rewardClipMin = -1e30;
-    double rewardClipMax = 1e30;
     /** Keep the previous greedy action when its Q-value is within
      * this margin of the argmax (in network Q units). Near-ties are
      * ubiquitous once the policy has converged; without stickiness the

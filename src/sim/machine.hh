@@ -20,6 +20,13 @@
 
 namespace twig::sim {
 
+/** The measured tail latency reported each interval, on one node and
+ * merged over a fleet, is the p99 over the last this-many intervals'
+ * completions (the log-file interface of §IV aggregates over a short
+ * trailing window; single-interval p99 at ~1k RPS is a noisy order
+ * statistic). */
+inline constexpr std::size_t kQosWindowIntervals = 3;
+
 /** Discrete DVFS ladder (paper: 1.2 .. 2.0 GHz in 0.1 GHz steps). */
 struct DvfsLadder
 {
@@ -80,12 +87,6 @@ struct MachineConfig
 
     /** Control/monitoring interval, seconds (paper: 1 s). */
     double intervalSeconds = 1.0;
-
-    /** The measured tail latency reported each interval is the p99 over
-     * the last this-many intervals' completions (the log-file interface
-     * of §IV aggregates over a short trailing window; single-interval
-     * p99 at ~1k RPS is a noisy order statistic). */
-    std::size_t qosWindowIntervals = 3;
 
     /** Per-core service-rate multiplier relative to the reference part
      * (1.0 = the paper's E5-2695v4). A mixed-generation fleet models a

@@ -102,13 +102,11 @@ resetResult(QueueIntervalResult &res)
     res.latenciesMs.clear();
     res.p99Ms = 0.0;
     res.p99InstantMs = 0.0;
-    res.meanMs = 0.0;
     res.completed = 0;
     res.arrivals = 0;
     res.dropped = 0;
     res.queuedAtEnd = 0;
     res.busyCoreSeconds = 0.0;
-    res.meanServiceTimeMs = 0.0;
 }
 
 } // namespace
@@ -226,11 +224,10 @@ RequestQueueSim::ClassCal::recomputeMinFrom(std::size_t fromBucket)
 RequestQueueSim::RequestQueueSim(const ServiceProfile &profile,
                                  common::Rng rng, double ref_freq_ghz,
                                  std::size_t max_pending,
-                                 std::size_t qos_window_intervals,
                                  double service_rate_scale)
     : profile_(profile), rng_(rng), refFreqGhz_(ref_freq_ghz),
       rateScale_(service_rate_scale), maxPending_(max_pending),
-      window_(qos_window_intervals ? qos_window_intervals : 1)
+      window_(kQosWindowIntervals)
 {
     common::fatalIf(profile.baseServiceTimeMs <= 0.0,
                     "service ", profile.name,
@@ -420,7 +417,6 @@ RequestQueueSim::run(double t0, double dt, double rps,
         res.p99Ms = pendingCount_ == 0
             ? 0.0
             : (t_end - pendingFront()) * 1000.0;
-        res.meanMs = res.p99Ms;
         return res;
     }
 
@@ -444,18 +440,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
             c.svcTime = mean_service_s / c.speed;
     }
 
-    // Welford means of the drawn service times and of the reported
-    // latencies, without the variance / min / max bookkeeping
-    // RunningStats carries: only count and mean are reported, and the
-    // recurrence is RunningStats::add's mean update verbatim, so the
-    // results are bit-identical. Folding the latency mean into the
-    // dispatch loop (the seed computed it after the fact over the
-    // same values in the same order) keeps the quantile phase free of
-    // per-sample work.
     std::size_t n_started = 0;
-    double mean_service_drawn = 0.0;
-    std::size_t n_lat = 0;
-    double mean_lat = 0.0;
     double busy_core_s = 0.0;
     reserveSlack(res.latenciesMs, pendingCount_ + accepted);
     if (drawBuf_.size() < kDrawChunk)
@@ -539,9 +524,6 @@ RequestQueueSim::run(double t0, double dt, double rps,
             if (timeout_s > 0.0 && start - arrival > timeout_s) {
                 ++res.dropped;
                 res.latenciesMs.push_back(profile_.timeoutMs);
-                ++n_lat;
-                mean_lat += (profile_.timeoutMs - mean_lat) /
-                            static_cast<double>(n_lat);
                 if (remaining == 0) {
                     done = true;
                     break;
@@ -560,13 +542,8 @@ RequestQueueSim::run(double t0, double dt, double rps,
 
             const double latency_ms = (completion - arrival) * 1000.0;
             res.latenciesMs.push_back(latency_ms);
-            ++n_lat;
-            mean_lat +=
-                (latency_ms - mean_lat) / static_cast<double>(n_lat);
             busy_core_s += on_core * cal.occupancy;
             ++n_started;
-            mean_service_drawn +=
-                (raw - mean_service_drawn) / static_cast<double>(n_started);
             if (remaining == 0) {
                 done = true;
                 break;
@@ -593,7 +570,6 @@ RequestQueueSim::run(double t0, double dt, double rps,
     res.completed = n_started;
     res.queuedAtEnd = pendingCount_;
     res.busyCoreSeconds = busy_core_s;
-    res.meanServiceTimeMs = mean_service_drawn * 1000.0;
 
     {
         ScopedPhaseTimer timer(Phase::Quantile);
@@ -609,12 +585,10 @@ RequestQueueSim::run(double t0, double dt, double rps,
 
         if (!window_.empty()) {
             res.p99Ms = window_.percentile(99.0);
-            res.meanMs = res.latenciesMs.empty() ? res.p99Ms : mean_lat;
         } else if (pendingCount_ > 0) {
             // Saturated and stalled: report the age of the oldest request
             // so the tail latency keeps growing across intervals.
             res.p99Ms = (t_end - pendingFront()) * 1000.0;
-            res.meanMs = res.p99Ms;
         }
         if (pendingCount_ > 0) {
             // Never let a stale window mask a currently-growing backlog.

@@ -51,9 +51,11 @@ namespace twig::sim {
 /** Outcome of simulating one control interval for one service. */
 struct QueueIntervalResult
 {
-    /** Latencies (ms) of requests that *started* service this interval. */
+    /** Latencies (ms) of requests that *started* service this
+     * interval, plus each timed-out request's latency censored at the
+     * timeout, in dispatch order. */
     std::vector<double> latenciesMs;
-    /** p99 over the trailing QoS window (see MachineConfig); when
+    /** p99 over the trailing QoS window (kQosWindowIntervals); when
      * nothing completed recently, the age of the oldest queued request
      * (overload signal). */
     double p99Ms = 0.0;
@@ -61,21 +63,18 @@ struct QueueIntervalResult
      * same overload fallback. Credit assignment wants this: it reflects
      * only the allocation that was actually active. */
     double p99InstantMs = 0.0;
-    double meanMs = 0.0;
     /** Requests that entered service. */
     std::size_t completed = 0;
     /** New arrivals this interval. */
     std::size_t arrivals = 0;
-    /** Requests dropped because the pending queue overflowed. */
+    /** Requests dropped because the pending queue overflowed, plus
+     * requests that waited past the service's timeout. */
     std::size_t dropped = 0;
     /** Requests still waiting at interval end. */
     std::size_t queuedAtEnd = 0;
     /** Total on-core seconds consumed by requests started this interval
      * (weighted by core speed, i.e. real occupancy). */
     double busyCoreSeconds = 0.0;
-    /** Mean per-request on-core time actually drawn (ms), after DVFS and
-     * interference scaling — feeds PMC stall modelling. */
-    double meanServiceTimeMs = 0.0;
 };
 
 /** Per-service queue simulator with cross-interval backlog. */
@@ -93,7 +92,6 @@ class RequestQueueSim
      */
     RequestQueueSim(const ServiceProfile &profile, common::Rng rng,
                     double ref_freq_ghz, std::size_t max_pending = 200000,
-                    std::size_t qos_window_intervals = 3,
                     double service_rate_scale = 1.0);
 
     /**

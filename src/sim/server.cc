@@ -25,7 +25,7 @@ Server::addService(const ServiceProfile &profile,
     h.load = std::move(load);
     h.queue = std::make_unique<RequestQueueSim>(
         profile, rng_.fork(), machine_.dvfs.maxGhz, 200000,
-        machine_.qosWindowIntervals, machine_.serviceRateScale);
+        machine_.serviceRateScale);
     services_.push_back(std::move(h));
     prevBusy_.push_back(0.0);
     return services_.size() - 1;
@@ -42,7 +42,7 @@ Server::replaceService(std::size_t idx, const ServiceProfile &profile,
     h.load = std::move(load);
     h.queue = std::make_unique<RequestQueueSim>(
         profile, rng_.fork(), machine_.dvfs.maxGhz, 200000,
-        machine_.qosWindowIntervals, machine_.serviceRateScale);
+        machine_.serviceRateScale);
     prevBusy_[idx] = 0.0;
 }
 
@@ -137,7 +137,6 @@ Server::runInterval(const std::vector<CoreAssignment> &assignments)
         s.offeredRps = rps;
         s.p99Ms = qr.p99Ms;
         s.p99InstantMs = qr.p99InstantMs;
-        s.meanLatencyMs = qr.meanMs;
         s.completed = qr.completed;
         s.arrivals = qr.arrivals;
         s.dropped = qr.dropped;

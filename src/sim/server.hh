@@ -36,7 +36,6 @@ struct ServiceIntervalStats
     double p99Ms = 0.0;
     /** Current-interval-only p99 (see QueueIntervalResult). */
     double p99InstantMs = 0.0;
-    double meanLatencyMs = 0.0;
     std::size_t completed = 0;
     std::size_t arrivals = 0;
     std::size_t dropped = 0;

@@ -221,32 +221,6 @@ WindowedQuantile::lastIntervalPercentile(double p) const
 }
 
 void
-WindowedQuantile::setWindow(std::size_t window_intervals)
-{
-    common::fatalIf(window_intervals == 0,
-                    "WindowedQuantile: window must be >= 1 intervals");
-    if (window_intervals == window_)
-        return;
-    // Rare control-path API (QoS-window reconfiguration): moves the
-    // kept segments, never copies samples.
-    const std::size_t keep = std::min(held_, window_intervals);
-    std::vector<Segment> kept;
-    kept.reserve(keep);
-    for (std::size_t i = held_ - keep; i < held_; ++i)
-        kept.push_back(std::move(segs_[slot(i)]));
-    segs_.assign(window_intervals, Segment{});
-    total_ = 0;
-    for (std::size_t i = 0; i < keep; ++i) {
-        total_ += kept[i].samples.size();
-        segs_[i] = std::move(kept[i]);
-    }
-    window_ = window_intervals;
-    held_ = keep;
-    cur_ = keep == 0 ? 0 : keep - 1;
-    cursors_.reserve(window_);
-}
-
-void
 WindowedQuantile::clear()
 {
     for (Segment &s : segs_) {

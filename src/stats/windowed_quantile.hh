@@ -95,9 +95,6 @@ class WindowedQuantile
     /** Number of intervals currently held (<= window length). */
     std::size_t intervals() const { return held_; }
 
-    /** Trailing window length, in intervals. */
-    std::size_t window() const { return window_; }
-
     /**
      * p-th percentile (p in [0, 100], linear interpolation) over every
      * sample in the window; 0 when empty.
@@ -106,13 +103,6 @@ class WindowedQuantile
 
     /** p-th percentile over the current interval's samples only. */
     double lastIntervalPercentile(double p) const;
-
-    /**
-     * Change the window length mid-stream. Shrinking evicts the oldest
-     * intervals beyond the new length; growing lets the window fill
-     * further before eviction resumes. Sample data is preserved.
-     */
-    void setWindow(std::size_t window_intervals);
 
     /** Drop everything (capacity kept). */
     void clear();

@@ -4,11 +4,11 @@
  *
  * A fixed-seed run on a fixed schedule folds every interval into one
  * 64-bit hash, which a test compares against a recorded constant.
- * hashServerStats covers every field the per-interval A/B checks
- * compared with exact equality (socket power and energy; per service
- * the name, offered load, both p99s, mean latency, request counts,
- * busy core-seconds, effective cores, frequency, attributed power and
- * every PMC), so a changed constant means some reported bit changed.
+ * hashServerStats covers every field of ServerIntervalStats (socket
+ * power and energy; per service the name, offered load, both p99s,
+ * request counts, busy core-seconds, effective cores, frequency,
+ * attributed power and every PMC), so a changed constant means some
+ * reported bit changed.
  * Doubles are hashed by their bytes: -0.0 and 0.0 differ, NaN is
  * stable.
  */
@@ -52,7 +52,6 @@ hashServerStats(const sim::ServerIntervalStats &s,
         h = hashDouble(svc.offeredRps, h);
         h = hashDouble(svc.p99Ms, h);
         h = hashDouble(svc.p99InstantMs, h);
-        h = hashDouble(svc.meanLatencyMs, h);
         h = common::fnv1aValue(svc.completed, h);
         h = common::fnv1aValue(svc.arrivals, h);
         h = common::fnv1aValue(svc.dropped, h);

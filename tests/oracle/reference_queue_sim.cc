@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hh"
-#include "stats/summary.hh"
 
 namespace twig::oracle {
 
@@ -51,11 +50,9 @@ percentileSortRef(std::vector<double> values, double p)
 ReferenceQueueSim::ReferenceQueueSim(const sim::ServiceProfile &profile,
                                      common::Rng rng, double ref_freq_ghz,
                                      std::size_t max_pending,
-                                     std::size_t qos_window_intervals,
                                      double service_rate_scale)
     : profile_(profile), rng_(rng), refFreqGhz_(ref_freq_ghz),
-      rateScale_(service_rate_scale), maxPending_(max_pending),
-      qosWindow_(qos_window_intervals ? qos_window_intervals : 1)
+      rateScale_(service_rate_scale), maxPending_(max_pending)
 {
     common::fatalIf(profile.baseServiceTimeMs <= 0.0,
                     "service ", profile.name,
@@ -135,7 +132,6 @@ ReferenceQueueSim::run(double t0, double dt, double rps,
         res.p99Ms = pending_.empty()
             ? 0.0
             : (t_end - pending_.front()) * 1000.0;
-        res.meanMs = res.p99Ms;
         return res;
     }
 
@@ -144,8 +140,6 @@ ReferenceQueueSim::run(double t0, double dt, double rps,
     const double mean_service_s =
         profile_.baseServiceTimeMs * 1e-3 * freq_scale * inflation /
         rateScale_;
-
-    stats::RunningStats service_times;
 
     // FCFS dispatch: linear scan over every logical core per request.
     const double timeout_s = profile_.timeoutMs * 1e-3;
@@ -183,16 +177,14 @@ ReferenceQueueSim::run(double t0, double dt, double rps,
         const double latency_ms = (completion - arrival) * 1000.0;
         res.latenciesMs.push_back(latency_ms);
         res.busyCoreSeconds += on_core * it->occupancy;
-        service_times.add(raw);
+        ++res.completed;
     }
 
-    res.completed = service_times.count();
     res.queuedAtEnd = pending_.size();
-    res.meanServiceTimeMs = service_times.mean() * 1000.0;
 
     // Measured QoS: p99 over the trailing window, concatenate-then-sort.
     recentLatencies_.push_back(res.latenciesMs);
-    while (recentLatencies_.size() > qosWindow_)
+    while (recentLatencies_.size() > sim::kQosWindowIntervals)
         recentLatencies_.pop_front();
     std::vector<double> window;
     for (const auto &v : recentLatencies_)
@@ -203,15 +195,10 @@ ReferenceQueueSim::run(double t0, double dt, double rps,
 
     if (!window.empty()) {
         res.p99Ms = percentileSortRef(std::move(window), 99.0);
-        stats::RunningStats lat;
-        for (double l : res.latenciesMs)
-            lat.add(l);
-        res.meanMs = res.latenciesMs.empty() ? res.p99Ms : lat.mean();
     } else if (!pending_.empty()) {
         // Saturated and stalled: report the age of the oldest request
         // so the tail latency keeps growing across intervals.
         res.p99Ms = (t_end - pending_.front()) * 1000.0;
-        res.meanMs = res.p99Ms;
     }
     if (!pending_.empty()) {
         // Never let a stale window mask a currently-growing backlog.

@@ -35,7 +35,6 @@ class ReferenceQueueSim
     /** Parameters as sim::RequestQueueSim's constructor. */
     ReferenceQueueSim(const sim::ServiceProfile &profile, common::Rng rng,
                       double ref_freq_ghz, std::size_t max_pending = 200000,
-                      std::size_t qos_window_intervals = 3,
                       double service_rate_scale = 1.0);
 
     /** Simulate [t0, t0+dt), as sim::RequestQueueSim::run. */
@@ -54,10 +53,10 @@ class ReferenceQueueSim
     double refFreqGhz_;
     double rateScale_;
     std::size_t maxPending_;
-    std::size_t qosWindow_;
     /** Arrival times of unstarted requests, FIFO. */
     std::deque<double> pending_;
-    /** Latency samples of the most recent intervals (QoS window). */
+    /** Latency samples of the last sim::kQosWindowIntervals
+     * intervals. */
     std::deque<std::vector<double>> recentLatencies_;
     sim::QueueIntervalResult result_;
 };

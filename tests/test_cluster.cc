@@ -185,7 +185,7 @@ TEST(Router, PolicyNamesRoundTrip)
 
 TEST(Router, StaticSplitsEqually)
 {
-    Router router({RoutingPolicy::Static, 64}, 1);
+    Router router({RoutingPolicy::Static}, 1);
     const auto out =
         router.route({900.0, 300.0}, {1.0, 2.0, 1.0}, {});
     ASSERT_EQ(out.size(), 3u);
@@ -197,17 +197,20 @@ TEST(Router, StaticSplitsEqually)
 
 TEST(Router, WrrIsCapacityProportionalAndConserving)
 {
-    Router router({RoutingPolicy::WeightedRoundRobin, 300}, 1);
+    Router router({RoutingPolicy::WeightedRoundRobin}, 1);
     const auto out = router.route({600.0}, {2.0, 1.0}, {});
-    // 300 quanta at 2:1 weights split exactly 200:100.
-    EXPECT_NEAR(out[0][0], 400.0, 1e-9);
-    EXPECT_NEAR(out[1][0], 200.0, 1e-9);
+    // 2:1 weights interleave the quanta 0, 1, 0, ...: 256 quanta split
+    // 171:85, the nearest 2:1 split.
+    static_assert(kQuantaPerService == 256);
+    const double quantum = 600.0 / 256.0;
+    EXPECT_EQ(out[0][0], 171.0 * quantum);
+    EXPECT_EQ(out[1][0], 85.0 * quantum);
     EXPECT_NEAR(out[0][0] + out[1][0], 600.0, 1e-9);
 }
 
 TEST(Router, P2cConservesLoadAndAvoidsTardyNodes)
 {
-    Router router({RoutingPolicy::PowerOfTwoLatency, 256}, 7);
+    Router router({RoutingPolicy::PowerOfTwoLatency}, 7);
     RouterFeedback feedback;
     // Node 2 blew its tail-latency target by 3x last interval.
     feedback.p99MsByNode = {{10.0}, {10.0}, {90.0}};
@@ -221,11 +224,10 @@ TEST(Router, P2cConservesLoadAndAvoidsTardyNodes)
 
 TEST(Router, Validation)
 {
-    Router router({RoutingPolicy::Static, 64}, 1);
+    Router router({RoutingPolicy::Static}, 1);
     EXPECT_THROW(router.route({100.0}, {}, {}), FatalError);
     EXPECT_THROW(router.route({100.0}, {1.0, -1.0}, {}), FatalError);
     EXPECT_THROW(router.route({-1.0}, {1.0}, {}), FatalError);
-    EXPECT_THROW(Router({RoutingPolicy::Static, 0}, 1), FatalError);
 }
 
 TEST(ClusterManager, ParallelSteppingIsBitIdenticalStaticNodes)
@@ -315,7 +317,7 @@ TEST(ShardedRouter, OneDomainMatchesFlatRouterExactly)
     // domains == 1 must replay the flat router's RNG draw sequence bit
     // for bit: the fleet vectors are forwarded verbatim and domain 0
     // inherits the caller's seed.
-    const RouterConfig rcfg{RoutingPolicy::PowerOfTwoLatency, 256};
+    const RouterConfig rcfg{RoutingPolicy::PowerOfTwoLatency};
     Router flat(rcfg, 7);
     ShardedRouter sharded({rcfg, 1}, 7);
 
@@ -338,7 +340,7 @@ TEST(ShardedRouter, OneDomainMatchesFlatRouterExactly)
 
 TEST(ShardedRouter, SplitsAcrossDomainsAndConservesLoad)
 {
-    ShardedRouter router({{RoutingPolicy::PowerOfTwoLatency, 256}, 4},
+    ShardedRouter router({{RoutingPolicy::PowerOfTwoLatency}, 4},
                          11);
     const std::vector<double> weights(8, 1.0);
     std::vector<std::vector<double>> out;
@@ -362,7 +364,7 @@ TEST(ShardedRouter, DomainEvictionShedsToSiblingDomains)
 {
     // A domain whose every member weighs 0 must renormalise its share
     // onto the sibling domains, not abort or drop load.
-    ShardedRouter router({{RoutingPolicy::WeightedRoundRobin, 300}, 4},
+    ShardedRouter router({{RoutingPolicy::WeightedRoundRobin}, 4},
                          3);
     std::vector<double> weights(8, 1.0);
     weights[0] = 0.0;
@@ -385,7 +387,7 @@ TEST(ShardedRouter, AllDomainsDownShedsTheInterval)
 {
     // All-zero weights route nothing, across every domain; whether
     // that interval is a shed is the ClusterManager's call.
-    ShardedRouter router({{RoutingPolicy::Static, 64}, 2}, 5);
+    ShardedRouter router({{RoutingPolicy::Static}, 2}, 5);
     const std::vector<double> weights(4, 0.0);
     std::vector<std::vector<double>> out;
     router.routeInto({500.0}, weights, {}, out);
@@ -396,21 +398,21 @@ TEST(ShardedRouter, AllDomainsDownShedsTheInterval)
 
 TEST(ShardedRouter, Validation)
 {
-    EXPECT_THROW(ShardedRouter({{RoutingPolicy::Static, 64}, 0}, 1),
+    EXPECT_THROW(ShardedRouter({{RoutingPolicy::Static}, 0}, 1),
                  FatalError);
 
-    ShardedRouter too_many({{RoutingPolicy::Static, 64}, 4}, 1);
+    ShardedRouter too_many({{RoutingPolicy::Static}, 4}, 1);
     std::vector<std::vector<double>> out;
     EXPECT_THROW(too_many.routeInto({100.0}, {1.0, 1.0}, {}, out),
                  FatalError);
 
-    ShardedRouter fixed({{RoutingPolicy::Static, 64}, 2}, 1);
+    ShardedRouter fixed({{RoutingPolicy::Static}, 2}, 1);
     fixed.routeInto({100.0}, {1.0, 1.0, 1.0, 1.0}, {}, out);
     EXPECT_THROW(fixed.routeInto({100.0}, std::vector<double>(6, 1.0),
                                  {}, out),
                  FatalError); // the partition is fixed at first use
 
-    EXPECT_THROW(ShardedRouter({{RoutingPolicy::Static, 64}, 2}, 1)
+    EXPECT_THROW(ShardedRouter({{RoutingPolicy::Static}, 2}, 1)
                      .domainOf(0),
                  FatalError); // not bound yet
 }
@@ -471,6 +473,43 @@ TEST(ClusterManager, HierarchicalMergeSkipsCrashedNodes)
         if (t == 4)
             EXPECT_FALSE(fleet.slots().isNodeUp(2)); // mid-outage sanity
     }
+}
+
+TEST(ClusterManager, HistogramCountsConserveRequestsThroughCrashAndRestart)
+{
+    // Every latency sample a node records is a request its interval
+    // completed or dropped (timeouts are censored samples; the backlog
+    // cap is never reached here), and the domain merge keeps every
+    // powered node's samples and no crashed node's, through a crash
+    // and restart in each of two domains.
+    auto fleet = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 6,
+                           staticNodes(), 18, /*domains=*/2);
+    faults::FaultSpec spec;
+    spec.actions.push_back(crashAction(2, 1, 6, "cold"));
+    spec.actions.push_back(crashAction(5, 4, 4, "cold"));
+    fleet.slots().setFaults(spec);
+    std::size_t down_intervals = 0;
+    for (std::size_t t = 0; t < 18; ++t) {
+        const FleetIntervalStats &f = fleet.step();
+        std::size_t powered_samples = 0;
+        for (std::size_t n = 0; n < 6; ++n) {
+            if (f.nodeUp[n] == 0) {
+                ++down_intervals;
+                continue;
+            }
+            const auto &svc = f.nodes[n].services[0];
+            const std::size_t count =
+                fleet.node(n).intervalHistogram(0).count();
+            EXPECT_EQ(count, svc.completed + svc.dropped)
+                << "step " << t << " node " << n;
+            powered_samples += count;
+        }
+        std::size_t domain_samples = 0;
+        for (std::size_t d = 0; d < 2; ++d)
+            domain_samples += fleet.domainHistogram(d, 0).count();
+        EXPECT_EQ(domain_samples, powered_samples) << "step " << t;
+    }
+    EXPECT_EQ(down_intervals, 6u + 4u); // both outages were observed
 }
 
 TEST(ClusterManager, BatchedInferenceMatchesPerNodeDecidesExactly)
@@ -546,7 +585,7 @@ TEST(ClusterManager, OneDomainShardedMatchesFlatReferenceControl)
     auto cold = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 3,
                           twigNodes(25), 25);
     EXPECT_EQ(oracle::hashFleetRun(cold.run(25, 8)),
-              0x3b52e352427d72f2ULL)
+              0x4ac561edbd665453ULL)
         << "cold learning fleet";
 
     const std::string path = trainDonorCheckpoint("flat_donor.ckpt");
@@ -555,7 +594,7 @@ TEST(ClusterManager, OneDomainShardedMatchesFlatReferenceControl)
                           /*hetero=*/false);
     const auto warm_result = warm.run(100, 25);
     EXPECT_EQ(warm.batchedNodeCount(), 4u);
-    EXPECT_EQ(oracle::hashFleetRun(warm_result), 0x7ce56b546ff94072ULL)
+    EXPECT_EQ(oracle::hashFleetRun(warm_result), 0x8268122c4f80cecbULL)
         << "warm exploit-only fleet";
 }
 

@@ -13,11 +13,14 @@
  * compared with exact equality (operator== on doubles, no tolerance),
  * including the per-request latenciesMs vector element by element: the
  * optimized simulator must produce the same requests, in the same
- * order, with the same bits.
+ * order, with the same bits. RequestConservation fuzzes the same
+ * kind of schedules, with and without a tiny backlog cap, against the
+ * per-interval request balance instead of the oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -91,9 +94,9 @@ runDiff(const ServiceProfile &profile,
         const std::vector<Interval> &schedule, std::uint64_t seed,
         std::size_t max_pending = 200000, double rate_scale = 1.0)
 {
-    RequestQueueSim optimized(profile, Rng(seed), 2.0, max_pending, 3,
+    RequestQueueSim optimized(profile, Rng(seed), 2.0, max_pending,
                               rate_scale);
-    ReferenceQueueSim reference(profile, Rng(seed), 2.0, max_pending, 3,
+    ReferenceQueueSim reference(profile, Rng(seed), 2.0, max_pending,
                                 rate_scale);
 
     double t0 = 0.0;
@@ -110,10 +113,7 @@ runDiff(const ServiceProfile &profile,
         EXPECT_EQ(ro.queuedAtEnd, rr.queuedAtEnd) << "interval " << i;
         EXPECT_EQ(ro.p99Ms, rr.p99Ms) << "interval " << i;
         EXPECT_EQ(ro.p99InstantMs, rr.p99InstantMs) << "interval " << i;
-        EXPECT_EQ(ro.meanMs, rr.meanMs) << "interval " << i;
         EXPECT_EQ(ro.busyCoreSeconds, rr.busyCoreSeconds)
-            << "interval " << i;
-        EXPECT_EQ(ro.meanServiceTimeMs, rr.meanServiceTimeMs)
             << "interval " << i;
         ASSERT_EQ(ro.latenciesMs.size(), rr.latenciesMs.size())
             << "interval " << i;
@@ -126,6 +126,55 @@ runDiff(const ServiceProfile &profile,
         if (::testing::Test::HasFailure())
             FAIL() << "first divergence at interval " << i;
     }
+}
+
+/** A random 20-49 interval schedule: random load multipliers
+ * (including zero and deep overload), random assignments (single-core,
+ * zero-core, mixed shared/fractional, full socket), random DVFS and
+ * inflation. */
+std::vector<Interval>
+fuzzedSchedule(Rng &fuzz)
+{
+    const double mults[] = {0.0, 0.0, 0.1, 0.5, 0.9, 1.2, 2.5};
+    std::vector<Interval> schedule;
+    const std::size_t len = 20 + fuzz.uniformInt(std::uint64_t{30});
+    for (std::size_t i = 0; i < len; ++i) {
+        Interval iv;
+        const double ghz = 1.2 + 0.1 * static_cast<double>(
+            fuzz.uniformInt(std::uint64_t{9}));
+        switch (fuzz.uniformInt(std::uint64_t{5})) {
+        case 0:
+            iv.assignment = dedicated(1, ghz);
+            break;
+        case 1:
+            iv.assignment = CoreAssignment{};
+            break;
+        case 2:
+            iv.assignment = dedicated(
+                1 + fuzz.uniformInt(std::uint64_t{18}), ghz);
+            break;
+        case 3:
+            iv.assignment = mixed(
+                fuzz.uniformInt(std::uint64_t{4}),
+                1 + fuzz.uniformInt(std::uint64_t{8}),
+                2 + fuzz.uniformInt(std::uint64_t{3}),
+                fuzz.uniform(0.5, 6.0), ghz, ghz);
+            break;
+        default:
+            iv.assignment = mixed(
+                1 + fuzz.uniformInt(std::uint64_t{8}), 2, 2, -1.0,
+                ghz, 2.0);
+            break;
+        }
+        const std::size_t cores =
+            iv.assignment.dedicatedCores.size() +
+            iv.assignment.sharedCores.size();
+        iv.rps = mults[fuzz.uniformInt(std::uint64_t{7})] *
+            static_cast<double>(cores == 0 ? 4 : cores) * 200.0;
+        iv.inflation = fuzz.uniform(1.0, 2.0);
+        schedule.push_back(std::move(iv));
+    }
+    return schedule;
 }
 
 } // namespace
@@ -232,54 +281,63 @@ TEST(DispatchDiff, NodeClassRateScales)
 
 TEST(DispatchDiff, FuzzedSchedules)
 {
-    // Fuzz: random load multipliers (including zero and deep
-    // overload), random assignments (single-core, zero-core, mixed
-    // shared/fractional, full socket), random DVFS and inflation.
-    // Seeds are fixed so failures replay deterministically.
+    // Fuzzed schedules against the oracle. Seeds are fixed so
+    // failures replay deterministically.
     Rng fuzz(0xd15f);
-    const double mults[] = {0.0, 0.0, 0.1, 0.5, 0.9, 1.2, 2.5};
     for (int round = 0; round < 8; ++round) {
-        std::vector<Interval> schedule;
-        const std::size_t len = 20 + fuzz.uniformInt(std::uint64_t{30});
-        for (std::size_t i = 0; i < len; ++i) {
-            Interval iv;
-            const double ghz = 1.2 + 0.1 * static_cast<double>(
-                fuzz.uniformInt(std::uint64_t{9}));
-            switch (fuzz.uniformInt(std::uint64_t{5})) {
-            case 0:
-                iv.assignment = dedicated(1, ghz);
-                break;
-            case 1:
-                iv.assignment = CoreAssignment{};
-                break;
-            case 2:
-                iv.assignment = dedicated(
-                    1 + fuzz.uniformInt(std::uint64_t{18}), ghz);
-                break;
-            case 3:
-                iv.assignment = mixed(
-                    fuzz.uniformInt(std::uint64_t{4}),
-                    1 + fuzz.uniformInt(std::uint64_t{8}),
-                    2 + fuzz.uniformInt(std::uint64_t{3}),
-                    fuzz.uniform(0.5, 6.0), ghz, ghz);
-                break;
-            default:
-                iv.assignment = mixed(
-                    1 + fuzz.uniformInt(std::uint64_t{8}), 2, 2, -1.0,
-                    ghz, 2.0);
-                break;
-            }
-            const std::size_t cores =
-                iv.assignment.dedicatedCores.size() +
-                iv.assignment.sharedCores.size();
-            iv.rps = mults[fuzz.uniformInt(std::uint64_t{7})] *
-                static_cast<double>(cores == 0 ? 4 : cores) * 200.0;
-            iv.inflation = fuzz.uniform(1.0, 2.0);
-            schedule.push_back(std::move(iv));
-        }
+        const auto schedule = fuzzedSchedule(fuzz);
         runDiff(testProfile(5.0, 0.3 + 0.2 * round), schedule,
                 1000 + static_cast<std::uint64_t>(round));
         if (::testing::Test::HasFailure())
             FAIL() << "fuzz round " << round << " diverged";
     }
+}
+
+TEST(RequestConservation, FuzzedSchedulesBalanceEveryInterval)
+{
+    // Every request is accounted for in every interval: the backlog
+    // it started with plus its arrivals either entered service, were
+    // dropped (backlog cap or timeout) or still wait. Latencies cover
+    // completions and timeouts (censored at the timeout), never a
+    // request the backlog cap refused. Odd rounds run with a 64-request
+    // cap, so overloaded intervals overflow it.
+    Rng fuzz(0xc0175e);
+    std::size_t cap_drops_seen = 0;
+    std::size_t timeouts_seen = 0;
+    for (int round = 0; round < 8; ++round) {
+        const std::size_t max_pending = round % 2 == 1 ? 64 : 200000;
+        const auto schedule = fuzzedSchedule(fuzz);
+        RequestQueueSim sim(testProfile(5.0, 0.3 + 0.2 * round),
+                            Rng(2000 + static_cast<std::uint64_t>(round)),
+                            2.0, max_pending);
+        double t0 = 0.0;
+        for (std::size_t i = 0; i < schedule.size(); ++i, t0 += 1.0) {
+            const Interval &iv = schedule[i];
+            const std::size_t before = sim.backlog();
+            const auto &r =
+                sim.run(t0, 1.0, iv.rps, iv.assignment, iv.inflation);
+            const std::size_t room =
+                before >= max_pending ? 0 : max_pending - before;
+            const std::size_t cap_drops =
+                r.arrivals - std::min(r.arrivals, room);
+
+            EXPECT_EQ(before + r.arrivals,
+                      r.completed + r.dropped + r.queuedAtEnd)
+                << "round " << round << " interval " << i;
+            EXPECT_EQ(r.queuedAtEnd, sim.backlog())
+                << "round " << round << " interval " << i;
+            // So latenciesMs.size() <= completed + dropped, with
+            // equality whenever the cap refused nothing.
+            EXPECT_EQ(r.latenciesMs.size() + cap_drops,
+                      r.completed + r.dropped)
+                << "round " << round << " interval " << i;
+            cap_drops_seen += cap_drops;
+            timeouts_seen += r.latenciesMs.size() - r.completed;
+        }
+        if (::testing::Test::HasFailure())
+            FAIL() << "conservation round " << round << " broke";
+    }
+    // Both kinds of drop occurred, so both terms were exercised.
+    EXPECT_GT(cap_drops_seen, 0u);
+    EXPECT_GT(timeouts_seen, 0u);
 }

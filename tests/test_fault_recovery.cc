@@ -168,14 +168,15 @@ expectIdenticalTraces(const FleetRunResult &a, const FleetRunResult &b)
 
 TEST(RouterHealth, EvictRenormalizesOntoSurvivors)
 {
-    Router wrr({RoutingPolicy::WeightedRoundRobin, 300}, 1);
+    Router wrr({RoutingPolicy::WeightedRoundRobin}, 1);
     const auto out = wrr.route({600.0}, {2.0, 0.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(out[1][0], 0.0);
     EXPECT_NEAR(out[0][0] + out[2][0], 600.0, 1e-9);
-    // 2:1 among the survivors.
-    EXPECT_NEAR(out[0][0], 400.0, 1e-9);
+    // 2:1 among the survivors: of 256 quanta, 171:85.
+    static_assert(kQuantaPerService == 256);
+    EXPECT_EQ(out[0][0], 171.0 * 600.0 / 256.0);
 
-    Router stat({RoutingPolicy::Static, 64}, 1);
+    Router stat({RoutingPolicy::Static}, 1);
     const auto eq = stat.route({600.0}, {0.0, 1.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(eq[0][0], 0.0);
     EXPECT_DOUBLE_EQ(eq[1][0], 300.0);
@@ -186,7 +187,7 @@ TEST(RouterHealth, SingleSurvivorTakesTheWholeLoad)
 {
     // Regression: p2c with exactly one positive weight must not draw
     // a second choice from an empty candidate set.
-    Router router({RoutingPolicy::PowerOfTwoLatency, 256}, 7);
+    Router router({RoutingPolicy::PowerOfTwoLatency}, 7);
     const auto out = router.route({900.0}, {0.0, 1.0, 0.0}, {});
     EXPECT_DOUBLE_EQ(out[0][0], 0.0);
     EXPECT_DOUBLE_EQ(out[1][0], 900.0);
@@ -201,7 +202,7 @@ TEST(RouterHealth, AllNodesDownShedsInsteadOfNaN)
     for (const RoutingPolicy policy :
          {RoutingPolicy::Static, RoutingPolicy::WeightedRoundRobin,
           RoutingPolicy::PowerOfTwoLatency}) {
-        Router router({policy, 64}, 1);
+        Router router({policy}, 1);
         std::vector<std::vector<double>> out;
         router.routeInto({500.0}, {0.0, 0.0}, {}, out);
         ASSERT_EQ(out.size(), 2u);
@@ -699,7 +700,7 @@ TEST(LifecycleGolden, StaticManagersHoldOnAnyHost)
             runLifecycleFleet(staticNodes(), nullptr, jobs);
         expectCommonLifecycle(countLifecycle(r));
         EXPECT_EQ(batched, 0u);
-        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0x43f9b70e92e9d428ULL)
+        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0x0aeda2b45e27d182ULL)
             << "jobs " << jobs;
     }
 }
@@ -738,7 +739,7 @@ TEST(LifecycleGolden, WarmExploitOnlyTwigDecidesThroughCohorts)
         EXPECT_GT(c.warmReactivations, 0u);
         // The reactivated slots rejoin one cohort on the donor policy.
         EXPECT_GE(batched, 2u);
-        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0xe5846a55ac902d62ULL)
+        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0x42063076621ebbe8ULL)
             << "jobs " << jobs;
     }
 }

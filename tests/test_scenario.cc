@@ -10,14 +10,17 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/static_manager.hh"
 #include "cluster/cluster_manager.hh"
 #include "common/error.hh"
 #include "common/json.hh"
+#include "core/twig_manager.hh"
 #include "harness/engine.hh"
-#include "harness/managers.hh"
+#include "harness/profiling.hh"
 #include "harness/runner.hh"
+#include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
 #include "sim/server.hh"
@@ -77,6 +80,22 @@ richSpec()
     event.serverSeed = 99;
     spec.events.push_back(event);
     return spec;
+}
+
+/** A learning Twig built by hand, independent of the registry:
+ * profiled Eq. 2 models (seed ^ 77) and the fast preset. */
+std::unique_ptr<core::TwigManager>
+handBuiltTwig(const sim::MachineConfig &machine,
+              const std::vector<sim::ServiceProfile> &profiles,
+              std::size_t horizon, std::uint64_t seed)
+{
+    const auto maxima = services::calibrateCounterMaxima(machine);
+    std::vector<core::TwigServiceSpec> specs;
+    for (const auto &p : profiles)
+        specs.push_back(makeTwigSpec(p, machine, seed ^ 77));
+    return std::make_unique<core::TwigManager>(
+        core::TwigConfig::fast(horizon), machine, maxima, std::move(specs),
+        seed);
 }
 
 } // namespace
@@ -516,9 +535,7 @@ TEST(Engine, Fig05TwigCellMatchesHandBuiltRunner)
 
     const sim::MachineConfig machine;
     const auto profile = services::masstree();
-    const Schedule schedule{150, 40, 150};
-    auto manager =
-        makeTwig(machine, {profile}, schedule, /*full=*/false, 101);
+    auto manager = handBuiltTwig(machine, {profile}, 150, 101);
     sim::Server server(machine, 55);
     server.addService(profile, std::make_unique<sim::FixedLoad>(
                                    profile.maxLoadRps, 0.5));
@@ -564,9 +581,7 @@ TEST(Engine, Fig12ColocCellMatchesHandBuiltRunner)
     const sim::MachineConfig machine;
     const auto mt_p = services::masstree();
     const auto mo_p = services::moses();
-    const Schedule schedule{160, 40, 120};
-    auto manager =
-        makeTwig(machine, {mt_p, mo_p}, schedule, /*full=*/false, 9);
+    auto manager = handBuiltTwig(machine, {mt_p, mo_p}, 120, 9);
     sim::Server server(machine, 11);
     server.addService(mt_p, std::make_unique<sim::FixedLoad>(
                                 mt_p.maxLoadRps * coloc, 0.2));

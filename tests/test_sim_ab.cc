@@ -80,7 +80,7 @@ TEST(SimAb, ColocatedRunIsBitIdenticalOver500Intervals)
         {{2, max_dvfs - 2}, {6, max_dvfs}, {10, max_dvfs - 1}, {3, max_dvfs}},
     };
     EXPECT_EQ(serverRunHash(fourServices(), 0.5, schedule, 500, 1234),
-              0x6c967f324b5f015bULL);
+              0xfcfca2b9b7c345cbULL);
 }
 
 TEST(SimAb, OverloadedSharedPoolIsBitIdentical)
@@ -94,7 +94,7 @@ TEST(SimAb, OverloadedSharedPoolIsBitIdentical)
         {{1, 0}, {1, 0}, {1, 0}, {1, 0}},
     };
     EXPECT_EQ(serverRunHash(fourServices(), 1.1, schedule, 120, 99),
-              0x7ae9cef4c9fff072ULL);
+              0xd98a84b50c931771ULL);
 }
 
 TEST(SimAb, ThroughputBenchConfigsAreBitIdentical)
@@ -107,12 +107,12 @@ TEST(SimAb, ThroughputBenchConfigsAreBitIdentical)
     const std::size_t top = machine.dvfs.maxIndex();
     EXPECT_EQ(serverRunHash({services::masstree()}, 0.9,
                             {{{machine.numCores, top}}}, 350, seed),
-              0xfc65b0f786a1bcebULL)
+              0xffa9c9af9c2de7e9ULL)
         << "single_high_rps";
     EXPECT_EQ(serverRunHash(fourServices(), 0.6,
                             {{{8, top}, {8, top}, {8, top}, {8, top}}},
                             350, seed),
-              0x29c0e9f6d88c5c4dULL)
+              0x41df53d94e634d23ULL)
         << "colocated_4svc";
 
     // fleet_8node: static routing and static managers on 8 nodes.
@@ -139,5 +139,5 @@ TEST(SimAb, ThroughputBenchConfigsAreBitIdentical)
     std::uint64_t h = common::kFnvOffsetBasis;
     for (std::size_t t = 0; t < 200; ++t)
         h = oracle::hashFleetStats(fleet.step(), h);
-    EXPECT_EQ(h, 0x68700ec1648a7932ULL) << "fleet_8node";
+    EXPECT_EQ(h, 0xa33dc17717bf1526ULL) << "fleet_8node";
 }

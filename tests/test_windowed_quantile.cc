@@ -2,10 +2,10 @@
  * @file
  * Targeted tests for stats::WindowedQuantile's incremental
  * maintenance: ring wrap-around, duplicate-heavy data, percentile
- * extremes, mid-stream window resizes, the deep-rank fallback path,
- * and a randomized cross-check against a naive rebuild-every-query
- * model. (tests/test_summary.cc holds the basic behavioural tests;
- * everything here attacks the caching/eviction machinery.)
+ * extremes, the deep-rank fallback path, and a randomized cross-check
+ * against a naive rebuild-every-query model. (tests/test_summary.cc
+ * holds the basic behavioural tests; everything here attacks the
+ * caching/eviction machinery.)
  */
 
 #include <gtest/gtest.h>
@@ -57,14 +57,6 @@ class NaiveWindow
     }
 
     void add(double x) { intervals_.back().push_back(x); }
-
-    void
-    setWindow(std::size_t window)
-    {
-        window_ = window;
-        while (intervals_.size() > window_)
-            intervals_.pop_front();
-    }
 
     double
     percentile(double p) const
@@ -194,73 +186,10 @@ TEST(WindowedQuantileExtremes, LowPercentileFallbackThenIncremental)
     }
 }
 
-TEST(WindowedQuantileResize, ShrinkMidStreamEvictsOldest)
-{
-    WindowedQuantile w(5);
-    NaiveWindow naive(5);
-    for (int i = 0; i < 5; ++i) {
-        w.beginInterval();
-        naive.beginInterval();
-        for (int j = 0; j < 30; ++j) {
-            const double x = static_cast<double>(i * 1000 + j);
-            w.add(x);
-            naive.add(x);
-        }
-    }
-    w.setWindow(2);
-    naive.setWindow(2);
-    EXPECT_EQ(w.window(), 2u);
-    EXPECT_EQ(w.intervals(), 2u);
-    EXPECT_EQ(w.count(), 60u);
-    for (const double p : {0.0, 50.0, 99.0, 100.0})
-        EXPECT_EQ(w.percentile(p), naive.percentile(p)) << "p" << p;
-    // The evicted intervals must stay gone as the stream continues.
-    for (int i = 5; i < 9; ++i) {
-        w.beginInterval();
-        naive.beginInterval();
-        for (int j = 0; j < 30; ++j) {
-            const double x = static_cast<double>(i * 1000 + j);
-            w.add(x);
-            naive.add(x);
-        }
-        EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0));
-    }
-}
-
-TEST(WindowedQuantileResize, GrowMidStreamFillsFurther)
-{
-    WindowedQuantile w(2);
-    NaiveWindow naive(2);
-    for (int i = 0; i < 4; ++i) {
-        w.beginInterval();
-        naive.beginInterval();
-        for (int j = 0; j < 25; ++j) {
-            const double x = static_cast<double>(100 - i * 20 + j);
-            w.add(x);
-            naive.add(x);
-        }
-    }
-    w.setWindow(4);
-    naive.setWindow(4);
-    EXPECT_EQ(w.intervals(), 2u); // kept samples are preserved...
-    for (int i = 4; i < 10; ++i) { // ...and the window fills to 4
-        w.beginInterval();
-        naive.beginInterval();
-        for (int j = 0; j < 25; ++j) {
-            const double x = static_cast<double>(i * 31 % 113 + j);
-            w.add(x);
-            naive.add(x);
-        }
-        EXPECT_EQ(w.percentile(95.0), naive.percentile(95.0));
-    }
-    EXPECT_EQ(w.intervals(), 4u);
-    EXPECT_EQ(w.count(), 100u);
-}
-
 TEST(WindowedQuantileRandomized, CrossCheckAgainstNaiveModel)
 {
-    // Fuzz the full surface: random interval sizes (including empty),
-    // random queries at random ranks, occasional resizes and clears.
+    // Fuzz the full surface: random window lengths and interval sizes
+    // (including empty), random queries at random ranks.
     Rng rng(0x51d0);
     for (int round = 0; round < 5; ++round) {
         const std::size_t window = 1 + rng.uniformInt(std::uint64_t{5});
@@ -280,12 +209,6 @@ TEST(WindowedQuantileRandomized, CrossCheckAgainstNaiveModel)
                 << "round " << round << " interval " << i << " p" << p;
             EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0))
                 << "round " << round << " interval " << i;
-            if (i == 15) {
-                const std::size_t nw =
-                    1 + rng.uniformInt(std::uint64_t{5});
-                w.setWindow(nw);
-                naive.setWindow(nw);
-            }
         }
     }
 }
