@@ -27,13 +27,25 @@ readFloats(std::istream &is, float *data, std::size_t n)
 
 } // namespace
 
+Linear::Training::Training(std::size_t in, std::size_t out)
+    : gradWeight(in, out), mWeight(in, out), vWeight(in, out),
+      gradBias(out, 0.0f), mBias(out, 0.0f), vBias(out, 0.0f)
+{
+}
+
 Linear::Linear(std::size_t in, std::size_t out, common::Rng &rng)
-    : weight_(in, out), bias_(out, 0.0f), gradWeight_(in, out),
-      gradBias_(out, 0.0f), mWeight_(in, out), vWeight_(in, out),
-      mBias_(out, 0.0f), vBias_(out, 0.0f)
+    : weight_(in, out), bias_(out, 0.0f)
 {
     common::fatalIf(in == 0 || out == 0, "Linear: zero-sized layer");
     reinitialize(rng);
+}
+
+Linear::Training &
+Linear::training()
+{
+    if (!train_)
+        train_.emplace(weight_.rows(), weight_.cols());
+    return *train_;
 }
 
 void
@@ -47,10 +59,12 @@ Linear::reinitialize(common::Rng &rng)
             static_cast<float>(rng.uniform(-limit, limit));
     }
     std::fill(bias_.begin(), bias_.end(), 0.0f);
-    mWeight_.fill(0.0f);
-    vWeight_.fill(0.0f);
-    std::fill(mBias_.begin(), mBias_.end(), 0.0f);
-    std::fill(vBias_.begin(), vBias_.end(), 0.0f);
+    if (train_) {
+        train_->mWeight.fill(0.0f);
+        train_->vWeight.fill(0.0f);
+        std::fill(train_->mBias.begin(), train_->mBias.end(), 0.0f);
+        std::fill(train_->vBias.begin(), train_->vBias.end(), 0.0f);
+    }
 }
 
 void
@@ -88,16 +102,18 @@ Linear::backwardNoInputGrad(const Matrix &dy)
                     "Linear::backward: output width mismatch");
     // gradW += x^T dy, fused into the kernel: no scratch matrix, no
     // second pass over the gradient.
-    matmulTransposeAAccum(cachedInput_, dy, gradWeight_);
+    Training &tr = training();
+    matmulTransposeAAccum(cachedInput_, dy, tr.gradWeight);
     kernels::addColumnSums(dy.data(), dy.rows(), dy.cols(),
-                           gradBias_.data());
+                           tr.gradBias.data());
 }
 
 void
 Linear::scaleGrad(float factor)
 {
-    gradWeight_.scaleInPlace(factor);
-    kernels::scaleInPlace(gradBias_.data(), factor, gradBias_.size());
+    Training &tr = training();
+    tr.gradWeight.scaleInPlace(factor);
+    kernels::scaleInPlace(tr.gradBias.data(), factor, tr.gradBias.size());
 }
 
 void
@@ -112,18 +128,21 @@ Linear::adamStep(const AdamConfig &cfg, std::size_t t)
         1.0f - std::pow(cfg.beta1, static_cast<float>(t)),
         1.0f - std::pow(cfg.beta2, static_cast<float>(t)),
     };
-    kernels::adam(weight_.data(), mWeight_.data(), vWeight_.data(),
-                  gradWeight_.data(), weight_.size(), step);
-    kernels::adam(bias_.data(), mBias_.data(), vBias_.data(),
-                  gradBias_.data(), bias_.size(), step);
+    Training &tr = training();
+    kernels::adam(weight_.data(), tr.mWeight.data(), tr.vWeight.data(),
+                  tr.gradWeight.data(), weight_.size(), step);
+    kernels::adam(bias_.data(), tr.mBias.data(), tr.vBias.data(),
+                  tr.gradBias.data(), bias_.size(), step);
     zeroGrad();
 }
 
 void
 Linear::zeroGrad()
 {
-    gradWeight_.fill(0.0f);
-    std::fill(gradBias_.begin(), gradBias_.end(), 0.0f);
+    if (!train_)
+        return;
+    train_->gradWeight.fill(0.0f);
+    std::fill(train_->gradBias.begin(), train_->gradBias.end(), 0.0f);
 }
 
 void
@@ -139,10 +158,12 @@ Linear::copyParamsFrom(const Linear &other)
 float
 Linear::gradNorm() const
 {
+    if (!train_)
+        return 0.0f;
     double s = 0.0;
-    for (float g : gradWeight_.raw())
+    for (float g : train_->gradWeight.raw())
         s += static_cast<double>(g) * g;
-    for (float g : gradBias_)
+    for (float g : train_->gradBias)
         s += static_cast<double>(g) * g;
     return static_cast<float>(std::sqrt(s));
 }

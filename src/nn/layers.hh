@@ -3,8 +3,9 @@
  * Neural-network layers: Linear (with Adam state), ReLU, Dropout.
  *
  * Layers process batches (Matrix [batch x features]) and cache what they
- * need for the backward pass. Each Linear layer owns its Adam moment
- * buffers so an optimiser step is a single call on the layer.
+ * need for the backward pass. Each Linear layer owns its gradient and
+ * Adam moment buffers so an optimiser step is a single call on the
+ * layer; a layer that never trains never allocates them.
  */
 
 #ifndef TWIG_NN_LAYERS_HH
@@ -12,6 +13,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -32,7 +34,10 @@ struct AdamConfig
 
 /**
  * Fully-connected layer y = x W + b with gradient accumulation and an
- * embedded Adam optimiser state.
+ * embedded Adam optimiser state. The gradients and both moments are
+ * created, zeroed, by the first backward, scaleGrad() or adamStep():
+ * a layer that only runs forward (a target network, a deployed
+ * policy) holds just its weights and bias.
  */
 class Linear
 {
@@ -85,10 +90,12 @@ class Linear
     /** Copy parameters (not optimiser state) from another layer. */
     void copyParamsFrom(const Linear &other);
 
-    /** Re-initialise parameters randomly (transfer learning). */
+    /** Re-initialise parameters randomly and zero the Adam moments,
+     * if any (transfer learning). */
     void reinitialize(common::Rng &rng);
 
-    /** L2 norm of the accumulated gradient (diagnostics / tests). */
+    /** L2 norm of the accumulated gradient, 0 before the first
+     * backward (diagnostics / tests). */
     float gradNorm() const;
 
     /** Number of parameters (weights + biases). */
@@ -96,14 +103,25 @@ class Linear
 
     const Matrix &weight() const { return weight_; }
     const std::vector<float> &bias() const { return bias_; }
-    /** Accumulated gradients (introspection / gradient checking). */
-    const Matrix &gradWeight() const { return gradWeight_; }
-    const std::vector<float> &gradBias() const { return gradBias_; }
-    /** Adam's first (m) and second (v) moments (introspection). */
-    const Matrix &adamMWeight() const { return mWeight_; }
-    const Matrix &adamVWeight() const { return vWeight_; }
-    const std::vector<float> &adamMBias() const { return mBias_; }
-    const std::vector<float> &adamVBias() const { return vBias_; }
+    /** Accumulated gradients (introspection / gradient checking);
+     * std::bad_optional_access before the first backward. */
+    const Matrix &gradWeight() const { return train_.value().gradWeight; }
+    const std::vector<float> &gradBias() const
+    {
+        return train_.value().gradBias;
+    }
+    /** Adam's first (m) and second (v) moments (introspection), as
+     * above. */
+    const Matrix &adamMWeight() const { return train_.value().mWeight; }
+    const Matrix &adamVWeight() const { return train_.value().vWeight; }
+    const std::vector<float> &adamMBias() const
+    {
+        return train_.value().mBias;
+    }
+    const std::vector<float> &adamVBias() const
+    {
+        return train_.value().vBias;
+    }
     Matrix &mutableWeight() { return weight_; }
     std::vector<float> &mutableBias() { return bias_; }
 
@@ -112,15 +130,22 @@ class Linear
     void load(std::istream &is);
 
   private:
+    /** What only training reads: the accumulated gradients and Adam's
+     * moments, each shaped like the parameter it belongs to. */
+    struct Training
+    {
+        Matrix gradWeight, mWeight, vWeight;
+        std::vector<float> gradBias, mBias, vBias;
+        Training(std::size_t in, std::size_t out);
+    };
+
+    /** The training state, built zeroed on first use. */
+    Training &training();
+
     Matrix weight_; // [in x out]
     std::vector<float> bias_;
-    Matrix gradWeight_;
-    std::vector<float> gradBias_;
     Matrix cachedInput_;
-
-    // Adam moments.
-    Matrix mWeight_, vWeight_;
-    std::vector<float> mBias_, vBias_;
+    std::optional<Training> train_;
 };
 
 /** Rectified linear unit; caches the mask for backward. */

@@ -13,7 +13,7 @@ using common::simprof::ScopedPhaseTimer;
 
 BdqLearner::BdqLearner(const BdqLearnerConfig &cfg, common::Rng &rng)
     : cfg_(cfg), rng_(rng.fork()), online_(cfg.net, rng_),
-      target_(cfg.net, rng_), replay_(cfg.replay),
+      targetRng_(rng_.fork()),
       epsilonSchedule_(makeEpsilonSchedule(cfg.epsilonMidStep,
                                            cfg.epsilonFinalStep,
                                            cfg.epsilonMid,
@@ -23,8 +23,25 @@ BdqLearner::BdqLearner(const BdqLearnerConfig &cfg, common::Rng &rng)
     common::fatalIf(cfg.minibatch == 0, "BdqLearner: zero minibatch");
     common::fatalIf(cfg.discount < 0.0 || cfg.discount >= 1.0,
                     "BdqLearner: discount must be in [0, 1)");
-    // Both networks start from identical weights (paper footnote 1).
-    target_.copyParamsFrom(online_);
+}
+
+BdqLearner::Training &
+BdqLearner::training()
+{
+    if (!training_) {
+        training_.emplace(cfg_, targetRng_);
+        // Both networks start from identical weights (paper footnote 1).
+        training_->target.copyParamsFrom(online_);
+    }
+    return *training_;
+}
+
+void
+BdqLearner::load(std::istream &is)
+{
+    online_.load(is);
+    if (training_)
+        training_->target.copyParamsFrom(online_);
 }
 
 const std::vector<nn::BranchActions> &
@@ -103,14 +120,15 @@ BdqLearner::observe(Transition t)
     common::fatalIf(t.actions.size() != cfg_.net.numAgents ||
                         t.rewards.size() != cfg_.net.numAgents,
                     "observe: agent count mismatch");
+    Training &train = training();
     {
         ScopedPhaseTimer timer(Phase::Replay);
-        replay_.add(std::move(t));
+        train.replay.add(std::move(t));
     }
     ++step_;
 
     std::optional<TrainStats> stats;
-    if (replay_.size() >= cfg_.minReplayBeforeTraining &&
+    if (train.replay.size() >= cfg_.minReplayBeforeTraining &&
         step_ % cfg_.trainEvery == 0) {
         for (std::size_t g = 0; g < cfg_.gradientStepsPerTrain; ++g)
             stats = trainStep();
@@ -118,7 +136,7 @@ BdqLearner::observe(Transition t)
 
     if (++stepsSinceTargetUpdate_ >= cfg_.targetUpdateInterval) {
         ScopedPhaseTimer timer(Phase::TargetSync);
-        target_.copyParamsFrom(online_);
+        train.target.copyParamsFrom(online_);
         stepsSinceTargetUpdate_ = 0;
     }
     return stats;
@@ -127,7 +145,9 @@ BdqLearner::observe(Transition t)
 TrainStats
 BdqLearner::trainStep()
 {
-    const std::size_t batch = std::min(cfg_.minibatch, replay_.size());
+    Training &train = training();
+    PrioritizedReplay &replay = train.replay;
+    const std::size_t batch = std::min(cfg_.minibatch, replay.size());
     const std::size_t in = cfg_.net.inputDim();
     const std::size_t K = cfg_.net.numAgents;
     const std::size_t D = cfg_.net.numBranches();
@@ -137,11 +157,11 @@ BdqLearner::trainStep()
     {
         ScopedPhaseTimer timer(Phase::Replay);
         const double beta = betaSchedule_.at(step_);
-        replay_.sampleInto(batch, beta, rng_, sample);
+        replay.sampleInto(batch, beta, rng_, sample);
         states.resize(batch, in);
         next_states.resize(batch, in);
         for (std::size_t i = 0; i < batch; ++i) {
-            const Transition &t = replay_.at(sample.indices[i]);
+            const Transition &t = replay.at(sample.indices[i]);
             std::copy(t.state.begin(), t.state.end(), states.rowPtr(i));
             std::copy(t.nextState.begin(), t.nextState.end(),
                       next_states.rowPtr(i));
@@ -153,7 +173,7 @@ BdqLearner::trainStep()
     nn::BdqOutput &next_online = nextOnlineScratch_;
     nn::BdqOutput &next_target = nextTargetScratch_;
     online_.forward(next_states, next_online, false);
-    target_.forward(next_states, next_target, false);
+    train.target.forward(next_states, next_target, false);
 
     // TD target per agent: y_k = r_k + gamma * (1/D) sum_d
     //     Q_target_{k,d}(s', argmax_a Q_online_{k,d}(s', a))
@@ -164,7 +184,7 @@ BdqLearner::trainStep()
         per_agent.assign(batch, 0.0);
     for (std::size_t k = 0; k < K; ++k) {
         for (std::size_t i = 0; i < batch; ++i) {
-            const Transition &t = replay_.at(sample.indices[i]);
+            const Transition &t = replay.at(sample.indices[i]);
             double bootstrap = 0.0;
             if (!t.done) {
                 for (std::size_t d = 0; d < D; ++d) {
@@ -206,7 +226,7 @@ BdqLearner::trainStep()
             dq[k][d].fill(0.0f);
         }
         for (std::size_t i = 0; i < batch; ++i) {
-            const Transition &t = replay_.at(sample.indices[i]);
+            const Transition &t = replay.at(sample.indices[i]);
             const double w = sample.weights[i];
             double agent_td = 0.0;
             for (std::size_t d = 0; d < D; ++d) {
@@ -247,7 +267,7 @@ BdqLearner::trainStep()
     }
     {
         ScopedPhaseTimer timer(Phase::Replay);
-        replay_.updatePriorities(sample.indices, td_for_priority);
+        replay.updatePriorities(sample.indices, td_for_priority);
     }
     return TrainStats{loss, abs_td};
 }
@@ -256,7 +276,8 @@ void
 BdqLearner::beginTransfer(std::size_t reexplore_steps, double eps_start)
 {
     online_.reinitializeOutputLayers(rng_);
-    target_.copyParamsFrom(online_);
+    if (training_)
+        training_->target.copyParamsFrom(online_);
     stepsSinceTargetUpdate_ = 0;
     // Short re-exploration window starting at the *current* step.
     epsilonSchedule_ = PiecewiseLinearSchedule(

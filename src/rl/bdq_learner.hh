@@ -6,7 +6,9 @@
  * Owns the online and target networks ("there are two networks with the
  * same initial weights that are updated periodically"), the prioritised
  * replay buffer, the epsilon/beta schedules, and the TD-target logic
- * (double-DQN action selection, mean operator across branches).
+ * (double-DQN action selection, mean operator across branches). The
+ * target network and the replay buffer are built by the first training
+ * call, so a deployed (exploit-only) learner holds only its policy.
  */
 
 #ifndef TWIG_RL_BDQ_LEARNER_HH
@@ -147,23 +149,42 @@ class BdqLearner
     void save(std::ostream &os) const { online_.save(os); }
 
     /** Load parameters into both networks (deploy a trained model). */
-    void
-    load(std::istream &is)
-    {
-        online_.load(is);
-        target_.copyParamsFrom(online_);
-    }
+    void load(std::istream &is);
 
     nn::MultiAgentBdq &onlineNetwork() { return online_; }
     const nn::MultiAgentBdq &onlineNetwork() const { return online_; }
-    PrioritizedReplay &replay() { return replay_; }
+    /** The replay buffer (built, empty, by the first call if need be). */
+    PrioritizedReplay &replay() { return training().replay; }
 
   private:
+    /**
+     * What only training reads: the target network and the replay
+     * buffer, built by training() at the first observe(), trainStep()
+     * or replay() call with the target a copy of the online network.
+     * Before that call only the constructor, load() and
+     * beginTransfer() write the online parameters, and each of them
+     * would have synchronised an eagerly built target, so the late
+     * target holds what an early one would.
+     */
+    struct Training
+    {
+        nn::MultiAgentBdq target;
+        PrioritizedReplay replay;
+        Training(const BdqLearnerConfig &cfg, common::Rng &rng)
+            : target(cfg.net, rng), replay(cfg.replay)
+        {
+        }
+    };
+    Training &training();
+
     BdqLearnerConfig cfg_;
     common::Rng rng_;
     nn::MultiAgentBdq online_;
-    nn::MultiAgentBdq target_;
-    PrioritizedReplay replay_;
+    /** The target network's stream, forked from rng_ at construction
+     * so that every later draw from rng_ is where it would be with the
+     * target built there. */
+    common::Rng targetRng_;
+    std::optional<Training> training_;
     PiecewiseLinearSchedule epsilonSchedule_;
     PiecewiseLinearSchedule betaSchedule_;
     std::size_t step_ = 0;

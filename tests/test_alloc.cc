@@ -1,10 +1,11 @@
 /**
  * @file
- * Steady-state allocation tests: after a warm-up step has sized every
- * scratch buffer, `BdqLearner::trainStep()` and `Mlp::trainStep()` must
- * perform zero heap allocations. Enforced by replacing the global
- * operator new/delete with malloc/free wrappers that bump an atomic
- * counter while a test has counting enabled.
+ * Allocation tests. After a warm-up step has sized every scratch
+ * buffer, `BdqLearner::trainStep()` and `Mlp::trainStep()` must perform
+ * zero heap allocations, and a deployed (exploit-only) Twig replica
+ * must allocate little more than its policy. Enforced by replacing the
+ * global operator new/delete with malloc/free wrappers that bump atomic
+ * call and byte counters while a test has counting enabled.
  *
  * This lives in its own test binary so the replaced allocator cannot
  * perturb the rest of the suite.
@@ -21,6 +22,8 @@
 #include "cluster/cluster_manager.hh"
 #include "common/rng.hh"
 #include "core/mapper.hh"
+#include "core/twig_manager.hh"
+#include "harness/registry.hh"
 #include "nn/mlp.hh"
 #include "rl/bdq_learner.hh"
 #include "services/tailbench.hh"
@@ -30,13 +33,23 @@
 namespace {
 
 std::atomic<long long> g_alloc_count{0};
+std::atomic<long long> g_alloc_bytes{0};
 std::atomic<bool> g_counting{false};
+
+void
+countAllocation(std::size_t n)
+{
+    if (g_counting.load(std::memory_order_relaxed)) {
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+        g_alloc_bytes.fetch_add(static_cast<long long>(n),
+                                std::memory_order_relaxed);
+    }
+}
 
 void *
 countedAlloc(std::size_t n)
 {
-    if (g_counting.load(std::memory_order_relaxed))
-        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    countAllocation(n);
     void *p = std::malloc(n == 0 ? 1 : n);
     if (p == nullptr)
         throw std::bad_alloc();
@@ -46,8 +59,7 @@ countedAlloc(std::size_t n)
 void *
 countedAllocAligned(std::size_t n, std::align_val_t al)
 {
-    if (g_counting.load(std::memory_order_relaxed))
-        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    countAllocation(n);
     const std::size_t a = static_cast<std::size_t>(al);
     void *p = std::aligned_alloc(a, (n + a - 1) / a * a);
     if (p == nullptr)
@@ -95,10 +107,19 @@ long long
 countAllocations(const std::function<void()> &body)
 {
     g_alloc_count.store(0);
+    g_alloc_bytes.store(0);
     g_counting.store(true);
     body();
     g_counting.store(false);
     return g_alloc_count.load();
+}
+
+/** Bytes requested from operator new while @p body runs. */
+long long
+countAllocatedBytes(const std::function<void()> &body)
+{
+    countAllocations(body);
+    return g_alloc_bytes.load();
 }
 
 rl::BdqLearnerConfig
@@ -273,4 +294,34 @@ TEST(Alloc, ClusterManagerStepSteadyStateIsAllocationFree)
             fleet.step();
     });
     EXPECT_EQ(n, 0) << "steady-state ClusterManager::step allocated";
+}
+
+TEST(Alloc, DeployedReplicaAllocatesOnlyItsPolicy)
+{
+    // One fleet_warm_512 replica: Masstree + img-dnn on an 18-core
+    // node, fast preset over a 120-step horizon, built exploit-only by
+    // the registry and warm-started from a donor's checkpoint. It runs
+    // greedy forwards of its online network and nothing else, so its
+    // build may cost at most twice the policy it carries.
+    harness::ManagerContext ctx;
+    ctx.machine.numCores = 18;
+    ctx.profiles = {twig::services::masstree(), twig::services::imgdnn()};
+    ctx.schedule = harness::Schedule{120, 60, 120};
+    ctx.knobs.exploitOnly = true;
+    ctx.seed = 3;
+    const auto &registry = harness::ManagerRegistry::builtin();
+    const rl::Checkpoint donor =
+        dynamic_cast<core::TwigManager &>(*registry.make("twig", ctx))
+            .checkpoint();
+
+    ctx.seed = 4;
+    std::unique_ptr<core::TaskManager> replica;
+    const long long bytes = countAllocatedBytes([&] {
+        replica = registry.make("twig", ctx);
+        dynamic_cast<core::TwigManager &>(*replica).restore(donor);
+    });
+    const auto policy = static_cast<long long>(donor.bytes().size());
+    EXPECT_LE(bytes, 2 * policy)
+        << "a deployed replica allocated " << bytes << " B for a "
+        << policy << " B policy";
 }

@@ -470,8 +470,9 @@ TEST(ClusterManager, HierarchicalMergeSkipsCrashedNodes)
         for (std::size_t b = 0; b < flat.bins(); ++b)
             ASSERT_EQ(merged.binCount(b), flat.binCount(b))
                 << "step " << t << " bin " << b;
-        if (t == 4)
+        if (t == 4) {
             EXPECT_FALSE(fleet.slots().isNodeUp(2)); // mid-outage sanity
+        }
     }
 }
 

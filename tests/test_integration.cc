@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/static_manager.hh"
 #include "common/hash.hh"
+#include "core/mapper.hh"
 #include "core/twig_manager.hh"
 #include "harness/engine.hh"
 #include "harness/profiling.hh"
@@ -38,6 +40,60 @@ quickSpec(const sim::ServiceProfile &p)
     spec.maxLoadRps = p.maxLoadRps;
     spec.powerModel = ServicePowerModel(11.0, 0.9, 2.3);
     return spec;
+}
+
+/**
+ * A trained Twig-S policy restored into a learning-built manager that
+ * first runs exploit-only for 20 intervals, then learns for 300 (after
+ * swapping masstree for moses with transfer learning, if @p transfer).
+ * The learner's first transition comes long after construction, so
+ * this pins the target network and replay buffer that the first
+ * training call builds. Returns the FNV-1a of every interval's
+ * resource requests, then of the final checkpoint payload.
+ */
+std::uint64_t
+resumedLearningHash(bool transfer)
+{
+    const sim::MachineConfig machine;
+    const auto maxima = services::calibrateCounterMaxima(machine);
+    const auto mt = services::masstree();
+    sim::Server server(machine, 111);
+    server.addService(
+        mt, std::make_unique<sim::FixedLoad>(mt.maxLoadRps, 0.5));
+    Mapper mapper(machine);
+
+    std::uint64_t h = common::kFnvOffsetBasis;
+    std::vector<ResourceRequest> reqs = {{machine.numCores / 2, 0}};
+    auto run = [&](TwigManager &twig, std::size_t steps) {
+        for (std::size_t i = 0; i < steps; ++i) {
+            twig.decideInto(server.runInterval(mapper.map(reqs)), reqs);
+            for (const ResourceRequest &r : reqs) {
+                h = common::fnv1aValue(r.numCores, h);
+                h = common::fnv1aValue(r.dvfsIndex, h);
+            }
+        }
+    };
+
+    TwigManager donor(TwigConfig::fast(300), machine, maxima,
+                      {quickSpec(mt)}, 112);
+    run(donor, 200);
+
+    TwigManager twig(TwigConfig::fast(300), machine, maxima,
+                     {quickSpec(mt)}, 113);
+    twig.restore(donor.checkpoint());
+    twig.setExploitOnly(true);
+    run(twig, 20);
+    if (transfer) {
+        const auto mo = services::moses();
+        server.replaceService(
+            0, mo, std::make_unique<sim::FixedLoad>(mo.maxLoadRps, 0.5));
+        twig.transferService(0, quickSpec(mo), 60);
+    }
+    twig.setExploitOnly(false);
+    run(twig, 300);
+
+    const std::string bytes = twig.checkpoint().bytes().substr(8);
+    return common::fnv1a(bytes.data(), bytes.size(), h);
 }
 
 } // namespace
@@ -178,6 +234,19 @@ TEST(Integration, TwigSTrainingRunMatchesGolden)
         expect_normal_moments(net.valueOutputLayer(k));
     for (std::size_t d = 0; d < net.config().numBranches(); ++d)
         expect_normal_moments(net.advantageOutputLayer(d));
+}
+
+TEST(Integration, RestoredPolicyResumesLearningMatchesGolden)
+{
+    // Recorded when the learner built its target network and replay
+    // at construction. BDQ rounding makes the constant hold on
+    // AVX2+FMA hosts (DESIGN.md section 8).
+    EXPECT_EQ(resumedLearningHash(false), 0xda25a5d0b8271435ULL);
+}
+
+TEST(Integration, RestoredPolicyTransfersThenLearnsMatchesGolden)
+{
+    EXPECT_EQ(resumedLearningHash(true), 0x93f5a01bcb90927aULL);
 }
 
 TEST(Integration, TwigBeatsStaticOnEnergyAtLowLoad)

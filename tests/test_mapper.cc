@@ -268,8 +268,9 @@ TEST(Mapper, RandomisedRequestsKeepInvariants)
                 EXPECT_EQ(dedicated_ids.count(id), 0u);
             }
             for (const auto &a : out) {
-                if (!a.sharedCores.empty())
+                if (!a.sharedCores.empty()) {
                     EXPECT_DOUBLE_EQ(a.sharedFreqGhz, max_part_freq);
+                }
             }
         }
     }

@@ -658,7 +658,7 @@ TEST(Engine, SinksSeeEveryMeasuredStepInOrder)
     {
       public:
         void
-        begin(const ScenarioSpec &spec,
+        begin(const ScenarioSpec &,
               const std::vector<sim::ServiceProfile> &profiles) override
         {
             beginCalls++;
