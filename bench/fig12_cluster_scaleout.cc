@@ -230,20 +230,31 @@ struct PolicyRow
     }
 };
 
-/** Sum served/dropped requests over the trailing window of a run. */
-void
-countServed(const cluster::FleetRunResult &result, std::size_t window,
-            PolicyRow &row)
+/** Run @p spec's fleet on @p jobs threads, summing the powered
+ * nodes' served and dropped requests over its trailing window into
+ * @p row while each interval is current. */
+cluster::FleetRunResult
+runCountingServed(const harness::ScenarioSpec &spec, std::size_t jobs,
+                  PolicyRow &row)
 {
-    const std::size_t start = result.trace.size() - window;
-    for (std::size_t t = start; t < result.trace.size(); ++t) {
-        for (const auto &node : result.trace[t].nodes) {
-            for (const auto &svc : node.services) {
-                row.served += svc.completed;
-                row.dropped += svc.dropped;
+    auto fs = harness::buildFleet(
+        spec, harness::ManagerRegistry::builtin(), jobs);
+    cluster::ClusterManager &fleet = *fs.fleet;
+    const std::size_t start = spec.steps - spec.resolvedWindow();
+    return fleet.run(
+        spec.steps, spec.resolvedWindow(),
+        [&](std::size_t t, const cluster::FleetIntervalStats &f) {
+            if (t < start)
+                return;
+            for (std::size_t n = 0; n < fleet.numNodes(); ++n) {
+                if (f.nodeUp[n] == 0)
+                    continue;
+                for (const auto &svc : fleet.node(n).lastStats().services) {
+                    row.served += svc.completed;
+                    row.dropped += svc.dropped;
+                }
             }
-        }
-    }
+        });
 }
 
 // --- Two-level scale-out: domains + batched inference ----------------
@@ -401,18 +412,18 @@ main(int argc, char **argv)
     std::vector<PolicyRow> rows;
     for (const auto &kind : kinds) {
         for (const std::size_t nodes : node_counts) {
-            const auto result = engine.run(
-                fleetScenario(setup, nodes, kind.policy, kind.twig,
-                              /*warm=*/kind.twig));
             PolicyRow row;
+            const auto result = runCountingServed(
+                fleetScenario(setup, nodes, kind.policy, kind.twig,
+                              /*warm=*/kind.twig),
+                setup.jobs, row);
             row.policy = kind.policy;
             row.manager = kind.twig ? "twig-warm" : "static";
             row.nodes = nodes;
-            row.p99Ms = result.fleet.metrics.windowP99Ms;
-            row.qosPct = result.fleet.metrics.avgQosGuaranteePct();
-            row.powerW = result.fleet.metrics.meanPowerW;
-            row.energyJ = result.fleet.metrics.energyJoules;
-            countServed(result.fleet, setup.window, row);
+            row.p99Ms = result.metrics.windowP99Ms;
+            row.qosPct = result.metrics.avgQosGuaranteePct();
+            row.powerW = result.metrics.meanPowerW;
+            row.energyJ = result.metrics.energyJoules;
             rows.push_back(row);
             std::printf("%-12s %5zu | %9.2f %9.2f | %5.1f%% %8.1f "
                         "%5.1f%% %10.0f\n",

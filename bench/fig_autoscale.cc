@@ -33,8 +33,9 @@
  *   (c) the flash crowd triggers at least one scale-out;
  *   (d) the mixed-generation fleet produces a non-zero bill;
  *   (e) every row is bit-identical between --jobs 1 and --jobs 8
- *       stepping — p99/power traces, scale-event stream, serving and
- *       draining node counts, and the running bill.
+ *       stepping — equal golden digests over the p99/power traces,
+ *       every node's interval stats, the scale-event stream, serving
+ *       and draining node counts, and the running bill.
  *
  * Writes BENCH_autoscale.json (or --out PATH).
  */
@@ -48,6 +49,8 @@
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
 #include "harness/managers.hh"
+#include "harness/registry.hh"
+#include "oracle/golden_hash.hh"
 #include "services/tailbench.hh"
 
 using namespace twig;
@@ -188,44 +191,28 @@ trainDonor(std::size_t donor_steps, std::uint64_t seed)
                 kDonorPath);
 }
 
-/** Bit-exact comparison of two fleet runs: the fault-resilience
- * comparator extended with the elastic-fleet state — scale-event
- * stream, serving/draining node counts and the running bill. */
-bool
-tracesIdentical(const cluster::FleetRunResult &a,
-                const cluster::FleetRunResult &b)
+/** One fleet run of @p spec on @p jobs stepping threads, and its
+ * golden digest (oracle::hashFleetLifecycleRun): per step the fleet
+ * p99, power, shed load and every node's interval stats, then the
+ * fault and scale events, serving/draining node counts and the
+ * running bill. Two runs are bit-identical when their digests are. */
+struct DigestedRun
 {
-    if (a.trace.size() != b.trace.size())
-        return false;
-    for (std::size_t t = 0; t < a.trace.size(); ++t) {
-        const auto &x = a.trace[t];
-        const auto &y = b.trace[t];
-        if (x.offeredRps != y.offeredRps ||
-            x.fleetP99Ms != y.fleetP99Ms ||
-            x.totalPowerW != y.totalPowerW || x.nodeUp != y.nodeUp ||
-            x.shedRps != y.shedRps || x.faultEvents != y.faultEvents ||
-            x.scaleEvents != y.scaleEvents ||
-            x.servingNodes != y.servingNodes ||
-            x.drainingNodes != y.drainingNodes ||
-            x.costDollars != y.costDollars)
-            return false;
-        if (x.nodes.size() != y.nodes.size())
-            return false;
-        for (std::size_t n = 0; n < x.nodes.size(); ++n) {
-            // A slot still parked in standby has no per-service stats.
-            if (x.nodes[n].services.size() != y.nodes[n].services.size())
-                return false;
-            if (x.nodes[n].socketPowerW != y.nodes[n].socketPowerW)
-                return false;
-            if (!x.nodes[n].services.empty() &&
-                x.nodes[n].services[0].p99Ms !=
-                    y.nodes[n].services[0].p99Ms)
-                return false;
-        }
-    }
-    return a.metrics.windowP99Ms == b.metrics.windowP99Ms &&
-        a.metrics.meanPowerW == b.metrics.meanPowerW &&
-        a.metrics.costDollars == b.metrics.costDollars;
+    cluster::FleetRunResult result;
+    std::uint64_t digest = 0;
+};
+
+DigestedRun
+runDigested(const harness::ScenarioSpec &spec, std::size_t jobs)
+{
+    auto setup = harness::buildFleet(
+        spec, harness::ManagerRegistry::builtin(), jobs);
+    oracle::FleetHasher hasher(*setup.fleet);
+    DigestedRun run;
+    run.result = setup.fleet->run(spec.steps, spec.resolvedWindow(),
+                                  hasher.onStep());
+    run.digest = oracle::hashFleetLifecycleRun(hasher, run.result);
+    return run;
 }
 
 struct FleetRow
@@ -336,16 +323,11 @@ main(int argc, char **argv)
     for (const auto &kind : kinds) {
         // Every row runs twice — serial and 8-way stepping — and must
         // be bit-identical; the serial run provides the metrics.
-        harness::EngineOptions serial_opts;
-        serial_opts.jobs = 1;
-        harness::EngineOptions parallel_opts;
-        parallel_opts.jobs = 8;
         const auto spec = fleetScenario(kind, fleet_schedule, seed);
-        const auto serial = harness::Engine(serial_opts).run(spec);
-        const auto parallel = harness::Engine(parallel_opts).run(spec);
-        FleetRow row = summarize(kind, serial.fleet);
-        row.replayIdentical =
-            tracesIdentical(serial.fleet, parallel.fleet);
+        const DigestedRun serial = runDigested(spec, 1);
+        const DigestedRun parallel = runDigested(spec, 8);
+        FleetRow row = summarize(kind, serial.result);
+        row.replayIdentical = serial.digest == parallel.digest;
         rows.push_back(row);
     }
     const double ref_dollars = rows[1].dollars; // static-max

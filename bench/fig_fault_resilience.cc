@@ -28,8 +28,9 @@
  *       and the replica falls back to a cold start instead of
  *       aborting or loading garbage weights;
  *   (c) the same fault scenario replayed at the same seed is
- *       bit-identical between --jobs 1 and --jobs 4 stepping — p99
- *       trace, power trace and the full fault-event stream.
+ *       bit-identical between --jobs 1 and --jobs 4 stepping — equal
+ *       golden digests over the p99 and power traces, every node's
+ *       interval stats and the full fault-event stream.
  *
  * Writes BENCH_faults.json (or --out PATH).
  */
@@ -44,6 +45,8 @@
 #include "faults/fault_spec.hh"
 #include "harness/engine.hh"
 #include "harness/managers.hh"
+#include "harness/registry.hh"
+#include "oracle/golden_hash.hh"
 #include "services/tailbench.hh"
 
 using namespace twig;
@@ -164,6 +167,48 @@ trainDonor(const Timeline &tl, std::size_t donor_steps,
                 kDonorPath);
 }
 
+/** The crashed replica's Masstree telemetry for one interval (zero
+ * while its slot is down). */
+struct NodeSample
+{
+    std::size_t completed = 0;
+    double p99Ms = 0.0;
+};
+
+/** A fleet run of @p spec on @p jobs stepping threads, with node
+ * 1's Masstree completions and p99 recorded each interval and the
+ * run's golden digest (oracle::hashFleetLifecycleRun: fleet p99 and
+ * power, every node's interval stats, the fault-event stream). */
+struct WatchedRun
+{
+    cluster::FleetRunResult result;
+    std::vector<NodeSample> node1;
+    std::uint64_t digest = 0;
+};
+
+WatchedRun
+runWatched(const harness::ScenarioSpec &spec, std::size_t jobs)
+{
+    auto setup = harness::buildFleet(
+        spec, harness::ManagerRegistry::builtin(), jobs);
+    cluster::ClusterManager &fleet = *setup.fleet;
+    oracle::FleetHasher hasher(fleet);
+    WatchedRun run;
+    run.result = fleet.run(
+        spec.steps, spec.resolvedWindow(),
+        [&](std::size_t, const cluster::FleetIntervalStats &fs) {
+            hasher.add(fs);
+            NodeSample sample;
+            if (fs.nodeUp[1] != 0) {
+                const auto &svc = fleet.node(1).lastStats().services[0];
+                sample = {svc.completed, svc.p99Ms};
+            }
+            run.node1.push_back(sample);
+        });
+    run.digest = oracle::hashFleetLifecycleRun(hasher, run.result);
+    return run;
+}
+
 /**
  * Recovery time of the crashed replica: intervals from the restart
  * until its own Masstree p99 meets QoS, with completions actually
@@ -172,14 +217,13 @@ trainDonor(const Timeline &tl, std::size_t donor_steps,
  * when it never stabilises — a lower bound, flagged by @p recovered.
  */
 std::size_t
-nodeRecoveryIntervals(const cluster::FleetRunResult &result,
-                      std::size_t node, std::size_t restart_step,
-                      double qos_ms, std::size_t stable, bool &recovered)
+nodeRecoveryIntervals(const std::vector<NodeSample> &node,
+                      std::size_t restart_step, double qos_ms,
+                      std::size_t stable, bool &recovered)
 {
     std::size_t streak = 0;
-    for (std::size_t t = restart_step; t < result.trace.size(); ++t) {
-        const auto &svc = result.trace[t].nodes[node].services[0];
-        const bool ok = svc.completed > 0 && svc.p99Ms <= qos_ms;
+    for (std::size_t t = restart_step; t < node.size(); ++t) {
+        const bool ok = node[t].completed > 0 && node[t].p99Ms <= qos_ms;
         streak = ok ? streak + 1 : 0;
         if (streak == stable) {
             recovered = true;
@@ -187,7 +231,7 @@ nodeRecoveryIntervals(const cluster::FleetRunResult &result,
         }
     }
     recovered = false;
-    return result.trace.size() - restart_step;
+    return node.size() - restart_step;
 }
 
 /** Mean fleet power over trace steps [begin, end). */
@@ -239,36 +283,6 @@ struct EventCounts
         return c;
     }
 };
-
-/** Bit-exact comparison of two fleet runs: per-step offered load,
- * fleet p99, power, health, shed load, per-node power and p99, and
- * the full fault-event stream. */
-bool
-tracesIdentical(const cluster::FleetRunResult &a,
-                const cluster::FleetRunResult &b)
-{
-    if (a.trace.size() != b.trace.size())
-        return false;
-    for (std::size_t t = 0; t < a.trace.size(); ++t) {
-        const auto &x = a.trace[t];
-        const auto &y = b.trace[t];
-        if (x.offeredRps != y.offeredRps ||
-            x.fleetP99Ms != y.fleetP99Ms ||
-            x.totalPowerW != y.totalPowerW || x.nodeUp != y.nodeUp ||
-            x.shedRps != y.shedRps || x.faultEvents != y.faultEvents)
-            return false;
-        if (x.nodes.size() != y.nodes.size())
-            return false;
-        for (std::size_t n = 0; n < x.nodes.size(); ++n) {
-            if (x.nodes[n].socketPowerW != y.nodes[n].socketPowerW ||
-                x.nodes[n].services[0].p99Ms !=
-                    y.nodes[n].services[0].p99Ms)
-                return false;
-        }
-    }
-    return a.metrics.windowP99Ms == b.metrics.windowP99Ms &&
-        a.metrics.meanPowerW == b.metrics.meanPowerW;
-}
 
 struct FleetRow
 {
@@ -329,10 +343,6 @@ main(int argc, char **argv)
 
     trainDonor(tl, donor_schedule.steps, seed);
 
-    harness::EngineOptions engine_opts;
-    engine_opts.jobs = jobs;
-    const harness::Engine engine(engine_opts);
-
     // --- Crash + recovery across the four fleet designs --------------
     const std::vector<FleetKind> kinds = {
         {"twig-warm", "twig", "p2c-latency", "warm"},
@@ -346,24 +356,23 @@ main(int argc, char **argv)
                 "post W", "dPow%", "QoS%");
     std::vector<FleetRow> rows;
     for (const auto &kind : kinds) {
-        const auto result =
-            engine.run(fleetScenario(tl, kind, seed));
+        const WatchedRun run =
+            runWatched(fleetScenario(tl, kind, seed), jobs);
+        const cluster::FleetRunResult &result = run.result;
         FleetRow row;
         row.fleet = kind.label;
         row.manager = kind.manager;
         row.policy = kind.policy;
         row.recovery = kind.recovery;
         row.recoveryIntervals = nodeRecoveryIntervals(
-            result.fleet, 1, tl.restartStep, qos_ms, stable,
-            row.recovered);
+            run.node1, tl.restartStep, qos_ms, stable, row.recovered);
         row.preCrashPowerW =
-            meanPower(result.fleet, tl.crashStep - power_win,
-                      tl.crashStep);
+            meanPower(result, tl.crashStep - power_win, tl.crashStep);
         row.postRestartPowerW = meanPower(
-            result.fleet, tl.restartStep, tl.restartStep + power_win);
-        row.fleetP99Ms = result.fleet.metrics.windowP99Ms[0];
-        row.qosPct = result.fleet.metrics.avgQosGuaranteePct();
-        row.events = EventCounts::of(result.fleet);
+            result, tl.restartStep, tl.restartStep + power_win);
+        row.fleetP99Ms = result.metrics.windowP99Ms[0];
+        row.qosPct = result.metrics.avgQosGuaranteePct();
+        row.events = EventCounts::of(result);
         rows.push_back(row);
         std::printf("%-18s %-8s | %9zu %5s | %8.1f %8.1f %6.1f%% | "
                     "%4.1f%%\n",
@@ -381,8 +390,8 @@ main(int argc, char **argv)
     corrupt.node = 1;
     corrupt_spec.faults.actions.insert(
         corrupt_spec.faults.actions.begin(), corrupt);
-    const auto corrupt_run = engine.run(corrupt_spec);
-    const EventCounts corrupt_events = EventCounts::of(corrupt_run.fleet);
+    const EventCounts corrupt_events =
+        EventCounts::of(runWatched(corrupt_spec, jobs).result);
     std::printf("\ncorrupt-frame run: %zu corrupt frame(s) detected, "
                 "%zu cold restart(s), %zu warm restore(s); run "
                 "completed without abort\n",
@@ -391,16 +400,9 @@ main(int argc, char **argv)
                 corrupt_events.warmRestores);
 
     // --- Replay determinism: --jobs 1 vs --jobs 4 --------------------
-    harness::EngineOptions serial_opts;
-    serial_opts.jobs = 1;
-    harness::EngineOptions parallel_opts;
-    parallel_opts.jobs = 4;
-    const auto replay_a = harness::Engine(serial_opts)
-                              .run(fleetScenario(tl, kinds[0], seed));
-    const auto replay_b = harness::Engine(parallel_opts)
-                              .run(fleetScenario(tl, kinds[0], seed));
     const bool replay_identical =
-        tracesIdentical(replay_a.fleet, replay_b.fleet);
+        runWatched(fleetScenario(tl, kinds[0], seed), 1).digest ==
+        runWatched(fleetScenario(tl, kinds[0], seed), 4).digest;
     std::printf("replay: jobs=1 vs jobs=4 traces %s\n",
                 replay_identical ? "bit-identical"
                                  : "DIFFER (determinism bug)");

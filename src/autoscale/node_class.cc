@@ -16,14 +16,6 @@ NodeClass::machine() const
     return m;
 }
 
-double
-NodeClass::capacityFactor() const
-{
-    const sim::MachineConfig ref;
-    return (static_cast<double>(cores) * dvfs.maxGhz * serviceRateScale) /
-        (static_cast<double>(ref.numCores) * ref.dvfs.maxGhz);
-}
-
 std::string
 NodeClass::validate() const
 {

@@ -5,11 +5,10 @@
  * A NodeClass is a named hardware capability descriptor — cores per
  * socket, DVFS ladder, per-core service-rate scaling (big.LITTLE-style
  * asymmetry or an IPC bump between CPU generations) and a $/node-hour
- * price. It expands to a sim::MachineConfig for node construction and
- * to a scalar capacity factor for capability-aware routing: the
- * Router/ShardedRouter deal load by effective capacity (cores x peak
- * GHz x rate scale), so a fleet mixing generations is balanced by what
- * each node can actually serve, not by node count.
+ * price. It expands to a sim::MachineConfig for node construction,
+ * whose capacity() (cores x peak GHz x rate scale) is what the
+ * Router/ShardedRouter deal load by, so a fleet mixing generations is
+ * balanced by what each node can actually serve, not by node count.
  *
  * Classes round-trip through JSON inside a ScenarioSpec's
  * `cluster.node_classes` block; a small built-in catalogue provides
@@ -49,11 +48,6 @@ struct NodeClass
     /** Expand to a machine description (reference power model with
      * this class's cores, ladder and rate scale). */
     sim::MachineConfig machine() const;
-
-    /** Effective serving capacity relative to one reference node
-     * (18 cores x 2.0 GHz x scale 1.0) — the unit the routers and the
-     * load model deal in. */
-    double capacityFactor() const;
 
     /** Structural validation; returns an error message or "". */
     std::string validate() const;

@@ -271,7 +271,6 @@ ClusterManager::step()
     out.offeredRps = fleetRps_;
     out.fleetP99Ms.assign(num_services, 0.0);
     out.totalPowerW = 0.0;
-    out.nodes.resize(num_nodes);
     out.nodeUp.resize(num_nodes);
     out.shedRps = shed_rps;
     out.servingNodes = 0;
@@ -286,7 +285,6 @@ ClusterManager::step()
         else
             ++out.drainingNodes;
         out.totalPowerW += slots_.node(n).lastStats().socketPowerW;
-        out.nodes[n] = slots_.node(n).lastStats();
     }
     const std::size_t num_domains = router_.numDomains();
     if (domainScratch_.empty()) {

@@ -88,7 +88,9 @@ struct FleetPhaseProfile
     std::uint64_t steps = 0;
 };
 
-/** Fleet-wide telemetry for one control interval. */
+/** Fleet-wide telemetry for one control interval. Node telemetry has
+ * one home, the node: read node(n).lastStats() while the interval is
+ * current (run()'s on_step, or right after step()). */
 struct FleetIntervalStats
 {
     std::size_t step = 0;
@@ -99,9 +101,6 @@ struct FleetIntervalStats
     std::vector<double> fleetP99Ms;
     /** Sum of node socket powers, W (unpowered slots contribute 0). */
     double totalPowerW = 0.0;
-    /** Per-node telemetry (node order is stable). An unpowered slot's
-     * entry is its last powered interval; check nodeUp. */
-    std::vector<sim::ServerIntervalStats> nodes;
     /** 1 per slot powered this interval (stepped, merged, billed). */
     std::vector<std::uint8_t> nodeUp;
     /** Fleet RPS dropped because no slot was powered (0 otherwise —
@@ -147,7 +146,8 @@ struct FleetRunMetrics
 struct FleetRunResult
 {
     FleetRunMetrics metrics;
-    /** Per-step fleet telemetry (always recorded; one entry per step). */
+    /** Per-step fleet-level telemetry (always recorded; one entry per
+     * step, under 1 KB at 512 nodes). */
     std::vector<FleetIntervalStats> trace;
 };
 
@@ -210,7 +210,8 @@ class ClusterManager
 
     /**
      * Run @p steps intervals; metrics summarise the trailing
-     * @p summary_window. @p on_step (optional) observes every interval.
+     * @p summary_window. @p on_step (optional) observes every interval
+     * while its node telemetry is current.
      */
     FleetRunResult
     run(std::size_t steps, std::size_t summary_window,

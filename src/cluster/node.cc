@@ -46,13 +46,6 @@ Node::profile(std::size_t svc) const
     return config_.services[svc];
 }
 
-double
-Node::capacityWeight() const
-{
-    return static_cast<double>(config_.machine.numCores) *
-        config_.machine.dvfs.maxGhz * config_.machine.serviceRateScale;
-}
-
 void
 Node::setOfferedLoad(const std::vector<double> &rps)
 {

@@ -113,9 +113,8 @@ class Node
     core::TaskManager &manager() { return *manager_; }
     const core::TaskManager &manager() const { return *manager_; }
 
-    /** Relative serving capacity (for weighted routing): core count
-     * scaled by the machine's top frequency. */
-    double capacityWeight() const;
+    /** Routing weight: the machine's serving capacity. */
+    double capacityWeight() const { return config_.machine.capacity(); }
 
     /** Set next interval's offered load, one RPS per service. */
     void setOfferedLoad(const std::vector<double> &rps);

@@ -207,9 +207,7 @@ SimProfileSink::end()
 EngineResult
 Engine::run(const ScenarioSpec &spec) const
 {
-    const ManagerRegistry &registry = options_.registry
-        ? *options_.registry
-        : ManagerRegistry::builtin();
+    const ManagerRegistry &registry = ManagerRegistry::builtin();
     const std::string err = spec.validate(registry);
     common::fatalIf(!err.empty(), "scenario '", spec.name, "': ", err);
     if (spec.topology == "cluster")
@@ -283,13 +281,34 @@ Engine::runSingle(const ScenarioSpec &spec,
             event.serverSeed ? *event.serverSeed : spec.seed;
     }
 
-    // Final (measured) segment: the only one the sinks observe.
+    // Final (measured) segment: the only one the sinks observe, each
+    // interval as it completes (before the manager decides the next).
     auto server = build_server(*current, server_seed, spec.steps);
     ExperimentRunner runner(*server, *manager);
     RunOptions run;
     run.steps = spec.steps;
     run.summaryWindow = sched.summaryWindow;
-    run.recordTrace = options_.recordTrace || !options_.sinks.empty();
+    run.recordTrace = options_.recordTrace;
+    StepRecord rec;
+    if (!options_.sinks.empty()) {
+        run.onStep = [&](std::size_t step,
+                         const sim::ServerIntervalStats &stats) {
+            rec.step = step;
+            rec.powerW = stats.socketPowerW;
+            rec.offeredRps.clear();
+            rec.p99Ms.clear();
+            rec.cores.clear();
+            rec.dvfs.clear();
+            for (std::size_t i = 0; i < stats.services.size(); ++i) {
+                rec.offeredRps.push_back(stats.services[i].offeredRps);
+                rec.p99Ms.push_back(stats.services[i].p99Ms);
+                rec.cores.push_back(runner.requests()[i].numCores);
+                rec.dvfs.push_back(runner.requests()[i].dvfsIndex);
+            }
+            for (auto *sink : options_.sinks)
+                sink->record(rec);
+        };
+    }
     const auto final_profiles = profilesFor(spec.finalServices());
     for (auto *sink : options_.sinks)
         sink->begin(spec, final_profiles);
@@ -297,22 +316,8 @@ Engine::runSingle(const ScenarioSpec &spec,
     EngineResult result;
     result.managerName = manager->name();
     result.single = runner.run(run);
-
-    StepRecord rec;
-    for (const auto &tr : result.single.trace) {
-        rec.step = tr.step;
-        rec.powerW = tr.socketPowerW;
-        rec.offeredRps = tr.offeredRps;
-        rec.p99Ms = tr.p99Ms;
-        rec.cores = tr.cores;
-        rec.dvfs = tr.dvfs;
-        for (auto *sink : options_.sinks)
-            sink->record(rec);
-    }
     for (auto *sink : options_.sinks)
         sink->end();
-    if (!options_.recordTrace)
-        result.single.trace.clear();
     return result;
 }
 
@@ -345,15 +350,10 @@ nodeMachine(const ScenarioSpec &spec, std::size_t index)
 double
 fleetCapacityFactor(const ScenarioSpec &spec)
 {
-    const sim::MachineConfig reference;
-    const double ref_capacity =
-        static_cast<double>(reference.numCores) * reference.dvfs.maxGhz;
+    const double ref_capacity = sim::MachineConfig{}.capacity();
     double capacity_factor = 0.0;
-    for (std::size_t n = 0; n < spec.totalNodes(); ++n) {
-        const sim::MachineConfig m = nodeMachine(spec, n);
-        capacity_factor += static_cast<double>(m.numCores) *
-            m.dvfs.maxGhz * m.serviceRateScale / ref_capacity;
-    }
+    for (std::size_t n = 0; n < spec.totalNodes(); ++n)
+        capacity_factor += nodeMachine(spec, n).capacity() / ref_capacity;
     return capacity_factor;
 }
 
@@ -482,20 +482,20 @@ Engine::runCluster(const ScenarioSpec &spec,
 
     EngineResult result;
     result.cluster = true;
-    result.fleet = fleet.run(spec.steps, window);
-
     StepRecord rec;
-    for (const auto &fs : result.fleet.trace) {
-        rec.step = fs.step;
-        rec.powerW = fs.totalPowerW;
-        rec.offeredRps = fs.offeredRps;
-        rec.p99Ms = fs.fleetP99Ms;
-        for (auto *sink : options_.sinks) {
-            for (const auto &ev : fs.faultEvents)
-                sink->fault(ev);
-            sink->record(rec);
-        }
-    }
+    result.fleet = fleet.run(
+        spec.steps, window,
+        [&](std::size_t, const cluster::FleetIntervalStats &fs) {
+            rec.step = fs.step;
+            rec.powerW = fs.totalPowerW;
+            rec.offeredRps = fs.offeredRps;
+            rec.p99Ms = fs.fleetP99Ms;
+            for (auto *sink : options_.sinks) {
+                for (const auto &ev : fs.faultEvents)
+                    sink->fault(ev);
+                sink->record(rec);
+            }
+        });
     for (auto *sink : options_.sinks)
         sink->end();
 

@@ -40,7 +40,10 @@ struct StepRecord
     std::vector<std::size_t> dvfs;
 };
 
-/** Observer of the final (measured) segment's per-step records. */
+/** Observer of the final (measured) segment's per-step records, each
+ * delivered as its interval completes: from the runner's onStep on a
+ * single node (before the manager decides the next interval), from
+ * ClusterManager::run's on_step on a fleet. */
 class RecordSink
 {
   public:
@@ -163,8 +166,6 @@ struct EngineOptions
     /** Cluster: write node 0's trained BDQ checkpoint here after the
      * run (the manager must be a TwigManager). */
     std::string saveCheckpoint;
-    /** Manager registry (default: ManagerRegistry::builtin()). */
-    const ManagerRegistry *registry = nullptr;
 };
 
 /** A fleet built from a cluster-topology spec, plus the derived

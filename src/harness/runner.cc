@@ -35,12 +35,11 @@ ExperimentRunner::run(const RunOptions &options)
         ? options.steps - options.summaryWindow
         : 0;
 
-    auto requests =
-        manager_.initialRequests(n_svc, server_.machine());
+    requests_ = manager_.initialRequests(n_svc, server_.machine());
     std::vector<sim::CoreAssignment> assignments;
     std::vector<double> p99(n_svc);
     for (std::size_t step = 0; step < options.steps; ++step) {
-        mapper_.mapInto(requests, assignments);
+        mapper_.mapInto(requests_, assignments);
         const auto &stats = server_.runInterval(assignments);
 
         if (options.recordTrace) {
@@ -48,8 +47,8 @@ ExperimentRunner::run(const RunOptions &options)
             rec.step = step;
             rec.socketPowerW = stats.socketPowerW;
             for (std::size_t i = 0; i < n_svc; ++i) {
-                rec.cores.push_back(requests[i].numCores);
-                rec.dvfs.push_back(requests[i].dvfsIndex);
+                rec.cores.push_back(requests_[i].numCores);
+                rec.dvfs.push_back(requests_[i].dvfsIndex);
                 rec.p99Ms.push_back(stats.services[i].p99Ms);
                 rec.offeredRps.push_back(stats.services[i].offeredRps);
             }
@@ -66,7 +65,7 @@ ExperimentRunner::run(const RunOptions &options)
         if (options.onStep)
             options.onStep(step, stats);
 
-        manager_.decideInto(stats, requests);
+        manager_.decideInto(stats, requests_);
     }
 
     result.metrics = acc.finish();

@@ -65,10 +65,19 @@ class ExperimentRunner
     /** Run the experiment; metrics cover the trailing summary window. */
     RunResult run(const RunOptions &options);
 
+    /** Per-service requests mapped for the interval in progress: read
+     * from RunOptions::onStep, the ones that interval ran with. */
+    const std::vector<core::ResourceRequest> &
+    requests() const
+    {
+        return requests_;
+    }
+
   private:
     sim::Server &server_;
     core::TaskManager &manager_;
     core::Mapper mapper_;
+    std::vector<core::ResourceRequest> requests_;
 };
 
 } // namespace twig::harness

@@ -94,6 +94,15 @@ struct MachineConfig
      * by this factor at every DVFS point) and a wimpier class as < 1.
      * Ground truth only — managers still adapt from telemetry. */
     double serviceRateScale = 1.0;
+
+    /** Serving capacity, cores x peak GHz x rate scale: the unit the
+     * routers weigh nodes by and fleet loads scale with. */
+    double
+    capacity() const
+    {
+        return static_cast<double>(numCores) * dvfs.maxGhz *
+            serviceRateScale;
+    }
 };
 
 /** Concrete per-service core assignment produced by a mapper. */

@@ -16,6 +16,7 @@
 #ifndef TWIG_ORACLE_GOLDEN_HASH_HH
 #define TWIG_ORACLE_GOLDEN_HASH_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,45 +67,80 @@ hashServerStats(const sim::ServerIntervalStats &s,
     return h;
 }
 
-/** One fleet interval: the fleet-level outcome plus every node's
- * ServerIntervalStats. */
-inline std::uint64_t
-hashFleetStats(const cluster::FleetIntervalStats &f,
-               std::uint64_t h = common::kFnvOffsetBasis)
+/**
+ * Streaming fingerprint of a fleet run: per interval the fleet-level
+ * outcome (step, offered RPS, fleet p99, power, shed RPS), then every
+ * node's ServerIntervalStats as of that node's last powered interval
+ * (default-constructed before its first), read live from the fleet.
+ * Feed it every interval while that interval's node telemetry is
+ * current: pass onStep() to ClusterManager::run, or call add() right
+ * after step(). It keeps one stats copy per node, so an unpowered
+ * slot hashes what it last reported.
+ */
+class FleetHasher
 {
-    h = common::fnv1aValue(f.step, h);
-    h = hashDoubles(f.offeredRps, h);
-    h = hashDoubles(f.fleetP99Ms, h);
-    h = hashDouble(f.totalPowerW, h);
-    h = hashDouble(f.shedRps, h);
-    for (const auto &node : f.nodes)
-        h = hashServerStats(node, h);
-    return h;
-}
+  public:
+    explicit FleetHasher(cluster::ClusterManager &fleet) : fleet_(fleet) {}
+    FleetHasher(const FleetHasher &) = delete;
+    FleetHasher &operator=(const FleetHasher &) = delete;
 
-/** A whole fleet run: every interval of the trace, then the summary
- * metrics. */
-inline std::uint64_t
-hashFleetRun(const cluster::FleetRunResult &r)
-{
-    std::uint64_t h = common::kFnvOffsetBasis;
-    for (const auto &f : r.trace)
-        h = hashFleetStats(f, h);
-    h = hashDoubles(r.metrics.windowP99Ms, h);
-    h = hashDoubles(r.metrics.qosGuaranteePct, h);
-    h = hashDouble(r.metrics.meanPowerW, h);
-    h = hashDouble(r.metrics.energyJoules, h);
-    return h;
-}
+    void
+    add(const cluster::FleetIntervalStats &f)
+    {
+        h_ = common::fnv1aValue(f.step, h_);
+        h_ = hashDoubles(f.offeredRps, h_);
+        h_ = hashDoubles(f.fleetP99Ms, h_);
+        h_ = hashDouble(f.totalPowerW, h_);
+        h_ = hashDouble(f.shedRps, h_);
+        last_.resize(fleet_.numNodes());
+        for (std::size_t n = 0; n < last_.size(); ++n) {
+            if (f.nodeUp[n] != 0)
+                last_[n] = fleet_.node(n).lastStats();
+            h_ = hashServerStats(last_[n], h_);
+        }
+    }
 
-/** A fleet run with faults or elastic sizing: hashFleetRun, then per
- * interval the slot lifecycle (nodeUp, servingNodes, drainingNodes,
- * the cumulative bill) and every fault and scale event it fired, all
- * fields. */
+    /** A ClusterManager::run observer feeding add(); it refers to
+     * this hasher, which must outlive the run. */
+    auto
+    onStep()
+    {
+        return [this](std::size_t, const cluster::FleetIntervalStats &f) {
+            add(f);
+        };
+    }
+
+    /** The intervals added so far. */
+    std::uint64_t digest() const { return h_; }
+
+    /** The whole run: every interval added, then @p r's summary
+     * metrics. */
+    std::uint64_t
+    run(const cluster::FleetRunResult &r) const
+    {
+        std::uint64_t h = h_;
+        h = hashDoubles(r.metrics.windowP99Ms, h);
+        h = hashDoubles(r.metrics.qosGuaranteePct, h);
+        h = hashDouble(r.metrics.meanPowerW, h);
+        h = hashDouble(r.metrics.energyJoules, h);
+        return h;
+    }
+
+  private:
+    cluster::ClusterManager &fleet_;
+    std::vector<sim::ServerIntervalStats> last_;
+    std::uint64_t h_ = common::kFnvOffsetBasis;
+};
+
+/** A fleet run with faults or elastic sizing: @p hasher's run(), then
+ * per interval of the trace the slot lifecycle (nodeUp, servingNodes,
+ * drainingNodes, the cumulative bill) and every fault and scale event
+ * it fired, all fields. */
 inline std::uint64_t
-hashFleetLifecycleRun(const cluster::FleetRunResult &r)
+hashFleetLifecycleRun(const FleetHasher &hasher,
+                      const cluster::FleetRunResult &r)
 {
-    std::uint64_t h = hashFleetRun(r);
+    std::uint64_t h = hasher.run(r);
     for (const auto &f : r.trace) {
         h = common::fnv1a(f.nodeUp.data(), f.nodeUp.size(), h);
         h = common::fnv1aValue(f.servingNodes, h);

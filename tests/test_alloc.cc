@@ -325,3 +325,55 @@ TEST(Alloc, DeployedReplicaAllocatesOnlyItsPolicy)
         << "a deployed replica allocated " << bytes << " B for a "
         << policy << " B policy";
 }
+
+TEST(Alloc, FleetTraceHoldsNoPerNodeCopies)
+{
+    // run() keeps one fleet-level record per interval; node telemetry
+    // stays on the nodes. Two identical 64-node static fleets advance
+    // 200 intervals, one through run(200, 50) and one through bare
+    // step() calls. Their simulators allocate alike, so the difference
+    // is what run() keeps: its window accumulators once, then the
+    // trace. A copy of every node's stats would cost
+    // 64 x (48 + 2 x 208) B, ~30 KB, per interval.
+    const auto masstree = twig::services::masstree();
+    const auto xapian = twig::services::xapian();
+    const std::size_t nodes = 64;
+    const auto make_fleet = [&] {
+        cluster::ClusterConfig cfg;
+        cfg.router.policy = cluster::RoutingPolicy::Static;
+        std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
+        loads.push_back(std::make_unique<sim::FixedLoad>(
+            masstree.maxLoadRps * static_cast<double>(nodes), 0.1));
+        loads.push_back(std::make_unique<sim::FixedLoad>(
+            xapian.maxLoadRps * static_cast<double>(nodes), 0.1));
+        auto fleet = std::make_unique<cluster::ClusterManager>(
+            cfg, std::vector<sim::ServiceProfile>{masstree, xapian},
+            std::move(loads), 42);
+        for (std::size_t n = 0; n < nodes; ++n) {
+            fleet->addNode(
+                sim::MachineConfig{},
+                [](const sim::MachineConfig &machine,
+                   const std::vector<sim::ServiceProfile> &,
+                   std::uint64_t) -> std::unique_ptr<core::TaskManager> {
+                    return std::make_unique<baselines::StaticManager>(
+                        machine);
+                });
+        }
+        return fleet;
+    };
+    const std::size_t steps = 200;
+    auto stepped = make_fleet();
+    const long long step_bytes = countAllocatedBytes([&] {
+        for (std::size_t t = 0; t < steps; ++t)
+            stepped->step();
+    });
+    auto ran = make_fleet();
+    cluster::FleetRunResult result;
+    const long long run_bytes =
+        countAllocatedBytes([&] { result = ran->run(steps, 50); });
+    ASSERT_EQ(result.trace.size(), steps);
+    const long long per_interval =
+        (run_bytes - step_bytes) / static_cast<long long>(steps);
+    EXPECT_LT(per_interval, 1024)
+        << "run() kept " << per_interval << " B per interval";
+}

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -312,15 +313,16 @@ TEST(NodeClass, BuiltinCatalogue)
 
     // The reference class is exactly one capacity unit; the others
     // scale by cores x peak GHz x rate scale.
+    const double ref = sim::MachineConfig{}.capacity();
     const NodeClass *std18 = findNodeClass({}, "std18");
     ASSERT_NE(std18, nullptr);
-    EXPECT_DOUBLE_EQ(std18->capacityFactor(), 1.0);
+    EXPECT_DOUBLE_EQ(std18->machine().capacity() / ref, 1.0);
     const NodeClass *gen2 = findNodeClass({}, "gen2");
     ASSERT_NE(gen2, nullptr);
-    EXPECT_DOUBLE_EQ(gen2->capacityFactor(), 1.25);
+    EXPECT_DOUBLE_EQ(gen2->machine().capacity() / ref, 1.25);
     const NodeClass *little6 = findNodeClass({}, "little6");
     ASSERT_NE(little6, nullptr);
-    EXPECT_LT(little6->capacityFactor(), 0.5);
+    EXPECT_LT(little6->machine().capacity() / ref, 0.5);
     EXPECT_EQ(little6->machine().numCores, 6u);
 }
 
@@ -779,7 +781,12 @@ TEST(RouterDrain, AllDrainingRoutesZeroWithoutShed)
     faults::FaultSpec faults;
     faults.actions.push_back(crashAction(1, 0, 0));
     auto fleet = makeElasticFleet({0.05}, cfg, 2, faults);
-    const auto result = fleet.run(5, 1);
+    std::vector<double> slot1_rps; // slot 1's offered load per interval
+    const auto result =
+        fleet.run(5, 1, [&](std::size_t, const cluster::FleetIntervalStats &) {
+            slot1_rps.push_back(
+                fleet.node(1).lastStats().services[0].offeredRps);
+        });
 
     const auto log = scaleEventsOf(result);
     ASSERT_EQ(log.size(), 2u);
@@ -791,8 +798,7 @@ TEST(RouterDrain, AllDrainingRoutesZeroWithoutShed)
         EXPECT_EQ(fs.drainingNodes, 1u) << "step " << t;
         EXPECT_EQ(fs.nodeUp, (std::vector<std::uint8_t>{0, 1, 0, 0}))
             << "step " << t;
-        EXPECT_DOUBLE_EQ(fs.nodes[1].services[0].offeredRps, 0.0)
-            << "step " << t;
+        EXPECT_DOUBLE_EQ(slot1_rps[t], 0.0) << "step " << t;
         EXPECT_DOUBLE_EQ(fs.shedRps, 0.0) << "step " << t;
         EXPECT_EQ(countFaultEvents(fs.faultEvents,
                                    faults::FaultEventKind::LoadShed),
@@ -914,35 +920,37 @@ TEST(AutoscaleEngine, WarmSpawnMeetsQosWithZeroRampAndReplaysExactly)
     ASSERT_EQ(
         spec.validate(harness::ManagerRegistry::builtin()), "");
 
-    harness::EngineOptions serial;
-    serial.jobs = 1;
-    const auto result = harness::Engine(serial).run(spec);
-    const auto &trace = result.fleet.trace;
-
-    // The surge must have warm-spawned at least one standby replica.
-    std::size_t spawn_step = 0, spawn_node = 0;
-    bool spawned = false;
-    for (const auto &fs : trace) {
-        for (const auto &ev : fs.scaleEvents) {
-            if (ev.kind == cluster::ScaleEvent::Kind::ScaleOut &&
-                !spawned) {
-                spawned = true;
-                spawn_step = ev.step;
-                spawn_node = ev.node;
+    // The engine's fleet at --jobs 1, watched live: the surge must
+    // warm-spawn at least one standby replica, and the first spawned
+    // replica's stats are read in the interval it joins.
+    auto setup = harness::buildFleet(
+        spec, harness::ManagerRegistry::builtin(), /*jobs=*/1);
+    cluster::ClusterManager &fleet = *setup.fleet;
+    std::size_t spawn_step = 0;
+    std::optional<sim::ServiceIntervalStats> spawned;
+    const auto result = fleet.run(
+        spec.steps, spec.resolvedWindow(),
+        [&](std::size_t t, const cluster::FleetIntervalStats &fs) {
+            for (const auto &ev : fs.scaleEvents) {
+                if (ev.kind == cluster::ScaleEvent::Kind::ScaleOut &&
+                    !spawned) {
+                    spawn_step = t;
+                    spawned = fleet.node(ev.node).lastStats().services[0];
+                }
             }
-        }
-    }
-    ASSERT_TRUE(spawned);
+        });
+    const auto &trace = result.trace;
+    ASSERT_TRUE(spawned.has_value());
     EXPECT_GE(spawn_step, 60u);
 
     // Zero post-spawn ramp: the replica serves AND meets QoS in the
     // very interval it joins — the donor policy needs no re-learning.
     const double qos_ms = services::masstree().qosTargetMs;
-    const auto &svc = trace[spawn_step].nodes[spawn_node].services[0];
-    EXPECT_GT(svc.completed, 0u);
-    EXPECT_LE(svc.p99Ms, qos_ms);
+    EXPECT_GT(spawned->completed, 0u);
+    EXPECT_LE(spawned->p99Ms, qos_ms);
 
-    // And the whole elastic run replays bit-identically at --jobs 8.
+    // And the whole elastic run replays bit-identically through the
+    // engine at --jobs 8.
     harness::EngineOptions parallel;
     parallel.jobs = 8;
     const auto replay = harness::Engine(parallel).run(spec);
@@ -960,7 +968,7 @@ TEST(AutoscaleEngine, WarmSpawnMeetsQosWithZeroRampAndReplaysExactly)
         for (std::size_t i = 0; i < x.scaleEvents.size(); ++i)
             ASSERT_TRUE(x.scaleEvents[i] == y.scaleEvents[i]);
     }
-    EXPECT_DOUBLE_EQ(result.fleet.metrics.costDollars,
+    EXPECT_DOUBLE_EQ(result.metrics.costDollars,
                      replay.fleet.metrics.costDollars);
 }
 

@@ -143,35 +143,31 @@ crashAction(std::size_t at, std::size_t node, std::size_t restart_after,
     return a;
 }
 
+/** Runs @p a and @p b for @p steps intervals and expects them
+ * bit-identical, not approximately equal: the thread count (or the
+ * batching switch) must not leak into any simulated quantity. The
+ * fleet-level records are compared field by field; every node's
+ * telemetry (power, p99s, counts, PMCs) through the two runs'
+ * oracle::FleetHasher digests. */
 void
-expectIdenticalTraces(const FleetRunResult &a, const FleetRunResult &b)
+expectIdenticalRuns(ClusterManager &a, ClusterManager &b,
+                    std::size_t steps, std::size_t window)
 {
-    ASSERT_EQ(a.trace.size(), b.trace.size());
-    for (std::size_t t = 0; t < a.trace.size(); ++t) {
-        const auto &fa = a.trace[t];
-        const auto &fb = b.trace[t];
-        // Bit-identical, not approximately equal: the thread count
-        // must not leak into any simulated quantity.
+    oracle::FleetHasher hash_a(a);
+    oracle::FleetHasher hash_b(b);
+    const FleetRunResult ra = a.run(steps, window, hash_a.onStep());
+    const FleetRunResult rb = b.run(steps, window, hash_b.onStep());
+    ASSERT_EQ(ra.trace.size(), rb.trace.size());
+    for (std::size_t t = 0; t < ra.trace.size(); ++t) {
+        const auto &fa = ra.trace[t];
+        const auto &fb = rb.trace[t];
         EXPECT_EQ(fa.offeredRps, fb.offeredRps) << "step " << t;
         EXPECT_EQ(fa.fleetP99Ms, fb.fleetP99Ms) << "step " << t;
         EXPECT_EQ(fa.totalPowerW, fb.totalPowerW) << "step " << t;
-        ASSERT_EQ(fa.nodes.size(), fb.nodes.size());
-        for (std::size_t n = 0; n < fa.nodes.size(); ++n) {
-            EXPECT_EQ(fa.nodes[n].socketPowerW,
-                      fb.nodes[n].socketPowerW)
-                << "step " << t << " node " << n;
-            ASSERT_EQ(fa.nodes[n].services.size(),
-                      fb.nodes[n].services.size());
-            for (std::size_t s = 0; s < fa.nodes[n].services.size();
-                 ++s) {
-                EXPECT_EQ(fa.nodes[n].services[s].p99Ms,
-                          fb.nodes[n].services[s].p99Ms)
-                    << "step " << t << " node " << n;
-            }
-        }
     }
-    EXPECT_EQ(a.metrics.windowP99Ms, b.metrics.windowP99Ms);
-    EXPECT_EQ(a.metrics.meanPowerW, b.metrics.meanPowerW);
+    EXPECT_EQ(ra.metrics.windowP99Ms, rb.metrics.windowP99Ms);
+    EXPECT_EQ(ra.metrics.meanPowerW, rb.metrics.meanPowerW);
+    EXPECT_EQ(hash_a.run(ra), hash_b.run(rb)) << "node telemetry";
 }
 
 } // namespace
@@ -236,7 +232,7 @@ TEST(ClusterManager, ParallelSteppingIsBitIdenticalStaticNodes)
                             staticNodes(), 30);
     auto threaded = makeFleet(RoutingPolicy::PowerOfTwoLatency, 4, 3,
                               staticNodes(), 30);
-    expectIdenticalTraces(serial.run(30, 10), threaded.run(30, 10));
+    expectIdenticalRuns(serial, threaded, 30, 10);
 }
 
 TEST(ClusterManager, ParallelSteppingIsBitIdenticalTwigNodes)
@@ -247,7 +243,7 @@ TEST(ClusterManager, ParallelSteppingIsBitIdenticalTwigNodes)
                             twigNodes(20), 20);
     auto threaded = makeFleet(RoutingPolicy::WeightedRoundRobin, 2, 2,
                               twigNodes(20), 20);
-    expectIdenticalTraces(serial.run(20, 5), threaded.run(20, 5));
+    expectIdenticalRuns(serial, threaded, 20, 5);
 }
 
 TEST(ClusterManager, MetricsCoverEveryService)
@@ -498,7 +494,7 @@ TEST(ClusterManager, HistogramCountsConserveRequestsThroughCrashAndRestart)
                 ++down_intervals;
                 continue;
             }
-            const auto &svc = f.nodes[n].services[0];
+            const auto &svc = fleet.node(n).lastStats().services[0];
             const std::size_t count =
                 fleet.node(n).intervalHistogram(0).count();
             EXPECT_EQ(count, svc.completed + svc.dropped)
@@ -529,12 +525,10 @@ TEST(ClusterManager, BatchedInferenceMatchesPerNodeDecidesExactly)
                   /*hetero=*/false);
     pernode.setBatchedInference(false);
 
-    const auto batched_result = batched.run(200, 50);
-    const auto pernode_result = pernode.run(200, 50);
+    expectIdenticalRuns(batched, pernode, 200, 50);
     EXPECT_EQ(batched.batchedNodeCount(), 4u);
     EXPECT_EQ(pernode.batchedNodeCount(), 0u);
     EXPECT_GT(batched.phaseProfile().forwardCycles, 0u);
-    expectIdenticalTraces(batched_result, pernode_result);
 }
 
 TEST(ClusterManager, BatchedNodeCountFollowsTheBatchingSwitch)
@@ -570,7 +564,7 @@ TEST(ClusterManager, ParallelSteppingBitIdenticalWithDomainsAndBatching)
         makeFleet(RoutingPolicy::PowerOfTwoLatency, 4, 4,
                   exploitTwigNodes(30), 30, /*domains=*/2, path,
                   /*hetero=*/false);
-    expectIdenticalTraces(serial.run(30, 10), threaded.run(30, 10));
+    expectIdenticalRuns(serial, threaded, 30, 10);
 }
 
 TEST(ClusterManager, OneDomainShardedMatchesFlatReferenceControl)
@@ -585,7 +579,8 @@ TEST(ClusterManager, OneDomainShardedMatchesFlatReferenceControl)
     // cohort.
     auto cold = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 3,
                           twigNodes(25), 25);
-    EXPECT_EQ(oracle::hashFleetRun(cold.run(25, 8)),
+    oracle::FleetHasher cold_hash(cold);
+    EXPECT_EQ(cold_hash.run(cold.run(25, 8, cold_hash.onStep())),
               0x4ac561edbd665453ULL)
         << "cold learning fleet";
 
@@ -593,9 +588,10 @@ TEST(ClusterManager, OneDomainShardedMatchesFlatReferenceControl)
     auto warm = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 4,
                           exploitTwigNodes(100), 100, /*domains=*/1, path,
                           /*hetero=*/false);
-    const auto warm_result = warm.run(100, 25);
+    oracle::FleetHasher warm_hash(warm);
+    const auto warm_result = warm.run(100, 25, warm_hash.onStep());
     EXPECT_EQ(warm.batchedNodeCount(), 4u);
-    EXPECT_EQ(oracle::hashFleetRun(warm_result), 0x8268122c4f80cecbULL)
+    EXPECT_EQ(warm_hash.run(warm_result), 0x8268122c4f80cecbULL)
         << "warm exploit-only fleet";
 }
 

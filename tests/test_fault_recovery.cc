@@ -226,7 +226,12 @@ TEST(FleetFailover, CrashRemovesTheNodeUntilRestart)
     faults::FaultSpec spec;
     spec.actions.push_back(crashAction(5, 1, 5, "cold"));
     fleet.slots().setFaults(spec);
-    const auto result = fleet.run(15, 5);
+    std::vector<double> survivors_w; // nodes 0 + 2, per interval
+    const auto result =
+        fleet.run(15, 5, [&](std::size_t, const FleetIntervalStats &) {
+            survivors_w.push_back(fleet.node(0).lastStats().socketPowerW +
+                                  fleet.node(2).lastStats().socketPowerW);
+        });
 
     for (std::size_t t = 0; t < 15; ++t) {
         const bool down = t >= 5 && t < 10;
@@ -235,9 +240,7 @@ TEST(FleetFailover, CrashRemovesTheNodeUntilRestart)
         EXPECT_EQ(result.trace[t].nodeUp[0], 1) << "step " << t;
         // A two-survivor interval carries two nodes' power only.
         if (down) {
-            EXPECT_DOUBLE_EQ(result.trace[t].totalPowerW,
-                             result.trace[t].nodes[0].socketPowerW +
-                                 result.trace[t].nodes[2].socketPowerW)
+            EXPECT_DOUBLE_EQ(result.trace[t].totalPowerW, survivors_w[t])
                 << "step " << t;
         }
     }
@@ -334,9 +337,16 @@ TEST(FleetFailover, AllNodesDownBecomesAWellDefinedShedRecord)
 
 TEST(FleetFailover, ThrottleReducesPowerWhileActive)
 {
+    // Node 0's power per interval, recorded while it is current.
+    auto node0_power = [](ClusterManager &fleet, std::vector<double> &w) {
+        return [&fleet, &w](std::size_t, const FleetIntervalStats &) {
+            w.push_back(fleet.node(0).lastStats().socketPowerW);
+        };
+    };
     auto baseline =
         makeFleet(RoutingPolicy::Static, 1, 2, staticNodes());
-    const auto clean = baseline.run(12, 4);
+    std::vector<double> clean;
+    baseline.run(12, 4, node0_power(baseline, clean));
 
     auto throttled =
         makeFleet(RoutingPolicy::Static, 1, 2, staticNodes());
@@ -349,19 +359,16 @@ TEST(FleetFailover, ThrottleReducesPowerWhileActive)
     throttle.maxDvfsIndex = 0;
     spec.actions.push_back(throttle);
     throttled.slots().setFaults(spec);
-    const auto hot = throttled.run(12, 4);
+    std::vector<double> hot;
+    throttled.run(12, 4, node0_power(throttled, hot));
 
     // Same world up to the throttle...
     for (std::size_t t = 0; t < 4; ++t)
-        EXPECT_EQ(hot.trace[t].nodes[0].socketPowerW,
-                  clean.trace[t].nodes[0].socketPowerW)
-            << "step " << t;
+        EXPECT_EQ(hot[t], clean[t]) << "step " << t;
     // ...then the capped node burns strictly less than its
     // all-cores-max baseline while the cap holds.
     for (std::size_t t = 4; t < 10; ++t)
-        EXPECT_LT(hot.trace[t].nodes[0].socketPowerW,
-                  clean.trace[t].nodes[0].socketPowerW)
-            << "step " << t;
+        EXPECT_LT(hot[t], clean[t]) << "step " << t;
 }
 
 TEST(FleetFailover, TelemetryFaultLeavesGroundTruthExact)
@@ -600,9 +607,18 @@ lifecycleFaults()
     return spec;
 }
 
-/** Runs the lifecycle fleet at @p jobs; returns its whole trace and
- * the replicas deciding through a batched cohort at the end. */
-std::pair<FleetRunResult, std::size_t>
+/** The lifecycle fleet's run: its whole trace, its golden digest
+ * (oracle::hashFleetLifecycleRun) and the replicas deciding through a
+ * batched cohort at the end. */
+struct LifecycleRun
+{
+    FleetRunResult result;
+    std::uint64_t digest = 0;
+    std::size_t batched = 0;
+};
+
+/** Runs the lifecycle fleet at @p jobs. */
+LifecycleRun
 runLifecycleFleet(const ClusterManager::ManagerFactory &factory,
                   const rl::Checkpoint *donor, std::size_t jobs)
 {
@@ -632,8 +648,12 @@ runLifecycleFleet(const ClusterManager::ManagerFactory &factory,
     scale.cooldownIntervals = 1;
     scale.drainIntervals = 2;
     fleet.slots().setAutoscaler(scale, {rated}, {}, 2);
-    auto result = fleet.run(kLifecycleSteps, 8);
-    return {std::move(result), fleet.batchedNodeCount()};
+    oracle::FleetHasher hasher(fleet);
+    LifecycleRun run;
+    run.result = fleet.run(kLifecycleSteps, 8, hasher.onStep());
+    run.digest = oracle::hashFleetLifecycleRun(hasher, run.result);
+    run.batched = fleet.batchedNodeCount();
+    return run;
 }
 
 /** Counts of every fault and scale event kind in @p r. */
@@ -696,12 +716,10 @@ expectCommonLifecycle(const LifecycleCounts &c)
 TEST(LifecycleGolden, StaticManagersHoldOnAnyHost)
 {
     for (const std::size_t jobs : {1u, 4u}) {
-        const auto [r, batched] =
-            runLifecycleFleet(staticNodes(), nullptr, jobs);
-        expectCommonLifecycle(countLifecycle(r));
-        EXPECT_EQ(batched, 0u);
-        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0x0aeda2b45e27d182ULL)
-            << "jobs " << jobs;
+        const auto run = runLifecycleFleet(staticNodes(), nullptr, jobs);
+        expectCommonLifecycle(countLifecycle(run.result));
+        EXPECT_EQ(run.batched, 0u);
+        EXPECT_EQ(run.digest, 0x0aeda2b45e27d182ULL) << "jobs " << jobs;
     }
 }
 
@@ -728,8 +746,8 @@ TEST(LifecycleGolden, WarmExploitOnlyTwigDecidesThroughCohorts)
             return manager;
         };
     for (const std::size_t jobs : {1u, 4u}) {
-        const auto [r, batched] = runLifecycleFleet(exploit, &ckpt, jobs);
-        const LifecycleCounts c = countLifecycle(r);
+        const auto run = runLifecycleFleet(exploit, &ckpt, jobs);
+        const LifecycleCounts c = countLifecycle(run.result);
         expectCommonLifecycle(c);
         using K = faults::FaultEventKind;
         for (const K kind : {K::CheckpointSaved, K::WarmRestore,
@@ -738,9 +756,8 @@ TEST(LifecycleGolden, WarmExploitOnlyTwigDecidesThroughCohorts)
                 << faults::faultEventKindName(kind);
         EXPECT_GT(c.warmReactivations, 0u);
         // The reactivated slots rejoin one cohort on the donor policy.
-        EXPECT_GE(batched, 2u);
-        EXPECT_EQ(oracle::hashFleetLifecycleRun(r), 0x42063076621ebbe8ULL)
-            << "jobs " << jobs;
+        EXPECT_GE(run.batched, 2u);
+        EXPECT_EQ(run.digest, 0x42063076621ebbe8ULL) << "jobs " << jobs;
     }
 }
 

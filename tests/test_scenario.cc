@@ -698,6 +698,82 @@ TEST(Engine, SinksSeeEveryMeasuredStepInOrder)
     EXPECT_EQ(sink.steps, 25u);
 }
 
+TEST(Engine, SinksSeeEachIntervalAsItRuns)
+{
+    // A manager that counts its decisions (the initial requests
+    // included) and asks for a different core count each time. Each
+    // record arrives while its interval is current: after exactly
+    // step + 1 decisions, with the cores that interval was mapped
+    // with.
+    class CountingManager : public core::TaskManager
+    {
+      public:
+        std::string name() const override { return "counting"; }
+        void
+        decideInto(const sim::ServerIntervalStats &,
+                   std::vector<core::ResourceRequest> &out) override
+        {
+            out.assign(1, request());
+        }
+        std::vector<core::ResourceRequest>
+        initialRequests(std::size_t num_services,
+                        const sim::MachineConfig &) const override
+        {
+            return std::vector<core::ResourceRequest>(num_services,
+                                                      request());
+        }
+        /** Decision k asks for 1 + k % 18 cores at the top DVFS state. */
+        static std::size_t coresOf(std::size_t k) { return 1 + k % 18; }
+
+        mutable std::size_t decisions = 0;
+
+      private:
+        core::ResourceRequest
+        request() const
+        {
+            return {coresOf(decisions++), sim::DvfsLadder{}.maxIndex()};
+        }
+    };
+    class LiveSink : public RecordSink
+    {
+      public:
+        explicit LiveSink(const CountingManager &m) : manager(m) {}
+        void
+        record(const StepRecord &rec) override
+        {
+            EXPECT_EQ(manager.decisions, rec.step + 1) << rec.step;
+            ASSERT_EQ(rec.cores.size(), 1u);
+            EXPECT_EQ(rec.cores[0], CountingManager::coresOf(rec.step))
+                << rec.step;
+            ++records;
+        }
+
+        const CountingManager &manager;
+        std::size_t records = 0;
+    };
+
+    ScenarioSpec spec;
+    spec.name = "sink-live";
+    ServiceLoadSpec svc;
+    svc.service = "masstree";
+    svc.fraction = 0.3;
+    spec.services.push_back(svc);
+    spec.manager = "static";
+    spec.steps = 30;
+    spec.window = 10;
+    spec.seed = 5;
+
+    CountingManager manager;
+    LiveSink sink(manager);
+    EngineOptions opts;
+    opts.managerOverride = &manager;
+    opts.sinks.push_back(&sink);
+    const auto result = Engine(opts).run(spec);
+    EXPECT_EQ(sink.records, 30u);
+    EXPECT_EQ(manager.decisions, 31u);
+    EXPECT_TRUE(result.single.trace.empty()); // kept only on request
+}
+
 TEST(Engine, InvalidSpecIsFatal)
 {
     ScenarioSpec spec; // no services

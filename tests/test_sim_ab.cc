@@ -136,8 +136,8 @@ TEST(SimAb, ThroughputBenchConfigsAreBitIdentical)
     };
     for (std::size_t n = 0; n < nodes; ++n)
         fleet.addNode(sim::MachineConfig{}, factory);
-    std::uint64_t h = common::kFnvOffsetBasis;
+    oracle::FleetHasher hasher(fleet);
     for (std::size_t t = 0; t < 200; ++t)
-        h = oracle::hashFleetStats(fleet.step(), h);
-    EXPECT_EQ(h, 0xa33dc17717bf1526ULL) << "fleet_8node";
+        hasher.add(fleet.step());
+    EXPECT_EQ(hasher.digest(), 0xa33dc17717bf1526ULL) << "fleet_8node";
 }
