@@ -1,7 +1,9 @@
 #include "sim/queue_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hh"
@@ -109,12 +111,122 @@ resetResult(QueueIntervalResult &res)
     res.busyCoreSeconds = 0.0;
 }
 
-} // namespace
+/**
+ * Cores of one equal-speed class, dispatched from a calendar of
+ * free-times.
+ *
+ * All nCores free-times live in the calendar at all times, bucketed
+ * by value into kBuckets fixed-width slots over the interval (bucket
+ * index is one multiply; buckets partition the time axis in order, so
+ * the smallest values live in the first occupied buckets). FCFS
+ * dispatch always consumes the earliest-free core — start =
+ * max(arrival, min) — so stale values (free before the arrival
+ * cursor) are exactly the minima and get consumed and replaced first;
+ * the calendar stays compact around the cursor without any explicit
+ * retirement pass. Consuming is one swap-remove at the cached min
+ * slot, one append at the new completion's bucket, and a rescan of
+ * the first occupied bucket at or after the old one (branchless cmov
+ * tournament; SIMD lane scan when a bucket degenerates, e.g. every
+ * core parked at t0 or an overload piling into the last bucket).
+ * Everything is branch-predictable by construction — an earlier
+ * variant that cached the next few minima to shorten the dependency
+ * chain lost to this one on mispredicts.
+ */
+struct ClassCal
+{
+    /** Bucket count per interval. 256 makes a bucket a few ms at dt =
+     * 1s — comfortably below typical service times, so busy
+     * free-times spread over several buckets and the min rescan
+     * touches only a handful of slots. Workloads whose service time
+     * still collapses into one bucket fall back to the SIMD lane
+     * scan. */
+    static constexpr std::size_t kBuckets = 256;
+    static constexpr std::size_t kOccWords = kBuckets / 64;
+
+    double speed = 1.0;
+    double occupancy = 1.0;
+    /** mean_service_s / speed, hoisted out of the dispatch loop. */
+    double svcTime = 0.0;
+    std::uint32_t nCores = 0;
+    /** Earliest free-time (+inf when nCores == 0) and its slot. */
+    double minFree = 0.0;
+    std::uint32_t minBucket = 0;
+    std::uint32_t minSlot = 0;
+    /** Bit b set iff counts[b] > 0. */
+    std::array<std::uint64_t, kOccWords> occWords{};
+    std::array<std::uint16_t, kBuckets> counts{};
+    /** Busy free-times, bucket b at [b * stride, b * stride +
+     * counts[b]). A bucket can hold every core of the class. */
+    std::vector<double> slots;
+    std::uint32_t stride = 0;
+    /** Bucket mapping for this interval: trunc((t - base) * invW),
+     * clamped to [0, kBuckets - 1]. Monotone in t, so bucket
+     * comparisons are exact order facts about the times. */
+    double base = 0.0;
+    double invW = 0.0;
+
+    /** Reset for an interval starting at @p t0: every core frees at
+     * exactly t0, i.e. nCores values in bucket 0. */
+    void configure(double spd, double occ, std::uint32_t n_cores,
+                   double t0, double dt);
+
+    std::int64_t
+    bucketOf(double t) const
+    {
+        const auto b = static_cast<std::int64_t>((t - base) * invW);
+        return b < 0 ? 0
+                     : (b >= static_cast<std::int64_t>(kBuckets)
+                            ? static_cast<std::int64_t>(kBuckets) - 1
+                            : b);
+    }
+
+    void
+    setOcc(std::size_t b)
+    {
+        occWords[b >> 6] |= 1ULL << (b & 63);
+    }
+
+    void
+    clearOcc(std::size_t b)
+    {
+        occWords[b >> 6] &= ~(1ULL << (b & 63));
+    }
+
+    void consumeMin(double completion);
+    void recomputeMinFrom(std::size_t fromBucket);
+};
+
+/**
+ * What RequestQueueSim::run rebuilds every interval and no interval
+ * reads back. One per thread, shared by every queue the thread steps,
+ * and safe under the thread pool because each worker owns its own
+ * (the same rule as nn/matrix.cc's panels). The buffers grow to the
+ * largest interval any of those queues has run and are then reused.
+ */
+struct RunScratch
+{
+    QueueIntervalResult result;
+    /** This interval's arrivals, sorted ascending. */
+    std::vector<double> arrivals;
+    /** Bucket-sort scratch: per-bucket offsets and scatter target. */
+    std::vector<std::uint32_t> bucketOffsets;
+    std::vector<double> sortScratch;
+    /** Dedicated / shared-full / shared-fractional speed classes. */
+    std::array<ClassCal, 3> cals;
+    /** Speculatively pre-drawn service times (see run). */
+    std::array<double, kDrawChunk> draws{};
+};
+
+RunScratch &
+runScratch()
+{
+    thread_local RunScratch scratch;
+    return scratch;
+}
 
 void
-RequestQueueSim::ClassCal::configure(double spd, double occ,
-                                     std::uint32_t n_cores, double t0,
-                                     double dt)
+ClassCal::configure(double spd, double occ, std::uint32_t n_cores,
+                    double t0, double dt)
 {
     const double inf = std::numeric_limits<double>::infinity();
     // Invariant: every slot beyond a bucket's count holds +inf, so
@@ -158,7 +270,7 @@ RequestQueueSim::ClassCal::configure(double spd, double occ,
 }
 
 void
-RequestQueueSim::ClassCal::consumeMin(double completion)
+ClassCal::consumeMin(double completion)
 {
     // Swap-remove the cached minimum (appends never move existing
     // slots, so the cached position is always current), re-padding
@@ -183,7 +295,7 @@ RequestQueueSim::ClassCal::consumeMin(double completion)
 }
 
 void
-RequestQueueSim::ClassCal::recomputeMinFrom(std::size_t fromBucket)
+ClassCal::recomputeMinFrom(std::size_t fromBucket)
 {
     // Buckets partition the time axis in order, so the minimum lives
     // in the first occupied bucket; it is never below fromBucket.
@@ -221,6 +333,96 @@ RequestQueueSim::ClassCal::recomputeMinFrom(std::size_t fromBucket)
     minSlot = arg;
 }
 
+/** Draw a Poisson count (normal approximation above lambda = 64). */
+std::size_t
+poisson(common::Rng &rng, double lambda)
+{
+    if (lambda <= 0.0)
+        return 0;
+    if (lambda > 64.0) {
+        const double n = rng.normal(lambda, std::sqrt(lambda));
+        return n <= 0.0 ? 0 : static_cast<std::size_t>(n + 0.5);
+    }
+    // Knuth's method for small rates.
+    const double limit = std::exp(-lambda);
+    double p = 1.0;
+    std::size_t k = 0;
+    do {
+        ++k;
+        p *= rng.uniform();
+    } while (p > limit);
+    return k - 1;
+}
+
+/** Sort @p s's arrivals ascending: bucket scatter + one insertion-sort
+ * pass, expected O(n) for uniform arrival times (same sequence
+ * std::sort produces). */
+void
+sortArrivals(RunScratch &s, double t0, double dt)
+{
+    const std::size_t n = s.arrivals.size();
+    if (n < 64) {
+        std::sort(s.arrivals.begin(), s.arrivals.end());
+        return;
+    }
+    // The arrival times are uniform over [t0, t0 + dt), so a bucket
+    // scatter leaves a handful of elements per bucket and the
+    // insertion-sort pass below moves each element O(1) slots on
+    // average: expected O(n) for exactly the sequence std::sort
+    // produces. Bucket count is capped so the counting array stays
+    // L1-resident; the scatter's random accesses were the dominant
+    // cost with one bucket per element.
+    const std::size_t nb = n < 4096 ? n : 4096;
+    s.bucketOffsets.resize(nb + 1); // resize grows geometrically
+    std::fill(s.bucketOffsets.begin(), s.bucketOffsets.end(), 0u);
+    s.sortScratch.resize(n);
+    const double scale = static_cast<double>(nb) / dt;
+    for (double a : s.arrivals) {
+        std::size_t b = static_cast<std::size_t>((a - t0) * scale);
+        if (b >= nb)
+            b = nb - 1;
+        ++s.bucketOffsets[b + 1];
+    }
+    for (std::size_t b = 1; b <= nb; ++b)
+        s.bucketOffsets[b] += s.bucketOffsets[b - 1];
+    for (double a : s.arrivals) {
+        std::size_t b = static_cast<std::size_t>((a - t0) * scale);
+        if (b >= nb)
+            b = nb - 1;
+        s.sortScratch[s.bucketOffsets[b]++] = a;
+    }
+    for (std::size_t i = 1; i < n; ++i) {
+        const double v = s.sortScratch[i];
+        std::size_t j = i;
+        while (j > 0 && s.sortScratch[j - 1] > v) {
+            s.sortScratch[j] = s.sortScratch[j - 1];
+            --j;
+        }
+        s.sortScratch[j] = v;
+    }
+    s.arrivals.swap(s.sortScratch);
+}
+
+/** Generate this interval's arrivals from @p rng, sorted ascending
+ * into @p s.arrivals. run() dispatches straight from the array and
+ * only spills the unstarted remainder into the backlog ring. */
+void
+generateArrivals(common::Rng &rng, RunScratch &s, double t0, double dt,
+                 double rps)
+{
+    ScopedPhaseTimer timer(Phase::Arrivals);
+
+    // New Poisson arrivals, uniform within the interval.
+    const std::size_t n_new = poisson(rng, rps * dt);
+    s.result.arrivals = n_new;
+    s.arrivals.resize(n_new);
+    for (auto &a : s.arrivals)
+        a = t0 + rng.uniform() * dt;
+    sortArrivals(s, t0, dt);
+}
+
+} // namespace
+
 RequestQueueSim::RequestQueueSim(const ServiceProfile &profile,
                                  common::Rng rng, double ref_freq_ghz,
                                  std::size_t max_pending,
@@ -235,26 +437,6 @@ RequestQueueSim::RequestQueueSim(const ServiceProfile &profile,
     common::fatalIf(ref_freq_ghz <= 0.0, "reference frequency must be > 0");
     common::fatalIf(service_rate_scale <= 0.0,
                     "service rate scale must be > 0");
-}
-
-std::size_t
-RequestQueueSim::poisson(double lambda)
-{
-    if (lambda <= 0.0)
-        return 0;
-    if (lambda > 64.0) {
-        const double n = rng_.normal(lambda, std::sqrt(lambda));
-        return n <= 0.0 ? 0 : static_cast<std::size_t>(n + 0.5);
-    }
-    // Knuth's method for small rates.
-    const double limit = std::exp(-lambda);
-    double p = 1.0;
-    std::size_t k = 0;
-    do {
-        ++k;
-        p *= rng_.uniform();
-    } while (p > limit);
-    return k - 1;
 }
 
 void
@@ -277,73 +459,16 @@ RequestQueueSim::pendingPushBack(double arrival)
 void
 RequestQueueSim::pendingGrow()
 {
+    // Nearly every queue backs up a few requests at some point and
+    // most never more, so the first ring is small; an overload doubles
+    // it from there.
     const std::size_t new_cap =
-        pendingBuf_.empty() ? 1024 : pendingBuf_.size() * 2;
+        pendingBuf_.empty() ? 64 : pendingBuf_.size() * 2;
     std::vector<double> grown(new_cap);
     for (std::size_t i = 0; i < pendingCount_; ++i)
         grown[i] = pendingBuf_[(pendingHead_ + i) & (pendingBuf_.size() - 1)];
     pendingBuf_.swap(grown);
     pendingHead_ = 0;
-}
-
-void
-RequestQueueSim::sortArrivals(double t0, double dt)
-{
-    const std::size_t n = newArrivals_.size();
-    if (n < 64) {
-        std::sort(newArrivals_.begin(), newArrivals_.end());
-        return;
-    }
-    // The arrival times are uniform over [t0, t0 + dt), so a bucket
-    // scatter leaves a handful of elements per bucket and the
-    // insertion-sort pass below moves each element O(1) slots on
-    // average: expected O(n) for exactly the sequence std::sort
-    // produces. Bucket count is capped so the counting array stays
-    // L1-resident; the scatter's random accesses were the dominant
-    // cost with one bucket per element.
-    const std::size_t nb = n < 4096 ? n : 4096;
-    bucketOffsets_.resize(nb + 1); // resize grows geometrically
-    std::fill(bucketOffsets_.begin(), bucketOffsets_.end(), 0u);
-    sortScratch_.resize(n);
-    const double scale = static_cast<double>(nb) / dt;
-    for (double a : newArrivals_) {
-        std::size_t b = static_cast<std::size_t>((a - t0) * scale);
-        if (b >= nb)
-            b = nb - 1;
-        ++bucketOffsets_[b + 1];
-    }
-    for (std::size_t b = 1; b <= nb; ++b)
-        bucketOffsets_[b] += bucketOffsets_[b - 1];
-    for (double a : newArrivals_) {
-        std::size_t b = static_cast<std::size_t>((a - t0) * scale);
-        if (b >= nb)
-            b = nb - 1;
-        sortScratch_[bucketOffsets_[b]++] = a;
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-        const double v = sortScratch_[i];
-        std::size_t j = i;
-        while (j > 0 && sortScratch_[j - 1] > v) {
-            sortScratch_[j] = sortScratch_[j - 1];
-            --j;
-        }
-        sortScratch_[j] = v;
-    }
-    newArrivals_.swap(sortScratch_);
-}
-
-void
-RequestQueueSim::generateArrivals(double t0, double dt, double rps)
-{
-    ScopedPhaseTimer timer(Phase::Arrivals);
-
-    // New Poisson arrivals, uniform within the interval.
-    const std::size_t n_new = poisson(rps * dt);
-    result_.arrivals = n_new;
-    newArrivals_.resize(n_new);
-    for (auto &a : newArrivals_)
-        a = t0 + rng_.uniform() * dt;
-    sortArrivals(t0, dt);
 }
 
 const QueueIntervalResult &
@@ -355,23 +480,25 @@ RequestQueueSim::run(double t0, double dt, double rps,
     common::fatalIf(assignment.freqGhz <= 0.0,
                     "queue sim: frequency must be > 0");
 
-    QueueIntervalResult &res = result_;
+    RunScratch &scratch = runScratch();
+    QueueIntervalResult &res = scratch.result;
     resetResult(res);
     const double t_end = t0 + dt;
 
-    generateArrivals(t0, dt, rps);
+    generateArrivals(rng_, scratch, t0, dt, rps);
+    const std::vector<double> &arrivals = scratch.arrivals;
     // Backlog cap, applied up front exactly as the seed's per-arrival
     // push loop applied it: no requests leave the queue between the
     // pushes, so the first (maxPending - backlog) sorted arrivals are
-    // accepted and the rest dropped. The accepted arrivals stay in
-    // newArrivals_ — dispatch reads the backlog ring first and then
+    // accepted and the rest dropped. The accepted arrivals stay in the
+    // arrival array — dispatch reads the backlog ring first and then
     // the array directly, and only the unstarted remainder is spilled
     // into the ring at the end, instead of round-tripping every
     // request through ring pushes.
     const std::size_t room =
         pendingCount_ >= maxPending_ ? 0 : maxPending_ - pendingCount_;
-    const std::size_t accepted = std::min(newArrivals_.size(), room);
-    res.dropped += newArrivals_.size() - accepted;
+    const std::size_t accepted = std::min(arrivals.size(), room);
+    res.dropped += arrivals.size() - accepted;
 
     // Group the logical server set into at most three equal-speed
     // classes. Within a class the cores are interchangeable, so FCFS
@@ -392,27 +519,28 @@ RequestQueueSim::run(double t0, double dt, double rps,
     }
     const bool has_fraction = usable > 0.05;
 
-    cals_[0].configure(
+    std::array<ClassCal, 3> &cals = scratch.cals;
+    cals[0].configure(
         1.0, 1.0, static_cast<std::uint32_t>(assignment.dedicatedCores.size()),
         t0, dt);
-    cals_[1].configure(shared_freq_gain, 1.0,
-                       static_cast<std::uint32_t>(n_shared_full), t0, dt);
-    cals_[2].configure(shared_freq_gain * usable, usable,
-                       has_fraction ? 1u : 0u, t0, dt);
+    cals[1].configure(shared_freq_gain, 1.0,
+                      static_cast<std::uint32_t>(n_shared_full), t0, dt);
+    cals[2].configure(shared_freq_gain * usable, usable,
+                      has_fraction ? 1u : 0u, t0, dt);
 
     // Hot loop iterates only the classes that actually have cores
     // (commonly one), in class order so first-wins ties match the
     // seed's scan.
     ClassCal *active[3];
     int n_active = 0;
-    for (ClassCal &c : cals_) {
+    for (ClassCal &c : cals) {
         if (c.nCores != 0)
             active[n_active++] = &c;
     }
     if (n_active == 0) {
         // No cores this interval: everything just queues.
         for (std::size_t i = 0; i < accepted; ++i)
-            pendingPushBack(newArrivals_[i]);
+            pendingPushBack(arrivals[i]);
         res.queuedAtEnd = pendingCount_;
         res.p99Ms = pendingCount_ == 0
             ? 0.0
@@ -435,7 +563,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
     const double lognormal_mu =
         std::log(mean_service_s) - 0.5 * lognormal_sigma2;
     const double lognormal_sigma = std::sqrt(lognormal_sigma2);
-    for (ClassCal &c : cals_) {
+    for (ClassCal &c : cals) {
         if (c.nCores != 0)
             c.svcTime = mean_service_s / c.speed;
     }
@@ -443,8 +571,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
     std::size_t n_started = 0;
     double busy_core_s = 0.0;
     reserveSlack(res.latenciesMs, pendingCount_ + accepted);
-    if (drawBuf_.size() < kDrawChunk)
-        drawBuf_.resize(kDrawChunk);
+    double *draws = scratch.draws.data();
 
     const double timeout_s = profile_.timeoutMs * 1e-3;
     std::size_t ringLeft = pendingCount_;
@@ -472,7 +599,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
             chunkLen = std::min(remaining, nextChunkSize);
             nextChunkSize = kDrawChunk;
             rng_.lognormalBatch(lognormal_mu, lognormal_sigma,
-                                drawBuf_.data(), chunkLen);
+                                draws, chunkLen);
             chunkPos = 0;
         }
 
@@ -483,7 +610,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
         while (chunkPos < chunkLen) {
             const double arrival =
                 ringLeft != 0 ? pendingBuf_[pendingHead_]
-                              : newArrivals_[arrIdx];
+                              : arrivals[arrIdx];
             // Dispatch to the class whose earliest-free core gives the
             // earliest *expected completion* (not merely earliest-free:
             // a slow fractional pool core is often idle precisely
@@ -532,7 +659,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
             }
 
             ClassCal &cal = *best;
-            const double raw = drawBuf_[chunkPos++];
+            const double raw = draws[chunkPos++];
             // x / 1.0 == x exactly; skip the divide for the dedicated
             // class rather than prove it harmless.
             const double on_core =
@@ -559,13 +686,13 @@ RequestQueueSim::run(double t0, double dt, double rps,
         rng_ = chunkSnapshot;
         if (chunkPos > 0)
             rng_.lognormalBatch(lognormal_mu, lognormal_sigma,
-                                drawBuf_.data(), chunkPos);
+                                draws, chunkPos);
     }
     // Spill unstarted new arrivals into the backlog ring, behind any
     // unstarted older backlog (same FIFO the push-everything path
     // leaves behind).
     for (std::size_t i = arrIdx; i < accepted; ++i)
-        pendingPushBack(newArrivals_[i]);
+        pendingPushBack(arrivals[i]);
 
     res.completed = n_started;
     res.queuedAtEnd = pendingCount_;

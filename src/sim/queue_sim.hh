@@ -27,6 +27,16 @@
  * instead of round-tripping through the backlog ring, and the QoS
  * window is an incrementally maintained stats::WindowedQuantile.
  *
+ * A queue object holds only what carries between intervals: the
+ * backlog ring, the QoS window and the RNG. Everything run() rebuilds
+ * each interval (the three calendars, the arrival and sort buffers,
+ * the draw chunk and the returned result) is one scratch per thread,
+ * shared by every queue that thread steps, so a fleet pays for one
+ * scratch per stepping thread instead of one per queue. Each buffer
+ * is rewritten before it is read, and a calendar restores its +inf
+ * padding for whatever buckets the previous run filled, so no queue
+ * can see another's values.
+ *
  * Results are bit-identical to the seed's algorithm (concatenate-then-
  * sort window, linear-scan dispatch), which the tests keep as
  * oracle::ReferenceQueueSim (tests/oracle/): both consume the RNG
@@ -36,9 +46,7 @@
 #ifndef TWIG_SIM_QUEUE_SIM_HH
 #define TWIG_SIM_QUEUE_SIM_HH
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/rng.hh"
@@ -97,8 +105,9 @@ class RequestQueueSim
     /**
      * Simulate the interval [t0, t0+dt).
      *
-     * The returned reference points at a member scratch that the next
-     * run() overwrites; copy it if you need it to outlive the call.
+     * The returned reference points at this thread's scratch: it stays
+     * valid until the next run() of *any* queue on the same thread.
+     * Copy it if you need it longer.
      *
      * @param rps        offered load
      * @param assignment cores granted this interval
@@ -115,105 +124,6 @@ class RequestQueueSim
     const ServiceProfile &profile() const { return profile_; }
 
   private:
-    /**
-     * Cores of one equal-speed class, dispatched from a calendar of
-     * free-times.
-     *
-     * All nCores free-times live in the calendar at all times,
-     * bucketed by value into kBuckets fixed-width slots over the
-     * interval (bucket index is one multiply; buckets partition the
-     * time axis in order, so the smallest values live in the first
-     * occupied buckets). FCFS dispatch always consumes the
-     * earliest-free core — start = max(arrival, min) — so stale
-     * values (free before the arrival cursor) are exactly the minima
-     * and get consumed and replaced first; the calendar stays compact
-     * around the cursor without any explicit retirement pass.
-     * Consuming is one swap-remove at the cached min slot, one append
-     * at the new completion's bucket, and a rescan of the first
-     * occupied bucket at or after the old one (branchless cmov
-     * tournament; SIMD lane scan when a bucket degenerates, e.g.
-     * every core parked at t0 or an overload piling into the last
-     * bucket). Everything is branch-predictable by construction — an
-     * earlier variant that cached the next few minima to shorten the
-     * dependency chain lost to this one on mispredicts.
-     */
-    struct ClassCal
-    {
-        /** Bucket count per interval. 256 makes a bucket a few ms at
-         * dt = 1s — comfortably below typical service times, so busy
-         * free-times spread over several buckets and the min rescan
-         * touches only a handful of slots. Workloads whose service
-         * time still collapses into one bucket fall back to the SIMD
-         * lane scan. */
-        static constexpr std::size_t kBuckets = 256;
-        static constexpr std::size_t kOccWords = kBuckets / 64;
-
-        double speed = 1.0;
-        double occupancy = 1.0;
-        /** mean_service_s / speed, hoisted out of the dispatch loop. */
-        double svcTime = 0.0;
-        std::uint32_t nCores = 0;
-        /** Earliest free-time (+inf when nCores == 0) and its slot. */
-        double minFree = 0.0;
-        std::uint32_t minBucket = 0;
-        std::uint32_t minSlot = 0;
-        /** Bit b set iff counts[b] > 0. */
-        std::array<std::uint64_t, kOccWords> occWords{};
-        std::array<std::uint16_t, kBuckets> counts{};
-        /** Busy free-times, bucket b at [b * stride, b * stride +
-         * counts[b]). A bucket can hold every core of the class. */
-        std::vector<double> slots;
-        std::uint32_t stride = 0;
-        /** Bucket mapping for this interval: trunc((t - base) * invW),
-         * clamped to [0, kBuckets - 1]. Monotone in t, so bucket
-         * comparisons are exact order facts about the times. */
-        double base = 0.0;
-        double invW = 0.0;
-
-        /** Reset for an interval starting at @p t0: every core frees
-         * at exactly t0, i.e. nCores values in bucket 0. */
-        void configure(double spd, double occ, std::uint32_t n_cores,
-                       double t0, double dt);
-
-        std::int64_t
-        bucketOf(double t) const
-        {
-            const auto b = static_cast<std::int64_t>((t - base) * invW);
-            return b < 0 ? 0
-                         : (b >= static_cast<std::int64_t>(kBuckets)
-                                ? static_cast<std::int64_t>(kBuckets) - 1
-                                : b);
-        }
-
-        void
-        setOcc(std::size_t b)
-        {
-            occWords[b >> 6] |= 1ULL << (b & 63);
-        }
-
-        void
-        clearOcc(std::size_t b)
-        {
-            occWords[b >> 6] &= ~(1ULL << (b & 63));
-        }
-
-        void consumeMin(double completion);
-        void recomputeMinFrom(std::size_t fromBucket);
-    };
-
-    /** Draw a Poisson count (normal approximation above lambda = 64). */
-    std::size_t poisson(double lambda);
-
-    /** Generate this interval's arrivals, sorted ascending into
-     * newArrivals_. run() dispatches straight from the array and only
-     * spills the unstarted remainder into the backlog ring. */
-    void generateArrivals(double t0, double dt, double rps);
-
-    /** Sort newArrivals_ ascending: bucket scatter + one insertion-sort
-     * pass, expected O(n) for uniform arrival times (same sequence
-     * std::sort produces). */
-    void sortArrivals(double t0, double dt);
-
     // Backlog ring buffer (arrival times of unstarted requests, FIFO).
     double pendingFront() const { return pendingBuf_[pendingHead_]; }
     void pendingPopFront();
@@ -231,16 +141,6 @@ class RequestQueueSim
     std::size_t pendingHead_ = 0;
     std::size_t pendingCount_ = 0;
 
-    // --- scratch (warm after the first few intervals) ---
-    QueueIntervalResult result_;
-    std::vector<double> newArrivals_;
-    /** Bucket-sort scratch: per-bucket offsets and scatter target. */
-    std::vector<std::uint32_t> bucketOffsets_;
-    std::vector<double> sortScratch_;
-    /** Dedicated / shared-full / shared-fractional speed classes. */
-    std::array<ClassCal, 3> cals_;
-    /** Speculatively pre-drawn service times (see run). */
-    std::vector<double> drawBuf_;
     stats::WindowedQuantile window_;
 };
 

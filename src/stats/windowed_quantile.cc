@@ -36,6 +36,16 @@ siftDownMin(std::vector<double> &heap)
     heap[i] = v;
 }
 
+/** Gather/selection scratch of the cold fallback paths. A query fills
+ * and consumes it before returning, so one per thread serves every
+ * window that thread queries. */
+std::vector<double> &
+selectScratch()
+{
+    thread_local std::vector<double> scratch;
+    return scratch;
+}
+
 } // namespace
 
 WindowedQuantile::WindowedQuantile(std::size_t window_intervals)
@@ -173,19 +183,19 @@ WindowedQuantile::mergeTails(std::size_t lo, double frac) const
 double
 WindowedQuantile::gatherSelect(double p, std::size_t m) const
 {
-    if (scratch_.capacity() < total_)
-        scratch_.reserve(2 * total_); // headroom: see reserve()
-    scratch_.clear();
+    std::vector<double> &scratch = selectScratch();
+    if (scratch.capacity() < total_)
+        scratch.reserve(2 * total_); // headroom: see reserve()
+    scratch.clear();
     for (std::size_t i = 0; i < held_; ++i) {
         const Segment &s = segs_[slot(i)];
-        scratch_.insert(scratch_.end(), s.samples.begin(),
-                        s.samples.end());
+        scratch.insert(scratch.end(), s.samples.begin(), s.samples.end());
     }
     // Teach the next query's rebuild to keep enough tail that this
     // rank merges incrementally.
     if (m <= kMergeMax / 2)
         tailCap_ = std::max(tailCap_, 2 * m);
-    return percentileSelect(scratch_.data(), scratch_.size(), p);
+    return percentileSelect(scratch.data(), scratch.size(), p);
 }
 
 double
@@ -212,12 +222,13 @@ WindowedQuantile::lastIntervalPercentile(double p) const
             return lo_val;
         return lo_val + frac * (cur.tail[len - m + 1] - lo_val);
     }
-    if (scratch_.capacity() < n)
-        scratch_.reserve(2 * n); // headroom: see reserve()
-    scratch_.assign(cur.samples.begin(), cur.samples.end());
+    std::vector<double> &scratch = selectScratch();
+    if (scratch.capacity() < n)
+        scratch.reserve(2 * n); // headroom: see reserve()
+    scratch.assign(cur.samples.begin(), cur.samples.end());
     if (m <= kMergeMax / 2)
         tailCap_ = std::max(tailCap_, 2 * m);
-    return percentileSelect(scratch_.data(), scratch_.size(), p);
+    return percentileSelect(scratch.data(), scratch.size(), p);
 }
 
 void
@@ -232,7 +243,6 @@ WindowedQuantile::clear()
     held_ = 0;
     cur_ = 0;
     total_ = 0;
-    scratch_.clear();
 }
 
 } // namespace twig::stats

@@ -141,8 +141,9 @@ class WindowedQuantile
      * depth m = total - lo. */
     double mergeTails(std::size_t lo, double frac) const;
 
-    /** Gather every held sample into scratch_ and select (cold
-     * fallback; grows tailCap_ so the next query covers this rank). */
+    /** Gather every held sample into the thread's select scratch and
+     * select (cold fallback; grows tailCap_ so the next query covers
+     * this rank). */
     double gatherSelect(double p, std::size_t m) const;
 
     std::size_t window_;
@@ -156,8 +157,6 @@ class WindowedQuantile
      * Mutable because queries freshen the lazily built tail caches —
      * the sample multiset itself never changes under const methods. */
     mutable std::vector<Segment> segs_;
-    /** Fallback gather/selection scratch. */
-    mutable std::vector<double> scratch_;
     /** Per-segment descending-merge cursors (reserved to window_). */
     mutable std::vector<std::size_t> cursors_;
 };

@@ -2,8 +2,9 @@
  * @file
  * Allocation tests. After a warm-up step has sized every scratch
  * buffer, `BdqLearner::trainStep()` and `Mlp::trainStep()` must perform
- * zero heap allocations, and a deployed (exploit-only) Twig replica
- * must allocate little more than its policy. Enforced by replacing the
+ * zero heap allocations, a deployed (exploit-only) Twig replica must
+ * allocate little more than its policy, and a fleet node must not
+ * carry its own simulator scratch. Enforced by replacing the
  * global operator new/delete with malloc/free wrappers that bump atomic
  * call and byte counters while a test has counting enabled.
  *
@@ -151,6 +152,36 @@ randomTransition(Rng &rng)
     t.rewards = {rng.uniform(), rng.uniform()};
     t.nextState = t.state;
     return t;
+}
+
+/** A static-managed fleet of @p nodes default (18-core) nodes hosting
+ * Masstree and Xapian at @p load of their fleet-wide peak, stepped on
+ * the calling thread. */
+std::unique_ptr<cluster::ClusterManager>
+staticFleet(std::size_t nodes, double load)
+{
+    const auto masstree = twig::services::masstree();
+    const auto xapian = twig::services::xapian();
+    cluster::ClusterConfig cfg;
+    cfg.router.policy = cluster::RoutingPolicy::Static;
+    std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
+    loads.push_back(std::make_unique<sim::FixedLoad>(
+        masstree.maxLoadRps * static_cast<double>(nodes), load));
+    loads.push_back(std::make_unique<sim::FixedLoad>(
+        xapian.maxLoadRps * static_cast<double>(nodes), load));
+    auto fleet = std::make_unique<cluster::ClusterManager>(
+        cfg, std::vector<sim::ServiceProfile>{masstree, xapian},
+        std::move(loads), 42);
+    for (std::size_t n = 0; n < nodes; ++n) {
+        fleet->addNode(
+            sim::MachineConfig{},
+            [](const sim::MachineConfig &machine,
+               const std::vector<sim::ServiceProfile> &,
+               std::uint64_t) -> std::unique_ptr<core::TaskManager> {
+                return std::make_unique<baselines::StaticManager>(machine);
+            });
+    }
+    return fleet;
 }
 
 } // namespace
@@ -331,43 +362,19 @@ TEST(Alloc, FleetTraceHoldsNoPerNodeCopies)
     // run() keeps one fleet-level record per interval; node telemetry
     // stays on the nodes. Two identical 64-node static fleets advance
     // 200 intervals, one through run(200, 50) and one through bare
-    // step() calls. Their simulators allocate alike, so the difference
-    // is what run() keeps: its window accumulators once, then the
-    // trace. A copy of every node's stats would cost
+    // step() calls. Their simulators allocate alike, except that the
+    // first may grow this thread's simulator scratch (~67 KB, or 0
+    // when an earlier test already did), so the difference is at most
+    // what run() keeps: its window accumulators once, then the trace.
+    // A copy of every node's stats would cost
     // 64 x (48 + 2 x 208) B, ~30 KB, per interval.
-    const auto masstree = twig::services::masstree();
-    const auto xapian = twig::services::xapian();
-    const std::size_t nodes = 64;
-    const auto make_fleet = [&] {
-        cluster::ClusterConfig cfg;
-        cfg.router.policy = cluster::RoutingPolicy::Static;
-        std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
-        loads.push_back(std::make_unique<sim::FixedLoad>(
-            masstree.maxLoadRps * static_cast<double>(nodes), 0.1));
-        loads.push_back(std::make_unique<sim::FixedLoad>(
-            xapian.maxLoadRps * static_cast<double>(nodes), 0.1));
-        auto fleet = std::make_unique<cluster::ClusterManager>(
-            cfg, std::vector<sim::ServiceProfile>{masstree, xapian},
-            std::move(loads), 42);
-        for (std::size_t n = 0; n < nodes; ++n) {
-            fleet->addNode(
-                sim::MachineConfig{},
-                [](const sim::MachineConfig &machine,
-                   const std::vector<sim::ServiceProfile> &,
-                   std::uint64_t) -> std::unique_ptr<core::TaskManager> {
-                    return std::make_unique<baselines::StaticManager>(
-                        machine);
-                });
-        }
-        return fleet;
-    };
     const std::size_t steps = 200;
-    auto stepped = make_fleet();
+    auto stepped = staticFleet(64, 0.1);
     const long long step_bytes = countAllocatedBytes([&] {
         for (std::size_t t = 0; t < steps; ++t)
             stepped->step();
     });
-    auto ran = make_fleet();
+    auto ran = staticFleet(64, 0.1);
     cluster::FleetRunResult result;
     const long long run_bytes =
         countAllocatedBytes([&] { result = ran->run(steps, 50); });
@@ -376,4 +383,26 @@ TEST(Alloc, FleetTraceHoldsNoPerNodeCopies)
         (run_bytes - step_bytes) / static_cast<long long>(steps);
     EXPECT_LT(per_interval, 1024)
         << "run() kept " << per_interval << " B per interval";
+}
+
+TEST(Alloc, FleetNodeCarriesNoSimulatorScratch)
+{
+    // A queue simulator keeps only what carries between intervals (its
+    // backlog ring, QoS window and RNG); the calendars, arrival, sort
+    // and draw buffers and the returned latencies are one scratch per
+    // stepping thread. Building a 64-node static Masstree + Xapian
+    // fleet at half load and stepping it 50 intervals allocates
+    // ~115-118 KB a node (the lower figure when an earlier test on this
+    // thread already grew the scratch). It was ~383 KB (392,139 B)
+    // when each of a node's two queues carried its own scratch, three
+    // 256-bucket calendars included.
+    const std::size_t nodes = 64;
+    const long long bytes = countAllocatedBytes([&] {
+        auto fleet = staticFleet(nodes, 0.5);
+        for (int t = 0; t < 50; ++t)
+            fleet->step();
+    });
+    const long long per_node = bytes / static_cast<long long>(nodes);
+    EXPECT_LT(per_node, 160 * 1024)
+        << "building and stepping a node allocated " << per_node << " B";
 }

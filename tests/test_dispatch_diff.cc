@@ -22,6 +22,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "autoscale/node_class.hh"
@@ -86,6 +90,37 @@ struct Interval
     double inflation = 1.0;
 };
 
+/** Empty when @p ro and @p rr agree exactly on every result field,
+ * every latency bit and the backlog left behind; otherwise the first
+ * difference. */
+std::string
+difference(const QueueIntervalResult &ro, const QueueIntervalResult &rr,
+           std::size_t backlog_o, std::size_t backlog_r)
+{
+    std::ostringstream out;
+    out.precision(17);
+    const auto field = [&](const char *name, auto o, auto r) {
+        if (out.tellp() == 0 && o != r)
+            out << name << " " << o << " != " << r;
+    };
+    field("completed", ro.completed, rr.completed);
+    field("arrivals", ro.arrivals, rr.arrivals);
+    field("dropped", ro.dropped, rr.dropped);
+    field("queuedAtEnd", ro.queuedAtEnd, rr.queuedAtEnd);
+    field("p99Ms", ro.p99Ms, rr.p99Ms);
+    field("p99InstantMs", ro.p99InstantMs, rr.p99InstantMs);
+    field("busyCoreSeconds", ro.busyCoreSeconds, rr.busyCoreSeconds);
+    field("latencies", ro.latenciesMs.size(), rr.latenciesMs.size());
+    for (std::size_t j = 0; j < ro.latenciesMs.size() && out.tellp() == 0;
+         ++j) {
+        if (ro.latenciesMs[j] != rr.latenciesMs[j])
+            out << "request " << j << " latency " << ro.latenciesMs[j]
+                << " != " << rr.latenciesMs[j];
+    }
+    field("backlog", backlog_o, backlog_r);
+    return out.str();
+}
+
 /** Step the simulator and the oracle through @p schedule and require
  * exact equality of every result field, latencies element-wise
  * included. */
@@ -106,26 +141,94 @@ runDiff(const ServiceProfile &profile,
             optimized.run(t0, 1.0, iv.rps, iv.assignment, iv.inflation);
         const auto &rr =
             reference.run(t0, 1.0, iv.rps, iv.assignment, iv.inflation);
-
-        EXPECT_EQ(ro.completed, rr.completed) << "interval " << i;
-        EXPECT_EQ(ro.arrivals, rr.arrivals) << "interval " << i;
-        EXPECT_EQ(ro.dropped, rr.dropped) << "interval " << i;
-        EXPECT_EQ(ro.queuedAtEnd, rr.queuedAtEnd) << "interval " << i;
-        EXPECT_EQ(ro.p99Ms, rr.p99Ms) << "interval " << i;
-        EXPECT_EQ(ro.p99InstantMs, rr.p99InstantMs) << "interval " << i;
-        EXPECT_EQ(ro.busyCoreSeconds, rr.busyCoreSeconds)
-            << "interval " << i;
-        ASSERT_EQ(ro.latenciesMs.size(), rr.latenciesMs.size())
-            << "interval " << i;
-        for (std::size_t j = 0; j < ro.latenciesMs.size(); ++j) {
-            ASSERT_EQ(ro.latenciesMs[j], rr.latenciesMs[j])
-                << "interval " << i << " request " << j;
-        }
-        ASSERT_EQ(optimized.backlog(), reference.backlog())
-            << "interval " << i;
-        if (::testing::Test::HasFailure())
-            FAIL() << "first divergence at interval " << i;
+        ASSERT_EQ(difference(ro, rr, optimized.backlog(),
+                             reference.backlog()),
+                  "")
+            << "first divergence at interval " << i;
     }
+}
+
+/** One queue of a set that shares a thread's simulator scratch: its
+ * profile, schedule, seed and backlog cap. */
+struct QueueCase
+{
+    const char *name;
+    ServiceProfile profile;
+    std::vector<Interval> schedule;
+    std::uint64_t seed;
+    std::size_t maxPending = 200000;
+};
+
+/** Step every case's simulator and its own oracle twin round-robin on
+ * the calling thread, one interval of each queue in turn, comparing
+ * each result before the next queue runs. Empty when every interval
+ * of every queue matched; otherwise the first difference. */
+std::string
+stepRoundRobin(const std::vector<const QueueCase *> &cases)
+{
+    struct Twin
+    {
+        RequestQueueSim optimized;
+        ReferenceQueueSim reference;
+    };
+    std::deque<Twin> twins;
+    std::size_t len = 0;
+    for (const QueueCase *c : cases) {
+        twins.push_back({RequestQueueSim(c->profile, Rng(c->seed), 2.0,
+                                         c->maxPending),
+                         ReferenceQueueSim(c->profile, Rng(c->seed), 2.0,
+                                           c->maxPending)});
+        len = std::max(len, c->schedule.size());
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+        const double t0 = static_cast<double>(i);
+        for (std::size_t q = 0; q < cases.size(); ++q) {
+            const QueueCase &c = *cases[q];
+            const Interval &iv = c.schedule[i % c.schedule.size()];
+            Twin &twin = twins[q];
+            const auto &ro = twin.optimized.run(
+                t0, 1.0, iv.rps, iv.assignment, iv.inflation);
+            const auto &rr = twin.reference.run(
+                t0, 1.0, iv.rps, iv.assignment, iv.inflation);
+            const std::string diff =
+                difference(ro, rr, twin.optimized.backlog(),
+                           twin.reference.backlog());
+            if (!diff.empty()) {
+                return std::string(c.name) + ", interval " +
+                    std::to_string(i) + ": " + diff;
+            }
+        }
+    }
+    return "";
+}
+
+/** Four queues of different shapes, so each run follows a queue whose
+ * calendars had another stride, other classes and another load:
+ * 18 dedicated cores; all three speed classes; 6 cores overloaded into
+ * a 64-request backlog cap with timeouts firing; and no cores at all. */
+std::vector<QueueCase>
+sharedScratchCases()
+{
+    std::vector<QueueCase> cases;
+    QueueCase wide{"18 dedicated", testProfile(), {}, 41};
+    QueueCase classes{"three classes", testProfile(6.75, 0.7), {}, 43};
+    QueueCase overload{"6 overloaded", testProfile(60.0, 0.5), {}, 47, 64};
+    QueueCase none{"zero cores", testProfile(), {}, 53};
+    const double mults[] = {0.3, 0.7, 1.1, 0.5, 0.9};
+    for (int i = 0; i < 40; ++i) {
+        const double m = mults[i % 5];
+        wide.schedule.push_back({m * 18 * 200.0, dedicated(18)});
+        classes.schedule.push_back(
+            {m * 6 * 200.0, mixed(3, 4, 2, 2.5, 2.0, 1.4), 1.2});
+        overload.schedule.push_back(
+            {(1.2 + m) * 6 * 1000.0 / 60.0, dedicated(6, 1.6)});
+        none.schedule.push_back({m * 4 * 200.0, CoreAssignment{}});
+    }
+    cases.push_back(std::move(wide));
+    cases.push_back(std::move(classes));
+    cases.push_back(std::move(overload));
+    cases.push_back(std::move(none));
+    return cases;
 }
 
 /** A random 20-49 interval schedule: random load multipliers
@@ -291,6 +394,35 @@ TEST(DispatchDiff, FuzzedSchedules)
         if (::testing::Test::HasFailure())
             FAIL() << "fuzz round " << round << " diverged";
     }
+}
+
+TEST(DispatchDiff, SharedScratchRoundRobin)
+{
+    // Every queue on a thread runs in the same scratch (calendars,
+    // arrival and sort buffers, draws, the returned result). Four
+    // queues of different shapes take turns on this thread; each must
+    // still match its own oracle twin bit for bit, every interval.
+    const std::vector<QueueCase> cases = sharedScratchCases();
+    std::vector<const QueueCase *> all;
+    for (const QueueCase &c : cases)
+        all.push_back(&c);
+    EXPECT_EQ(stepRoundRobin(all), "");
+}
+
+TEST(DispatchDiff, SharedScratchTwoThreads)
+{
+    // The same four queues split across two threads stepping at once:
+    // each thread has its own scratch, so neither sees the other's
+    // values (and ThreadSanitizer sees no shared write).
+    const std::vector<QueueCase> cases = sharedScratchCases();
+    std::string diff_a;
+    std::string diff_b;
+    std::thread a([&] { diff_a = stepRoundRobin({&cases[0], &cases[1]}); });
+    std::thread b([&] { diff_b = stepRoundRobin({&cases[2], &cases[3]}); });
+    a.join();
+    b.join();
+    EXPECT_EQ(diff_a, "");
+    EXPECT_EQ(diff_b, "");
 }
 
 TEST(RequestConservation, FuzzedSchedulesBalanceEveryInterval)
