@@ -91,8 +91,9 @@ collect(const sim::ServiceProfile &profile, std::size_t samples,
     for (std::size_t i = 0; i < samples; ++i) {
         const auto stats = server.runInterval(assignment);
         const auto &svc = stats.services[0];
-        const auto state = monitor.update(0, svc.pmcs);
-        ds.pmcInputs.push_back(state);
+        monitor.update(0, svc.pmcs);
+        const auto state = monitor.state(0);
+        ds.pmcInputs.emplace_back(state.begin(), state.end());
         const double cycles = svc.pmcs[static_cast<std::size_t>(
             sim::Pmc::UnhaltedCoreCycles)];
         const double instr = svc.pmcs[static_cast<std::size_t>(

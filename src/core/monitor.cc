@@ -14,65 +14,69 @@ SystemMonitor::SystemMonitor(std::size_t num_services,
     common::fatalIf(eta == 0, "monitor: eta must be >= 1");
     for (double m : maxima_)
         common::fatalIf(m <= 0.0, "monitor: non-positive counter ceiling");
+    for (History &h : history_)
+        h.ring.resize(eta_);
 }
 
-std::vector<float>
+void
 SystemMonitor::update(std::size_t idx, const sim::PmcVector &raw)
 {
     common::fatalIf(idx >= history_.size(), "monitor: bad service index");
-
-    sim::PmcVector normalised;
+    History &h = history_[idx];
+    h.newest = h.newest + 1 == eta_ ? 0 : h.newest + 1;
+    sim::PmcVector &normalised = h.ring[h.newest];
     for (std::size_t c = 0; c < sim::kNumPmcs; ++c) {
         normalised[c] =
             std::clamp(raw[c] / maxima_[c], 0.0, 1.0);
     }
-    auto &h = history_[idx];
-    h.push_front(normalised);
-    while (h.size() > eta_)
-        h.pop_back();
-    return state(idx);
+    h.count = std::min(h.count + 1, eta_);
 }
 
-std::vector<float>
+ServiceState
 SystemMonitor::state(std::size_t idx) const
 {
     common::fatalIf(idx >= history_.size(), "monitor: bad service index");
-    const auto &h = history_[idx];
-    std::vector<float> out(sim::kNumPmcs, 0.0f);
-    if (h.empty())
-        return out;
+    ServiceState out;
+    stateInto(idx, out.data());
+    return out;
+}
+
+void
+SystemMonitor::stateInto(std::size_t idx, float *out) const
+{
+    const History &h = history_[idx];
+    std::fill(out, out + sim::kNumPmcs, 0.0f);
+    if (h.count == 0)
+        return;
 
     // Linearly decaying recency weights: newest snapshot weighs eta,
     // oldest weighs 1; normalised to sum to one.
     double weight_sum = 0.0;
-    for (std::size_t j = 0; j < h.size(); ++j)
+    for (std::size_t j = 0; j < h.count; ++j)
         weight_sum += static_cast<double>(eta_ - j);
-    for (std::size_t j = 0; j < h.size(); ++j) {
+    for (std::size_t j = 0; j < h.count; ++j) {
         const double w =
             static_cast<double>(eta_ - j) / weight_sum;
+        const sim::PmcVector &snap =
+            h.ring[(h.newest + eta_ - j) % eta_]; // j-th newest
         for (std::size_t c = 0; c < sim::kNumPmcs; ++c)
-            out[c] += static_cast<float>(w * h[j][c]);
+            out[c] += static_cast<float>(w * snap[c]);
     }
-    return out;
 }
 
-std::vector<float>
-SystemMonitor::jointState() const
+void
+SystemMonitor::jointStateInto(std::vector<float> &out) const
 {
-    std::vector<float> joint;
-    joint.reserve(history_.size() * sim::kNumPmcs);
-    for (std::size_t i = 0; i < history_.size(); ++i) {
-        const auto s = state(i);
-        joint.insert(joint.end(), s.begin(), s.end());
-    }
-    return joint;
+    out.resize(history_.size() * sim::kNumPmcs);
+    for (std::size_t i = 0; i < history_.size(); ++i)
+        stateInto(i, out.data() + i * sim::kNumPmcs);
 }
 
 void
 SystemMonitor::reset(std::size_t idx)
 {
     common::fatalIf(idx >= history_.size(), "monitor: bad service index");
-    history_[idx].clear();
+    history_[idx].count = 0;
 }
 
 } // namespace twig::core

@@ -10,15 +10,20 @@
 #ifndef TWIG_CORE_MONITOR_HH
 #define TWIG_CORE_MONITOR_HH
 
+#include <array>
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "sim/pmc.hh"
 
 namespace twig::core {
 
-/** Per-service smoothing + normalisation of the PMC stream. */
+/** Smoothed, normalised state of one service (values in [0, 1]). */
+using ServiceState = std::array<float, sim::kNumPmcs>;
+
+/** Per-service smoothing + normalisation of the PMC stream. Keeps a
+ * fixed eta-deep ring of snapshots per service, so recording and
+ * reading the state allocate nothing. */
 class SystemMonitor
 {
   public:
@@ -30,19 +35,16 @@ class SystemMonitor
     SystemMonitor(std::size_t num_services, const sim::PmcVector &maxima,
                   std::size_t eta = 5);
 
-    /**
-     * Record the latest raw counters of service @p idx and return its
-     * smoothed, normalised state vector (length kNumPmcs, values in
-     * [0, 1]).
-     */
-    std::vector<float> update(std::size_t idx, const sim::PmcVector &raw);
+    /** Record the latest raw counters of service @p idx. */
+    void update(std::size_t idx, const sim::PmcVector &raw);
 
-    /** Most recent normalised state of service @p idx (zeros before the
-     * first update). */
-    std::vector<float> state(std::size_t idx) const;
+    /** Most recent smoothed, normalised state of service @p idx (zeros
+     * before the first update). */
+    ServiceState state(std::size_t idx) const;
 
-    /** Concatenated state of all services (the joint BDQ input). */
-    std::vector<float> jointState() const;
+    /** Write the concatenated state of all services (the joint BDQ
+     * input) into @p out, resized to numServices() * kNumPmcs. */
+    void jointStateInto(std::vector<float> &out) const;
 
     /** Reset service @p idx's history (service swap). */
     void reset(std::size_t idx);
@@ -52,11 +54,20 @@ class SystemMonitor
     std::size_t stateDimPerService() const { return sim::kNumPmcs; }
 
   private:
+    /** Up to eta normalised snapshots of one service in a ring. */
+    struct History
+    {
+        std::vector<sim::PmcVector> ring; ///< eta slots
+        std::size_t newest = 0;           ///< slot of the newest
+        std::size_t count = 0;            ///< snapshots held (<= eta)
+    };
+
+    /** state() into @p out (kNumPmcs floats). */
+    void stateInto(std::size_t idx, float *out) const;
+
     sim::PmcVector maxima_;
     std::size_t eta_;
-    /** history_[idx] holds up to eta normalised snapshots, newest
-     * first. */
-    std::vector<std::deque<sim::PmcVector>> history_;
+    std::vector<History> history_;
 };
 
 } // namespace twig::core

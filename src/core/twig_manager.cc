@@ -166,7 +166,7 @@ TwigManager::observeState(const sim::ServerIntervalStats &stats)
         // 1. Observe the new state from the PMC stream.
         for (std::size_t k = 0; k < specs_.size(); ++k)
             monitor_.update(k, stats.services[k].pmcs);
-        stateScratch_ = monitor_.jointState();
+        monitor_.jointStateInto(stateScratch_);
 
         // 2. Close the previous transition: compute each agent's
         //    reward for the interval that just finished.

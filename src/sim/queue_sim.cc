@@ -704,11 +704,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
         // Measured QoS: p99 over the trailing window of intervals,
         // answered incrementally from per-interval tails.
         window_.beginInterval();
-        window_.reserve(res.latenciesMs.size());
         window_.addBatch(res.latenciesMs.data(), res.latenciesMs.size());
-
-        if (!res.latenciesMs.empty())
-            res.p99InstantMs = window_.lastIntervalPercentile(99.0);
 
         if (!window_.empty()) {
             res.p99Ms = window_.percentile(99.0);
@@ -717,6 +713,10 @@ RequestQueueSim::run(double t0, double dt, double rps,
             // so the tail latency keeps growing across intervals.
             res.p99Ms = (t_end - pendingFront()) * 1000.0;
         }
+        // Asked second, the interval's own p99 ranks no deeper than the
+        // window's: a lookup in the tail the window query just built.
+        if (!res.latenciesMs.empty())
+            res.p99InstantMs = window_.lastIntervalPercentile(99.0);
         if (pendingCount_ > 0) {
             // Never let a stale window mask a currently-growing backlog.
             const double oldest_ms = (t_end - pendingFront()) * 1000.0;

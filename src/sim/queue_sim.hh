@@ -25,7 +25,10 @@
  * pass per ~64 requests, unconsumed draws rolled back exactly), new
  * arrivals are dispatched straight from the sorted arrival array
  * instead of round-tripping through the backlog ring, and the QoS
- * window is an incrementally maintained stats::WindowedQuantile.
+ * window is an incrementally maintained stats::WindowedQuantile whose
+ * per-interval tails are only as deep as the p99 rank. run() asks for
+ * the window p99 first, so the interval's own p99 is a lookup in the
+ * tail that query built.
  *
  * A queue object holds only what carries between intervals: the
  * backlog ring, the QoS window and the RNG. Everything run() rebuilds

@@ -1,6 +1,7 @@
 #include "stats/histogram.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
@@ -10,7 +11,7 @@ namespace twig::stats {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), binWidth_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
+      counts_(bins, 0), filled_((bins + 63) / 64, 0)
 {
     common::fatalIf(hi <= lo, "histogram range must be non-empty");
     common::fatalIf(bins == 0, "histogram needs at least one bin");
@@ -22,15 +23,21 @@ Histogram::add(double x)
     auto idx = static_cast<std::ptrdiff_t>((x - lo_) / binWidth_);
     idx = std::clamp<std::ptrdiff_t>(
         idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
+    const auto i = static_cast<std::size_t>(idx);
+    ++counts_[i];
+    filled_[i / 64] |= std::uint64_t{1} << (i % 64);
     ++total_;
 }
 
 void
 Histogram::clear()
 {
-    std::fill(counts_.begin(), counts_.end(),
-              static_cast<std::size_t>(0));
+    for (std::size_t w = 0; w < filled_.size(); ++w) {
+        for (std::uint64_t bits = filled_[w]; bits != 0; bits &= bits - 1)
+            counts_[w * 64 + static_cast<std::size_t>(
+                                 std::countr_zero(bits))] = 0;
+        filled_[w] = 0;
+    }
     total_ = 0;
 }
 
@@ -42,8 +49,15 @@ Histogram::merge(const Histogram &other)
                     "Histogram::merge: binning mismatch ([", other.lo_,
                     ", ", other.hi_, ") x ", other.counts_.size(),
                     " vs [", lo_, ", ", hi_, ") x ", counts_.size(), ")");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
+    for (std::size_t w = 0; w < filled_.size(); ++w) {
+        for (std::uint64_t bits = other.filled_[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::size_t i =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            counts_[i] += other.counts_[i];
+        }
+        filled_[w] |= other.filled_[w];
+    }
     total_ += other.total_;
 }
 

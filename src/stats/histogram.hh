@@ -1,13 +1,17 @@
 /**
  * @file
- * Fixed-range histogram used for tardiness histograms (Fig. 6) and the
- * prediction-error probability-density plots (Fig. 1).
+ * Fixed-range histogram used for tardiness histograms (Fig. 6), the
+ * prediction-error probability-density plots (Fig. 1) and the fleet's
+ * per-node latency histograms (src/cluster). A node fills a few dozen
+ * of its 1024 bins an interval, so the histogram keeps one occupancy
+ * bit per bin and clear() and merge() visit only filled bins.
  */
 
 #ifndef TWIG_STATS_HISTOGRAM_HH
 #define TWIG_STATS_HISTOGRAM_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,7 +34,8 @@ class Histogram
     /** Add one sample. */
     void add(double x);
 
-    /** Drop all samples, keeping the binning (per-interval reuse). */
+    /** Drop all samples, keeping the binning (per-interval reuse).
+     * Touches only the filled bins. */
     void clear();
 
     /**
@@ -40,7 +45,7 @@ class Histogram
      * Merging then querying a quantile gives exactly the same answer
      * as building one histogram over the concatenated samples, which
      * is how fleet-wide tail latency is computed from per-node
-     * histograms (src/cluster).
+     * histograms (src/cluster). Touches only @p other's filled bins.
      */
     void merge(const Histogram &other);
 
@@ -84,6 +89,8 @@ class Histogram
     double hi_;
     double binWidth_;
     std::vector<std::size_t> counts_;
+    /** Bit i % 64 of word i / 64 is set iff counts_[i] != 0. */
+    std::vector<std::uint64_t> filled_;
     std::size_t total_ = 0;
 };
 

@@ -10,33 +10,11 @@ namespace twig::stats {
 
 namespace {
 
-/** Merging more than this many tail elements per query costs more than
- * gathering and selecting, so deep ranks (low percentiles) take the
- * fallback even when the tails happen to cover them. */
+/** Ranks deeper than this (low percentiles) gather and select: building
+ * and merging tails that deep would cost more than one selection. */
 constexpr std::size_t kMergeMax = 512;
 
-/** Restore the min-heap property after heap[0] was overwritten. */
-void
-siftDownMin(std::vector<double> &heap)
-{
-    const std::size_t n = heap.size();
-    const double v = heap[0];
-    std::size_t i = 0;
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && heap[child + 1] < heap[child])
-            ++child;
-        if (heap[child] >= v)
-            break;
-        heap[i] = heap[child];
-        i = child;
-    }
-    heap[i] = v;
-}
-
-/** Gather/selection scratch of the cold fallback paths. A query fills
+/** Gather/selection scratch of the deep-rank paths. A query fills
  * and consumes it before returning, so one per thread serves every
  * window that thread queries. */
 std::vector<double> &
@@ -49,7 +27,7 @@ selectScratch()
 } // namespace
 
 WindowedQuantile::WindowedQuantile(std::size_t window_intervals)
-    : window_(window_intervals), tailCap_(64)
+    : window_(window_intervals)
 {
     common::fatalIf(window_ == 0,
                     "WindowedQuantile: window must be >= 1 intervals");
@@ -67,9 +45,7 @@ WindowedQuantile::beginInterval()
         Segment &s = segs_[cur_];
         total_ -= s.samples.size();
         s.samples.clear();
-        s.tail.clear();
-        s.builtCount = 0;
-        s.builtCap = 0;
+        s.tailLen = 0;
     } else {
         if (held_ > 0)
             cur_ = cur_ + 1 == window_ ? 0 : cur_ + 1;
@@ -80,38 +56,39 @@ WindowedQuantile::beginInterval()
 void
 WindowedQuantile::addBatch(const double *data, std::size_t n)
 {
-    auto &samples = current().samples;
-    const std::size_t need = samples.size() + n;
-    if (samples.capacity() < need)
-        samples.reserve(2 * need); // headroom: see reserve()
-    samples.insert(samples.end(), data, data + n);
+    Segment &s = current();
+    const std::size_t need = s.samples.size() + n;
+    if (s.samples.capacity() < need)
+        s.samples.reserve(2 * need); // headroom: see the declaration
+    s.samples.insert(s.samples.end(), data, data + n);
+    s.tailLen = 0;
     total_ += n;
 }
 
 void
-WindowedQuantile::freshenTail(Segment &s) const
+WindowedQuantile::coverTail(Segment &s, std::size_t m) const
 {
     const std::size_t n = s.samples.size();
-    if (s.builtCount == n && s.builtCap == tailCap_)
+    if (s.tailLen >= std::min(n, m))
         return;
-    const std::size_t k = std::min(tailCap_, n);
-    auto &t = s.tail;
-    if (t.capacity() < k)
-        t.reserve(2 * k); // headroom: see reserve()
-    // Top-k scan: min-heap of the k largest, one predictable compare
-    // per remaining sample, then sort the survivors ascending.
-    t.assign(s.samples.begin(),
-             s.samples.begin() + static_cast<std::ptrdiff_t>(k));
-    std::make_heap(t.begin(), t.end(), std::greater<double>{});
+    const std::size_t k = std::min(n, m + m / 4 + 4);
+    // Sort the first k descending, then sink each later sample that
+    // beats the smallest kept one to its rank, the displaced smallest
+    // taking its slot. At p99 depths this costs fewer mispredicted
+    // branches than a heap: most samples fail the first compare.
+    double *x = s.samples.data();
+    std::sort(x, x + k, std::greater<double>{});
     for (std::size_t i = k; i < n; ++i) {
-        if (s.samples[i] > t[0]) {
-            t[0] = s.samples[i];
-            siftDownMin(t);
+        const double v = x[i];
+        if (v > x[k - 1]) {
+            x[i] = x[k - 1];
+            std::size_t j = k - 1;
+            for (; j > 0 && x[j - 1] < v; --j)
+                x[j] = x[j - 1];
+            x[j] = v;
         }
     }
-    std::sort(t.begin(), t.end());
-    s.builtCount = n;
-    s.builtCap = tailCap_;
+    s.tailLen = k;
 }
 
 double
@@ -124,33 +101,20 @@ WindowedQuantile::percentile(double p) const
     const double rank = p / 100.0 * static_cast<double>(n - 1);
     const auto lo = static_cast<std::size_t>(rank);
     const std::size_t m = n - lo;
-    if (m <= kMergeMax) {
-        // The merge is exact only if every segment's tail reaches rank
-        // m: at most m of the window's top-m samples can live in one
-        // segment, so a complete tail or one holding >= m samples
-        // suffices.
-        bool covered = true;
-        for (std::size_t i = 0; i < held_; ++i) {
-            Segment &s = segs_[slot(i)];
-            freshenTail(s);
-            if (s.tail.size() != s.samples.size() && s.tail.size() < m) {
-                covered = false;
-                break;
-            }
-        }
-        if (covered)
-            return mergeTails(lo, rank - static_cast<double>(lo));
-    }
-    return gatherSelect(p, m);
+    if (m > kMergeMax)
+        return gatherSelect(p);
+    // No segment holds more than min(n_s, m) of the window's top m
+    // samples, so tails that deep make the merge exact.
+    for (std::size_t i = 0; i < held_; ++i)
+        coverTail(segs_[slot(i)], m);
+    return mergeTails(lo, rank - static_cast<double>(lo));
 }
 
 double
 WindowedQuantile::mergeTails(std::size_t lo, double frac) const
 {
     const std::size_t m = total_ - lo;
-    cursors_.clear();
-    for (std::size_t i = 0; i < held_; ++i)
-        cursors_.push_back(segs_[slot(i)].tail.size());
+    cursors_.assign(held_, 0);
     // Pop the m largest samples in descending order; the (m-1)-th pop
     // is the (lo+1)-th ascending order statistic and the m-th is the
     // lo-th, matching percentileSelect's lo_val/hi_val exactly.
@@ -160,16 +124,17 @@ WindowedQuantile::mergeTails(std::size_t lo, double frac) const
         std::size_t best = held_;
         double best_val = 0.0;
         for (std::size_t i = 0; i < held_; ++i) {
+            const Segment &s = segs_[slot(i)];
             const std::size_t c = cursors_[i];
-            if (c == 0)
+            if (c == s.tailLen)
                 continue;
-            const double v = segs_[slot(i)].tail[c - 1];
+            const double v = s.samples[c];
             if (best == held_ || v > best_val) {
                 best = i;
                 best_val = v;
             }
         }
-        --cursors_[best];
+        ++cursors_[best];
         if (pop == m - 1)
             hi_val = best_val;
         else if (pop == m)
@@ -181,20 +146,16 @@ WindowedQuantile::mergeTails(std::size_t lo, double frac) const
 }
 
 double
-WindowedQuantile::gatherSelect(double p, std::size_t m) const
+WindowedQuantile::gatherSelect(double p) const
 {
     std::vector<double> &scratch = selectScratch();
     if (scratch.capacity() < total_)
-        scratch.reserve(2 * total_); // headroom: see reserve()
+        scratch.reserve(2 * total_); // headroom: see addBatch
     scratch.clear();
     for (std::size_t i = 0; i < held_; ++i) {
         const Segment &s = segs_[slot(i)];
         scratch.insert(scratch.end(), s.samples.begin(), s.samples.end());
     }
-    // Teach the next query's rebuild to keep enough tail that this
-    // rank merges incrementally.
-    if (m <= kMergeMax / 2)
-        tailCap_ = std::max(tailCap_, 2 * m);
     return percentileSelect(scratch.data(), scratch.size(), p);
 }
 
@@ -212,23 +173,20 @@ WindowedQuantile::lastIntervalPercentile(double p) const
     const auto lo = static_cast<std::size_t>(rank);
     const double frac = rank - static_cast<double>(lo);
     const std::size_t m = n - lo;
-    freshenTail(cur);
-    const std::size_t len = cur.tail.size();
-    if (len == n || len >= m) {
-        // The tail is exactly this segment's top-len multiset, sorted
-        // ascending, so ascending rank n-k is tail[len-k].
-        const double lo_val = cur.tail[len - m];
-        if (frac == 0.0 || lo + 1 >= n)
-            return lo_val;
-        return lo_val + frac * (cur.tail[len - m + 1] - lo_val);
+    if (m > kMergeMax) {
+        std::vector<double> &scratch = selectScratch();
+        if (scratch.capacity() < n)
+            scratch.reserve(2 * n); // headroom: see addBatch
+        scratch.assign(cur.samples.begin(), cur.samples.end());
+        return percentileSelect(scratch.data(), scratch.size(), p);
     }
-    std::vector<double> &scratch = selectScratch();
-    if (scratch.capacity() < n)
-        scratch.reserve(2 * n); // headroom: see reserve()
-    scratch.assign(cur.samples.begin(), cur.samples.end());
-    if (m <= kMergeMax / 2)
-        tailCap_ = std::max(tailCap_, 2 * m);
-    return percentileSelect(scratch.data(), scratch.size(), p);
+    coverTail(cur, m);
+    // The tail is this segment's largest samples, descending, so
+    // ascending rank n-j is samples[j-1].
+    const double lo_val = cur.samples[m - 1];
+    if (frac == 0.0 || lo + 1 >= n)
+        return lo_val;
+    return lo_val + frac * (cur.samples[m - 2] - lo_val);
 }
 
 void
@@ -236,9 +194,7 @@ WindowedQuantile::clear()
 {
     for (Segment &s : segs_) {
         s.samples.clear();
-        s.tail.clear();
-        s.builtCount = 0;
-        s.builtCap = 0;
+        s.tailLen = 0;
     }
     held_ = 0;
     cur_ = 0;

@@ -15,18 +15,27 @@
  *    a new interval recycles the oldest segment in O(1) instead of
  *    compacting a flat buffer, and adding samples is a pure append.
  *
- *  - Each segment caches a sorted tail of its largest tailCap samples,
- *    built lazily at query time by one top-k scan over the segment.
- *    Only the current interval's segment ever changes, so older
- *    segments' tails are built once and reused for every query over
- *    the rest of their life in the window. A high-percentile query
- *    then merge-selects over the W cached tails — a few hundred
- *    comparisons — instead of scanning every sample in the window.
+ *  - Each segment keeps a sorted tail of its largest samples, only as
+ *    deep as a query's rank needs, in place: a top-k selection moves
+ *    them to the front of the segment's buffer, descending, so a tail
+ *    costs no memory of its own. A query at rank depth m = n - lo
+ *    (lo = floor(p/100 * (n-1))) needs each segment's largest
+ *    min(n_s, m) samples; a segment whose tail is shorter than that
+ *    (an append empties it) is rebuilt from its samples,
+ *    k = min(n_s, m + m/4 + 4) deep, the headroom absorbing a window
+ *    whose rank creeps up as load climbs. Only the current interval's
+ *    segment ever changes, so older segments' tails are mostly reused
+ *    for the rest of their life in the window. The query then
+ *    merge-selects over the W tails: a few dozen comparisons instead
+ *    of a scan of every sample in the window.
  *
- *  - Queries the tails cannot answer exactly (low percentiles, or a
- *    rank deeper than the kept tails) fall back to gathering the
- *    segments into a scratch buffer and selecting, and grow tailCap so
- *    the next query rebuilds deep enough to answer incrementally.
+ *  - m never falls as n grows, and the window holds the current
+ *    interval, so the window p99 ranks at least as deep as the
+ *    interval's own p99: asked after the window query, the interval
+ *    p99 is a lookup in the tail that query built.
+ *
+ *  - Ranks deeper than kMergeMax (low percentiles) gather the segments
+ *    into a per-thread scratch buffer and select instead.
  *
  * Every path returns exact order statistics with percentileSelect's
  * interpolation, so results are bit-identical to sort-then-interpolate
@@ -60,26 +69,17 @@ class WindowedQuantile
     void
     add(double x)
     {
-        current().samples.push_back(x);
+        Segment &s = current();
+        s.samples.push_back(x);
+        s.tailLen = 0; // the new sample may outrank the tail
         ++total_;
     }
 
-    /** Append @p n samples to the current interval in one shot. */
+    /** Append @p n samples to the current interval in one shot. Growth
+     * doubles the needed capacity so a slowly creeping per-interval
+     * maximum (Poisson highs over a long run) settles after one growth
+     * instead of reallocating at every new high-water mark. */
     void addBatch(const double *data, std::size_t n);
-
-    /** Grow the current interval's sample buffer ahead of @p n add()
-     * calls (no-op when capacity already suffices). Growth doubles the
-     * needed capacity so a slowly creeping per-interval maximum
-     * (Poisson highs over a long run) settles after one growth instead
-     * of reallocating at every new high-water mark. */
-    void
-    reserve(std::size_t n)
-    {
-        auto &samples = current().samples;
-        const std::size_t need = samples.size() + n;
-        if (samples.capacity() < need)
-            samples.reserve(2 * need);
-    }
 
     /** Samples currently in the window. */
     std::size_t count() const { return total_; }
@@ -108,17 +108,13 @@ class WindowedQuantile
     void clear();
 
   private:
-    /** One interval's samples plus its cached largest-samples tail. */
+    /** One interval's samples, its largest first. */
     struct Segment
     {
+        /** The interval's samples in no meaningful order, except that
+         * the first tailLen are its largest, descending. */
         std::vector<double> samples;
-        /** Ascending; exactly the largest min(builtCount, builtCap)
-         * samples of this segment. Valid only when builtCount ==
-         * samples.size() and builtCap == tailCap_ (see freshenTail).
-         */
-        std::vector<double> tail;
-        std::size_t builtCount = 0; ///< samples.size() at last build
-        std::size_t builtCap = 0;   ///< tailCap_ at last build
+        std::size_t tailLen = 0; ///< the tail; 0 after any append
     };
 
     Segment &current() { return segs_[cur_]; }
@@ -131,31 +127,27 @@ class WindowedQuantile
         return (cur_ + window_ - held_ + 1 + i) % window_;
     }
 
-    /** (Re)build @p s's tail cache if its samples or the tail cap
-     * changed since the last build. One top-k scan over the segment;
-     * a no-op for every segment older than the current interval. */
-    void freshenTail(Segment &s) const;
+    /** Make @p s's tail hold its largest min(n_s, m) samples: a no-op
+     * when it is deep enough, else one top-k selection over the
+     * segment with headroom (see the file comment). */
+    void coverTail(Segment &s, std::size_t m) const;
 
     /** Exact interpolated percentile by descending merge over the held
-     * segments' fresh tails; callable only when every tail covers rank
-     * depth m = total - lo. */
+     * segments' tails; callable only once every tail covers rank depth
+     * m = total - lo. */
     double mergeTails(std::size_t lo, double frac) const;
 
     /** Gather every held sample into the thread's select scratch and
-     * select (cold fallback; grows tailCap_ so the next query covers
-     * this rank). */
-    double gatherSelect(double p, std::size_t m) const;
+     * select (ranks deeper than kMergeMax). */
+    double gatherSelect(double p) const;
 
     std::size_t window_;
     std::size_t held_ = 0;  ///< intervals currently in the window
     std::size_t cur_ = 0;   ///< ring index of the current interval
     std::size_t total_ = 0; ///< samples across every held interval
-    /** Per-segment tail depth; adapts upward when a query needs a
-     * deeper rank than the tails keep. */
-    mutable std::size_t tailCap_;
     /** Ring of window_ segments; oldest = (cur_ - held_ + 1) mod W.
-     * Mutable because queries freshen the lazily built tail caches —
-     * the sample multiset itself never changes under const methods. */
+     * Mutable because queries reorder a segment's samples to build its
+     * tail; the sample multiset never changes under const methods. */
     mutable std::vector<Segment> segs_;
     /** Per-segment descending-merge cursors (reserved to window_). */
     mutable std::vector<std::size_t> cursors_;

@@ -3,8 +3,9 @@
  * Allocation tests. After a warm-up step has sized every scratch
  * buffer, `BdqLearner::trainStep()` and `Mlp::trainStep()` must perform
  * zero heap allocations, a deployed (exploit-only) Twig replica must
- * allocate little more than its policy, and a fleet node must not
- * carry its own simulator scratch. Enforced by replacing the
+ * allocate little more than its policy, a fleet node must not carry
+ * its own simulator scratch, and a warm Twig fleet's interval must not
+ * allocate at all. Enforced by replacing the
  * global operator new/delete with malloc/free wrappers that bump atomic
  * call and byte counters while a test has counting enabled.
  *
@@ -405,4 +406,60 @@ TEST(Alloc, FleetNodeCarriesNoSimulatorScratch)
     const long long per_node = bytes / static_cast<long long>(nodes);
     EXPECT_LT(per_node, 160 * 1024)
         << "building and stepping a node allocated " << per_node << " B";
+}
+
+TEST(Alloc, WarmTwigFleetStepSteadyStateIsAllocationFree)
+{
+    // The deployed fleet's interval: eight warm exploit-only Twig
+    // replicas (Masstree + img-dnn on 18 cores, restored from one
+    // donor checkpoint) behind p2c-latency in two routing domains,
+    // deciding through one batched cohort. Once the QoS windows and
+    // scratch buffers have grown, routing, simulating, smoothing the
+    // PMCs, the cohort forward, mapping and the histogram merge
+    // allocate nothing. Each replica allocated ~5 times an interval
+    // when the monitor returned fresh state vectors and kept its
+    // history in a deque.
+    const std::size_t nodes = 8;
+    harness::ManagerContext ctx;
+    ctx.machine.numCores = 18;
+    ctx.profiles = {twig::services::masstree(), twig::services::imgdnn()};
+    ctx.schedule = harness::Schedule{120, 60, 120};
+    ctx.knobs.exploitOnly = true;
+    ctx.seed = 3;
+    const auto &registry = harness::ManagerRegistry::builtin();
+    const rl::Checkpoint donor =
+        dynamic_cast<core::TwigManager &>(*registry.make("twig", ctx))
+            .checkpoint();
+
+    cluster::ClusterConfig cfg;
+    cfg.router.policy = cluster::RoutingPolicy::PowerOfTwoLatency;
+    cfg.domains = 2;
+    cfg.jobs = 1;
+    std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
+    for (const auto &profile : ctx.profiles) {
+        loads.push_back(std::make_unique<sim::FixedLoad>(
+            profile.maxLoadRps * static_cast<double>(nodes), 0.4));
+    }
+    cluster::ClusterManager fleet(cfg, ctx.profiles, std::move(loads), 42);
+    const auto factory = [&](const sim::MachineConfig &machine,
+                             const std::vector<sim::ServiceProfile> &svcs,
+                             std::uint64_t seed) {
+        harness::ManagerContext node_ctx = ctx;
+        node_ctx.machine = machine;
+        node_ctx.profiles = svcs;
+        node_ctx.seed = seed;
+        return registry.make("twig", node_ctx);
+    };
+    for (std::size_t n = 0; n < nodes; ++n)
+        fleet.addNode(ctx.machine, factory, &donor);
+
+    for (int i = 0; i < 50; ++i)
+        fleet.step();
+    ASSERT_EQ(fleet.batchedNodeCount(), nodes);
+
+    const long long n = countAllocations([&] {
+        for (int i = 0; i < 5; ++i)
+            fleet.step();
+    });
+    EXPECT_EQ(n, 0) << "steady-state warm Twig fleet step allocated";
 }

@@ -2,10 +2,106 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "stats/histogram.hh"
 
+using twig::common::Rng;
 using twig::stats::Histogram;
+
+namespace {
+
+/** The histogram as it was before it tracked occupancy: every bin
+ * zeroed, summed and scanned. Histogram must agree with it bin for
+ * bin and in every quantile. */
+struct DenseHistogram
+{
+    DenseHistogram(double lo, double hi, std::size_t bins)
+        : lo(lo), hi(hi), width((hi - lo) / static_cast<double>(bins)),
+          counts(bins, 0)
+    {
+    }
+
+    void
+    add(double x)
+    {
+        auto idx = static_cast<std::ptrdiff_t>((x - lo) / width);
+        idx = std::clamp<std::ptrdiff_t>(
+            idx, 0, static_cast<std::ptrdiff_t>(counts.size()) - 1);
+        ++counts[static_cast<std::size_t>(idx)];
+        ++total;
+    }
+
+    void
+    clear()
+    {
+        std::fill(counts.begin(), counts.end(), std::size_t{0});
+        total = 0;
+    }
+
+    void
+    merge(const DenseHistogram &other)
+    {
+        for (std::size_t i = 0; i < counts.size(); ++i)
+            counts[i] += other.counts[i];
+        total += other.total;
+    }
+
+    double
+    quantile(double q) const
+    {
+        if (total == 0)
+            return 0.0;
+        const double rank = q * static_cast<double>(total);
+        std::size_t cum = 0;
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            if (counts[i] == 0)
+                continue;
+            const std::size_t next = cum + counts[i];
+            if (static_cast<double>(next) >= rank) {
+                const double within = (rank - static_cast<double>(cum)) /
+                    static_cast<double>(counts[i]);
+                return lo + (static_cast<double>(i) +
+                             std::clamp(within, 0.0, 1.0)) * width;
+            }
+            cum = next;
+        }
+        return hi;
+    }
+
+    double lo, hi, width;
+    std::vector<std::size_t> counts;
+    std::size_t total = 0;
+};
+
+void
+expectSame(const Histogram &h, const DenseHistogram &dense)
+{
+    ASSERT_EQ(h.bins(), dense.counts.size());
+    EXPECT_EQ(h.count(), dense.total);
+    for (std::size_t b = 0; b < h.bins(); ++b)
+        ASSERT_EQ(h.binCount(b), dense.counts[b]) << "bin " << b;
+    for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0})
+        EXPECT_EQ(h.quantile(q), dense.quantile(q)) << "q " << q;
+}
+
+/** Add @p n samples drawn over a range wider than [0, 50), so both
+ * edge bins take clamped values, to both histograms. */
+void
+addRandom(Rng &rng, std::size_t n, double centre, double spread,
+          Histogram &h, DenseHistogram &dense)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const double x = centre + rng.uniform(-spread, spread);
+        h.add(x);
+        dense.add(x);
+    }
+}
+
+} // namespace
 
 TEST(Histogram, BinsSamplesCorrectly)
 {
@@ -213,4 +309,118 @@ TEST(Histogram, QuantileValidatesRange)
     h.add(0.5);
     EXPECT_THROW(h.quantile(-0.1), twig::common::FatalError);
     EXPECT_THROW(h.quantile(1.1), twig::common::FatalError);
+}
+
+TEST(HistogramOccupancy, AddClearAndReuseMatchDense)
+{
+    // Bin counts around the 64-bin word size, plus the node's 1024.
+    Rng rng(41);
+    for (const std::size_t bins : {1u, 63u, 64u, 65u, 1024u}) {
+        Histogram h(0.0, 50.0, bins);
+        DenseHistogram dense(0.0, 50.0, bins);
+        expectSame(h, dense);
+        for (int round = 0; round < 6; ++round) {
+            // Narrow and wide fills alternate, so each clear() leaves
+            // bins behind that the next fill does not touch.
+            const double spread = round % 2 == 0 ? 2.0 : 40.0;
+            addRandom(rng, 200, rng.uniform(-5.0, 55.0), spread, h, dense);
+            expectSame(h, dense);
+            h.clear();
+            dense.clear();
+            expectSame(h, dense);
+        }
+    }
+}
+
+TEST(HistogramOccupancy, MergeIntoNonEmptyTargetMatchesDense)
+{
+    Rng rng(43);
+    Histogram a(0.0, 50.0, 1024), b(0.0, 50.0, 1024);
+    DenseHistogram da(0.0, 50.0, 1024), db(0.0, 50.0, 1024);
+    addRandom(rng, 300, 10.0, 5.0, a, da);
+    addRandom(rng, 300, 30.0, 30.0, b, db);
+    a.merge(b);
+    da.merge(db);
+    expectSame(a, da);
+    expectSame(b, db); // the source is untouched
+    // The merged bins must clear with the rest.
+    a.clear();
+    da.clear();
+    addRandom(rng, 50, 45.0, 1.0, a, da);
+    expectSame(a, da);
+}
+
+TEST(HistogramOccupancy, CopyAssignmentCarriesOccupancy)
+{
+    // ClusterManager's trailing window overwrites a ring slot with the
+    // interval's fleet histogram and copies the oldest slot into the
+    // accumulator before merging the rest.
+    Rng rng(47);
+    Histogram src(0.0, 50.0, 1024), slot(0.0, 50.0, 1024);
+    DenseHistogram dsrc(0.0, 50.0, 1024), dslot(0.0, 50.0, 1024);
+    addRandom(rng, 200, 5.0, 3.0, src, dsrc);
+    addRandom(rng, 200, 40.0, 3.0, slot, dslot);
+    slot = src;
+    dslot = dsrc;
+    expectSame(slot, dslot);
+    addRandom(rng, 100, 25.0, 30.0, slot, dslot);
+    expectSame(slot, dslot);
+    slot.clear();
+    dslot.clear();
+    expectSame(slot, dslot);
+    expectSame(src, dsrc);
+}
+
+TEST(HistogramOccupancy, ChainedMergesMatchDense)
+{
+    // The fleet's interval: node histograms cleared and refilled,
+    // merged into domains, domains into the fleet histogram, which a
+    // three-interval ring and a trailing accumulator then copy and
+    // merge, for 20 intervals.
+    const std::size_t nodes = 6, domains = 2, bins = 1024;
+    Rng rng(53);
+    std::vector<Histogram> node_h(nodes, Histogram(0.0, 50.0, bins));
+    std::vector<DenseHistogram> node_d(nodes,
+                                       DenseHistogram(0.0, 50.0, bins));
+    std::vector<Histogram> ring;
+    std::vector<DenseHistogram> dring;
+    Histogram fleet(0.0, 50.0, bins), trailing(0.0, 50.0, bins);
+    DenseHistogram dfleet(0.0, 50.0, bins), dtrailing(0.0, 50.0, bins);
+    for (int t = 0; t < 20; ++t) {
+        fleet.clear();
+        dfleet.clear();
+        for (std::size_t d = 0; d < domains; ++d) {
+            Histogram domain(0.0, 50.0, bins);
+            DenseHistogram ddomain(0.0, 50.0, bins);
+            for (std::size_t n = d * nodes / domains;
+                 n < (d + 1) * nodes / domains; ++n) {
+                node_h[n].clear();
+                node_d[n].clear();
+                addRandom(rng, 1 + rng.uniformInt(std::uint64_t{300}),
+                          rng.uniform(0.0, 50.0), 8.0, node_h[n],
+                          node_d[n]);
+                domain.merge(node_h[n]);
+                ddomain.merge(node_d[n]);
+            }
+            fleet.merge(domain);
+            dfleet.merge(ddomain);
+        }
+        expectSame(fleet, dfleet);
+        if (ring.size() < 3) {
+            ring.push_back(fleet);
+            dring.push_back(dfleet);
+        } else {
+            std::rotate(ring.begin(), ring.begin() + 1, ring.end());
+            std::rotate(dring.begin(), dring.begin() + 1, dring.end());
+            ring.back() = fleet;
+            dring.back() = dfleet;
+        }
+        trailing = ring.front();
+        dtrailing = dring.front();
+        for (std::size_t i = 1; i < ring.size(); ++i) {
+            trailing.merge(ring[i]);
+            dtrailing.merge(dring[i]);
+        }
+        expectSame(trailing, dtrailing);
+    }
 }

@@ -30,7 +30,8 @@ raw(double v)
 TEST(Monitor, NormalisesToUnitRange)
 {
     SystemMonitor mon(1, maxima(), 1);
-    const auto s = mon.update(0, raw(50.0));
+    mon.update(0, raw(50.0));
+    const auto s = mon.state(0);
     ASSERT_EQ(s.size(), kNumPmcs);
     for (float v : s)
         EXPECT_FLOAT_EQ(v, 0.5f);
@@ -39,7 +40,8 @@ TEST(Monitor, NormalisesToUnitRange)
 TEST(Monitor, ClampsAboveCeiling)
 {
     SystemMonitor mon(1, maxima(), 1);
-    const auto s = mon.update(0, raw(250.0));
+    mon.update(0, raw(250.0));
+    const auto s = mon.state(0);
     for (float v : s)
         EXPECT_FLOAT_EQ(v, 1.0f);
 }
@@ -49,7 +51,8 @@ TEST(Monitor, EtaSmoothingUsesRecencyWeights)
     // eta = 2: weights (2/3 newest, 1/3 oldest).
     SystemMonitor mon(1, maxima(), 2);
     mon.update(0, raw(30.0));
-    const auto s = mon.update(0, raw(90.0));
+    mon.update(0, raw(90.0));
+    const auto s = mon.state(0);
     // 0.9 * 2/3 + 0.3 * 1/3 = 0.7
     for (float v : s)
         EXPECT_NEAR(v, 0.7f, 1e-5f);
@@ -60,7 +63,8 @@ TEST(Monitor, WindowDropsOldSamples)
     SystemMonitor mon(1, maxima(), 2);
     mon.update(0, raw(100.0)); // will age out
     mon.update(0, raw(0.0));
-    const auto s = mon.update(0, raw(0.0));
+    mon.update(0, raw(0.0));
+    const auto s = mon.state(0);
     for (float v : s)
         EXPECT_FLOAT_EQ(v, 0.0f);
 }
@@ -77,7 +81,8 @@ TEST(Monitor, JointStateConcatenatesServices)
     SystemMonitor mon(2, maxima(), 1);
     mon.update(0, raw(20.0));
     mon.update(1, raw(80.0));
-    const auto joint = mon.jointState();
+    std::vector<float> joint;
+    mon.jointStateInto(joint);
     ASSERT_EQ(joint.size(), 2 * kNumPmcs);
     EXPECT_FLOAT_EQ(joint[0], 0.2f);
     EXPECT_FLOAT_EQ(joint[kNumPmcs], 0.8f);
@@ -98,7 +103,8 @@ TEST(Monitor, PartialWindowRenormalisesWeights)
     // With eta = 5 but a single observation, the state equals that
     // observation (weights renormalised over the available history).
     SystemMonitor mon(1, maxima(), 5);
-    const auto s = mon.update(0, raw(40.0));
+    mon.update(0, raw(40.0));
+    const auto s = mon.state(0);
     for (float v : s)
         EXPECT_NEAR(v, 0.4f, 1e-6f);
 }

@@ -2,7 +2,8 @@
  * @file
  * Targeted tests for stats::WindowedQuantile's incremental
  * maintenance: ring wrap-around, duplicate-heavy data, percentile
- * extremes, the deep-rank fallback path, and a randomized cross-check
+ * extremes, the deep-rank path, tails that must deepen when the rank
+ * outgrows them, both query orders, and randomized cross-checks
  * against a naive rebuild-every-query model. (tests/test_summary.cc
  * holds the basic behavioural tests; everything here attacks the
  * caching/eviction machinery.)
@@ -79,6 +80,65 @@ class NaiveWindow
     std::size_t window_;
     std::deque<std::vector<double>> intervals_;
 };
+
+/** Open one interval of @p values in both windows. */
+void
+feed(WindowedQuantile &w, NaiveWindow &naive,
+     const std::vector<double> &values)
+{
+    w.beginInterval();
+    naive.beginInterval();
+    for (const double x : values) {
+        w.add(x);
+        naive.add(x);
+    }
+}
+
+std::vector<double>
+uniformValues(Rng &rng, std::size_t n, double lo, double hi)
+{
+    std::vector<double> v(n);
+    for (double &x : v)
+        x = rng.uniform(lo, hi);
+    return v;
+}
+
+/** Randomized cross-check against the naive model: @p rounds windows
+ * of random length (1-5), each fed @p intervals intervals of fewer
+ * than @p max_n samples (empty ones included) and queried at the
+ * window p99 and the interval p99, after a query at a random
+ * percentile when @p any_rank is set. */
+void
+crossCheck(std::uint64_t seed, int rounds, int intervals,
+           std::uint64_t max_n, bool any_rank)
+{
+    Rng rng(seed);
+    for (int round = 0; round < rounds; ++round) {
+        const std::size_t window = 1 + rng.uniformInt(std::uint64_t{5});
+        WindowedQuantile w(window);
+        NaiveWindow naive(window);
+        for (int i = 0; i < intervals; ++i) {
+            w.beginInterval();
+            naive.beginInterval();
+            const std::size_t n = rng.uniformInt(max_n);
+            for (std::size_t j = 0; j < n; ++j) {
+                const double x = rng.uniform(0.0, 500.0);
+                w.add(x);
+                naive.add(x);
+            }
+            if (any_rank) {
+                const double p = rng.uniform(0.0, 100.0);
+                EXPECT_EQ(w.percentile(p), naive.percentile(p))
+                    << "round " << round << " interval " << i << " p" << p;
+            }
+            EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0))
+                << "round " << round << " interval " << i;
+            EXPECT_EQ(w.lastIntervalPercentile(99.0),
+                      naive.lastIntervalPercentile(99.0))
+                << "round " << round << " interval " << i;
+        }
+    }
+}
 
 } // namespace
 
@@ -166,9 +226,10 @@ TEST(WindowedQuantileExtremes, P0P50P99P100)
 
 TEST(WindowedQuantileExtremes, LowPercentileFallbackThenIncremental)
 {
-    // A p99 query first (tail path), then p1 (deeper than any cached
-    // tail -> gather/select fallback), then p99 again: the fallback
-    // must not corrupt the caches.
+    // A p99 query first (tail path), then p1 (deeper than the p99
+    // tails: they deepen while the rank is within kMergeMax, the
+    // window is gathered and selected beyond), then p99 again: neither
+    // path may corrupt the tails.
     WindowedQuantile w(3);
     NaiveWindow naive(3);
     Rng rng(5);
@@ -186,29 +247,135 @@ TEST(WindowedQuantileExtremes, LowPercentileFallbackThenIncremental)
     }
 }
 
+TEST(WindowedQuantileDepth, RankOutgrowsTheOlderSegmentsTails)
+{
+    // A 20-sample interval's tail is built 6 deep (rank depth 2 plus
+    // headroom). A 20,000-sample interval then pushes the window p99's
+    // depth to 202, and ~12 of the first interval's samples rank among
+    // the window's top 202, so its tail must deepen before the merge.
+    WindowedQuantile w(3);
+    NaiveWindow naive(3);
+    Rng rng(17);
+    const struct
+    {
+        std::size_t n;
+        double lo, hi;
+    } intervals[] = {{20, 95.0, 105.0},
+                     {20000, 0.0, 100.0},
+                     {20, 0.0, 100.0},
+                     {3000, 0.0, 100.0}};
+    for (const auto &iv : intervals) {
+        feed(w, naive, uniformValues(rng, iv.n, iv.lo, iv.hi));
+        EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0)) << iv.n;
+        EXPECT_EQ(w.lastIntervalPercentile(99.0),
+                  naive.lastIntervalPercentile(99.0)) << iv.n;
+        EXPECT_EQ(w.percentile(99.9), naive.percentile(99.9)) << iv.n;
+    }
+}
+
+TEST(WindowedQuantileDepth, OldSegmentHoldsEveryLargestValue)
+{
+    // The first interval holds every one of the window's 52 largest
+    // values; its tail was built 6 deep for a 100-sample window, so a
+    // 5,000-sample interval of small values forces it to rebuild.
+    WindowedQuantile w(3);
+    NaiveWindow naive(3);
+    Rng rng(23);
+    feed(w, naive, uniformValues(rng, 100, 1000.0, 2000.0));
+    EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0));
+    feed(w, naive, uniformValues(rng, 5000, 0.0, 100.0));
+    EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0));
+    EXPECT_GT(w.percentile(99.0), 1000.0);
+    EXPECT_EQ(w.lastIntervalPercentile(99.0),
+              naive.lastIntervalPercentile(99.0));
+    feed(w, naive, uniformValues(rng, 10, 0.0, 100.0));
+    EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0));
+    EXPECT_EQ(w.percentile(99.5), naive.percentile(99.5));
+}
+
+TEST(WindowedQuantileDepth, BothQueryOrdersAndALowRankBetween)
+{
+    // The simulator asks for the window p99 before the interval's own;
+    // the other order (a shallower tail first, deepened by the window
+    // query) and a p1 between two p99s must agree as well.
+    WindowedQuantile window_first(3);
+    WindowedQuantile instant_first(3);
+    WindowedQuantile low_between(3);
+    NaiveWindow naive(3);
+    Rng rng(29);
+    for (int i = 0; i < 12; ++i) {
+        const std::size_t n = 50 + rng.uniformInt(std::uint64_t{900});
+        const auto values = uniformValues(rng, n, 0.0, 250.0);
+        for (WindowedQuantile *w :
+             {&window_first, &instant_first, &low_between}) {
+            w->beginInterval();
+            for (const double x : values)
+                w->add(x);
+        }
+        naive.beginInterval();
+        for (const double x : values)
+            naive.add(x);
+        const double window_p99 = naive.percentile(99.0);
+        const double instant_p99 = naive.lastIntervalPercentile(99.0);
+
+        EXPECT_EQ(window_first.percentile(99.0), window_p99) << i;
+        EXPECT_EQ(window_first.lastIntervalPercentile(99.0), instant_p99)
+            << i;
+
+        EXPECT_EQ(instant_first.lastIntervalPercentile(99.0), instant_p99)
+            << i;
+        EXPECT_EQ(instant_first.percentile(99.0), window_p99) << i;
+
+        EXPECT_EQ(low_between.percentile(99.0), window_p99) << i;
+        EXPECT_EQ(low_between.percentile(1.0), naive.percentile(1.0)) << i;
+        EXPECT_EQ(low_between.lastIntervalPercentile(1.0),
+                  naive.lastIntervalPercentile(1.0)) << i;
+        EXPECT_EQ(low_between.percentile(99.0), window_p99) << i;
+        EXPECT_EQ(low_between.lastIntervalPercentile(99.0), instant_p99)
+            << i;
+    }
+}
+
+TEST(WindowedQuantileDepth, SamplesAddedAfterAQueryEnterTheTail)
+{
+    // A query sorts the current interval's largest samples to the front
+    // of its buffer; samples appended afterwards, one at a time or in
+    // a batch, may outrank them and must be seen by the next query.
+    WindowedQuantile w(2);
+    NaiveWindow naive(2);
+    Rng rng(31);
+    for (int i = 0; i < 4; ++i) {
+        feed(w, naive, uniformValues(rng, 300, 0.0, 100.0));
+        EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0)) << i;
+        EXPECT_EQ(w.lastIntervalPercentile(99.0),
+                  naive.lastIntervalPercentile(99.0)) << i;
+        for (const double x : uniformValues(rng, 3, 100.0, 200.0)) {
+            w.add(x);
+            naive.add(x);
+        }
+        EXPECT_EQ(w.lastIntervalPercentile(99.0),
+                  naive.lastIntervalPercentile(99.0)) << i;
+        const auto batch = uniformValues(rng, 5, 200.0, 300.0);
+        w.addBatch(batch.data(), batch.size());
+        for (const double x : batch)
+            naive.add(x);
+        EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0)) << i;
+        EXPECT_EQ(w.lastIntervalPercentile(99.0),
+                  naive.lastIntervalPercentile(99.0)) << i;
+    }
+}
+
 TEST(WindowedQuantileRandomized, CrossCheckAgainstNaiveModel)
 {
     // Fuzz the full surface: random window lengths and interval sizes
     // (including empty), random queries at random ranks.
-    Rng rng(0x51d0);
-    for (int round = 0; round < 5; ++round) {
-        const std::size_t window = 1 + rng.uniformInt(std::uint64_t{5});
-        WindowedQuantile w(window);
-        NaiveWindow naive(window);
-        for (int i = 0; i < 30; ++i) {
-            w.beginInterval();
-            naive.beginInterval();
-            const std::size_t n = rng.uniformInt(std::uint64_t{120});
-            for (std::size_t j = 0; j < n; ++j) {
-                const double x = rng.uniform(0.0, 500.0);
-                w.add(x);
-                naive.add(x);
-            }
-            const double p = rng.uniform(0.0, 100.0);
-            EXPECT_EQ(w.percentile(p), naive.percentile(p))
-                << "round " << round << " interval " << i << " p" << p;
-            EXPECT_EQ(w.percentile(99.0), naive.percentile(99.0))
-                << "round " << round << " interval " << i;
-        }
-    }
+    crossCheck(0x51d0, 5, 30, 120, /*any_rank=*/true);
+}
+
+TEST(WindowedQuantileRandomized, LargeIntervalsAtP99AgainstNaiveModel)
+{
+    // The simulator's pattern: intervals of up to ~3,000 latencies,
+    // window p99 then the interval's p99, with the load (and so the
+    // rank depth) swinging between intervals.
+    crossCheck(0x99, 4, 25, 3001, /*any_rank=*/false);
 }
