@@ -1,6 +1,6 @@
 /**
  * @file
- * Dispatch microbenchmark: cycles per request through the calendar
+ * Dispatch microbenchmark: cycles per request through the sorted-lane
  * dispatch core across backlog depths, core counts and burstiness.
  *
  * fig_sim_throughput measures whole configurations (server, cluster,
@@ -169,7 +169,7 @@ main(int argc, char **argv)
     const Pattern patterns[] = {{"steady70", steady70},
                                 {"steady110", steady110},
                                 {"bursty", bursty}};
-    const std::size_t core_counts[] = {2, 8, 18};
+    const std::size_t core_counts[] = {2, 8, 18, 64};
 
     std::vector<Cell> cells;
     for (const std::size_t cores : core_counts) {

@@ -8,7 +8,7 @@
 # when any config reports optimized_allocs_per_step > 0 -- the hot loop
 # allocated -- when the dispatch_microbench table is missing or empty,
 # or when any of its cells reports checksums_match: false -- the
-# calendar-queue dispatch diverged from the seed algorithm
+# sorted-lane dispatch diverged from the seed algorithm
 # (oracle::ReferenceQueueSim in tests/oracle/). That whole-run outputs
 # still match the seed is pinned by golden tests (tests/test_sim_ab.cc).
 #

@@ -20,71 +20,90 @@ using common::simprof::ScopedPhaseTimer;
  * run); the last chunk's unconsumed draws are rolled back. */
 constexpr std::size_t kDrawChunk = 64;
 
-// ThreadSanitizer instruments the ifunc resolver target_clones
-// emits, and resolvers run during relocation — before the TSan
-// runtime's thread state exists — so any TSan build that links this
-// file would crash before main. Under TSan the default-ISA scan is
-// used instead. (Same constraint as nn/matrix.cc.)
+// The lane insert has one version per ISA level (C++ function
+// multiversioning, as nn/matrix.cc's GEMM). ThreadSanitizer
+// instruments the ifunc resolver that needs, and resolvers run during
+// relocation, before the TSan runtime's thread state exists, so any
+// TSan build that linked the versions would crash before main. TSan
+// builds get the baseline version only.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__)
-#define TWIG_SIM_CLONES                                                     \
-    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3",        \
-                                 "default")))
+#define TWIG_LANE_VERSIONS 1
 #else
-#define TWIG_SIM_CLONES
+#define TWIG_LANE_VERSIONS 0
 #endif
 
-/**
- * Minimum of @p n doubles, n a positive multiple of 8 (lanes are
- * padded with +inf to their stride). Four independent accumulator
- * chains so the reduction pipelines (and vectorizes under the wider
- * ISA clones) instead of serializing on one min dependency. FP min is
- * exact and order-independent, so any association gives the identical
- * result.
- */
-TWIG_SIM_CLONES double
-laneMin(const double *v, std::uint32_t n)
+/** Eight free-time lanes on one cache line. A class's lane array is
+ * whole blocks, so the W-lane vectors of every version (W divides 8)
+ * tile it with aligned loads. */
+struct alignas(64) LaneBlock
 {
-    double m0 = v[0];
-    double m1 = v[1];
-    double m2 = v[2];
-    double m3 = v[3];
-    m0 = std::min(m0, v[4]);
-    m1 = std::min(m1, v[5]);
-    m2 = std::min(m2, v[6]);
-    m3 = std::min(m3, v[7]);
-    for (std::uint32_t i = 8; i < n; i += 4) {
-        m0 = std::min(m0, v[i]);
-        m1 = std::min(m1, v[i + 1]);
-        m2 = std::min(m2, v[i + 2]);
-        m3 = std::min(m3, v[i + 3]);
-    }
-    return std::min(std::min(m0, m1), std::min(m2, m3));
-}
+    double t[8];
+};
+
+/** The vector type of a W-lane insert (GCC vector extensions),
+ * allowed to alias the lanes' doubles. */
+template <std::size_t W>
+struct LaneVec
+{
+    typedef double Vec
+        __attribute__((vector_size(W * sizeof(double)), may_alias));
+};
 
 /**
- * Min + arg-min over exactly 8 slots (+inf padding makes short
- * buckets safe): a 3-level conditional-move tournament — no loop, no
- * data-dependent branches. Ties resolve to the lower slot; slot
- * identity never affects simulation output.
+ * Remove lane 0 of the @p n ascending free-times at @p lanes (the
+ * consumed minimum, <= @p c) and insert @p c; returns the new lane 0.
+ *
+ * With a the old lanes, the new lane j is min(max(a[j], c), a[j + 1]):
+ * a[j + 1] below c's rank, c at it, a[j] above it (for j = 0, max(a[0],
+ * c) = c). One branch-free pass, W lanes at a time: a[j + 1] is a
+ * shuffle of the vector and the next aligned one, which the +inf
+ * padding and the trailing +inf block make readable. The next minimum
+ * is min(c, a[1]), so lane 0 is never reloaded. Only min, max and
+ * shuffles touch the values, so every W keeps the same multiset of
+ * free-times and yields the same sequence of minima.
  */
-inline void
-min8(const double *v, double &m, std::uint32_t &arg)
+template <std::size_t W>
+__attribute__((always_inline)) inline double
+insertLanes(LaneBlock *lanes, std::uint32_t n, double c)
 {
-    const double m01 = std::min(v[0], v[1]);
-    const std::uint32_t a01 = v[1] < v[0] ? 1u : 0u;
-    const double m23 = std::min(v[2], v[3]);
-    const std::uint32_t a23 = v[3] < v[2] ? 3u : 2u;
-    const double m45 = std::min(v[4], v[5]);
-    const std::uint32_t a45 = v[5] < v[4] ? 5u : 4u;
-    const double m67 = std::min(v[6], v[7]);
-    const std::uint32_t a67 = v[7] < v[6] ? 7u : 6u;
-    const double m03 = std::min(m01, m23);
-    const std::uint32_t a03 = m23 < m01 ? a23 : a01;
-    const double m47 = std::min(m45, m67);
-    const std::uint32_t a47 = m67 < m45 ? a67 : a45;
-    m = std::min(m03, m47);
-    arg = m47 < m03 ? a47 : a03;
+    static_assert(W == 2 || W == 4);
+    typedef typename LaneVec<W>::Vec Vec;
+    Vec *v = reinterpret_cast<Vec *>(lanes);
+    Vec cur = v[0];
+    const double next_min = cur[1] < c ? cur[1] : c;
+    const std::size_t n_vecs = (n + W - 1) / W;
+    for (std::size_t i = 0; i < n_vecs; ++i) {
+        const Vec next = v[i + 1];
+        Vec above;
+        if constexpr (W == 2)
+            above = __builtin_shufflevector(cur, next, 1, 2);
+        else
+            above = __builtin_shufflevector(cur, next, 1, 2, 3, 4);
+        const Vec kept = cur > c ? cur : c;
+        v[i] = kept < above ? kept : above;
+        cur = next;
+    }
+    return next_min;
+}
+
+// One version per ISA level, each at its own width: 4 lanes (one AVX2
+// register) under x86-64-v3, 2 (one SSE2 register) at the baseline. A
+// vector wider than the ISA's registers lives on the stack, and an
+// 8-lane x86-64-v4 version won no consistent time on a 512-node fleet.
+#if TWIG_LANE_VERSIONS
+__attribute__((target("arch=x86-64-v3"))) double
+insertCompletion(LaneBlock *lanes, std::uint32_t n, double c)
+{
+    return insertLanes<4>(lanes, n, c);
+}
+
+__attribute__((target("default")))
+#endif
+double
+insertCompletion(LaneBlock *lanes, std::uint32_t n, double c)
+{
+    return insertLanes<2>(lanes, n, c);
 }
 
 /** Reserve with headroom: growth doubles the requested capacity so a
@@ -112,88 +131,32 @@ resetResult(QueueIntervalResult &res)
 }
 
 /**
- * Cores of one equal-speed class, dispatched from a calendar of
- * free-times.
+ * Cores of one equal-speed class, their free-times kept sorted in
+ * lanes.
  *
- * All nCores free-times live in the calendar at all times, bucketed
- * by value into kBuckets fixed-width slots over the interval (bucket
- * index is one multiply; buckets partition the time axis in order, so
- * the smallest values live in the first occupied buckets). FCFS
- * dispatch always consumes the earliest-free core — start =
- * max(arrival, min) — so stale values (free before the arrival
- * cursor) are exactly the minima and get consumed and replaced first;
- * the calendar stays compact around the cursor without any explicit
- * retirement pass. Consuming is one swap-remove at the cached min
- * slot, one append at the new completion's bucket, and a rescan of
- * the first occupied bucket at or after the old one (branchless cmov
- * tournament; SIMD lane scan when a bucket degenerates, e.g. every
- * core parked at t0 or an overload piling into the last bucket).
- * Everything is branch-predictable by construction — an earlier
- * variant that cached the next few minima to shorten the dependency
- * chain lost to this one on mispredicts.
+ * FCFS dispatch always consumes the earliest-free core — start =
+ * max(arrival, lane 0) — so starting a request is one insertCompletion
+ * pass: lane 0 out, the completion in at its rank. Stale free-times
+ * (before the arrival cursor) are exactly the lowest lanes and are
+ * consumed first, so no retirement pass is needed.
  */
-struct ClassCal
+struct ClassLanes
 {
-    /** Bucket count per interval. 256 makes a bucket a few ms at dt =
-     * 1s — comfortably below typical service times, so busy
-     * free-times spread over several buckets and the min rescan
-     * touches only a handful of slots. Workloads whose service time
-     * still collapses into one bucket fall back to the SIMD lane
-     * scan. */
-    static constexpr std::size_t kBuckets = 256;
-    static constexpr std::size_t kOccWords = kBuckets / 64;
-
     double speed = 1.0;
     double occupancy = 1.0;
     /** mean_service_s / speed, hoisted out of the dispatch loop. */
     double svcTime = 0.0;
     std::uint32_t nCores = 0;
-    /** Earliest free-time (+inf when nCores == 0) and its slot. */
+    /** Lane 0, the earliest free-time (+inf when nCores == 0). */
     double minFree = 0.0;
-    std::uint32_t minBucket = 0;
-    std::uint32_t minSlot = 0;
-    /** Bit b set iff counts[b] > 0. */
-    std::array<std::uint64_t, kOccWords> occWords{};
-    std::array<std::uint16_t, kBuckets> counts{};
-    /** Busy free-times, bucket b at [b * stride, b * stride +
-     * counts[b]). A bucket can hold every core of the class. */
-    std::vector<double> slots;
-    std::uint32_t stride = 0;
-    /** Bucket mapping for this interval: trunc((t - base) * invW),
-     * clamped to [0, kBuckets - 1]. Monotone in t, so bucket
-     * comparisons are exact order facts about the times. */
-    double base = 0.0;
-    double invW = 0.0;
+    /** The nCores free-times, ascending, padded with +inf to whole
+     * blocks, then one all-+inf block. Grows only. */
+    std::vector<LaneBlock> lanes;
 
     /** Reset for an interval starting at @p t0: every core frees at
-     * exactly t0, i.e. nCores values in bucket 0. */
+     * exactly t0. */
     void configure(double spd, double occ, std::uint32_t n_cores,
-                   double t0, double dt);
-
-    std::int64_t
-    bucketOf(double t) const
-    {
-        const auto b = static_cast<std::int64_t>((t - base) * invW);
-        return b < 0 ? 0
-                     : (b >= static_cast<std::int64_t>(kBuckets)
-                            ? static_cast<std::int64_t>(kBuckets) - 1
-                            : b);
-    }
-
-    void
-    setOcc(std::size_t b)
-    {
-        occWords[b >> 6] |= 1ULL << (b & 63);
-    }
-
-    void
-    clearOcc(std::size_t b)
-    {
-        occWords[b >> 6] &= ~(1ULL << (b & 63));
-    }
-
-    void consumeMin(double completion);
-    void recomputeMinFrom(std::size_t fromBucket);
+                   double t0);
 };
 
 /**
@@ -212,7 +175,7 @@ struct RunScratch
     std::vector<std::uint32_t> bucketOffsets;
     std::vector<double> sortScratch;
     /** Dedicated / shared-full / shared-fractional speed classes. */
-    std::array<ClassCal, 3> cals;
+    std::array<ClassLanes, 3> classes;
     /** Speculatively pre-drawn service times (see run). */
     std::array<double, kDrawChunk> draws{};
 };
@@ -225,112 +188,23 @@ runScratch()
 }
 
 void
-ClassCal::configure(double spd, double occ, std::uint32_t n_cores,
-                    double t0, double dt)
+ClassLanes::configure(double spd, double occ, std::uint32_t n_cores,
+                      double t0)
 {
     const double inf = std::numeric_limits<double>::infinity();
-    // Invariant: every slot beyond a bucket's count holds +inf, so
-    // min scans can read a full 8-slot lane unconditionally. Restore
-    // it for the buckets the previous interval populated (O(previous
-    // core count)) before the layout (stride) potentially changes.
-    for (std::size_t w = 0; w < kOccWords; ++w) {
-        std::uint64_t word = occWords[w];
-        while (word != 0) {
-            const std::size_t b =
-                (w << 6) +
-                static_cast<std::size_t>(__builtin_ctzll(word));
-            word &= word - 1;
-            std::fill_n(slots.begin() +
-                            static_cast<std::ptrdiff_t>(b * stride),
-                        counts[b], inf);
-            counts[b] = 0;
-        }
-        occWords[w] = 0;
-    }
     speed = spd;
     occupancy = occ;
     nCores = n_cores;
-    base = t0;
-    invW = static_cast<double>(kBuckets) / dt;
-    stride = (n_cores + 7u) & ~7u;
-    const std::size_t need = kBuckets * stride;
-    if (slots.size() < need)
-        slots.resize(need, inf); // grows only; settles after warmup
-    minBucket = 0;
-    minSlot = 0;
-    if (n_cores == 0) {
-        minFree = inf;
-        return;
+    minFree = n_cores == 0 ? inf : t0;
+    // Blocks past these are never read, whatever an earlier run of a
+    // longer class left there.
+    const std::size_t blocks = (n_cores + 7u) / 8u + 1u;
+    if (lanes.size() < blocks)
+        lanes.resize(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        for (std::size_t i = 0; i < 8; ++i)
+            lanes[b].t[i] = 8 * b + i < n_cores ? t0 : inf;
     }
-    // Every core frees at exactly t0: nCores values in bucket 0.
-    counts[0] = static_cast<std::uint16_t>(n_cores);
-    occWords[0] = 1;
-    std::fill(slots.begin(), slots.begin() + n_cores, t0);
-    minFree = t0;
-}
-
-void
-ClassCal::consumeMin(double completion)
-{
-    // Swap-remove the cached minimum (appends never move existing
-    // slots, so the cached position is always current), re-padding
-    // the vacated slot with +inf.
-    const std::size_t b = minBucket;
-    {
-        double *lane = slots.data() + b * stride;
-        const std::uint32_t cnt = counts[b];
-        lane[minSlot] = lane[cnt - 1];
-        lane[cnt - 1] = std::numeric_limits<double>::infinity();
-        counts[b] = static_cast<std::uint16_t>(cnt - 1);
-        if (cnt == 1)
-            clearOcc(b);
-    }
-    // completion > start >= minFree, so its bucket is >= minBucket and
-    // the post-insert minimum still lives at or after minBucket.
-    const auto nb = static_cast<std::size_t>(bucketOf(completion));
-    slots[nb * stride + counts[nb]] = completion;
-    counts[nb] = static_cast<std::uint16_t>(counts[nb] + 1);
-    setOcc(nb);
-    recomputeMinFrom(b);
-}
-
-void
-ClassCal::recomputeMinFrom(std::size_t fromBucket)
-{
-    // Buckets partition the time axis in order, so the minimum lives
-    // in the first occupied bucket; it is never below fromBucket.
-    std::size_t w = fromBucket >> 6;
-    std::uint64_t word = occWords[w] & (~0ULL << (fromBucket & 63));
-    while (word == 0)
-        word = occWords[++w]; // nCores > 0: some bucket is occupied
-    const std::size_t fb =
-        (w << 6) + static_cast<std::size_t>(__builtin_ctzll(word));
-    const double *lane = slots.data() + fb * stride;
-    const std::uint32_t cnt = counts[fb];
-    std::uint32_t arg;
-    double m;
-    if (cnt <= 8) {
-        // Common case: one branchless 8-slot tournament (+inf padding
-        // covers short buckets).
-        min8(lane, m, arg);
-    } else {
-        // Degenerate bucket (e.g. every core parked at t0, or an
-        // overload piling completions into the last bucket): SIMD
-        // lane scan over the padded stride, then locate the slot by
-        // equality. Ties pick the first slot; slot identity never
-        // affects outputs.
-        m = laneMin(lane, (cnt + 7u) & ~7u);
-        arg = 0;
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-            if (lane[i] == m) {
-                arg = i;
-                break;
-            }
-        }
-    }
-    minFree = m;
-    minBucket = static_cast<std::uint32_t>(fb);
-    minSlot = arg;
 }
 
 /** Draw a Poisson count (normal approximation above lambda = 64). */
@@ -503,7 +377,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
     // Group the logical server set into at most three equal-speed
     // classes. Within a class the cores are interchangeable, so FCFS
     // dispatch only ever needs each class's earliest-free core — the
-    // per-class free-time calendar replaces the seed's linear scan
+    // per-class sorted free-time lanes replace the seed's linear scan
     // over every core.
     const double shared_freq_gain = std::pow(
         assignment.sharedFreqGhz / assignment.freqGhz,
@@ -519,21 +393,21 @@ RequestQueueSim::run(double t0, double dt, double rps,
     }
     const bool has_fraction = usable > 0.05;
 
-    std::array<ClassCal, 3> &cals = scratch.cals;
-    cals[0].configure(
+    std::array<ClassLanes, 3> &classes = scratch.classes;
+    classes[0].configure(
         1.0, 1.0, static_cast<std::uint32_t>(assignment.dedicatedCores.size()),
-        t0, dt);
-    cals[1].configure(shared_freq_gain, 1.0,
-                      static_cast<std::uint32_t>(n_shared_full), t0, dt);
-    cals[2].configure(shared_freq_gain * usable, usable,
-                      has_fraction ? 1u : 0u, t0, dt);
+        t0);
+    classes[1].configure(shared_freq_gain, 1.0,
+                         static_cast<std::uint32_t>(n_shared_full), t0);
+    classes[2].configure(shared_freq_gain * usable, usable,
+                         has_fraction ? 1u : 0u, t0);
 
     // Hot loop iterates only the classes that actually have cores
     // (commonly one), in class order so first-wins ties match the
     // seed's scan.
-    ClassCal *active[3];
+    ClassLanes *active[3];
     int n_active = 0;
-    for (ClassCal &c : cals) {
+    for (ClassLanes &c : classes) {
         if (c.nCores != 0)
             active[n_active++] = &c;
     }
@@ -563,7 +437,7 @@ RequestQueueSim::run(double t0, double dt, double rps,
     const double lognormal_mu =
         std::log(mean_service_s) - 0.5 * lognormal_sigma2;
     const double lognormal_sigma = std::sqrt(lognormal_sigma2);
-    for (ClassCal &c : cals) {
+    for (ClassLanes &c : classes) {
         if (c.nCores != 0)
             c.svcTime = mean_service_s / c.speed;
     }
@@ -618,19 +492,19 @@ RequestQueueSim::run(double t0, double dt, double rps,
             // funnel requests onto it). Strict `<` in class order
             // dedicated -> shared-full -> fractional matches the
             // seed's first-wins linear scan.
-            ClassCal *best = nullptr;
+            ClassLanes *best = nullptr;
             double best_completion = 1e300;
             double start = 0.0;
             for (int c = 0; c < n_active; ++c) {
-                ClassCal &cal = *active[c];
+                ClassLanes &cls = *active[c];
                 // max(arrival, earliest free) — the seed's start
                 // rule, as a conditional move.
                 const double f =
-                    cal.minFree > arrival ? cal.minFree : arrival;
-                const double completion = f + cal.svcTime;
+                    cls.minFree > arrival ? cls.minFree : arrival;
+                const double completion = f + cls.svcTime;
                 if (completion < best_completion) {
                     best_completion = completion;
-                    best = &cal;
+                    best = &cls;
                     start = f;
                 }
             }
@@ -658,18 +532,19 @@ RequestQueueSim::run(double t0, double dt, double rps,
                 continue;
             }
 
-            ClassCal &cal = *best;
+            ClassLanes &cls = *best;
             const double raw = draws[chunkPos++];
             // x / 1.0 == x exactly; skip the divide for the dedicated
             // class rather than prove it harmless.
             const double on_core =
-                cal.speed == 1.0 ? raw : raw / cal.speed;
+                cls.speed == 1.0 ? raw : raw / cls.speed;
             const double completion = start + on_core;
-            cal.consumeMin(completion);
+            cls.minFree =
+                insertCompletion(cls.lanes.data(), cls.nCores, completion);
 
             const double latency_ms = (completion - arrival) * 1000.0;
             res.latenciesMs.push_back(latency_ms);
-            busy_core_s += on_core * cal.occupancy;
+            busy_core_s += on_core * cls.occupancy;
             ++n_started;
             if (remaining == 0) {
                 done = true;

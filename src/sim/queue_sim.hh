@@ -15,30 +15,29 @@
  * cores running at 1/shareCount speed.
  *
  * The hot path is allocation-free in steady state and dispatches from
- * a calendar of core free-times: cores are grouped into at most three
- * equal-speed classes, each class buckets its cores' free-times by
- * value into fixed-width time slots (indexed lookup + intra-bucket
- * scan, SIMD where a bucket degenerates), so the earliest-free core is
- * always in the first occupied bucket and consuming it is O(bucket
- * occupancy) instead of a heap sift or a linear scan over every core.
- * Service times are drawn in speculative chunks (one batched sampling
- * pass per ~64 requests, unconsumed draws rolled back exactly), new
- * arrivals are dispatched straight from the sorted arrival array
- * instead of round-tripping through the backlog ring, and the QoS
- * window is an incrementally maintained stats::WindowedQuantile whose
- * per-interval tails are only as deep as the p99 rank. run() asks for
- * the window p99 first, so the interval's own p99 is a lookup in the
- * tail that query built.
+ * sorted free-time lanes: cores are grouped into at most three
+ * equal-speed classes, each keeping its cores' free-times sorted
+ * ascending, so the earliest-free core is always lane 0 and starting
+ * a request is one branch-free SIMD pass that drops lane 0 and
+ * inserts the completion at its rank, instead of a heap sift or a
+ * linear scan over every core. Service times are drawn in speculative
+ * chunks (one batched sampling pass per ~64 requests, unconsumed draws
+ * rolled back exactly), new arrivals are dispatched straight from the
+ * sorted arrival array instead of round-tripping through the backlog
+ * ring, and the QoS window is an incrementally maintained
+ * stats::WindowedQuantile whose per-interval tails are only as deep as
+ * the p99 rank. run() asks for the window p99 first, so the interval's
+ * own p99 is a lookup in the tail that query built.
  *
  * A queue object holds only what carries between intervals: the
  * backlog ring, the QoS window and the RNG. Everything run() rebuilds
- * each interval (the three calendars, the arrival and sort buffers,
- * the draw chunk and the returned result) is one scratch per thread,
- * shared by every queue that thread steps, so a fleet pays for one
- * scratch per stepping thread instead of one per queue. Each buffer
- * is rewritten before it is read, and a calendar restores its +inf
- * padding for whatever buckets the previous run filled, so no queue
- * can see another's values.
+ * each interval (the three classes' lanes, the arrival and sort
+ * buffers, the draw chunk and the returned result) is one scratch per
+ * thread, shared by every queue that thread steps, so a fleet pays for
+ * one scratch per stepping thread instead of one per queue. Each
+ * buffer is rewritten before it is read, and a class rewrites every
+ * lane its insert reads, +inf padding included, so no queue can see
+ * another's values.
  *
  * Results are bit-identical to the seed's algorithm (concatenate-then-
  * sort window, linear-scan dispatch), which the tests keep as

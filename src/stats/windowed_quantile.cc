@@ -72,23 +72,37 @@ WindowedQuantile::coverTail(Segment &s, std::size_t m) const
     if (s.tailLen >= std::min(n, m))
         return;
     const std::size_t k = std::min(n, m + m / 4 + 4);
+    s.tailLen = k;
+    double *x = s.samples.data();
     // Sort the first k descending, then sink each later sample that
     // beats the smallest kept one to its rank, the displaced smallest
     // taking its slot. At p99 depths this costs fewer mispredicted
-    // branches than a heap: most samples fail the first compare.
-    double *x = s.samples.data();
-    std::sort(x, x + k, std::greater<double>{});
-    for (std::size_t i = k; i < n; ++i) {
-        const double v = x[i];
-        if (v > x[k - 1]) {
-            x[i] = x[k - 1];
-            std::size_t j = k - 1;
-            for (; j > 0 && x[j - 1] < v; --j)
-                x[j] = x[j - 1];
-            x[j] = v;
+    // branches than a heap: most samples fail the first compare. On
+    // samples in random order it makes ~k^2 ln(n/k) / 2 moves, more
+    // than selecting costs once k^2 > 4n (an overloaded queue's deep
+    // tails); samples that keep outranking the tail (rising ones) would
+    // make n·k, so insertion also gives up after 8n moves. Selection
+    // keeps the same k largest, sorted the same way.
+    if (k * k <= 4 * n) {
+        std::sort(x, x + k, std::greater<double>{});
+        std::size_t moves = 0;
+        std::size_t i = k;
+        for (; i < n && moves < 8 * n; ++i) {
+            const double v = x[i];
+            if (v > x[k - 1]) {
+                x[i] = x[k - 1];
+                std::size_t j = k - 1;
+                for (; j > 0 && x[j - 1] < v; --j)
+                    x[j] = x[j - 1];
+                moves += k - 1 - j;
+                x[j] = v;
+            }
         }
+        if (i == n)
+            return;
     }
-    s.tailLen = k;
+    std::nth_element(x, x + k - 1, x + n, std::greater<double>{});
+    std::sort(x, x + k, std::greater<double>{});
 }
 
 double

@@ -389,11 +389,11 @@ TEST(Alloc, FleetTraceHoldsNoPerNodeCopies)
 TEST(Alloc, FleetNodeCarriesNoSimulatorScratch)
 {
     // A queue simulator keeps only what carries between intervals (its
-    // backlog ring, QoS window and RNG); the calendars, arrival, sort
-    // and draw buffers and the returned latencies are one scratch per
-    // stepping thread. Building a 64-node static Masstree + Xapian
+    // backlog ring, QoS window and RNG); the dispatch lanes, arrival,
+    // sort and draw buffers and the returned latencies are one scratch
+    // per stepping thread. Building a 64-node static Masstree + Xapian
     // fleet at half load and stepping it 50 intervals allocates
-    // ~115-118 KB a node (the lower figure when an earlier test on this
+    // ~109-111 KB a node (the lower figure when an earlier test on this
     // thread already grew the scratch). It was ~383 KB (392,139 B)
     // when each of a node's two queues carried its own scratch, three
     // 256-bucket calendars included.

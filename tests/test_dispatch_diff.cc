@@ -1,16 +1,17 @@
 /**
  * @file
- * Randomized differential test of the calendar-queue dispatch against
- * the seed's algorithm (oracle::ReferenceQueueSim, tests/oracle/), at
- * the RequestQueueSim level.
+ * Randomized differential test of the sorted-lane dispatch against the
+ * seed's algorithm (oracle::ReferenceQueueSim, tests/oracle/), at the
+ * RequestQueueSim level.
  *
  * tests/test_sim_ab.cc pins whole-server runs to golden hashes; this
  * file compares live against the oracle, attacking the dispatch core
  * with adversarial arrival patterns — bursts into empty queues,
  * strings of empty intervals, single-core classes, zero-core
  * intervals, sustained saturation, tiny backlog caps, node-class rate
- * scales — plus fuzzed random schedules. Every interval's result is
- * compared with exact equality (operator== on doubles, no tolerance),
+ * scales, every class size across the lanes' block boundaries — plus
+ * fuzzed random schedules. Every interval's result is compared with
+ * exact equality (operator== on doubles, no tolerance),
  * including the per-request latenciesMs vector element by element: the
  * optimized simulator must produce the same requests, in the same
  * order, with the same bits. RequestConservation fuzzes the same
@@ -123,11 +124,12 @@ difference(const QueueIntervalResult &ro, const QueueIntervalResult &rr,
 
 /** Step the simulator and the oracle through @p schedule and require
  * exact equality of every result field, latencies element-wise
- * included. */
+ * included. Adds the requests dropped to @p dropped when given. */
 void
 runDiff(const ServiceProfile &profile,
         const std::vector<Interval> &schedule, std::uint64_t seed,
-        std::size_t max_pending = 200000, double rate_scale = 1.0)
+        std::size_t max_pending = 200000, double rate_scale = 1.0,
+        std::size_t *dropped = nullptr)
 {
     RequestQueueSim optimized(profile, Rng(seed), 2.0, max_pending,
                               rate_scale);
@@ -145,6 +147,8 @@ runDiff(const ServiceProfile &profile,
                              reference.backlog()),
                   "")
             << "first divergence at interval " << i;
+        if (dropped != nullptr)
+            *dropped += ro.dropped;
     }
 }
 
@@ -202,16 +206,18 @@ stepRoundRobin(const std::vector<const QueueCase *> &cases)
     return "";
 }
 
-/** Four queues of different shapes, so each run follows a queue whose
- * calendars had another stride, other classes and another load:
- * 18 dedicated cores; all three speed classes; 6 cores overloaded into
- * a 64-request backlog cap with timeouts firing; and no cores at all. */
+/** Five queues of different shapes, so each run follows a queue whose
+ * lane arrays were longer or shorter, with other classes and another
+ * load: 18 dedicated cores; all three speed classes; 40 dedicated
+ * cores; 6 cores overloaded into a 64-request backlog cap with
+ * timeouts firing; and no cores at all. */
 std::vector<QueueCase>
 sharedScratchCases()
 {
     std::vector<QueueCase> cases;
     QueueCase wide{"18 dedicated", testProfile(), {}, 41};
     QueueCase classes{"three classes", testProfile(6.75, 0.7), {}, 43};
+    QueueCase widest{"40 dedicated", testProfile(20.0, 0.5), {}, 59};
     QueueCase overload{"6 overloaded", testProfile(60.0, 0.5), {}, 47, 64};
     QueueCase none{"zero cores", testProfile(), {}, 53};
     const double mults[] = {0.3, 0.7, 1.1, 0.5, 0.9};
@@ -220,12 +226,14 @@ sharedScratchCases()
         wide.schedule.push_back({m * 18 * 200.0, dedicated(18)});
         classes.schedule.push_back(
             {m * 6 * 200.0, mixed(3, 4, 2, 2.5, 2.0, 1.4), 1.2});
+        widest.schedule.push_back({m * 40 * 50.0, dedicated(40)});
         overload.schedule.push_back(
             {(1.2 + m) * 6 * 1000.0 / 60.0, dedicated(6, 1.6)});
         none.schedule.push_back({m * 4 * 200.0, CoreAssignment{}});
     }
     cases.push_back(std::move(wide));
     cases.push_back(std::move(classes));
+    cases.push_back(std::move(widest));
     cases.push_back(std::move(overload));
     cases.push_back(std::move(none));
     return cases;
@@ -307,9 +315,9 @@ TEST(DispatchDiff, SingleCoreClassOverload)
 
 TEST(DispatchDiff, AllCoresBusySaturation)
 {
-    // 18 cores at 130% load for a sustained stretch: the calendar's
-    // last bucket degenerates as completions pile past the interval
-    // end, then a light stretch drains the backlog.
+    // 18 cores at 130% load for a sustained stretch: every core stays
+    // busy past the interval end and the backlog grows, then a light
+    // stretch drains it.
     std::vector<Interval> schedule;
     for (int i = 0; i < 25; ++i)
         schedule.push_back({1.3 * 18 * 200.0, dedicated(18)});
@@ -344,7 +352,7 @@ TEST(DispatchDiff, SharedAndFractionalClasses)
 {
     // All three speed classes at once (dedicated, shared-full,
     // shared-fractional) with differing frequencies, so dispatch
-    // selects among calendars with distinct service rates.
+    // selects among lane sets with distinct service rates.
     std::vector<Interval> schedule;
     for (int i = 0; i < 30; ++i) {
         schedule.push_back(
@@ -396,12 +404,57 @@ TEST(DispatchDiff, FuzzedSchedules)
     }
 }
 
+TEST(DispatchDiff, EveryLaneBlockBoundary)
+{
+    // Each class keeps its free-times in lanes padded to blocks of 8,
+    // and every ISA version inserts W of them at a time (W = 2 or 4),
+    // so a class size on either side of a vector or block boundary
+    // takes another last-vector path. Every dedicated class of 1-40
+    // cores and every shared-full pool of 1-17 cores, with and without
+    // a fractional core, runs a light stretch and an overloaded one
+    // whose backlog outwaits the timeout.
+    const double loads[] = {0.7, 1.3, 1.3, 1.3, 1.3, 1.3, 0.7, 0.7};
+    const auto run = [&](const CoreAssignment &assignment, double cores,
+                         std::uint64_t seed) {
+        // 50 ms requests: each core serves 20 per second at full speed.
+        std::vector<Interval> schedule;
+        for (const double load : loads)
+            schedule.push_back({load * cores * 20.0, assignment});
+        std::size_t timeouts = 0; // the backlog cap never binds here
+        runDiff(testProfile(50.0, 0.5), schedule, seed, 200000, 1.0,
+                &timeouts);
+        return timeouts;
+    };
+    for (std::size_t n = 1; n <= 40; ++n) {
+        const std::size_t timeouts =
+            run(dedicated(n), static_cast<double>(n), 3000 + n);
+        if (::testing::Test::HasFailure())
+            FAIL() << n << " dedicated cores diverged";
+        EXPECT_GT(timeouts, 0u) << n << " dedicated cores";
+    }
+    for (std::size_t n = 1; n <= 17; ++n) {
+        for (const bool fraction : {false, true}) {
+            // Shared cores run at 1.6 GHz: 0.8 of a 2.0 GHz core's rate.
+            const double usable =
+                static_cast<double>(n) + (fraction ? 0.5 : 0.0);
+            const std::size_t timeouts =
+                run(mixed(0, n + (fraction ? 1 : 0), 2, usable, 2.0, 1.6),
+                    0.8 * usable, 4000 + 2 * n + (fraction ? 1 : 0));
+            if (::testing::Test::HasFailure())
+                FAIL() << n << " shared cores (fraction " << fraction
+                       << ") diverged";
+            EXPECT_GT(timeouts, 0u)
+                << n << " shared cores (fraction " << fraction << ")";
+        }
+    }
+}
+
 TEST(DispatchDiff, SharedScratchRoundRobin)
 {
-    // Every queue on a thread runs in the same scratch (calendars,
-    // arrival and sort buffers, draws, the returned result). Four
-    // queues of different shapes take turns on this thread; each must
-    // still match its own oracle twin bit for bit, every interval.
+    // Every queue on a thread runs in the same scratch (lanes, arrival
+    // and sort buffers, draws, the returned result). Five queues of
+    // different shapes take turns on this thread; each must still
+    // match its own oracle twin bit for bit, every interval.
     const std::vector<QueueCase> cases = sharedScratchCases();
     std::vector<const QueueCase *> all;
     for (const QueueCase &c : cases)
@@ -411,14 +464,16 @@ TEST(DispatchDiff, SharedScratchRoundRobin)
 
 TEST(DispatchDiff, SharedScratchTwoThreads)
 {
-    // The same four queues split across two threads stepping at once:
+    // The same five queues split across two threads stepping at once:
     // each thread has its own scratch, so neither sees the other's
     // values (and ThreadSanitizer sees no shared write).
     const std::vector<QueueCase> cases = sharedScratchCases();
     std::string diff_a;
     std::string diff_b;
-    std::thread a([&] { diff_a = stepRoundRobin({&cases[0], &cases[1]}); });
-    std::thread b([&] { diff_b = stepRoundRobin({&cases[2], &cases[3]}); });
+    std::thread a([&] {
+        diff_a = stepRoundRobin({&cases[0], &cases[1], &cases[2]});
+    });
+    std::thread b([&] { diff_b = stepRoundRobin({&cases[3], &cases[4]}); });
     a.join();
     b.join();
     EXPECT_EQ(diff_a, "");

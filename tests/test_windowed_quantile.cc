@@ -140,6 +140,33 @@ crossCheck(std::uint64_t seed, int rounds, int intervals,
     }
 }
 
+/** Three 20,000-sample intervals of @p value(i), i counting up through
+ * all three, queried at p99 and p99.9 (window and interval) after
+ * each, in both query orders. */
+void
+checkMonotoneIntervals(double (*value)(std::size_t))
+{
+    const double orders[2][2] = {{99.0, 99.9}, {99.9, 99.0}};
+    for (const auto &order : orders) {
+        WindowedQuantile w(3);
+        NaiveWindow naive(3);
+        std::size_t i = 0;
+        for (int interval = 0; interval < 3; ++interval) {
+            std::vector<double> values(20000);
+            for (double &x : values)
+                x = value(i++);
+            feed(w, naive, values);
+            for (const double p : order) {
+                EXPECT_EQ(w.percentile(p), naive.percentile(p))
+                    << "interval " << interval << " p" << p;
+                EXPECT_EQ(w.lastIntervalPercentile(p),
+                          naive.lastIntervalPercentile(p))
+                    << "interval " << interval << " p" << p;
+            }
+        }
+    }
+}
+
 } // namespace
 
 TEST(WindowedQuantileWrap, RingWrapsManyTimesOverItsLength)
@@ -363,6 +390,24 @@ TEST(WindowedQuantileDepth, SamplesAddedAfterAQueryEnterTheTail)
         EXPECT_EQ(w.lastIntervalPercentile(99.0),
                   naive.lastIntervalPercentile(99.0)) << i;
     }
+}
+
+TEST(WindowedQuantileDepth, StrictlyRisingInterval)
+{
+    // An overloaded FCFS queue's latencies rise through the interval,
+    // so every sample outranks the tail built so far: sorted insertion
+    // spends its budget of moves and the build finishes by selection
+    // (or, for the deepest tails, selects from the start).
+    checkMonotoneIntervals(
+        [](std::size_t i) { return 1.0 + 0.25 * static_cast<double>(i); });
+}
+
+TEST(WindowedQuantileDepth, StrictlyFallingInterval)
+{
+    // The first samples are the tail; no later one enters it.
+    checkMonotoneIntervals([](std::size_t i) {
+        return 1.0e5 - 0.25 * static_cast<double>(i);
+    });
 }
 
 TEST(WindowedQuantileRandomized, CrossCheckAgainstNaiveModel)
