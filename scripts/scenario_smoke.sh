@@ -12,7 +12,8 @@
 # actually fired within the reduced step budget. A deployed fleet is
 # smoked at scale too: a one-node donor is trained and checkpointed,
 # then 512 exploit-only replicas warm-start from it (no per-node power
-# profiling, so setup takes seconds) and must print metrics. A
+# profiling, so setup takes seconds) and must print metrics, the same
+# bytes stepped on one thread and on four. A
 # 500-step Twig-S run's --sim-profile table must carry an
 # `unattributed` row (wall time outside every simulator and agent
 # phase) below 5 %, so the profile keeps accounting for the agent's
@@ -76,17 +77,26 @@ fleet_services=(--service masstree --service img-dnn)
 # 10 steps: the horizon defaults to --steps, and Twig's compressed
 # preset needs a horizon of at least 10.
 printf '== warm 512-node fleet from a one-node donor\n'
+out4=
 if ! out=$("$sim" "${fleet_services[@]}" --nodes 1 --steps 200 \
     --save-checkpoint "$tmp/donor.ckpt" 2>&1) ||
     ! out=$("$sim" "${fleet_services[@]}" --nodes 512 --domains 8 \
-        --policy p2c-latency --checkpoint "$tmp/donor.ckpt" --steps 10 2>&1); then
-    printf '%s\n' "$out"
+        --policy p2c-latency --checkpoint "$tmp/donor.ckpt" --steps 10 2>&1) ||
+    ! out4=$("$sim" "${fleet_services[@]}" --nodes 512 --domains 8 \
+        --policy p2c-latency --checkpoint "$tmp/donor.ckpt" --steps 10 \
+        --jobs 4 2>&1); then
+    printf '%s\n' "$out" "$out4"
     echo "scenario_smoke: FAIL warm 512-node fleet (non-zero exit)" >&2
     failures=$((failures + 1))
 else
     printf '%s\n' "$out"
     if ! grep -q "QoS" <<<"$out"; then
         echo "scenario_smoke: FAIL warm 512-node fleet (no metrics in output)" >&2
+        failures=$((failures + 1))
+    fi
+    if [[ "$out4" != "$out" ]]; then
+        printf '%s\n' "$out4"
+        echo "scenario_smoke: FAIL warm 512-node fleet (--jobs 4 output differs from --jobs 1)" >&2
         failures=$((failures + 1))
     fi
 fi

@@ -41,6 +41,11 @@ ClusterManager::ClusterManager(
                     numServices(), " services)");
     for (const auto &load : fleetLoads_)
         common::fatalIf(!load, "ClusterManager: null load generator");
+    for (const auto &svc : slots_.services()) {
+        for (auto &slot : recent_)
+            slot.push_back(latencyHistogram(svc));
+        trailing_.push_back(latencyHistogram(svc));
+    }
 }
 
 std::size_t
@@ -53,13 +58,12 @@ ClusterManager::batchedNodeCount() const
 }
 
 const stats::Histogram &
-ClusterManager::domainHistogram(std::size_t d, std::size_t s) const
+ClusterManager::intervalHistogram(std::size_t s) const
 {
-    common::fatalIf(d >= domainScratch_.size() ||
-                        s >= domainScratch_[d].size(),
-                    "ClusterManager::domainHistogram: bad index (no "
-                    "hierarchical merge yet?)");
-    return domainScratch_[d][s];
+    common::fatalIf(step_ == 0 || s >= numServices(),
+                    "ClusterManager::intervalHistogram: bad index (no "
+                    "step yet?)");
+    return recent_[(step_ - 1) % sim::kQosWindowIntervals][s];
 }
 
 void
@@ -124,9 +128,6 @@ ClusterManager::step()
     const std::size_t num_nodes = numNodes();
     const std::size_t num_services = numServices();
     common::fatalIf(num_nodes == 0, "ClusterManager::step: no nodes");
-    // Fix the domain partition to the fleet shape (idempotent; fatal
-    // when domains > nodes).
-    router_.bind(num_nodes);
 
     // 0. Faults: apply the schedule transitions due this step, then
     //    the periodic checkpoint, all serially — recovery and frame
@@ -253,17 +254,14 @@ ClusterManager::step()
     for (std::size_t n = 0; n < num_nodes; ++n)
         profile_.forwardCycles += slots_.node(n).takeDecideCycles();
 
-    // 3. Merge node telemetry deterministically and hierarchically:
-    //    node -> domain -> fleet, domains in parallel on the pool. Bin
-    //    counts are integers, so this is exactly the flat node merge.
+    // 3. Merge, serially in slot order: each powered node's power adds
+    //    into fleet power, and its latency histograms into this
+    //    interval's slot of the fleet ring. Bin counts are integers,
+    //    so the merged counts do not depend on the order.
     const std::uint64_t t_merge = now();
-    if (mergedScratch_.empty()) {
-        for (const auto &b : slots_.binnings()) {
-            mergedScratch_.emplace_back(b.loMs, b.hiMs, b.bins);
-            trailingScratch_.emplace_back(b.loMs, b.hiMs, b.bins);
-        }
-    }
-    for (auto &h : mergedScratch_)
+    std::vector<stats::Histogram> &merged =
+        recent_[step_ % sim::kQosWindowIntervals];
+    for (auto &h : merged)
         h.clear();
 
     FleetIntervalStats &out = fleetStats_;
@@ -284,62 +282,23 @@ ClusterManager::step()
             ++out.servingNodes;
         else
             ++out.drainingNodes;
-        out.totalPowerW += slots_.node(n).lastStats().socketPowerW;
-    }
-    const std::size_t num_domains = router_.numDomains();
-    if (domainScratch_.empty()) {
-        domainScratch_.resize(num_domains);
-        for (auto &per_service : domainScratch_) {
-            for (const auto &b : slots_.binnings())
-                per_service.emplace_back(b.loMs, b.hiMs, b.bins);
-        }
-    }
-    auto merge_domain = [this, num_services](std::size_t d) {
-        const Domain &dom = router_.domain(d);
-        auto &per_service = domainScratch_[d];
-        for (auto &h : per_service)
-            h.clear();
-        for (std::size_t i = 0; i < dom.count; ++i) {
-            const std::size_t n = dom.first + i;
-            if (!slots_.powered(n))
-                continue; // crashed: partial domain merge
-            for (std::size_t s = 0; s < num_services; ++s)
-                per_service[s].merge(slots_.node(n).intervalHistogram(s));
-        }
-    };
-    if (pool_ && cfg_.jobs > 1 && num_domains > 1)
-        pool_->parallelFor(0, num_domains, merge_domain);
-    else
-        for (std::size_t d = 0; d < num_domains; ++d)
-            merge_domain(d);
-    // Fleet level: serial, in domain order.
-    for (std::size_t d = 0; d < num_domains; ++d) {
+        const Node &node = slots_.node(n);
+        out.totalPowerW += node.lastStats().socketPowerW;
         for (std::size_t s = 0; s < num_services; ++s)
-            mergedScratch_[s].merge(domainScratch_[d][s]);
+            merged[s].merge(node.intervalHistogram(s));
     }
     // The interval's fault and scale events, and its bill.
     out.costDollars =
         slots_.closeStep(out.nodeUp, out.faultEvents, out.scaleEvents);
-    // Fleet p99 over a short trailing window of intervals (one
-    // interval's p99 is a noisy order statistic at realistic rates);
-    // the next interval's scale decision reads it.
-    if (recent_.empty())
-        recent_.resize(num_services);
+    // Fleet p99 over the ring, a short trailing window of intervals
+    // (one interval's p99 is a noisy order statistic at realistic
+    // rates; slots not yet filled are empty); the next interval's
+    // scale decision reads it.
     for (std::size_t s = 0; s < num_services; ++s) {
-        auto &window = recent_[s];
-        if (window.size() < sim::kQosWindowIntervals) {
-            window.push_back(mergedScratch_[s]);
-        } else {
-            // Evict the oldest interval without churning allocations:
-            // rotate, then overwrite the (now last) slot in place.
-            std::rotate(window.begin(), window.begin() + 1, window.end());
-            window.back() = mergedScratch_[s];
-        }
-        stats::Histogram &trailing = trailingScratch_[s];
-        trailing = window.front();
-        for (std::size_t i = 1; i < window.size(); ++i)
-            trailing.merge(window[i]);
-        out.fleetP99Ms[s] = trailing.quantile(0.99);
+        trailing_[s].clear();
+        for (const auto &slot : recent_)
+            trailing_[s].merge(slot[s]);
+        out.fleetP99Ms[s] = trailing_[s].quantile(0.99);
     }
     profile_.mergeCycles += now() - t_merge;
 
@@ -365,8 +324,8 @@ ClusterManager::run(
     // Window accumulators: merged histograms for the exact fleet-wide
     // window p99, plus per-interval QoS pass counts.
     std::vector<stats::Histogram> window_hists;
-    for (const auto &b : slots_.binnings())
-        window_hists.emplace_back(b.loMs, b.hiMs, b.bins);
+    for (const auto &svc : services)
+        window_hists.push_back(latencyHistogram(svc));
     std::vector<std::size_t> qos_ok(num_services, 0);
     double power_sum = 0.0;
 
@@ -376,9 +335,7 @@ ClusterManager::run(
         const FleetIntervalStats &fs = step();
         if (t >= window_start) {
             for (std::size_t s = 0; s < num_services; ++s) {
-                // step() just merged the powered nodes' interval
-                // histograms into the fleet interval histogram.
-                window_hists[s].merge(mergedScratch_[s]);
+                window_hists[s].merge(intervalHistogram(s));
                 if (fs.fleetP99Ms[s] <= services[s].qosTargetMs)
                     ++qos_ok[s];
             }

@@ -23,10 +23,12 @@
  *      output row independently in a fixed order); nodes outside any
  *      cohort (training managers, baselines, singletons) decide
  *      in-node as before;
- *   4. merge the per-node latency histograms hierarchically — node ->
- *      domain (parallel per domain) -> fleet — which is *exactly* the
- *      flat merge because histogram merging is bin-wise integer
- *      addition; sum node power into fleet power.
+ *   4. merge: one serial pass over the slots adds each powered node's
+ *      power into fleet power and its latency histograms into the
+ *      fleet's histogram of the interval, one slot of a
+ *      sim::kQosWindowIntervals ring; the fleet p99 is the quantile of
+ *      the ring's sum. Bin counts are integers, so the result does not
+ *      depend on merge order or routing domains.
  *
  * Replica lifecycle — slot records, fault recovery, checkpoint frames
  * and elastic sizing — lives in the SlotTable (cluster/slot_table.hh),
@@ -36,6 +38,7 @@
 #ifndef TWIG_CLUSTER_CLUSTER_MANAGER_HH
 #define TWIG_CLUSTER_CLUSTER_MANAGER_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -195,10 +198,9 @@ class ClusterManager
      * last stepped interval (0 before the first step). */
     std::size_t batchedNodeCount() const;
 
-    /** Domain @p d's merged interval histogram for service @p s from
-     * the last step (tests). */
-    const stats::Histogram &domainHistogram(std::size_t d,
-                                            std::size_t s) const;
+    /** The fleet's latency histogram of service @p s over the last
+     * stepped interval: every powered node's, merged. */
+    const stats::Histogram &intervalHistogram(std::size_t s) const;
 
     const FleetPhaseProfile &phaseProfile() const { return profile_; }
     void resetPhaseProfile() { profile_ = FleetPhaseProfile{}; }
@@ -246,13 +248,13 @@ class ClusterManager
     /** Created on first parallel step (jobs > 1). */
     std::unique_ptr<common::ThreadPool> pool_;
     std::size_t step_ = 0;
-    /** Scratch: merged per-service histograms for the current interval. */
-    std::vector<stats::Histogram> mergedScratch_;
-    /** Hierarchical-merge scratch: per-domain per-service histograms. */
-    std::vector<std::vector<stats::Histogram>> domainScratch_;
-    /** Last sim::kQosWindowIntervals interval histograms per service
-     * (recent_[svc] is ordered oldest first). */
-    std::vector<std::vector<stats::Histogram>> recent_;
+    /** The fleet's latency histograms of the last
+     * sim::kQosWindowIntervals intervals: interval t is
+     * recent_[t % kQosWindowIntervals][service]. */
+    std::array<std::vector<stats::Histogram>, sim::kQosWindowIntervals>
+        recent_;
+    /** Per service: the sum of recent_'s slots (fleetP99Ms). */
+    std::vector<stats::Histogram> trailing_;
 
     // --- batched inference -------------------------------------------
     bool batchedInference_ = true;
@@ -273,8 +275,6 @@ class ClusterManager
     std::vector<double> weights_;
     RouterFeedback feedback_;
     std::vector<std::vector<double>> shares_;
-    /** Trailing-window merge accumulator per service. */
-    std::vector<stats::Histogram> trailingScratch_;
 };
 
 } // namespace twig::cluster

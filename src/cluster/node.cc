@@ -9,6 +9,12 @@
 
 namespace twig::cluster {
 
+stats::Histogram
+latencyHistogram(const sim::ServiceProfile &svc)
+{
+    return stats::Histogram(0.0, svc.qosTargetMs * 32.0, 1024);
+}
+
 Node::Node(const NodeConfig &cfg, std::unique_ptr<core::TaskManager> manager,
            std::uint64_t seed, const FaultEnv &env)
     : config_(cfg), server_(cfg.machine, seed),
@@ -17,15 +23,12 @@ Node::Node(const NodeConfig &cfg, std::unique_ptr<core::TaskManager> manager,
 {
     common::fatalIf(config_.services.empty(), "Node: hosts no services");
     common::fatalIf(!manager_, "Node: null task manager");
-    common::fatalIf(config_.latencyBins.size() != config_.services.size(),
-                    "Node: need one latency binning per service");
 
-    for (std::size_t i = 0; i < config_.services.size(); ++i) {
+    for (const auto &svc : config_.services) {
         auto load = std::make_unique<RoutedLoad>();
         loads_.push_back(load.get());
-        server_.addService(config_.services[i], std::move(load));
-        const LatencyBinning &b = config_.latencyBins[i];
-        intervalHists_.emplace_back(b.loMs, b.hiMs, b.bins);
+        server_.addService(svc, std::move(load));
+        intervalHists_.push_back(latencyHistogram(svc));
     }
 
     server_.setLatencySink(

@@ -8,10 +8,10 @@
  * generators whose RPS the Router sets before every interval — the
  * single-node simulator is reused unchanged; only the load source
  * differs from the standalone harness. Each interval the node also
- * fills one fixed-binning latency histogram per service (via the
- * server's latency sink), so the ClusterManager can merge per-node
- * histograms into exact fleet-wide tail latency without shipping raw
- * samples.
+ * fills one latency histogram per service (via the server's latency
+ * sink), binned by latencyHistogram(), so the ClusterManager can merge
+ * per-node histograms into exact fleet-wide tail latency without
+ * shipping raw samples.
  *
  * Determinism: a node's whole world (server, queues, manager) is
  * seeded at construction and consumes randomness only inside
@@ -50,14 +50,10 @@ class RoutedLoad : public sim::LoadGenerator
     double rps_ = 0.0;
 };
 
-/** Latency-histogram binning for one service. Must be identical on
- * every node hosting the service or fleet-wide merging is rejected. */
-struct LatencyBinning
-{
-    double loMs = 0.0;
-    double hiMs = 100.0;
-    std::size_t bins = 1024;
-};
+/** An empty latency histogram for @p svc: [0, 32 x QoS target) in
+ * 1024 bins (latencies beyond clamp into the last bin). Every node and
+ * the fleet bin a service this way, so their histograms merge. */
+stats::Histogram latencyHistogram(const sim::ServiceProfile &svc);
 
 /** Construction parameters of one node. */
 struct NodeConfig
@@ -65,8 +61,6 @@ struct NodeConfig
     sim::MachineConfig machine;
     /** Service replicas this node hosts (same order fleet-wide). */
     std::vector<sim::ServiceProfile> services;
-    /** Per-service latency binning (same order; fleet-uniform). */
-    std::vector<LatencyBinning> latencyBins;
 };
 
 /** A slot's environmental fault state; it outlives a node rebuild. */
@@ -97,7 +91,7 @@ class Node
 {
   public:
     /**
-     * @param cfg      machine, hosted services and histogram binning
+     * @param cfg      machine and hosted services
      * @param manager  the node's task manager (ownership transfers)
      * @param seed     seeds the node's private simulation randomness
      * @param env      the slot's environmental faults (noise RNG

@@ -12,7 +12,7 @@
  * Why two levels: a single flat router is O(quanta x nodes) with one
  * shared RNG stream — fine at 8 nodes, a serial bottleneck at 512.
  * Domains keep every inner router small and give the fleet a natural
- * unit for hierarchical histogram merging and failure containment.
+ * unit of failure containment.
  *
  * Determinism and compatibility:
  *

@@ -11,19 +11,6 @@ namespace twig::cluster {
 
 using K = faults::FaultEventKind;
 
-namespace {
-
-/** Latency-histogram bins per service. */
-constexpr std::size_t kLatencyBins = 1024;
-/** Histogram upper edge as a multiple of each service's QoS target
- * (latencies beyond clamp into the last bin). */
-constexpr double kLatencySpanQosMultiple = 32.0;
-
-static_assert(kLatencyBins > 0);
-static_assert(kLatencySpanQosMultiple > 0.0);
-
-} // namespace
-
 const char *
 scaleEventKindName(ScaleEvent::Kind kind)
 {
@@ -36,16 +23,6 @@ scaleEventKindName(ScaleEvent::Kind kind)
         return "retire";
     }
     common::panic("scaleEventKindName: bad enum value");
-}
-
-SlotTable::SlotTable(std::vector<sim::ServiceProfile> services,
-                     std::uint64_t seed)
-    : services_(std::move(services)), seed_(seed)
-{
-    // [0, QoS x span multiple) per service.
-    for (const auto &svc : services_)
-        binnings_.push_back(
-            {0.0, svc.qosTargetMs * kLatencySpanQosMultiple, kLatencyBins});
 }
 
 std::size_t
@@ -69,7 +46,7 @@ SlotTable::add(const sim::MachineConfig &machine,
         twig->restore(*donor);
     }
     nodes_.push_back(std::make_unique<Node>(
-        NodeConfig{machine, services_, binnings_}, std::move(manager),
+        NodeConfig{machine, services_}, std::move(manager),
         node_seed));
     // Remember the rebuild recipe: a crashed replica is reborn from
     // the same machine and factory (not from the donor checkpoint —
@@ -272,7 +249,7 @@ SlotTable::rebuildNode(std::size_t n, const std::string &recovery)
     // Environmental faults outlive the process that crashed: the rack
     // is still hot, the monitor is still flaky.
     nodes_[n] = std::make_unique<Node>(
-        NodeConfig{slot.machine, services_, binnings_}, std::move(manager),
+        NodeConfig{slot.machine, services_}, std::move(manager),
         node_seed, slot.env);
     ++generation_; // fresh manager: cohort pointers are stale
 }

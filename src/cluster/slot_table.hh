@@ -51,6 +51,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autoscale/autoscaler.hh"
@@ -106,7 +107,10 @@ class SlotTable
 
     /** @param seed the fleet's base seed; node, rebuild and fault
      * seeds derive from it. */
-    SlotTable(std::vector<sim::ServiceProfile> services, std::uint64_t seed);
+    SlotTable(std::vector<sim::ServiceProfile> services, std::uint64_t seed)
+        : services_(std::move(services)), seed_(seed)
+    {
+    }
 
     /**
      * Add a slot, Active and up. @p factory builds its manager and is
@@ -123,9 +127,6 @@ class SlotTable
     {
         return services_;
     }
-    /** Fleet-uniform latency binning per service (Histogram::merge
-     * needs identical edges on every node). */
-    const std::vector<LatencyBinning> &binnings() const { return binnings_; }
     /** Slot @p n's current node (unchecked; rebuilt after a crash). */
     Node &node(std::size_t n) { return *nodes_[n]; }
     /** Slot @p n's last checkpoint frame ("" = none yet; unchecked). */
@@ -258,7 +259,6 @@ class SlotTable
     faults::FaultEvent &emit(faults::FaultEventKind kind, std::int64_t n);
 
     std::vector<sim::ServiceProfile> services_;
-    std::vector<LatencyBinning> binnings_;
     std::uint64_t seed_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<Slot> slots_;

@@ -40,7 +40,6 @@ TwigConfig::fast(std::size_t horizon)
     cfg.learner.net.agentHeadHidden = 32;
     cfg.learner.net.branchHidden = 32;
     cfg.learner.net.dropoutRate = 0.0f;
-    cfg.learner.net.adam.learningRate = 0.0025f;
     cfg.learner.minibatch = 32;
     // A compressed run cannot amortise the paper's 100-step effective
     // horizon (gamma = 0.99); the allocation problem is near-contextual

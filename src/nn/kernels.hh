@@ -16,20 +16,16 @@
 
 #include <cstddef>
 
-// ThreadSanitizer instruments the ifunc resolver that per-ISA versions
-// need, and resolvers run during relocation, before the TSan runtime's
-// thread state exists, so any TSan build that links a versioned kernel
-// would crash before main. Under TSan only the default-ISA kernels are
-// built. TWIG_KERNEL_VERSIONS says whether the per-ISA versions are
-// built; the GEMM (matrix.cc) declares its versions by hand.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define TWIG_KERNEL_VERSIONS 1
+#include "common/isa.hh"
+
+// Where per-ISA versions are built (common/isa.hh), each kernel is
+// cloned per ISA level; the GEMM (matrix.cc) declares its versions by
+// hand.
+#if TWIG_ISA_VERSIONS
 #define TWIG_KERNEL_CLONES                                                  \
     __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3",        \
                                  "default")))
 #else
-#define TWIG_KERNEL_VERSIONS 0
 #define TWIG_KERNEL_CLONES
 #endif
 

@@ -38,6 +38,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/isa.hh"
 #include "nn/kernels.hh"
 
 namespace twig::nn {
@@ -321,7 +322,7 @@ gemmTiles(const Operands &op)
 // picks the widest the CPU supports). target_clones would compile one
 // width into every clone, and a 64-byte vector has no register in the
 // AVX2 or SSE2 clones, so it would live on the stack there.
-#if TWIG_KERNEL_VERSIONS
+#if TWIG_ISA_VERSIONS
 __attribute__((target("arch=x86-64-v4"))) void
 gemmKernel(const Operands &op)
 {

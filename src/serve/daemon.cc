@@ -10,6 +10,9 @@ namespace twig::serve {
 
 using clock = std::chrono::steady_clock;
 
+/** Connection-drain budget at shutdown. */
+constexpr int kDrainMs = 250;
+
 Daemon::Daemon(harness::ScenarioSpec spec, DaemonOptions options)
     : spec_(std::move(spec)), options_(std::move(options))
 {
@@ -178,7 +181,7 @@ Daemon::eventLoop()
     while (!stop_.load(std::memory_order_acquire))
         listener_->poll(200);
     // Graceful drain: answer what already arrived, flush, close.
-    listener_->drainAndClose(options_.drainMs);
+    listener_->drainAndClose(kDrainMs);
     eventDone_.store(true, std::memory_order_release);
 }
 

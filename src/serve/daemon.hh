@@ -76,8 +76,6 @@ struct DaemonOptions
     /** Write node 0's final checkpoint here ("" = skip; needs a
      * TwigManager on node 0). */
     std::string finalCheckpoint;
-    /** Connection-drain budget at shutdown. */
-    int drainMs = 250;
 };
 
 /** Outcome of one daemon run (valid after join()). */

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/error.hh"
+#include "common/isa.hh"
 #include "common/sim_counters.hh"
 
 namespace twig::sim {
@@ -19,19 +20,6 @@ using common::simprof::ScopedPhaseTimer;
 /** Service times are pre-drawn in chunks of this many requests (see
  * run); the last chunk's unconsumed draws are rolled back. */
 constexpr std::size_t kDrawChunk = 64;
-
-// The lane insert has one version per ISA level (C++ function
-// multiversioning, as nn/matrix.cc's GEMM). ThreadSanitizer
-// instruments the ifunc resolver that needs, and resolvers run during
-// relocation, before the TSan runtime's thread state exists, so any
-// TSan build that linked the versions would crash before main. TSan
-// builds get the baseline version only.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define TWIG_LANE_VERSIONS 1
-#else
-#define TWIG_LANE_VERSIONS 0
-#endif
 
 /** Eight free-time lanes on one cache line. A class's lane array is
  * whole blocks, so the W-lane vectors of every version (W divides 8)
@@ -91,7 +79,9 @@ insertLanes(LaneBlock *lanes, std::uint32_t n, double c)
 // register) under x86-64-v3, 2 (one SSE2 register) at the baseline. A
 // vector wider than the ISA's registers lives on the stack, and an
 // 8-lane x86-64-v4 version won no consistent time on a 512-node fleet.
-#if TWIG_LANE_VERSIONS
+// Builds without per-ISA versions (common/isa.hh) get the baseline
+// one only.
+#if TWIG_ISA_VERSIONS
 __attribute__((target("arch=x86-64-v3"))) double
 insertCompletion(LaneBlock *lanes, std::uint32_t n, double c)
 {

@@ -78,10 +78,8 @@ Histogram::quantile(double q) const
             continue;
         const std::size_t next = cum + counts_[i];
         if (static_cast<double>(next) >= rank) {
-            const double within = counts_[i] == 0
-                ? 0.0
-                : (rank - static_cast<double>(cum)) /
-                    static_cast<double>(counts_[i]);
+            const double within = (rank - static_cast<double>(cum)) /
+                                  static_cast<double>(counts_[i]);
             return lo_ + (static_cast<double>(i) +
                           std::clamp(within, 0.0, 1.0)) * binWidth_;
         }

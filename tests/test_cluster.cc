@@ -19,6 +19,7 @@
 #include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"
+#include "sim/machine.hh"
 #include "stats/histogram.hh"
 
 using namespace twig;
@@ -413,55 +414,44 @@ TEST(ShardedRouter, Validation)
                  FatalError); // not bound yet
 }
 
-TEST(ClusterManager, HierarchicalMergeMatchesFlatNodeMerge)
+TEST(ClusterManager, MergeMatchesFlatNodeMerge)
 {
-    // The returned fleet telemetry goes node -> domain -> fleet; this
-    // checks the per-domain histograms against a manual flat merge of
-    // the node histograms, bin for bin, every step.
+    // The fleet's interval histogram is one merge of every node's,
+    // whatever the routing domains; this checks it against a manual
+    // flat merge of the node histograms, bin for bin, every step.
     auto fleet = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 6,
                            staticNodes(), 12, /*domains=*/3);
     for (std::size_t t = 0; t < 12; ++t) {
         fleet.step();
-        stats::Histogram flat(0.0,
-                              services::masstree().qosTargetMs * 32.0,
-                              1024);
+        stats::Histogram flat = latencyHistogram(services::masstree());
         for (std::size_t n = 0; n < 6; ++n)
             flat.merge(fleet.node(n).intervalHistogram(0));
 
-        stats::Histogram fleet_merged(
-            0.0, services::masstree().qosTargetMs * 32.0, 1024);
-        for (std::size_t d = 0; d < 3; ++d)
-            fleet_merged.merge(fleet.domainHistogram(d, 0));
-
-        ASSERT_EQ(fleet_merged.count(), flat.count()) << "step " << t;
+        const stats::Histogram &merged = fleet.intervalHistogram(0);
+        ASSERT_EQ(merged.count(), flat.count()) << "step " << t;
         for (std::size_t b = 0; b < flat.bins(); ++b)
-            ASSERT_EQ(fleet_merged.binCount(b), flat.binCount(b))
+            ASSERT_EQ(merged.binCount(b), flat.binCount(b))
                 << "step " << t << " bin " << b;
     }
 }
 
-TEST(ClusterManager, HierarchicalMergeSkipsCrashedNodes)
+TEST(ClusterManager, MergeSkipsCrashedNodes)
 {
-    // A crashed replica serves no samples: its domain's histogram must
-    // cover exactly the surviving members (a partial merge), and the
-    // fleet merge must equal the flat merge over up nodes throughout
-    // crash and restart.
+    // A crashed replica serves no samples: the fleet merge must equal
+    // the flat merge over up nodes throughout crash and restart.
     auto fleet = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 6,
                            staticNodes(), 16, /*domains=*/3);
     faults::FaultSpec spec;
     spec.actions.push_back(crashAction(3, 2, 5, "cold"));
     fleet.slots().setFaults(spec);
-    const double hi = services::masstree().qosTargetMs * 32.0;
     for (std::size_t t = 0; t < 16; ++t) {
         fleet.step();
-        stats::Histogram flat(0.0, hi, 1024);
+        stats::Histogram flat = latencyHistogram(services::masstree());
         for (std::size_t n = 0; n < 6; ++n) {
             if (fleet.slots().isNodeUp(n))
                 flat.merge(fleet.node(n).intervalHistogram(0));
         }
-        stats::Histogram merged(0.0, hi, 1024);
-        for (std::size_t d = 0; d < 3; ++d)
-            merged.merge(fleet.domainHistogram(d, 0));
+        const stats::Histogram &merged = fleet.intervalHistogram(0);
         ASSERT_EQ(merged.count(), flat.count()) << "step " << t;
         for (std::size_t b = 0; b < flat.bins(); ++b)
             ASSERT_EQ(merged.binCount(b), flat.binCount(b))
@@ -476,7 +466,7 @@ TEST(ClusterManager, HistogramCountsConserveRequestsThroughCrashAndRestart)
 {
     // Every latency sample a node records is a request its interval
     // completed or dropped (timeouts are censored samples; the backlog
-    // cap is never reached here), and the domain merge keeps every
+    // cap is never reached here), and the fleet merge keeps every
     // powered node's samples and no crashed node's, through a crash
     // and restart in each of two domains.
     auto fleet = makeFleet(RoutingPolicy::PowerOfTwoLatency, 1, 6,
@@ -501,12 +491,52 @@ TEST(ClusterManager, HistogramCountsConserveRequestsThroughCrashAndRestart)
                 << "step " << t << " node " << n;
             powered_samples += count;
         }
-        std::size_t domain_samples = 0;
-        for (std::size_t d = 0; d < 2; ++d)
-            domain_samples += fleet.domainHistogram(d, 0).count();
-        EXPECT_EQ(domain_samples, powered_samples) << "step " << t;
+        EXPECT_EQ(fleet.intervalHistogram(0).count(), powered_samples)
+            << "step " << t;
     }
     EXPECT_EQ(down_intervals, 6u + 4u); // both outages were observed
+}
+
+TEST(ClusterManager, FleetP99IsTheTrailingMergeOfNodeHistograms)
+{
+    // By definition, the fleet p99 of an interval is the p99 of every
+    // powered node's samples over the last kQosWindowIntervals
+    // intervals, and the run's window p99 that of every powered
+    // node's samples over the summary window. Rebuild both by hand
+    // from the node histograms — a ring of flat merges — through a
+    // crash and restart, on two stepping threads.
+    constexpr std::size_t kSteps = 14;
+    constexpr std::size_t kWindow = 6;
+    auto fleet = makeFleet(RoutingPolicy::PowerOfTwoLatency, /*jobs=*/2, 6,
+                           staticNodes(), kSteps, /*domains=*/3);
+    faults::FaultSpec spec;
+    spec.actions.push_back(crashAction(4, 1, 5, "cold"));
+    fleet.slots().setFaults(spec);
+    const sim::ServiceProfile masstree = services::masstree();
+    std::vector<stats::Histogram> ring(sim::kQosWindowIntervals,
+                                       latencyHistogram(masstree));
+    stats::Histogram window = latencyHistogram(masstree);
+    std::size_t down_intervals = 0;
+    const FleetRunResult result = fleet.run(
+        kSteps, kWindow, [&](std::size_t t, const FleetIntervalStats &f) {
+            stats::Histogram &interval = ring[t % ring.size()];
+            interval.clear();
+            for (std::size_t n = 0; n < 6; ++n) {
+                if (f.nodeUp[n] != 0)
+                    interval.merge(fleet.node(n).intervalHistogram(0));
+                else
+                    ++down_intervals;
+            }
+            stats::Histogram trailing = latencyHistogram(masstree);
+            for (const auto &h : ring)
+                trailing.merge(h);
+            EXPECT_EQ(f.fleetP99Ms[0], trailing.quantile(0.99))
+                << "step " << t;
+            if (t >= kSteps - kWindow)
+                window.merge(interval);
+        });
+    EXPECT_EQ(result.metrics.windowP99Ms[0], window.quantile(0.99));
+    EXPECT_EQ(down_intervals, 5u); // the outage was observed
 }
 
 TEST(ClusterManager, BatchedInferenceMatchesPerNodeDecidesExactly)
