@@ -8,7 +8,7 @@
  *   simulated  harness::Engine runs the scenario's declarative loads
  *              (the deterministic batch path every other bench uses)
  *   served     an in-process serve::Daemon builds the identical fleet
- *              with LiveLoad sources, a serve::LoadClient drives half
+ *              fed the measured wire rate, a serve::LoadClient drives half
  *              of fleet capacity over TCP loopback, and the online
  *              per-interval BDQ control produces the served-mode tail
  *   wire       a short saturation burst (default 8 connections at

@@ -20,8 +20,9 @@
 # own work; only a failure prints the table, whose cycle counts vary
 # from run to run. Finally, invalid input (unknown service, missing
 # file, non-finite load, a fleet flag on a single-node run, an
-# unreadable checkpoint) must exit 2 with a message: never a crash,
-# never a silently ignored flag.
+# unreadable checkpoint, a misspelled key in a scenario or --faults
+# file, a repeated key) must exit 2 with a message: never a crash,
+# never a silently ignored flag or key.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -143,6 +144,16 @@ expect_usage_error --service masstree --load nan --steps 3
 expect_usage_error --service masstree --policy wrr --steps 3
 expect_usage_error --scenario scenarios/fig12_cluster.json --steps 3 \
     --checkpoint does_not_exist.ckpt
+echo '{"name": "misspelled", "services": [{"service": "masstree",' \
+    '"patern": "diurnal"}]}' >"$tmp/misspelled.json"
+expect_usage_error --scenario "$tmp/misspelled.json" --steps 3
+echo '{"events": [{"type": "node_crash", "at": 2, "nodde": 1}]}' \
+    >"$tmp/misspelled_faults.json"
+expect_usage_error --scenario scenarios/fig12_cluster.json --steps 3 \
+    --faults "$tmp/misspelled_faults.json"
+echo '{"name": "repeated", "steps": 20, "services":' \
+    '[{"service": "masstree"}], "steps": 30}' >"$tmp/repeated.json"
+expect_usage_error --scenario "$tmp/repeated.json" --steps 3
 
 if [[ $failures -gt 0 ]]; then
     echo "scenario_smoke: $failures check(s) failed" >&2

@@ -1,4 +1,4 @@
-/** @file Scaling decision rule, validation and JSON round-trip. */
+/** @file Scaling decision rule, validation and JSON reader. */
 
 #include "autoscale/autoscaler.hh"
 
@@ -35,35 +35,13 @@ AutoscaleConfig::validate() const
     return "";
 }
 
-common::Json
-AutoscaleConfig::toJson() const
-{
-    const AutoscaleConfig defaults;
-    auto j = common::Json::object();
-    j.set("min_nodes", minNodes);
-    j.set("max_nodes", maxNodes);
-    if (hiUtilization != defaults.hiUtilization)
-        j.set("hi_utilization", hiUtilization);
-    if (loUtilization != defaults.loUtilization)
-        j.set("lo_utilization", loUtilization);
-    if (outTardiness != defaults.outTardiness)
-        j.set("out_tardiness", outTardiness);
-    if (persistIntervals != defaults.persistIntervals)
-        j.set("persist", persistIntervals);
-    if (cooldownIntervals != defaults.cooldownIntervals)
-        j.set("cooldown", cooldownIntervals);
-    if (outStepNodes != defaults.outStepNodes)
-        j.set("out_step", outStepNodes);
-    if (inStepNodes != defaults.inStepNodes)
-        j.set("in_step", inStepNodes);
-    if (drainIntervals != defaults.drainIntervals)
-        j.set("drain", drainIntervals);
-    return j;
-}
-
 AutoscaleConfig
 AutoscaleConfig::fromJson(const common::Json &j)
 {
+    j.allowOnly({"min_nodes", "max_nodes", "hi_utilization",
+                 "lo_utilization", "out_tardiness", "persist", "cooldown",
+                 "out_step", "in_step", "drain"},
+                "autoscale");
     AutoscaleConfig c;
     c.minNodes = static_cast<std::size_t>(j.at("min_nodes").asIndex());
     c.maxNodes = static_cast<std::size_t>(j.at("max_nodes").asIndex());

@@ -72,7 +72,6 @@ struct AutoscaleConfig
     /** Structural validation; returns an error message or "". */
     std::string validate() const;
 
-    common::Json toJson() const;
     static AutoscaleConfig fromJson(const common::Json &j);
 };
 

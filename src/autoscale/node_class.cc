@@ -1,4 +1,4 @@
-/** @file NodeClass expansion, validation, JSON round-trip, catalogue. */
+/** @file NodeClass expansion, validation, JSON reader, catalogue. */
 
 #include "autoscale/node_class.hh"
 
@@ -43,37 +43,17 @@ NodeClass::validate() const
     return "";
 }
 
-common::Json
-NodeClass::toJson() const
-{
-    const NodeClass defaults;
-    auto j = common::Json::object();
-    j.set("id", id);
-    if (cores != defaults.cores)
-        j.set("cores", cores);
-    if (dvfs.minGhz != defaults.dvfs.minGhz ||
-        dvfs.maxGhz != defaults.dvfs.maxGhz ||
-        dvfs.stepGhz != defaults.dvfs.stepGhz) {
-        auto d = common::Json::object();
-        d.set("min_ghz", dvfs.minGhz);
-        d.set("max_ghz", dvfs.maxGhz);
-        d.set("step_ghz", dvfs.stepGhz);
-        j.set("dvfs", d);
-    }
-    if (serviceRateScale != defaults.serviceRateScale)
-        j.set("service_rate_scale", serviceRateScale);
-    if (dollarsPerHour != defaults.dollarsPerHour)
-        j.set("dollars_per_hour", dollarsPerHour);
-    return j;
-}
-
 NodeClass
 NodeClass::fromJson(const common::Json &j)
 {
+    j.allowOnly({"id", "cores", "dvfs", "service_rate_scale",
+                 "dollars_per_hour"},
+                "node class");
     NodeClass c;
     c.id = j.at("id").asString();
     c.cores = static_cast<std::size_t>(j.indexOr("cores", c.cores));
     if (const common::Json *d = j.find("dvfs")) {
+        d->allowOnly({"min_ghz", "max_ghz", "step_ghz"}, "dvfs");
         c.dvfs.minGhz = d->numberOr("min_ghz", c.dvfs.minGhz);
         c.dvfs.maxGhz = d->numberOr("max_ghz", c.dvfs.maxGhz);
         c.dvfs.stepGhz = d->numberOr("step_ghz", c.dvfs.stepGhz);

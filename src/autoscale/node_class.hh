@@ -10,10 +10,10 @@
  * Router/ShardedRouter deal load by, so a fleet mixing generations is
  * balanced by what each node can actually serve, not by node count.
  *
- * Classes round-trip through JSON inside a ScenarioSpec's
- * `cluster.node_classes` block; a small built-in catalogue provides
- * the common shapes so scenarios (and `--node-class` bench flags) can
- * reference them by id without re-declaring the hardware.
+ * Classes are read from a ScenarioSpec's `cluster.node_classes` block
+ * (strictly: an unknown key is fatal); a small built-in catalogue
+ * provides the common shapes so scenarios (and `--node-class` bench
+ * flags) can reference them by id without re-declaring the hardware.
  */
 
 #ifndef TWIG_AUTOSCALE_NODE_CLASS_HH
@@ -52,7 +52,6 @@ struct NodeClass
     /** Structural validation; returns an error message or "". */
     std::string validate() const;
 
-    common::Json toJson() const;
     static NodeClass fromJson(const common::Json &j);
 };
 

@@ -138,7 +138,6 @@ class Node
 
     /** Defer manager decisions to the owner (see stepInterval). */
     void setDeferDecision(bool on) { deferDecision_ = on; }
-    bool decisionPending() const { return decisionPending_; }
 
     /** The interval telemetry the manager observes: the truthful stats
      * unless a telemetry fault is armed, then the perturbed copy —

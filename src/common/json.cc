@@ -1,5 +1,6 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -145,6 +146,17 @@ Json::fields() const
     fatalIf(type_ != Type::Object, "json: fields() on a ",
             typeName(type_));
     return obj_;
+}
+
+void
+Json::allowOnly(std::initializer_list<std::string_view> keys,
+                std::string_view where) const
+{
+    for (const auto &field : fields()) {
+        fatalIf(std::find(keys.begin(), keys.end(), field.first) ==
+                    keys.end(),
+                "json: unknown key '", field.first, "' in ", where);
+    }
 }
 
 double

@@ -1,8 +1,9 @@
 /**
  * @file
  * Minimal JSON value type with a strict parser and a deterministic
- * serialiser — the persistence surface of the scenario engine
- * (harness/scenario.hh) and of machine-readable bench outputs.
+ * serialiser. The parser reads scenario and fault files
+ * (harness/scenario.hh); the serialiser writes machine-readable bench
+ * artifacts only — no spec is ever written back.
  *
  * Design points:
  *  * objects preserve insertion order, so dump() is deterministic and
@@ -11,9 +12,10 @@
  *    round-trips through double (std::to_chars); non-negative integer
  *    literals additionally keep exact 64-bit precision (seeds exceed
  *    2^53, where double starts dropping low bits);
- *  * all misuse (type mismatches, missing keys, malformed input)
- *    raises common::FatalError with a line/column position, never a
- *    silent default.
+ *  * all misuse (type mismatches, missing keys, a key repeated in one
+ *    object, malformed input) raises common::FatalError, with a
+ *    line/column position where the text has one, never a silent
+ *    default; allowOnly() lets a reader refuse keys it does not know.
  */
 
 #ifndef TWIG_COMMON_JSON_HH
@@ -21,7 +23,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -64,12 +68,6 @@ class Json
     static Json object();
 
     Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
-    bool isNumber() const { return type_ == Type::Number; }
-    bool isString() const { return type_ == Type::String; }
-    bool isArray() const { return type_ == Type::Array; }
-    bool isObject() const { return type_ == Type::Object; }
 
     /** Typed accessors; fatal on type mismatch. */
     bool asBool() const;
@@ -96,6 +94,10 @@ class Json
     void set(const std::string &key, Json v);
     /** Object fields in insertion order. */
     const std::vector<std::pair<std::string, Json>> &fields() const;
+    /** Fatal, naming the key and @p where, when this object holds a
+     * key outside @p keys: a misspelled key must not run a default. */
+    void allowOnly(std::initializer_list<std::string_view> keys,
+                   std::string_view where) const;
 
     // Typed getters with defaults, for optional fields.
     double numberOr(const std::string &key, double fallback) const;

@@ -186,24 +186,14 @@ class Rng
     }
 
     /**
-     * Log-normal from precomputed underlying-normal parameters:
-     * exactly lognormalMean's draw with the mu/sigma derivation
-     * hoisted out, so a caller sampling many values from one fixed
-     * distribution skips the per-call log/sqrt.
-     */
-    double
-    lognormal(double mu, double sigma)
-    {
-        return std::exp(normal(mu, sigma));
-    }
-
-    /**
-     * Fill @p out with @p n log-normal draws, bit-identical to calling
-     * lognormal(mu, sigma) n times — including the Box-Muller cached
-     * second value at entry and exit, so the generator ends in exactly
-     * the state n sequential calls leave it in. Batching lets the
-     * independent sqrt/log/sincos/exp chains of consecutive pairs
-     * overlap instead of serializing behind each returned value.
+     * Fill @p out with @p n log-normal draws, bit-identical to n
+     * lognormalMean(mean, cv) calls with sigma = sqrt(log(1 + cv^2))
+     * and mu = log(mean) - sigma^2 / 2 hoisted out — including the
+     * Box-Muller cached second value at entry and exit, so the
+     * generator ends in exactly the state n sequential calls leave it
+     * in. Batching lets the independent sqrt/log/sincos/exp chains of
+     * consecutive pairs overlap instead of serializing behind each
+     * returned value.
      */
     void
     lognormalBatch(double mu, double sigma, double *out, std::size_t n)

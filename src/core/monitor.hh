@@ -51,7 +51,6 @@ class SystemMonitor
 
     std::size_t numServices() const { return history_.size(); }
     std::size_t eta() const { return eta_; }
-    std::size_t stateDimPerService() const { return sim::kNumPmcs; }
 
   private:
     /** Up to eta normalised snapshots of one service in a ring. */

@@ -44,48 +44,13 @@ faultKindName(FaultKind kind)
 
 // --- FaultAction -----------------------------------------------------
 
-Json
-FaultAction::toJson() const
-{
-    Json j = Json::object();
-    j.set("type", faultKindName(kind));
-    j.set("at", atStep);
-    switch (kind) {
-    case FaultKind::NodeCrash:
-        j.set("node", node);
-        if (restartAfterSteps != 0)
-            j.set("restart_after", restartAfterSteps);
-        if (recovery != "warm")
-            j.set("recovery", recovery);
-        break;
-    case FaultKind::ThermalThrottle:
-        j.set("node", node);
-        j.set("duration", durationSteps);
-        j.set("max_dvfs", maxDvfsIndex);
-        break;
-    case FaultKind::PmcNoise:
-        j.set("node", node);
-        j.set("duration", durationSteps);
-        if (sigma != 0.0)
-            j.set("sigma", sigma);
-        if (staleProb != 0.0)
-            j.set("stale_prob", staleProb);
-        break;
-    case FaultKind::LoadSurge:
-        j.set("service", service);
-        j.set("duration", durationSteps);
-        j.set("multiplier", multiplier);
-        break;
-    case FaultKind::CheckpointCorrupt:
-        j.set("node", node);
-        break;
-    }
-    return j;
-}
-
 FaultAction
 FaultAction::fromJson(const Json &j)
 {
+    j.allowOnly({"type", "at", "node", "service", "duration",
+                 "restart_after", "recovery", "max_dvfs", "sigma",
+                 "stale_prob", "multiplier"},
+                "fault event");
     FaultAction a;
     a.kind = faultKindByName(j.at("type").asString());
     a.atStep = static_cast<std::size_t>(j.at("at").asIndex());
@@ -159,22 +124,10 @@ FaultSpec::validate(std::size_t num_nodes,
     return {};
 }
 
-Json
-FaultSpec::toJson() const
-{
-    Json j = Json::object();
-    if (checkpointEverySteps != 0)
-        j.set("checkpoint_every", checkpointEverySteps);
-    Json arr = Json::array();
-    for (const auto &a : actions)
-        arr.push(a.toJson());
-    j.set("events", std::move(arr));
-    return j;
-}
-
 FaultSpec
 FaultSpec::fromJson(const Json &j)
 {
+    j.allowOnly({"checkpoint_every", "events"}, "faults");
     FaultSpec s;
     s.checkpointEverySteps = static_cast<std::size_t>(
         j.indexOr("checkpoint_every", 0));

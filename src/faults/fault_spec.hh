@@ -3,8 +3,9 @@
  * Declarative fault schedule: the disturbances a run must survive —
  * node crashes with warm/cold recovery, thermal DVFS throttling, PMC
  * telemetry noise/dropout, load surges and checkpoint corruption — as
- * a plain value type with a JSON round-trip, embedded in a
- * harness::ScenarioSpec under the "faults" key.
+ * a plain value type read from JSON (strictly: an unknown key is
+ * fatal), embedded in a harness::ScenarioSpec under the "faults" key
+ * or given as a standalone --faults file.
  *
  * A FaultSpec is pure schedule: every action names its trigger step
  * and (where applicable) duration, node, service and parameters. The
@@ -83,7 +84,6 @@ struct FaultAction
     /** LoadSurge: RPS multiplier while active. */
     double multiplier = 1.0;
 
-    common::Json toJson() const;
     static FaultAction fromJson(const common::Json &j);
 };
 
@@ -112,7 +112,6 @@ struct FaultSpec
     std::string validate(std::size_t num_nodes,
                          std::size_t num_services) const;
 
-    common::Json toJson() const;
     static FaultSpec fromJson(const common::Json &j);
     /** Parse a fault-schedule file (fatal on malformed input). */
     static FaultSpec fromFile(const std::string &path);

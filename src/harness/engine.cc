@@ -359,18 +359,6 @@ fleetCapacityFactor(const ScenarioSpec &spec)
 
 } // namespace
 
-std::vector<double>
-fleetMaxRps(const ScenarioSpec &spec)
-{
-    const auto profiles = profilesFor(spec.services);
-    const double capacity_factor = fleetCapacityFactor(spec);
-    std::vector<double> max_rps;
-    for (std::size_t s = 0; s < spec.services.size(); ++s)
-        max_rps.push_back(effectiveMaxRps(spec.services[s], profiles[s],
-                                          capacity_factor));
-    return max_rps;
-}
-
 FleetSetup
 buildFleet(const ScenarioSpec &spec, const ManagerRegistry &registry,
            std::size_t jobs,

@@ -179,11 +179,6 @@ struct FleetSetup
     std::unique_ptr<cluster::ClusterManager> fleet;
 };
 
-/** Effective fleet-wide peak RPS per service of a cluster-topology
- * spec (the same capacity scaling buildFleet applies) — what a live
- * front-end clamps observed arrival rates to. */
-std::vector<double> fleetMaxRps(const ScenarioSpec &spec);
-
 /**
  * Build the fleet a cluster-topology spec describes: nodes, managers
  * (warm-started from the spec's checkpoint when set), router policy
@@ -191,7 +186,8 @@ std::vector<double> fleetMaxRps(const ScenarioSpec &spec);
  * @p loads_override is non-empty it supplies the fleet load
  * generators (one per service, same order) instead of the spec's
  * declarative patterns; this is how twig_serve plugs live socket
- * arrivals in as just another load source (serve::LiveLoad) while the
+ * arrivals in as just another load source (a cluster::RoutedLoad per
+ * service, set to the measured rate clamped to maxRps) while the
  * batch path stays byte-identical. The spec must already validate
  * against @p registry, and @p registry must outlive the fleet (node
  * rebuilds after faults go back through it).

@@ -11,33 +11,13 @@ using common::Json;
 
 // --- ServiceLoadSpec -------------------------------------------------
 
-Json
-ServiceLoadSpec::toJson() const
-{
-    Json j = Json::object();
-    j.set("service", service);
-    j.set("pattern", pattern);
-    j.set("fraction", fraction);
-    if (maxScale != 1.0)
-        j.set("max_scale", maxScale);
-    if (maxRps > 0.0)
-        j.set("max_rps", maxRps);
-    if (lowFraction >= 0.0)
-        j.set("low_fraction", lowFraction);
-    if (periodSteps != 0)
-        j.set("period_steps", periodSteps);
-    if (changeFactor != 0.2)
-        j.set("change_factor", changeFactor);
-    if (!tracePath.empty())
-        j.set("trace_path", tracePath);
-    if (!traceColumn.empty())
-        j.set("trace_column", traceColumn);
-    return j;
-}
-
 ServiceLoadSpec
 ServiceLoadSpec::fromJson(const Json &j)
 {
+    j.allowOnly({"service", "pattern", "fraction", "max_scale", "max_rps",
+                 "low_fraction", "period_steps", "change_factor",
+                 "trace_path", "trace_column"},
+                "service entry");
     ServiceLoadSpec s;
     s.service = j.at("service").asString();
     s.pattern = j.stringOr("pattern", s.pattern);
@@ -55,20 +35,11 @@ ServiceLoadSpec::fromJson(const Json &j)
 
 // --- TransferSpec ----------------------------------------------------
 
-Json
-TransferSpec::toJson() const
-{
-    Json j = Json::object();
-    j.set("service_index", serviceIndex);
-    j.set("service", service);
-    j.set("spec_seed", specSeed);
-    j.set("reexplore_steps", reexploreSteps);
-    return j;
-}
-
 TransferSpec
 TransferSpec::fromJson(const Json &j)
 {
+    j.allowOnly({"service_index", "service", "spec_seed", "reexplore_steps"},
+                "transfer");
     TransferSpec t;
     t.serviceIndex = static_cast<std::size_t>(
         j.indexOr("service_index", t.serviceIndex));
@@ -81,31 +52,11 @@ TransferSpec::fromJson(const Json &j)
 
 // --- ScenarioEvent ---------------------------------------------------
 
-Json
-ScenarioEvent::toJson() const
-{
-    Json j = Json::object();
-    j.set("after_steps", afterSteps);
-    if (!transfers.empty()) {
-        Json arr = Json::array();
-        for (const auto &t : transfers)
-            arr.push(t.toJson());
-        j.set("transfers", std::move(arr));
-    }
-    if (!services.empty()) {
-        Json arr = Json::array();
-        for (const auto &s : services)
-            arr.push(s.toJson());
-        j.set("services", std::move(arr));
-    }
-    if (serverSeed)
-        j.set("server_seed", *serverSeed);
-    return j;
-}
-
 ScenarioEvent
 ScenarioEvent::fromJson(const Json &j)
 {
+    j.allowOnly({"after_steps", "transfers", "services", "server_seed"},
+                "event");
     ScenarioEvent e;
     e.afterSteps =
         static_cast<std::size_t>(j.at("after_steps").asIndex());
@@ -273,90 +224,13 @@ ScenarioSpec::validate(const ManagerRegistry &registry) const
     return {};
 }
 
-Json
-ScenarioSpec::toJson() const
-{
-    Json j = Json::object();
-    j.set("name", name);
-    if (!description.empty())
-        j.set("description", description);
-    j.set("topology", topology);
-    if (machineCores != 18)
-        j.set("machine_cores", machineCores);
-
-    Json svcs = Json::array();
-    for (const auto &s : services)
-        svcs.push(s.toJson());
-    j.set("services", std::move(svcs));
-
-    Json mgr = Json::object();
-    mgr.set("name", manager);
-    if (paper)
-        mgr.set("paper", true);
-    if (managerSeed)
-        mgr.set("seed", *managerSeed);
-    if (knobs.any()) {
-        Json k = Json::object();
-        if (knobs.theta)
-            k.set("theta", *knobs.theta);
-        if (knobs.eta)
-            k.set("eta", *knobs.eta);
-        if (knobs.alpha)
-            k.set("alpha", *knobs.alpha);
-        if (knobs.exploitOnly)
-            k.set("exploit_only", true);
-        mgr.set("knobs", std::move(k));
-    }
-    j.set("manager", std::move(mgr));
-
-    j.set("steps", steps);
-    if (window != 0)
-        j.set("window", window);
-    if (horizon != 0)
-        j.set("horizon", horizon);
-    j.set("seed", seed);
-
-    if (!events.empty()) {
-        Json arr = Json::array();
-        for (const auto &e : events)
-            arr.push(e.toJson());
-        j.set("events", std::move(arr));
-    }
-
-    if (topology == "cluster") {
-        Json c = Json::object();
-        c.set("nodes", nodes);
-        if (hetero)
-            c.set("hetero", true);
-        c.set("policy", policy);
-        if (domains != 1)
-            c.set("domains", domains);
-        if (!checkpoint.empty())
-            c.set("checkpoint", checkpoint);
-        if (!nodeClasses.empty()) {
-            Json arr = Json::array();
-            for (const auto &cls : nodeClasses)
-                arr.push(cls.toJson());
-            c.set("node_classes", std::move(arr));
-        }
-        if (!fleetClasses.empty()) {
-            Json arr = Json::array();
-            for (const auto &id : fleetClasses)
-                arr.push(Json(id));
-            c.set("fleet", std::move(arr));
-        }
-        if (autoscale)
-            c.set("autoscale", autoscale->toJson());
-        j.set("cluster", std::move(c));
-    }
-    if (!faults.empty())
-        j.set("faults", faults.toJson());
-    return j;
-}
-
 ScenarioSpec
 ScenarioSpec::fromJson(const Json &j)
 {
+    j.allowOnly({"name", "description", "topology", "machine_cores",
+                 "services", "manager", "steps", "window", "horizon",
+                 "seed", "events", "cluster", "faults"},
+                "scenario");
     ScenarioSpec s;
     s.name = j.stringOr("name", "");
     s.description = j.stringOr("description", "");
@@ -369,11 +243,14 @@ ScenarioSpec::fromJson(const Json &j)
         s.services.push_back(ServiceLoadSpec::fromJson(svcs.at(i)));
 
     if (const Json *mgr = j.find("manager")) {
+        mgr->allowOnly({"name", "paper", "seed", "knobs"}, "manager");
         s.manager = mgr->stringOr("name", s.manager);
         s.paper = mgr->boolOr("paper", false);
         if (const Json *seed = mgr->find("seed"))
             s.managerSeed = seed->asIndex();
         if (const Json *k = mgr->find("knobs")) {
+            k->allowOnly({"theta", "eta", "alpha", "exploit_only"},
+                         "knobs");
             if (const Json *v = k->find("theta"))
                 s.knobs.theta = v->asNumber();
             if (const Json *v = k->find("eta"))
@@ -395,6 +272,9 @@ ScenarioSpec::fromJson(const Json &j)
     }
 
     if (const Json *c = j.find("cluster")) {
+        c->allowOnly({"nodes", "hetero", "policy", "domains", "checkpoint",
+                      "node_classes", "fleet", "autoscale"},
+                     "cluster");
         s.nodes = static_cast<std::size_t>(c->indexOr("nodes", s.nodes));
         s.hetero = c->boolOr("hetero", false);
         s.policy = c->stringOr("policy", s.policy);

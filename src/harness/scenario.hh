@@ -3,10 +3,13 @@
  * Declarative experiment specification: everything one run of the
  * simulator needs — machine, service mix, load patterns, manager +
  * knobs, schedule, seeds, mid-run events, topology — as a plain value
- * type with a JSON round-trip. One ScenarioSpec describes a run on
- * either topology (a single sim::Server or an N-node fleet); the
- * scenario Engine (harness/engine.hh) executes it, and the scenarios/
- * directory ships one JSON file per paper figure.
+ * type read from JSON. Specs are read, never written, and the readers
+ * are strict: a key a block does not know is fatal, naming the key and
+ * the block, so a misspelled key never runs a default. One
+ * ScenarioSpec describes a run on either topology (a single
+ * sim::Server or an N-node fleet); the scenario Engine
+ * (harness/engine.hh) executes it, and the scenarios/ directory ships
+ * one JSON file per paper figure.
  *
  * Events partition a run into segments: each event first runs the
  * preceding segment for `afterSteps` control intervals, then fires —
@@ -62,7 +65,6 @@ struct ServiceLoadSpec
     std::string tracePath;
     std::string traceColumn;
 
-    common::Json toJson() const;
     static ServiceLoadSpec fromJson(const common::Json &j);
 };
 
@@ -78,7 +80,6 @@ struct TransferSpec
     /** Epsilon re-annealing window after the swap. */
     std::size_t reexploreSteps = 50;
 
-    common::Json toJson() const;
     static TransferSpec fromJson(const common::Json &j);
 };
 
@@ -97,7 +98,6 @@ struct ScenarioEvent
      * seed). */
     std::optional<std::uint64_t> serverSeed;
 
-    common::Json toJson() const;
     static ScenarioEvent fromJson(const common::Json &j);
 };
 
@@ -189,7 +189,6 @@ struct ScenarioSpec
      */
     std::string validate(const ManagerRegistry &registry) const;
 
-    common::Json toJson() const;
     static ScenarioSpec fromJson(const common::Json &j);
     /** Parse a scenario file (fatal on malformed input). */
     static ScenarioSpec fromFile(const std::string &path);

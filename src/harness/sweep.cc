@@ -19,15 +19,4 @@ ParallelSweep::forEachIndex(
     pool.parallelFor(0, count, body);
 }
 
-std::vector<RunResult>
-ParallelSweep::run(
-    const std::vector<std::function<RunResult(std::uint64_t)>> &tasks) const
-{
-    std::vector<RunResult> results(tasks.size());
-    forEachIndex(tasks.size(), [&](std::size_t i) {
-        results[i] = tasks[i](common::sweepSeed(opts_.baseSeed, i));
-    });
-    return results;
-}
-
 } // namespace twig::harness

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "harness/runner.hh"
 
 namespace twig::harness {
 
@@ -62,15 +61,6 @@ class ParallelSweep
         });
         return results;
     }
-
-    /**
-     * Run a heterogeneous batch: tasks[i] receives
-     * common::sweepSeed(baseSeed, i); results are ordered by task
-     * index.
-     */
-    std::vector<RunResult>
-    run(const std::vector<std::function<RunResult(std::uint64_t)>> &tasks)
-        const;
 
   private:
     /** Serial (jobs <= 1) or pool-backed index loop. */

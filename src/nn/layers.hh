@@ -49,9 +49,6 @@ class Linear
      */
     Linear(std::size_t in, std::size_t out, common::Rng &rng);
 
-    std::size_t inFeatures() const { return weight_.rows(); }
-    std::size_t outFeatures() const { return weight_.cols(); }
-
     /** Forward pass (fused GEMM+bias); caches the input for backward(). */
     void forward(const Matrix &x, Matrix &y);
 

@@ -1,5 +1,6 @@
 #include "serve/daemon.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/error.hh"
@@ -45,19 +46,18 @@ Daemon::start()
     common::fatalIf(started_, "Daemon::start: already started");
     started_ = true;
 
-    // The exact fleet the batch engine would run, with LiveLoad
-    // plugged in as the load source.
+    // The exact fleet the batch engine would run, with one RoutedLoad
+    // per service as the load source: the control loop sets each to
+    // the rate measured on the wire.
     std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
-    const auto &registry = harness::ManagerRegistry::builtin();
-    maxRps_ = harness::fleetMaxRps(spec_);
     liveLoads_.clear();
-    for (double cap : maxRps_) {
-        auto live = std::make_unique<LiveLoad>(cap);
+    for (std::size_t s = 0; s < numServices(); ++s) {
+        auto live = std::make_unique<cluster::RoutedLoad>();
         liveLoads_.push_back(live.get());
         loads.push_back(std::move(live));
     }
-    setup_ = harness::buildFleet(spec_, registry, options_.jobs,
-                                 std::move(loads));
+    setup_ = harness::buildFleet(spec_, harness::ManagerRegistry::builtin(),
+                                 options_.jobs, std::move(loads));
 
     window_ = std::vector<std::atomic<std::uint64_t>>(numServices());
     for (auto &w : window_)
@@ -143,7 +143,9 @@ Daemon::controlLoop()
             const double observed =
                 static_cast<double>(count) / window_s;
             rec.observedRps[s] = observed;
-            liveLoads_[s]->set(observed);
+            // Load beyond capacity saturates the simulated service like
+            // a real overload, and keeps the step's cost bounded.
+            liveLoads_[s]->set(std::min(observed, setup_.maxRps[s]));
         }
 
         const auto &fs = setup_.fleet->step();

@@ -12,8 +12,9 @@
  *     snapshots-and-resets the window counters, converts counts to
  *     requests-per-second over the measured time since the previous
  *     snapshot (longer than the interval after an overrun), installs
- *     the rates into the fleet's serve::LiveLoad generators and steps
- *     the ClusterManager one interval — so the per-node BDQ policies
+ *     the rates, clamped to each service's fleet capacity, into the
+ *     fleet's cluster::RoutedLoad generators and steps the
+ *     ClusterManager one interval — so the per-node BDQ policies
  *     observe, act and learn online against measured load instead of
  *     a scripted profile.
  *
@@ -47,11 +48,11 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/node.hh"
 #include "harness/engine.hh"
 #include "harness/metrics.hh"
 #include "harness/scenario.hh"
 #include "serve/listener.hh"
-#include "serve/live_load.hh"
 #include "serve/protocol.hh"
 
 namespace twig::serve {
@@ -120,8 +121,9 @@ class Daemon : private FrameHandler
     std::uint16_t port() const { return port_; }
 
     std::size_t numServices() const { return spec_.services.size(); }
-    /** Effective fleet capacity per service (the LiveLoad clamp). */
-    const std::vector<double> &maxRps() const { return maxRps_; }
+    /** Effective fleet capacity per service, the clamp on the rate
+     * the fleet sees (valid after start()). */
+    const std::vector<double> &maxRps() const { return setup_.maxRps; }
 
     /** Ask both threads to wind down. Safe from any thread, and safe
      * to call more than once. */
@@ -145,8 +147,7 @@ class Daemon : private FrameHandler
 
     harness::FleetSetup setup_;
     /** Borrowed from the fleet's load generators (owned there). */
-    std::vector<LiveLoad *> liveLoads_;
-    std::vector<double> maxRps_;
+    std::vector<cluster::RoutedLoad *> liveLoads_;
     std::unique_ptr<Listener> listener_;
     std::uint16_t port_ = 0;
 

@@ -92,12 +92,6 @@ percentileSelect(double *data, std::size_t n, double p)
 }
 
 double
-percentileInPlace(std::vector<double> &values, double p)
-{
-    return percentileSelect(values.data(), values.size(), p);
-}
-
-double
 percentileOf(const std::vector<double> &values, double p)
 {
     std::vector<double> scratch(values);

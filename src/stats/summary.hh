@@ -88,9 +88,6 @@ class PercentileEstimator
  */
 double percentileSelect(double *data, std::size_t n, double p);
 
-/** percentileSelect over a vector (reorders @p values, no copy). */
-double percentileInPlace(std::vector<double> &values, double p);
-
 /** p-th percentile of an unsorted vector; copies once, then selects. */
 double percentileOf(const std::vector<double> &values, double p);
 

@@ -18,6 +18,7 @@
 #include "cluster/cluster_manager.hh"
 #include "cluster/router.hh"
 #include "common/error.hh"
+#include "common/json.hh"
 #include "core/twig_manager.hh"
 #include "faults/fault_injector.hh"
 #include "faults/fault_spec.hh"
@@ -139,24 +140,51 @@ TEST(AutoscaleConfig, ValidatesStructure)
     EXPECT_THROW(Autoscaler{bad}, FatalError);
 }
 
+namespace {
+
+/** Field-by-field equality of two autoscale blocks. */
+void
+expectSameConfig(const AutoscaleConfig &got, const AutoscaleConfig &want)
+{
+    EXPECT_EQ(got.minNodes, want.minNodes);
+    EXPECT_EQ(got.maxNodes, want.maxNodes);
+    EXPECT_EQ(got.hiUtilization, want.hiUtilization);
+    EXPECT_EQ(got.loUtilization, want.loUtilization);
+    EXPECT_EQ(got.outTardiness, want.outTardiness);
+    EXPECT_EQ(got.persistIntervals, want.persistIntervals);
+    EXPECT_EQ(got.cooldownIntervals, want.cooldownIntervals);
+    EXPECT_EQ(got.outStepNodes, want.outStepNodes);
+    EXPECT_EQ(got.inStepNodes, want.inStepNodes);
+    EXPECT_EQ(got.drainIntervals, want.drainIntervals);
+}
+
+} // namespace
+
 TEST(AutoscaleConfig, JsonRoundTripsAndOmitsDefaults)
 {
     AutoscaleConfig cfg;
     cfg.minNodes = 2;
     cfg.maxNodes = 6;
+    // Keys left out keep their defaults.
+    expectSameConfig(
+        AutoscaleConfig::fromJson(
+            common::Json::parse(R"({"min_nodes": 2, "max_nodes": 6})")),
+        cfg);
+
     cfg.hiUtilization = 0.62;
+    cfg.loUtilization = 0.4;
+    cfg.outTardiness = 1.3;
+    cfg.persistIntervals = 3;
+    cfg.cooldownIntervals = 7;
     cfg.outStepNodes = 3;
-    const auto j = cfg.toJson();
-    // Defaults stay out of the serialised block.
-    EXPECT_EQ(j.find("lo_utilization"), nullptr);
-    EXPECT_EQ(j.find("cooldown"), nullptr);
-    const auto back = AutoscaleConfig::fromJson(j);
-    EXPECT_EQ(back.minNodes, 2u);
-    EXPECT_EQ(back.maxNodes, 6u);
-    EXPECT_DOUBLE_EQ(back.hiUtilization, 0.62);
-    EXPECT_EQ(back.outStepNodes, 3u);
-    EXPECT_DOUBLE_EQ(back.loUtilization, cfg.loUtilization);
-    EXPECT_EQ(back.cooldownIntervals, cfg.cooldownIntervals);
+    cfg.inStepNodes = 2;
+    cfg.drainIntervals = 5;
+    expectSameConfig(AutoscaleConfig::fromJson(common::Json::parse(R"({
+      "min_nodes": 2, "max_nodes": 6, "hi_utilization": 0.62,
+      "lo_utilization": 0.4, "out_tardiness": 1.3, "persist": 3,
+      "cooldown": 7, "out_step": 3, "in_step": 2, "drain": 5
+    })")),
+                     cfg);
 }
 
 // ---------------------------------------------------------------------
@@ -364,22 +392,44 @@ TEST(NodeClass, ValidatesStructure)
     EXPECT_NE(cls.validate(), "");
 }
 
+namespace {
+
+/** Field-by-field equality of two node classes. */
+void
+expectSameClass(const NodeClass &got, const NodeClass &want)
+{
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.cores, want.cores);
+    EXPECT_EQ(got.dvfs.minGhz, want.dvfs.minGhz);
+    EXPECT_EQ(got.dvfs.maxGhz, want.dvfs.maxGhz);
+    EXPECT_EQ(got.dvfs.stepGhz, want.dvfs.stepGhz);
+    EXPECT_EQ(got.serviceRateScale, want.serviceRateScale);
+    EXPECT_EQ(got.dollarsPerHour, want.dollarsPerHour);
+}
+
+} // namespace
+
 TEST(NodeClass, JsonRoundTrip)
 {
     NodeClass cls;
     cls.id = "gen3";
+    cls.dvfs.maxGhz = 2.4;
+    // Keys left out keep their defaults, in the dvfs block too.
+    expectSameClass(NodeClass::fromJson(common::Json::parse(
+                        R"({"id": "gen3", "dvfs": {"max_ghz": 2.4}})")),
+                    cls);
+
     cls.cores = 24;
+    cls.dvfs.minGhz = 1.4;
+    cls.dvfs.stepGhz = 0.2;
     cls.serviceRateScale = 1.4;
     cls.dollarsPerHour = 1.6;
-    cls.dvfs.minGhz = 1.4;
-    cls.dvfs.maxGhz = 2.4;
-    cls.dvfs.stepGhz = 0.2;
-    const auto back = NodeClass::fromJson(cls.toJson());
-    EXPECT_EQ(back.id, "gen3");
-    EXPECT_EQ(back.cores, 24u);
-    EXPECT_DOUBLE_EQ(back.serviceRateScale, 1.4);
-    EXPECT_DOUBLE_EQ(back.dollarsPerHour, 1.6);
-    EXPECT_DOUBLE_EQ(back.dvfs.maxGhz, 2.4);
+    expectSameClass(NodeClass::fromJson(common::Json::parse(R"({
+      "id": "gen3", "cores": 24,
+      "dvfs": {"min_ghz": 1.4, "max_ghz": 2.4, "step_ghz": 0.2},
+      "service_rate_scale": 1.4, "dollars_per_hour": 1.6
+    })")),
+                    cls);
 }
 
 // ---------------------------------------------------------------------

@@ -65,6 +65,23 @@ fullSpec()
     return spec;
 }
 
+/** Field-by-field equality of two fault actions. */
+void
+expectSameAction(const FaultAction &got, const FaultAction &want)
+{
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.atStep, want.atStep);
+    EXPECT_EQ(got.node, want.node);
+    EXPECT_EQ(got.service, want.service);
+    EXPECT_EQ(got.durationSteps, want.durationSteps);
+    EXPECT_EQ(got.restartAfterSteps, want.restartAfterSteps);
+    EXPECT_EQ(got.recovery, want.recovery);
+    EXPECT_EQ(got.maxDvfsIndex, want.maxDvfsIndex);
+    EXPECT_EQ(got.sigma, want.sigma);
+    EXPECT_EQ(got.staleProb, want.staleProb);
+    EXPECT_EQ(got.multiplier, want.multiplier);
+}
+
 /** Events the injector reports at one step. */
 std::vector<FaultEvent>
 at(const FaultInjector &injector, std::size_t step)
@@ -103,16 +120,40 @@ TEST(FaultKind, UnknownNameListsTheValidSet)
 
 TEST(FaultSpec, JsonRoundTripIsExact)
 {
-    const FaultSpec spec = fullSpec();
-    const auto j = spec.toJson();
-    const FaultSpec back = FaultSpec::fromJson(j);
-    // dump() is deterministic, so serialised equality is structural
-    // equality.
-    EXPECT_EQ(j.dump(), back.toJson().dump());
+    // fullSpec() as a file writes it, every key away from its default
+    // somewhere (the crash recovers cold).
+    const FaultSpec back = FaultSpec::fromJson(common::Json::parse(R"({
+      "checkpoint_every": 10,
+      "events": [
+        {"type": "node_crash", "at": 20, "node": 1, "restart_after": 15,
+         "recovery": "cold"},
+        {"type": "thermal_throttle", "at": 5, "node": 0, "duration": 8,
+         "max_dvfs": 1},
+        {"type": "pmc_noise", "at": 7, "node": 2, "duration": 10,
+         "sigma": 0.25, "stale_prob": 0.1},
+        {"type": "load_surge", "at": 12, "service": 1, "duration": 6,
+         "multiplier": 1.5},
+        {"type": "checkpoint_corrupt", "at": 18, "node": 1}
+      ]
+    })"));
+    FaultSpec spec = fullSpec();
+    spec.actions[0].recovery = "cold";
     EXPECT_EQ(back.checkpointEverySteps, spec.checkpointEverySteps);
     ASSERT_EQ(back.actions.size(), spec.actions.size());
-    EXPECT_EQ(back.actions[0].recovery, "warm");
-    EXPECT_EQ(back.actions[3].multiplier, 1.5);
+    for (std::size_t i = 0; i < spec.actions.size(); ++i) {
+        SCOPED_TRACE(faultKindName(spec.actions[i].kind));
+        expectSameAction(back.actions[i], spec.actions[i]);
+    }
+
+    // Keys left out keep their defaults.
+    const FaultSpec bare = FaultSpec::fromJson(common::Json::parse(
+        R"({"events": [{"type": "thermal_throttle", "at": 3}]})"));
+    EXPECT_EQ(bare.checkpointEverySteps, 0u);
+    ASSERT_EQ(bare.actions.size(), 1u);
+    FaultAction throttle;
+    throttle.kind = FaultKind::ThermalThrottle;
+    throttle.atStep = 3;
+    expectSameAction(bare.actions[0], throttle);
 }
 
 TEST(FaultSpec, UnknownTypeInJsonIsFatal)

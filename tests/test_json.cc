@@ -12,7 +12,7 @@ using twig::common::Json;
 
 TEST(Json, ParseScalars)
 {
-    EXPECT_TRUE(Json::parse("null").isNull());
+    EXPECT_EQ(Json::parse("null").type(), Json::Type::Null);
     EXPECT_TRUE(Json::parse("true").asBool());
     EXPECT_FALSE(Json::parse("false").asBool());
     EXPECT_DOUBLE_EQ(Json::parse("2.5").asNumber(), 2.5);

@@ -1,12 +1,15 @@
 /** @file
- * Tests for the declarative scenario layer: ScenarioSpec JSON
- * round-trips, registry/spec validation errors, and fixed-seed golden
- * runs proving the engine reproduces hand-built harness runs on both
- * topologies (the refactored benches rely on this equivalence).
+ * Tests for the declarative scenario layer: the strict ScenarioSpec
+ * reader (every key of every block read from a JSON text, unknown and
+ * repeated keys fatal), registry/spec validation errors, and
+ * fixed-seed golden runs proving the engine reproduces hand-built
+ * harness runs on both topologies (the refactored benches rely on this
+ * equivalence).
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -34,7 +37,7 @@ ScenarioSpec
 richSpec()
 {
     ScenarioSpec spec;
-    spec.name = "round-trip";
+    spec.name = "rich";
     spec.description = "every optional field set";
     spec.services.push_back([] {
         ServiceLoadSpec s;
@@ -49,19 +52,22 @@ richSpec()
     spec.services.push_back([] {
         ServiceLoadSpec s;
         s.service = "moses";
-        s.pattern = "step";
+        s.pattern = "trace";
         s.fraction = 1.0;
         s.changeFactor = 0.3;
         s.maxRps = 1234.5;
+        s.tracePath = "traces/moses.csv";
+        s.traceColumn = "rps";
         return s;
     }());
     spec.manager = "twig";
     spec.knobs.theta = 0.25;
     spec.knobs.eta = 9;
     spec.knobs.alpha = 0.6;
+    spec.knobs.exploitOnly = true;
     spec.paper = true;
     spec.managerSeed = 4082637488651899829ULL; // > 2^53: exactness
-    spec.steps = 2000;
+    spec.steps = 1800;
     spec.window = 300;
     spec.horizon = 1500;
     spec.seed = 7297471543603743092ULL;
@@ -80,6 +86,164 @@ richSpec()
     event.serverSeed = 99;
     spec.events.push_back(event);
     return spec;
+}
+
+/** richSpec() as a scenario file writes it. The seeds above 2^53
+ * check that integer literals keep all 64 bits. */
+constexpr const char *kRichSpecJson = R"({
+  "name": "rich",
+  "description": "every optional field set",
+  "services": [
+    {"service": "masstree", "pattern": "diurnal", "fraction": 0.8,
+     "max_scale": 0.6, "low_fraction": 0.2, "period_steps": 50},
+    {"service": "moses", "pattern": "trace", "fraction": 1.0,
+     "max_rps": 1234.5, "change_factor": 0.3,
+     "trace_path": "traces/moses.csv", "trace_column": "rps"}
+  ],
+  "manager": {"name": "twig", "paper": true, "seed": 4082637488651899829,
+              "knobs": {"theta": 0.25, "eta": 9, "alpha": 0.6,
+                        "exploit_only": true}},
+  "steps": 1800,
+  "window": 300,
+  "horizon": 1500,
+  "seed": 7297471543603743092,
+  "events": [
+    {"after_steps": 700,
+     "transfers": [{"service_index": 1, "service": "xapian",
+                    "spec_seed": 47, "reexplore_steps": 100}],
+     "services": [
+       {"service": "masstree", "pattern": "diurnal", "fraction": 0.8,
+        "max_scale": 0.6, "low_fraction": 0.2, "period_steps": 50},
+       {"service": "moses", "pattern": "trace", "fraction": 1.0,
+        "max_rps": 1234.5, "change_factor": 0.3,
+        "trace_path": "traces/moses.csv", "trace_column": "rps"}
+     ],
+     "server_seed": 99}
+  ]
+})";
+
+/** Field-by-field equality of two specs, nested blocks included
+ * (doubles exactly: a parsed literal is the nearest double, as the
+ * compiler's is). */
+void
+expectSameSpec(const ScenarioSpec &got, const ScenarioSpec &want)
+{
+    auto same_loads = [](const std::vector<ServiceLoadSpec> &g,
+                         const std::vector<ServiceLoadSpec> &w) {
+        ASSERT_EQ(g.size(), w.size());
+        for (std::size_t i = 0; i < g.size(); ++i) {
+            SCOPED_TRACE("service entry " + std::to_string(i));
+            EXPECT_EQ(g[i].service, w[i].service);
+            EXPECT_EQ(g[i].pattern, w[i].pattern);
+            EXPECT_EQ(g[i].fraction, w[i].fraction);
+            EXPECT_EQ(g[i].maxScale, w[i].maxScale);
+            EXPECT_EQ(g[i].maxRps, w[i].maxRps);
+            EXPECT_EQ(g[i].lowFraction, w[i].lowFraction);
+            EXPECT_EQ(g[i].periodSteps, w[i].periodSteps);
+            EXPECT_EQ(g[i].changeFactor, w[i].changeFactor);
+            EXPECT_EQ(g[i].tracePath, w[i].tracePath);
+            EXPECT_EQ(g[i].traceColumn, w[i].traceColumn);
+        }
+    };
+
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.description, want.description);
+    EXPECT_EQ(got.topology, want.topology);
+    EXPECT_EQ(got.machineCores, want.machineCores);
+    same_loads(got.services, want.services);
+    EXPECT_EQ(got.manager, want.manager);
+    EXPECT_EQ(got.knobs.theta, want.knobs.theta);
+    EXPECT_EQ(got.knobs.eta, want.knobs.eta);
+    EXPECT_EQ(got.knobs.alpha, want.knobs.alpha);
+    EXPECT_EQ(got.knobs.exploitOnly, want.knobs.exploitOnly);
+    EXPECT_EQ(got.paper, want.paper);
+    EXPECT_EQ(got.managerSeed, want.managerSeed);
+    EXPECT_EQ(got.steps, want.steps);
+    EXPECT_EQ(got.window, want.window);
+    EXPECT_EQ(got.horizon, want.horizon);
+    EXPECT_EQ(got.seed, want.seed);
+
+    ASSERT_EQ(got.events.size(), want.events.size());
+    for (std::size_t e = 0; e < got.events.size(); ++e) {
+        SCOPED_TRACE("event " + std::to_string(e));
+        const ScenarioEvent &g = got.events[e];
+        const ScenarioEvent &w = want.events[e];
+        EXPECT_EQ(g.afterSteps, w.afterSteps);
+        ASSERT_EQ(g.transfers.size(), w.transfers.size());
+        for (std::size_t t = 0; t < g.transfers.size(); ++t) {
+            EXPECT_EQ(g.transfers[t].serviceIndex,
+                      w.transfers[t].serviceIndex);
+            EXPECT_EQ(g.transfers[t].service, w.transfers[t].service);
+            EXPECT_EQ(g.transfers[t].specSeed, w.transfers[t].specSeed);
+            EXPECT_EQ(g.transfers[t].reexploreSteps,
+                      w.transfers[t].reexploreSteps);
+        }
+        same_loads(g.services, w.services);
+        EXPECT_EQ(g.serverSeed, w.serverSeed);
+    }
+
+    EXPECT_EQ(got.nodes, want.nodes);
+    EXPECT_EQ(got.hetero, want.hetero);
+    EXPECT_EQ(got.policy, want.policy);
+    EXPECT_EQ(got.domains, want.domains);
+    EXPECT_EQ(got.checkpoint, want.checkpoint);
+
+    EXPECT_EQ(got.faults.checkpointEverySteps,
+              want.faults.checkpointEverySteps);
+    ASSERT_EQ(got.faults.actions.size(), want.faults.actions.size());
+    for (std::size_t i = 0; i < got.faults.actions.size(); ++i) {
+        SCOPED_TRACE("fault event " + std::to_string(i));
+        const faults::FaultAction &g = got.faults.actions[i];
+        const faults::FaultAction &w = want.faults.actions[i];
+        EXPECT_EQ(g.kind, w.kind);
+        EXPECT_EQ(g.atStep, w.atStep);
+        EXPECT_EQ(g.node, w.node);
+        EXPECT_EQ(g.service, w.service);
+        EXPECT_EQ(g.durationSteps, w.durationSteps);
+        EXPECT_EQ(g.restartAfterSteps, w.restartAfterSteps);
+        EXPECT_EQ(g.recovery, w.recovery);
+        EXPECT_EQ(g.maxDvfsIndex, w.maxDvfsIndex);
+        EXPECT_EQ(g.sigma, w.sigma);
+        EXPECT_EQ(g.staleProb, w.staleProb);
+        EXPECT_EQ(g.multiplier, w.multiplier);
+    }
+
+    ASSERT_EQ(got.nodeClasses.size(), want.nodeClasses.size());
+    for (std::size_t i = 0; i < got.nodeClasses.size(); ++i) {
+        SCOPED_TRACE("node class " + std::to_string(i));
+        const autoscale::NodeClass &g = got.nodeClasses[i];
+        const autoscale::NodeClass &w = want.nodeClasses[i];
+        EXPECT_EQ(g.id, w.id);
+        EXPECT_EQ(g.cores, w.cores);
+        EXPECT_EQ(g.dvfs.minGhz, w.dvfs.minGhz);
+        EXPECT_EQ(g.dvfs.maxGhz, w.dvfs.maxGhz);
+        EXPECT_EQ(g.dvfs.stepGhz, w.dvfs.stepGhz);
+        EXPECT_EQ(g.serviceRateScale, w.serviceRateScale);
+        EXPECT_EQ(g.dollarsPerHour, w.dollarsPerHour);
+    }
+    EXPECT_EQ(got.fleetClasses, want.fleetClasses);
+
+    ASSERT_EQ(got.autoscale.has_value(), want.autoscale.has_value());
+    if (got.autoscale) {
+        const autoscale::AutoscaleConfig &g = *got.autoscale;
+        const autoscale::AutoscaleConfig &w = *want.autoscale;
+        EXPECT_EQ(g.minNodes, w.minNodes);
+        EXPECT_EQ(g.maxNodes, w.maxNodes);
+        EXPECT_EQ(g.hiUtilization, w.hiUtilization);
+        EXPECT_EQ(g.loUtilization, w.loUtilization);
+        EXPECT_EQ(g.outTardiness, w.outTardiness);
+        EXPECT_EQ(g.persistIntervals, w.persistIntervals);
+        EXPECT_EQ(g.cooldownIntervals, w.cooldownIntervals);
+        EXPECT_EQ(g.outStepNodes, w.outStepNodes);
+        EXPECT_EQ(g.inStepNodes, w.inStepNodes);
+        EXPECT_EQ(g.drainIntervals, w.drainIntervals);
+    }
+}
+
+ScenarioSpec
+parseSpec(const std::string &text)
+{
+    return ScenarioSpec::fromJson(common::Json::parse(text));
 }
 
 /** A learning Twig built by hand, independent of the registry:
@@ -102,25 +266,9 @@ handBuiltTwig(const sim::MachineConfig &machine,
 
 TEST(ScenarioSpec, JsonRoundTripIsByteIdentical)
 {
-    const ScenarioSpec spec = richSpec();
-    const std::string once = spec.toJson().dump(2);
-    const ScenarioSpec back =
-        ScenarioSpec::fromJson(common::Json::parse(once));
-    EXPECT_EQ(back.toJson().dump(2), once);
-
-    // Spot-check fields that have non-trivial encodings.
-    EXPECT_EQ(back.name, spec.name);
-    EXPECT_EQ(back.services.size(), 2u);
-    EXPECT_EQ(back.services[0].pattern, "diurnal");
-    EXPECT_DOUBLE_EQ(back.services[1].maxRps, 1234.5);
-    ASSERT_TRUE(back.managerSeed.has_value());
-    EXPECT_EQ(*back.managerSeed, 4082637488651899829ULL);
-    EXPECT_EQ(back.seed, 7297471543603743092ULL);
-    EXPECT_DOUBLE_EQ(*back.knobs.theta, 0.25);
-    EXPECT_EQ(*back.knobs.eta, 9u);
-    ASSERT_EQ(back.events.size(), 1u);
-    EXPECT_EQ(back.events[0].transfers[0].service, "xapian");
-    EXPECT_EQ(*back.events[0].serverSeed, 99u);
+    // Every key of the scenario, service entry, manager, knobs, event
+    // and transfer blocks, each away from its default.
+    expectSameSpec(parseSpec(kRichSpecJson), richSpec());
 }
 
 TEST(ScenarioSpec, ClusterFieldsRoundTrip)
@@ -137,17 +285,23 @@ TEST(ScenarioSpec, ClusterFieldsRoundTrip)
     spec.policy = "wrr";
     spec.domains = 4;
     spec.checkpoint = "donor_{cores}c.ckpt";
+    spec.faults.checkpointEverySteps = 5;
+    faults::FaultAction crash;
+    crash.atStep = 30;
+    crash.node = 3;
+    crash.restartAfterSteps = 10;
+    spec.faults.actions.push_back(crash);
 
-    const std::string once = spec.toJson().dump();
-    const ScenarioSpec back =
-        ScenarioSpec::fromJson(common::Json::parse(once));
-    EXPECT_EQ(back.toJson().dump(), once);
-    EXPECT_EQ(back.machineCores, 12u);
-    EXPECT_EQ(back.nodes, 8u);
-    EXPECT_TRUE(back.hetero);
-    EXPECT_EQ(back.policy, "wrr");
-    EXPECT_EQ(back.domains, 4u);
-    EXPECT_EQ(back.checkpoint, "donor_{cores}c.ckpt");
+    expectSameSpec(parseSpec(R"({
+      "name": "fleet", "topology": "cluster", "machine_cores": 12,
+      "services": [{"service": "masstree"}],
+      "cluster": {"nodes": 8, "hetero": true, "policy": "wrr",
+                  "domains": 4, "checkpoint": "donor_{cores}c.ckpt"},
+      "faults": {"checkpoint_every": 5,
+                 "events": [{"type": "node_crash", "at": 30, "node": 3,
+                             "restart_after": 10}]}
+    })"),
+                   spec);
 }
 
 TEST(ScenarioSpec, AutoscaleAndFleetBlocksRoundTrip)
@@ -158,10 +312,12 @@ TEST(ScenarioSpec, AutoscaleAndFleetBlocksRoundTrip)
     ServiceLoadSpec s;
     s.service = "masstree";
     spec.services.push_back(s);
+    spec.manager = "static";
     spec.nodes = 3;
     autoscale::NodeClass custom;
     custom.id = "fat32";
     custom.cores = 32;
+    custom.dvfs.maxGhz = 2.6;
     custom.serviceRateScale = 1.1;
     custom.dollarsPerHour = 1.8;
     spec.nodeClasses.push_back(custom);
@@ -173,25 +329,107 @@ TEST(ScenarioSpec, AutoscaleAndFleetBlocksRoundTrip)
     cfg.cooldownIntervals = 4;
     spec.autoscale = cfg;
 
-    const std::string once = spec.toJson().dump(2);
-    const ScenarioSpec back =
-        ScenarioSpec::fromJson(common::Json::parse(once));
-    EXPECT_EQ(back.toJson().dump(2), once);
-    ASSERT_TRUE(back.autoscale.has_value());
-    EXPECT_EQ(back.autoscale->minNodes, 2u);
-    EXPECT_EQ(back.autoscale->maxNodes, 6u);
-    EXPECT_DOUBLE_EQ(back.autoscale->hiUtilization, 0.65);
-    EXPECT_EQ(back.autoscale->cooldownIntervals, 4u);
-    ASSERT_EQ(back.nodeClasses.size(), 1u);
-    EXPECT_EQ(back.nodeClasses[0].id, "fat32");
-    EXPECT_EQ(back.nodeClasses[0].cores, 32u);
-    EXPECT_DOUBLE_EQ(back.nodeClasses[0].dollarsPerHour, 1.8);
-    EXPECT_EQ(back.fleetClasses,
-              (std::vector<std::string>{"fat32", "gen1", "std18"}));
+    const ScenarioSpec back = parseSpec(R"({
+      "name": "elastic", "topology": "cluster",
+      "services": [{"service": "masstree"}],
+      "manager": {"name": "static"},
+      "cluster": {
+        "nodes": 3,
+        "node_classes": [{"id": "fat32", "cores": 32,
+                          "dvfs": {"max_ghz": 2.6},
+                          "service_rate_scale": 1.1,
+                          "dollars_per_hour": 1.8}],
+        "fleet": ["fat32", "gen1", "std18"],
+        "autoscale": {"min_nodes": 2, "max_nodes": 6,
+                      "hi_utilization": 0.65, "cooldown": 4}
+      }
+    })");
+    expectSameSpec(back, spec);
     // With an autoscale block `nodes` is the initial count and the
     // fleet provisions max_nodes slots.
-    EXPECT_EQ(back.nodes, 3u);
     EXPECT_EQ(back.totalNodes(), 6u);
+}
+
+TEST(ScenarioSpec, MisspelledKeyIsFatalInEveryBlock)
+{
+    // One cluster scenario opening all twelve blocks the reader
+    // checks; the n-th '%' is where row n adds its key.
+    const std::string every_block = R"({
+      "name": "strict", "topology": "cluster"%,
+      "services": [{"service": "masstree"%}],
+      "manager": {"name": "twig"%, "knobs": {"theta": 0.5%}},
+      "events": [{"after_steps": 5%,
+                  "transfers": [{"service": "moses"%}]}],
+      "cluster": {"nodes": 2%,
+                  "node_classes": [{"id": "fat"%,
+                                    "dvfs": {"max_ghz": 2.4%}}],
+                  "autoscale": {"min_nodes": 1, "max_nodes": 2%}},
+      "faults": {"checkpoint_every": 5%,
+                 "events": [{"type": "node_crash", "at": 3%}]}})";
+    const struct
+    {
+        const char *where;
+        const char *key;
+    } rows[] = {
+        {"scenario", "stepz"},       {"service entry", "patern"},
+        {"manager", "nmae"},         {"knobs", "thetta"},
+        {"event", "after_step"},     {"transfer", "service_idx"},
+        {"cluster", "node"},         {"node class", "core"},
+        {"dvfs", "max_ghZ"},         {"autoscale", "cooldwn"},
+        {"faults", "checkpoint_evry"}, {"fault event", "durations"},
+    };
+    auto with_key = [&](std::size_t block, const std::string &key) {
+        std::string text;
+        std::size_t marker = 0;
+        for (char c : every_block) {
+            if (c != '%')
+                text += c;
+            else if (marker++ == block)
+                text += ", \"" + key + "\": 1";
+        }
+        return text;
+    };
+    // The text without an added key passes, so each failure below is
+    // its key.
+    EXPECT_NO_THROW(parseSpec(with_key(std::size(rows), "")));
+    for (std::size_t block = 0; block < std::size(rows); ++block) {
+        SCOPED_TRACE(rows[block].where);
+        try {
+            parseSpec(with_key(block, rows[block].key));
+            ADD_FAILURE() << "expected FatalError";
+        } catch (const common::FatalError &err) {
+            EXPECT_EQ(std::string(err.what()),
+                      std::string("fatal: json: unknown key '") +
+                          rows[block].key + "' in " + rows[block].where);
+        }
+    }
+}
+
+TEST(ScenarioSpec, RepeatedKeyIsFatal)
+{
+    // At the top level and inside a block; the message names the key
+    // and the line and column where it repeats.
+    const struct
+    {
+        const char *text;
+        const char *error;
+    } rows[] = {
+        {"{\"steps\": 20,\n \"services\": [{\"service\": \"masstree\"}],\n"
+         " \"steps\": 30}",
+         "fatal: json parse error at 3:9: duplicate object key 'steps'"},
+        {"{\"services\": [{\"service\": \"masstree\",\n"
+         " \"fraction\": 0.5, \"fraction\": 0.9}]}",
+         "fatal: json parse error at 2:29: duplicate object key "
+         "'fraction'"},
+    };
+    for (const auto &row : rows) {
+        try {
+            parseSpec(row.text);
+            ADD_FAILURE() << "expected FatalError: " << row.text;
+        } catch (const common::FatalError &err) {
+            EXPECT_EQ(std::string(err.what()), row.error);
+        }
+    }
 }
 
 TEST(ScenarioSpec, ValidateCatchesElasticFleetErrors)
@@ -270,20 +508,12 @@ TEST(ScenarioSpec, ValidateCatchesElasticFleetErrors)
 
 TEST(ScenarioSpec, DomainsDefaultToOneAndOmitFromJson)
 {
-    ScenarioSpec spec;
-    spec.name = "fleet";
-    spec.topology = "cluster";
-    ServiceLoadSpec s;
-    s.service = "masstree";
-    spec.services.push_back(s);
-
-    // domains == 1 (the flat-equivalent default) is left out of the
-    // JSON so pre-sharding scenario files stay byte-stable.
+    // A cluster block without `domains` is the flat-equivalent single
+    // domain.
+    const ScenarioSpec spec = parseSpec(
+        R"({"topology": "cluster", "services": [{"service": "masstree"}],
+            "cluster": {"nodes": 4}})");
     EXPECT_EQ(spec.domains, 1u);
-    EXPECT_EQ(spec.toJson().dump().find("domains"), std::string::npos);
-    const ScenarioSpec back = ScenarioSpec::fromJson(
-        common::Json::parse(spec.toJson().dump()));
-    EXPECT_EQ(back.domains, 1u);
 }
 
 #ifdef TWIG_SOURCE_DIR

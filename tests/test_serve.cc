@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -47,6 +50,22 @@ smallSpec()
     spec.nodes = 2;
     spec.policy = "p2c-latency";
     return spec;
+}
+
+/** A blocking TCP socket connected to the daemon on @p port. */
+int
+connectLoopback(std::uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
 }
 
 } // namespace
@@ -147,15 +166,7 @@ TEST(Serve, GarbageBytesDisconnectWithoutHarm)
     serve::Daemon daemon(smallSpec(), dopt);
     daemon.start();
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(daemon.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
+    const int fd = connectLoopback(daemon.port());
     const char garbage[] = "not a twig frame at all................";
     ASSERT_EQ(::send(fd, garbage, sizeof(garbage), 0),
               static_cast<ssize_t>(sizeof(garbage)));
@@ -246,13 +257,57 @@ TEST(Serve, RejectsSingleTopologyScenarios)
 
 TEST(Serve, LiveLoadClampsToCapacity)
 {
-    serve::LiveLoad load(100.0);
-    EXPECT_DOUBLE_EQ(load.rps(0), 0.0);
-    EXPECT_DOUBLE_EQ(load.set(40.0), 40.0);
-    EXPECT_DOUBLE_EQ(load.rps(123), 40.0);
-    EXPECT_DOUBLE_EQ(load.set(250.0), 100.0);
-    EXPECT_DOUBLE_EQ(load.rps(0), 100.0);
-    EXPECT_DOUBLE_EQ(load.observedRps(), 250.0);
-    serve::LiveLoad unclamped(0.0);
-    EXPECT_DOUBLE_EQ(unclamped.set(1e9), 1e9);
+    // One Batch far above capacity: the interval that absorbs it
+    // offers the fleet exactly its capacity, not the wire rate.
+    serve::DaemonOptions dopt;
+    dopt.intervalMs = 20.0;
+    serve::Daemon daemon(smallSpec(), dopt);
+    daemon.start();
+    const double capacity = daemon.maxRps()[0];
+    ASSERT_GT(capacity, 0.0);
+
+    const int fd = connectLoopback(daemon.port());
+    std::string wire;
+    serve::BatchMsg batch;
+    batch.count = std::numeric_limits<std::uint32_t>::max();
+    serve::encodeBatch(wire, batch);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+
+    // Poll the stats until the interval with the batch shows up.
+    serve::FrameParser parser;
+    std::vector<double> offered;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (offered.empty() || offered[0] == 0.0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "no interval saw the batch";
+        wire.clear();
+        serve::encodeStatsReq(wire);
+        ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+                  static_cast<ssize_t>(wire.size()));
+        serve::FrameView frame;
+        bool have_stats = false;
+        while (!have_stats) {
+            const auto status = parser.next(frame);
+            ASSERT_NE(status, serve::FrameParser::Status::Error);
+            if (status == serve::FrameParser::Status::NeedMore) {
+                char buf[512];
+                const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+                ASSERT_GT(n, 0);
+                parser.append(buf, static_cast<std::size_t>(n));
+            } else if (frame.type == serve::FrameType::Stats) {
+                serve::StatsMsg stats;
+                ASSERT_TRUE(serve::decodeStats(frame, stats));
+                offered = stats.offeredRps;
+                have_stats = true;
+            }
+        }
+        ASSERT_EQ(offered.size(), 1u);
+    }
+    EXPECT_EQ(offered[0], capacity);
+    ::close(fd);
+    daemon.requestShutdown();
+    const auto summary = daemon.join();
+    EXPECT_EQ(summary.acceptedRequests, batch.count);
 }

@@ -162,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, PercentileSweep,
 TEST(PercentileSelect, EmptyReturnsZero)
 {
     std::vector<double> v;
-    EXPECT_EQ(percentileInPlace(v, 50.0), 0.0);
+    EXPECT_EQ(percentileSelect(v.data(), v.size(), 50.0), 0.0);
     EXPECT_EQ(percentileSelect(nullptr, 0, 99.0), 0.0);
 }
 
@@ -170,7 +170,7 @@ TEST(PercentileSelect, SingleValueAtAnyP)
 {
     for (double p : {-10.0, 0.0, 50.0, 99.0, 100.0, 250.0}) {
         std::vector<double> v = {7.5};
-        EXPECT_DOUBLE_EQ(percentileInPlace(v, p), 7.5);
+        EXPECT_DOUBLE_EQ(percentileSelect(v.data(), v.size(), p), 7.5);
     }
 }
 
@@ -179,10 +179,10 @@ TEST(PercentileSelect, ClampFoldsExtremesIntoSelection)
     // p <= 0 must be the minimum and p >= 100 the maximum without a
     // separate scan — the clamp inside the selection helper handles it.
     std::vector<double> v = {5.0, 1.0, 9.0, -2.0};
-    EXPECT_DOUBLE_EQ(percentileInPlace(v, -5.0), -2.0);
-    EXPECT_DOUBLE_EQ(percentileInPlace(v, 0.0), -2.0);
-    EXPECT_DOUBLE_EQ(percentileInPlace(v, 100.0), 9.0);
-    EXPECT_DOUBLE_EQ(percentileInPlace(v, 120.0), 9.0);
+    EXPECT_DOUBLE_EQ(percentileSelect(v.data(), v.size(), -5.0), -2.0);
+    EXPECT_DOUBLE_EQ(percentileSelect(v.data(), v.size(), 0.0), -2.0);
+    EXPECT_DOUBLE_EQ(percentileSelect(v.data(), v.size(), 100.0), 9.0);
+    EXPECT_DOUBLE_EQ(percentileSelect(v.data(), v.size(), 120.0), 9.0);
 }
 
 TEST(PercentileSelect, MatchesSortBasedPercentileExactly)
@@ -211,7 +211,8 @@ TEST(PercentileSelect, MatchesSortBasedPercentileExactly)
                 sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 
             std::vector<double> scratch = v;
-            EXPECT_EQ(percentileInPlace(scratch, p), expect)
+            EXPECT_EQ(percentileSelect(scratch.data(), scratch.size(), p),
+                      expect)
                 << "trial " << trial << " p " << p;
             EXPECT_EQ(percentileOf(v, p), expect);
         }

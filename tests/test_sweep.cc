@@ -118,15 +118,12 @@ TEST(ParallelSweep, RunOrdersResultsByTaskIndex)
     SweepOptions opts;
     opts.jobs = 4;
     ParallelSweep sweep(opts);
-    std::vector<std::function<RunResult(std::uint64_t)>> tasks;
-    for (std::size_t i = 0; i < 5; ++i) {
-        tasks.push_back([i](std::uint64_t) {
+    const auto results = sweep.map<RunResult>(
+        5, [](std::size_t i, std::uint64_t) {
             RunResult r;
             r.metrics.windowSteps = i; // marker for ordering
             return r;
         });
-    }
-    const auto results = sweep.run(tasks);
     ASSERT_EQ(results.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i)
         EXPECT_EQ(results[i].metrics.windowSteps, i);

@@ -3,8 +3,8 @@
  * twig_serve — the live serving front-end daemon.
  *
  * Loads a cluster-topology scenario, builds the exact fleet the batch
- * engine would run (harness::buildFleet) with serve::LiveLoad as the
- * load source, binds a TCP listener and serves the framed protocol in
+ * engine would run (harness::buildFleet) with the measured wire rate
+ * as the load source, binds a TCP listener and serves the framed protocol in
  * src/serve/protocol.hh: clients stream Batch frames carrying request
  * counts; every wall-clock control interval the daemon converts the
  * arrival window into per-service RPS and steps the fleet one control
