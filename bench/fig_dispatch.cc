@@ -21,18 +21,17 @@
  *              intervals (mean 70%): exercises burst absorption and
  *              the empty-interval fast path
  *
- * Results merge into BENCH_sim.json (--out PATH) under
- * "dispatch_microbench", next to fig_sim_throughput's configs, so the
- * artifact trail carries both views of the hot path.
+ * Results go to BENCH_dispatch.json (--out PATH) under
+ * "dispatch_microbench"; scripts/check_bench.sh reads them beside
+ * fig_sim_throughput's BENCH_sim.json, so the artifact trail carries
+ * both views of the hot path.
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/sim_counters.hh"
 #include "harness/sim_profile.hh"
@@ -153,11 +152,11 @@ main(int argc, char **argv)
 {
     bool full = false;
     std::uint64_t seed = 42;
-    std::string out_path = "BENCH_sim.json";
+    std::string out_path = "BENCH_dispatch.json";
     common::FlagParser flags;
     bench::addRunFlags(flags, &full, &seed);
     flags.addString("--out", &out_path,
-                    "JSON report path (default BENCH_sim.json)");
+                    "JSON report path (default BENCH_dispatch.json)");
     flags.parseOrExit(argc, argv);
 
     bench::banner("Dispatch microbenchmark: cycles/request across "
@@ -223,38 +222,30 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Merge into the simulation bench artifact (fig_sim_throughput
-    // writes the same file first in bench runs; start fresh when
-    // absent so the bench also works standalone).
-    common::Json root = common::Json::object();
-    if (std::ifstream probe(out_path); probe.good())
-        root = common::Json::parseFile(out_path);
-    common::Json rows = common::Json::array();
-    for (const auto &c : cells) {
-        common::Json row = common::Json::object();
-        row.set("cores", c.cores);
-        row.set("pattern", c.pattern->name);
-        row.set("intervals", c.intervals);
-        row.set("requests_per_interval",
-                c.opt.requests / static_cast<double>(c.intervals));
-        row.set("mean_backlog", c.meanBacklog());
-        row.set("optimized_dispatch_cycles_per_req",
-                c.dispatchCycPerReq);
-        row.set("optimized_cycles_per_req", c.optCycPerReq());
-        row.set("reference_cycles_per_req", c.refCycPerReq());
-        row.set("speedup", c.speedup());
-        row.set("checksums_match", c.match);
-        rows.push(std::move(row));
-    }
-    root.set("dispatch_microbench", std::move(rows));
-    std::ofstream out(out_path);
-    if (!out) {
+    std::FILE *f = std::fopen(out_path.c_str(), "w");
+    if (f == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
     }
-    out << root.dump(2) << "\n";
-    out.close();
-    std::printf("\nmerged dispatch_microbench into %s\n",
-                out_path.c_str());
+    std::fprintf(f, "{\n  \"dispatch_microbench\": [\n");
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Cell &c = cells[i];
+        std::fprintf(
+            f,
+            "    {\"cores\": %zu, \"pattern\": \"%s\", \"intervals\": %zu,\n"
+            "     \"requests_per_interval\": %.1f, \"mean_backlog\": %.2f,\n"
+            "     \"optimized_dispatch_cycles_per_req\": %.1f,\n"
+            "     \"optimized_cycles_per_req\": %.1f,\n"
+            "     \"reference_cycles_per_req\": %.1f,\n"
+            "     \"speedup\": %.3f, \"checksums_match\": %s}%s\n",
+            c.cores, c.pattern->name, c.intervals,
+            c.opt.requests / static_cast<double>(c.intervals),
+            c.meanBacklog(), c.dispatchCycPerReq, c.optCycPerReq(),
+            c.refCycPerReq(), c.speedup(), c.match ? "true" : "false",
+            i + 1 < cells.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("\nwrote %s\n", out_path.c_str());
     return 0;
 }

@@ -4,13 +4,15 @@
 # Usage: scripts/check_bench.sh [BENCH_SIM_JSON] [BENCH_CLUSTER_JSON] \
 #                               [BENCH_AUTOSCALE_JSON] [BENCH_FAULTS_JSON]
 #
-# BENCH_sim.json (fig_sim_throughput, augmented by fig_dispatch): fails
-# when any config reports optimized_allocs_per_step > 0 -- the hot loop
-# allocated -- when the dispatch_microbench table is missing or empty,
-# or when any of its cells reports checksums_match: false -- the
-# sorted-lane dispatch diverged from the seed algorithm
-# (oracle::ReferenceQueueSim in tests/oracle/). That whole-run outputs
-# still match the seed is pinned by golden tests (tests/test_sim_ab.cc).
+# BENCH_sim.json (fig_sim_throughput): fails when any config reports
+# optimized_allocs_per_step > 0 -- the hot loop allocated.
+# BENCH_dispatch.json (fig_dispatch), read from the directory of the
+# BENCH_sim.json given: fails when it is missing, when its
+# dispatch_microbench table is empty, or when any of its cells reports
+# checksums_match: false -- the sorted-lane dispatch diverged from the
+# seed algorithm (oracle::ReferenceQueueSim in tests/oracle/). That
+# whole-run outputs still match the seed is pinned by golden tests
+# (tests/test_sim_ab.cc).
 #
 # BENCH_cluster.json (fig12_cluster_scaleout): fails when any scale-out
 # row reports bitidentical_jobs: false (the fleet's metrics depended on
@@ -33,7 +35,7 @@
 # A path given on the command line must exist. With no argument for
 # it, the cluster, autoscale or faults artifact is skipped with a
 # notice when absent (a sim-only bench run); the sim artifact is
-# always required.
+# always required, and so is the dispatch artifact beside it.
 #
 # These are hard invariants, so CI runs this after bench_smoke instead
 # of trusting the benches' own exit codes alone (the artifacts are also
@@ -45,14 +47,17 @@ cd "$(dirname "$0")/.."
 # Defaults are where the bench_smoke target writes (it runs in the
 # build root).
 bench_json=${1:-build/BENCH_sim.json}
+dispatch_json="$(dirname "$bench_json")/BENCH_dispatch.json"
 cluster_json=${2:-build/BENCH_cluster.json}
 autoscale_json=${3:-build/BENCH_autoscale.json}
 faults_json=${4:-build/BENCH_faults.json}
 
-if [[ ! -f "$bench_json" ]]; then
-    echo "check_bench: $bench_json not found -- run bench_smoke first" >&2
-    exit 1
-fi
+for f in "$bench_json" "$dispatch_json"; do
+    if [[ ! -f "$f" ]]; then
+        echo "check_bench: $f not found -- run bench_smoke first" >&2
+        exit 1
+    fi
+done
 for i in 2 3 4; do
     if [[ $# -ge $i && ! -f "${!i}" ]]; then
         echo "check_bench: ${!i} not found" >&2
@@ -60,13 +65,15 @@ for i in 2 3 4; do
     fi
 done
 
-python3 - "$bench_json" <<'EOF'
+python3 - "$bench_json" "$dispatch_json" <<'EOF'
 import json
 import sys
 
-path = sys.argv[1]
+path, dispatch_path = sys.argv[1], sys.argv[2]
 with open(path) as f:
     root = json.load(f)
+with open(dispatch_path) as f:
+    dispatch = json.load(f)
 
 configs = root.get("configs", [])
 if not configs:
@@ -85,10 +92,10 @@ for cfg in configs:
     speed = cfg.get("optimized_steps_per_sec")
     print(f"check_bench: {name}: allocs/step={allocs} steps/s={speed}")
 
-cells = root.get("dispatch_microbench", [])
+cells = dispatch.get("dispatch_microbench", [])
 if not cells:
-    print(f"check_bench: FAIL {path} has no dispatch_microbench cells "
-          f"(run fig_dispatch after fig_sim_throughput)", file=sys.stderr)
+    print(f"check_bench: FAIL {dispatch_path} has no dispatch_microbench "
+          f"cells", file=sys.stderr)
     failures += 1
 for cell in cells:
     name = f"{cell.get('cores')}c/{cell.get('pattern')}"

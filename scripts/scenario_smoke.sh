@@ -21,8 +21,9 @@
 # from run to run. Finally, invalid input (unknown service, missing
 # file, non-finite load, a fleet flag on a single-node run, an
 # unreadable checkpoint, a misspelled key in a scenario or --faults
-# file, a repeated key) must exit 2 with a message: never a crash,
-# never a silently ignored flag or key.
+# file, a key the fault's kind does not read, a repeated key) must exit
+# 2 with a message: never a crash, never a silently ignored flag or
+# key.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -151,6 +152,12 @@ echo '{"events": [{"type": "node_crash", "at": 2, "nodde": 1}]}' \
     >"$tmp/misspelled_faults.json"
 expect_usage_error --scenario scenarios/fig12_cluster.json --steps 3 \
     --faults "$tmp/misspelled_faults.json"
+# A node_crash reads neither key: it must not run as a crash that never
+# restarts.
+echo '{"events": [{"type": "node_crash", "at": 5, "node": 1,' \
+    '"duration": 10, "multiplier": 3.0}]}' >"$tmp/foreign_key_faults.json"
+expect_usage_error --service masstree --manager static --nodes 2 --steps 20 \
+    --faults "$tmp/foreign_key_faults.json"
 echo '{"name": "repeated", "steps": 20, "services":' \
     '[{"service": "masstree"}], "steps": 30}' >"$tmp/repeated.json"
 expect_usage_error --scenario "$tmp/repeated.json" --steps 3

@@ -7,8 +7,8 @@
  * asymmetry or an IPC bump between CPU generations) and a $/node-hour
  * price. It expands to a sim::MachineConfig for node construction,
  * whose capacity() (cores x peak GHz x rate scale) is what the
- * Router/ShardedRouter deal load by, so a fleet mixing generations is
- * balanced by what each node can actually serve, not by node count.
+ * Router deals load by, so a fleet mixing generations is balanced by
+ * what each node can actually serve, not by node count.
  *
  * Classes are read from a ScenarioSpec's `cluster.node_classes` block
  * (strictly: an unknown key is fatal); a small built-in catalogue

@@ -31,8 +31,7 @@ ClusterManager::ClusterManager(
       fleetLoads_(std::move(fleet_loads)),
       // The router draws from its own derived seed stream so adding
       // policies never perturbs the nodes' randomness (and vice versa).
-      router_(ShardedRouterConfig{cfg.router, cfg.domains},
-              common::sweepSeed(seed, 0x5107e5))
+      router_(cfg.router, common::sweepSeed(seed, 0x5107e5))
 {
     common::fatalIf(numServices() == 0, "ClusterManager: no services");
     common::fatalIf(fleetLoads_.size() != numServices(),
@@ -137,7 +136,7 @@ ClusterManager::step()
     slots_.applyFaults(step_);
 
     // 1. Route: fleet offered load -> per-node shares (serial; the
-    //    routers' RNG streams must see the same draw sequence at any
+    //    router's RNG streams must see the same draw sequence at any
     //    --jobs).
     const std::uint64_t t_route = now();
     fleetRps_.resize(num_services);

@@ -1,14 +1,14 @@
 /**
  * @file
- * Fleet orchestration: N replica nodes behind a two-level
- * ShardedRouter, stepped in lockstep one control interval at a time.
+ * Fleet orchestration: N replica nodes behind a two-level Router,
+ * stepped in lockstep one control interval at a time.
  *
  * The per-interval loop is:
  *
  *   1. sample the fleet-level load generators (one per service) and
- *      let the ShardedRouter split each service's RPS — first across
- *      routing domains (deterministic, weighted by capacity x QoS
- *      headroom), then across each domain's replicas;
+ *      let the Router split each service's RPS — first across routing
+ *      domains (deterministic, weighted by capacity x QoS headroom),
+ *      then across each domain's replicas;
  *   2. step every powered node — in parallel on a common::ThreadPool
  *      when jobs > 1, bit-identical to serial stepping because nodes
  *      share no mutable state and all routing/merging stays on the
@@ -48,7 +48,6 @@
 
 #include "cluster/node.hh"
 #include "cluster/router.hh"
-#include "cluster/sharded_router.hh"
 #include "cluster/slot_table.hh"
 #include "common/thread_pool.hh"
 #include "sim/loadgen.hh"
@@ -65,13 +64,11 @@ namespace twig::cluster {
 /** Fleet configuration. */
 struct ClusterConfig
 {
+    /** Routing policy and domains of the front-end. */
     RouterConfig router;
     /** Worker threads for node stepping; <= 1 steps serially. The
      * fleet metrics are bit-identical either way. */
     std::size_t jobs = 1;
-    /** Routing domains of the two-level front-end; 1 degenerates to
-     * the flat router exactly (must not exceed the node count). */
-    std::size_t domains = 1;
 };
 
 /** Cycle totals of the fleet control loop's phases (rdtsc via
@@ -244,7 +241,7 @@ class ClusterManager
     SlotTable slots_;
     std::vector<std::unique_ptr<sim::LoadGenerator>> fleetLoads_;
     /** The two-level front-end. */
-    ShardedRouter router_;
+    Router router_;
     /** Created on first parallel step (jobs > 1). */
     std::unique_ptr<common::ThreadPool> pool_;
     std::size_t step_ = 0;

@@ -3,29 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hh"
 
 namespace twig::common {
-
-Json
-Json::array()
-{
-    Json j;
-    j.type_ = Type::Array;
-    return j;
-}
-
-Json
-Json::object()
-{
-    Json j;
-    j.type_ = Type::Object;
-    return j;
-}
 
 namespace {
 
@@ -100,13 +83,6 @@ Json::at(std::size_t i) const
     return arr_[i];
 }
 
-void
-Json::push(Json v)
-{
-    fatalIf(type_ != Type::Array, "json: push on a ", typeName(type_));
-    arr_.push_back(std::move(v));
-}
-
 const Json &
 Json::at(const std::string &key) const
 {
@@ -125,19 +101,6 @@ Json::find(const std::string &key) const
             return &v;
     }
     return nullptr;
-}
-
-void
-Json::set(const std::string &key, Json v)
-{
-    fatalIf(type_ != Type::Object, "json: set on a ", typeName(type_));
-    for (auto &[k, old] : obj_) {
-        if (k == key) {
-            old = std::move(v);
-            return;
-        }
-    }
-    obj_.emplace_back(key, std::move(v));
 }
 
 const std::vector<std::pair<std::string, Json>> &
@@ -187,135 +150,13 @@ Json::stringOr(const std::string &key, const std::string &fallback) const
     return v ? v->asString() : fallback;
 }
 
-// --- serialisation ---------------------------------------------------
-
-namespace {
-
-void
-dumpString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-dumpNumber(std::string &out, double n)
-{
-    fatalIf(!std::isfinite(n), "json: cannot serialise non-finite ", n);
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), n);
-    out.append(buf, res.ptr);
-}
-
-void
-newlineIndent(std::string &out, int indent, int depth)
-{
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent) *
-                   static_cast<std::size_t>(depth),
-               ' ');
-}
-
-} // namespace
-
-void
-Json::dumpInto(std::string &out, int indent, int depth) const
-{
-    switch (type_) {
-    case Type::Null:
-        out += "null";
-        return;
-    case Type::Bool:
-        out += bool_ ? "true" : "false";
-        return;
-    case Type::Number:
-        if (exactInt_) {
-            char buf[24];
-            const auto res =
-                std::to_chars(buf, buf + sizeof(buf), int_);
-            out.append(buf, res.ptr);
-        } else {
-            dumpNumber(out, num_);
-        }
-        return;
-    case Type::String:
-        dumpString(out, str_);
-        return;
-    case Type::Array: {
-        if (arr_.empty()) {
-            out += "[]";
-            return;
-        }
-        out += '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
-            if (i > 0)
-                out += indent > 0 ? "," : ", ";
-            if (indent > 0)
-                newlineIndent(out, indent, depth + 1);
-            arr_[i].dumpInto(out, indent, depth + 1);
-        }
-        if (indent > 0)
-            newlineIndent(out, indent, depth);
-        out += ']';
-        return;
-    }
-    case Type::Object: {
-        if (obj_.empty()) {
-            out += "{}";
-            return;
-        }
-        out += '{';
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
-            if (i > 0)
-                out += indent > 0 ? "," : ", ";
-            if (indent > 0)
-                newlineIndent(out, indent, depth + 1);
-            dumpString(out, obj_[i].first);
-            out += ": ";
-            obj_[i].second.dumpInto(out, indent, depth + 1);
-        }
-        if (indent > 0)
-            newlineIndent(out, indent, depth);
-        out += '}';
-        return;
-    }
-    }
-}
-
-std::string
-Json::dump(int indent) const
-{
-    std::string out;
-    dumpInto(out, indent, 0);
-    return out;
-}
-
 // --- parsing ---------------------------------------------------------
 
-namespace {
-
-class Parser
+/** Recursive-descent parser: the only code that builds Json values. */
+class JsonParser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit JsonParser(const std::string &text) : text_(text) {}
 
     Json
     parseDocument()
@@ -404,7 +245,7 @@ class Parser
         if (c == 'n') {
             if (!consumeLiteral("null"))
                 fail("invalid literal");
-            return Json();
+            return Json(Json::Type::Null);
         }
         if (c == '-' || (c >= '0' && c <= '9'))
             return parseNumber();
@@ -415,7 +256,7 @@ class Parser
     parseObject()
     {
         expect('{');
-        Json obj = Json::object();
+        Json obj(Json::Type::Object);
         if (peek() == '}') {
             ++pos_;
             return obj;
@@ -427,7 +268,7 @@ class Parser
             if (obj.has(key))
                 fail("duplicate object key '" + key + "'");
             expect(':');
-            obj.set(key, parseValue());
+            obj.obj_.emplace_back(std::move(key), parseValue());
             const char c = peek();
             if (c == ',') {
                 ++pos_;
@@ -445,13 +286,13 @@ class Parser
     parseArray()
     {
         expect('[');
-        Json arr = Json::array();
+        Json arr(Json::Type::Array);
         if (peek() == ']') {
             ++pos_;
             return arr;
         }
         while (true) {
-            arr.push(parseValue());
+            arr.arr_.push_back(parseValue());
             const char c = peek();
             if (c == ',') {
                 ++pos_;
@@ -560,12 +401,10 @@ class Parser
     std::size_t pos_ = 0;
 };
 
-} // namespace
-
 Json
 Json::parse(const std::string &text)
 {
-    return Parser(text).parseDocument();
+    return JsonParser(text).parseDocument();
 }
 
 Json

@@ -1,17 +1,14 @@
 /**
  * @file
- * Minimal JSON value type with a strict parser and a deterministic
- * serialiser. The parser reads scenario and fault files
- * (harness/scenario.hh); the serialiser writes machine-readable bench
- * artifacts only — no spec is ever written back.
+ * Minimal read-only JSON value type with a strict parser. It reads
+ * scenario and fault files (harness/scenario.hh); nothing in the
+ * repository writes JSON through it (bench artifacts print their own).
  *
  * Design points:
- *  * objects preserve insertion order, so dump() is deterministic and
- *    round-trips byte-identically (dump(parse(dump(x))) == dump(x));
- *  * numbers are serialised with the shortest representation that
- *    round-trips through double (std::to_chars); non-negative integer
- *    literals additionally keep exact 64-bit precision (seeds exceed
- *    2^53, where double starts dropping low bits);
+ *  * the parser is the only code that builds values;
+ *  * objects keep their text's key order (fields());
+ *  * non-negative integer literals keep exact 64-bit precision (seeds
+ *    exceed 2^53, where double starts dropping low bits);
  *  * all misuse (type mismatches, missing keys, a key repeated in one
  *    object, malformed input) raises common::FatalError, with a
  *    line/column position where the text has one, never a silent
@@ -26,7 +23,6 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,35 +33,6 @@ class Json
 {
   public:
     enum class Type { Null, Bool, Number, String, Array, Object };
-
-    Json() : type_(Type::Null) {}
-    Json(bool b) : type_(Type::Bool), bool_(b) {}
-    Json(double n) : type_(Type::Number), num_(n) {}
-    Json(int n) : type_(Type::Number), num_(n)
-    {
-        if (n >= 0) {
-            exactInt_ = true;
-            int_ = static_cast<std::uint64_t>(n);
-        }
-    }
-    /** Any other arithmetic type (size_t, uint64_t, float, ...). */
-    template <typename T,
-              typename = std::enable_if_t<std::is_arithmetic_v<T>>>
-    Json(T n) : type_(Type::Number), num_(static_cast<double>(n))
-    {
-        if constexpr (std::is_integral_v<T>) {
-            if (n >= T{0}) {
-                exactInt_ = true;
-                int_ = static_cast<std::uint64_t>(n);
-            }
-        }
-    }
-    Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
-    Json(const char *s) : type_(Type::String), str_(s) {}
-
-    /** Empty array / object literals. */
-    static Json array();
-    static Json object();
 
     Type type() const { return type_; }
 
@@ -82,17 +49,13 @@ class Json
 
     /** Array element access (fatal when not an array / out of range). */
     const Json &at(std::size_t i) const;
-    /** Append to an array. */
-    void push(Json v);
 
     /** Object field access; fatal when the key is missing. */
     const Json &at(const std::string &key) const;
     /** Pointer to an object field, nullptr when absent. */
     const Json *find(const std::string &key) const;
     bool has(const std::string &key) const { return find(key) != nullptr; }
-    /** Insert-or-overwrite an object field (keeps first-set order). */
-    void set(const std::string &key, Json v);
-    /** Object fields in insertion order. */
+    /** Object fields in the text's order. */
     const std::vector<std::pair<std::string, Json>> &fields() const;
     /** Fatal, naming the key and @p where, when this object holds a
      * key outside @p keys: a misspelled key must not run a default. */
@@ -107,9 +70,6 @@ class Json
     std::string stringOr(const std::string &key,
                          const std::string &fallback) const;
 
-    /** Serialise; @p indent > 0 pretty-prints with that many spaces. */
-    std::string dump(int indent = 0) const;
-
     /** Strict parse of a complete JSON document (fatal with
      * line:column on malformed input or trailing garbage). */
     static Json parse(const std::string &text);
@@ -118,7 +78,19 @@ class Json
     static Json parseFile(const std::string &path);
 
   private:
-    void dumpInto(std::string &out, int indent, int depth) const;
+    friend class JsonParser;
+
+    explicit Json(Type type) : type_(type) {}
+    explicit Json(bool b) : type_(Type::Bool), bool_(b) {}
+    explicit Json(double n) : type_(Type::Number), num_(n) {}
+    explicit Json(std::uint64_t n)
+        : type_(Type::Number), num_(static_cast<double>(n)), int_(n),
+          exactInt_(true)
+    {
+    }
+    explicit Json(std::string s) : type_(Type::String), str_(std::move(s))
+    {
+    }
 
     Type type_;
     bool bool_ = false;

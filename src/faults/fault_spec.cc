@@ -45,14 +45,35 @@ faultKindName(FaultKind kind)
 // --- FaultAction -----------------------------------------------------
 
 FaultAction
-FaultAction::fromJson(const Json &j)
+FaultAction::fromJson(const Json &j, std::size_t index)
 {
-    j.allowOnly({"type", "at", "node", "service", "duration",
-                 "restart_after", "recovery", "max_dvfs", "sigma",
-                 "stale_prob", "multiplier"},
-                "fault event");
     FaultAction a;
     a.kind = faultKindByName(j.at("type").asString());
+    // Each kind takes only the keys it reads: a field it would ignore
+    // (a crash's "duration") is fatal instead of running a default.
+    const std::string where = "fault event " + std::to_string(index) +
+        " (" + faultKindName(a.kind) + ")";
+    switch (a.kind) {
+    case FaultKind::NodeCrash:
+        j.allowOnly({"type", "at", "node", "restart_after", "recovery"},
+                    where);
+        break;
+    case FaultKind::ThermalThrottle:
+        j.allowOnly({"type", "at", "node", "duration", "max_dvfs"}, where);
+        break;
+    case FaultKind::PmcNoise:
+        j.allowOnly(
+            {"type", "at", "node", "duration", "sigma", "stale_prob"},
+            where);
+        break;
+    case FaultKind::LoadSurge:
+        j.allowOnly(
+            {"type", "at", "service", "duration", "multiplier"}, where);
+        break;
+    case FaultKind::CheckpointCorrupt:
+        j.allowOnly({"type", "at", "node"}, where);
+        break;
+    }
     a.atStep = static_cast<std::size_t>(j.at("at").asIndex());
     a.node = static_cast<std::size_t>(j.indexOr("node", a.node));
     a.service =
@@ -133,7 +154,7 @@ FaultSpec::fromJson(const Json &j)
         j.indexOr("checkpoint_every", 0));
     if (const Json *arr = j.find("events")) {
         for (std::size_t i = 0; i < arr->size(); ++i)
-            s.actions.push_back(FaultAction::fromJson(arr->at(i)));
+            s.actions.push_back(FaultAction::fromJson(arr->at(i), i));
     }
     return s;
 }

@@ -84,7 +84,9 @@ struct FaultAction
     /** LoadSurge: RPS multiplier while active. */
     double multiplier = 1.0;
 
-    static FaultAction fromJson(const common::Json &j);
+    /** Read event @p index of a schedule (the index names it in
+     * errors); a key its kind does not read is fatal. */
+    static FaultAction fromJson(const common::Json &j, std::size_t index);
 };
 
 /** A complete fault schedule for one run. */

@@ -388,7 +388,7 @@ buildFleet(const ScenarioSpec &spec, const ManagerRegistry &registry,
     cluster::ClusterConfig cfg;
     cfg.router.policy = cluster::routingPolicyByName(spec.policy);
     cfg.jobs = jobs;
-    cfg.domains = spec.domains;
+    cfg.router.domains = spec.domains;
     setup.fleet = std::make_unique<cluster::ClusterManager>(
         cfg, setup.profiles, std::move(loads), spec.seed);
 

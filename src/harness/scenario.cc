@@ -12,15 +12,40 @@ using common::Json;
 // --- ServiceLoadSpec -------------------------------------------------
 
 ServiceLoadSpec
-ServiceLoadSpec::fromJson(const Json &j)
+ServiceLoadSpec::fromJson(const Json &j, std::size_t index)
 {
-    j.allowOnly({"service", "pattern", "fraction", "max_scale", "max_rps",
-                 "low_fraction", "period_steps", "change_factor",
-                 "trace_path", "trace_column"},
-                "service entry");
     ServiceLoadSpec s;
-    s.service = j.at("service").asString();
     s.pattern = j.stringOr("pattern", s.pattern);
+    // Each pattern takes only the keys makeLoadFromSpec reads for it: a
+    // "fixed" entry with a period_steps is fatal, not a fixed load. An
+    // unknown pattern takes every key; validate() refuses it.
+    const std::string where =
+        "service entry " + std::to_string(index) + " (" + s.pattern + ")";
+    if (s.pattern == "fixed") {
+        j.allowOnly({"service", "pattern", "fraction", "max_scale",
+                     "max_rps"},
+                    where);
+    } else if (s.pattern == "diurnal" || s.pattern == "ramp") {
+        j.allowOnly({"service", "pattern", "fraction", "max_scale",
+                     "max_rps", "low_fraction", "period_steps"},
+                    where);
+    } else if (s.pattern == "step") {
+        j.allowOnly({"service", "pattern", "fraction", "max_scale",
+                     "max_rps", "low_fraction", "period_steps",
+                     "change_factor"},
+                    where);
+    } else if (s.pattern == "trace") {
+        j.allowOnly({"service", "pattern", "fraction", "max_scale",
+                     "max_rps", "low_fraction", "period_steps",
+                     "trace_path", "trace_column"},
+                    where);
+    } else {
+        j.allowOnly({"service", "pattern", "fraction", "max_scale",
+                     "max_rps", "low_fraction", "period_steps",
+                     "change_factor", "trace_path", "trace_column"},
+                    where);
+    }
+    s.service = j.at("service").asString();
     s.fraction = j.numberOr("fraction", s.fraction);
     s.maxScale = j.numberOr("max_scale", s.maxScale);
     s.maxRps = j.numberOr("max_rps", s.maxRps);
@@ -66,7 +91,8 @@ ScenarioEvent::fromJson(const Json &j)
     }
     if (const Json *arr = j.find("services")) {
         for (std::size_t i = 0; i < arr->size(); ++i)
-            e.services.push_back(ServiceLoadSpec::fromJson(arr->at(i)));
+            e.services.push_back(
+                ServiceLoadSpec::fromJson(arr->at(i), i));
     }
     if (const Json *seed = j.find("server_seed"))
         e.serverSeed = seed->asIndex();
@@ -240,7 +266,7 @@ ScenarioSpec::fromJson(const Json &j)
 
     const Json &svcs = j.at("services");
     for (std::size_t i = 0; i < svcs.size(); ++i)
-        s.services.push_back(ServiceLoadSpec::fromJson(svcs.at(i)));
+        s.services.push_back(ServiceLoadSpec::fromJson(svcs.at(i), i));
 
     if (const Json *mgr = j.find("manager")) {
         mgr->allowOnly({"name", "paper", "seed", "knobs"}, "manager");

@@ -65,7 +65,10 @@ struct ServiceLoadSpec
     std::string tracePath;
     std::string traceColumn;
 
-    static ServiceLoadSpec fromJson(const common::Json &j);
+    /** Read entry @p index of a services list (the index names it in
+     * errors); a key its pattern does not read is fatal. */
+    static ServiceLoadSpec fromJson(const common::Json &j,
+                                    std::size_t index);
 };
 
 /** Transfer-learning swap applied to a TwigManager (paper §IV). */

@@ -433,7 +433,7 @@ TEST(Alloc, WarmTwigFleetStepSteadyStateIsAllocationFree)
 
     cluster::ClusterConfig cfg;
     cfg.router.policy = cluster::RoutingPolicy::PowerOfTwoLatency;
-    cfg.domains = 2;
+    cfg.router.domains = 2;
     cfg.jobs = 1;
     std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
     for (const auto &profile : ctx.profiles) {

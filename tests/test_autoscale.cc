@@ -41,6 +41,17 @@ tmpPath(const std::string &name)
     return ::testing::TempDir() + "/" + name;
 }
 
+/** One routeInto call, returning the shares. */
+std::vector<std::vector<double>>
+route(cluster::Router &router, const std::vector<double> &fleet_rps,
+      const std::vector<double> &weights,
+      const cluster::RouterFeedback &feedback)
+{
+    std::vector<std::vector<double>> out;
+    router.routeInto(fleet_rps, weights, feedback, out);
+    return out;
+}
+
 AutoscaleConfig
 validConfig()
 {
@@ -466,11 +477,11 @@ TEST(RouterDrain, DrainingNodeGetsNoNewLoad)
     cluster::Router router(cfg, 7);
     const std::vector<double> rps{900.0};
 
-    const auto shares = router.route(rps, {1.0, 0.0, 1.0}, {});
+    const auto shares = route(router, rps, {1.0, 0.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(shares[1][0], 0.0);
     EXPECT_NEAR(shares[0][0] + shares[2][0], 900.0, 1e-9);
 
-    const auto after = router.route(rps, {1.0, 1.0, 1.0}, {});
+    const auto after = route(router, rps, {1.0, 1.0, 1.0}, {});
     EXPECT_GT(after[1][0], 0.0);
 }
 

@@ -5,12 +5,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/static_manager.hh"
 #include "cluster/cluster_manager.hh"
 #include "cluster/router.hh"
-#include "cluster/sharded_router.hh"
 #include "common/error.hh"
 #include "core/twig_manager.hh"
 #include "faults/fault_spec.hh"
@@ -32,6 +32,79 @@ std::string
 tmpPath(const std::string &name)
 {
     return ::testing::TempDir() + "/" + name;
+}
+
+/** One routeInto call, returning the shares. */
+std::vector<std::vector<double>>
+route(Router &router, const std::vector<double> &fleet_rps,
+      const std::vector<double> &weights,
+      const RouterFeedback &feedback)
+{
+    std::vector<std::vector<double>> out;
+    router.routeInto(fleet_rps, weights, feedback, out);
+    return out;
+}
+
+/** FNV-1a over every share's bytes, folded into @p h. */
+std::uint64_t
+hashShares(const std::vector<std::vector<double>> &shares,
+           std::uint64_t h)
+{
+    for (const auto &row : shares)
+        h = oracle::hashDoubles(row, h);
+    return h;
+}
+
+/**
+ * 40 intervals of every policy on every (nodes, domains) shape below,
+ * hashed share by share. Inputs: three services, the second at 0 RPS;
+ * non-dyadic capacity weights whose zeros move every interval; domain
+ * 0 dark for five intervals and the whole fleet for three; no feedback
+ * at interval 0, then per-node p99s of 0.4x to 4.6x target, so the QoS
+ * excess bound of 2 bites on the loaded services.
+ */
+std::uint64_t
+routerGoldenHash()
+{
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 1}, {5, 1}, {7, 2}, {7, 3}, {64, 8}, {13, 13}};
+    const std::vector<double> targets = {5.0, 8.0, 12.0};
+    std::uint64_t h = common::kFnvOffsetBasis;
+    for (const RoutingPolicy policy :
+         {RoutingPolicy::Static, RoutingPolicy::WeightedRoundRobin,
+          RoutingPolicy::PowerOfTwoLatency}) {
+        for (const auto &[nodes, domains] : shapes) {
+            Router router({policy, domains}, 0x7017e5 + nodes);
+            RouterFeedback feedback;
+            std::vector<double> weights(nodes);
+            std::vector<std::vector<double>> out;
+            for (std::size_t t = 0; t < 40; ++t) {
+                for (std::size_t n = 0; n < nodes; ++n) {
+                    const bool dark = (n * 3 + t) % 5 == 0 ||
+                        (t >= 10 && t < 15 && n < nodes / domains) ||
+                        (t >= 25 && t < 28);
+                    weights[n] = dark
+                        ? 0.0
+                        : 0.7 + 0.1 * static_cast<double>((n + 2 * t) % 7);
+                }
+                const std::vector<double> rps = {
+                    733.3 + 17.9 * static_cast<double>(t), 0.0,
+                    210.7 + 41.3 * static_cast<double>(t % 6)};
+                router.routeInto(rps, weights, feedback, out);
+                h = hashShares(out, h);
+                feedback.qosTargetsMs = targets;
+                feedback.p99MsByNode.assign(nodes,
+                                            std::vector<double>(3));
+                for (std::size_t n = 0; n < nodes; ++n) {
+                    for (std::size_t s = 0; s < 3; ++s)
+                        feedback.p99MsByNode[n][s] = targets[s] *
+                            (0.4 + 0.3 * static_cast<double>(
+                                       (n * 5 + t * 3 + s * 7) % 15));
+                }
+            }
+        }
+    }
+    return h;
 }
 
 ClusterManager::ManagerFactory
@@ -80,7 +153,7 @@ makeFleet(RoutingPolicy policy, std::size_t jobs, std::size_t nodes,
     ClusterConfig cfg;
     cfg.router.policy = policy;
     cfg.jobs = jobs;
-    cfg.domains = domains;
+    cfg.router.domains = domains;
     std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
     loads.push_back(std::make_unique<sim::DiurnalLoad>(
         masstree.maxLoadRps * static_cast<double>(nodes), 0.15, 0.4,
@@ -183,8 +256,7 @@ TEST(Router, PolicyNamesRoundTrip)
 TEST(Router, StaticSplitsEqually)
 {
     Router router({RoutingPolicy::Static}, 1);
-    const auto out =
-        router.route({900.0, 300.0}, {1.0, 2.0, 1.0}, {});
+    const auto out = route(router, {900.0, 300.0}, {1.0, 2.0, 1.0}, {});
     ASSERT_EQ(out.size(), 3u);
     for (const auto &node : out) {
         EXPECT_DOUBLE_EQ(node[0], 300.0); // weights ignored by design
@@ -195,7 +267,7 @@ TEST(Router, StaticSplitsEqually)
 TEST(Router, WrrIsCapacityProportionalAndConserving)
 {
     Router router({RoutingPolicy::WeightedRoundRobin}, 1);
-    const auto out = router.route({600.0}, {2.0, 1.0}, {});
+    const auto out = route(router, {600.0}, {2.0, 1.0}, {});
     // 2:1 weights interleave the quanta 0, 1, 0, ...: 256 quanta split
     // 171:85, the nearest 2:1 split.
     static_assert(kQuantaPerService == 256);
@@ -212,8 +284,7 @@ TEST(Router, P2cConservesLoadAndAvoidsTardyNodes)
     // Node 2 blew its tail-latency target by 3x last interval.
     feedback.p99MsByNode = {{10.0}, {10.0}, {90.0}};
     feedback.qosTargetsMs = {30.0};
-    const auto out =
-        router.route({900.0}, {1.0, 1.0, 1.0}, feedback);
+    const auto out = route(router, {900.0}, {1.0, 1.0, 1.0}, feedback);
     EXPECT_NEAR(out[0][0] + out[1][0] + out[2][0], 900.0, 1e-9);
     EXPECT_LT(out[2][0], out[0][0]);
     EXPECT_LT(out[2][0], out[1][0]);
@@ -222,9 +293,19 @@ TEST(Router, P2cConservesLoadAndAvoidsTardyNodes)
 TEST(Router, Validation)
 {
     Router router({RoutingPolicy::Static}, 1);
-    EXPECT_THROW(router.route({100.0}, {}, {}), FatalError);
-    EXPECT_THROW(router.route({100.0}, {1.0, -1.0}, {}), FatalError);
-    EXPECT_THROW(router.route({-1.0}, {1.0}, {}), FatalError);
+    EXPECT_THROW(route(router, {100.0}, {}, {}), FatalError);
+    EXPECT_THROW(route(router, {100.0}, {1.0, -1.0}, {}), FatalError);
+    EXPECT_THROW(route(router, {-1.0}, {1.0}, {}), FatalError);
+}
+
+TEST(Router, SharesMatchParentGolden)
+{
+    // Recorded from the two-class router (a flat Router inside each
+    // domain of a ShardedRouter) before the two merged: the one class
+    // must deal every share of every shape bit for bit as they did.
+    // Plain double arithmetic with no GEMM, so it holds on any x86-64
+    // build, FMA or not.
+    EXPECT_EQ(routerGoldenHash(), 0xbbd8dfdb8d5ed0fdULL);
 }
 
 TEST(ClusterManager, ParallelSteppingIsBitIdenticalStaticNodes)
@@ -312,41 +393,42 @@ TEST(ClusterManager, WarmStartRejectsNonTwigManagers)
 TEST(ShardedRouter, OneDomainMatchesFlatRouterExactly)
 {
     // domains == 1 must replay the flat router's RNG draw sequence bit
-    // for bit: the fleet vectors are forwarded verbatim and domain 0
-    // inherits the caller's seed.
-    const RouterConfig rcfg{RoutingPolicy::PowerOfTwoLatency};
-    Router flat(rcfg, 7);
-    ShardedRouter sharded({rcfg, 1}, 7);
+    // for bit: the fleet vectors are dealt verbatim and domain 0 draws
+    // from the router's own seed. The hash was recorded while a flat
+    // router and a one-domain sharded one still ran side by side and
+    // agreed on every share.
+    Router router({RoutingPolicy::PowerOfTwoLatency, 1}, 7);
 
     const std::vector<double> weights = {1.0, 2.0, 1.0, 1.5, 1.0};
     RouterFeedback feedback;
-    std::vector<std::vector<double>> flat_out, sharded_out;
+    std::vector<std::vector<double>> out;
+    std::uint64_t h = common::kFnvOffsetBasis;
     for (int interval = 0; interval < 5; ++interval) {
         const std::vector<double> rps = {900.0 + 10.0 * interval,
                                          300.0};
-        flat.routeInto(rps, weights, feedback, flat_out);
-        sharded.routeInto(rps, weights, feedback, sharded_out);
-        EXPECT_EQ(flat_out, sharded_out) << "interval " << interval;
-        // Feed the routed shares back as fake p99s so later intervals
-        // exercise the latency-aware branch too.
+        router.routeInto(rps, weights, feedback, out);
+        h = hashShares(out, h);
+        // Fake p99s so later intervals exercise the latency-aware
+        // branch too.
         feedback.p99MsByNode.assign(weights.size(), {10.0, 10.0});
         feedback.p99MsByNode[2] = {90.0, 20.0};
         feedback.qosTargetsMs = {30.0, 30.0};
     }
+    EXPECT_EQ(h, 0xca40b5f676e1e60dULL);
 }
 
 TEST(ShardedRouter, SplitsAcrossDomainsAndConservesLoad)
 {
-    ShardedRouter router({{RoutingPolicy::PowerOfTwoLatency}, 4},
-                         11);
+    Router router({RoutingPolicy::PowerOfTwoLatency, 4}, 11);
     const std::vector<double> weights(8, 1.0);
     std::vector<std::vector<double>> out;
     router.routeInto({800.0, 240.0}, weights, {}, out);
     ASSERT_EQ(out.size(), 8u);
-    EXPECT_EQ(router.numDomains(), 4u);
+    // Four domains of two equal nodes each take a quarter of every
+    // service (800 * 2 / 8 and 240 * 2 / 8, exact in binary).
     for (std::size_t d = 0; d < 4; ++d) {
-        EXPECT_EQ(router.domain(d).count, 2u);
-        EXPECT_EQ(router.domainOf(router.domain(d).first), d);
+        EXPECT_EQ(out[2 * d][0] + out[2 * d + 1][0], 200.0) << d;
+        EXPECT_EQ(out[2 * d][1] + out[2 * d + 1][1], 60.0) << d;
     }
     double total0 = 0.0, total1 = 0.0;
     for (const auto &row : out) {
@@ -361,8 +443,7 @@ TEST(ShardedRouter, DomainEvictionShedsToSiblingDomains)
 {
     // A domain whose every member weighs 0 must renormalise its share
     // onto the sibling domains, not abort or drop load.
-    ShardedRouter router({{RoutingPolicy::WeightedRoundRobin}, 4},
-                         3);
+    Router router({RoutingPolicy::WeightedRoundRobin, 4}, 3);
     std::vector<double> weights(8, 1.0);
     weights[0] = 0.0;
     weights[1] = 0.0; // domain 0 = nodes {0, 1}: takes no load
@@ -384,7 +465,7 @@ TEST(ShardedRouter, AllDomainsDownShedsTheInterval)
 {
     // All-zero weights route nothing, across every domain; whether
     // that interval is a shed is the ClusterManager's call.
-    ShardedRouter router({{RoutingPolicy::Static}, 2}, 5);
+    Router router({RoutingPolicy::Static, 2}, 5);
     const std::vector<double> weights(4, 0.0);
     std::vector<std::vector<double>> out;
     router.routeInto({500.0}, weights, {}, out);
@@ -395,23 +476,18 @@ TEST(ShardedRouter, AllDomainsDownShedsTheInterval)
 
 TEST(ShardedRouter, Validation)
 {
-    EXPECT_THROW(ShardedRouter({{RoutingPolicy::Static}, 0}, 1),
-                 FatalError);
+    EXPECT_THROW(Router({RoutingPolicy::Static, 0}, 1), FatalError);
 
-    ShardedRouter too_many({{RoutingPolicy::Static}, 4}, 1);
+    Router too_many({RoutingPolicy::Static, 4}, 1);
     std::vector<std::vector<double>> out;
     EXPECT_THROW(too_many.routeInto({100.0}, {1.0, 1.0}, {}, out),
                  FatalError);
 
-    ShardedRouter fixed({{RoutingPolicy::Static}, 2}, 1);
+    Router fixed({RoutingPolicy::Static, 2}, 1);
     fixed.routeInto({100.0}, {1.0, 1.0, 1.0, 1.0}, {}, out);
     EXPECT_THROW(fixed.routeInto({100.0}, std::vector<double>(6, 1.0),
                                  {}, out),
                  FatalError); // the partition is fixed at first use
-
-    EXPECT_THROW(ShardedRouter({{RoutingPolicy::Static}, 2}, 1)
-                     .domainOf(0),
-                 FatalError); // not bound yet
 }
 
 TEST(ClusterManager, MergeMatchesFlatNodeMerge)

@@ -44,6 +44,17 @@ tmpPath(const std::string &name)
     return ::testing::TempDir() + "/" + name;
 }
 
+/** One routeInto call, returning the shares. */
+std::vector<std::vector<double>>
+route(Router &router, const std::vector<double> &fleet_rps,
+      const std::vector<double> &weights,
+      const RouterFeedback &feedback)
+{
+    std::vector<std::vector<double>> out;
+    router.routeInto(fleet_rps, weights, feedback, out);
+    return out;
+}
+
 ClusterManager::ManagerFactory
 staticNodes()
 {
@@ -169,7 +180,7 @@ expectIdenticalTraces(const FleetRunResult &a, const FleetRunResult &b)
 TEST(RouterHealth, EvictRenormalizesOntoSurvivors)
 {
     Router wrr({RoutingPolicy::WeightedRoundRobin}, 1);
-    const auto out = wrr.route({600.0}, {2.0, 0.0, 1.0}, {});
+    const auto out = route(wrr, {600.0}, {2.0, 0.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(out[1][0], 0.0);
     EXPECT_NEAR(out[0][0] + out[2][0], 600.0, 1e-9);
     // 2:1 among the survivors: of 256 quanta, 171:85.
@@ -177,7 +188,7 @@ TEST(RouterHealth, EvictRenormalizesOntoSurvivors)
     EXPECT_EQ(out[0][0], 171.0 * 600.0 / 256.0);
 
     Router stat({RoutingPolicy::Static}, 1);
-    const auto eq = stat.route({600.0}, {0.0, 1.0, 1.0}, {});
+    const auto eq = route(stat, {600.0}, {0.0, 1.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(eq[0][0], 0.0);
     EXPECT_DOUBLE_EQ(eq[1][0], 300.0);
     EXPECT_DOUBLE_EQ(eq[2][0], 300.0);
@@ -188,7 +199,7 @@ TEST(RouterHealth, SingleSurvivorTakesTheWholeLoad)
     // Regression: p2c with exactly one positive weight must not draw
     // a second choice from an empty candidate set.
     Router router({RoutingPolicy::PowerOfTwoLatency}, 7);
-    const auto out = router.route({900.0}, {0.0, 1.0, 0.0}, {});
+    const auto out = route(router, {900.0}, {0.0, 1.0, 0.0}, {});
     EXPECT_DOUBLE_EQ(out[0][0], 0.0);
     EXPECT_DOUBLE_EQ(out[1][0], 900.0);
     EXPECT_DOUBLE_EQ(out[2][0], 0.0);
@@ -630,7 +641,7 @@ runLifecycleFleet(const ClusterManager::ManagerFactory &factory,
     ClusterConfig cfg;
     cfg.router.policy = RoutingPolicy::PowerOfTwoLatency;
     cfg.jobs = jobs;
-    cfg.domains = 2;
+    cfg.router.domains = 2;
     std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
     loads.push_back(
         std::make_unique<ScriptedLoad>(rated, std::move(script)));

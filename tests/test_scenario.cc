@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/static_manager.hh"
@@ -54,7 +57,6 @@ richSpec()
         s.service = "moses";
         s.pattern = "trace";
         s.fraction = 1.0;
-        s.changeFactor = 0.3;
         s.maxRps = 1234.5;
         s.tracePath = "traces/moses.csv";
         s.traceColumn = "rps";
@@ -82,7 +84,14 @@ richSpec()
         return t;
     }());
     event.services.push_back(spec.services[0]);
-    event.services.push_back(spec.services[1]);
+    event.services.push_back([] {
+        ServiceLoadSpec s;
+        s.service = "moses";
+        s.pattern = "step";
+        s.fraction = 0.9;
+        s.changeFactor = 0.3;
+        return s;
+    }());
     event.serverSeed = 99;
     spec.events.push_back(event);
     return spec;
@@ -97,7 +106,7 @@ constexpr const char *kRichSpecJson = R"({
     {"service": "masstree", "pattern": "diurnal", "fraction": 0.8,
      "max_scale": 0.6, "low_fraction": 0.2, "period_steps": 50},
     {"service": "moses", "pattern": "trace", "fraction": 1.0,
-     "max_rps": 1234.5, "change_factor": 0.3,
+     "max_rps": 1234.5,
      "trace_path": "traces/moses.csv", "trace_column": "rps"}
   ],
   "manager": {"name": "twig", "paper": true, "seed": 4082637488651899829,
@@ -114,9 +123,8 @@ constexpr const char *kRichSpecJson = R"({
      "services": [
        {"service": "masstree", "pattern": "diurnal", "fraction": 0.8,
         "max_scale": 0.6, "low_fraction": 0.2, "period_steps": 50},
-       {"service": "moses", "pattern": "trace", "fraction": 1.0,
-        "max_rps": 1234.5, "change_factor": 0.3,
-        "trace_path": "traces/moses.csv", "trace_column": "rps"}
+       {"service": "moses", "pattern": "step", "fraction": 0.9,
+        "change_factor": 0.3}
      ],
      "server_seed": 99}
   ]
@@ -371,12 +379,14 @@ TEST(ScenarioSpec, MisspelledKeyIsFatalInEveryBlock)
         const char *where;
         const char *key;
     } rows[] = {
-        {"scenario", "stepz"},       {"service entry", "patern"},
+        {"scenario", "stepz"},
+        {"service entry 0 (fixed)", "patern"},
         {"manager", "nmae"},         {"knobs", "thetta"},
         {"event", "after_step"},     {"transfer", "service_idx"},
         {"cluster", "node"},         {"node class", "core"},
         {"dvfs", "max_ghZ"},         {"autoscale", "cooldwn"},
-        {"faults", "checkpoint_evry"}, {"fault event", "durations"},
+        {"faults", "checkpoint_evry"},
+        {"fault event 0 (node_crash)", "durations"},
     };
     auto with_key = [&](std::size_t block, const std::string &key) {
         std::string text;
@@ -401,6 +411,117 @@ TEST(ScenarioSpec, MisspelledKeyIsFatalInEveryBlock)
             EXPECT_EQ(std::string(err.what()),
                       std::string("fatal: json: unknown key '") +
                           rows[block].key + "' in " + rows[block].where);
+        }
+    }
+}
+
+TEST(ScenarioSpec, KeyItsKindOrPatternDoesNotReadIsFatal)
+{
+    // Each fault kind and load pattern, with the keys it reads. Every
+    // other key of its family is fatal, naming the key, the entry's
+    // index (1: a valid entry precedes it) and its kind or pattern;
+    // every key it reads parses.
+    using Table =
+        std::vector<std::pair<std::string, std::vector<std::string>>>;
+    const std::vector<std::string> fault_keys = {
+        "type", "at", "node", "service", "duration", "restart_after",
+        "recovery", "max_dvfs", "sigma", "stale_prob", "multiplier"};
+    const Table kinds = {
+        {"node_crash", {"type", "at", "node", "restart_after", "recovery"}},
+        {"thermal_throttle", {"type", "at", "node", "duration", "max_dvfs"}},
+        {"pmc_noise",
+         {"type", "at", "node", "duration", "sigma", "stale_prob"}},
+        {"load_surge", {"type", "at", "service", "duration", "multiplier"}},
+        {"checkpoint_corrupt", {"type", "at", "node"}},
+    };
+    const std::vector<std::string> load_keys = {
+        "service", "pattern", "fraction", "max_scale", "max_rps",
+        "low_fraction", "period_steps", "change_factor", "trace_path",
+        "trace_column"};
+    const std::vector<std::string> shaped = {
+        "service", "pattern", "fraction", "max_scale", "max_rps",
+        "low_fraction", "period_steps"};
+    auto plus = [](std::vector<std::string> keys,
+                   std::initializer_list<std::string> more) {
+        keys.insert(keys.end(), more);
+        return keys;
+    };
+    const Table patterns = {
+        {"fixed",
+         {"service", "pattern", "fraction", "max_scale", "max_rps"}},
+        {"diurnal", shaped},
+        {"ramp", shaped},
+        {"step", plus(shaped, {"change_factor"})},
+        {"trace", plus(shaped, {"trace_path", "trace_column"})},
+    };
+
+    // A value each key parses as (the entry's own keys are set above).
+    auto field = [](const std::string &key) {
+        const bool text = key == "recovery" || key == "trace_path" ||
+            key == "trace_column";
+        return ", \"" + key + "\": " +
+            (key == "recovery" ? "\"cold\"" : text ? "\"x\"" : "1");
+    };
+    auto fault_text = [&](const std::string &kind,
+                          const std::vector<std::string> &keys) {
+        std::string entry = "{\"type\": \"" + kind + "\"";
+        for (const auto &key : keys) {
+            if (key != "type")
+                entry += field(key);
+        }
+        return R"({"events": [{"type": "checkpoint_corrupt", "at": 1}, )" +
+            entry + "}]}";
+    };
+    auto load_text = [&](const std::string &pattern,
+                         const std::vector<std::string> &keys) {
+        std::string entry =
+            "{\"service\": \"moses\", \"pattern\": \"" + pattern + "\"";
+        for (const auto &key : keys) {
+            if (key != "service" && key != "pattern")
+                entry += field(key);
+        }
+        return R"({"services": [{"service": "masstree"}, )" + entry +
+            "}]}";
+    };
+    auto expect_fatal = [](auto parse, const std::string &want) {
+        try {
+            parse();
+            ADD_FAILURE() << "expected FatalError: " << want;
+        } catch (const common::FatalError &err) {
+            EXPECT_EQ(std::string(err.what()), want);
+        }
+    };
+    auto reads = [](const std::vector<std::string> &keys,
+                    const std::string &key) {
+        return std::find(keys.begin(), keys.end(), key) != keys.end();
+    };
+
+    for (const auto &[kind, own] : kinds) {
+        SCOPED_TRACE(kind);
+        EXPECT_NO_THROW(faults::FaultSpec::fromJson(
+            common::Json::parse(fault_text(kind, own))));
+        for (const auto &key : fault_keys) {
+            if (reads(own, key))
+                continue;
+            const std::string text = fault_text(kind, plus(own, {key}));
+            expect_fatal(
+                [&] {
+                    faults::FaultSpec::fromJson(common::Json::parse(text));
+                },
+                "fatal: json: unknown key '" + key +
+                    "' in fault event 1 (" + kind + ")");
+        }
+    }
+    for (const auto &[pattern, own] : patterns) {
+        SCOPED_TRACE(pattern);
+        EXPECT_NO_THROW(parseSpec(load_text(pattern, own)));
+        for (const auto &key : load_keys) {
+            if (reads(own, key))
+                continue;
+            const std::string text = load_text(pattern, plus(own, {key}));
+            expect_fatal([&] { parseSpec(text); },
+                         "fatal: json: unknown key '" + key +
+                             "' in service entry 1 (" + pattern + ")");
         }
     }
 }
