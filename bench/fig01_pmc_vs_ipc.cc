@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "bench/mlp.hh"
 #include "common/csv.hh"
 #include "common/rng.hh"
 #include "core/mapper.hh"
 #include "core/monitor.hh"
-#include "nn/mlp.hh"
 #include "services/microbench.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"

@@ -3,6 +3,7 @@
 #include "autoscale/autoscaler.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hh"
 
@@ -61,23 +62,31 @@ AutoscaleConfig::fromJson(const common::Json &j)
     return c;
 }
 
-Autoscaler::Autoscaler(const AutoscaleConfig &cfg) : cfg_(cfg)
+Autoscaler::Autoscaler(const AutoscaleConfig &cfg,
+                       std::vector<double> rated_rps,
+                       std::vector<double> qos_targets_ms)
+    : cfg_(cfg), ratedRps_(std::move(rated_rps)),
+      qosTargetsMs_(std::move(qos_targets_ms))
 {
     const std::string err = cfg.validate();
     common::fatalIf(!err.empty(), "Autoscaler: ", err);
+    common::fatalIf(ratedRps_.size() != qosTargetsMs_.size(),
+                    "Autoscaler: need one rated fleet RPS per service");
+    for (double rated : ratedRps_)
+        common::fatalIf(rated <= 0.0,
+                        "Autoscaler: rated fleet RPS must be > 0");
 }
 
 double
 Autoscaler::worstUtilization(const FleetSignal &sig,
-                             double capacity_fraction)
+                             double capacity_fraction) const
 {
-    if (!sig.offeredRps || !sig.ratedRps || capacity_fraction <= 0.0)
+    if (!sig.offeredRps || capacity_fraction <= 0.0)
         return 0.0;
     double worst = 0.0;
-    const std::size_t n =
-        std::min(sig.offeredRps->size(), sig.ratedRps->size());
+    const std::size_t n = std::min(sig.offeredRps->size(), ratedRps_.size());
     for (std::size_t s = 0; s < n; ++s) {
-        const double rated = (*sig.ratedRps)[s] * capacity_fraction;
+        const double rated = ratedRps_[s] * capacity_fraction;
         if (rated <= 0.0)
             continue;
         worst = std::max(worst, (*sig.offeredRps)[s] / rated);
@@ -86,15 +95,15 @@ Autoscaler::worstUtilization(const FleetSignal &sig,
 }
 
 double
-Autoscaler::worstTardiness(const FleetSignal &sig)
+Autoscaler::worstTardiness(const FleetSignal &sig) const
 {
-    if (!sig.trailingP99Ms || !sig.qosTargetsMs)
+    if (!sig.trailingP99Ms)
         return 0.0;
     double worst = 0.0;
     const std::size_t n =
-        std::min(sig.trailingP99Ms->size(), sig.qosTargetsMs->size());
+        std::min(sig.trailingP99Ms->size(), qosTargetsMs_.size());
     for (std::size_t s = 0; s < n; ++s) {
-        const double target = (*sig.qosTargetsMs)[s];
+        const double target = qosTargetsMs_[s];
         if (target <= 0.0)
             continue;
         worst = std::max(worst, (*sig.trailingP99Ms)[s] / target);

@@ -75,14 +75,12 @@ struct AutoscaleConfig
     static AutoscaleConfig fromJson(const common::Json &j);
 };
 
-/** What the fleet looks like at decision time (one control interval). */
+/** What changes between decisions: the fleet's shape and this
+ * interval's load and tail (one control interval). */
 struct FleetSignal
 {
-    std::size_t step = 0;
     /** Slots currently serving new load (up, not draining/standby). */
     std::size_t serving = 0;
-    /** Slots draining toward retirement. */
-    std::size_t draining = 0;
     /** Parked slots available for activation. */
     std::size_t standby = 0;
     /** Capability-weighted share of full-fleet capacity now serving. */
@@ -91,13 +89,9 @@ struct FleetSignal
     double capacityFractionAfterScaleIn = 1.0;
     /** Current interval's offered fleet RPS per service. */
     const std::vector<double> *offeredRps = nullptr;
-    /** Rated fleet RPS per service at full (maxNodes) provisioning. */
-    const std::vector<double> *ratedRps = nullptr;
     /** Previous interval's trailing-window fleet p99 per service
      * (nullptr / empty before the first interval completes). */
     const std::vector<double> *trailingP99Ms = nullptr;
-    /** QoS targets per service. */
-    const std::vector<double> *qosTargetsMs = nullptr;
 };
 
 /** One scaling action (count == 0 never escapes decide()). */
@@ -117,7 +111,16 @@ struct ScaleDecision
 class Autoscaler
 {
   public:
-    explicit Autoscaler(const AutoscaleConfig &cfg);
+    /**
+     * @param cfg            decision rule (validated; fatal on a
+     *                       malformed block)
+     * @param rated_rps      per-service fleet RPS the *full* (maxNodes)
+     *                       fleet is rated for — the utilisation
+     *                       denominator; each must be > 0
+     * @param qos_targets_ms per-service QoS target, one per rated RPS
+     */
+    Autoscaler(const AutoscaleConfig &cfg, std::vector<double> rated_rps,
+               std::vector<double> qos_targets_ms);
 
     const AutoscaleConfig &config() const { return cfg_; }
 
@@ -125,14 +128,17 @@ class Autoscaler
      * order. */
     ScaleDecision decide(const FleetSignal &sig);
 
-    /** Worst-service utilisation of @p sig (exposed for tests). */
-    static double worstUtilization(const FleetSignal &sig,
-                                   double capacity_fraction);
+    /** Worst-service utilisation of @p sig at @p capacity_fraction of
+     * the rated fleet (exposed for tests). */
+    double worstUtilization(const FleetSignal &sig,
+                            double capacity_fraction) const;
     /** Worst-service trailing tardiness of @p sig (0 = no data). */
-    static double worstTardiness(const FleetSignal &sig);
+    double worstTardiness(const FleetSignal &sig) const;
 
   private:
     AutoscaleConfig cfg_;
+    std::vector<double> ratedRps_;
+    std::vector<double> qosTargetsMs_;
     std::size_t hiStreak_ = 0;
     std::size_t loStreak_ = 0;
     std::size_t cooldown_ = 0;

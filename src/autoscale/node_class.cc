@@ -44,13 +44,13 @@ NodeClass::validate() const
 }
 
 NodeClass
-NodeClass::fromJson(const common::Json &j)
+NodeClass::fromJson(const common::Json &j, std::size_t index)
 {
-    j.allowOnly({"id", "cores", "dvfs", "service_rate_scale",
-                 "dollars_per_hour"},
-                "node class");
     NodeClass c;
     c.id = j.at("id").asString();
+    j.allowOnly({"id", "cores", "dvfs", "service_rate_scale",
+                 "dollars_per_hour"},
+                "node class " + std::to_string(index) + " (" + c.id + ")");
     c.cores = static_cast<std::size_t>(j.indexOr("cores", c.cores));
     if (const common::Json *d = j.find("dvfs")) {
         d->allowOnly({"min_ghz", "max_ghz", "step_ghz"}, "dvfs");

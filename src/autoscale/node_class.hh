@@ -52,7 +52,9 @@ struct NodeClass
     /** Structural validation; returns an error message or "". */
     std::string validate() const;
 
-    static NodeClass fromJson(const common::Json &j);
+    /** Read entry @p index of a node_classes list (the index and id
+     * name it in errors). */
+    static NodeClass fromJson(const common::Json &j, std::size_t index);
 };
 
 /** The built-in catalogue: reference and common heterogeneous shapes.

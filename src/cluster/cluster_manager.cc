@@ -184,7 +184,6 @@ ClusterManager::step()
         // is not a shed.
         for (double rps : fleetRps_)
             shed_rps += rps;
-        slots_.shed(shed_rps);
     }
     profile_.routeCycles += now() - t_route;
 
@@ -276,7 +275,6 @@ ClusterManager::step()
         out.nodeUp[n] = slots_.powered(n) ? 1 : 0;
         if (out.nodeUp[n] == 0)
             continue; // crashed/standby: no samples, no power
-        slots_.markServed(n);
         if (slots_.serving(n))
             ++out.servingNodes;
         else
@@ -286,9 +284,10 @@ ClusterManager::step()
         for (std::size_t s = 0; s < num_services; ++s)
             merged[s].merge(node.intervalHistogram(s));
     }
-    // The interval's fault and scale events, and its bill.
-    out.costDollars =
-        slots_.closeStep(out.nodeUp, out.faultEvents, out.scaleEvents);
+    // The interval's fault and scale events (its LoadShed last), and
+    // its bill.
+    out.costDollars = slots_.closeStep(out.nodeUp, shed_rps,
+                                       out.faultEvents, out.scaleEvents);
     // Fleet p99 over the ring, a short trailing window of intervals
     // (one interval's p99 is a noisy order statistic at realistic
     // rates; slots not yet filled are empty); the next interval's

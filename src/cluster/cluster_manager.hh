@@ -117,8 +117,8 @@ struct FleetIntervalStats
     std::size_t servingNodes = 0;
     /** Slots draining toward retirement this interval. */
     std::size_t drainingNodes = 0;
-    /** Cumulative fleet bill through this interval, $ (0 without a
-     * cost model). */
+    /** Cumulative fleet bill through this interval, $ (0 for an
+     * unbilled fleet; SlotTable::setCostModel). */
     double costDollars = 0.0;
 };
 
@@ -136,7 +136,7 @@ struct FleetRunMetrics
     double energyJoules = 0.0;
     std::size_t windowSteps = 0;
     /** Total fleet bill over the whole run (not just the window), $
-     * (0 without a cost model). */
+     * (0 for an unbilled fleet). */
     double costDollars = 0.0;
 
     double avgQosGuaranteePct() const;

@@ -31,6 +31,8 @@ SlotTable::add(const sim::MachineConfig &machine,
                const rl::Checkpoint *donor)
 {
     common::fatalIf(!factory, "SlotTable::add: null factory");
+    common::fatalIf(!rates_.empty(), "SlotTable::add: add every slot "
+                    "before setCostModel (one rate per slot)");
     const std::size_t index = nodes_.size();
     // Node seeds derive from (base seed, node index), so a fleet's
     // node i has the same private world regardless of how many other
@@ -254,31 +256,37 @@ SlotTable::rebuildNode(std::size_t n, const std::string &recovery)
     ++generation_; // fresh manager: cohort pointers are stale
 }
 
-void
-SlotTable::shed(double rps)
-{
-    emit(K::LoadShed, -1).value = rps;
-}
-
 double
 SlotTable::closeStep(const std::vector<std::uint8_t> &node_up,
+                     double shed_rps,
                      std::vector<faults::FaultEvent> &fault_events,
                      std::vector<ScaleEvent> &scale_events)
 {
-    fault_events = stepEvents_;
-    scale_events = scaleStepEvents_;
     // Billing: every powered slot (serving or draining) pays its
     // hourly rate for the interval; standby and crashed slots do not.
-    if (!costModel_)
-        return 0.0;
-    costModel_->chargeInterval(node_up, nodes_[0]->machine().intervalSeconds);
-    return costModel_->totalDollars();
+    // The interval's charges sum in slot order before joining the bill.
+    const double hours = nodes_[0]->machine().intervalSeconds / 3600.0;
+    double charge = 0.0;
+    bool any_powered = false;
+    for (std::size_t n = 0; n < node_up.size(); ++n) {
+        if (node_up[n] == 0)
+            continue;
+        any_powered = true;
+        slots_[n].everServed = true;
+        if (!rates_.empty())
+            charge += rates_[n] * hours;
+    }
+    if (!any_powered)
+        emit(K::LoadShed, -1).value = shed_rps;
+    fault_events = stepEvents_;
+    scale_events = scaleStepEvents_;
+    bill_ += charge;
+    return bill_;
 }
 
 void
 SlotTable::setAutoscaler(const autoscale::AutoscaleConfig &cfg,
                          std::vector<double> rated_fleet_rps,
-                         std::vector<double> dollars_per_node_hour,
                          std::size_t initial_active)
 {
     common::fatalIf(nodes_.empty(),
@@ -286,8 +294,11 @@ SlotTable::setAutoscaler(const autoscale::AutoscaleConfig &cfg,
                     "(standby slots must exist to activate)");
     common::fatalIf(started_, "SlotTable::setAutoscaler: attach before "
                     "the first step");
-    const std::string err = cfg.validate();
-    common::fatalIf(!err.empty(), "SlotTable::setAutoscaler: ", err);
+    std::vector<double> qos_targets_ms;
+    for (const auto &svc : services_)
+        qos_targets_ms.push_back(svc.qosTargetMs);
+    auto scaler = std::make_unique<autoscale::Autoscaler>(
+        cfg, std::move(rated_fleet_rps), std::move(qos_targets_ms));
     common::fatalIf(cfg.maxNodes != nodes_.size(),
                     "SlotTable::setAutoscaler: max_nodes (", cfg.maxNodes,
                     ") must equal the provisioned slot count (",
@@ -298,20 +309,8 @@ SlotTable::setAutoscaler(const autoscale::AutoscaleConfig &cfg,
                         initial_active > cfg.maxNodes,
                     "SlotTable::setAutoscaler: initial active count ",
                     initial_active, " outside [min_nodes, max_nodes]");
-    common::fatalIf(rated_fleet_rps.size() != services_.size(),
-                    "SlotTable::setAutoscaler: need one rated fleet RPS "
-                    "per service");
-    for (double rated : rated_fleet_rps)
-        common::fatalIf(rated <= 0.0, "SlotTable::setAutoscaler: rated "
-                        "fleet RPS must be > 0");
 
-    autoscaler_.reset(); // (re)attaching: the cost model follows it
-    setCostModel(std::move(dollars_per_node_hour));
-    autoscaler_ = std::make_unique<autoscale::Autoscaler>(cfg);
-    ratedFleetRps_ = std::move(rated_fleet_rps);
-    qosTargets_.clear();
-    for (const auto &svc : services_)
-        qosTargets_.push_back(svc.qosTargetMs);
+    autoscaler_ = std::move(scaler);
     for (std::size_t n = 0; n < slots_.size(); ++n)
         setLifecycle(n,
                      n < initial_active ? SlotState::Active
@@ -324,16 +323,16 @@ SlotTable::setCostModel(std::vector<double> dollars_per_node_hour)
 {
     common::fatalIf(nodes_.empty(),
                     "SlotTable::setCostModel: add every replica first");
-    common::fatalIf(autoscaler_ != nullptr,
-                    "SlotTable::setCostModel: the autoscaler already "
-                    "attached its own cost model");
     if (dollars_per_node_hour.empty())
         dollars_per_node_hour.assign(nodes_.size(), 1.0);
     common::fatalIf(dollars_per_node_hour.size() != nodes_.size(),
                     "SlotTable::setCostModel: need one hourly rate per "
                     "slot");
-    costModel_ = std::make_unique<autoscale::CostModel>(
-        std::move(dollars_per_node_hour));
+    for (std::size_t n = 0; n < nodes_.size(); ++n)
+        common::fatalIf(dollars_per_node_hour[n] < 0.0,
+                        "SlotTable::setCostModel: slot ", n,
+                        " has a negative hourly rate");
+    rates_ = std::move(dollars_per_node_hour);
 }
 
 void
@@ -363,7 +362,6 @@ SlotTable::applyAutoscale(const std::vector<double> &fleet_rps,
     //    capacity after a hypothetical scale-in), so slot indices stay
     //    stable and the trajectory is a pure function of the steps.
     autoscale::FleetSignal sig;
-    sig.step = step_;
     double total = 0.0;
     double serving = 0.0;
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
@@ -378,8 +376,6 @@ SlotTable::applyAutoscale(const std::vector<double> &fleet_rps,
             ++sig.standby;
         else if (slot.state == SlotState::Active)
             ++sig.serving;
-        else
-            ++sig.draining;
     }
     double after_scale_in = serving;
     victims_.clear();
@@ -394,9 +390,7 @@ SlotTable::applyAutoscale(const std::vector<double> &fleet_rps,
     sig.capacityFractionAfterScaleIn =
         total > 0.0 ? after_scale_in / total : 0.0;
     sig.offeredRps = &fleet_rps;
-    sig.ratedRps = &ratedFleetRps_;
     sig.trailingP99Ms = trailing_p99_ms;
-    sig.qosTargetsMs = &qosTargets_;
     const autoscale::ScaleDecision d = autoscaler_->decide(sig);
 
     // 3. Apply: the lowest-indexed standby slots activate first, the

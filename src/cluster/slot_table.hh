@@ -24,8 +24,9 @@
  *     elastic state, and a crashed slot is neither serving nor
  *     activatable;
  *   - an interval with no powered slot sheds its whole offered load
- *     (a LoadShed event and shedRps), while a fleet that is powered
- *     but entirely draining refuses new load without a shed;
+ *     (a LoadShed event, its last, and shedRps), while a fleet that
+ *     is powered but entirely draining refuses new load without a
+ *     shed;
  *   - a change to the powered set or a node rebuild bumps
  *     generation(), on which batched-inference cohorts regroup.
  *
@@ -38,9 +39,13 @@
  * scale-in drains first — weight 0 while the backlog flushes and
  * histograms keep merging exactly — then retires the slot back to
  * standby. Decisions are pure functions of the step sequence, so
- * autoscaled runs replay bit-identically at any --jobs, and every
- * powered interval is billed against the attached $/node-hour
- * CostModel.
+ * autoscaled runs replay bit-identically at any --jobs.
+ *
+ * Billing (setCostModel) is the table's own: each slot has an hourly
+ * rate, and every interval the powered slots' rates add up, in slot
+ * order, into one sum that adds into the running bill — deterministic
+ * arithmetic over the step sequence, so the bill replays bit for bit,
+ * and a static fleet's bill is exactly nodes x rate x wall-time.
  */
 
 #ifndef TWIG_CLUSTER_SLOT_TABLE_HH
@@ -55,9 +60,7 @@
 #include <vector>
 
 #include "autoscale/autoscaler.hh"
-#include "autoscale/cost_model.hh"
 #include "cluster/node.hh"
-#include "common/error.hh"
 #include "faults/fault_injector.hh"
 #include "faults/fault_spec.hh"
 #include "sim/machine.hh"
@@ -136,12 +139,6 @@ class SlotTable
     // billed; serving = takes new load (powered and not draining).
     bool powered(std::size_t n) const { return slots_[n].powered(); }
     bool serving(std::size_t n) const { return slots_[n].serving(); }
-    /** Checked powered(): false for crashed and standby slots. */
-    bool isNodeUp(std::size_t n) const
-    {
-        common::fatalIf(n >= size(), "SlotTable::isNodeUp: bad index");
-        return powered(n);
-    }
     std::uint64_t generation() const { return generation_; }
 
     /**
@@ -161,31 +158,25 @@ class SlotTable
      * Slots [initial_active, maxNodes) start in standby: no routing
      * weight, not stepped, not billed.
      *
-     * @param cfg                  decision rule (validated; fatal on a
-     *                             malformed block)
-     * @param rated_fleet_rps      per-service fleet RPS the *full*
-     *                             (maxNodes) fleet is rated for — the
-     *                             utilisation denominator
-     * @param dollars_per_node_hour hourly rate per slot (empty =
-     *                             $1/h each)
-     * @param initial_active       slots serving at step 0 (must lie in
-     *                             [minNodes, maxNodes])
+     * @param cfg             decision rule (validated; fatal on a
+     *                        malformed block)
+     * @param rated_fleet_rps per-service fleet RPS the *full*
+     *                        (maxNodes) fleet is rated for — the
+     *                        utilisation denominator
+     * @param initial_active  slots serving at step 0 (must lie in
+     *                        [minNodes, maxNodes])
      */
     void setAutoscaler(const autoscale::AutoscaleConfig &cfg,
                        std::vector<double> rated_fleet_rps,
-                       std::vector<double> dollars_per_node_hour,
                        std::size_t initial_active);
 
-    /** Attach $/node-hour billing to a *static* fleet (the autoscaler
-     * attaches its own). Empty = $1/h per slot. Every powered slot is
-     * billed each interval; crashed ones are not. */
+    /** Bill the fleet: one non-negative $/node-hour rate per slot
+     * (empty = $1/h each). Every powered slot is billed each interval;
+     * standby and crashed ones are not. Unbilled without this call. */
     void setCostModel(std::vector<double> dollars_per_node_hour);
 
-    /** Cumulative fleet bill, $ (0 without a cost model). */
-    double costDollars() const
-    {
-        return costModel_ ? costModel_->totalDollars() : 0.0;
-    }
+    /** Cumulative fleet bill, $ (0 for an unbilled fleet). */
+    double costDollars() const { return bill_; }
 
     // The step() hooks, in call order.
     /** Open interval @p step: schedule transitions, then frames. */
@@ -196,12 +187,12 @@ class SlotTable
      * the last interval's trailing p99 (null at step 0), apply. */
     void applyAutoscale(const std::vector<double> &fleet_rps,
                         const std::vector<double> *trailing_p99_ms);
-    /** No slot is powered: @p rps of offered load was shed. */
-    void shed(double rps);
-    void markServed(std::size_t n) { slots_[n].everServed = true; }
-    /** Copy the interval's events out, bill the slots @p node_up
-     * marks powered; returns the cumulative bill. */
+    /** Close the interval whose powered slots @p node_up marks: mark
+     * them served, record a LoadShed of @p shed_rps when none is,
+     * copy the interval's events out and bill it; returns the
+     * cumulative bill. */
     double closeStep(const std::vector<std::uint8_t> &node_up,
+                     double shed_rps,
                      std::vector<faults::FaultEvent> &fault_events,
                      std::vector<ScaleEvent> &scale_events);
 
@@ -277,10 +268,9 @@ class SlotTable
 
     /** Decision rule (null without setAutoscaler). */
     std::unique_ptr<autoscale::Autoscaler> autoscaler_;
-    std::unique_ptr<autoscale::CostModel> costModel_;
-    /** Per-service fleet RPS the full fleet is rated for. */
-    std::vector<double> ratedFleetRps_;
-    std::vector<double> qosTargets_;
+    /** $/node-hour per slot (empty = unbilled) and the running bill. */
+    std::vector<double> rates_;
+    double bill_ = 0.0;
     /** Scale-in victims of the current decision (scratch). */
     std::vector<std::size_t> victims_;
 };

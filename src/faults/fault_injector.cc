@@ -81,12 +81,12 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
             ev.step = a.atStep;
             ev.kind = FaultEventKind::NodeCrash;
             ev.note = a.recovery;
-            timeline_.push_back({a.atStep, ev});
+            timeline_.push_back(ev);
             if (a.restartAfterSteps != 0) {
                 FaultEvent restart = ev;
                 restart.step = a.atStep + a.restartAfterSteps;
                 restart.kind = FaultEventKind::NodeRestart;
-                timeline_.push_back({restart.step, restart});
+                timeline_.push_back(restart);
             }
             break;
         }
@@ -94,12 +94,12 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
             ev.step = a.atStep;
             ev.kind = FaultEventKind::ThrottleStart;
             ev.value = static_cast<double>(a.maxDvfsIndex);
-            timeline_.push_back({a.atStep, ev});
+            timeline_.push_back(ev);
             FaultEvent end = ev;
             end.step = a.atStep + a.durationSteps;
             end.kind = FaultEventKind::ThrottleEnd;
             end.value = 0.0;
-            timeline_.push_back({end.step, end});
+            timeline_.push_back(end);
             break;
         }
         case FaultKind::PmcNoise: {
@@ -113,43 +113,43 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
             // fault is applied.
             std::uint64_t sm = seed_ ^ (0x9e3779b97f4a7c15ULL * (i + 1));
             ev.seed = common::splitmix64(sm);
-            timeline_.push_back({a.atStep, ev});
+            timeline_.push_back(ev);
             FaultEvent end = ev;
             end.step = a.atStep + a.durationSteps;
             end.kind = FaultEventKind::PmcNoiseEnd;
             end.value = 0.0;
             end.aux = 0.0;
             end.seed = 0;
-            timeline_.push_back({end.step, end});
+            timeline_.push_back(end);
             break;
         }
         case FaultKind::LoadSurge: {
             ev.step = a.atStep;
             ev.kind = FaultEventKind::SurgeStart;
             ev.value = a.multiplier;
-            timeline_.push_back({a.atStep, ev});
+            timeline_.push_back(ev);
             FaultEvent end = ev;
             end.step = a.atStep + a.durationSteps;
             end.kind = FaultEventKind::SurgeEnd;
             end.value = a.multiplier;
-            timeline_.push_back({end.step, end});
+            timeline_.push_back(end);
             break;
         }
         case FaultKind::CheckpointCorrupt: {
             ev.step = a.atStep;
             ev.kind = FaultEventKind::CheckpointCorrupt;
-            timeline_.push_back({a.atStep, ev});
+            timeline_.push_back(ev);
             break;
         }
         }
     }
     // Stable sort keeps schedule order among same-step transitions.
     std::stable_sort(timeline_.begin(), timeline_.end(),
-                     [](const Timed &a, const Timed &b) {
+                     [](const FaultEvent &a, const FaultEvent &b) {
                          return a.step < b.step;
                      });
-    for (const auto &t : timeline_)
-        lastStep_ = std::max(lastStep_, t.step);
+    for (const auto &ev : timeline_)
+        lastStep_ = std::max(lastStep_, ev.step);
 }
 
 void
@@ -158,9 +158,9 @@ FaultInjector::eventsAt(std::size_t step,
 {
     const auto lo = std::lower_bound(
         timeline_.begin(), timeline_.end(), step,
-        [](const Timed &t, std::size_t s) { return t.step < s; });
+        [](const FaultEvent &ev, std::size_t s) { return ev.step < s; });
     for (auto it = lo; it != timeline_.end() && it->step == step; ++it)
-        out.push_back(it->event);
+        out.push_back(*it);
 }
 
 } // namespace twig::faults

@@ -104,16 +104,10 @@ class FaultInjector
     std::size_t lastEventStep() const { return lastStep_; }
 
   private:
-    struct Timed
-    {
-        std::size_t step;
-        FaultEvent event;
-    };
-
     FaultSpec spec_;
     std::uint64_t seed_;
     /** All transitions, sorted by (step, schedule order). */
-    std::vector<Timed> timeline_;
+    std::vector<FaultEvent> timeline_;
     std::size_t lastStep_ = 0;
 };
 

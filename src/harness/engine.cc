@@ -446,14 +446,13 @@ buildFleet(const ScenarioSpec &spec, const ManagerRegistry &registry,
             rates.push_back(cls->dollarsPerHour);
         }
     }
-    if (spec.autoscale) {
-        // Rated at full provisioning: the utilisation denominator is
-        // the same static-max capacity the bench compares against.
-        setup.fleet->slots().setAutoscaler(*spec.autoscale, setup.maxRps,
-                                           std::move(rates), spec.nodes);
-    } else if (!rates.empty()) {
+    if (spec.autoscale || !rates.empty())
         setup.fleet->slots().setCostModel(std::move(rates));
-    }
+    // Rated at full provisioning: the utilisation denominator is the
+    // same static-max capacity the bench compares against.
+    if (spec.autoscale)
+        setup.fleet->slots().setAutoscaler(*spec.autoscale, setup.maxRps,
+                                           spec.nodes);
     return setup;
 }
 

@@ -61,10 +61,11 @@ ServiceLoadSpec::fromJson(const Json &j, std::size_t index)
 // --- TransferSpec ----------------------------------------------------
 
 TransferSpec
-TransferSpec::fromJson(const Json &j)
+TransferSpec::fromJson(const Json &j, std::size_t index, std::size_t event)
 {
     j.allowOnly({"service_index", "service", "spec_seed", "reexplore_steps"},
-                "transfer");
+                "transfer " + std::to_string(index) + " of event " +
+                    std::to_string(event));
     TransferSpec t;
     t.serviceIndex = static_cast<std::size_t>(
         j.indexOr("service_index", t.serviceIndex));
@@ -78,16 +79,17 @@ TransferSpec::fromJson(const Json &j)
 // --- ScenarioEvent ---------------------------------------------------
 
 ScenarioEvent
-ScenarioEvent::fromJson(const Json &j)
+ScenarioEvent::fromJson(const Json &j, std::size_t index)
 {
     j.allowOnly({"after_steps", "transfers", "services", "server_seed"},
-                "event");
+                "event " + std::to_string(index));
     ScenarioEvent e;
     e.afterSteps =
         static_cast<std::size_t>(j.at("after_steps").asIndex());
     if (const Json *arr = j.find("transfers")) {
         for (std::size_t i = 0; i < arr->size(); ++i)
-            e.transfers.push_back(TransferSpec::fromJson(arr->at(i)));
+            e.transfers.push_back(
+                TransferSpec::fromJson(arr->at(i), i, index));
     }
     if (const Json *arr = j.find("services")) {
         for (std::size_t i = 0; i < arr->size(); ++i)
@@ -294,7 +296,7 @@ ScenarioSpec::fromJson(const Json &j)
 
     if (const Json *arr = j.find("events")) {
         for (std::size_t i = 0; i < arr->size(); ++i)
-            s.events.push_back(ScenarioEvent::fromJson(arr->at(i)));
+            s.events.push_back(ScenarioEvent::fromJson(arr->at(i), i));
     }
 
     if (const Json *c = j.find("cluster")) {
@@ -310,7 +312,7 @@ ScenarioSpec::fromJson(const Json &j)
         if (const Json *arr = c->find("node_classes")) {
             for (std::size_t i = 0; i < arr->size(); ++i)
                 s.nodeClasses.push_back(
-                    autoscale::NodeClass::fromJson(arr->at(i)));
+                    autoscale::NodeClass::fromJson(arr->at(i), i));
         }
         if (const Json *arr = c->find("fleet")) {
             for (std::size_t i = 0; i < arr->size(); ++i)

@@ -83,7 +83,10 @@ struct TransferSpec
     /** Epsilon re-annealing window after the swap. */
     std::size_t reexploreSteps = 50;
 
-    static TransferSpec fromJson(const common::Json &j);
+    /** Read entry @p index of event @p event's transfers list (both
+     * indices name it in errors). */
+    static TransferSpec fromJson(const common::Json &j, std::size_t index,
+                                 std::size_t event);
 };
 
 /** A mid-run event; see the file comment for segment semantics. */
@@ -101,7 +104,9 @@ struct ScenarioEvent
      * seed). */
     std::optional<std::uint64_t> serverSeed;
 
-    static ScenarioEvent fromJson(const common::Json &j);
+    /** Read entry @p index of the events list (the index names it in
+     * errors). */
+    static ScenarioEvent fromJson(const common::Json &j, std::size_t index);
 };
 
 /** A complete declarative experiment. */

@@ -53,13 +53,6 @@ Server::profile(std::size_t idx) const
     return services_[idx].profile;
 }
 
-double
-Server::offeredRps(std::size_t idx) const
-{
-    common::fatalIf(idx >= services_.size(), "offeredRps: bad index");
-    return services_[idx].load->rps(step_);
-}
-
 const ServerIntervalStats &
 Server::runInterval(const std::vector<CoreAssignment> &assignments)
 {

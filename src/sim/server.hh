@@ -81,10 +81,6 @@ class Server
     std::size_t numServices() const { return services_.size(); }
     const ServiceProfile &profile(std::size_t idx) const;
 
-    /** Offered load of service @p idx for the *current* step (visible
-     * to managers like Hipster that key on requests per second). */
-    double offeredRps(std::size_t idx) const;
-
     /**
      * Advance one control interval with the given per-service core
      * assignments (same order as service indices).

@@ -21,12 +21,12 @@
 #include <new>
 
 #include "baselines/static_manager.hh"
+#include "bench/mlp.hh"
 #include "cluster/cluster_manager.hh"
 #include "common/rng.hh"
 #include "core/mapper.hh"
 #include "core/twig_manager.hh"
 #include "harness/registry.hh"
-#include "nn/mlp.hh"
 #include "rl/bdq_learner.hh"
 #include "services/tailbench.hh"
 #include "sim/loadgen.hh"

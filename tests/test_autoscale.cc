@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "autoscale/autoscaler.hh"
-#include "autoscale/cost_model.hh"
 #include "autoscale/node_class.hh"
 #include "baselines/static_manager.hh"
 #include "cluster/cluster_manager.hh"
@@ -66,31 +65,37 @@ validConfig()
     return cfg;
 }
 
+/** The one service SignalFixture loads: its rated fleet RPS and QoS
+ * target. */
+constexpr double kRatedRps = 1000.0;
+constexpr double kQosMs = 10.0;
+
+/** An Autoscaler rated for SignalFixture's service. */
+Autoscaler
+fixtureScaler(const AutoscaleConfig &cfg)
+{
+    return Autoscaler(cfg, {kRatedRps}, {kQosMs});
+}
+
 /** A signal whose utilisation is exactly @p util with @p serving of
  * @p max slots active (homogeneous capacity weights). */
 struct SignalFixture
 {
     std::vector<double> offered;
-    std::vector<double> rated{1000.0};
     std::vector<double> trailing;
-    std::vector<double> qos{10.0};
     FleetSignal sig;
 
-    SignalFixture(double util, std::size_t serving, std::size_t max,
-                  std::size_t draining = 0)
+    SignalFixture(double util, std::size_t serving, std::size_t max)
     {
         const double frac =
             static_cast<double>(serving) / static_cast<double>(max);
-        offered = {util * rated[0] * frac};
+        offered = {util * kRatedRps * frac};
         sig.serving = serving;
-        sig.draining = draining;
-        sig.standby = max - serving - draining;
+        sig.standby = max - serving;
         sig.servingCapacityFraction = frac;
         sig.capacityFractionAfterScaleIn =
             static_cast<double>(serving - 1) / static_cast<double>(max);
         sig.offeredRps = &offered;
-        sig.ratedRps = &rated;
-        sig.qosTargetsMs = &qos;
     }
 
     void
@@ -148,7 +153,7 @@ TEST(AutoscaleConfig, ValidatesStructure)
     bad.outTardiness = 0.0;
     EXPECT_NE(bad.validate(), "");
 
-    EXPECT_THROW(Autoscaler{bad}, FatalError);
+    EXPECT_THROW(fixtureScaler(bad), FatalError);
 }
 
 namespace {
@@ -206,7 +211,7 @@ TEST(Autoscaler, ScalesOutWhenUtilizationExceedsHiBand)
 {
     auto cfg = validConfig();
     cfg.persistIntervals = 2;
-    Autoscaler scaler(cfg);
+    Autoscaler scaler = fixtureScaler(cfg);
 
     SignalFixture hot(0.8, 2, 4);
     // First interval only starts the streak.
@@ -219,7 +224,7 @@ TEST(Autoscaler, ScalesOutWhenUtilizationExceedsHiBand)
 
 TEST(Autoscaler, HoldsInsideTheHysteresisGap)
 {
-    Autoscaler scaler(validConfig());
+    Autoscaler scaler = fixtureScaler(validConfig());
     // Between lo (0.4 post-retirement) and hi (0.6): no action, ever.
     SignalFixture mid(0.55, 2, 4);
     for (int i = 0; i < 10; ++i)
@@ -229,14 +234,14 @@ TEST(Autoscaler, HoldsInsideTheHysteresisGap)
 
 TEST(Autoscaler, ScaleOutNeedsAStandbySlot)
 {
-    Autoscaler scaler(validConfig());
+    Autoscaler scaler = fixtureScaler(validConfig());
     SignalFixture hot(0.9, 4, 4); // fully scaled out already
     EXPECT_EQ(scaler.decide(hot.sig).kind, ScaleDecision::Kind::None);
 }
 
 TEST(Autoscaler, ScalesInAgainstPostRetirementUtilization)
 {
-    Autoscaler scaler(validConfig());
+    Autoscaler scaler = fixtureScaler(validConfig());
     // 0.2 at 3-of-4 serving; after retiring one: 0.2 * 3/2 = 0.3 < lo.
     SignalFixture cold(0.2, 3, 4);
     const auto d = scaler.decide(cold.sig);
@@ -245,7 +250,7 @@ TEST(Autoscaler, ScalesInAgainstPostRetirementUtilization)
 
     // 0.35 at 3-of-4: post-retirement 0.525 >= lo — retiring would
     // immediately re-trip the hi band, so the scaler must hold.
-    Autoscaler scaler2(validConfig());
+    Autoscaler scaler2 = fixtureScaler(validConfig());
     SignalFixture warmish(0.35, 3, 4);
     EXPECT_EQ(scaler2.decide(warmish.sig).kind,
               ScaleDecision::Kind::None);
@@ -255,7 +260,7 @@ TEST(Autoscaler, NeverDropsBelowMinNodes)
 {
     auto cfg = validConfig();
     cfg.minNodes = 2;
-    Autoscaler scaler(cfg);
+    Autoscaler scaler = fixtureScaler(cfg);
     SignalFixture cold(0.05, 2, 4);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(scaler.decide(cold.sig).kind,
@@ -266,7 +271,7 @@ TEST(Autoscaler, TardinessForcesScaleOutAndVetoesScaleIn)
 {
     auto cfg = validConfig();
     cfg.outTardiness = 1.2;
-    Autoscaler scaler(cfg);
+    Autoscaler scaler = fixtureScaler(cfg);
 
     // Utilisation looks idle, but the measured tail is blown: the
     // override fires a scale-out anyway (mis-rated class, interference).
@@ -278,7 +283,7 @@ TEST(Autoscaler, TardinessForcesScaleOutAndVetoesScaleIn)
 
     // Tardiness just above 1 does not force an out, but vetoes the in
     // that the idle utilisation would otherwise take.
-    Autoscaler scaler2(cfg);
+    Autoscaler scaler2 = fixtureScaler(cfg);
     SignalFixture tail(0.1, 2, 4);
     tail.setTrailingP99(11.0);
     cfg.minNodes = 1;
@@ -289,7 +294,7 @@ TEST(Autoscaler, CooldownBlocksThenExpires)
 {
     auto cfg = validConfig();
     cfg.cooldownIntervals = 3;
-    Autoscaler scaler(cfg);
+    Autoscaler scaler = fixtureScaler(cfg);
 
     SignalFixture hot(0.9, 2, 4);
     EXPECT_EQ(scaler.decide(hot.sig).kind, ScaleDecision::Kind::Out);
@@ -305,7 +310,7 @@ TEST(Autoscaler, OutStepIsClampedToStandby)
 {
     auto cfg = validConfig();
     cfg.outStepNodes = 3;
-    Autoscaler scaler(cfg);
+    Autoscaler scaler = fixtureScaler(cfg);
     SignalFixture hot(0.9, 3, 4); // one standby slot left
     const auto d = scaler.decide(hot.sig);
     EXPECT_EQ(d.kind, ScaleDecision::Kind::Out);
@@ -314,24 +319,27 @@ TEST(Autoscaler, OutStepIsClampedToStandby)
 
 TEST(Autoscaler, WorstSignalHelpers)
 {
+    const Autoscaler scaler(validConfig(), {1000.0, 500.0}, {10.0, 20.0});
     FleetSignal empty;
-    EXPECT_DOUBLE_EQ(Autoscaler::worstUtilization(empty, 1.0), 0.0);
-    EXPECT_DOUBLE_EQ(Autoscaler::worstTardiness(empty), 0.0);
+    EXPECT_DOUBLE_EQ(scaler.worstUtilization(empty, 1.0), 0.0);
+    EXPECT_DOUBLE_EQ(scaler.worstTardiness(empty), 0.0);
 
     const std::vector<double> offered{100.0, 450.0};
-    const std::vector<double> rated{1000.0, 500.0};
     const std::vector<double> p99{5.0, 30.0};
-    const std::vector<double> qos{10.0, 20.0};
     FleetSignal sig;
     sig.offeredRps = &offered;
-    sig.ratedRps = &rated;
     sig.trailingP99Ms = &p99;
-    sig.qosTargetsMs = &qos;
     // Worst service wins: 450/500 = 0.9 over 100/1000 = 0.1.
-    EXPECT_NEAR(Autoscaler::worstUtilization(sig, 1.0), 0.9, 1e-12);
-    EXPECT_NEAR(Autoscaler::worstUtilization(sig, 0.5), 1.8, 1e-12);
+    EXPECT_NEAR(scaler.worstUtilization(sig, 1.0), 0.9, 1e-12);
+    EXPECT_NEAR(scaler.worstUtilization(sig, 0.5), 1.8, 1e-12);
     // 30/20 = 1.5 over 5/10 = 0.5.
-    EXPECT_NEAR(Autoscaler::worstTardiness(sig), 1.5, 1e-12);
+    EXPECT_NEAR(scaler.worstTardiness(sig), 1.5, 1e-12);
+
+    // The rating is the scaler's own: one positive RPS per target.
+    EXPECT_THROW(Autoscaler(validConfig(), {1000.0, 0.0}, {10.0, 20.0}),
+                 FatalError);
+    EXPECT_THROW(Autoscaler(validConfig(), {1000.0}, {10.0, 20.0}),
+                 FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -425,43 +433,23 @@ TEST(NodeClass, JsonRoundTrip)
     NodeClass cls;
     cls.id = "gen3";
     cls.dvfs.maxGhz = 2.4;
+    const auto read = [](const char *text) {
+        return NodeClass::fromJson(common::Json::parse(text), 0);
+    };
     // Keys left out keep their defaults, in the dvfs block too.
-    expectSameClass(NodeClass::fromJson(common::Json::parse(
-                        R"({"id": "gen3", "dvfs": {"max_ghz": 2.4}})")),
-                    cls);
+    expectSameClass(read(R"({"id": "gen3", "dvfs": {"max_ghz": 2.4}})"), cls);
 
     cls.cores = 24;
     cls.dvfs.minGhz = 1.4;
     cls.dvfs.stepGhz = 0.2;
     cls.serviceRateScale = 1.4;
     cls.dollarsPerHour = 1.6;
-    expectSameClass(NodeClass::fromJson(common::Json::parse(R"({
+    expectSameClass(read(R"({
       "id": "gen3", "cores": 24,
       "dvfs": {"min_ghz": 1.4, "max_ghz": 2.4, "step_ghz": 0.2},
       "service_rate_scale": 1.4, "dollars_per_hour": 1.6
-    })")),
+    })"),
                     cls);
-}
-
-// ---------------------------------------------------------------------
-// Cost model
-// ---------------------------------------------------------------------
-
-TEST(CostModel, BillsPoweredSlotsByTheHour)
-{
-    CostModel model({1.0, 0.5, 2.0});
-    EXPECT_EQ(model.numNodes(), 3u);
-    EXPECT_DOUBLE_EQ(model.nodeRate(1), 0.5);
-    EXPECT_DOUBLE_EQ(model.totalDollars(), 0.0);
-
-    // One full hour with the middle slot parked: $1 + $2.
-    const double added = model.chargeInterval({1, 0, 1}, 3600.0);
-    EXPECT_DOUBLE_EQ(added, 3.0);
-    EXPECT_DOUBLE_EQ(model.totalDollars(), 3.0);
-
-    // One second, everything powered: (1 + 0.5 + 2) / 3600.
-    model.chargeInterval({1, 1, 1}, 1.0);
-    EXPECT_NEAR(model.totalDollars(), 3.0 + 3.5 / 3600.0, 1e-12);
 }
 
 // ---------------------------------------------------------------------
@@ -520,12 +508,14 @@ class ScriptedLoad : public sim::LoadGenerator
 };
 
 /** A 4-slot masstree fleet with an elastic 1..4 autoscaler and a
- * scripted fleet load (fractions of the full 4-node rated RPS). A
- * non-empty @p faults schedule is armed before the autoscaler. */
+ * scripted fleet load (fractions of the full 4-node rated RPS), billed
+ * at @p rates (empty = $1/h per slot). A non-empty @p faults schedule
+ * is armed before the autoscaler. */
 cluster::ClusterManager
 makeElasticFleet(const std::vector<double> &fractions,
                  const AutoscaleConfig &cfg, std::size_t initial,
-                 const faults::FaultSpec &faults = {})
+                 const faults::FaultSpec &faults = {},
+                 std::vector<double> rates = {})
 {
     const auto masstree = services::masstree();
     const double rated = masstree.maxLoadRps * 4.0;
@@ -542,8 +532,42 @@ makeElasticFleet(const std::vector<double> &fractions,
         fleet.addNode(sim::MachineConfig{}, staticNodes());
     if (!faults.actions.empty())
         fleet.slots().setFaults(faults);
-    fleet.slots().setAutoscaler(cfg, {rated}, {}, initial);
+    fleet.slots().setCostModel(std::move(rates));
+    fleet.slots().setAutoscaler(cfg, {rated}, initial);
     return fleet;
+}
+
+/** A static @p slots-slot masstree fleet at half of one node's load. */
+cluster::ClusterManager
+makeStaticFleet(std::size_t slots)
+{
+    const auto masstree = services::masstree();
+    cluster::ClusterConfig ccfg;
+    std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
+    loads.push_back(
+        std::make_unique<sim::FixedLoad>(masstree.maxLoadRps, 0.5));
+    cluster::ClusterManager fleet(ccfg, {masstree}, std::move(loads), 42);
+    for (std::size_t n = 0; n < slots; ++n)
+        fleet.addNode(sim::MachineConfig{}, staticNodes());
+    return fleet;
+}
+
+/** The bill of @p trace at @p rates, recomputed from each interval's
+ * nodeUp: every powered slot's charge summed in slot order, then added
+ * to the running total, as the slot table bills. */
+double
+billOf(const std::vector<cluster::FleetIntervalStats> &trace,
+       const std::vector<double> &rates, double interval_s)
+{
+    double bill = 0.0;
+    for (const auto &fs : trace) {
+        double charge = 0.0;
+        for (std::size_t n = 0; n < rates.size(); ++n)
+            if (fs.nodeUp[n] != 0)
+                charge += rates[n] * (interval_s / 3600.0);
+        bill += charge;
+    }
+    return bill;
 }
 
 faults::FaultAction
@@ -665,66 +689,76 @@ TEST(ClusterAutoscale, ScaleInDrainsThenRetiresHighestFirst)
 
 TEST(ClusterAutoscale, BillMatchesPoweredSlotSeconds)
 {
-    auto cfg = validConfig();
-    auto fleet = makeElasticFleet({0.1}, cfg, 3);
-    const double interval_s =
-        fleet.node(0).machine().intervalSeconds;
-    double expected = 0.0;
-    const auto result = fleet.run(
-        12, 2,
-        [&expected, interval_s](std::size_t,
-                                const cluster::FleetIntervalStats &s) {
-            std::size_t powered = 0;
-            for (const auto up : s.nodeUp)
-                powered += up != 0 ? 1 : 0;
-            expected +=
-                static_cast<double>(powered) * interval_s / 3600.0;
-        });
-    EXPECT_NEAR(fleet.slots().costDollars(), expected, 1e-9);
-    EXPECT_DOUBLE_EQ(result.metrics.costDollars, fleet.slots().costDollars());
+    // Uneven rates that are not powers of two, so a slot billed at
+    // another's rate shows, and so do charges added one slot at a time
+    // into the bill (they round differently from the interval's sum).
+    const std::vector<double> rates{1.0, 0.3, 1.1, 0.7};
+    const double all_on_hourly = 1.0 + 0.3 + 1.1 + 0.7;
+
+    // Elastic: light load drains and retires slot 2 ($1.10/h).
+    auto fleet = makeElasticFleet({0.1}, validConfig(), 3, {}, rates);
+    const double interval_s = fleet.node(0).machine().intervalSeconds;
+    const auto result = fleet.run(12, 2);
+    for (std::size_t t = 0; t < result.trace.size(); ++t)
+        EXPECT_EQ(result.trace[t].costDollars,
+                  billOf({result.trace.begin(),
+                          result.trace.begin() + t + 1},
+                         rates, interval_s))
+            << "step " << t;
+    EXPECT_EQ(fleet.slots().costDollars(),
+              billOf(result.trace, rates, interval_s));
+    EXPECT_EQ(result.metrics.costDollars, fleet.slots().costDollars());
     // The elastic bill must undercut always-on max provisioning.
-    EXPECT_LT(fleet.slots().costDollars(), 4.0 * 12.0 * interval_s / 3600.0);
+    EXPECT_LT(fleet.slots().costDollars(),
+              all_on_hourly * 12.0 * interval_s / 3600.0);
+
+    // Static: slot 2 crashes at step 3 and restarts at step 7; the
+    // crashed intervals are not billed.
+    auto billed = makeStaticFleet(4);
+    faults::FaultSpec faults;
+    faults.actions.push_back(crashAction(3, 2, 4));
+    billed.slots().setFaults(faults);
+    billed.slots().setCostModel(rates);
+    const auto crashed = billed.run(12, 2);
+    for (std::size_t t = 0; t < 12; ++t)
+        EXPECT_EQ(crashed.trace[t].nodeUp[2], t >= 3 && t < 7 ? 0u : 1u)
+            << "step " << t;
+    EXPECT_EQ(billed.slots().costDollars(),
+              billOf(crashed.trace, rates, interval_s));
+    EXPECT_LT(billed.slots().costDollars(),
+              all_on_hourly * 12.0 * interval_s / 3600.0);
 }
 
 TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
 {
     const auto masstree = services::masstree();
-    auto make_fleet = [&](std::size_t slots) {
-        cluster::ClusterConfig ccfg;
-        std::vector<std::unique_ptr<sim::LoadGenerator>> loads;
-        loads.push_back(
-            std::make_unique<sim::FixedLoad>(masstree.maxLoadRps, 0.5));
-        cluster::ClusterManager fleet(ccfg, {masstree},
-                                      std::move(loads), 42);
-        for (std::size_t n = 0; n < slots; ++n)
-            fleet.addNode(sim::MachineConfig{}, staticNodes());
-        return fleet;
-    };
 
     // maxNodes must equal the provisioned slot count.
-    auto short_fleet = make_fleet(2);
+    auto short_fleet = makeStaticFleet(2);
     EXPECT_THROW(
-        short_fleet.slots().setAutoscaler(validConfig(), {100.0}, {}, 1),
+        short_fleet.slots().setAutoscaler(validConfig(), {100.0}, 1),
         FatalError);
 
     // initial_active outside [min, max].
-    auto fleet = make_fleet(4);
-    EXPECT_THROW(fleet.slots().setAutoscaler(validConfig(), {100.0}, {}, 5),
+    auto fleet = makeStaticFleet(4);
+    EXPECT_THROW(fleet.slots().setAutoscaler(validConfig(), {100.0}, 5),
                  FatalError);
 
-    // One rated entry per service.
-    auto fleet2 = make_fleet(4);
+    // One positive rated entry per service.
+    auto fleet2 = makeStaticFleet(4);
     EXPECT_THROW(
-        fleet2.slots().setAutoscaler(validConfig(), {100.0, 50.0}, {}, 2),
+        fleet2.slots().setAutoscaler(validConfig(), {100.0, 50.0}, 2),
         FatalError);
+    EXPECT_THROW(fleet2.slots().setAutoscaler(validConfig(), {0.0}, 2),
+                 FatalError);
 
     // Faults may arm after the autoscaler: the schedule holds no slot
     // lifecycle, so the standby slots stay parked. (Rated for 4x the
     // offered load, the two active slots sit inside the hysteresis
     // band and nothing scales.)
-    auto fleet3 = make_fleet(4);
-    fleet3.slots().setAutoscaler(validConfig(), {4.0 * masstree.maxLoadRps}, {},
-                         2);
+    auto fleet3 = makeStaticFleet(4);
+    fleet3.slots().setAutoscaler(validConfig(), {4.0 * masstree.maxLoadRps},
+                                 2);
     faults::FaultSpec faults;
     faults::FaultAction surge;
     surge.kind = faults::FaultKind::LoadSurge;
@@ -738,10 +772,15 @@ TEST(ClusterAutoscale, SetupOrderingAndShapeAreEnforced)
     EXPECT_EQ(parked.nodeUp, (std::vector<std::uint8_t>{1, 1, 0, 0}));
     EXPECT_EQ(parked.servingNodes, 2u);
 
-    // A static fleet can bill without an autoscaler, but not both ways.
-    auto fleet4 = make_fleet(4);
-    fleet4.slots().setAutoscaler(validConfig(), {100.0}, {}, 2);
-    EXPECT_THROW(fleet4.slots().setCostModel({}), FatalError);
+    // One non-negative hourly rate per slot, and every slot added
+    // before the bill.
+    auto fleet4 = makeStaticFleet(4);
+    EXPECT_THROW(fleet4.slots().setCostModel({1.0, 1.0, 1.0}), FatalError);
+    EXPECT_THROW(fleet4.slots().setCostModel({1.0, -0.5, 1.0, 1.0}),
+                 FatalError);
+    fleet4.slots().setCostModel({});
+    EXPECT_THROW(fleet4.addNode(sim::MachineConfig{}, staticNodes()),
+                 FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -771,7 +810,7 @@ TEST(ClusterAutoscale, CrashAndRestartOfAStandbySlotKeepsItParked)
         EXPECT_EQ(fs.servingNodes, 2u) << "step " << t;
         EXPECT_EQ(fs.nodeUp[3], 0u) << "step " << t;
     }
-    EXPECT_FALSE(fleet.slots().isNodeUp(3));
+    EXPECT_FALSE(fleet.slots().powered(3));
     // Billed as two slots for every interval.
     const double interval_s = fleet.node(0).machine().intervalSeconds;
     EXPECT_NEAR(fleet.slots().costDollars(), 2.0 * 12.0 * interval_s / 3600.0,
@@ -805,7 +844,7 @@ TEST(ClusterAutoscale, SlotCrashedWhileDrainingStaysStandbyAfterRestart)
     }
     for (std::size_t t = 1; t < 10; ++t)
         EXPECT_EQ(result.trace[t].nodeUp[2], 0u) << "step " << t;
-    EXPECT_FALSE(fleet.slots().isNodeUp(2));
+    EXPECT_FALSE(fleet.slots().powered(2));
 }
 
 TEST(ClusterAutoscale, ScaleOutSkipsACrashedStandbySlot)
@@ -898,7 +937,7 @@ TEST(ClusterAutoscale, ThrottleOnAParkedSlotFollowsItIntoService)
     ASSERT_FALSE(log.empty());
     ASSERT_EQ(log[0].kind, cluster::ScaleEvent::Kind::ScaleOut);
     ASSERT_EQ(log[0].node, 2u);
-    EXPECT_TRUE(fleet.slots().isNodeUp(2));
+    EXPECT_TRUE(fleet.slots().powered(2));
     EXPECT_TRUE(fleet.node(2).dvfsCapped());
 }
 
@@ -1081,7 +1120,7 @@ TEST(AutoscaleEngine, ReactivatedSlotRestoresItsDrainTimePolicy)
     cfg.persistIntervals = 1;
     cfg.cooldownIntervals = 1;
     cfg.drainIntervals = 1;
-    fleet.slots().setAutoscaler(cfg, {rated}, {}, 3);
+    fleet.slots().setAutoscaler(cfg, {rated}, 3);
 
     bool warm_restored_after_retire = false;
     std::size_t retired_node = 0;

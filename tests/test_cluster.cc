@@ -524,7 +524,7 @@ TEST(ClusterManager, MergeSkipsCrashedNodes)
         fleet.step();
         stats::Histogram flat = latencyHistogram(services::masstree());
         for (std::size_t n = 0; n < 6; ++n) {
-            if (fleet.slots().isNodeUp(n))
+            if (fleet.slots().powered(n))
                 flat.merge(fleet.node(n).intervalHistogram(0));
         }
         const stats::Histogram &merged = fleet.intervalHistogram(0);
@@ -533,7 +533,7 @@ TEST(ClusterManager, MergeSkipsCrashedNodes)
             ASSERT_EQ(merged.binCount(b), flat.binCount(b))
                 << "step " << t << " bin " << b;
         if (t == 4) {
-            EXPECT_FALSE(fleet.slots().isNodeUp(2)); // mid-outage sanity
+            EXPECT_FALSE(fleet.slots().powered(2)); // mid-outage sanity
         }
     }
 }

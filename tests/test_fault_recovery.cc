@@ -658,7 +658,8 @@ runLifecycleFleet(const ClusterManager::ManagerFactory &factory,
     scale.persistIntervals = 1;
     scale.cooldownIntervals = 1;
     scale.drainIntervals = 2;
-    fleet.slots().setAutoscaler(scale, {rated}, {}, 2);
+    fleet.slots().setCostModel({});
+    fleet.slots().setAutoscaler(scale, {rated}, 2);
     oracle::FleetHasher hasher(fleet);
     LifecycleRun run;
     run.result = fleet.run(kLifecycleSteps, 8, hasher.onStep());

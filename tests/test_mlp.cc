@@ -4,9 +4,9 @@
 
 #include <cmath>
 
+#include "bench/mlp.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
-#include "nn/mlp.hh"
 
 using namespace twig::nn;
 using twig::common::Rng;

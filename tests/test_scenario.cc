@@ -382,8 +382,9 @@ TEST(ScenarioSpec, MisspelledKeyIsFatalInEveryBlock)
         {"scenario", "stepz"},
         {"service entry 0 (fixed)", "patern"},
         {"manager", "nmae"},         {"knobs", "thetta"},
-        {"event", "after_step"},     {"transfer", "service_idx"},
-        {"cluster", "node"},         {"node class", "core"},
+        {"event 0", "after_step"},
+        {"transfer 0 of event 0", "service_idx"},
+        {"cluster", "node"},         {"node class 0 (fat)", "core"},
         {"dvfs", "max_ghZ"},         {"autoscale", "cooldwn"},
         {"faults", "checkpoint_evry"},
         {"fault event 0 (node_crash)", "durations"},

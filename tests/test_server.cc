@@ -88,9 +88,10 @@ TEST(Server, OfferedRpsFollowsLoadGenerator)
     Server server(m, 5);
     server.addService(twig::services::imgdnn(),
                       std::make_unique<RampLoad>(1000.0, 0.0, 1.0, 10));
-    EXPECT_DOUBLE_EQ(server.offeredRps(0), 0.0);
-    server.runInterval({allCores(m)});
-    EXPECT_DOUBLE_EQ(server.offeredRps(0), 100.0);
+    EXPECT_DOUBLE_EQ(server.runInterval({allCores(m)}).services[0].offeredRps,
+                     0.0);
+    EXPECT_DOUBLE_EQ(server.runInterval({allCores(m)}).services[0].offeredRps,
+                     100.0);
 }
 
 TEST(Server, ColocatedServicesInterfere)
@@ -185,7 +186,6 @@ TEST(Server, ProfileAccessorValidation)
     MachineConfig m;
     Server server(m, 10);
     EXPECT_THROW(server.profile(0), twig::common::FatalError);
-    EXPECT_THROW(server.offeredRps(0), twig::common::FatalError);
     EXPECT_THROW(server.replaceService(
                      0, twig::services::moses(),
                      std::make_unique<FixedLoad>(1.0, 1.0)),
