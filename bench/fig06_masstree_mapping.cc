@@ -30,7 +30,7 @@ using namespace twig;
 namespace {
 
 void
-report(const char *name, const harness::RunResult &result,
+report(const char *name, const harness::EngineResult::Single &result,
        const sim::ServiceProfile &profile, std::size_t window)
 {
     // Core-allocation distribution over the trailing window.

@@ -43,7 +43,7 @@ class PairSink : public harness::RecordSink
     {
         met0_ += rec.p99Ms[0] <= target0_ ? 1 : 0;
         met1_ += rec.p99Ms[1] <= target1_ ? 1 : 0;
-        power_ += rec.powerW;
+        power_ += rec.socketPowerW;
         if (++n_ == bucket_) {
             curve_.qosXapian.push_back(100.0 * met0_ / n_);
             curve_.qosMasstree.push_back(100.0 * met1_ / n_);

@@ -40,7 +40,7 @@ struct Outcome
 };
 
 Outcome
-analyse(const harness::RunResult &result,
+analyse(const harness::EngineResult::Single &result,
         const sim::ServiceProfile &profile, std::size_t steps,
         std::size_t window)
 {

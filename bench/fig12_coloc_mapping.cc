@@ -25,7 +25,7 @@ using namespace twig;
 namespace {
 
 void
-report(const char *name, const harness::RunResult &result,
+report(const char *name, const harness::EngineResult::Single &result,
        std::size_t window)
 {
     const std::size_t start = result.trace.size() - window;

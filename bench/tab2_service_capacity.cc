@@ -33,13 +33,13 @@ class MedianP99Sink : public harness::RecordSink
     record(const harness::StepRecord &rec) override
     {
         if (n_++ >= 2) // warmup
-            p99s_.add(rec.p99Ms[0]);
+            p99s_.push_back(rec.p99Ms[0]);
     }
 
-    double median() { return p99s_.percentile(50.0); }
+    double median() const { return stats::percentileOf(p99s_, 50.0); }
 
   private:
-    stats::PercentileEstimator p99s_;
+    std::vector<double> p99s_;
     std::size_t n_ = 0;
 };
 

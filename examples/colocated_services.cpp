@@ -77,15 +77,15 @@ main(int argc, char **argv)
         }
     };
 
-    const auto result = runner.run(opt);
+    const auto metrics = runner.run(opt);
     std::printf("\nover the last %zu steps:\n",
-                result.metrics.windowSteps);
-    for (const auto &svc : result.metrics.services) {
+                metrics.windowSteps);
+    for (const auto &svc : metrics.services) {
         std::printf("  %-9s QoS guarantee %5.1f%%  mean tardiness "
                     "%.2f\n",
                     svc.name.c_str(), svc.qosGuaranteePct,
                     svc.meanTardiness);
     }
-    std::printf("  socket power %.1f W\n", result.metrics.meanPowerW);
+    std::printf("  socket power %.1f W\n", metrics.meanPowerW);
     return 0;
 }

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "core/mapper.hh"
 #include "core/twig_manager.hh"
@@ -75,13 +76,13 @@ main()
     sim::Server probe(machine, 21);
     probe.addService(profile, std::make_unique<sim::FixedLoad>(
                                   profile.maxLoadRps, 0.9));
-    stats::PercentileEstimator p99s;
+    std::vector<double> p99s;
     for (int i = 0; i < 60; ++i) {
         const auto s = probe.runInterval({full});
         if (i >= 5)
-            p99s.add(s.services[0].p99Ms);
+            p99s.push_back(s.services[0].p99Ms);
     }
-    profile.qosTargetMs = p99s.percentile(99.0) * 1.3;
+    profile.qosTargetMs = stats::percentileOf(p99s, 99.0) * 1.3;
     profile.timeoutMs = profile.qosTargetMs * 6.0;
     std::printf("%s: derived max load %.0f RPS, QoS target %.1f ms\n",
                 profile.name.c_str(), profile.maxLoadRps,
@@ -117,10 +118,10 @@ main()
                         stats.socketPowerW);
         }
     };
-    const auto result = runner.run(opt);
+    const auto metrics = runner.run(opt);
     std::printf("\nlast diurnal period: QoS guarantee %.1f%%, mean "
                 "power %.1f W\n",
-                result.metrics.services[0].qosGuaranteePct,
-                result.metrics.meanPowerW);
+                metrics.services[0].qosGuaranteePct,
+                metrics.meanPowerW);
     return 0;
 }

@@ -78,12 +78,12 @@ main(int argc, char **argv)
         }
     };
 
-    const auto result = runner.run(options);
-    const auto &m = result.metrics.services[0];
-    std::printf("\nover the last %zu steps:\n", result.metrics.windowSteps);
+    const auto metrics = runner.run(options);
+    const auto &m = metrics.services[0];
+    std::printf("\nover the last %zu steps:\n", metrics.windowSteps);
     std::printf("  QoS guarantee : %.1f %%\n", m.qosGuaranteePct);
     std::printf("  mean tardiness: %.2f\n", m.meanTardiness);
-    std::printf("  mean power    : %.1f W\n", result.metrics.meanPowerW);
-    std::printf("  energy        : %.0f J\n", result.metrics.energyJoules);
+    std::printf("  mean power    : %.1f W\n", metrics.meanPowerW);
+    std::printf("  energy        : %.0f J\n", metrics.energyJoules);
     return 0;
 }

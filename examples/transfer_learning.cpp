@@ -51,8 +51,8 @@ main(int argc, char **argv)
     std::printf("after learning %s: QoS guarantee %.1f%%, power "
                 "%.1f W\n",
                 masstree.name.c_str(),
-                before.metrics.services[0].qosGuaranteePct,
-                before.metrics.meanPowerW);
+                before.services[0].qosGuaranteePct,
+                before.meanPowerW);
 
     // Phase 2: the operator deploys Moses in Masstree's slot. Twig
     // transfers: trunk kept, output layers re-initialised, epsilon
@@ -85,8 +85,8 @@ main(int argc, char **argv)
     std::printf("\nafter %zu adaptation steps on %s: QoS guarantee "
                 "%.1f%% (window), power %.1f W\n",
                 adapt_steps, moses.name.c_str(),
-                after.metrics.services[0].qosGuaranteePct,
-                after.metrics.meanPowerW);
+                after.services[0].qosGuaranteePct,
+                after.meanPowerW);
     std::printf("(a fresh agent needs its whole learning schedule to "
                 "reach this; see bench/fig08)\n");
     return 0;

@@ -21,9 +21,9 @@
 # from run to run. Finally, invalid input (unknown service, missing
 # file, non-finite load, a fleet flag on a single-node run, an
 # unreadable checkpoint, a misspelled key in a scenario or --faults
-# file, a key the fault's kind does not read, a repeated key) must exit
-# 2 with a message: never a crash, never a silently ignored flag or
-# key.
+# file, nested ones included, a key the fault's kind does not read, a
+# repeated key) must exit 2 with a message: never a crash, never a
+# silently ignored flag or key.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -148,6 +148,17 @@ expect_usage_error --scenario scenarios/fig12_cluster.json --steps 3 \
 echo '{"name": "misspelled", "services": [{"service": "masstree",' \
     '"patern": "diurnal"}]}' >"$tmp/misspelled.json"
 expect_usage_error --scenario "$tmp/misspelled.json" --steps 3
+# A nested block's error names its enclosing entry too.
+echo '{"name": "nested", "services": [{"service": "masstree"}],' \
+    '"events": [{"after_steps": 2}, {"after_steps": 2, "services":' \
+    '[{"service": "masstree", "patern": "diurnal"}]}]}' \
+    >"$tmp/nested_misspelled.json"
+expect_usage_error --scenario "$tmp/nested_misspelled.json" --steps 3
+echo '{"name": "nested", "topology": "cluster", "services":' \
+    '[{"service": "masstree"}], "cluster": {"nodes": 2, "node_classes":' \
+    '[{"id": "thin"}, {"id": "fat", "dvfs": {"max_ghZ": 2.4}}]}}' \
+    >"$tmp/nested_class.json"
+expect_usage_error --scenario "$tmp/nested_class.json" --steps 3
 echo '{"events": [{"type": "node_crash", "at": 2, "nodde": 1}]}' \
     >"$tmp/misspelled_faults.json"
 expect_usage_error --scenario scenarios/fig12_cluster.json --steps 3 \

@@ -48,12 +48,14 @@ NodeClass::fromJson(const common::Json &j, std::size_t index)
 {
     NodeClass c;
     c.id = j.at("id").asString();
+    const std::string where =
+        "node class " + std::to_string(index) + " (" + c.id + ")";
     j.allowOnly({"id", "cores", "dvfs", "service_rate_scale",
                  "dollars_per_hour"},
-                "node class " + std::to_string(index) + " (" + c.id + ")");
+                where);
     c.cores = static_cast<std::size_t>(j.indexOr("cores", c.cores));
     if (const common::Json *d = j.find("dvfs")) {
-        d->allowOnly({"min_ghz", "max_ghz", "step_ghz"}, "dvfs");
+        d->allowOnly({"min_ghz", "max_ghz", "step_ghz"}, "dvfs of " + where);
         c.dvfs.minGhz = d->numberOr("min_ghz", c.dvfs.minGhz);
         c.dvfs.maxGhz = d->numberOr("max_ghz", c.dvfs.maxGhz);
         c.dvfs.stepGhz = d->numberOr("step_ghz", c.dvfs.stepGhz);

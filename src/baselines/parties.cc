@@ -74,7 +74,7 @@ Parties::decideInto(const sim::ServerIntervalStats &stats,
 
     // Verify pending reclaims: revert any that pushed the service
     // towards violation, and switch that service's preferred resource.
-    std::vector<Adjustment> still_ok;
+    // A reclaim is verified once; the kept ones need no more watching.
     for (const Adjustment &adj : pending_) {
         if (tardiness[adj.service] >= cfg_.pressureFraction) {
             upsize(adj.service, adj.resource); // revert
@@ -83,7 +83,7 @@ Parties::decideInto(const sim::ServerIntervalStats &stats,
                                                 : Resource::Cores;
         }
     }
-    pending_ = std::move(still_ok);
+    pending_.clear();
 
     // Find the most pressured and the most slack service.
     std::size_t worst = 0, best = 0;
@@ -107,7 +107,7 @@ Parties::decideInto(const sim::ServerIntervalStats &stats,
         const std::size_t before_dvfs = dvfs_[best];
         downsize(best, r);
         if (cores_[best] != before_cores || dvfs_[best] != before_dvfs)
-            pending_.push_back({best, r, true});
+            pending_.push_back({best, r});
     }
 
     out.resize(specs_.size());

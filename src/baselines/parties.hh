@@ -54,11 +54,11 @@ class Parties : public core::TaskManager
   private:
     enum class Resource { Cores, Dvfs };
 
+    /** A reclaim awaiting verification at the next decision. */
     struct Adjustment
     {
         std::size_t service;
         Resource resource;
-        bool wasReclaim;
     };
 
     void upsize(std::size_t svc, Resource r);
@@ -73,7 +73,7 @@ class Parties : public core::TaskManager
     /** Next resource each service's reclaim should try (alternates
      * after a reverted adjustment). */
     std::vector<Resource> nextReclaim_;
-    std::vector<Adjustment> pending_; // reclaims awaiting verification
+    std::vector<Adjustment> pending_;
     std::size_t step_ = 0;
     std::size_t migrations_ = 0;
 };

@@ -31,7 +31,8 @@ ClusterManager::ClusterManager(
       fleetLoads_(std::move(fleet_loads)),
       // The router draws from its own derived seed stream so adding
       // policies never perturbs the nodes' randomness (and vice versa).
-      router_(cfg.router, common::sweepSeed(seed, 0x5107e5))
+      router_(cfg.router, slots_.qosTargetsMs(),
+              common::sweepSeed(seed, 0x5107e5))
 {
     common::fatalIf(numServices() == 0, "ClusterManager: no services");
     common::fatalIf(fleetLoads_.size() != numServices(),
@@ -162,20 +163,17 @@ ClusterManager::step()
         any_powered = any_powered || slots_.powered(n);
     }
 
-    feedback_.qosTargetsMs.clear();
+    // The router's feedback is the last interval's node p99s; there is
+    // none before the first interval.
     if (step_ > 0) {
-        feedback_.p99MsByNode.resize(num_nodes);
+        p99Feedback_.resize(num_nodes * num_services);
         for (std::size_t n = 0; n < num_nodes; ++n) {
-            feedback_.p99MsByNode[n].resize(num_services);
             for (std::size_t s = 0; s < num_services; ++s)
-                feedback_.p99MsByNode[n][s] = slots_.node(n).lastP99Ms(s);
+                p99Feedback_[n * num_services + s] =
+                    slots_.node(n).lastP99Ms(s);
         }
-        for (const auto &svc : slots_.services())
-            feedback_.qosTargetsMs.push_back(svc.qosTargetMs);
-    } else {
-        feedback_.p99MsByNode.clear();
     }
-    router_.routeInto(fleetRps_, weights_, feedback_, shares_);
+    router_.routeInto(fleetRps_, weights_, p99Feedback_, shares_);
     double shed_rps = 0.0;
     if (!any_powered) {
         // No slot is powered: the interval's whole offered load is

@@ -270,7 +270,8 @@ class ClusterManager
     FleetIntervalStats fleetStats_;
     std::vector<double> fleetRps_;
     std::vector<double> weights_;
-    RouterFeedback feedback_;
+    /** Last interval's p99 of node n, service s at [n * services + s]. */
+    std::vector<double> p99Feedback_;
     std::vector<std::vector<double>> shares_;
 };
 

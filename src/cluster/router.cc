@@ -43,10 +43,14 @@ routingPolicyName(RoutingPolicy policy)
     common::panic("routingPolicyName: bad enum value");
 }
 
-Router::Router(const RouterConfig &cfg, std::uint64_t seed)
-    : cfg_(cfg), seed_(seed)
+Router::Router(const RouterConfig &cfg, std::vector<double> qos_targets_ms,
+               std::uint64_t seed)
+    : cfg_(cfg), qosTargetsMs_(std::move(qos_targets_ms)), seed_(seed)
 {
     common::fatalIf(cfg_.domains == 0, "Router: need at least one domain");
+    for (double target : qosTargetsMs_)
+        common::fatalIf(!(target > 0.0), "Router: QoS target ", target,
+                        " ms is not positive");
 }
 
 void
@@ -82,18 +86,26 @@ Router::bind(std::size_t nodes)
 void
 Router::routeInto(const std::vector<double> &fleet_rps,
                   const std::vector<double> &weights,
-                  const RouterFeedback &feedback,
+                  const std::vector<double> &p99_ms,
                   std::vector<std::vector<double>> &out)
 {
     common::fatalIf(weights.empty(), "Router::routeInto: no nodes");
+    common::fatalIf(fleet_rps.size() != qosTargetsMs_.size(),
+                    "Router::routeInto: ", fleet_rps.size(),
+                    " services' RPS for ", qosTargetsMs_.size(),
+                    " QoS targets");
     for (double w : weights)
         common::fatalIf(w < 0.0, "Router::routeInto: negative weight");
     for (double rps : fleet_rps)
         common::fatalIf(rps < 0.0,
                         "Router::routeInto: negative fleet RPS");
     bind(weights.size());
-
     const std::size_t services = fleet_rps.size();
+    common::fatalIf(!p99_ms.empty() && p99_ms.size() != nodes_ * services,
+                    "Router::routeInto: ", p99_ms.size(),
+                    " feedback p99s for ", nodes_, " nodes x ", services,
+                    " services");
+
     out.resize(nodes_);
     for (auto &row : out)
         row.assign(services, 0.0);
@@ -102,19 +114,9 @@ Router::routeInto(const std::vector<double> &fleet_rps,
     // p99 sat, in units of the target (0 for meeting nodes and before
     // any feedback exists), bounded by kMaxQosExcess.
     excess_.assign(nodes_ * services, 0.0);
-    const std::size_t reported =
-        std::min(nodes_, feedback.p99MsByNode.size());
-    for (std::size_t n = 0; n < reported; ++n) {
-        const auto &p99s = feedback.p99MsByNode[n];
-        for (std::size_t s = 0; s < services; ++s) {
-            if (s < p99s.size() && s < feedback.qosTargetsMs.size() &&
-                feedback.qosTargetsMs[s] > 0.0) {
-                const double tardiness =
-                    p99s[s] / feedback.qosTargetsMs[s];
-                excess_[n * services + s] =
-                    std::clamp(tardiness - 1.0, 0.0, kMaxQosExcess);
-            }
-        }
+    for (std::size_t i = 0; i < p99_ms.size(); ++i) {
+        const double tardiness = p99_ms[i] / qosTargetsMs_[i % services];
+        excess_[i] = std::clamp(tardiness - 1.0, 0.0, kMaxQosExcess);
     }
 
     // A single domain deals the fleet RPS verbatim: no split

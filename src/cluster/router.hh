@@ -85,21 +85,14 @@ struct RouterConfig
     std::size_t domains = 1;
 };
 
-/** Per-interval feedback the router sees from the fleet. */
-struct RouterFeedback
-{
-    /** p99MsByNode[node][service]: previous-interval tail latency;
-     * empty before the first interval. */
-    std::vector<std::vector<double>> p99MsByNode;
-    /** QoS target per service (tardiness normalisation). */
-    std::vector<double> qosTargetsMs;
-};
-
 /** Splits fleet load across replicas; owns the policy state. */
 class Router
 {
   public:
-    Router(const RouterConfig &cfg, std::uint64_t seed);
+    /** @param qos_targets_ms  QoS target per service (> 0): the
+     *  service count, and the unit of a node's QoS excess. */
+    Router(const RouterConfig &cfg, std::vector<double> qos_targets_ms,
+           std::uint64_t seed);
 
     /**
      * Split each service's fleet RPS across @p weights.size() nodes.
@@ -107,11 +100,14 @@ class Router
      * (domain d covers nodes [d*N/D, (d+1)*N/D)); a later call with
      * another node count, or more domains than nodes, is fatal.
      *
-     * @param fleet_rps  offered fleet load per service
+     * @param fleet_rps  offered fleet load, one entry per service
      * @param weights    routing weight per node (>= 0; 0 = no new
      *                   load, > 0 = capacity share)
-     * @param feedback   latency feedback (domain split and
-     *                   PowerOfTwoLatency)
+     * @param p99_ms     latency feedback (domain split and
+     *                   PowerOfTwoLatency): each node's previous-
+     *                   interval p99 of each service at
+     *                   [node * services + service]; empty before the
+     *                   first interval
      * @param out        per-node, per-service RPS ([node][service],
      *                   rewritten in full; no allocation once
      *                   capacities are warm). Each service's column
@@ -120,7 +116,7 @@ class Router
      */
     void routeInto(const std::vector<double> &fleet_rps,
                    const std::vector<double> &weights,
-                   const RouterFeedback &feedback,
+                   const std::vector<double> &p99_ms,
                    std::vector<std::vector<double>> &out);
 
   private:
@@ -148,6 +144,7 @@ class Router
                  std::vector<std::vector<double>> &out);
 
     RouterConfig cfg_;
+    std::vector<double> qosTargetsMs_;
     std::uint64_t seed_;
     /** Fleet size; 0 until the first routeInto. */
     std::size_t nodes_ = 0;

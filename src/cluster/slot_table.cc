@@ -284,6 +284,15 @@ SlotTable::closeStep(const std::vector<std::uint8_t> &node_up,
     return bill_;
 }
 
+std::vector<double>
+SlotTable::qosTargetsMs() const
+{
+    std::vector<double> out;
+    for (const auto &svc : services_)
+        out.push_back(svc.qosTargetMs);
+    return out;
+}
+
 void
 SlotTable::setAutoscaler(const autoscale::AutoscaleConfig &cfg,
                          std::vector<double> rated_fleet_rps,
@@ -294,11 +303,8 @@ SlotTable::setAutoscaler(const autoscale::AutoscaleConfig &cfg,
                     "(standby slots must exist to activate)");
     common::fatalIf(started_, "SlotTable::setAutoscaler: attach before "
                     "the first step");
-    std::vector<double> qos_targets_ms;
-    for (const auto &svc : services_)
-        qos_targets_ms.push_back(svc.qosTargetMs);
     auto scaler = std::make_unique<autoscale::Autoscaler>(
-        cfg, std::move(rated_fleet_rps), std::move(qos_targets_ms));
+        cfg, std::move(rated_fleet_rps), qosTargetsMs());
     common::fatalIf(cfg.maxNodes != nodes_.size(),
                     "SlotTable::setAutoscaler: max_nodes (", cfg.maxNodes,
                     ") must equal the provisioned slot count (",

@@ -130,6 +130,8 @@ class SlotTable
     {
         return services_;
     }
+    /** The services' QoS targets, in service order. */
+    std::vector<double> qosTargetsMs() const;
     /** Slot @p n's current node (unchecked; rebuilt after a crash). */
     Node &node(std::size_t n) { return *nodes_[n]; }
     /** Slot @p n's last checkpoint frame ("" = none yet; unchecked). */

@@ -161,16 +161,6 @@ class Rng
         return mean + stddev * normal();
     }
 
-    /** Exponential with the given rate (lambda). */
-    double
-    exponential(double rate)
-    {
-        double u = uniform();
-        while (u <= 0.0)
-            u = uniform();
-        return -std::log(u) / rate;
-    }
-
     /**
      * Log-normal such that the *mean* of the distribution equals @p mean.
      *

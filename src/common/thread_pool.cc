@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
+#include <exception>
 
 namespace twig::common {
 
-std::size_t
-hardwareThreads()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
 ThreadPool::ThreadPool(std::size_t threads)
 {
-    if (threads == 0)
-        threads = hardwareThreads();
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -34,29 +25,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-        ++inFlight_;
-    }
-    workAvailable_.notify_one();
-}
-
-void
-ThreadPool::runOne(const std::function<void()> &task)
-{
-    try {
-        task();
-    } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!firstError_)
-            firstError_ = std::current_exception();
-    }
-}
-
-void
 ThreadPool::workerLoop()
 {
     for (;;) {
@@ -70,26 +38,7 @@ ThreadPool::workerLoop()
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        runOne(task);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-        }
-        // Notify on every completion: wait() and parallelFor() wait on
-        // different predicates over the same condvar.
-        allDone_.notify_all();
-    }
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = std::exchange(firstError_, nullptr);
-        lock.unlock();
-        std::rethrow_exception(err);
+        task();
     }
 }
 
@@ -128,22 +77,28 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         }
     };
 
-    // One helper task per worker; each pulls chunks until exhausted.
-    std::atomic<std::size_t> helpersDone{0};
+    // One helper task per worker; each pulls chunks until exhausted,
+    // then counts itself done under the pool's mutex, so the wait
+    // below cannot miss the last one. drain() catches every exception,
+    // so a helper always gets to count itself.
     const std::size_t helpers = std::min(workers_.size(), chunks - 1);
-    for (std::size_t i = 0; i < helpers; ++i) {
-        submit([&] {
-            drain();
-            helpersDone.fetch_add(1, std::memory_order_release);
-        });
+    std::size_t finished = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (std::size_t i = 0; i < helpers; ++i) {
+            queue_.push_back([&] {
+                drain();
+                std::lock_guard<std::mutex> done(mutex_);
+                ++finished;
+                helperFinished_.notify_all();
+            });
+        }
     }
+    workAvailable_.notify_all();
     drain();
-    // Wait for helper tasks only (other submitted work may coexist).
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        allDone_.wait(lock, [&] {
-            return helpersDone.load(std::memory_order_acquire) == helpers;
-        });
+        helperFinished_.wait(lock, [&] { return finished == helpers; });
     }
     if (localError)
         std::rethrow_exception(localError);

@@ -3,9 +3,9 @@
  * A fixed-size worker pool with a mutex/condvar work queue.
  *
  * Used by the experiment harness to fan independent simulation runs
- * across cores (harness/sweep.hh). Determinism is the caller's job:
- * the pool only promises that every submitted task runs exactly once
- * and that exceptions propagate to the waiter.
+ * across cores (harness/sweep.hh) and by the cluster to step nodes.
+ * Determinism is the caller's job: the pool only promises that every
+ * index runs exactly once and that exceptions propagate to the caller.
  */
 
 #ifndef TWIG_COMMON_THREAD_POOL_HH
@@ -14,7 +14,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -22,37 +21,21 @@
 
 namespace twig::common {
 
-/** Number of hardware threads, never less than 1. */
-std::size_t hardwareThreads();
-
 /**
  * Fixed pool of worker threads draining a FIFO queue.
  *
- * The pool is reusable: submit/parallelFor may be called any number of
+ * The pool is reusable: parallelFor may be called any number of
  * times, from one controlling thread at a time. Destruction joins the
  * workers after the queue drains.
  */
 class ThreadPool
 {
   public:
-    /** @param threads  worker count; 0 means hardwareThreads(). */
-    explicit ThreadPool(std::size_t threads = 0);
+    explicit ThreadPool(std::size_t threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
-
-    std::size_t threadCount() const { return workers_.size(); }
-
-    /** Enqueue one task; returns immediately. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every task submitted so far has finished. If any
-     * task threw, rethrows the first captured exception (the rest are
-     * dropped).
-     */
-    void wait();
 
     /**
      * Run body(i) for every i in [begin, end), distributing contiguous
@@ -66,15 +49,12 @@ class ThreadPool
 
   private:
     void workerLoop();
-    void runOne(const std::function<void()> &task);
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;
     std::mutex mutex_;
     std::condition_variable workAvailable_;
-    std::condition_variable allDone_;
-    std::size_t inFlight_ = 0;
-    std::exception_ptr firstError_;
+    std::condition_variable helperFinished_;
     bool stopping_ = false;
 };
 

@@ -100,7 +100,7 @@ TwigManager::TwigManager(const TwigConfig &cfg,
       learner_(sizedLearnerConfig(cfg.learner, machine, specs_.size()),
                rng_),
       maxPowerW_(sim::PowerModel(machine).maxPower()),
-      exploitOnly_(cfg.exploitOnly), lastRewards_(specs_.size(), 0.0)
+      exploitOnly_(cfg.exploitOnly)
 {
     common::fatalIf(specs_.empty(), "TwigManager: no services");
     if (!exploitOnly_) {
@@ -192,7 +192,6 @@ TwigManager::observeState(const sim::ServerIntervalStats &stats)
             // transitions whenever the action changes.
             t.rewards[k] = reward_(svc.p99InstantMs, spec.qosTargetMs,
                                    est_power, maxPowerW_);
-            lastRewards_[k] = t.rewards[k];
         }
     }
     // ... and learn from it.
@@ -237,13 +236,6 @@ TwigManager::transferService(std::size_t idx, const TwigServiceSpec &spec,
     learner_.beginTransfer(reexplore_steps);
     // The transition across the swap would mix two different services.
     prevState_.reset();
-}
-
-double
-TwigManager::lastReward(std::size_t idx) const
-{
-    common::fatalIf(idx >= lastRewards_.size(), "lastReward: bad index");
-    return lastRewards_[idx];
 }
 
 } // namespace twig::core

@@ -137,9 +137,6 @@ class TwigManager : public TaskManager
     std::size_t saveCheckpoint(const std::string &path) const;
     void loadCheckpoint(const std::string &path);
 
-    /** Reward value of service @p idx in the last decide() (tests). */
-    double lastReward(std::size_t idx) const;
-
     const rl::BdqLearner &learner() const { return learner_; }
     rl::BdqLearner &learner() { return learner_; }
     const SystemMonitor &monitor() const { return monitor_; }
@@ -160,7 +157,6 @@ class TwigManager : public TaskManager
     // Previous-interval context for building transitions.
     std::optional<std::vector<float>> prevState_;
     std::vector<nn::BranchActions> prevActions_;
-    std::vector<double> lastRewards_;
     /** Joint state of the current interval (observeState scratch). */
     std::vector<float> stateScratch_;
 };

@@ -43,27 +43,6 @@ faultEventKindName(FaultEventKind kind)
     common::panic("faultEventKindName: bad enum value");
 }
 
-std::string
-FaultEvent::describe() const
-{
-    std::string out = "step " + std::to_string(step) + ": " +
-        faultEventKindName(kind);
-    if (node >= 0)
-        out += " node " + std::to_string(node);
-    if (service >= 0)
-        out += " service " + std::to_string(service);
-    if (value != 0.0) {
-        std::string v = std::to_string(value);
-        v.erase(v.find_last_not_of('0') + 1);
-        if (!v.empty() && v.back() == '.')
-            v.pop_back();
-        out += " value " + v;
-    }
-    if (!note.empty())
-        out += " (" + note + ")";
-    return out;
-}
-
 FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), seed_(seed)
 {
@@ -148,8 +127,6 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
                      [](const FaultEvent &a, const FaultEvent &b) {
                          return a.step < b.step;
                      });
-    for (const auto &ev : timeline_)
-        lastStep_ = std::max(lastStep_, ev.step);
 }
 
 void

@@ -74,9 +74,6 @@ struct FaultEvent
     std::string note;
 
     bool operator==(const FaultEvent &other) const = default;
-
-    /** One-line rendering for logs and CSV traces. */
-    std::string describe() const;
 };
 
 /**
@@ -100,15 +97,11 @@ class FaultInjector
      * noise seed in FaultEvent::seed. */
     void eventsAt(std::size_t step, std::vector<FaultEvent> &out) const;
 
-    /** Last step any scheduled transition fires at (0 when none). */
-    std::size_t lastEventStep() const { return lastStep_; }
-
   private:
     FaultSpec spec_;
     std::uint64_t seed_;
     /** All transitions, sorted by (step, schedule order). */
     std::vector<FaultEvent> timeline_;
-    std::size_t lastStep_ = 0;
 };
 
 } // namespace twig::faults

@@ -7,6 +7,7 @@
 #include "common/error.hh"
 #include "core/twig_manager.hh"
 #include "harness/profiling.hh"
+#include "harness/runner.hh"
 #include "harness/sim_profile.hh"
 #include "rl/checkpoint.hh"
 #include "services/tailbench.hh"
@@ -104,6 +105,24 @@ expandCheckpoint(const std::string &path, std::size_t cores)
     return out;
 }
 
+/** Keeps every record of the final segment (EngineOptions::recordTrace). */
+class KeepAllSink : public RecordSink
+{
+  public:
+    explicit KeepAllSink(std::vector<StepRecord> &out) : out_(out) {}
+
+    void
+    begin(const ScenarioSpec &spec,
+          const std::vector<sim::ServiceProfile> &) override
+    {
+        out_.reserve(spec.steps);
+    }
+    void record(const StepRecord &rec) override { out_.push_back(rec); }
+
+  private:
+    std::vector<StepRecord> &out_;
+};
+
 } // namespace
 
 // --- CsvTraceSink ----------------------------------------------------
@@ -135,7 +154,7 @@ CsvTraceSink::record(const StepRecord &rec)
 {
     row_.clear();
     row_.push_back(static_cast<double>(rec.step));
-    row_.push_back(rec.powerW);
+    row_.push_back(rec.socketPowerW);
     for (std::size_t i = 0; i < numServices_; ++i) {
         if (singleTopology_) {
             row_.push_back(static_cast<double>(rec.cores[i]));
@@ -288,13 +307,17 @@ Engine::runSingle(const ScenarioSpec &spec,
     RunOptions run;
     run.steps = spec.steps;
     run.summaryWindow = sched.summaryWindow;
-    run.recordTrace = options_.recordTrace;
+    EngineResult result;
+    std::vector<RecordSink *> sinks = options_.sinks;
+    KeepAllSink keep(result.single.trace);
+    if (options_.recordTrace)
+        sinks.push_back(&keep);
     StepRecord rec;
-    if (!options_.sinks.empty()) {
+    if (!sinks.empty()) {
         run.onStep = [&](std::size_t step,
                          const sim::ServerIntervalStats &stats) {
             rec.step = step;
-            rec.powerW = stats.socketPowerW;
+            rec.socketPowerW = stats.socketPowerW;
             rec.offeredRps.clear();
             rec.p99Ms.clear();
             rec.cores.clear();
@@ -305,18 +328,17 @@ Engine::runSingle(const ScenarioSpec &spec,
                 rec.cores.push_back(runner.requests()[i].numCores);
                 rec.dvfs.push_back(runner.requests()[i].dvfsIndex);
             }
-            for (auto *sink : options_.sinks)
+            for (auto *sink : sinks)
                 sink->record(rec);
         };
     }
     const auto final_profiles = profilesFor(spec.finalServices());
-    for (auto *sink : options_.sinks)
+    for (auto *sink : sinks)
         sink->begin(spec, final_profiles);
 
-    EngineResult result;
     result.managerName = manager->name();
-    result.single = runner.run(run);
-    for (auto *sink : options_.sinks)
+    result.single.metrics = runner.run(run);
+    for (auto *sink : sinks)
         sink->end();
     return result;
 }
@@ -474,7 +496,7 @@ Engine::runCluster(const ScenarioSpec &spec,
         spec.steps, window,
         [&](std::size_t, const cluster::FleetIntervalStats &fs) {
             rec.step = fs.step;
-            rec.powerW = fs.totalPowerW;
+            rec.socketPowerW = fs.totalPowerW;
             rec.offeredRps = fs.offeredRps;
             rec.p99Ms = fs.fleetP99Ms;
             for (auto *sink : options_.sinks) {

@@ -21,17 +21,17 @@
 #include "common/csv.hh"
 #include "harness/metrics.hh"
 #include "harness/registry.hh"
-#include "harness/runner.hh"
 #include "harness/scenario.hh"
 
 namespace twig::harness {
 
-/** One per-step record, topology-independent. */
+/** One per-step record, topology-independent: what every sink and the
+ * kept trace (EngineOptions::recordTrace) see. */
 struct StepRecord
 {
     std::size_t step = 0;
     /** Socket power (single) / summed fleet power (cluster), W. */
-    double powerW = 0.0;
+    double socketPowerW = 0.0;
     std::vector<double> offeredRps;
     std::vector<double> p99Ms;
     /** Requested cores / DVFS indices; empty on the cluster topology
@@ -156,7 +156,8 @@ struct EngineOptions
     /** Node-stepping threads on the cluster topology (bit-identical
      * at any value). */
     std::size_t jobs = 1;
-    /** Keep the single-topology per-step trace in the result. */
+    /** Single topology: keep every record of the final segment in
+     * EngineResult::single.trace (a keep-all RecordSink). */
     bool recordTrace = false;
     /** Observers of the final segment (not owned). */
     std::vector<RecordSink *> sinks;
@@ -204,9 +205,13 @@ struct EngineResult
     bool cluster = false;
     /** TaskManager::name() of the manager that ran (single only). */
     std::string managerName;
-    /** Single topology: final-segment metrics (+ trace when
-     * EngineOptions::recordTrace). */
-    RunResult single;
+    /** Single topology: final-segment metrics, and its records when
+     * EngineOptions::recordTrace. */
+    struct Single
+    {
+        RunMetrics metrics;
+        std::vector<StepRecord> trace;
+    } single;
     /** Cluster topology: fleet metrics + always-on fleet trace. */
     cluster::FleetRunResult fleet;
 };

@@ -10,7 +10,7 @@ ExperimentRunner::ExperimentRunner(sim::Server &server,
 {
 }
 
-RunResult
+RunMetrics
 ExperimentRunner::run(const RunOptions &options)
 {
     common::fatalIf(options.steps == 0, "runner: zero steps");
@@ -27,10 +27,6 @@ ExperimentRunner::run(const RunOptions &options)
     }
     MetricsAccumulator acc(names, targets);
 
-    RunResult result;
-    if (options.recordTrace)
-        result.trace.reserve(options.steps);
-
     const std::size_t window_start = options.steps > options.summaryWindow
         ? options.steps - options.summaryWindow
         : 0;
@@ -41,19 +37,6 @@ ExperimentRunner::run(const RunOptions &options)
     for (std::size_t step = 0; step < options.steps; ++step) {
         mapper_.mapInto(requests_, assignments);
         const auto &stats = server_.runInterval(assignments);
-
-        if (options.recordTrace) {
-            TraceRecord rec;
-            rec.step = step;
-            rec.socketPowerW = stats.socketPowerW;
-            for (std::size_t i = 0; i < n_svc; ++i) {
-                rec.cores.push_back(requests_[i].numCores);
-                rec.dvfs.push_back(requests_[i].dvfsIndex);
-                rec.p99Ms.push_back(stats.services[i].p99Ms);
-                rec.offeredRps.push_back(stats.services[i].offeredRps);
-            }
-            result.trace.push_back(std::move(rec));
-        }
 
         if (step >= window_start) {
             for (std::size_t i = 0; i < n_svc; ++i)
@@ -68,8 +51,7 @@ ExperimentRunner::run(const RunOptions &options)
         manager_.decideInto(stats, requests_);
     }
 
-    result.metrics = acc.finish();
-    return result;
+    return acc.finish();
 }
 
 } // namespace twig::harness

@@ -12,15 +12,18 @@ using common::Json;
 // --- ServiceLoadSpec -------------------------------------------------
 
 ServiceLoadSpec
-ServiceLoadSpec::fromJson(const Json &j, std::size_t index)
+ServiceLoadSpec::fromJson(const Json &j, std::size_t index,
+                          const std::string &within)
 {
     ServiceLoadSpec s;
     s.pattern = j.stringOr("pattern", s.pattern);
     // Each pattern takes only the keys makeLoadFromSpec reads for it: a
     // "fixed" entry with a period_steps is fatal, not a fixed load. An
     // unknown pattern takes every key; validate() refuses it.
-    const std::string where =
+    std::string where =
         "service entry " + std::to_string(index) + " (" + s.pattern + ")";
+    if (!within.empty())
+        where += " of " + within;
     if (s.pattern == "fixed") {
         j.allowOnly({"service", "pattern", "fraction", "max_scale",
                      "max_rps"},
@@ -81,8 +84,9 @@ TransferSpec::fromJson(const Json &j, std::size_t index, std::size_t event)
 ScenarioEvent
 ScenarioEvent::fromJson(const Json &j, std::size_t index)
 {
+    const std::string where = "event " + std::to_string(index);
     j.allowOnly({"after_steps", "transfers", "services", "server_seed"},
-                "event " + std::to_string(index));
+                where);
     ScenarioEvent e;
     e.afterSteps =
         static_cast<std::size_t>(j.at("after_steps").asIndex());
@@ -94,7 +98,7 @@ ScenarioEvent::fromJson(const Json &j, std::size_t index)
     if (const Json *arr = j.find("services")) {
         for (std::size_t i = 0; i < arr->size(); ++i)
             e.services.push_back(
-                ServiceLoadSpec::fromJson(arr->at(i), i));
+                ServiceLoadSpec::fromJson(arr->at(i), i, where));
     }
     if (const Json *seed = j.find("server_seed"))
         e.serverSeed = seed->asIndex();

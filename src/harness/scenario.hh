@@ -65,10 +65,12 @@ struct ServiceLoadSpec
     std::string tracePath;
     std::string traceColumn;
 
-    /** Read entry @p index of a services list (the index names it in
-     * errors); a key its pattern does not read is fatal. */
+    /** Read entry @p index of a services list; a key its pattern does
+     * not read is fatal. Errors name the index and, when set,
+     * @p within, the enclosing entry ("event 1"). */
     static ServiceLoadSpec fromJson(const common::Json &j,
-                                    std::size_t index);
+                                    std::size_t index,
+                                    const std::string &within = "");
 };
 
 /** Transfer-learning swap applied to a TwigManager (paper §IV). */

@@ -203,31 +203,6 @@ MultiAgentBdq::adamStep()
     forEachLinear([this](Linear &l) { l.adamStep(cfg_.adam, adamT_); });
 }
 
-BdqOutput
-MultiAgentBdq::qValues(const std::vector<float> &joint_state)
-{
-    common::fatalIf(joint_state.size() != cfg_.inputDim(),
-                    "qValues: wrong joint-state size");
-    Matrix x(1, joint_state.size());
-    std::copy(joint_state.begin(), joint_state.end(), x.rowPtr(0));
-    BdqOutput out;
-    forward(x, out, false);
-    return out;
-}
-
-std::vector<BranchActions>
-MultiAgentBdq::greedyActions(const std::vector<float> &joint_state)
-{
-    common::fatalIf(joint_state.size() != cfg_.inputDim(),
-                    "greedyActions: wrong joint-state size");
-    Matrix x(1, joint_state.size());
-    std::copy(joint_state.begin(), joint_state.end(), x.rowPtr(0));
-    BdqOutput q;
-    std::vector<std::vector<BranchActions>> actions;
-    greedyActionsRows(x, q, actions);
-    return actions[0];
-}
-
 void
 MultiAgentBdq::greedyActionsRows(
     const Matrix &x, BdqOutput &scratch,

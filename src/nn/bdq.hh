@@ -100,26 +100,18 @@ class MultiAgentBdq
     /** Apply one Adam step to every parameter and clear gradients. */
     void adamStep();
 
-    /** Greedy per-agent actions for a single joint state (eval mode). */
-    std::vector<BranchActions>
-    greedyActions(const std::vector<float> &joint_state);
-
     /**
      * Greedy per-agent actions for every row of @p x (eval mode): one
      * batched forward — one fused GEMM per layer — instead of
-     * x.rows() single-state passes. Exactly equal to calling
-     * greedyActions on each row: every Q entry accumulates over the
-     * input dimension in the same order regardless of the batch size,
-     * and the argmax uses the same first-maximum tie-break. @p scratch
+     * x.rows() single-state passes. Exactly equal to a one-row call
+     * on each row: every Q entry accumulates over the input dimension
+     * in the same order regardless of the batch size, and the argmax
+     * takes the first maximum. @p scratch
      * holds the Q-values between calls so steady-state batched
      * inference does not allocate.
      */
     void greedyActionsRows(const Matrix &x, BdqOutput &scratch,
                            std::vector<std::vector<BranchActions>> &out);
-
-    /** Q-values for a single joint state (eval mode); q[k][d] is
-     * [1 x n_d]. */
-    BdqOutput qValues(const std::vector<float> &joint_state);
 
     /** Copy all parameters from another (identically-shaped) network. */
     void copyParamsFrom(const MultiAgentBdq &other);

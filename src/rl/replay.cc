@@ -82,15 +82,6 @@ PrioritizedReplay::add(Transition t)
     size_ = std::min(size_ + 1, cfg_.capacity);
 }
 
-ReplaySample
-PrioritizedReplay::sample(std::size_t n, double beta,
-                          common::Rng &rng) const
-{
-    ReplaySample out;
-    sampleInto(n, beta, rng, out);
-    return out;
-}
-
 void
 PrioritizedReplay::sampleInto(std::size_t n, double beta,
                               common::Rng &rng, ReplaySample &out) const

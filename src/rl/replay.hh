@@ -94,14 +94,10 @@ class PrioritizedReplay
     bool empty() const { return size_ == 0; }
 
     /**
-     * Sample @p n indices proportionally to priority^alpha and compute
-     * importance weights (w_i = (N * P(i))^-beta, normalised by max w).
-     */
-    ReplaySample sample(std::size_t n, double beta, common::Rng &rng) const;
-
-    /**
-     * As sample(), but reusing @p out's buffers — the allocation-free
-     * path for the steady-state training loop.
+     * Sample @p n indices proportionally to priority^alpha into @p out
+     * and compute importance weights (w_i = (N * P(i))^-beta,
+     * normalised by max w), reusing @p out's buffers so that the
+     * steady-state training loop does not allocate.
      */
     void sampleInto(std::size_t n, double beta, common::Rng &rng,
                     ReplaySample &out) const;

@@ -182,9 +182,7 @@ Listener::acceptReady()
             continue;
         }
         ++stats_.accepted;
-        Connection &ref = *conn;
         conns_.push_back(std::move(conn));
-        handler_.onConnect(ref);
     }
 }
 
@@ -279,7 +277,6 @@ Listener::closeConnection(Connection &conn, bool protocol_error)
     if (protocol_error)
         ++stats_.protocolErrors;
     ++stats_.closed;
-    handler_.onDisconnect(conn);
     ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn.fd_, nullptr);
     ::close(conn.fd_);
     for (std::size_t i = 0; i < conns_.size(); ++i) {

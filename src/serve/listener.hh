@@ -72,7 +72,7 @@ class Connection
     bool closeAfterFlush_ = false;
 };
 
-/** Receives parsed frames and connection lifecycle events. */
+/** Receives parsed frames. */
 class FrameHandler
 {
   public:
@@ -81,9 +81,6 @@ class FrameHandler
     /** A complete frame arrived. Return false to drop the
      * connection (treated like a protocol error). */
     virtual bool onFrame(Connection &conn, const FrameView &frame) = 0;
-
-    virtual void onConnect(Connection &conn) { (void)conn; }
-    virtual void onDisconnect(Connection &conn) { (void)conn; }
 };
 
 /** Event-loop counters (single-thread: read them on the loop thread

@@ -137,7 +137,6 @@ FrameParser::next(FrameView &out)
     out.body = head + kHeaderBytes;
     out.size = body_len;
     off_ += kHeaderBytes + body_len;
-    ++frames_;
     return Status::Frame;
 }
 

@@ -102,15 +102,12 @@ class FrameParser
 
     /** Bytes buffered but not yet consumed by next(). */
     std::size_t buffered() const { return buf_.size() - off_; }
-    /** Complete frames delivered so far. */
-    std::uint64_t framesParsed() const { return frames_; }
 
   private:
     std::vector<char> buf_;
     std::size_t off_ = 0;
     std::size_t maxBody_;
     std::string error_;
-    std::uint64_t frames_ = 0;
 };
 
 // --- message bodies --------------------------------------------------

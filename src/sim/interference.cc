@@ -5,15 +5,6 @@
 
 namespace twig::sim {
 
-std::vector<InterferenceEffect>
-InterferenceModel::evaluate(
-    const std::vector<InterferenceDemand> &demands) const
-{
-    std::vector<InterferenceEffect> effects;
-    evaluateInto(demands, effects);
-    return effects;
-}
-
 void
 InterferenceModel::evaluateInto(
     const std::vector<InterferenceDemand> &demands,

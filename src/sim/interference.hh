@@ -59,13 +59,10 @@ class InterferenceModel
 
     /**
      * @param demands  one entry per colocated service
-     * @return per-service effects, same order as @p demands
+     * @param effects  per-service effects, same order as @p demands
+     *                 (no allocation once its capacity covers the
+     *                 service count)
      */
-    std::vector<InterferenceEffect>
-    evaluate(const std::vector<InterferenceDemand> &demands) const;
-
-    /** As evaluate(), writing into @p effects (no allocation once its
-     * capacity covers the service count). */
     void evaluateInto(const std::vector<InterferenceDemand> &demands,
                       std::vector<InterferenceEffect> &effects) const;
 

@@ -594,12 +594,4 @@ RequestQueueSim::run(double t0, double dt, double rps,
     return res;
 }
 
-void
-RequestQueueSim::reset()
-{
-    pendingHead_ = 0;
-    pendingCount_ = 0;
-    window_.clear();
-}
-
 } // namespace twig::sim

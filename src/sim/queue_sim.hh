@@ -119,9 +119,6 @@ class RequestQueueSim
                                    const CoreAssignment &assignment,
                                    double inflation);
 
-    /** Clear the backlog (used when a service is swapped out). */
-    void reset();
-
     std::size_t backlog() const { return pendingCount_; }
     const ServiceProfile &profile() const { return profile_; }
 

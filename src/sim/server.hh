@@ -96,8 +96,6 @@ class Server
     const ServerIntervalStats &lastStats() const { return stats_; }
 
     std::size_t step() const { return step_; }
-    const Rapl &rapl() const { return rapl_; }
-    const PowerModel &powerModel() const { return rapl_.model(); }
 
     /**
      * Observer of raw per-request latencies: called once per service

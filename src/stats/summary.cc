@@ -20,32 +20,6 @@ RunningStats::add(double x)
     m2_ += delta * (x - mean_);
 }
 
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double total = n1 + n2;
-    mean_ += delta * n2 / total;
-    m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void
-RunningStats::reset()
-{
-    *this = RunningStats{};
-}
-
 double
 RunningStats::variance() const
 {
@@ -53,21 +27,9 @@ RunningStats::variance() const
 }
 
 double
-RunningStats::sampleVariance() const
-{
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double
 RunningStats::stddev() const
 {
     return std::sqrt(variance());
-}
-
-double
-PercentileEstimator::percentile(double p) const
-{
-    return percentileOf(samples_, p);
 }
 
 double
@@ -96,12 +58,6 @@ percentileOf(const std::vector<double> &values, double p)
 {
     std::vector<double> scratch(values);
     return percentileSelect(scratch.data(), scratch.size(), p);
-}
-
-double
-percentileOf(std::vector<double> &&values, double p)
-{
-    return percentileSelect(values.data(), values.size(), p);
 }
 
 } // namespace twig::stats

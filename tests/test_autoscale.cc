@@ -44,10 +44,10 @@ tmpPath(const std::string &name)
 std::vector<std::vector<double>>
 route(cluster::Router &router, const std::vector<double> &fleet_rps,
       const std::vector<double> &weights,
-      const cluster::RouterFeedback &feedback)
+      const std::vector<double> &p99_ms)
 {
     std::vector<std::vector<double>> out;
-    router.routeInto(fleet_rps, weights, feedback, out);
+    router.routeInto(fleet_rps, weights, p99_ms, out);
     return out;
 }
 
@@ -462,7 +462,7 @@ TEST(RouterDrain, DrainingNodeGetsNoNewLoad)
     // nodes absorb its share.
     cluster::RouterConfig cfg;
     cfg.policy = cluster::RoutingPolicy::WeightedRoundRobin;
-    cluster::Router router(cfg, 7);
+    cluster::Router router(cfg, {30.0}, 7);
     const std::vector<double> rps{900.0};
 
     const auto shares = route(router, rps, {1.0, 0.0, 1.0}, {});

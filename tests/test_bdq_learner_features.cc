@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hh"
@@ -44,6 +45,17 @@ transition(double reward)
     return t;
 }
 
+/** Eval Q-values of one state: a forward over a one-row matrix. */
+twig::nn::BdqOutput
+qValues(BdqLearner &learner, const std::vector<float> &state)
+{
+    twig::nn::Matrix x(1, state.size());
+    std::copy(state.begin(), state.end(), x.rowPtr(0));
+    twig::nn::BdqOutput out;
+    learner.onlineNetwork().forward(x, out, false);
+    return out;
+}
+
 } // namespace
 
 TEST(LearnerFeatures, RewardClipBoundsTheTarget)
@@ -61,8 +73,8 @@ TEST(LearnerFeatures, RewardClipBoundsTheTarget)
         b.observe(transition(-20.0));
     }
     const std::vector<float> s = {0.5f, 0.5f, 0.5f};
-    const auto qa = a.onlineNetwork().qValues(s);
-    const auto qb = b.onlineNetwork().qValues(s);
+    const auto qa = qValues(a, s);
+    const auto qb = qValues(b, s);
     for (std::size_t d = 0; d < 2; ++d)
         for (std::size_t i = 0; i < qa.q[0][d].size(); ++i)
             EXPECT_FLOAT_EQ(qa.q[0][d].raw()[i], qb.q[0][d].raw()[i]);
@@ -84,7 +96,7 @@ TEST(LearnerFeatures, HuberBoundsTheGradientStep)
         learner.observe(transition(0.0));
 
     const std::vector<float> s = {0.5f, 0.5f, 0.5f};
-    const auto q = learner.onlineNetwork().qValues(s);
+    const auto q = qValues(learner, s);
     for (std::size_t d = 0; d < 2; ++d)
         for (float v : q.q[0][d].raw())
             EXPECT_TRUE(std::isfinite(v));
@@ -196,12 +208,12 @@ TEST(LearnerFeatures, GradientStepsPerTrainMultipliesUpdates)
     // the heavier trainer should move its Q estimate further in the
     // same number of environment steps.
     const std::vector<float> s = {0.5f, 0.5f, 0.5f};
-    const float qa0 = a.onlineNetwork().qValues(s).q[0][0](0, 1);
+    const float qa0 = qValues(a, s).q[0][0](0, 1);
     for (int i = 0; i < 40; ++i) {
         a.observe(transition(5.0));
         b.observe(transition(5.0));
     }
-    const float qa = a.onlineNetwork().qValues(s).q[0][0](0, 1);
-    const float qb = b.onlineNetwork().qValues(s).q[0][0](0, 1);
+    const float qa = qValues(a, s).q[0][0](0, 1);
+    const float qb = qValues(b, s).q[0][0](0, 1);
     EXPECT_GT(qb - qa0, qa - qa0);
 }

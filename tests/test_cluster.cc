@@ -38,10 +38,10 @@ tmpPath(const std::string &name)
 std::vector<std::vector<double>>
 route(Router &router, const std::vector<double> &fleet_rps,
       const std::vector<double> &weights,
-      const RouterFeedback &feedback)
+      const std::vector<double> &p99_ms)
 {
     std::vector<std::vector<double>> out;
-    router.routeInto(fleet_rps, weights, feedback, out);
+    router.routeInto(fleet_rps, weights, p99_ms, out);
     return out;
 }
 
@@ -74,8 +74,8 @@ routerGoldenHash()
          {RoutingPolicy::Static, RoutingPolicy::WeightedRoundRobin,
           RoutingPolicy::PowerOfTwoLatency}) {
         for (const auto &[nodes, domains] : shapes) {
-            Router router({policy, domains}, 0x7017e5 + nodes);
-            RouterFeedback feedback;
+            Router router({policy, domains}, targets, 0x7017e5 + nodes);
+            std::vector<double> p99_ms;
             std::vector<double> weights(nodes);
             std::vector<std::vector<double>> out;
             for (std::size_t t = 0; t < 40; ++t) {
@@ -90,14 +90,12 @@ routerGoldenHash()
                 const std::vector<double> rps = {
                     733.3 + 17.9 * static_cast<double>(t), 0.0,
                     210.7 + 41.3 * static_cast<double>(t % 6)};
-                router.routeInto(rps, weights, feedback, out);
+                router.routeInto(rps, weights, p99_ms, out);
                 h = hashShares(out, h);
-                feedback.qosTargetsMs = targets;
-                feedback.p99MsByNode.assign(nodes,
-                                            std::vector<double>(3));
+                p99_ms.assign(nodes * 3, 0.0);
                 for (std::size_t n = 0; n < nodes; ++n) {
                     for (std::size_t s = 0; s < 3; ++s)
-                        feedback.p99MsByNode[n][s] = targets[s] *
+                        p99_ms[n * 3 + s] = targets[s] *
                             (0.4 + 0.3 * static_cast<double>(
                                        (n * 5 + t * 3 + s * 7) % 15));
                 }
@@ -255,7 +253,7 @@ TEST(Router, PolicyNamesRoundTrip)
 
 TEST(Router, StaticSplitsEqually)
 {
-    Router router({RoutingPolicy::Static}, 1);
+    Router router({RoutingPolicy::Static}, {30.0, 30.0}, 1);
     const auto out = route(router, {900.0, 300.0}, {1.0, 2.0, 1.0}, {});
     ASSERT_EQ(out.size(), 3u);
     for (const auto &node : out) {
@@ -266,7 +264,7 @@ TEST(Router, StaticSplitsEqually)
 
 TEST(Router, WrrIsCapacityProportionalAndConserving)
 {
-    Router router({RoutingPolicy::WeightedRoundRobin}, 1);
+    Router router({RoutingPolicy::WeightedRoundRobin}, {30.0}, 1);
     const auto out = route(router, {600.0}, {2.0, 1.0}, {});
     // 2:1 weights interleave the quanta 0, 1, 0, ...: 256 quanta split
     // 171:85, the nearest 2:1 split.
@@ -279,12 +277,10 @@ TEST(Router, WrrIsCapacityProportionalAndConserving)
 
 TEST(Router, P2cConservesLoadAndAvoidsTardyNodes)
 {
-    Router router({RoutingPolicy::PowerOfTwoLatency}, 7);
-    RouterFeedback feedback;
+    Router router({RoutingPolicy::PowerOfTwoLatency}, {30.0}, 7);
     // Node 2 blew its tail-latency target by 3x last interval.
-    feedback.p99MsByNode = {{10.0}, {10.0}, {90.0}};
-    feedback.qosTargetsMs = {30.0};
-    const auto out = route(router, {900.0}, {1.0, 1.0, 1.0}, feedback);
+    const auto out =
+        route(router, {900.0}, {1.0, 1.0, 1.0}, {10.0, 10.0, 90.0});
     EXPECT_NEAR(out[0][0] + out[1][0] + out[2][0], 900.0, 1e-9);
     EXPECT_LT(out[2][0], out[0][0]);
     EXPECT_LT(out[2][0], out[1][0]);
@@ -292,10 +288,15 @@ TEST(Router, P2cConservesLoadAndAvoidsTardyNodes)
 
 TEST(Router, Validation)
 {
-    Router router({RoutingPolicy::Static}, 1);
+    Router router({RoutingPolicy::Static}, {30.0}, 1);
     EXPECT_THROW(route(router, {100.0}, {}, {}), FatalError);
     EXPECT_THROW(route(router, {100.0}, {1.0, -1.0}, {}), FatalError);
     EXPECT_THROW(route(router, {-1.0}, {1.0}, {}), FatalError);
+    // One RPS per QoS target, and feedback for every (node, service).
+    EXPECT_THROW(route(router, {100.0, 100.0}, {1.0}, {}), FatalError);
+    EXPECT_THROW(route(router, {100.0}, {1.0, 1.0}, {10.0}), FatalError);
+    EXPECT_THROW(Router({RoutingPolicy::Static}, {30.0, 0.0}, 1),
+                 FatalError);
 }
 
 TEST(Router, SharesMatchParentGolden)
@@ -397,29 +398,29 @@ TEST(ShardedRouter, OneDomainMatchesFlatRouterExactly)
     // from the router's own seed. The hash was recorded while a flat
     // router and a one-domain sharded one still ran side by side and
     // agreed on every share.
-    Router router({RoutingPolicy::PowerOfTwoLatency, 1}, 7);
+    Router router({RoutingPolicy::PowerOfTwoLatency, 1}, {30.0, 30.0}, 7);
 
     const std::vector<double> weights = {1.0, 2.0, 1.0, 1.5, 1.0};
-    RouterFeedback feedback;
+    std::vector<double> p99_ms;
     std::vector<std::vector<double>> out;
     std::uint64_t h = common::kFnvOffsetBasis;
     for (int interval = 0; interval < 5; ++interval) {
         const std::vector<double> rps = {900.0 + 10.0 * interval,
                                          300.0};
-        router.routeInto(rps, weights, feedback, out);
+        router.routeInto(rps, weights, p99_ms, out);
         h = hashShares(out, h);
         // Fake p99s so later intervals exercise the latency-aware
         // branch too.
-        feedback.p99MsByNode.assign(weights.size(), {10.0, 10.0});
-        feedback.p99MsByNode[2] = {90.0, 20.0};
-        feedback.qosTargetsMs = {30.0, 30.0};
+        p99_ms.assign(2 * weights.size(), 10.0);
+        p99_ms[2 * 2] = 90.0;
+        p99_ms[2 * 2 + 1] = 20.0;
     }
     EXPECT_EQ(h, 0xca40b5f676e1e60dULL);
 }
 
 TEST(ShardedRouter, SplitsAcrossDomainsAndConservesLoad)
 {
-    Router router({RoutingPolicy::PowerOfTwoLatency, 4}, 11);
+    Router router({RoutingPolicy::PowerOfTwoLatency, 4}, {30.0, 30.0}, 11);
     const std::vector<double> weights(8, 1.0);
     std::vector<std::vector<double>> out;
     router.routeInto({800.0, 240.0}, weights, {}, out);
@@ -443,7 +444,7 @@ TEST(ShardedRouter, DomainEvictionShedsToSiblingDomains)
 {
     // A domain whose every member weighs 0 must renormalise its share
     // onto the sibling domains, not abort or drop load.
-    Router router({RoutingPolicy::WeightedRoundRobin, 4}, 3);
+    Router router({RoutingPolicy::WeightedRoundRobin, 4}, {30.0}, 3);
     std::vector<double> weights(8, 1.0);
     weights[0] = 0.0;
     weights[1] = 0.0; // domain 0 = nodes {0, 1}: takes no load
@@ -465,7 +466,7 @@ TEST(ShardedRouter, AllDomainsDownShedsTheInterval)
 {
     // All-zero weights route nothing, across every domain; whether
     // that interval is a shed is the ClusterManager's call.
-    Router router({RoutingPolicy::Static, 2}, 5);
+    Router router({RoutingPolicy::Static, 2}, {30.0}, 5);
     const std::vector<double> weights(4, 0.0);
     std::vector<std::vector<double>> out;
     router.routeInto({500.0}, weights, {}, out);
@@ -476,14 +477,14 @@ TEST(ShardedRouter, AllDomainsDownShedsTheInterval)
 
 TEST(ShardedRouter, Validation)
 {
-    EXPECT_THROW(Router({RoutingPolicy::Static, 0}, 1), FatalError);
+    EXPECT_THROW(Router({RoutingPolicy::Static, 0}, {30.0}, 1), FatalError);
 
-    Router too_many({RoutingPolicy::Static, 4}, 1);
+    Router too_many({RoutingPolicy::Static, 4}, {30.0}, 1);
     std::vector<std::vector<double>> out;
     EXPECT_THROW(too_many.routeInto({100.0}, {1.0, 1.0}, {}, out),
                  FatalError);
 
-    Router fixed({RoutingPolicy::Static, 2}, 1);
+    Router fixed({RoutingPolicy::Static, 2}, {30.0}, 1);
     fixed.routeInto({100.0}, {1.0, 1.0, 1.0, 1.0}, {}, out);
     EXPECT_THROW(fixed.routeInto({100.0}, std::vector<double>(6, 1.0),
                                  {}, out),

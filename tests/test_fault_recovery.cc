@@ -48,10 +48,10 @@ tmpPath(const std::string &name)
 std::vector<std::vector<double>>
 route(Router &router, const std::vector<double> &fleet_rps,
       const std::vector<double> &weights,
-      const RouterFeedback &feedback)
+      const std::vector<double> &p99_ms)
 {
     std::vector<std::vector<double>> out;
-    router.routeInto(fleet_rps, weights, feedback, out);
+    router.routeInto(fleet_rps, weights, p99_ms, out);
     return out;
 }
 
@@ -179,7 +179,7 @@ expectIdenticalTraces(const FleetRunResult &a, const FleetRunResult &b)
 
 TEST(RouterHealth, EvictRenormalizesOntoSurvivors)
 {
-    Router wrr({RoutingPolicy::WeightedRoundRobin}, 1);
+    Router wrr({RoutingPolicy::WeightedRoundRobin}, {30.0}, 1);
     const auto out = route(wrr, {600.0}, {2.0, 0.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(out[1][0], 0.0);
     EXPECT_NEAR(out[0][0] + out[2][0], 600.0, 1e-9);
@@ -187,7 +187,7 @@ TEST(RouterHealth, EvictRenormalizesOntoSurvivors)
     static_assert(kQuantaPerService == 256);
     EXPECT_EQ(out[0][0], 171.0 * 600.0 / 256.0);
 
-    Router stat({RoutingPolicy::Static}, 1);
+    Router stat({RoutingPolicy::Static}, {30.0}, 1);
     const auto eq = route(stat, {600.0}, {0.0, 1.0, 1.0}, {});
     EXPECT_DOUBLE_EQ(eq[0][0], 0.0);
     EXPECT_DOUBLE_EQ(eq[1][0], 300.0);
@@ -198,7 +198,7 @@ TEST(RouterHealth, SingleSurvivorTakesTheWholeLoad)
 {
     // Regression: p2c with exactly one positive weight must not draw
     // a second choice from an empty candidate set.
-    Router router({RoutingPolicy::PowerOfTwoLatency}, 7);
+    Router router({RoutingPolicy::PowerOfTwoLatency}, {30.0}, 7);
     const auto out = route(router, {900.0}, {0.0, 1.0, 0.0}, {});
     EXPECT_DOUBLE_EQ(out[0][0], 0.0);
     EXPECT_DOUBLE_EQ(out[1][0], 900.0);
@@ -213,7 +213,7 @@ TEST(RouterHealth, AllNodesDownShedsInsteadOfNaN)
     for (const RoutingPolicy policy :
          {RoutingPolicy::Static, RoutingPolicy::WeightedRoundRobin,
           RoutingPolicy::PowerOfTwoLatency}) {
-        Router router({policy}, 1);
+        Router router({policy}, {30.0}, 1);
         std::vector<std::vector<double>> out;
         router.routeInto({500.0}, {0.0, 0.0}, {}, out);
         ASSERT_EQ(out.size(), 2u);

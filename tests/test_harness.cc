@@ -7,6 +7,7 @@
 
 #include "baselines/static_manager.hh"
 #include "common/hash.hh"
+#include "harness/engine.hh"
 #include "harness/metrics.hh"
 #include "harness/profiling.hh"
 #include "harness/runner.hh"
@@ -67,33 +68,49 @@ TEST(Runner, StaticManagerMeetsQosAtModerateLoad)
     RunOptions opt;
     opt.steps = 30;
     opt.summaryWindow = 20;
-    const auto result = runner.run(opt);
-    EXPECT_EQ(result.metrics.windowSteps, 20u);
-    EXPECT_GT(result.metrics.services[0].qosGuaranteePct, 90.0);
-    EXPECT_GT(result.metrics.energyJoules, 0.0);
+    const auto metrics = runner.run(opt);
+    EXPECT_EQ(metrics.windowSteps, 20u);
+    EXPECT_GT(metrics.services[0].qosGuaranteePct, 90.0);
+    EXPECT_GT(metrics.energyJoules, 0.0);
 }
+
+namespace {
+
+/** One service at a fixed load under the static manager. */
+ScenarioSpec
+staticSpec(const char *service, double fraction, std::size_t steps,
+           std::uint64_t seed)
+{
+    ScenarioSpec spec;
+    spec.name = "runner";
+    ServiceLoadSpec svc;
+    svc.service = service;
+    svc.fraction = fraction;
+    spec.services.push_back(svc);
+    spec.manager = "static";
+    spec.steps = steps;
+    spec.window = steps;
+    spec.seed = seed;
+    return spec;
+}
+
+} // namespace
 
 TEST(Runner, TraceRecordsEveryStep)
 {
-    sim::MachineConfig machine;
-    sim::Server server(machine, 22);
-    const auto p = services::xapian();
-    server.addService(p,
-                      std::make_unique<sim::FixedLoad>(p.maxLoadRps, 0.2));
-    baselines::StaticManager mgr(machine);
-    ExperimentRunner runner(server, mgr);
-
-    RunOptions opt;
-    opt.steps = 12;
-    opt.summaryWindow = 12;
-    opt.recordTrace = true;
-    const auto result = runner.run(opt);
-    ASSERT_EQ(result.trace.size(), 12u);
+    // The kept trace (EngineOptions::recordTrace) holds one record per
+    // interval of the measured segment.
+    EngineOptions opts;
+    opts.recordTrace = true;
+    const auto trace =
+        Engine(opts).run(staticSpec("xapian", 0.2, 12, 22)).single.trace;
+    const sim::MachineConfig machine;
+    ASSERT_EQ(trace.size(), 12u);
     for (std::size_t i = 0; i < 12; ++i) {
-        EXPECT_EQ(result.trace[i].step, i);
-        ASSERT_EQ(result.trace[i].cores.size(), 1u);
-        EXPECT_EQ(result.trace[i].cores[0], machine.numCores);
-        EXPECT_GT(result.trace[i].socketPowerW, 0.0);
+        EXPECT_EQ(trace[i].step, i);
+        ASSERT_EQ(trace[i].cores.size(), 1u);
+        EXPECT_EQ(trace[i].cores[0], machine.numCores);
+        EXPECT_GT(trace[i].socketPowerW, 0.0);
     }
 }
 
@@ -128,13 +145,12 @@ TEST(Runner, OnStepOrderingAndTraceContentsAgree)
     ExperimentRunner runner(server, mgr);
 
     // The hook fires once per interval, in step order, with the stats
-    // of the interval that just ran.
-    std::vector<std::size_t> hook_steps;
+    // of the interval that just ran and the requests it ran with.
+    std::vector<std::size_t> hook_steps, hook_cores, hook_dvfs;
     std::vector<double> hook_p99, hook_rps, hook_power;
     RunOptions opt;
     opt.steps = 9;
     opt.summaryWindow = 9;
-    opt.recordTrace = true;
     opt.onStep = [&](std::size_t step,
                      const sim::ServerIntervalStats &stats) {
         hook_steps.push_back(step);
@@ -142,24 +158,33 @@ TEST(Runner, OnStepOrderingAndTraceContentsAgree)
         hook_p99.push_back(stats.services[0].p99Ms);
         hook_rps.push_back(stats.services[0].offeredRps);
         hook_power.push_back(stats.socketPowerW);
+        hook_cores.push_back(runner.requests()[0].numCores);
+        hook_dvfs.push_back(runner.requests()[0].dvfsIndex);
     };
-    const auto result = runner.run(opt);
+    runner.run(opt);
+
+    // The engine's kept trace of the same run holds what the hook saw.
+    EngineOptions opts;
+    opts.recordTrace = true;
+    const auto trace =
+        Engine(opts).run(staticSpec("masstree", 0.4, 9, 24)).single.trace;
 
     ASSERT_EQ(hook_steps.size(), 9u);
-    ASSERT_EQ(result.trace.size(), 9u);
+    ASSERT_EQ(trace.size(), 9u);
     for (std::size_t i = 0; i < 9; ++i) {
         EXPECT_EQ(hook_steps[i], i);
-        const auto &rec = result.trace[i];
+        const auto &rec = trace[i];
         EXPECT_EQ(rec.step, i);
-        // Trace rows and the hook observe the same interval.
-        EXPECT_DOUBLE_EQ(rec.p99Ms[0], hook_p99[i]);
-        EXPECT_DOUBLE_EQ(rec.offeredRps[0], hook_rps[i]);
-        EXPECT_DOUBLE_EQ(rec.socketPowerW, hook_power[i]);
-        // The static manager requests everything, every interval.
+        EXPECT_EQ(rec.p99Ms[0], hook_p99[i]);
+        EXPECT_EQ(rec.offeredRps[0], hook_rps[i]);
+        EXPECT_EQ(rec.socketPowerW, hook_power[i]);
         ASSERT_EQ(rec.cores.size(), 1u);
         ASSERT_EQ(rec.dvfs.size(), 1u);
-        EXPECT_EQ(rec.cores[0], machine.numCores);
-        EXPECT_EQ(rec.dvfs[0], machine.dvfs.maxIndex());
+        EXPECT_EQ(rec.cores[0], hook_cores[i]);
+        EXPECT_EQ(rec.dvfs[0], hook_dvfs[i]);
+        // The static manager requests everything, every interval.
+        EXPECT_EQ(hook_cores[i], machine.numCores);
+        EXPECT_EQ(hook_dvfs[i], machine.dvfs.maxIndex());
     }
 }
 
@@ -175,8 +200,7 @@ TEST(Runner, SummaryWindowLargerThanRunIsWholeRun)
     RunOptions opt;
     opt.steps = 5;
     opt.summaryWindow = 100;
-    const auto result = runner.run(opt);
-    EXPECT_EQ(result.metrics.windowSteps, 5u);
+    EXPECT_EQ(runner.run(opt).windowSteps, 5u);
 }
 
 TEST(Runner, Validation)

@@ -114,11 +114,11 @@ TEST(Integration, TwigSLearnsToMeetQos)
     RunOptions opt;
     opt.steps = 900;
     opt.summaryWindow = 150;
-    const auto result = runner.run(opt);
+    const auto metrics = runner.run(opt);
     // After the compressed learning schedule the QoS guarantee must be
     // high and power below the static allocation (~91 W at this load).
-    EXPECT_GT(result.metrics.services[0].qosGuaranteePct, 80.0);
-    EXPECT_LT(result.metrics.meanPowerW, 100.0);
+    EXPECT_GT(metrics.services[0].qosGuaranteePct, 80.0);
+    EXPECT_LT(metrics.meanPowerW, 100.0);
 }
 
 TEST(Integration, TwigCManagesTwoServices)
@@ -141,9 +141,9 @@ TEST(Integration, TwigCManagesTwoServices)
     RunOptions opt;
     opt.steps = 700;
     opt.summaryWindow = 120;
-    const auto result = runner.run(opt);
-    ASSERT_EQ(result.metrics.services.size(), 2u);
-    EXPECT_GT(result.metrics.avgQosGuaranteePct(), 70.0);
+    const auto metrics = runner.run(opt);
+    ASSERT_EQ(metrics.services.size(), 2u);
+    EXPECT_GT(metrics.avgQosGuaranteePct(), 70.0);
 }
 
 TEST(Integration, FullRunIsDeterministic)
@@ -162,7 +162,7 @@ TEST(Integration, FullRunIsDeterministic)
         RunOptions opt;
         opt.steps = 120;
         opt.summaryWindow = 40;
-        return runner.run(opt).metrics;
+        return runner.run(opt);
     };
 
     const auto a = run_once();
@@ -266,7 +266,7 @@ TEST(Integration, TwigBeatsStaticOnEnergyAtLowLoad)
         RunOptions opt;
         opt.steps = 1300;
         opt.summaryWindow = 200;
-        return runner.run(opt).metrics;
+        return runner.run(opt);
     };
 
     baselines::StaticManager static_mgr(machine);
@@ -310,8 +310,8 @@ TEST(Integration, TransferAdaptsAfterServiceSwap)
     RunOptions adapt;
     adapt.steps = 200;
     adapt.summaryWindow = 80;
-    const auto result = runner.run(adapt);
-    EXPECT_GT(result.metrics.services[0].qosGuaranteePct, 60.0);
+    const auto metrics = runner.run(adapt);
+    EXPECT_GT(metrics.services[0].qosGuaranteePct, 60.0);
 }
 
 TEST(Integration, TwigRecoversFromLoadSpike)

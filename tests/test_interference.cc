@@ -32,6 +32,15 @@ heavy()
     return p;
 }
 
+std::vector<InterferenceEffect>
+evaluate(const InterferenceModel &model,
+         const std::vector<InterferenceDemand> &demands)
+{
+    std::vector<InterferenceEffect> effects;
+    model.evaluateInto(demands, effects);
+    return effects;
+}
+
 } // namespace
 
 TEST(Interference, SoloLightServiceUnaffected)
@@ -39,7 +48,7 @@ TEST(Interference, SoloLightServiceUnaffected)
     MachineConfig m;
     InterferenceModel model(m);
     const auto p = light();
-    const auto effects = model.evaluate({{&p, 500.0}});
+    const auto effects = evaluate(model, {{&p, 500.0}});
     ASSERT_EQ(effects.size(), 1u);
     EXPECT_NEAR(effects[0].serviceTimeInflation, 1.0, 0.01);
     EXPECT_NEAR(effects[0].llcMissFactor, 1.0, 0.01);
@@ -55,7 +64,7 @@ TEST(Interference, BandwidthHogInflatesVictim)
     const auto hog = heavy();
     // Hog demands 2000 * 20 MB = 40 GB/s = full bus.
     const auto effects =
-        model.evaluate({{&victim, 500.0}, {&hog, 2000.0}});
+        evaluate(model, {{&victim, 500.0}, {&hog, 2000.0}});
     EXPECT_GT(effects[0].serviceTimeInflation, 1.2);
     // The victim's inflation scales with its (higher) sensitivity.
     EXPECT_GT(effects[0].serviceTimeInflation - 1.0,
@@ -70,7 +79,7 @@ TEST(Interference, InflationMonotoneInLoad)
     const auto b = heavy();
     double prev = 0.0;
     for (double rps : {500.0, 1000.0, 2000.0, 3000.0}) {
-        const auto effects = model.evaluate({{&a, 500.0}, {&b, rps}});
+        const auto effects = evaluate(model, {{&a, 500.0}, {&b, rps}});
         EXPECT_GE(effects[0].serviceTimeInflation, prev);
         prev = effects[0].serviceTimeInflation;
     }
@@ -83,7 +92,7 @@ TEST(Interference, LlcOvercommitRaisesMissFactor)
     InterferenceModel model(m);
     const auto a = heavy(); // 40 MB
     const auto b = heavy(); // 40 MB -> 80 MB on a 45 MB LLC
-    const auto effects = model.evaluate({{&a, 100.0}, {&b, 100.0}});
+    const auto effects = evaluate(model, {{&a, 100.0}, {&b, 100.0}});
     EXPECT_GT(effects[0].llcMissFactor, 1.3);
 }
 
@@ -94,7 +103,7 @@ TEST(Interference, LlcUndercommitNoPenalty)
     InterferenceModel model(m);
     const auto a = light();
     const auto b = light();
-    const auto effects = model.evaluate({{&a, 100.0}, {&b, 100.0}});
+    const auto effects = evaluate(model, {{&a, 100.0}, {&b, 100.0}});
     EXPECT_DOUBLE_EQ(effects[0].llcMissFactor, 1.0);
 }
 
@@ -105,7 +114,7 @@ TEST(Interference, StallFractionConsistentWithInflation)
     InterferenceModel model(m);
     const auto a = light();
     const auto b = heavy();
-    const auto effects = model.evaluate({{&a, 2000.0}, {&b, 1500.0}});
+    const auto effects = evaluate(model, {{&a, 2000.0}, {&b, 1500.0}});
     for (const auto &e : effects) {
         EXPECT_NEAR(e.memStallFraction,
                     (e.serviceTimeInflation - 1.0) /
@@ -120,7 +129,10 @@ TEST(Interference, EmptyDemandListIsFine)
 {
     MachineConfig m;
     InterferenceModel model(m);
-    EXPECT_TRUE(model.evaluate({}).empty());
+    // A reused buffer is emptied, not left holding stale effects.
+    std::vector<InterferenceEffect> effects(3);
+    model.evaluateInto({}, effects);
+    EXPECT_TRUE(effects.empty());
 }
 
 TEST(Interference, BiggerFootprintSuffersMoreFromOvercommit)
@@ -132,7 +144,7 @@ TEST(Interference, BiggerFootprintSuffersMoreFromOvercommit)
     auto small = light(); // 2 MB
     small.llcSensitivity = big.llcSensitivity;
     auto filler = heavy(); // force overcommit
-    const auto effects = model.evaluate(
+    const auto effects = evaluate(model, 
         {{&big, 100.0}, {&small, 100.0}, {&filler, 100.0}});
     EXPECT_GT(effects[0].llcMissFactor, effects[1].llcMissFactor);
 }

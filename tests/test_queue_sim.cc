@@ -208,15 +208,6 @@ TEST(QueueSim, BusyTimeTracksWork)
                 static_cast<double>(r.completed) * 0.005, 0.3);
 }
 
-TEST(QueueSim, ResetClearsBacklogAndWindow)
-{
-    RequestQueueSim sim(testProfile(), Rng(13), 2.0);
-    sim.run(0.0, 1.0, 900.0, dedicated(1), 1.0);
-    EXPECT_GT(sim.backlog(), 0u);
-    sim.reset();
-    EXPECT_EQ(sim.backlog(), 0u);
-}
-
 TEST(QueueSim, Validation)
 {
     RequestQueueSim sim(testProfile(), Rng(14), 2.0);

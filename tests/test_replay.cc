@@ -24,6 +24,14 @@ makeTransition(float tag)
     return t;
 }
 
+ReplaySample
+sample(const PrioritizedReplay &buf, std::size_t n, double beta, Rng &rng)
+{
+    ReplaySample out;
+    buf.sampleInto(n, beta, rng, out);
+    return out;
+}
+
 } // namespace
 
 TEST(SumTree, SetGetTotal)
@@ -112,7 +120,7 @@ TEST(Replay, SampleReturnsValidIndicesAndWeights)
     for (int i = 0; i < 20; ++i)
         buf.add(makeTransition(static_cast<float>(i)));
     Rng rng(3);
-    const auto s = buf.sample(16, 0.5, rng);
+    const auto s = sample(buf, 16, 0.5, rng);
     ASSERT_EQ(s.indices.size(), 16u);
     ASSERT_EQ(s.weights.size(), 16u);
     for (std::size_t i = 0; i < 16; ++i) {
@@ -142,7 +150,7 @@ TEST(Replay, HighPriorityItemsSampledMoreOften)
     Rng rng(4);
     std::map<std::size_t, int> counts;
     for (int round = 0; round < 200; ++round) {
-        const auto s = buf.sample(8, 0.4, rng);
+        const auto s = sample(buf, 8, 0.4, rng);
         for (auto i : s.indices)
             ++counts[i];
     }
@@ -166,7 +174,7 @@ TEST(Replay, UniformWhenAlphaZero)
     Rng rng(5);
     std::map<std::size_t, int> counts;
     for (int round = 0; round < 500; ++round)
-        for (auto i : buf.sample(8, 1.0, rng).indices)
+        for (auto i : sample(buf, 8, 1.0, rng).indices)
             ++counts[i];
     // All eight indices drawn with similar frequency.
     for (const auto &[i, c] : counts)
@@ -184,7 +192,7 @@ TEST(Replay, WeightsCompensatePriority)
     buf.updatePriorities({0, 1}, {10.0, 1.0});
 
     Rng rng(6);
-    const auto s = buf.sample(64, 1.0, rng);
+    const auto s = sample(buf, 64, 1.0, rng);
     double w_high = 0.0, w_low = 0.0;
     for (std::size_t i = 0; i < s.indices.size(); ++i) {
         (s.indices[i] == 0 ? w_high : w_low) = s.weights[i];
@@ -198,7 +206,7 @@ TEST(Replay, SampleFromEmptyThrows)
 {
     PrioritizedReplay buf({});
     Rng rng(7);
-    EXPECT_THROW(buf.sample(4, 0.4, rng), twig::common::FatalError);
+    EXPECT_THROW(sample(buf, 4, 0.4, rng), twig::common::FatalError);
 }
 
 TEST(Replay, UpdateValidation)

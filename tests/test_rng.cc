@@ -114,19 +114,6 @@ TEST(Rng, NormalShifted)
     EXPECT_NEAR(sum / n, 10.0, 0.1);
 }
 
-TEST(Rng, ExponentialMean)
-{
-    Rng rng(29);
-    double sum = 0.0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i) {
-        const double x = rng.exponential(4.0);
-        EXPECT_GE(x, 0.0);
-        sum += x;
-    }
-    EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
 TEST(Rng, LognormalMeanAndCv)
 {
     Rng rng(31);

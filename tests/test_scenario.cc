@@ -361,16 +361,21 @@ TEST(ScenarioSpec, AutoscaleAndFleetBlocksRoundTrip)
 TEST(ScenarioSpec, MisspelledKeyIsFatalInEveryBlock)
 {
     // One cluster scenario opening all twelve blocks the reader
-    // checks; the n-th '%' is where row n adds its key.
+    // checks, a nested block under a second entry too; the n-th '%'
+    // is where row n adds its key.
     const std::string every_block = R"({
       "name": "strict", "topology": "cluster"%,
       "services": [{"service": "masstree"%}],
       "manager": {"name": "twig"%, "knobs": {"theta": 0.5%}},
       "events": [{"after_steps": 5%,
-                  "transfers": [{"service": "moses"%}]}],
+                  "transfers": [{"service": "moses"%}]},
+                 {"after_steps": 5,
+                  "services": [{"service": "masstree"%}]}],
       "cluster": {"nodes": 2%,
                   "node_classes": [{"id": "fat"%,
-                                    "dvfs": {"max_ghz": 2.4%}}],
+                                    "dvfs": {"max_ghz": 2.4%}},
+                                   {"id": "thin",
+                                    "dvfs": {"max_ghz": 1.6%}}],
                   "autoscale": {"min_nodes": 1, "max_nodes": 2%}},
       "faults": {"checkpoint_every": 5%,
                  "events": [{"type": "node_crash", "at": 3%}]}})";
@@ -384,8 +389,11 @@ TEST(ScenarioSpec, MisspelledKeyIsFatalInEveryBlock)
         {"manager", "nmae"},         {"knobs", "thetta"},
         {"event 0", "after_step"},
         {"transfer 0 of event 0", "service_idx"},
+        {"service entry 0 (fixed) of event 1", "patern"},
         {"cluster", "node"},         {"node class 0 (fat)", "core"},
-        {"dvfs", "max_ghZ"},         {"autoscale", "cooldwn"},
+        {"dvfs of node class 0 (fat)", "max_ghZ"},
+        {"dvfs of node class 1 (thin)", "max_ghZ"},
+        {"autoscale", "cooldwn"},
         {"faults", "checkpoint_evry"},
         {"fault event 0 (node_crash)", "durations"},
     };
@@ -860,12 +868,12 @@ TEST(Engine, Fig05StaticCellMatchesHandBuiltRunner)
     const auto direct = runner.run(opt);
 
     EXPECT_DOUBLE_EQ(engine_run.single.metrics.energyJoules,
-                     direct.metrics.energyJoules);
+                     direct.energyJoules);
     EXPECT_DOUBLE_EQ(engine_run.single.metrics.meanPowerW,
-                     direct.metrics.meanPowerW);
+                     direct.meanPowerW);
     EXPECT_DOUBLE_EQ(
         engine_run.single.metrics.services[0].qosGuaranteePct,
-        direct.metrics.services[0].qosGuaranteePct);
+        direct.services[0].qosGuaranteePct);
     EXPECT_EQ(engine_run.managerName, "static");
 }
 
@@ -898,13 +906,13 @@ TEST(Engine, Fig05TwigCellMatchesHandBuiltRunner)
     const auto direct = runner.run(opt);
 
     EXPECT_DOUBLE_EQ(engine_run.single.metrics.energyJoules,
-                     direct.metrics.energyJoules);
+                     direct.energyJoules);
     EXPECT_DOUBLE_EQ(
         engine_run.single.metrics.services[0].qosGuaranteePct,
-        direct.metrics.services[0].qosGuaranteePct);
+        direct.services[0].qosGuaranteePct);
     EXPECT_DOUBLE_EQ(
         engine_run.single.metrics.services[0].meanTardiness,
-        direct.metrics.services[0].meanTardiness);
+        direct.services[0].meanTardiness);
 }
 
 TEST(Engine, Fig12ColocCellMatchesHandBuiltRunner)
@@ -946,9 +954,9 @@ TEST(Engine, Fig12ColocCellMatchesHandBuiltRunner)
     const auto direct = runner.run(opt);
 
     EXPECT_DOUBLE_EQ(engine_run.single.metrics.energyJoules,
-                     direct.metrics.energyJoules);
+                     direct.energyJoules);
     EXPECT_DOUBLE_EQ(engine_run.single.metrics.avgQosGuaranteePct(),
-                     direct.metrics.avgQosGuaranteePct());
+                     direct.avgQosGuaranteePct());
 }
 
 TEST(Engine, ClusterGoldenRunMatchesHandBuiltFleet)

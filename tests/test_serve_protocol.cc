@@ -278,5 +278,4 @@ TEST(ServeProtocol, BuffersStayBounded)
         ASSERT_EQ(parser.next(frame), FrameParser::Status::NeedMore);
         ASSERT_LE(parser.buffered(), 2 * wire.size());
     }
-    EXPECT_EQ(parser.framesParsed(), 10000u);
 }

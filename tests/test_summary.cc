@@ -28,7 +28,6 @@ TEST(RunningStats, SingleValue)
     EXPECT_EQ(s.count(), 1u);
     EXPECT_EQ(s.mean(), 5.0);
     EXPECT_EQ(s.variance(), 0.0);
-    EXPECT_EQ(s.sampleVariance(), 0.0);
     EXPECT_EQ(s.min(), 5.0);
     EXPECT_EQ(s.max(), 5.0);
 }
@@ -41,55 +40,14 @@ TEST(RunningStats, KnownMoments)
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
     EXPECT_DOUBLE_EQ(s.variance(), 4.0);
     EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-    EXPECT_NEAR(s.sampleVariance(), 32.0 / 7.0, 1e-12);
     EXPECT_EQ(s.min(), 2.0);
     EXPECT_EQ(s.max(), 9.0);
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential)
-{
-    twig::common::Rng rng(3);
-    RunningStats whole, left, right;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.normal(3.0, 2.0);
-        whole.add(x);
-        (i < 400 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), whole.count());
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-    EXPECT_EQ(left.min(), whole.min());
-    EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty)
-{
-    RunningStats a, b;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(b); // no-op
-    EXPECT_EQ(a.count(), 2u);
-    b.merge(a); // adopt
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(RunningStats, ResetClears)
-{
-    RunningStats s;
-    s.add(1.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-}
-
 TEST(Percentile, EmptyReturnsZero)
 {
-    PercentileEstimator p;
-    EXPECT_EQ(p.percentile(99.0), 0.0);
-    EXPECT_TRUE(p.empty());
+    EXPECT_EQ(percentileOf({}, 99.0), 0.0);
 }
 
 TEST(Percentile, MedianOfOddCount)
@@ -118,26 +76,6 @@ TEST(Percentile, P99OfUniformGrid)
     for (int i = 1; i <= 1000; ++i)
         v.push_back(static_cast<double>(i));
     EXPECT_NEAR(percentileOf(v, 99.0), 990.0, 1.0);
-}
-
-TEST(Percentile, EstimatorMatchesFreeFunction)
-{
-    PercentileEstimator p;
-    for (double x : {4.0, 8.0, 15.0, 16.0, 23.0, 42.0})
-        p.add(x);
-    EXPECT_EQ(p.count(), 6u);
-    EXPECT_DOUBLE_EQ(
-        p.percentile(50.0),
-        percentileOf({4.0, 8.0, 15.0, 16.0, 23.0, 42.0}, 50.0));
-}
-
-TEST(Percentile, ClearEmpties)
-{
-    PercentileEstimator p;
-    p.add(1.0);
-    p.clear();
-    EXPECT_TRUE(p.empty());
-    EXPECT_EQ(p.percentile(50.0), 0.0);
 }
 
 class PercentileSweep : public ::testing::TestWithParam<double>

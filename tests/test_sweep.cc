@@ -19,7 +19,7 @@ using twig::common::sweepSeed;
 namespace {
 
 /** A real (small) experiment: one service under static management. */
-RunResult
+RunMetrics
 runExperiment(std::size_t index, std::uint64_t seed)
 {
     sim::MachineConfig machine;
@@ -83,11 +83,11 @@ TEST(ParallelSweep, SerialAndParallelRunsAreBitIdentical)
     parallel_opts.baseSeed = 1234;
     ParallelSweep parallel(parallel_opts);
 
-    const auto serial_results = serial.map<RunResult>(
+    const auto serial_results = serial.map<RunMetrics>(
         kRuns, [](std::size_t i, std::uint64_t seed) {
             return runExperiment(i, seed);
         });
-    const auto parallel_results = parallel.map<RunResult>(
+    const auto parallel_results = parallel.map<RunMetrics>(
         kRuns, [](std::size_t i, std::uint64_t seed) {
             return runExperiment(i, seed);
         });
@@ -95,8 +95,7 @@ TEST(ParallelSweep, SerialAndParallelRunsAreBitIdentical)
     ASSERT_EQ(serial_results.size(), kRuns);
     ASSERT_EQ(parallel_results.size(), kRuns);
     for (std::size_t i = 0; i < kRuns; ++i)
-        expectIdentical(serial_results[i].metrics,
-                        parallel_results[i].metrics);
+        expectIdentical(serial_results[i], parallel_results[i]);
 }
 
 TEST(ParallelSweep, RepeatedParallelRunsAreStable)
@@ -105,12 +104,12 @@ TEST(ParallelSweep, RepeatedParallelRunsAreStable)
     opts.jobs = 3;
     opts.baseSeed = 99;
     ParallelSweep sweep(opts);
-    auto once = sweep.map<RunResult>(
+    auto once = sweep.map<RunMetrics>(
         4, [](std::size_t i, std::uint64_t s) { return runExperiment(i, s); });
-    auto twice = sweep.map<RunResult>(
+    auto twice = sweep.map<RunMetrics>(
         4, [](std::size_t i, std::uint64_t s) { return runExperiment(i, s); });
     for (std::size_t i = 0; i < once.size(); ++i)
-        expectIdentical(once[i].metrics, twice[i].metrics);
+        expectIdentical(once[i], twice[i]);
 }
 
 TEST(ParallelSweep, RunOrdersResultsByTaskIndex)
@@ -118,15 +117,15 @@ TEST(ParallelSweep, RunOrdersResultsByTaskIndex)
     SweepOptions opts;
     opts.jobs = 4;
     ParallelSweep sweep(opts);
-    const auto results = sweep.map<RunResult>(
+    const auto results = sweep.map<RunMetrics>(
         5, [](std::size_t i, std::uint64_t) {
-            RunResult r;
-            r.metrics.windowSteps = i; // marker for ordering
-            return r;
+            RunMetrics m;
+            m.windowSteps = i; // marker for ordering
+            return m;
         });
     ASSERT_EQ(results.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i)
-        EXPECT_EQ(results[i].metrics.windowSteps, i);
+        EXPECT_EQ(results[i].windowSteps, i);
 }
 
 TEST(ParallelSweep, MapWithMoreJobsThanTasks)

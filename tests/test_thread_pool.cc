@@ -11,29 +11,6 @@
 
 using twig::common::ThreadPool;
 
-TEST(ThreadPool, RunsEverySubmittedTaskOnce)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitPropagatesFirstException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is consumed: the pool remains usable afterwards.
-    std::atomic<int> count{0};
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ThreadPool, ParallelForCoversExactlyTheRange)
 {
     ThreadPool pool(3);
@@ -67,6 +44,10 @@ TEST(ThreadPool, ParallelForPropagatesBodyException)
                                           throw std::logic_error("boom");
                                   }),
                  std::logic_error);
+    // The error is the caller's: the pool remains usable afterwards.
+    std::atomic<int> count{0};
+    pool.parallelFor(0, 64, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ThreadPool, ReusableAcrossManyParallelFors)

@@ -112,7 +112,10 @@ TEST(TwigManager, RewardSignMatchesQoS)
     // directly on generous telemetry (prevActions were its own, but
     // the QoS reward sign depends only on measured latency).
     twig.decide(stats);
-    EXPECT_GT(twig.lastReward(0), 0.0);
+    // The one transition learned so far carries that reward.
+    auto &replay = twig.learner().replay();
+    ASSERT_EQ(replay.size(), 1u);
+    EXPECT_GT(replay.at(0).rewards[0], 0.0);
 }
 
 TEST(TwigManager, ExploitOnlySkipsLearning)
@@ -165,7 +168,6 @@ TEST(TwigManager, Validation)
     sim::ServerIntervalStats stats;
     stats.services.resize(1);
     EXPECT_THROW(twig.decide(stats), twig::common::FatalError);
-    EXPECT_THROW(twig.lastReward(5), twig::common::FatalError);
     EXPECT_THROW(twig.transferService(7, specFor(services::moses())),
                  twig::common::FatalError);
 }
