@@ -30,8 +30,7 @@ Mlp::forwardImpl(const Matrix &x, Matrix &y, bool train)
         Matrix &relu_out = acts_[slot++];
         linears_[i].forwardRelu(*cur, relu_out, relus_[i]);
         Matrix &drop_out = acts_[slot++];
-        dropouts_[i].forward(relu_out, drop_out, train, rng_);
-        cur = &drop_out;
+        cur = &dropouts_[i].forward(relu_out, drop_out, train, rng_);
     }
     linears_.back().forward(*cur, y);
 }
@@ -68,8 +67,8 @@ Mlp::trainStep(const Matrix &x, const Matrix &target)
     Matrix *grad = &gradA_, *tmp = &gradB_;
     linears_.back().backward(trainDy_, *grad);
     for (std::size_t i = cfg_.hidden.size(); i-- > 0;) {
-        dropouts_[i].backward(*grad, *tmp);
-        std::swap(grad, tmp);
+        if (&dropouts_[i].backward(*grad, *tmp) == tmp)
+            std::swap(grad, tmp);
         relus_[i].backward(*grad, *tmp);
         std::swap(grad, tmp);
         if (i == 0) {

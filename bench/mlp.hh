@@ -61,7 +61,9 @@ class Mlp
     std::vector<Linear> linears_;
     std::vector<ReLU> relus_;
     std::vector<Dropout> dropouts_;
-    std::vector<Matrix> acts_; // scratch activations
+    // Scratch activations, read in place by the next layer until
+    // backward; a dropout that drops nothing leaves its slot unused.
+    std::vector<Matrix> acts_;
     // trainStep scratch: sized on first use, then reused so a
     // steady-state training step performs no heap allocation.
     Matrix trainY_, trainDy_, gradA_, gradB_;

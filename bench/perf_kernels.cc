@@ -9,7 +9,9 @@
  * preset Twig-S trains (core::TwigConfig::fast) at minibatch 32, and
  * the same layers at one row (the decide forward). Each row reports
  * the kernel's GMAC/s. Then one Adam step of each network (ns per
- * parameter) and one full BdqLearner::trainStep() of each.
+ * parameter) and one gradient step of each as the control loop runs
+ * it: BdqLearner::observe() on a full replay, with its share of target
+ * syncs and overwritten slots.
  *
  * Emits a human-readable table and machine-readable JSON
  * (BENCH_kernels.json, or --out PATH).
@@ -175,7 +177,8 @@ paperLearner()
 }
 
 /** The learner twig_sim's Twig-S trains: the fast preset on one
- * 18-core node (11 PMCs, 18 core counts x 9 DVFS states). */
+ * 18-core node (11 PMCs, 18 core counts x 9 DVFS states), with the
+ * 2000 transitions twig_sim's default run fills its replay with. */
 rl::BdqLearnerConfig
 fastLearner()
 {
@@ -183,19 +186,29 @@ fastLearner()
     cfg.net.numAgents = 1;
     cfg.net.stateDimPerAgent = 11;
     cfg.net.branchActions = {18, 9};
-    cfg.replay.capacity = 4096;
+    cfg.replay.capacity = 2000;
     return cfg;
 }
 
-/** Mean microseconds of one trainStep() with the replay pre-filled. */
+/**
+ * Microseconds per gradient step of observe() on a replay filled to
+ * capacity: each call writes a pre-built transition over the oldest
+ * slot and trains, and each timed trial spans one target-sync period,
+ * so the steps carry their share of syncs and of slots whose cached
+ * target values went stale. Best of three trials.
+ */
 double
-benchTrainStep(const rl::BdqLearnerConfig &cfg, std::uint64_t seed)
+benchTrainStep(rl::BdqLearnerConfig cfg, std::uint64_t seed)
 {
+    // Fill without training, so that the first step sees a full replay.
+    cfg.minReplayBeforeTraining = cfg.replay.capacity;
     common::Rng rng(seed);
     rl::BdqLearner learner(cfg, rng);
     common::Rng env(seed + 1);
-    for (int i = 0; i < 256; ++i) {
-        rl::Transition t;
+    const std::size_t period = cfg.targetUpdateInterval;
+    std::vector<rl::Transition> transitions(cfg.replay.capacity +
+                                            3 * period);
+    for (rl::Transition &t : transitions) {
         for (std::size_t d = 0; d < cfg.net.inputDim(); ++d)
             t.state.push_back(static_cast<float>(env.uniform()));
         t.nextState = t.state;
@@ -206,9 +219,20 @@ benchTrainStep(const rl::BdqLearnerConfig &cfg, std::uint64_t seed)
             t.actions.push_back(actions);
             t.rewards.push_back(env.uniform());
         }
-        learner.observe(t);
     }
-    return timeUs([&] { learner.trainStep(); });
+    std::size_t next = 0;
+    while (next < cfg.replay.capacity)
+        learner.observe(std::move(transitions[next++]));
+
+    double best = 1e300;
+    for (int trial = 0; trial < 3; ++trial) {
+        const double start = nowUs();
+        for (std::size_t i = 0; i < period; ++i)
+            learner.observe(std::move(transitions[next++]));
+        best = std::min(best, (nowUs() - start) /
+                                  static_cast<double>(period));
+    }
+    return best / static_cast<double>(cfg.gradientStepsPerTrain);
 }
 
 /** Nanoseconds per parameter of one MultiAgentBdq::adamStep(). */
@@ -264,8 +288,9 @@ main(int argc, char **argv)
     std::printf("\nMultiAgentBdq::adamStep: paper net %.2f ns/param, "
                 "fast preset %.2f ns/param\n",
                 adam_paper_ns, adam_fast_ns);
-    std::printf("BdqLearner::trainStep: paper net (batch 64) %.1f us, "
-                "fast preset (batch %zu) %.1f us\n",
+    std::printf("Gradient step (BdqLearner::observe on a full replay): "
+                "paper net (batch 64) %.1f us, fast preset (batch %zu) "
+                "%.1f us\n",
                 train_us, fast.minibatch, train_fast_us);
 
     double log_sum = 0.0;

@@ -40,12 +40,14 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     lastBatch_ = batch;
     lastTrain_ = train;
 
-    // Shared trunk (linear+ReLU fused per stage).
+    // Shared trunk (linear+ReLU fused per stage). Each layer reads the
+    // previous one's activations in place, which stay put until
+    // backward().
     const Matrix *cur = &x;
     for (auto &stage : trunk_) {
         stage.linear.forwardRelu(*cur, stage.reluOut, stage.relu);
-        stage.dropout.forward(stage.reluOut, stage.dropOut, train, rng_);
-        cur = &stage.dropOut;
+        cur = &stage.dropout.forward(stage.reluOut, stage.dropOut, train,
+                                     rng_);
     }
     const Matrix &h = *cur;
 
@@ -75,8 +77,8 @@ MultiAgentBdq::forward(const Matrix &x, BdqOutput &out, bool train)
     for (std::size_t d = 0; d < branches_.size(); ++d) {
         auto &br = branches_[d];
         br.hidden.forwardRelu(stackedEmbeds_, br.hidAct, br.relu);
-        br.dropout.forward(br.hidAct, br.hidDrop, train, rng_);
-        br.advOut.forward(br.hidDrop, br.adv);
+        br.advOut.forward(
+            br.dropout.forward(br.hidAct, br.hidDrop, train, rng_), br.adv);
 
         const std::size_t n = cfg_.branchActions[d];
         for (std::size_t k = 0; k < cfg_.numAgents; ++k) {
@@ -143,8 +145,7 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
         // Paper: rescale the combined gradient by 1/K before it enters
         // the deepest layer in the advantage dimension.
         g1.scaleInPlace(inv_k);
-        br.dropout.backward(g1, g2);
-        br.relu.backward(g2, g3);
+        br.relu.backward(br.dropout.backward(g1, g2), g3);
         br.hidden.backward(g3, g4);
         d_stacked.addInPlace(g4);
     }
@@ -181,18 +182,18 @@ MultiAgentBdq::backward(const std::vector<std::vector<Matrix>> &dq)
     // by 1/D (number of action dimensions).
     d_h.scaleInPlace(inv_d);
 
-    // Trunk backward (deepest stage last), ping-ponging two buffers.
+    // Trunk backward (deepest stage last), ping-ponging two buffers:
+    // *grad holds the gradient entering each stage.
     Matrix *grad = &d_h, *tmp = &bwdTmp_;
     for (std::size_t s = trunk_.size(); s-- > 0;) {
         auto &stage = trunk_[s];
-        stage.dropout.backward(*grad, *tmp);
-        stage.relu.backward(*tmp, *grad);
-        if (s == 0) {
-            stage.linear.backwardNoInputGrad(*grad);
-        } else {
-            stage.linear.backward(*grad, *tmp);
+        if (&stage.dropout.backward(*grad, *tmp) == tmp)
             std::swap(grad, tmp);
-        }
+        stage.relu.backward(*grad, *tmp);
+        if (s == 0)
+            stage.linear.backwardNoInputGrad(*tmp);
+        else
+            stage.linear.backward(*tmp, *grad);
     }
 }
 
@@ -265,13 +266,21 @@ MultiAgentBdq::forEachLinear(
 void
 MultiAgentBdq::copyParamsFrom(const MultiAgentBdq &other)
 {
-    common::fatalIf(paramCount() != other.paramCount(),
+    // Layer by layer in place: a target sync allocates nothing.
+    common::fatalIf(trunk_.size() != other.trunk_.size() ||
+                        agents_.size() != other.agents_.size() ||
+                        branches_.size() != other.branches_.size(),
                     "copyParamsFrom: incompatible networks");
-    std::vector<const Linear *> src;
-    other.forEachLinear(
-        [&src](const Linear &l) { src.push_back(&l); });
-    std::size_t i = 0;
-    forEachLinear([&](Linear &l) { l.copyParamsFrom(*src[i++]); });
+    for (std::size_t s = 0; s < trunk_.size(); ++s)
+        trunk_[s].linear.copyParamsFrom(other.trunk_[s].linear);
+    for (std::size_t k = 0; k < agents_.size(); ++k) {
+        agents_[k].embed.copyParamsFrom(other.agents_[k].embed);
+        agents_[k].valueOut.copyParamsFrom(other.agents_[k].valueOut);
+    }
+    for (std::size_t d = 0; d < branches_.size(); ++d) {
+        branches_[d].hidden.copyParamsFrom(other.branches_[d].hidden);
+        branches_[d].advOut.copyParamsFrom(other.branches_[d].advOut);
+    }
 }
 
 void

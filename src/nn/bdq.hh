@@ -147,7 +147,8 @@ class MultiAgentBdq
         ReLU relu;
         Dropout dropout;
         // Cached activations; the linear+ReLU pair is fused, so only
-        // the post-ReLU and post-dropout activations materialise.
+        // the post-ReLU activations materialise, and the post-dropout
+        // ones only when dropout drops.
         Matrix reluOut, dropOut;
         TrunkStage(std::size_t in, std::size_t out, float rate,
                    common::Rng &rng)
@@ -174,7 +175,8 @@ class MultiAgentBdq
         ReLU relu;
         Dropout dropout;
         Linear advOut;  // branchHidden -> n_d
-        Matrix hidAct, hidDrop, adv; // cached ([K*B x ...], fused)
+        Matrix hidAct, hidDrop, adv; // cached ([K*B x ...], fused;
+                                     // hidDrop only when dropping)
         BranchModule(std::size_t h, std::size_t hidden_w, std::size_t n,
                      float rate, common::Rng &rng)
             : hidden(h, hidden_w, rng), dropout(rate),

@@ -72,7 +72,7 @@ Linear::forward(const Matrix &x, Matrix &y)
 {
     common::panicIf(x.cols() != weight_.rows(),
                     "Linear::forward: input width mismatch");
-    cachedInput_ = x;
+    input_ = &x;
     matmulBias(x, weight_, bias_, y);
 }
 
@@ -81,7 +81,7 @@ Linear::forwardRelu(const Matrix &x, Matrix &y, ReLU &relu)
 {
     common::panicIf(x.cols() != weight_.rows(),
                     "Linear::forwardRelu: input width mismatch");
-    cachedInput_ = x;
+    input_ = &x;
     matmulBiasRelu(x, weight_, bias_, y,
                    relu.primeMask(x.rows(), weight_.cols()));
 }
@@ -96,14 +96,14 @@ Linear::backward(const Matrix &dy, Matrix &dx)
 void
 Linear::backwardNoInputGrad(const Matrix &dy)
 {
-    common::panicIf(dy.rows() != cachedInput_.rows(),
+    common::panicIf(input_ == nullptr || dy.rows() != input_->rows(),
                     "Linear::backward: batch mismatch");
     common::panicIf(dy.cols() != weight_.cols(),
                     "Linear::backward: output width mismatch");
     // gradW += x^T dy, fused into the kernel: no scratch matrix, no
     // second pass over the gradient.
     Training &tr = training();
-    matmulTransposeAAccum(cachedInput_, dy, tr.gradWeight);
+    matmulTransposeAAccum(*input_, dy, tr.gradWeight);
     kernels::addColumnSums(dy.data(), dy.rows(), dy.cols(),
                            tr.gradBias.data());
 }
@@ -204,17 +204,15 @@ ReLU::backward(const Matrix &dy, Matrix &dx) const
     kernels::reluBackward(dy.data(), mask_.data(), dx.data(), dy.size());
 }
 
-void
+const Matrix &
 Dropout::forward(const Matrix &x, Matrix &y, bool train, common::Rng &rng)
 {
     rows_ = x.rows();
     cols_ = x.cols();
     wasTrain_ = train && rate_ > 0.0f;
+    if (!wasTrain_)
+        return x;
     y.resize(x.rows(), x.cols());
-    if (!wasTrain_) {
-        y = x;
-        return;
-    }
     const float keep = 1.0f - rate_;
     if (mask_.size() != x.size())
         mask_.resize(x.size());
@@ -227,20 +225,20 @@ Dropout::forward(const Matrix &x, Matrix &y, bool train, common::Rng &rng)
             y.raw()[i] = 0.0f;
         }
     }
+    return y;
 }
 
-void
+const Matrix &
 Dropout::backward(const Matrix &dy, Matrix &dx) const
 {
     common::panicIf(dy.rows() != rows_ || dy.cols() != cols_,
                     "Dropout::backward: shape mismatch with forward");
+    if (!wasTrain_)
+        return dy;
     dx.resize(rows_, cols_);
-    if (!wasTrain_) {
-        dx = dy;
-        return;
-    }
     for (std::size_t i = 0; i < dy.size(); ++i)
         dx.raw()[i] = dy.raw()[i] * mask_[i];
+    return dx;
 }
 
 } // namespace twig::nn

@@ -2,8 +2,9 @@
  * @file
  * Neural-network layers: Linear (with Adam state), ReLU, Dropout.
  *
- * Layers process batches (Matrix [batch x features]) and cache what they
- * need for the backward pass. Each Linear layer owns its gradient and
+ * Layers process batches (Matrix [batch x features]) and keep what they
+ * need for the backward pass; a Linear layer reads its input in place
+ * (see Linear::forward). Each Linear layer owns its gradient and
  * Adam moment buffers so an optimiser step is a single call on the
  * layer; a layer that never trains never allocates them.
  */
@@ -49,7 +50,11 @@ class Linear
      */
     Linear(std::size_t in, std::size_t out, common::Rng &rng);
 
-    /** Forward pass (fused GEMM+bias); caches the input for backward(). */
+    /**
+     * Forward pass (fused GEMM+bias). The layer keeps a pointer to
+     * @p x for backward(), which reads it in place: @p x must stay
+     * alive and unchanged until then.
+     */
     void forward(const Matrix &x, Matrix &y);
 
     /**
@@ -57,7 +62,7 @@ class Linear
      * in one kernel pass, without materialising the pre-activation.
      * @p relu receives the activation mask exactly as if
      * forward() + relu.forward() had run, so its backward() works
-     * unchanged.
+     * unchanged. @p x is kept as in forward().
      */
     void forwardRelu(const Matrix &x, Matrix &y, ReLU &relu);
 
@@ -141,7 +146,8 @@ class Linear
 
     Matrix weight_; // [in x out]
     std::vector<float> bias_;
-    Matrix cachedInput_;
+    /** The last forward's input, read in place by backward(). */
+    const Matrix *input_ = nullptr;
     std::optional<Training> train_;
 };
 
@@ -175,8 +181,9 @@ class ReLU
 };
 
 /**
- * Inverted dropout. Active only when `train` is true in forward();
- * at evaluation time it is the identity.
+ * Inverted dropout. Active only when `train` is true in forward() and
+ * the rate is positive; otherwise it is the identity and copies
+ * nothing: forward() returns its input and backward() its gradient.
  */
 class Dropout
 {
@@ -185,8 +192,12 @@ class Dropout
 
     float rate() const { return rate_; }
 
-    void forward(const Matrix &x, Matrix &y, bool train, common::Rng &rng);
-    void backward(const Matrix &dy, Matrix &dx) const;
+    /** The activations: @p y when dropping, else @p x itself. */
+    const Matrix &forward(const Matrix &x, Matrix &y, bool train,
+                          common::Rng &rng);
+    /** The input gradient: @p dx when the forward dropped, else @p dy
+     * itself. */
+    const Matrix &backward(const Matrix &dy, Matrix &dx) const;
 
   private:
     float rate_;

@@ -30,10 +30,19 @@ BdqLearner::training()
 {
     if (!training_) {
         training_.emplace(cfg_, targetRng_);
-        // Both networks start from identical weights (paper footnote 1).
-        training_->target.copyParamsFrom(online_);
+        // Both networks start from identical weights (paper footnote
+        // 1); this first sync opens epoch 1, and every slot's stamp
+        // starts at 0.
+        syncTarget();
     }
     return *training_;
+}
+
+void
+BdqLearner::syncTarget()
+{
+    training_->target.copyParamsFrom(online_);
+    ++training_->epoch;
 }
 
 void
@@ -41,7 +50,7 @@ BdqLearner::load(std::istream &is)
 {
     online_.load(is);
     if (training_)
-        training_->target.copyParamsFrom(online_);
+        syncTarget();
 }
 
 const std::vector<nn::BranchActions> &
@@ -123,7 +132,12 @@ BdqLearner::observe(Transition t)
     Training &train = training();
     {
         ScopedPhaseTimer timer(Phase::Replay);
-        train.replay.add(std::move(t));
+        const std::size_t slot = train.replay.add(std::move(t));
+        // A new slot, or an overwritten one whose cached values were
+        // its old transition's: stale either way.
+        train.stamps.resize(train.replay.size());
+        train.cachedQ.resize(train.replay.size() * train.width);
+        train.stamps[slot] = 0;
     }
     ++step_;
 
@@ -136,7 +150,7 @@ BdqLearner::observe(Transition t)
 
     if (++stepsSinceTargetUpdate_ >= cfg_.targetUpdateInterval) {
         ScopedPhaseTimer timer(Phase::TargetSync);
-        train.target.copyParamsFrom(online_);
+        syncTarget();
         stepsSinceTargetUpdate_ = 0;
     }
     return stats;
@@ -169,11 +183,12 @@ BdqLearner::trainStep()
     }
 
     ScopedPhaseTimer forward_timer(Phase::TrainForward);
-    // Double DQN: online net picks the next action, target net values it.
+    // Double DQN: online net picks the next action, target net values
+    // it. The online net changes every step, so it forwards every
+    // sampled next state; the target's values come from the slot cache.
     nn::BdqOutput &next_online = nextOnlineScratch_;
-    nn::BdqOutput &next_target = nextTargetScratch_;
     online_.forward(next_states, next_online, false);
-    train.target.forward(next_states, next_target, false);
+    refreshTargetValues(sample.indices);
 
     // TD target per agent: y_k = r_k + gamma * (1/D) sum_d
     //     Q_target_{k,d}(s', argmax_a Q_online_{k,d}(s', a))
@@ -187,6 +202,9 @@ BdqLearner::trainStep()
             const Transition &t = replay.at(sample.indices[i]);
             double bootstrap = 0.0;
             if (!t.done) {
+                // Agent k's rows of the slot's cached target values.
+                const float *q_target = train.cachedQ.data() +
+                    sample.indices[i] * train.width + k * train.width / K;
                 for (std::size_t d = 0; d < D; ++d) {
                     const nn::Matrix &qo = next_online.q[k][d];
                     std::size_t best = 0;
@@ -194,7 +212,8 @@ BdqLearner::trainStep()
                         if (qo(i, a) > qo(i, best))
                             best = a;
                     }
-                    bootstrap += next_target.q[k][d](i, best);
+                    bootstrap += q_target[best];
+                    q_target += qo.cols();
                 }
                 bootstrap /= static_cast<double>(D);
             }
@@ -273,11 +292,52 @@ BdqLearner::trainStep()
 }
 
 void
+BdqLearner::refreshTargetValues(const std::vector<std::size_t> &slots)
+{
+    Training &train = *training_;
+    const std::size_t in = cfg_.net.inputDim();
+    nn::Matrix &misses = missStatesScratch_;
+    std::vector<std::size_t> &miss_slots = missSlotsScratch_;
+    nn::BdqOutput &q = missTargetScratch_;
+    if (q.q.empty()) {
+        // First step: size the miss scratch, the target's activations
+        // and its output to a full minibatch, so that no later step
+        // allocates, whatever its miss count.
+        miss_slots.reserve(cfg_.minibatch);
+        misses.resize(cfg_.minibatch, in);
+        train.target.forward(misses, q, false);
+    }
+
+    miss_slots.clear();
+    for (const std::size_t slot : slots) {
+        if (train.stamps[slot] != train.epoch) {
+            train.stamps[slot] = train.epoch;
+            miss_slots.push_back(slot);
+        }
+    }
+    if (miss_slots.empty())
+        return;
+    misses.resize(miss_slots.size(), in);
+    for (std::size_t j = 0; j < miss_slots.size(); ++j) {
+        const auto &next = train.replay.at(miss_slots[j]).nextState;
+        std::copy(next.begin(), next.end(), misses.rowPtr(j));
+    }
+    train.target.forward(misses, q, false);
+    for (std::size_t j = 0; j < miss_slots.size(); ++j) {
+        float *dst = train.cachedQ.data() + miss_slots[j] * train.width;
+        for (const auto &per_agent : q.q) {
+            for (const nn::Matrix &qkd : per_agent)
+                dst = std::copy_n(qkd.rowPtr(j), qkd.cols(), dst);
+        }
+    }
+}
+
+void
 BdqLearner::beginTransfer(std::size_t reexplore_steps, double eps_start)
 {
     online_.reinitializeOutputLayers(rng_);
     if (training_)
-        training_->target.copyParamsFrom(online_);
+        syncTarget();
     stepsSinceTargetUpdate_ = 0;
     // Short re-exploration window starting at the *current* step.
     epsilonSchedule_ = PiecewiseLinearSchedule(

@@ -9,6 +9,8 @@
  * (double-DQN action selection, mean operator across branches). The
  * target network and the replay buffer are built by the first training
  * call, so a deployed (exploit-only) learner holds only its policy.
+ * The target network's weights change only at a sync, so each replay
+ * slot keeps the target Q-values of its next state until the next one.
  */
 
 #ifndef TWIG_RL_BDQ_LEARNER_HH
@@ -16,6 +18,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -153,7 +156,9 @@ class BdqLearner
 
     nn::MultiAgentBdq &onlineNetwork() { return online_; }
     const nn::MultiAgentBdq &onlineNetwork() const { return online_; }
-    /** The replay buffer (built, empty, by the first call if need be). */
+    /** The replay buffer (built, empty, by the first call if need be),
+     * for reading: transitions enter through observe(), which keeps
+     * each slot's cached target values in step with its transition. */
     PrioritizedReplay &replay() { return training().replay; }
 
   private:
@@ -170,12 +175,40 @@ class BdqLearner
     {
         nn::MultiAgentBdq target;
         PrioritizedReplay replay;
+        /** Bumped by every syncTarget(); the target network's weights
+         * are constant within one epoch. */
+        std::size_t epoch = 0;
+        /** Floats per slot in cachedQ: K x sum of n_d. */
+        std::size_t width;
+        /** Per filled replay slot, the target network's Q-values of its
+         * next state (the q[k][d] rows, agent-major), valid while the
+         * slot's stamp equals epoch. Both grow with the replay's filled
+         * size, never its capacity. */
+        std::vector<float> cachedQ;
+        std::vector<std::size_t> stamps;
         Training(const BdqLearnerConfig &cfg, common::Rng &rng)
-            : target(cfg.net, rng), replay(cfg.replay)
+            : target(cfg.net, rng), replay(cfg.replay),
+              width(cfg.net.numAgents *
+                    std::reduce(cfg.net.branchActions.begin(),
+                                cfg.net.branchActions.end()))
         {
         }
     };
     Training &training();
+
+    /** Copy the online network into the target and open a new target
+     * epoch, which makes every slot's cached target values stale. */
+    void syncTarget();
+
+    /**
+     * Bring the cached target values of every slot in @p slots up to
+     * the current epoch by forwarding the stale ones, each once however
+     * often it was drawn, through the target network together. A row's
+     * Q-values do not depend on the rows forwarded with it (DESIGN.md
+     * section 7), so the cache holds what a full-minibatch forward
+     * would, bit for bit.
+     */
+    void refreshTargetValues(const std::vector<std::size_t> &slots);
 
     BdqLearnerConfig cfg_;
     common::Rng rng_;
@@ -212,8 +245,9 @@ class BdqLearner
     // reused: the steady-state training step performs zero heap
     // allocations (verified by tests/test_alloc.cc).
     ReplaySample sampleScratch_;
-    nn::Matrix statesScratch_, nextStatesScratch_;
-    nn::BdqOutput nextOnlineScratch_, nextTargetScratch_, outScratch_;
+    nn::Matrix statesScratch_, nextStatesScratch_, missStatesScratch_;
+    std::vector<std::size_t> missSlotsScratch_;
+    nn::BdqOutput nextOnlineScratch_, missTargetScratch_, outScratch_;
     std::vector<std::vector<double>> targetsScratch_;
     std::vector<std::vector<nn::Matrix>> dqScratch_;
     std::vector<double> tdPriorityScratch_;

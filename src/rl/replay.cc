@@ -69,9 +69,10 @@ PrioritizedReplay::PrioritizedReplay(const ReplayConfig &cfg)
     buffer_.reserve(std::min<std::size_t>(cfg.capacity, 65536));
 }
 
-void
+std::size_t
 PrioritizedReplay::add(Transition t)
 {
+    const std::size_t slot = next_;
     if (buffer_.size() < cfg_.capacity && next_ == buffer_.size()) {
         buffer_.push_back(std::move(t));
     } else {
@@ -80,6 +81,7 @@ PrioritizedReplay::add(Transition t)
     tree_.set(next_, std::pow(maxPriority_, cfg_.alpha));
     next_ = (next_ + 1) % cfg_.capacity;
     size_ = std::min(size_ + 1, cfg_.capacity);
+    return slot;
 }
 
 void

@@ -86,8 +86,9 @@ class PrioritizedReplay
   public:
     explicit PrioritizedReplay(const ReplayConfig &cfg);
 
-    /** Add a transition with max-seen priority (so it is replayed soon). */
-    void add(Transition t);
+    /** Add a transition with max-seen priority (so it is replayed
+     * soon), overwriting the oldest once full; returns its slot. */
+    std::size_t add(Transition t);
 
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return cfg_.capacity; }

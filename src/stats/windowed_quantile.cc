@@ -203,16 +203,4 @@ WindowedQuantile::lastIntervalPercentile(double p) const
     return lo_val + frac * (cur.samples[m - 2] - lo_val);
 }
 
-void
-WindowedQuantile::clear()
-{
-    for (Segment &s : segs_) {
-        s.samples.clear();
-        s.tailLen = 0;
-    }
-    held_ = 0;
-    cur_ = 0;
-    total_ = 0;
-}
-
 } // namespace twig::stats

@@ -104,9 +104,6 @@ class WindowedQuantile
     /** p-th percentile over the current interval's samples only. */
     double lastIntervalPercentile(double p) const;
 
-    /** Drop everything (capacity kept). */
-    void clear();
-
   private:
     /** One interval's samples, its largest first. */
     struct Segment

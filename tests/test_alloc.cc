@@ -2,7 +2,8 @@
  * @file
  * Allocation tests. After a warm-up step has sized every scratch
  * buffer, `BdqLearner::trainStep()` and `Mlp::trainStep()` must perform
- * zero heap allocations, a deployed (exploit-only) Twig replica must
+ * zero heap allocations, and so must `BdqLearner::observe()` on a full
+ * replay across target syncs; a deployed (exploit-only) Twig replica must
  * allocate little more than its policy, a fleet node must not carry
  * its own simulator scratch, and a warm Twig fleet's interval must not
  * allocate at all. Enforced by replacing the
@@ -212,6 +213,34 @@ TEST(Alloc, BdqTrainStepSteadyStateIsAllocationFree)
             learner.trainStep();
     });
     EXPECT_EQ(n, 0) << "steady-state BdqLearner::trainStep allocated";
+}
+
+TEST(Alloc, BdqObserveAtCapacityAcrossTargetSyncIsAllocationFree)
+{
+    // The control loop's training call on a full replay: each observe()
+    // overwrites the oldest slot and trains. Training starts at four
+    // transitions, so the first step forwards at most four stale slots
+    // through the target network, and no sync comes before the replay
+    // fills; the syncs after observations 100 and 200 each leave every
+    // slot stale, so the step after one forwards every slot it draws.
+    auto cfg = smallLearner();
+    cfg.replay.capacity = 64;
+    cfg.minReplayBeforeTraining = 4;
+    cfg.targetUpdateInterval = 100;
+    Rng rng(7);
+    rl::BdqLearner learner(cfg, rng);
+    Rng env(11);
+    std::vector<rl::Transition> transitions;
+    for (int i = 0; i < 220; ++i)
+        transitions.push_back(randomTransition(env));
+    for (int i = 0; i < 64; ++i)
+        learner.observe(std::move(transitions[i]));
+
+    const long long n = countAllocations([&] {
+        for (int i = 64; i < 220; ++i)
+            learner.observe(std::move(transitions[i]));
+    });
+    EXPECT_EQ(n, 0) << "observe at capacity allocated across a target sync";
 }
 
 TEST(Alloc, MlpTrainStepSteadyStateIsAllocationFree)

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
+#include "core/twig_manager.hh"
 #include "rl/bdq_learner.hh"
 
 using namespace twig::rl;
@@ -191,4 +196,64 @@ TEST(BdqLearner, DoneFlagSkipsBootstrap)
     }
     const auto stats = learner.trainStep();
     EXPECT_TRUE(std::isfinite(stats.loss));
+}
+
+TEST(BdqLearner, TargetCacheMatchesParentGolden)
+{
+    // Each replay slot keeps the target network's Q-values of its next
+    // state until the next target sync. This run crosses every rule
+    // that invalidates them: a periodic sync after every 5th
+    // observation, slots overwritten from observation 49 (capacity
+    // 48), and a load() just before observation 120 and a
+    // beginTransfer() just before observation 200, both mid-period,
+    // while stratified minibatches of 32 draw some slots twice.
+    // Twig-C's shape on the fast preset. Pinned by an FNV-1a hash of
+    // every returned TrainStats and the final parameters, recorded when
+    // every gradient step still forwarded the target network over its
+    // whole minibatch. BDQ rounding makes the constant hold on AVX2+FMA
+    // hosts (DESIGN.md section 8).
+    BdqLearnerConfig cfg = twig::core::TwigConfig::fast(300).learner;
+    cfg.net.numAgents = 2;
+    cfg.net.stateDimPerAgent = 11;
+    cfg.net.branchActions = {18, 9};
+    cfg.replay.capacity = 48;
+    cfg.minibatch = 32;
+    cfg.minReplayBeforeTraining = 16;
+    cfg.targetUpdateInterval = 5;
+    cfg.gradientStepsPerTrain = 3;
+    Rng rng(36);
+    BdqLearner learner(cfg, rng);
+
+    Rng env(37);
+    std::uint64_t h = twig::common::kFnvOffsetBasis;
+    const auto hash_double = [&h](double v) {
+        h = twig::common::fnv1a(&v, sizeof(v), h);
+    };
+    std::stringstream at_60;
+    for (std::size_t obs = 1; obs <= 300; ++obs) {
+        Transition t;
+        for (std::size_t i = 0; i < cfg.net.inputDim(); ++i) {
+            t.state.push_back(static_cast<float>(env.uniform()));
+            t.nextState.push_back(static_cast<float>(env.uniform()));
+        }
+        for (std::size_t k = 0; k < cfg.net.numAgents; ++k) {
+            t.actions.push_back({env.uniformInt(18), env.uniformInt(9)});
+            t.rewards.push_back(env.uniform(-1.0, 1.0));
+        }
+        if (obs == 60)
+            learner.save(at_60);
+        if (obs == 120)
+            learner.load(at_60);
+        if (obs == 200)
+            learner.beginTransfer(40);
+        if (const auto stats = learner.observe(std::move(t))) {
+            hash_double(stats->loss);
+            hash_double(stats->meanAbsTdError);
+        }
+    }
+    std::ostringstream params;
+    learner.save(params);
+    const std::string bytes = params.str();
+    h = twig::common::fnv1a(bytes.data(), bytes.size(), h);
+    EXPECT_EQ(h, 0x3c9cb121a5e55cf3ULL);
 }

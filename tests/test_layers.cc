@@ -340,12 +340,16 @@ TEST(ReLU, BackwardMasksGradient)
 
 TEST(Dropout, IdentityInEvalMode)
 {
+    // A dropout that drops nothing hands its input on, copying
+    // nothing, and passes the gradient straight back.
     Rng rng(12);
     Dropout drop(0.5f);
     Matrix x(2, 3, 1.5f), y;
-    drop.forward(x, y, false, rng);
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_FLOAT_EQ(y.raw()[i], 1.5f);
+    EXPECT_EQ(&drop.forward(x, y, false, rng), &x);
+    EXPECT_EQ(y.size(), 0u);
+    Matrix dy(2, 3, 0.5f), dx;
+    EXPECT_EQ(&drop.backward(dy, dx), &dy);
+    EXPECT_EQ(dx.size(), 0u);
 }
 
 TEST(Dropout, ZeroRateIsIdentityEvenInTrain)
@@ -353,9 +357,11 @@ TEST(Dropout, ZeroRateIsIdentityEvenInTrain)
     Rng rng(13);
     Dropout drop(0.0f);
     Matrix x(2, 3, 2.0f), y;
-    drop.forward(x, y, true, rng);
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_FLOAT_EQ(y.raw()[i], 2.0f);
+    EXPECT_EQ(&drop.forward(x, y, true, rng), &x);
+    EXPECT_EQ(y.size(), 0u);
+    Matrix dy(2, 3, 0.5f), dx;
+    EXPECT_EQ(&drop.backward(dy, dx), &dy);
+    EXPECT_EQ(dx.size(), 0u);
 }
 
 TEST(Dropout, PreservesExpectedValue)
@@ -363,7 +369,7 @@ TEST(Dropout, PreservesExpectedValue)
     Rng rng(14);
     Dropout drop(0.4f);
     Matrix x(1, 10000, 1.0f), y;
-    drop.forward(x, y, true, rng);
+    EXPECT_EQ(&drop.forward(x, y, true, rng), &y);
     double sum = 0.0;
     std::size_t zeros = 0;
     for (float v : y.raw()) {
@@ -382,7 +388,7 @@ TEST(Dropout, BackwardUsesSameMask)
     Matrix x(1, 100, 1.0f), y;
     drop.forward(x, y, true, rng);
     Matrix dy(1, 100, 1.0f), dx;
-    drop.backward(dy, dx);
+    EXPECT_EQ(&drop.backward(dy, dx), &dx);
     for (std::size_t i = 0; i < 100; ++i)
         EXPECT_FLOAT_EQ(dx(0, i), y(0, i)); // same mask & scale
 }

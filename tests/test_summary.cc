@@ -239,16 +239,3 @@ TEST(WindowedQuantile, MatchesConcatenatedPercentileOf)
                   percentileOf(recent.back(), 99.0));
     }
 }
-
-TEST(WindowedQuantile, ClearEmptiesButKeepsWorking)
-{
-    WindowedQuantile w(2);
-    w.beginInterval();
-    w.add(5.0);
-    w.clear();
-    EXPECT_TRUE(w.empty());
-    EXPECT_EQ(w.intervals(), 0u);
-    w.beginInterval();
-    w.add(4.0);
-    EXPECT_DOUBLE_EQ(w.percentile(50.0), 4.0);
-}
